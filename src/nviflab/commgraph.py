@@ -3,10 +3,14 @@
 The graph rule: every agent classifies every other alive agent into one of
 four directions by dominant axis (vertical wins ties), keeps the squared-
 Euclidean-nearest candidate per direction (lowest id on distance ties), and
-the edge set is the symmetric closure of those picks. The info-flow
-functions track which (agent, timestep) messages are reachable, both by the
-explicit union over past graphs and by the one-step recurrence; the two must
-agree, which is what the property suite checks.
+the edge set is the symmetric closure of those picks. ``build_graph`` applies
+the rule in one dense numpy pass: pairwise offsets, a direction code per pair
+(the diagonal gets none), then per direction a row-wise argmin of the squared
+distance over columns sorted by id, so the first minimum is the lowest id.
+``tests/test_commgraph.py`` keeps the per-pair loop as its reference oracle.
+The info-flow functions track which (agent, timestep) messages are reachable,
+both by the explicit union over past graphs and by the one-step recurrence;
+the two must agree, which is what the property suite checks.
 """
 from __future__ import annotations
 
@@ -38,12 +42,9 @@ class NeighborGraph:
         return [self.ids[j] for j in np.flatnonzero(row)]
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for i in range(len(self.ids)):
-            for j in range(i + 1, len(self.ids)):
-                if self.adj[i, j]:
-                    out.append((self.ids[i], self.ids[j]))
-        return out
+        """Each edge once as (ids[i], ids[j]) with i < j, in row-major order."""
+        rows, cols = np.nonzero(np.triu(self.adj, 1))
+        return [(self.ids[i], self.ids[j]) for i, j in zip(rows.tolist(), cols.tolist())]
 
 
 def build_graph(positions, ids) -> NeighborGraph:
@@ -55,25 +56,23 @@ def build_graph(positions, ids) -> NeighborGraph:
     pos = np.asarray(positions, dtype=np.int64)
     if pos.shape != (n, 2):
         raise DataError(f"build_graph: expected {n} positions, got shape {pos.shape}")
+    # columns in (id, index) order: argmin's first minimum is the lowest id
+    order = np.argsort(np.asarray(ids), kind="stable")
+    rel = pos[order][None, :, :] - pos[:, None, :]
+    dx, dy = rel[..., 0], rel[..., 1]
+    # 0 up, 1 down, 2 left, 3 right; -1 marks an agent's own column
+    direction = np.where(np.abs(dy) >= np.abs(dx), dy >= 0, 2 + (dx >= 0))
+    rows = np.arange(n)
+    direction[rows, np.argsort(order)] = -1
+    d2 = dx * dx + dy * dy
+    far = np.iinfo(np.int64).max
     adj = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        # best (d2, id, index) per direction: up, down, left, right
-        best: dict[str, tuple[int, int, int]] = {}
-        for j in range(n):
-            if j == i:
-                continue
-            dx = int(pos[j, 0] - pos[i, 0])
-            dy = int(pos[j, 1] - pos[i, 1])
-            if abs(dy) >= abs(dx):
-                direction = "up" if dy < 0 else "down"
-            else:
-                direction = "left" if dx < 0 else "right"
-            cand = (dx * dx + dy * dy, ids[j], j)
-            if direction not in best or cand < best[direction]:
-                best[direction] = cand
-        for _, _, j in best.values():
-            adj[i, j] = True
-            adj[j, i] = True
+    for code in range(4):
+        key = np.where(direction == code, d2, far)
+        pick = key.argmin(axis=1)
+        hit = key[rows, pick] < far
+        adj[rows[hit], order[pick[hit]]] = True
+    adj |= adj.T
     return NeighborGraph(ids=ids, adj=adj)
 
 

@@ -135,13 +135,14 @@ def _dispatch(args, cfg) -> int:
             policies.append((path.name, PolicyBundle.load(path)))
         from ..env_gather import preset
         tasks = [(name, preset(name, **cfg.env)) for name in section["tasks"]]
-        rows, cols, raw, scores = scalability_matrix(
+        rows, cols, raw, reference, scores = scalability_matrix(
             policies, tasks, episodes=section.get("episodes", 10),
             seed=section.get("seed", 0))
         mat_dir = out / "scalability"
         mat_dir.mkdir(parents=True, exist_ok=True)
         write_matrix_csv(mat_dir / "matrix.csv", rows, cols, scores)
-        write_matrix_csv(mat_dir / "raw_returns.csv", rows, cols, raw)
+        write_matrix_csv(mat_dir / "raw_returns.csv", rows + ["random"], cols,
+                         [*raw, reference])
         print(f"matrix written to {mat_dir / 'matrix.csv'}")
         return 0
 

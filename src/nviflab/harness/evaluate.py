@@ -1,6 +1,7 @@
 """Policy evaluation and replay export."""
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -76,27 +77,25 @@ def evaluate(policy_source, task_cfg, episodes: int, seed: int,
     env_rng = np.random.default_rng(env_seq)
     pol_rng = np.random.default_rng(pol_seq)
     policy = make_policy(policy_source, pol_rng, greedy=greedy)
-    writer = ReplayWriter(replay_path) if replay_path else None
     returns, ends, fracs = [], [], []
-    for _ in range(episodes):
-        world = new_world(replace(task_cfg, seed=int(env_rng.integers(2 ** 62))))
-        if writer:
-            writer.start_episode(world)
-        policy.reset()
-        episode_return = 0.0
-        while not world.done:
-            ids = world.alive_agents()
-            actions = policy.act(world, ids, pol_rng)
-            edges = build_graph(world.agent_positions(ids), ids).edges() if writer else None
-            result = step(world, actions)
-            episode_return += float(np.sum(list(result.rewards.values())))
+    with ReplayWriter(replay_path) if replay_path else nullcontext() as writer:
+        for _ in range(episodes):
+            world = new_world(replace(task_cfg, seed=int(env_rng.integers(2 ** 62))))
             if writer:
-                writer.write_step(world, actions, result, edges=edges)
-        returns.append(episode_return)
-        ends.append(world.t)
-        fracs.append((task_cfg.n_food - world.food_remaining()) / task_cfg.n_food)
-    if writer:
-        writer.close()
+                writer.start_episode(world)
+            policy.reset()
+            episode_return = 0.0
+            while not world.done:
+                ids = world.alive_agents()
+                actions = policy.act(world, ids, pol_rng)
+                edges = build_graph(world.agent_positions(ids), ids).edges() if writer else None
+                result = step(world, actions)
+                episode_return += float(np.sum(list(result.rewards.values())))
+                if writer:
+                    writer.write_step(world, actions, result, edges=edges)
+            returns.append(episode_return)
+            ends.append(world.t)
+            fracs.append((task_cfg.n_food - world.food_remaining()) / task_cfg.n_food)
     return {
         "mean_return": float(np.mean(returns)),
         "mean_end_steps": float(np.mean(ends)),

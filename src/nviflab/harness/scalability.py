@@ -54,7 +54,8 @@ def scalability_matrix(policies, tasks, episodes: int, seed: int):
     Each column is normalized against the built-in ``"random"`` policy
     evaluated with the same ``episodes`` and ``seed``; raises ``DataError``
     if on some task no policy beats it.
-    Returns (row_names, col_names, raw_returns, scores).
+    Returns (row_names, col_names, raw_returns, reference, scores), where
+    ``reference`` holds the random policy's return on each task.
     """
     raw = np.zeros((len(policies), len(tasks)))
     reference = np.zeros(len(tasks))
@@ -64,7 +65,7 @@ def scalability_matrix(policies, tasks, episodes: int, seed: int):
             raw[i, j] = evaluate(policy, task_cfg, episodes, seed)["mean_return"]
     col_names = [n for n, _ in tasks]
     return ([n for n, _ in policies], col_names,
-            raw, normalize_matrix(raw, reference, col_names))
+            raw, reference, normalize_matrix(raw, reference, col_names))
 
 
 def write_matrix_csv(path, row_names, col_names, matrix):

@@ -1,9 +1,74 @@
 """Neighbor graph construction, normalization, and info-flow equivalence."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nviflab import commgraph as cg
 from nviflab.errors import DataError, ProtocolError
+
+
+def direction(dx, dy):
+    """Dominant axis of the offset (dx, dy); vertical wins ties."""
+    if abs(dy) >= abs(dx):
+        return "up" if dy < 0 else "down"
+    return "left" if dx < 0 else "right"
+
+
+def own_picks(positions, ids):
+    """Reference oracle, per agent: the indices it picks, one per direction.
+
+    Agent i keeps, per direction, the other agent with the smallest
+    (squared distance, id, index), found by a loop over every other agent.
+    """
+    picks = []
+    for i in range(len(ids)):
+        best = {}
+        for j in range(len(ids)):
+            if j == i:
+                continue
+            dx = int(positions[j][0]) - int(positions[i][0])
+            dy = int(positions[j][1]) - int(positions[i][1])
+            cand = (dx * dx + dy * dy, ids[j], j)
+            key = direction(dx, dy)
+            if key not in best or cand < best[key]:
+                best[key] = cand
+        picks.append({j for _, _, j in best.values()})
+    return picks
+
+
+def loop_adjacency(positions, ids):
+    """Reference oracle: the symmetric closure of every agent's own picks."""
+    adj = np.zeros((len(ids), len(ids)), dtype=bool)
+    for i, picks in enumerate(own_picks(positions, ids)):
+        for j in picks:
+            adj[i, j] = adj[j, i] = True
+    return adj
+
+
+@st.composite
+def layouts(draw, n_max=150):
+    """Distinct positions with shuffled, non-contiguous ids.
+
+    A ring around an anchor cell comes first: its cells sit at equal
+    distances along the axes and on exact diagonals, so distance and
+    direction ties are forced; a small grid makes further ties common.
+    """
+    side = draw(st.integers(1, 16))
+    n = draw(st.integers(1, min(n_max, side * side)))
+    ax = draw(st.integers(0, side - 1))
+    ay = draw(st.integers(0, side - 1))
+    r = draw(st.integers(1, 4))
+    ring = [(ax + sx * r, ay + sy * r) for sx in (-1, 0, 1) for sy in (-1, 0, 1)]
+    cells = [c for c in ring if 0 <= c[0] < side and 0 <= c[1] < side]
+    taken = set(cells)
+    cells += [c for c in ((k % side, k // side)
+                          for k in draw(st.permutations(range(side * side))))
+              if c not in taken]
+    scale = draw(st.integers(1, 3))
+    positions = [(x * scale, y * scale) for x, y in cells[:n]]
+    ids = draw(st.lists(st.integers(0, 10 ** 6), min_size=n, max_size=n, unique=True))
+    return positions, ids
 
 
 def random_episode(rng, n_max=8, t_max=6):
@@ -68,9 +133,56 @@ class TestBuildGraph:
             g2 = cg.build_graph([pos[k] for k in perm], [ids[k] for k in perm])
             assert set(map(frozenset, g.edges())) == set(map(frozenset, g2.edges()))
 
+    def test_distance_tie_goes_to_lowest_id(self):
+        # 7's up candidates 9 and 2 are both at d2 = 5: it picks 2, not the
+        # earlier index; 9 picks 4 below it and 2 to its right, never 7
+        g = cg.build_graph([(5, 5), (4, 3), (6, 3), (3, 4)], [7, 9, 2, 4])
+        assert set(map(frozenset, g.edges())) == {
+            frozenset(e) for e in [(7, 2), (7, 4), (9, 4), (9, 2)]}
+
+    def test_edges_row_major(self):
+        g = cg.build_graph([(0, 0), (0, 2), (2, 0), (2, 2)], [5, 3, 8, 1])
+        assert g.edges() == [(5, 3), (5, 8), (3, 1), (8, 1)]
+
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             cg.build_graph([], [])
+
+    def test_position_count_mismatch_rejected(self):
+        with pytest.raises(DataError):
+            cg.build_graph([(0, 0)], [0, 1])
+
+
+class TestGraphRuleProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(layouts())
+    def test_matches_loop_oracle(self, layout):
+        positions, ids = layout
+        g = cg.build_graph(positions, ids)
+        assert g.ids == tuple(ids)
+        np.testing.assert_array_equal(g.adj, loop_adjacency(positions, ids))
+
+    @settings(max_examples=60, deadline=None)
+    @given(layouts())
+    def test_symmetric_zero_diagonal(self, layout):
+        g = cg.build_graph(*layout)
+        assert g.adj.dtype == bool and g.adj.shape == (g.n_alive, g.n_alive)
+        assert np.array_equal(g.adj, g.adj.T)
+        assert not g.adj.diagonal().any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(layouts())
+    def test_picks_are_directional_minima(self, layout):
+        positions, ids = layout
+        g = cg.build_graph(positions, ids)
+        picks = own_picks(positions, ids)
+        for i in range(len(ids)):
+            neighbors = set(np.flatnonzero(g.adj[i]).tolist())
+            # every (d2, id)-minimum is kept ...
+            assert picks[i] <= neighbors
+            # ... and an edge the other end did not pick is one of i's own
+            # picks: at most one per direction, that direction's minimum
+            assert {j for j in neighbors if i not in picks[j]} <= picks[i]
 
 
 class TestNormalize:

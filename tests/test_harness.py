@@ -1,11 +1,13 @@
 """Experiment configs, CLI exit codes, evaluation, scalability, resumability."""
+import csv
+import importlib
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from nviflab.env_gather import preset, read_replay, episode_metrics
+from nviflab.env_gather import NOOP_INDEX, preset, read_replay, episode_metrics
 from nviflab.errors import ConfigError, DataError
 from nviflab.harness import (
     PolicyBundle,
@@ -98,6 +100,38 @@ class TestCliExitCodes:
         assert err.startswith("error: ")
         assert "task desk-random-12 (best 0, reference 0)" in err
 
+    def test_scalability_matrix_recomputable_from_raw_returns(self, tmp_path,
+                                                               tiny_compressor):
+        # a bundle that always plays noop beats random once food pays nothing
+        noop = ActorCritic(PolicyConfig(tiny_compressor.config.latent_width),
+                           np.random.default_rng(0))
+        noop.actor["w2"].data[:] = 0.0
+        noop.actor["b2"].data[NOOP_INDEX] = 50.0
+        PolicyBundle("ippo", "none", "desk-random-12", tiny_compressor,
+                     actor_critic=noop).save(tmp_path / "noop")
+        PolicyBundle("ippo", "none", "desk-random-12", tiny_compressor,
+                     actor_critic=ActorCritic(
+                         PolicyConfig(tiny_compressor.config.latent_width),
+                         np.random.default_rng(1))).save(tmp_path / "fresh")
+        path = write_config(tmp_path / "c.json", env={"r_food": 0.0}, scalability={
+            "policies": [str(tmp_path / "noop"), str(tmp_path / "fresh")],
+            "tasks": ["desk-random-12"], "episodes": 1})
+        assert cli_main(["scalability", "--config", str(path)]) == 0
+
+        def read(name):
+            with open(tmp_path / "out" / "scalability" / name) as fh:
+                header, *rows = list(csv.reader(fh))
+            return header, [r[0] for r in rows], np.array([r[1:] for r in rows], float)
+
+        head, names, raw = read("raw_returns.csv")
+        m_head, m_names, written = read("matrix.csv")
+        assert head == m_head == ["policy\\task", "desk-random-12"]
+        assert names == ["noop", "fresh", "random"] and m_names == names[:2]
+        # both files are written to 6 decimals, so equal to that precision
+        np.testing.assert_allclose(normalize_matrix(raw[:2], raw[2]), written,
+                                   rtol=0, atol=2e-6)
+        assert written[0, 0] == 1.0
+
     def test_eval_missing_bundle_exits_2(self, tmp_path):
         path = write_config(tmp_path / "c.json")
         assert cli_main(["eval", "--config", str(path),
@@ -161,6 +195,27 @@ class TestEvaluate:
         assert np.mean([m["food_eaten_frac"] for m in per_ep]) == pytest.approx(
             metrics["food_eaten_frac"])
 
+    def test_replay_closed_when_episode_raises(self, tmp_path, tiny_task, monkeypatch):
+        module = importlib.import_module("nviflab.harness.evaluate")
+        real_step = module.step
+        calls = []
+
+        def failing_step(world, actions):
+            calls.append(world.t)
+            if len(calls) == 2:
+                raise RuntimeError("step failed")
+            return real_step(world, actions)
+
+        monkeypatch.setattr(module, "step", failing_step)
+        replay = tmp_path / "r.jsonl"
+        with pytest.raises(RuntimeError, match="step failed") as failure:
+            evaluate("random", tiny_task, episodes=1, seed=0, replay_path=replay)
+        # the caller still holds the traceback (and so evaluate's frame), yet
+        # the writer was closed on the way out: header and first step flushed
+        assert failure.traceback
+        lines = replay.read_text().splitlines()
+        assert len(lines) == 2 and json.loads(lines[0])["kind"] == "header"
+
     def test_bundle_width_mismatch_rejected(self, tiny_task, tiny_compressor):
         res = train_ppo(tiny_task, tiny_compressor,
                         PPOHyper(epochs=1, episodes_per_epoch=1, seed=0),
@@ -208,7 +263,7 @@ class TestScalability:
         bundle = PolicyBundle("ippo", "none", "desk-random-12", tiny_compressor,
                               actor_critic=res.actor_critic)
         no_food = replace(tiny_task, r_food=0.0)
-        rows, cols, raw, scores = scalability_matrix(
+        rows, cols, raw, reference, scores = scalability_matrix(
             [("a", bundle), ("noop", "noop")],
             [("t1", no_food)], episodes=1, seed=0)
         assert rows == ["a", "noop"] and cols == ["t1"]
@@ -218,6 +273,7 @@ class TestScalability:
         assert np.all(scores >= 0.0) and np.all(scores <= 1.0)
         # the reference is random run on the same seed (the same env episodes)
         ref = evaluate("random", no_food, episodes=1, seed=0)["mean_return"]
+        assert reference.tolist() == [ref]
         np.testing.assert_allclose(
             scores[:, 0], np.clip(raw[:, 0] - ref, 0.0, None) / (raw[1, 0] - ref))
         # the random policy alone plays the reference's own episodes: no gain
