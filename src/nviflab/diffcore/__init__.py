@@ -1,6 +1,5 @@
 """Minimal reverse-mode differentiable numerics."""
 from .nn import (
-    GRU_PARAM_NAMES,
     LOG_SIGMA_MAX,
     LOG_SIGMA_MIN,
     affine,
@@ -8,8 +7,10 @@ from .nn import (
     gru_cell,
     init_gru,
     init_linear,
+    init_mlp,
+    mlp,
 )
-from .optim import Adam, optimizer_step
+from .optim import optimizer_step
 from .params import ParamStore
 from .tensor import (
     Tensor,
@@ -40,10 +41,10 @@ from .tensor import (
 )
 
 __all__ = [
-    "Adam", "GRU_PARAM_NAMES", "LOG_SIGMA_MAX", "LOG_SIGMA_MIN", "ParamStore",
-    "Tensor", "add", "affine", "as_tensor", "backward", "bce_loss", "clamp",
-    "concat", "exp", "gather_rows", "gaussian_sample", "gru_cell", "init_gru",
-    "init_linear", "log", "log_softmax", "matmul", "mean", "minimum", "mse", "mul",
+    "LOG_SIGMA_MAX", "LOG_SIGMA_MIN", "ParamStore", "Tensor", "add", "affine",
+    "as_tensor", "backward", "bce_loss", "clamp", "concat", "exp", "gather_rows",
+    "gaussian_sample", "gru_cell", "init_gru", "init_linear", "init_mlp", "log",
+    "log_softmax", "matmul", "mean", "minimum", "mlp", "mse", "mul",
     "no_grad", "optimizer_step", "relu", "sigmoid", "sparse_matmul", "sub",
     "sum", "take_per_row", "tanh", "topological_order",
 ]

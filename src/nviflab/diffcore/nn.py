@@ -1,9 +1,10 @@
-"""Network building blocks: linear layers, the GRU cell, reparameterized sampling."""
+"""Network building blocks: linear layers, the relu MLP, the GRU cell,
+reparameterized sampling."""
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, add, as_tensor, concat, exp, matmul, mul, sigmoid, sub, tanh
+from .tensor import Tensor, add, as_tensor, concat, exp, matmul, mul, relu, sigmoid, sub, tanh
 
 LOG_SIGMA_MIN = -10.0
 LOG_SIGMA_MAX = 4.0
@@ -23,7 +24,29 @@ def affine(x, w, b) -> Tensor:
     return add(matmul(x, w), b)
 
 
-GRU_PARAM_NAMES = ("w_z", "b_z", "w_r", "b_r", "w_n", "b_n")
+def init_mlp(store, prefix: str, widths: list[int], rng: np.random.Generator,
+             dtype=np.float32, out_scale: float | None = None):
+    """Register ``prefix`` w1, b1, w2, b2, ... for the width chain, in that order.
+
+    Hidden layers use the default He scale; the output layer uses ``out_scale``.
+    """
+    n_layers = len(widths) - 1
+    for layer, (fin, fout) in enumerate(zip(widths[:-1], widths[1:]), start=1):
+        w, b = init_linear(rng, fin, fout, dtype,
+                           scale=out_scale if layer == n_layers else None)
+        store.add(f"{prefix}w{layer}", w)
+        store.add(f"{prefix}b{layer}", b)
+
+
+def mlp(x, store, prefix: str) -> Tensor:
+    """Affine layers registered by :func:`init_mlp`, relu between them and
+    none after the last."""
+    h = affine(x, store[f"{prefix}w1"], store[f"{prefix}b1"])
+    layer = 2
+    while f"{prefix}w{layer}" in store:
+        h = affine(relu(h), store[f"{prefix}w{layer}"], store[f"{prefix}b{layer}"])
+        layer += 1
+    return h
 
 
 def init_gru(rng: np.random.Generator, input_width: int, hidden_width: int, dtype=np.float32):

@@ -1,8 +1,6 @@
 """Adaptive-moment gradient descent over a ParamStore."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .params import ParamStore
@@ -31,16 +29,3 @@ def optimizer_step(store: ParamStore, lr=3e-4, beta1=0.9, beta2=0.999, eps=1e-8)
         v_hat = bufs["v"] / bc2
         p.data = p.data - (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(p.data.dtype)
 
-
-@dataclass
-class Adam:
-    """Hyperparameter bundle; ``step`` applies :func:`optimizer_step`."""
-
-    store: ParamStore
-    lr: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def step(self):
-        optimizer_step(self.store, self.lr, self.beta1, self.beta2, self.eps)

@@ -4,14 +4,21 @@ Checkpoint format: ``<prefix>.json`` manifest listing {name, shape, dtype,
 offset} for every array, plus ``<prefix>.bin`` holding the little-endian raw
 values back to back. Optimizer moment buffers are stored alongside the
 parameters so a reload resumes optimization bit-exactly.
+
+Both files are written to temporary names in the same directory first and
+then moved over the old ones with ``os.replace``, blob before manifest, so a
+save that fails part-way leaves the previous checkpoint in place. ``load``
+checks the manifest's extents against the blob length.
 """
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 
+from ..errors import DataError
 from .tensor import Tensor
 
 _DTYPE_CODES = {"float32": "<f4", "float64": "<f8"}
@@ -39,19 +46,9 @@ class ParamStore:
     def names(self) -> list[str]:
         return list(self._params)
 
-    def tensors(self) -> list[Tensor]:
-        return list(self._params.values())
-
-    def n_values(self) -> int:
-        return int(np.sum([t.data.size for t in self._params.values()]))
-
     def zero_grad(self):
         for t in self._params.values():
             t.grad = np.zeros_like(t.data)
-
-    def subset(self, prefix: str) -> dict[str, Tensor]:
-        plen = len(prefix)
-        return {k[plen:]: v for k, v in self._params.items() if k.startswith(prefix)}
 
     # -- checkpoint io ------------------------------------------------------
 
@@ -77,23 +74,34 @@ class ParamStore:
                 push(f"moment/{key}/{name}", arr)
         manifest = {"step_count": self.step_count, "arrays": entries}
         prefix.parent.mkdir(parents=True, exist_ok=True)
-        with open(prefix.with_suffix(".json"), "w") as fh:
-            json.dump(manifest, fh, indent=1)
-        with open(prefix.with_suffix(".bin"), "wb") as fh:
+        blob_path, manifest_path = prefix.with_suffix(".bin"), prefix.with_suffix(".json")
+        blob_tmp = blob_path.with_name(blob_path.name + ".tmp")
+        manifest_tmp = manifest_path.with_name(manifest_path.name + ".tmp")
+        with open(blob_tmp, "wb") as fh:
             for raw in blobs:
                 fh.write(raw)
+        with open(manifest_tmp, "w") as fh:
+            json.dump(manifest, fh, indent=1)
+        os.replace(blob_tmp, blob_path)
+        os.replace(manifest_tmp, manifest_path)
 
     @classmethod
     def load(cls, prefix: str | Path) -> "ParamStore":
         prefix = Path(prefix)
         with open(prefix.with_suffix(".json")) as fh:
             manifest = json.load(fh)
-        blob = Path(prefix.with_suffix(".bin")).read_bytes()
+        blob_path = prefix.with_suffix(".bin")
+        blob = blob_path.read_bytes()
         store = cls()
         store.step_count = manifest["step_count"]
+        end = 0
         for entry in manifest["arrays"]:
             code = _DTYPE_CODES[entry["dtype"]]
             size = int(np.prod(entry["shape"])) if entry["shape"] else 1
+            end = entry["offset"] + size * np.dtype(code).itemsize
+            if end > len(blob):
+                raise DataError(f"{blob_path}: {entry['name']} ends at byte {end}, "
+                                f"past the {len(blob)}-byte blob")
             arr = np.frombuffer(blob, dtype=code, count=size, offset=entry["offset"])
             arr = arr.reshape(entry["shape"]).astype(entry["dtype"]).copy()
             kind, _, rest = entry["name"].partition("/")
@@ -102,4 +110,6 @@ class ParamStore:
             else:
                 key, _, name = rest.partition("/")
                 store.moments.setdefault(name, {})[key] = arr
+        if end != len(blob):
+            raise DataError(f"{blob_path}: manifest covers {end} bytes, blob has {len(blob)}")
         return store

@@ -1,7 +1,8 @@
 """Experiment configuration: a single JSON file drives every command.
 
 Unknown keys are rejected (top level and inside each section) so typos
-cannot silently fall back to defaults.
+cannot silently fall back to defaults, and every trainer's hyperparameters
+are validated on load.
 """
 from __future__ import annotations
 
@@ -110,4 +111,6 @@ def load_experiment(path) -> ExperimentConfig:
     _reject_unknown("eval", cfg.eval, _EVAL_KEYS)
     _reject_unknown("scalability", cfg.scalability, _SCAL_KEYS)
     cfg.task_config()  # validates the preset name and env overrides
+    for hyper in (cfg.obs_vae_hyper(), cfg.nvif_hyper(), cfg.ppo_hyper(0), cfg.dqn_hyper(0)):
+        hyper.validate()
     return cfg

@@ -7,8 +7,8 @@ from dataclasses import replace
 import numpy as np
 
 from ..commgraph import build_graph
-from ..env_gather import N_ACTIONS, NOOP_INDEX, ReplayWriter, new_world, observe, step
-from ..policy import make_provider
+from ..env_gather import N_ACTIONS, NOOP_INDEX, ReplayWriter, new_world, step
+from ..policy import featurize, make_provider
 from .bundle import PolicyBundle
 
 
@@ -43,10 +43,7 @@ class BundlePolicy:
         self.provider.reset()
 
     def act(self, world, ids, rng) -> dict:
-        raw = np.stack([observe(world, i).flat() for i in ids])
-        feats = self.bundle.compressor.encode(raw)
-        latent = self.provider.step(feats, world.agent_positions(ids), ids)
-        x = np.concatenate([feats, latent.astype(feats.dtype)], axis=1)
+        x = featurize(world, ids, self.bundle.compressor, self.provider)
         if self.bundle.kind == "dqn":
             actions = self.bundle.qnet.q_values(x).argmax(axis=1)
         elif self.greedy:

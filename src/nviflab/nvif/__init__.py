@@ -2,7 +2,7 @@
 from .encoder import EncoderState, LatentDistribution, NvifConfig, NvifEncoder
 from .flownet import FlowNetParams, flownet_forward, init_flownet
 from .losses import NvifLossReport, kl_standard_normal, loss_consistency, loss_variational
-from .obs_vae import ObsCompressor, ObsVaeConfig, ObsVaeHyper, compress_observation
+from .obs_vae import ObsCompressor, ObsVaeConfig, ObsVaeHyper
 from .pretrain import (
     EpisodeRecord,
     PretrainHyper,
@@ -17,7 +17,7 @@ __all__ = [
     "EncoderState", "EpisodeRecord", "FlowNetParams", "LatentDistribution",
     "NvifConfig", "NvifEncoder", "NvifLossReport", "ObsCompressor",
     "ObsVaeConfig", "ObsVaeHyper", "PretrainHyper", "StepData",
-    "collect_pretrain_buffer", "compress_observation", "flownet_forward",
-    "gather_step_data", "init_flownet", "kl_standard_normal",
-    "loss_consistency", "loss_variational", "pretrain", "pretrain_loss",
+    "collect_pretrain_buffer", "flownet_forward", "gather_step_data",
+    "init_flownet", "kl_standard_normal", "loss_consistency", "loss_variational",
+    "pretrain", "pretrain_loss",
 ]

@@ -3,7 +3,9 @@
 Per timestep the encoder runs two independent FlowNets (one over the agents'
 compressed observations, one over their hidden states), feeds the results
 through a shared GRU cell (observation path as input, hidden path as the
-recurrent state), and reads the latent distribution off an affine head. The
+recurrent state), and reads the latent distribution off an affine head.
+:meth:`NvifEncoder.step` is the one forward pass: inference calls it on one
+episode's graph, pre-training on a block-diagonal multi-episode graph. The
 decoder reconstructs an agent's raw observation window from its sampled
 latent concatenated with its normalized position.
 """
@@ -15,13 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from ..commgraph import NeighborGraph, normalize
 from ..diffcore import (
     LOG_SIGMA_MAX,
     LOG_SIGMA_MIN,
     ParamStore,
     Tensor,
     affine,
+    as_tensor,
     clamp,
     concat,
     gather_rows,
@@ -29,7 +31,8 @@ from ..diffcore import (
     gru_cell,
     init_gru,
     init_linear,
-    relu,
+    init_mlp,
+    mlp,
     sigmoid,
 )
 from ..errors import ProtocolError
@@ -53,7 +56,7 @@ class NvifConfig:
 
 @dataclass
 class EncoderState:
-    ids: tuple[int, ...]
+    ids: tuple  # agent ids, or (episode, agent) keys in pre-training
     hidden: Tensor  # (len(ids), hidden_width)
 
 
@@ -83,13 +86,8 @@ class NvifEncoder:
                                    scale=np.sqrt(1.0 / c.hidden_width))
                 self.store.add(f"head/{head}_w", w)
                 self.store.add(f"head/{head}_b", b)
-            w, b = init_linear(rng, c.latent_width + 2, c.decoder_hidden, dt)
-            self.store.add("dec/w1", w)
-            self.store.add("dec/b1", b)
-            w, b = init_linear(rng, c.decoder_hidden, c.obs_dim, dt,
-                               scale=np.sqrt(1.0 / c.decoder_hidden))
-            self.store.add("dec/w2", w)
-            self.store.add("dec/b2", b)
+            init_mlp(self.store, "dec/", [c.latent_width + 2, c.decoder_hidden, c.obs_dim],
+                     rng, dt, out_scale=np.sqrt(1.0 / c.decoder_hidden))
         else:
             layers = config.flow_layers
             self.flow_o = FlowNetParams([self.store[f"flow_o/w{i}"] for i in range(layers)])
@@ -104,36 +102,34 @@ class NvifEncoder:
         zeros = np.zeros((len(ids), self.config.hidden_width), dtype=self.config.np_dtype)
         return EncoderState(ids=ids, hidden=Tensor(zeros))
 
-    def _hidden_for(self, state: EncoderState, ids: tuple[int, ...]) -> Tensor:
+    def _hidden_for(self, state: EncoderState, ids: tuple) -> Tensor:
         """Rows of the previous hidden state for ``ids``; unseen ids get zeros."""
         if ids == state.ids:
             return state.hidden
         lookup = {agent: row for row, agent in enumerate(state.ids)}
-        if all(agent in lookup for agent in ids):
-            return gather_rows(state.hidden, [lookup[a] for a in ids])
         zero_row = Tensor(np.zeros((1, self.config.hidden_width), dtype=self.config.np_dtype))
         extended = concat([state.hidden, zero_row], axis=0)
-        n_prev = len(state.ids)
-        return gather_rows(extended, [lookup.get(a, n_prev) for a in ids])
+        return gather_rows(extended, [lookup.get(a, len(state.ids)) for a in ids])
 
     # -- forward passes -------------------------------------------------------
 
-    def step(self, obs_feats, state: EncoderState, graph: NeighborGraph,
+    def step(self, feats, state: EncoderState, ids, adj: np.ndarray, *,
              rng: np.random.Generator | None = None, eps: np.ndarray | None = None,
-             sample: bool = True, adj: np.ndarray | None = None):
-        """One encoder timestep over the alive agents in ``graph``.
+             sample: bool = True):
+        """One encoder timestep over the alive agents ``ids``.
 
-        Returns (next state, latent distribution). Agents absent from the
-        graph are dropped from the state; new ones start from a zero hidden
-        vector.
+        ``adj`` is the normalized mixing matrix over ``ids`` (see
+        :func:`commgraph.normalize`), block-diagonal when several episodes
+        are stacked. Returns (next state, latent distribution). Agents absent
+        from ``ids`` are dropped from the state; new ones start from a zero
+        hidden vector. The latent is ``mu`` when ``sample`` is false, else a
+        reparameterized draw with noise ``eps`` (or drawn from ``rng``).
         """
-        ids = graph.ids
-        feats = obs_feats if isinstance(obs_feats, Tensor) else Tensor(obs_feats)
+        ids = tuple(ids)
+        feats = as_tensor(feats)
         if feats.data.shape[0] != len(ids):
             raise ProtocolError(
                 f"encoder step: {feats.data.shape[0]} feature rows for {len(ids)} agents")
-        if adj is None:
-            adj = normalize(graph).astype(self.config.np_dtype)
         hidden = self._hidden_for(state, ids)
         phi = flownet_forward(feats, adj, self.flow_o)
         psi = flownet_forward(hidden, adj, self.flow_h)
@@ -141,21 +137,15 @@ class NvifEncoder:
         mu = affine(h_next, self.store["head/mu_w"], self.store["head/mu_b"])
         log_sigma = clamp(affine(h_next, self.store["head/ls_w"], self.store["head/ls_b"]),
                           LOG_SIGMA_MIN, LOG_SIGMA_MAX)
-        if sample:
-            latent = gaussian_sample(mu, log_sigma, rng=rng, eps=eps)
-        else:
-            latent = mu
+        latent = gaussian_sample(mu, log_sigma, rng=rng, eps=eps) if sample else mu
         return EncoderState(ids=ids, hidden=h_next), LatentDistribution(mu, log_sigma, latent)
 
     def decode(self, latents, positions) -> Tensor:
         """Reconstruct flattened observation windows from latents and
         normalized positions; sigmoid keeps every cell in (0, 1)."""
-        lat = latents if isinstance(latents, Tensor) else Tensor(latents)
         pos = positions if isinstance(positions, Tensor) else Tensor(
             np.asarray(positions, dtype=self.config.np_dtype))
-        x = concat([lat, pos], axis=1)
-        h = relu(affine(x, self.store["dec/w1"], self.store["dec/b1"]))
-        return sigmoid(affine(h, self.store["dec/w2"], self.store["dec/b2"]))
+        return sigmoid(mlp(concat([as_tensor(latents), pos], axis=1), self.store, "dec/"))
 
     # -- persistence ----------------------------------------------------------
 

@@ -17,14 +17,6 @@ from ..errors import ShapeError
 class FlowNetParams:
     weights: list[Tensor]
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.weights)
-
-    @property
-    def widths(self) -> list[int]:
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
-
 
 def init_flownet(store: ParamStore, prefix: str, widths: list[int],
                  rng: np.random.Generator, dtype=np.float32) -> FlowNetParams:

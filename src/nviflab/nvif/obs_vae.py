@@ -14,6 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from ..diffcore import (
+    LOG_SIGMA_MAX,
+    LOG_SIGMA_MIN,
     ParamStore,
     Tensor,
     affine,
@@ -22,13 +24,15 @@ from ..diffcore import (
     clamp,
     gaussian_sample,
     init_linear,
+    init_mlp,
+    mlp,
     mul,
     no_grad,
     optimizer_step,
     relu,
     sigmoid,
 )
-from ..errors import DataError, StateError
+from ..errors import DataError, StateError, require_counts
 from .losses import kl_standard_normal
 
 
@@ -47,6 +51,9 @@ class ObsVaeHyper:
     batch_size: int = 256
     seed: int = 0
 
+    def validate(self):
+        require_counts("obs_vae", batch_size=self.batch_size)
+
 
 class ObsCompressor:
     def __init__(self, config: ObsVaeConfig, rng: np.random.Generator,
@@ -63,22 +70,22 @@ class ObsCompressor:
             ("enc_w1", c.obs_dim, c.hidden_width, None),
             ("enc_mu", c.hidden_width, c.latent_width, np.sqrt(1.0 / c.hidden_width)),
             ("enc_ls", c.hidden_width, c.latent_width, np.sqrt(1.0 / c.hidden_width)),
-            ("dec_w1", c.latent_width, c.hidden_width, None),
-            ("dec_w2", c.hidden_width, c.obs_dim, np.sqrt(1.0 / c.hidden_width)),
         ):
             w, b = init_linear(rng, fin, fout, dt, scale=scale)
             self.store.add(name, w)
             self.store.add(name + "_b", b)
+        init_mlp(self.store, "dec_", [c.latent_width, c.hidden_width, c.obs_dim], rng, dt,
+                 out_scale=np.sqrt(1.0 / c.hidden_width))
 
     def _encode(self, x):
         h = relu(affine(x, self.store["enc_w1"], self.store["enc_w1_b"]))
         mu = affine(h, self.store["enc_mu"], self.store["enc_mu_b"])
-        log_sigma = clamp(affine(h, self.store["enc_ls"], self.store["enc_ls_b"]), -10.0, 4.0)
+        log_sigma = clamp(affine(h, self.store["enc_ls"], self.store["enc_ls_b"]),
+                          LOG_SIGMA_MIN, LOG_SIGMA_MAX)
         return mu, log_sigma
 
     def _decode(self, z):
-        h = relu(affine(z, self.store["dec_w1"], self.store["dec_w1_b"]))
-        return sigmoid(affine(h, self.store["dec_w2"], self.store["dec_w2_b"]))
+        return sigmoid(mlp(z, self.store, "dec_"))
 
     def encode(self, obs_flat: np.ndarray) -> np.ndarray:
         """Posterior means for a batch of flattened observations."""
@@ -99,6 +106,7 @@ class ObsCompressor:
 
     def train(self, corpus: np.ndarray, hyper: ObsVaeHyper) -> list[dict]:
         """Minimize summed-bce reconstruction + KL over shuffled minibatches."""
+        hyper.validate()
         corpus = np.asarray(corpus, dtype=self.config.dtype)
         if corpus.ndim != 2 or corpus.shape[0] == 0:
             raise DataError(f"obs-vae corpus must be (n, obs_dim), got {corpus.shape}")
@@ -143,8 +151,3 @@ class ObsCompressor:
         return cls(ObsVaeConfig(**meta), rng=np.random.default_rng(0),
                    store=ParamStore.load(prefix), trained=trained)
 
-
-def compress_observation(compressor: ObsCompressor, obs) -> np.ndarray:
-    """1-D feature for a single observation (its posterior mean)."""
-    flat = obs.flat() if hasattr(obs, "flat") and callable(obs.flat) else np.asarray(obs)
-    return compressor.encode(flat.reshape(1, -1))[0]

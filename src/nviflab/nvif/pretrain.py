@@ -2,11 +2,12 @@
 
 Episodes are replayed in batches, time-major: at each timestep the alive
 agents of every episode in the batch are stacked into one feature matrix and
-mixed through a block-diagonal normalized adjacency, so no information leaks
-between episodes while the matmuls stay large. The loss averages the
-per-timestep reconstruction, divergence, and consistency terms over agents
-and episode-timesteps, and one optimizer step is taken per episode batch.
-Gradients flow through the full hidden-state chain of each episode.
+run through :meth:`NvifEncoder.step` with a block-diagonal normalized
+adjacency, so no information leaks between episodes while the matmuls stay
+large. The loss weights the per-agent rows of the reconstruction, divergence,
+and consistency terms from :mod:`.losses` so that it averages them over
+agents and episode-timesteps, and one optimizer step is taken per episode
+batch. Gradients flow through the full hidden-state chain of each episode.
 """
 from __future__ import annotations
 
@@ -15,28 +16,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..commgraph import build_graph, fully_connected, normalize
-from ..diffcore import (
-    Tensor,
-    affine,
-    backward,
-    bce_loss,
-    clamp,
-    exp,
-    gather_rows,
-    gaussian_sample,
-    gru_cell,
-    mul,
-    no_grad,
-    optimizer_step,
-    sparse_matmul,
-    sub,
-    sum as tsum,
-)
+from ..diffcore import backward, mul, no_grad, optimizer_step, sum as tsum
 from ..env_gather import N_ACTIONS, new_world, observe, step
-from ..errors import DataError
+from ..errors import DataError, require_counts
 from .encoder import NvifEncoder
-from .flownet import flownet_forward
-from .losses import NvifLossReport
+from .losses import NvifLossReport, consistency_rows, kl_rows, recon_rows
 from .obs_vae import ObsCompressor
 
 
@@ -64,6 +48,9 @@ class PretrainHyper:
     seed: int = 0
     stop_recon_frac: float | None = None  # stop once recon <= frac * epoch-1 recon
                                           # and the consistency term sits below epoch 1
+
+    def validate(self):
+        require_counts("nvif", epochs=self.epochs, batch_episodes=self.batch_episodes)
 
 
 def gather_step_data(world, ids, compressor: ObsCompressor, graph_kind: str = "neighbor",
@@ -119,42 +106,30 @@ def _batch_loss(encoder: NvifEncoder, episodes: list[EpisodeRecord], alpha: floa
     dt = encoder.config.np_dtype
     n_slots = sum(len(ep.steps) for ep in episodes)
     t_max = max(len(ep.steps) for ep in episodes)
-    prev_rows: dict = {}
-    hidden_prev: Tensor | None = None
+    state = None
     total = None
     recon_val = kl_val = cons_val = 0.0
     for t in range(t_max):
         live = [(i, ep.steps[t]) for i, ep in enumerate(episodes) if len(ep.steps) > t]
         sizes = [len(sd.ids) for _, sd in live]
-        feats = Tensor(np.concatenate([sd.feats for _, sd in live]))
+        keys = [(i, a) for i, sd in live for a in sd.ids]
         raw = np.concatenate([sd.raw_obs for _, sd in live])
         pos = np.concatenate([sd.positions for _, sd in live])
         adj = _block_diag([sd.adj_norm for _, sd in live], dt)
         center = _block_diag([np.full((k, k), 1.0 / k, dtype=dt) for k in sizes], dt)
         weights = np.concatenate([np.full(k, 1.0 / (k * n_slots), dtype=np.float64)
                                   for k in sizes])
+        if state is None:
+            state = encoder.init_state(keys)
+        # mu is float64 (gru_cell promotes); seeded runs expect float32-rounded noise
+        eps = rng.standard_normal((len(keys), encoder.config.latent_width)).astype(dt)
+        state, dist = encoder.step(np.concatenate([sd.feats for _, sd in live]), state,
+                                   keys, adj, eps=eps)
+        o_hat = encoder.decode(dist.latent, pos)
 
-        cur_keys = [(i, a) for i, sd in live for a in sd.ids]
-        if hidden_prev is None:
-            hidden = Tensor(np.zeros((len(cur_keys), encoder.config.hidden_width), dtype=dt))
-        else:
-            hidden = gather_rows(hidden_prev, [prev_rows[k] for k in cur_keys])
-
-        phi = flownet_forward(feats, adj, encoder.flow_o)
-        psi = flownet_forward(hidden, adj, encoder.flow_h)
-        h_next = gru_cell(phi, psi, encoder._gru)
-        mu = affine(h_next, encoder.store["head/mu_w"], encoder.store["head/mu_b"])
-        log_sigma = clamp(affine(h_next, encoder.store["head/ls_w"], encoder.store["head/ls_b"]),
-                          -10.0, 4.0)
-        eps = rng.standard_normal(mu.data.shape).astype(dt)
-        latent = gaussian_sample(mu, log_sigma, eps=eps)
-        o_hat = encoder.decode(latent, pos)
-
-        recon_t = tsum(mul(bce_loss(raw, o_hat, axis=1), weights))
-        per_dim = mul(mu, mu) + exp(mul(log_sigma, 2.0)) - 1.0 - mul(log_sigma, 2.0)
-        kl_t = tsum(mul(mul(tsum(per_dim, axis=1), 0.5), weights))
-        dev = sub(latent, sparse_matmul(center, latent))
-        cons_t = tsum(mul(tsum(mul(dev, dev), axis=1), weights))
+        recon_t = tsum(mul(recon_rows(raw, o_hat), weights))
+        kl_t = tsum(mul(kl_rows(dist.mu, dist.log_sigma), weights))
+        cons_t = tsum(mul(consistency_rows(dist.latent, center), weights))
 
         contrib = mul(recon_t, recon_weight) + kl_t
         if alpha != 0.0:
@@ -163,9 +138,6 @@ def _batch_loss(encoder: NvifEncoder, episodes: list[EpisodeRecord], alpha: floa
         recon_val += recon_weight * float(recon_t.data)
         kl_val += float(kl_t.data)
         cons_val += float(cons_t.data)
-
-        hidden_prev = h_next
-        prev_rows = {k: r for r, k in enumerate(cur_keys)}
     return total, recon_val, kl_val, cons_val, n_slots
 
 
@@ -177,6 +149,7 @@ def pretrain(buffer: list[EpisodeRecord], hyper: PretrainHyper, encoder: NvifEnc
     term falls to that fraction of the first epoch's and the consistency term
     is below its first-epoch value.
     """
+    hyper.validate()
     if not buffer:
         raise DataError("pretrain: empty episode buffer")
     rng = np.random.default_rng(hyper.seed)

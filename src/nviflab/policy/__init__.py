@@ -13,21 +13,15 @@ from .ppo import (
     train_ppo,
     write_metrics_csv,
 )
-from .providers import (
-    LATENT_MODES,
-    EmptyLatents,
-    MeanObsLatents,
-    NvifLatents,
-    make_provider,
-)
+from .providers import EmptyLatents, MeanObsLatents, NvifLatents, featurize, make_provider
 from .returns import compute_gae, compute_returns
 
 __all__ = [
     "ActorCritic", "AlignmentReport", "DQNHyper", "DQNResult", "EmptyLatents",
-    "LATENT_MODES", "METRIC_COLUMNS", "MeanObsLatents", "NvifLatents",
-    "PPOHyper", "PPOResult", "PolicyConfig", "QNetwork", "ReplayRing",
-    "alignment_check", "clipped_term", "collect_episode", "compute_gae",
-    "compute_returns", "critic_loss", "epsilon_at", "make_provider",
+    "METRIC_COLUMNS", "MeanObsLatents", "NvifLatents", "PPOHyper", "PPOResult",
+    "PolicyConfig", "QNetwork", "ReplayRing", "alignment_check", "clipped_term",
+    "collect_episode", "compute_gae", "compute_returns", "critic_loss",
+    "epsilon_at", "featurize", "make_provider",
     "ppo_actor_objective", "q_target", "train_dqn", "train_ppo",
     "write_metrics_csv",
 ]

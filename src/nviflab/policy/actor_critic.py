@@ -7,15 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..diffcore import (
-    ParamStore,
-    Tensor,
-    affine,
-    init_linear,
-    log_softmax,
-    no_grad,
-    relu,
-)
+from ..diffcore import ParamStore, Tensor, init_mlp, log_softmax, mlp, no_grad
 from ..env_gather import N_ACTIONS
 
 
@@ -45,30 +37,20 @@ class ActorCritic:
             return
         self.actor = ParamStore()
         self.critic = ParamStore()
-        w, b = init_linear(rng, config.input_width, config.hidden_width, dt)
-        self.actor.add("w1", w)
-        self.actor.add("b1", b)
-        # near-uniform initial policy: small output weights
-        w, b = init_linear(rng, config.hidden_width, config.n_actions, dt, scale=0.01)
-        self.actor.add("w2", w)
-        self.actor.add("b2", b)
-        w, b = init_linear(rng, config.input_width, config.hidden_width, dt)
-        self.critic.add("w1", w)
-        self.critic.add("b1", b)
-        w, b = init_linear(rng, config.hidden_width, 1, dt, scale=0.01)
-        self.critic.add("w2", w)
-        self.critic.add("b2", b)
+        # small output weights: near-uniform initial policy, near-zero values
+        init_mlp(self.actor, "", [config.input_width, config.hidden_width, config.n_actions],
+                 rng, dt, out_scale=0.01)
+        init_mlp(self.critic, "", [config.input_width, config.hidden_width, 1],
+                 rng, dt, out_scale=0.01)
 
     def logits(self, x) -> Tensor:
-        h = relu(affine(x, self.actor["w1"], self.actor["b1"]))
-        return affine(h, self.actor["w2"], self.actor["b2"])
+        return mlp(x, self.actor, "")
 
     def log_probs(self, x) -> Tensor:
         return log_softmax(self.logits(x))
 
     def value(self, x) -> Tensor:
-        h = relu(affine(x, self.critic["w1"], self.critic["b1"]))
-        return affine(h, self.critic["w2"], self.critic["b2"])
+        return mlp(x, self.critic, "")
 
     def act(self, feats: np.ndarray, rng: np.random.Generator):
         """Sample one action per row; returns (actions, their probabilities)."""

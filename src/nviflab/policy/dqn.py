@@ -15,20 +15,19 @@ import numpy as np
 from ..diffcore import (
     ParamStore,
     Tensor,
-    affine,
     backward,
-    init_linear,
+    init_mlp,
+    mlp,
     mse,
     no_grad,
     optimizer_step,
-    relu,
     take_per_row,
 )
-from ..env_gather import N_ACTIONS, TaskConfig, new_world, observe, step
-from ..errors import ConfigError
+from ..env_gather import N_ACTIONS, TaskConfig, new_world, step
+from ..errors import ConfigError, require_counts
 from ..nvif import NvifEncoder, ObsCompressor
 from .ppo import write_metrics_csv
-from .providers import make_provider
+from .providers import featurize, make_provider
 
 
 @dataclass
@@ -47,6 +46,11 @@ class DQNHyper:
     hidden_width: int = 64
     latent_sample: bool = True
     seed: int = 0
+
+    def validate(self):
+        require_counts("dqn", batch_size=self.batch_size, replay_capacity=self.replay_capacity,
+                       eps_decay_steps=self.eps_decay_steps, target_sync=self.target_sync,
+                       train_every=self.train_every)
 
 
 def epsilon_at(hyper: DQNHyper, env_steps: int) -> float:
@@ -70,16 +74,11 @@ class QNetwork:
             self.store = store
             return
         self.store = ParamStore()
-        w, b = init_linear(rng, input_width, hidden_width, dtype)
-        self.store.add("w1", w)
-        self.store.add("b1", b)
-        w, b = init_linear(rng, hidden_width, N_ACTIONS, dtype, scale=0.01)
-        self.store.add("w2", w)
-        self.store.add("b2", b)
+        init_mlp(self.store, "", [input_width, hidden_width, N_ACTIONS], rng, dtype,
+                 out_scale=0.01)
 
     def q_values_tensor(self, x) -> Tensor:
-        h = relu(affine(x, self.store["w1"], self.store["b1"]))
-        return affine(h, self.store["w2"], self.store["b2"])
+        return mlp(x, self.store, "")
 
     def q_values(self, feats: np.ndarray) -> np.ndarray:
         with no_grad():
@@ -123,6 +122,7 @@ class DQNResult:
 def train_dqn(task_cfg: TaskConfig, compressor: ObsCompressor, hyper: DQNHyper,
               latent_mode: str = "nvif", encoder: NvifEncoder | None = None,
               out_dir=None) -> DQNResult:
+    hyper.validate()
     feat_width = compressor.config.latent_width
     if compressor.config.obs_dim != task_cfg.obs_dim:
         raise ConfigError(
@@ -153,10 +153,7 @@ def train_dqn(task_cfg: TaskConfig, compressor: ObsCompressor, hyper: DQNHyper,
         losses = []
         while not world.done:
             ids = world.alive_agents()
-            raw = np.stack([observe(world, i).flat() for i in ids])
-            feats = compressor.encode(raw)
-            latent = provider.step(feats, world.agent_positions(ids), ids)
-            x = np.concatenate([feats, latent.astype(feats.dtype)], axis=1)
+            x = featurize(world, ids, compressor, provider)
             if pending is not None:
                 _flush(replay, pending, {i: x[row] for row, i in enumerate(ids)})
             eps = epsilon_at(hyper, env_steps)

@@ -33,11 +33,11 @@ from ..diffcore import (
     sum as tsum,
     take_per_row,
 )
-from ..env_gather import TaskConfig, new_world, observe, step
-from ..errors import ConfigError, DataError
+from ..env_gather import TaskConfig, new_world, step
+from ..errors import ConfigError, DataError, require_counts
 from ..nvif import NvifEncoder, ObsCompressor
 from .actor_critic import ActorCritic, PolicyConfig
-from .providers import make_provider
+from .providers import featurize, make_provider
 from .returns import compute_gae, compute_returns
 
 METRIC_COLUMNS = ("epoch", "mean_return", "mean_end_steps", "food_eaten_frac",
@@ -68,6 +68,8 @@ class PPOHyper:
             raise ConfigError(f"lam must be in [0, 1], got {self.lam}")
         if not 0.0 < self.clip_eps < 1.0:
             raise ConfigError(f"clip_eps must be in (0, 1), got {self.clip_eps}")
+        require_counts("ppo", episodes_per_epoch=self.episodes_per_epoch,
+                       update_passes=self.update_passes, minibatch_slots=self.minibatch_slots)
 
 
 @dataclass
@@ -95,11 +97,10 @@ class PPOResult:
     episodes_done: int
 
 
-def clipped_term(rho, adv, eps: float):
-    """Per-sample surrogate min(rho*A, clip(rho, 1-eps, 1+eps)*A)."""
-    rho = np.asarray(rho, dtype=np.float64)
-    adv = np.asarray(adv, dtype=np.float64)
-    return np.minimum(rho * adv, np.clip(rho, 1.0 - eps, 1.0 + eps) * adv)
+def clipped_term(ratio, adv, eps: float) -> Tensor:
+    """Per-sample surrogate min(rho*A, clip(rho, 1-eps, 1+eps)*A) of the
+    probability ratio rho."""
+    return minimum(mul(ratio, adv), mul(clamp(ratio, 1.0 - eps, 1.0 + eps), adv))
 
 
 def ppo_actor_objective(ac: ActorCritic, batch_x, actions, logp_old, adv,
@@ -114,9 +115,7 @@ def ppo_actor_objective(ac: ActorCritic, batch_x, actions, logp_old, adv,
     logp = log_softmax(ac.logits(Tensor(batch_x)))
     lp_a = take_per_row(logp, actions)
     ratio = exp(sub(lp_a, logp_old.astype(batch_x.dtype)))
-    adv = adv.astype(batch_x.dtype)
-    surrogate = minimum(mul(ratio, adv),
-                        mul(clamp(ratio, 1.0 - clip_eps, 1.0 + clip_eps), adv))
+    surrogate = clipped_term(ratio, adv.astype(batch_x.dtype), clip_eps)
     objective = mul(tsum(surrogate), 1.0 / n_slots)
     entropy = mul(tsum(mul(exp(logp), logp)), -1.0 / n_slots)
     return objective, entropy
@@ -137,10 +136,7 @@ def collect_episode(task_cfg: TaskConfig, env_seed: int, compressor: ObsCompress
     streams: dict[int, dict] = {}
     while not world.done:
         ids = world.alive_agents()
-        raw = np.stack([observe(world, i).flat() for i in ids])
-        feats = compressor.encode(raw)
-        latent = provider.step(feats, world.agent_positions(ids), ids)
-        x = np.concatenate([feats, latent.astype(feats.dtype)], axis=1)
+        x = featurize(world, ids, compressor, provider)
         t_now = world.t
         actions, probs = ac.act(x, action_rng)
         values = ac.values(x)
@@ -266,10 +262,6 @@ def train_ppo(task_cfg: TaskConfig, compressor: ObsCompressor, hyper: PPOHyper,
         action_rng = np.random.default_rng(act_s)
         latent_rng = np.random.default_rng(lat_s)
         shuffle_rng = np.random.default_rng(shuf_s)
-        width = feat_width + (encoder.config.latent_width if latent_mode in ("nvif", "full")
-                              else feat_width if latent_mode == "mean" else 0)
-        ac = ActorCritic(PolicyConfig(input_width=width, hidden_width=hyper.hidden_width),
-                         np.random.default_rng(init_s))
         metrics = []
         epoch = 0
         episodes_done = 0
@@ -277,6 +269,10 @@ def train_ppo(task_cfg: TaskConfig, compressor: ObsCompressor, hyper: PPOHyper,
 
     provider = make_provider(latent_mode, feat_width, encoder=encoder,
                              rng=latent_rng, sample=hyper.latent_sample)
+    if not resume:
+        ac = ActorCritic(PolicyConfig(input_width=feat_width + provider.width,
+                                      hidden_width=hyper.hidden_width),
+                         np.random.default_rng(init_s))
 
     def save_checkpoint():
         if ckpt is None:

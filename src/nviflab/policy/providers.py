@@ -1,14 +1,17 @@
 """Latent feature providers: what gets concatenated to the local observation.
 
 The trainers are identical across algorithms; only the provider changes.
+:func:`featurize` is the one observe -> compress -> provide -> concat step
+that every rollout loop calls.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from ..commgraph import build_graph, fully_connected
+from ..commgraph import build_graph, fully_connected, normalize
 from ..diffcore import no_grad
-from ..nvif import NvifEncoder
+from ..env_gather import observe
+from ..nvif import NvifEncoder, ObsCompressor
 
 
 class EmptyLatents:
@@ -56,9 +59,10 @@ class NvifLatents:
         graph = fully_connected(ids) if self.full_graph else build_graph(positions_int, ids)
         if self._state is None:
             self._state = self.encoder.init_state(ids)
+        adj = normalize(graph).astype(self.encoder.config.np_dtype)
         with no_grad():
             self._state, dist = self.encoder.step(
-                feats, self._state, graph, rng=self.rng, sample=self.sample)
+                feats, self._state, graph.ids, adj, rng=self.rng, sample=self.sample)
         return dist.latent.data
 
 
@@ -74,4 +78,9 @@ def make_provider(mode: str, feat_width: int, encoder=None, rng=None, sample=Tru
     raise ValueError(f"unknown latent mode {mode!r}")
 
 
-LATENT_MODES = ("nvif", "none", "mean", "full")
+def featurize(world, ids, compressor: ObsCompressor, provider) -> np.ndarray:
+    """Policy input rows [compressed observation || latent] for ``ids``."""
+    raw = np.stack([observe(world, i).flat() for i in ids])
+    feats = compressor.encode(raw)
+    latent = provider.step(feats, world.agent_positions(ids), ids)
+    return np.concatenate([feats, latent.astype(feats.dtype)], axis=1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nviflab import diffcore as dc
-from nviflab.errors import ShapeError
+from nviflab.errors import DataError, ShapeError
 
 from conftest import central_diff_grads, max_rel_err
 
@@ -377,3 +377,74 @@ class TestParamStore:
         loaded = dc.ParamStore.load(tmp_path / "rt")
         after = dc.matmul(dc.Tensor(x), loaded["w"]).data
         np.testing.assert_array_equal(before, after)
+
+    def _saved(self, tmp_path, seed=1):
+        store = dc.ParamStore()
+        rng = np.random.default_rng(seed)
+        store.add("w", rng.standard_normal((3, 4)).astype(np.float32))
+        p = store.add("b", rng.standard_normal(4))
+        p.grad = np.ones_like(p.data)
+        dc.optimizer_step(store, lr=1e-3)
+        store.save(tmp_path / "ckpt")
+        return store
+
+    def test_truncated_blob_rejected(self, tmp_path):
+        self._saved(tmp_path)
+        blob = tmp_path / "ckpt.bin"
+        blob.write_bytes(blob.read_bytes()[:-1])
+        with pytest.raises(DataError, match="ckpt.bin"):
+            dc.ParamStore.load(tmp_path / "ckpt")
+
+    def test_overlong_blob_rejected(self, tmp_path):
+        self._saved(tmp_path)
+        blob = tmp_path / "ckpt.bin"
+        blob.write_bytes(blob.read_bytes() + b"\0" * 8)
+        with pytest.raises(DataError, match="ckpt.bin"):
+            dc.ParamStore.load(tmp_path / "ckpt")
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        before = self._saved(tmp_path)
+        files = {name: (tmp_path / name).read_bytes() for name in ("ckpt.json", "ckpt.bin")}
+        newer = dc.ParamStore()
+        newer.add("w", np.zeros((3, 4), dtype=np.float32))
+        newer.add("b", np.zeros(4))
+
+        def crash(*args, **kwargs):
+            raise OSError("disk full")
+
+        import nviflab.diffcore.params as params
+        monkeypatch.setattr(params.json, "dump", crash)  # dies writing the manifest
+        with pytest.raises(OSError):
+            newer.save(tmp_path / "ckpt")
+        monkeypatch.undo()
+        for name, data in files.items():
+            assert (tmp_path / name).read_bytes() == data
+        loaded = dc.ParamStore.load(tmp_path / "ckpt")
+        assert loaded.step_count == before.step_count
+        for name in before.names():
+            np.testing.assert_array_equal(loaded[name].data, before[name].data)
+
+
+class TestMlp:
+    def test_names_order_and_draws_match_init_linear(self):
+        store = dc.ParamStore()
+        dc.init_mlp(store, "m/", [5, 7, 3], np.random.default_rng(0), np.float32,
+                    out_scale=0.01)
+        assert store.names() == ["m/w1", "m/b1", "m/w2", "m/b2"]
+        rng = np.random.default_rng(0)
+        w1, b1 = dc.init_linear(rng, 5, 7, np.float32)
+        w2, b2 = dc.init_linear(rng, 7, 3, np.float32, scale=0.01)
+        for name, arr in zip(store.names(), (w1, b1, w2, b2)):
+            np.testing.assert_array_equal(store[name].data, arr)
+
+    def test_relu_between_layers_none_after_last(self):
+        store = dc.ParamStore()
+        rng = np.random.default_rng(1)
+        dc.init_mlp(store, "", [4, 6, 5, 2], rng, np.float64)
+        x = rng.standard_normal((3, 4))
+        h = x
+        for layer in (1, 2, 3):
+            h = h @ store[f"w{layer}"].data + store[f"b{layer}"].data
+            if layer < 3:
+                h = np.maximum(h, 0.0)
+        np.testing.assert_allclose(dc.mlp(dc.Tensor(x), store, "").data, h)

@@ -64,10 +64,28 @@ class TestExperimentConfig:
         assert cfg.task_config().view_radius == 3
 
 
+    @pytest.mark.parametrize("section, key", [
+        ("dqn", "train_every"), ("dqn", "target_sync"), ("dqn", "eps_decay_steps"),
+        ("nvif", "batch_episodes"), ("obs_vae", "batch_size"),
+        ("ppo", "minibatch_slots"), ("ppo", "episodes_per_epoch"), ("ppo", "update_passes"),
+    ])
+    def test_zero_count_rejected(self, tmp_path, section, key):
+        path = write_config(tmp_path / "c.json", **{section: {key: 0}})
+        with pytest.raises(ConfigError) as err:
+            load_experiment(path)
+        assert key in str(err.value)
+
+
 class TestCliExitCodes:
     def test_invalid_config_exits_1(self, tmp_path):
         path = write_config(tmp_path / "c.json", bogus_key=True)
         assert cli_main(["train", "--config", str(path)]) == 1
+
+    def test_zero_count_exits_1(self, tmp_path, capsys):
+        path = write_config(tmp_path / "c.json", algorithm="nvif-dqn",
+                            dqn={"train_every": 0})
+        assert cli_main(["train", "--config", str(path)]) == 1
+        assert "train_every" in capsys.readouterr().err
 
     def test_unknown_algorithm_exits_1(self, tmp_path):
         path = write_config(tmp_path / "c.json", algorithm="q-zero")

@@ -4,8 +4,9 @@ import pytest
 
 from nviflab import commgraph as cg
 from nviflab import diffcore as dc
-from nviflab.errors import DataError, ProtocolError, ShapeError, StateError
+from nviflab.errors import ConfigError, DataError, ProtocolError, ShapeError, StateError
 from nviflab.nvif import (
+    EpisodeRecord,
     NvifConfig,
     NvifEncoder,
     ObsCompressor,
@@ -13,7 +14,6 @@ from nviflab.nvif import (
     ObsVaeHyper,
     PretrainHyper,
     collect_pretrain_buffer,
-    compress_observation,
     flownet_forward,
     init_flownet,
     kl_standard_normal,
@@ -22,6 +22,7 @@ from nviflab.nvif import (
     pretrain,
     pretrain_loss,
 )
+from nviflab.nvif.losses import consistency_rows, kl_rows
 
 
 def tiny_encoder(rng=None, obs_feat=6, obs_dim=20, hidden=8, latent=4, layers=2,
@@ -90,7 +91,7 @@ class TestEncoderStep:
         graph = self._graph_chain()
         state = enc.init_state(graph.ids)
         feats = np.ones((3, 6))
-        state2, dist = enc.step(feats, state, graph, sample=False)
+        state2, dist = enc.step(feats, state, graph.ids, cg.normalize(graph), sample=False)
         np.testing.assert_allclose(state2.hidden.data, 0.0, atol=1e-12)
         np.testing.assert_allclose(dist.mu.data, np.tile(np.arange(4.0), (3, 1)))
 
@@ -105,13 +106,14 @@ class TestEncoderStep:
         state = enc.init_state(ids)
         state.hidden.data = hidden
         eps = rng.standard_normal((4, 4))
-        _, dist = enc.step(feats, state, graph, eps=eps, sample=True)
+        _, dist = enc.step(feats, state, graph.ids, cg.normalize(graph), eps=eps, sample=True)
 
         perm = [2, 0, 3, 1]
         graph_p = cg.build_graph([pos[k] for k in perm], [ids[k] for k in perm])
         state_p = enc.init_state([ids[k] for k in perm])
         state_p.hidden.data = hidden[perm]
-        _, dist_p = enc.step(feats[perm], state_p, graph_p, eps=eps[perm], sample=True)
+        _, dist_p = enc.step(feats[perm], state_p, graph_p.ids, cg.normalize(graph_p),
+                             eps=eps[perm], sample=True)
         np.testing.assert_allclose(dist_p.mu.data, dist.mu.data[perm], atol=1e-9)
         np.testing.assert_allclose(dist_p.latent.data, dist.latent.data[perm], atol=1e-9)
         # all three losses unchanged under relabeling
@@ -128,10 +130,10 @@ class TestEncoderStep:
         graph = cg.NeighborGraph(ids=(0, 1, 2), adj=adj)
         feats = rng.standard_normal((3, 6))
         state = enc.init_state(graph.ids)
-        _, base = enc.step(feats, state, graph, sample=False)
+        _, base = enc.step(feats, state, graph.ids, cg.normalize(graph), sample=False)
         feats2 = feats.copy()
         feats2[2] = 0.0  # zero a non-neighbor's observation
-        _, changed = enc.step(feats2, state, graph, sample=False)
+        _, changed = enc.step(feats2, state, graph.ids, cg.normalize(graph), sample=False)
         np.testing.assert_array_equal(base.mu.data[0], changed.mu.data[0])
         np.testing.assert_array_equal(base.mu.data[1], changed.mu.data[1])
 
@@ -147,13 +149,13 @@ class TestEncoderStep:
         feats = rng.standard_normal((5, 6))
         state = enc.init_state(ids)
         state.hidden.data = rng.standard_normal((5, 8))
-        _, base = enc.step(feats, state, graph, sample=False)
+        _, base = enc.step(feats, state, graph.ids, cg.normalize(graph), sample=False)
         feats2 = feats.copy()
         feats2[4] = 0.0
         state2 = enc.init_state(ids)
         state2.hidden.data = state.hidden.data.copy()
         state2.hidden.data[4] = 0.0
-        _, changed = enc.step(feats2, state2, graph, sample=False)
+        _, changed = enc.step(feats2, state2, graph.ids, cg.normalize(graph), sample=False)
         np.testing.assert_array_equal(base.mu.data[0], changed.mu.data[0])
 
     def test_one_layer_strict_neighborhood(self):
@@ -166,10 +168,10 @@ class TestEncoderStep:
         feats = rng.standard_normal((3, 6))
         state = enc.init_state(ids)
         state.hidden.data = rng.standard_normal((3, 8))
-        _, base = enc.step(feats, state, graph, sample=False)
+        _, base = enc.step(feats, state, graph.ids, cg.normalize(graph), sample=False)
         feats2 = feats.copy()
         feats2[2] = 123.0
-        _, changed = enc.step(feats2, state, graph, sample=False)
+        _, changed = enc.step(feats2, state, graph.ids, cg.normalize(graph), sample=False)
         np.testing.assert_array_equal(base.mu.data[0], changed.mu.data[0])
         np.testing.assert_array_equal(base.mu.data[1], changed.mu.data[1])
         assert not np.array_equal(base.mu.data[2], changed.mu.data[2])
@@ -181,7 +183,7 @@ class TestEncoderStep:
         state.hidden.data = rng.standard_normal((3, 8))
         graph = cg.build_graph([(0, 0), (4, 0)], [0, 2])  # 1 died
         feats = rng.standard_normal((2, 6))
-        state2, _ = enc.step(feats, state, graph, sample=False)
+        state2, _ = enc.step(feats, state, graph.ids, cg.normalize(graph), sample=False)
         assert state2.ids == (0, 2)
         graph3 = cg.build_graph([(0, 0), (4, 0), (9, 9)], [0, 2, 7])  # 7 newly tracked
         feats3 = rng.standard_normal((3, 6))
@@ -192,17 +194,20 @@ class TestEncoderStep:
         enc = tiny_encoder()
         graph = cg.fully_connected(3)
         with pytest.raises(ProtocolError):
-            enc.step(np.zeros((2, 6)), enc.init_state(graph.ids), graph)
+            enc.step(np.zeros((2, 6)), enc.init_state(graph.ids), graph.ids,
+                     cg.normalize(graph))
 
     def test_save_load_roundtrip(self, tmp_path):
         rng = np.random.default_rng(10)
         enc = tiny_encoder(rng)
         graph = cg.fully_connected(3)
         feats = rng.standard_normal((3, 6))
-        _, dist = enc.step(feats, enc.init_state(graph.ids), graph, sample=False)
+        _, dist = enc.step(feats, enc.init_state(graph.ids), graph.ids, cg.normalize(graph),
+                           sample=False)
         enc.save(tmp_path / "enc")
         enc2 = NvifEncoder.load(tmp_path / "enc")
-        _, dist2 = enc2.step(feats, enc2.init_state(graph.ids), graph, sample=False)
+        _, dist2 = enc2.step(feats, enc2.init_state(graph.ids), graph.ids, cg.normalize(graph),
+                             sample=False)
         np.testing.assert_array_equal(dist.mu.data, dist2.mu.data)
 
 
@@ -226,7 +231,8 @@ class TestDecoder:
         graph = cg.fully_connected(3)
         feats = rng.standard_normal((3, 6))
         eps = rng.standard_normal((3, 4))
-        state, dist = enc.step(feats, enc.init_state(graph.ids), graph, eps=eps)
+        state, dist = enc.step(feats, enc.init_state(graph.ids), graph.ids, cg.normalize(graph),
+                               eps=eps)
         target = np.clip(rng.random((3, 20)), 0, 1)
         recon, kl = loss_variational(enc.decode, target, rng.random((3, 2)),
                                      dist.latent, dist.mu, dist.log_sigma)
@@ -262,6 +268,23 @@ class TestLosses:
         assert float(loss_consistency(np.array([[0.0], [2.0]])).data) == pytest.approx(1.0)
         assert float(loss_consistency(np.array([[3.5, -1.0]])).data) == 0.0
 
+    def test_block_centering_matches_per_group(self):
+        rng = np.random.default_rng(16)
+        a, b = rng.standard_normal((3, 4)), rng.standard_normal((2, 4))
+        center = np.zeros((5, 5))
+        center[:3, :3] = 1.0 / 3
+        center[3:, 3:] = 1.0 / 2
+        rows = consistency_rows(np.vstack([a, b]), center).data
+        assert rows[:3].mean() == pytest.approx(float(loss_consistency(a).data))
+        assert rows[3:].mean() == pytest.approx(float(loss_consistency(b).data))
+
+    def test_kl_rows_one_per_agent(self):
+        rng = np.random.default_rng(17)
+        mu, ls = dc.Tensor(rng.standard_normal((5, 3))), dc.Tensor(rng.standard_normal((5, 3)))
+        rows = kl_rows(mu, ls).data
+        assert rows.shape == (5,)
+        assert rows.mean() == pytest.approx(float(kl_standard_normal(mu, ls).data))
+
     def test_empty_batch_rejected(self):
         enc = tiny_encoder()
         with pytest.raises(DataError):
@@ -274,7 +297,7 @@ class TestLosses:
         enc = tiny_encoder(rng)
         graph = cg.fully_connected(4)
         feats = rng.standard_normal((4, 6))
-        _, dist = enc.step(feats, enc.init_state(graph.ids), graph,
+        _, dist = enc.step(feats, enc.init_state(graph.ids), graph.ids, cg.normalize(graph),
                            eps=rng.standard_normal((4, 4)))
         target = np.clip(rng.random((4, 20)), 0, 1)
         recon, kl = loss_variational(enc.decode, target, rng.random((4, 2)),
@@ -296,8 +319,8 @@ class TestObsCompressor:
 
     def test_identical_obs_identical_features(self, tiny_compressor, tiny_task):
         obs = np.random.default_rng(1).random((1, tiny_task.obs_dim)).astype(np.float32)
-        f1 = compress_observation(tiny_compressor, obs[0])
-        f2 = compress_observation(tiny_compressor, obs[0])
+        f1 = tiny_compressor.encode(obs[0])[0]
+        f2 = tiny_compressor.encode(obs[0])[0]
         np.testing.assert_array_equal(f1, f2)
         assert f1.shape == (8,)
 
@@ -377,6 +400,33 @@ class TestPretrain:
         _, rb, kb, cb, sb = _batch_loss(enc, pair, alpha=0.1, recon_weight=1.0,
                                         rng=_ZeroRng())
         np.testing.assert_allclose([rb * sb, kb * sb, cb * sb], sums, rtol=1e-10)
+
+    def test_batch_loss_is_encoder_step_plus_tested_losses(self, small_buffer, tiny_task):
+        # one episode, one step: pre-training's terms are NvifEncoder.step
+        # followed by loss_variational and loss_consistency
+        from nviflab.nvif.pretrain import _batch_loss
+        enc = tiny_encoder(np.random.default_rng(7), obs_feat=8,
+                           obs_dim=tiny_task.obs_dim, dtype="float64")
+        sd = small_buffer[0].steps[0]
+        total, recon, kl, cons, n_slots = _batch_loss(
+            enc, [EpisodeRecord(steps=[sd])], alpha=0.1, recon_weight=2.0,
+            rng=np.random.default_rng(0))
+        eps = np.random.default_rng(0).standard_normal((len(sd.ids), 4))
+        _, dist = enc.step(sd.feats, enc.init_state(sd.ids), sd.ids,
+                           sd.adj_norm.astype(np.float64), eps=eps)
+        r, k = loss_variational(enc.decode, sd.raw_obs, sd.positions,
+                                dist.latent, dist.mu, dist.log_sigma)
+        c = loss_consistency(dist.latent)
+        assert n_slots == 1
+        np.testing.assert_allclose([recon, kl, cons],
+                                   [2.0 * float(r.data), float(k.data), float(c.data)],
+                                   rtol=1e-10)
+        assert float(total.data) == pytest.approx(
+            2.0 * float(r.data) + float(k.data) + 0.1 * float(c.data))
+
+    def test_zero_batch_rejected(self, small_buffer):
+        with pytest.raises(ConfigError):
+            pretrain(small_buffer, PretrainHyper(epochs=1, batch_episodes=0), tiny_encoder())
 
     def test_empty_buffer_rejected(self):
         enc = tiny_encoder()

@@ -4,7 +4,7 @@ import pytest
 
 from nviflab import diffcore as dc
 from nviflab.env_gather import N_ACTIONS, preset
-from nviflab.errors import DataError
+from nviflab.errors import ConfigError, DataError
 from nviflab.policy import (
     ActorCritic,
     DQNHyper,
@@ -19,6 +19,7 @@ from nviflab.policy import (
     compute_returns,
     critic_loss,
     epsilon_at,
+    featurize,
     make_provider,
     ppo_actor_objective,
     q_target,
@@ -76,16 +77,16 @@ class TestReturns:
 
 class TestClipObjective:
     def test_clip_binds_positive_advantage(self):
-        assert clipped_term(1.3, 1.0, 0.2) == pytest.approx(1.2)
+        assert float(clipped_term(1.3, 1.0, 0.2).data) == pytest.approx(1.2)
 
     def test_min_picks_unclipped_negative_advantage(self):
-        assert clipped_term(1.3, -1.0, 0.2) == pytest.approx(-1.3)
+        assert float(clipped_term(1.3, -1.0, 0.2).data) == pytest.approx(-1.3)
 
     def test_pointwise_bounds_and_identity_region(self):
         rng = np.random.default_rng(4)
         rho = rng.uniform(0.5, 1.5, 1000)
         adv = rng.standard_normal(1000)
-        term = clipped_term(rho, adv, 0.2)
+        term = clipped_term(rho, adv, 0.2).data
         assert np.all(term <= rho * adv + 1e-12)
         assert np.all(term <= np.clip(rho, 0.8, 1.2) * adv + 1e-12)
         inside = np.abs(rho - 1.0) <= 0.2
@@ -228,6 +229,17 @@ class TestProviders:
         np.testing.assert_array_equal(a, b)
         assert cg.fully_connected(1).edges() == cg.build_graph([(2, 2)], [0]).edges()
 
+    def test_featurize_concats_compressed_obs_and_latents(self, tiny_task, tiny_compressor):
+        from nviflab.env_gather import new_world, observe
+        world = new_world(tiny_task)
+        ids = world.alive_agents()
+        x = featurize(world, ids, tiny_compressor, MeanObsLatents(8))
+        feats = tiny_compressor.encode(np.stack([observe(world, i).flat() for i in ids]))
+        assert x.shape == (len(ids), 16) and x.dtype == feats.dtype
+        np.testing.assert_array_equal(x[:, :8], feats)
+        np.testing.assert_array_equal(x[:, 8:], np.tile(feats.mean(axis=0), (len(ids), 1)))
+        assert featurize(world, ids, tiny_compressor, EmptyLatents()).shape == (len(ids), 8)
+
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             make_provider("nvif", 8)  # missing encoder
@@ -313,3 +325,13 @@ class TestTrainers:
         r2 = train_dqn(tiny_task, tiny_compressor, hyper, latent_mode="none")
         assert r1.metrics == r2.metrics
         assert len(r1.metrics) == 3
+
+    @pytest.mark.parametrize("train, hyper", [
+        (train_ppo, PPOHyper(update_passes=0)),
+        (train_ppo, PPOHyper(minibatch_slots=0)),
+        (train_dqn, DQNHyper(train_every=0)),
+        (train_dqn, DQNHyper(eps_decay_steps=0)),
+    ])
+    def test_zero_count_rejected_at_entry(self, tiny_task, tiny_compressor, train, hyper):
+        with pytest.raises(ConfigError):
+            train(tiny_task, tiny_compressor, hyper, latent_mode="none")
