@@ -1,18 +1,22 @@
-"""Named parameter storage with exact checkpoint round-trips.
+"""Named parameter storage and single-file checkpoints.
 
-Checkpoint format: ``<prefix>.json`` manifest listing {name, shape, dtype,
-offset} for every array, plus ``<prefix>.bin`` holding the little-endian raw
-values back to back. Optimizer moment buffers are stored alongside the
-parameters so a reload resumes optimization bit-exactly.
+Checkpoint format: one file. Its first line is a JSON header
+``{"meta": ..., "stores": {name: {"step_count": n, "arrays": [{"name",
+"shape", "dtype"}, ...]}}}``, holding the caller's ``meta`` and the array
+table of every named store. After the newline come the arrays' little-endian
+raw values, back to back in table order. A store's arrays are its parameters
+(``param/<name>``) and its optimizer moment buffers (``moment/<key>/<name>``),
+so a reload resumes optimization bit-exactly.
 
-Both files are written to temporary names in the same directory first and
-then moved over the old ones with ``os.replace``, blob before manifest, so a
-save that fails part-way leaves the previous checkpoint in place. ``load``
-checks the manifest's extents against the blob length.
+``save_checkpoint`` writes ``<path>.tmp`` and commits it with one atomic
+rename, so a save that fails or is killed part-way leaves the previous
+checkpoint in place. ``load_checkpoint`` checks the table's extents against
+the file length.
 """
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -50,66 +54,63 @@ class ParamStore:
         for t in self._params.values():
             t.grad = np.zeros_like(t.data)
 
-    # -- checkpoint io ------------------------------------------------------
 
-    def save(self, prefix: str | Path):
-        prefix = Path(prefix)
-        entries = []
-        blobs = []
-        offset = 0
+def save_checkpoint(path: str | Path, meta: dict, stores: dict[str, ParamStore]):
+    """Write ``meta`` (JSON-serializable) and the named stores to one file."""
+    path = Path(path)
+    tables, blobs = {}, []
+    for store_name, store in stores.items():
+        arrays = [(f"param/{name}", store[name].data) for name in store.names()]
+        arrays += [(f"moment/{key}/{name}", arr)
+                   for name, bufs in store.moments.items() for key, arr in bufs.items()]
+        tables[store_name] = {"step_count": store.step_count, "arrays": [
+            {"name": name, "shape": list(arr.shape), "dtype": str(arr.dtype)}
+            for name, arr in arrays]}
+        blobs += [np.ascontiguousarray(arr).astype(_DTYPE_CODES[str(arr.dtype)],
+                                                   copy=False).tobytes()
+                  for _, arr in arrays]
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        fh.write(json.dumps({"meta": meta, "stores": tables}).encode() + b"\n")
+        for raw in blobs:
+            fh.write(raw)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
 
-        def push(name, arr):
-            nonlocal offset
-            code = _DTYPE_CODES[str(arr.dtype)]
-            raw = np.ascontiguousarray(arr).astype(code, copy=False).tobytes()
-            entries.append({"name": name, "shape": list(arr.shape),
-                            "dtype": str(arr.dtype), "offset": offset})
-            blobs.append(raw)
-            offset += len(raw)
 
-        for name, t in self._params.items():
-            push(f"param/{name}", t.data)
-        for name, bufs in self.moments.items():
-            for key, arr in bufs.items():
-                push(f"moment/{key}/{name}", arr)
-        manifest = {"step_count": self.step_count, "arrays": entries}
-        prefix.parent.mkdir(parents=True, exist_ok=True)
-        blob_path, manifest_path = prefix.with_suffix(".bin"), prefix.with_suffix(".json")
-        blob_tmp = blob_path.with_name(blob_path.name + ".tmp")
-        manifest_tmp = manifest_path.with_name(manifest_path.name + ".tmp")
-        with open(blob_tmp, "wb") as fh:
-            for raw in blobs:
-                fh.write(raw)
-        with open(manifest_tmp, "w") as fh:
-            json.dump(manifest, fh, indent=1)
-        os.replace(blob_tmp, blob_path)
-        os.replace(manifest_tmp, manifest_path)
-
-    @classmethod
-    def load(cls, prefix: str | Path) -> "ParamStore":
-        prefix = Path(prefix)
-        with open(prefix.with_suffix(".json")) as fh:
-            manifest = json.load(fh)
-        blob_path = prefix.with_suffix(".bin")
-        blob = blob_path.read_bytes()
-        store = cls()
-        store.step_count = manifest["step_count"]
-        end = 0
-        for entry in manifest["arrays"]:
+def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, ParamStore]]:
+    """Read a :func:`save_checkpoint` file back as (meta, named stores)."""
+    path = Path(path)
+    if not path.is_file():
+        raise FileNotFoundError(f"checkpoint missing: {path}")
+    head, _, data = path.read_bytes().partition(b"\n")
+    try:
+        header = json.loads(head)
+        meta, tables = header["meta"], header["stores"]
+    except (ValueError, KeyError, TypeError) as err:
+        raise DataError(f"{path}: unreadable checkpoint header ({err})") from None
+    stores = {}
+    end = 0
+    for store_name, table in tables.items():
+        store = stores[store_name] = ParamStore()
+        store.step_count = table["step_count"]
+        for entry in table["arrays"]:
             code = _DTYPE_CODES[entry["dtype"]]
-            size = int(np.prod(entry["shape"])) if entry["shape"] else 1
-            end = entry["offset"] + size * np.dtype(code).itemsize
-            if end > len(blob):
-                raise DataError(f"{blob_path}: {entry['name']} ends at byte {end}, "
-                                f"past the {len(blob)}-byte blob")
-            arr = np.frombuffer(blob, dtype=code, count=size, offset=entry["offset"])
-            arr = arr.reshape(entry["shape"]).astype(entry["dtype"]).copy()
+            size = math.prod(entry["shape"])
+            start, end = end, end + size * np.dtype(code).itemsize
+            if end > len(data):
+                raise DataError(f"{path}: {store_name} {entry['name']} ends at byte {end} "
+                                f"of the arrays, past their {len(data)} bytes")
+            arr = np.frombuffer(data, dtype=code, count=size, offset=start)
+            arr = arr.reshape(entry["shape"]).astype(entry["dtype"])
             kind, _, rest = entry["name"].partition("/")
             if kind == "param":
                 store.add(rest, arr)
             else:
                 key, _, name = rest.partition("/")
                 store.moments.setdefault(name, {})[key] = arr
-        if end != len(blob):
-            raise DataError(f"{blob_path}: manifest covers {end} bytes, blob has {len(blob)}")
-        return store
+    if end != len(data):
+        raise DataError(f"{path}: the array table covers {end} bytes, the file holds {len(data)}")
+    return meta, stores

@@ -84,7 +84,8 @@ def as_tensor(x) -> Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray):
-    t.grad = g if t.grad is None else t.grad + g
+    if t.requires_grad:  # constants (inputs, loss weights, scalars) keep no gradient
+        t.grad = g if t.grad is None else t.grad + g
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:

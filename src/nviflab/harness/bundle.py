@@ -1,15 +1,11 @@
 """Self-contained policy checkpoints: everything evaluation needs in one
-directory (observation compressor, optional encoder, policy parameters)."""
+file (observation compressor, optional encoder, actor/critic or Q-network)."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
-import numpy as np
-
-from ..diffcore import ParamStore
-from ..errors import ConfigError
+from ..diffcore import load_checkpoint, save_checkpoint
+from ..errors import ConfigError, DataError
 from ..nvif import NvifEncoder, ObsCompressor
 from ..policy import ActorCritic, QNetwork
 
@@ -28,47 +24,29 @@ class PolicyBundle:
     def kind(self) -> str:
         return "dqn" if self.qnet is not None else "ppo"
 
-    def save(self, directory):
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        meta = {"algorithm": self.algorithm, "latent_mode": self.latent_mode,
-                "task": self.task, "kind": self.kind}
-        with open(directory / "bundle.json", "w") as fh:
-            json.dump(meta, fh, indent=1)
-        self.compressor.save(directory / "obs_vae")
-        if self.encoder is not None:
-            self.encoder.save(directory / "encoder")
-        if self.actor_critic is not None:
-            self.actor_critic.save(directory / "policy")
-        if self.qnet is not None:
-            self.qnet.store.save(directory / "qnet")
-            with open(directory / "qnet_meta.json", "w") as fh:
-                json.dump({"input_width": self.qnet.input_width,
-                           "hidden_width": self.qnet.hidden_width}, fh)
+    def save(self, path):
+        meta = {"algorithm": self.algorithm, "latent_mode": self.latent_mode, "task": self.task}
+        stores = {}
+        for part in (self.compressor, self.encoder, self.actor_critic, self.qnet):
+            if part is not None:
+                part_meta, part_stores = part.checkpoint_parts()
+                meta |= part_meta
+                stores |= part_stores
+        save_checkpoint(path, meta, stores)
 
     @classmethod
-    def load(cls, directory) -> "PolicyBundle":
-        directory = Path(directory)
-        meta_path = directory / "bundle.json"
-        if not meta_path.exists():
-            raise FileNotFoundError(f"no policy bundle at {directory}")
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-        compressor = ObsCompressor.load(directory / "obs_vae")
-        encoder = None
-        if (directory / "encoder.json").exists():
-            encoder = NvifEncoder.load(directory / "encoder")
-        if meta["kind"] == "dqn":
-            with open(directory / "qnet_meta.json") as fh:
-                qmeta = json.load(fh)
-            qnet = QNetwork(qmeta["input_width"], qmeta["hidden_width"],
-                            np.random.default_rng(0),
-                            store=ParamStore.load(directory / "qnet"))
-            return cls(meta["algorithm"], meta["latent_mode"], meta["task"],
-                       compressor, encoder=encoder, qnet=qnet)
-        actor_critic = ActorCritic.load(directory / "policy")
+    def load(cls, path) -> "PolicyBundle":
+        meta, stores = load_checkpoint(path)
+        if "algorithm" not in meta:
+            raise DataError(f"{path}: not a policy bundle")
+
+        def part(kind, store_name):
+            return kind.from_checkpoint(meta, stores) if store_name in stores else None
+
         return cls(meta["algorithm"], meta["latent_mode"], meta["task"],
-                   compressor, encoder=encoder, actor_critic=actor_critic)
+                   ObsCompressor.from_checkpoint(meta, stores),
+                   encoder=part(NvifEncoder, "encoder"),
+                   actor_critic=part(ActorCritic, "actor"), qnet=part(QNetwork, "qnet"))
 
     def check_task(self, task_cfg):
         if self.compressor.config.obs_dim != task_cfg.obs_dim:

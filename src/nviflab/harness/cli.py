@@ -1,9 +1,10 @@
 """Command-line orchestration.
 
 Exit codes: 0 success, 1 invalid configuration (offending keys are listed),
-2 missing checkpoint, 3 unusable data (``scalability``: a task on which no
-policy beats the random-policy reference; each such task is listed with its
-best and reference returns).
+2 missing checkpoint, 3 unusable data: a corrupt checkpoint (truncated,
+over-long, or with an unreadable header; the file is named), or, for
+``scalability``, a task on which no policy beats the random-policy reference
+(each such task is listed with its best and reference returns).
 """
 from __future__ import annotations
 
@@ -17,12 +18,11 @@ from .bundle import PolicyBundle
 from .config import load_experiment
 from .evaluate import evaluate
 from .pipeline import (
-    load_compressor,
-    load_encoder,
+    encoder_path,
+    obs_vae_path,
     run_pretrain_nvif,
     run_pretrain_obs,
     run_training,
-    train_run_dir,
 )
 from .scalability import scalability_matrix, write_matrix_csv
 
@@ -48,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = with_config(sub.add_parser("eval", help="evaluate a policy"))
     p.add_argument("--policy", default=None,
-                   help="bundle dir, or built-ins 'random' / 'noop' "
+                   help="bundle file, or built-ins 'random' / 'noop' "
                         "(default: config policy_checkpoint)")
     p.add_argument("--episodes", type=int, default=None)
 
@@ -84,12 +84,12 @@ def _dispatch(args, cfg) -> int:
     out = cfg.out_path
     if args.command == "pretrain-obs":
         run_pretrain_obs(cfg)
-        print(f"observation compressor saved under {out / 'obs_vae'}")
+        print(f"observation compressor saved to {obs_vae_path(cfg)}")
         return 0
 
     if args.command == "pretrain-nvif":
         _, history = run_pretrain_nvif(cfg)
-        print(f"encoder saved under {out / 'encoder'}; "
+        print(f"encoder saved to {encoder_path(cfg)}; "
               f"final recon {history[-1].recon:.4f} after {len(history)} epochs")
         return 0
 
@@ -129,10 +129,7 @@ def _dispatch(args, cfg) -> int:
             raise ConfigError("scalability needs 'policies' and 'tasks' lists in the config")
         policies = []
         for entry in section["policies"]:
-            path = Path(entry)
-            if not (path / "bundle.json").exists():
-                raise FileNotFoundError(f"no policy bundle at {path}")
-            policies.append((path.name, PolicyBundle.load(path)))
+            policies.append((Path(entry).name, PolicyBundle.load(entry)))
         from ..env_gather import preset
         tasks = [(name, preset(name, **cfg.env)) for name in section["tasks"]]
         rows, cols, raw, reference, scores = scalability_matrix(

@@ -43,13 +43,13 @@ def collect_obs_corpus(task_cfg, episodes: int, rng: np.random.Generator,
 def obs_vae_path(cfg: ExperimentConfig) -> Path:
     if cfg.obs_vae_checkpoint:
         return Path(cfg.obs_vae_checkpoint)
-    return cfg.out_path / "obs_vae" / "ckpt"
+    return cfg.out_path / "obs_vae.ckpt"
 
 
 def encoder_path(cfg: ExperimentConfig) -> Path:
     if cfg.encoder_checkpoint:
         return Path(cfg.encoder_checkpoint)
-    return cfg.out_path / "encoder" / "ckpt"
+    return cfg.out_path / "encoder.ckpt"
 
 
 def run_pretrain_obs(cfg: ExperimentConfig) -> ObsCompressor:
@@ -69,17 +69,12 @@ def run_pretrain_obs(cfg: ExperimentConfig) -> ObsCompressor:
     )
     compressor = ObsCompressor(vae_cfg, rng)
     compressor.train(corpus, cfg.obs_vae_hyper())
-    path = obs_vae_path(cfg)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    compressor.save(path)
+    compressor.save(obs_vae_path(cfg))
     return compressor
 
 
 def load_compressor(cfg: ExperimentConfig) -> ObsCompressor:
-    path = obs_vae_path(cfg)
-    if not path.with_suffix(".json").exists():
-        raise FileNotFoundError(f"observation compressor checkpoint missing: {path}")
-    return ObsCompressor.load(path)
+    return ObsCompressor.load(obs_vae_path(cfg))
 
 
 def run_pretrain_nvif(cfg: ExperimentConfig, compressor: ObsCompressor | None = None):
@@ -103,7 +98,6 @@ def run_pretrain_nvif(cfg: ExperimentConfig, compressor: ObsCompressor | None = 
     encoder = NvifEncoder(enc_cfg, rng)
     encoder, history = pretrain(buffer, hyper, encoder)
     path = encoder_path(cfg)
-    path.parent.mkdir(parents=True, exist_ok=True)
     encoder.save(path)
     with open(path.parent / "pretrain_history.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -114,10 +108,7 @@ def run_pretrain_nvif(cfg: ExperimentConfig, compressor: ObsCompressor | None = 
 
 
 def load_encoder(cfg: ExperimentConfig) -> NvifEncoder:
-    path = encoder_path(cfg)
-    if not path.with_suffix(".json").exists():
-        raise FileNotFoundError(f"encoder checkpoint missing: {path}")
-    return NvifEncoder.load(path)
+    return NvifEncoder.load(encoder_path(cfg))
 
 
 def train_run_dir(cfg: ExperimentConfig, seed: int) -> Path:
@@ -147,5 +138,5 @@ def run_training(cfg: ExperimentConfig, seed: int, resume: bool = False,
                            latent_mode=latent_mode, encoder=encoder, out_dir=run_dir)
         bundle = PolicyBundle(cfg.algorithm, latent_mode, cfg.task, compressor,
                               encoder=encoder, qnet=result.qnet)
-    bundle.save(run_dir / "bundle")
+    bundle.save(run_dir / "bundle.ckpt")
     return run_dir

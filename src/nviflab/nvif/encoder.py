@@ -11,9 +11,7 @@ latent concatenated with its normalized position.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -32,7 +30,9 @@ from ..diffcore import (
     init_gru,
     init_linear,
     init_mlp,
+    load_checkpoint,
     mlp,
+    save_checkpoint,
     sigmoid,
 )
 from ..errors import ProtocolError
@@ -149,16 +149,17 @@ class NvifEncoder:
 
     # -- persistence ----------------------------------------------------------
 
-    def save(self, prefix):
-        prefix = Path(prefix)
-        self.store.save(prefix)
-        with open(prefix.parent / (prefix.name + "_meta.json"), "w") as fh:
-            json.dump(asdict(self.config), fh, indent=1)
+    def checkpoint_parts(self) -> tuple[dict, dict]:
+        return {"encoder": asdict(self.config)}, {"encoder": self.store}
 
     @classmethod
-    def load(cls, prefix) -> "NvifEncoder":
-        prefix = Path(prefix)
-        with open(prefix.parent / (prefix.name + "_meta.json")) as fh:
-            config = NvifConfig(**json.load(fh))
-        store = ParamStore.load(prefix)
-        return cls(config, rng=np.random.default_rng(0), store=store)
+    def from_checkpoint(cls, meta: dict, stores: dict) -> "NvifEncoder":
+        return cls(NvifConfig(**meta["encoder"]), rng=np.random.default_rng(0),
+                   store=stores["encoder"])
+
+    def save(self, path):
+        save_checkpoint(path, *self.checkpoint_parts())
+
+    @classmethod
+    def load(cls, path) -> "NvifEncoder":
+        return cls.from_checkpoint(*load_checkpoint(path))

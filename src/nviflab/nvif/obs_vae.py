@@ -7,9 +7,7 @@ reconstruction term against the KL by summing the cross entropy over cells
 """
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -25,11 +23,13 @@ from ..diffcore import (
     gaussian_sample,
     init_linear,
     init_mlp,
+    load_checkpoint,
     mlp,
     mul,
     no_grad,
     optimizer_step,
     relu,
+    save_checkpoint,
     sigmoid,
 )
 from ..errors import DataError, StateError, require_counts
@@ -135,19 +135,20 @@ class ObsCompressor:
         self.trained = True
         return history
 
-    def save(self, prefix):
-        prefix = Path(prefix)
-        self.store.save(prefix)
-        meta = asdict(self.config) | {"trained": self.trained}
-        with open(prefix.parent / (prefix.name + "_meta.json"), "w") as fh:
-            json.dump(meta, fh, indent=1)
+    def checkpoint_parts(self) -> tuple[dict, dict]:
+        return ({"obs_vae": asdict(self.config) | {"trained": self.trained}},
+                {"obs_vae": self.store})
 
     @classmethod
-    def load(cls, prefix) -> "ObsCompressor":
-        prefix = Path(prefix)
-        with open(prefix.parent / (prefix.name + "_meta.json")) as fh:
-            meta = json.load(fh)
-        trained = meta.pop("trained")
-        return cls(ObsVaeConfig(**meta), rng=np.random.default_rng(0),
-                   store=ParamStore.load(prefix), trained=trained)
+    def from_checkpoint(cls, meta: dict, stores: dict) -> "ObsCompressor":
+        config = dict(meta["obs_vae"])
+        trained = config.pop("trained")
+        return cls(ObsVaeConfig(**config), rng=np.random.default_rng(0),
+                   store=stores["obs_vae"], trained=trained)
 
+    def save(self, path):
+        save_checkpoint(path, *self.checkpoint_parts())
+
+    @classmethod
+    def load(cls, path) -> "ObsCompressor":
+        return cls.from_checkpoint(*load_checkpoint(path))

@@ -1,9 +1,7 @@
 """Two-layer actor and critic shared by all agents."""
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -76,19 +74,10 @@ class ActorCritic:
             logits = self.logits(Tensor(feats)).data
         return logits.argmax(axis=1).astype(np.int64)
 
-    def save(self, directory):
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        self.actor.save(directory / "actor")
-        self.critic.save(directory / "critic")
-        with open(directory / "policy_meta.json", "w") as fh:
-            json.dump(asdict(self.config), fh, indent=1)
+    def checkpoint_parts(self) -> tuple[dict, dict]:
+        return {"policy": asdict(self.config)}, {"actor": self.actor, "critic": self.critic}
 
     @classmethod
-    def load(cls, directory) -> "ActorCritic":
-        directory = Path(directory)
-        with open(directory / "policy_meta.json") as fh:
-            config = PolicyConfig(**json.load(fh))
-        return cls(config, rng=np.random.default_rng(0),
-                   actor_store=ParamStore.load(directory / "actor"),
-                   critic_store=ParamStore.load(directory / "critic"))
+    def from_checkpoint(cls, meta: dict, stores: dict) -> "ActorCritic":
+        return cls(PolicyConfig(**meta["policy"]), rng=np.random.default_rng(0),
+                   actor_store=stores["actor"], critic_store=stores["critic"])

@@ -6,7 +6,6 @@ steps, per-agent transitions with agent death or episode end as terminals.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -84,6 +83,14 @@ class QNetwork:
         with no_grad():
             q = self.q_values_tensor(Tensor(feats)).data
         return q.astype(np.float64)
+
+    def checkpoint_parts(self) -> tuple[dict, dict]:
+        return ({"qnet": {"input_width": self.input_width, "hidden_width": self.hidden_width}},
+                {"qnet": self.store})
+
+    @classmethod
+    def from_checkpoint(cls, meta: dict, stores: dict) -> "QNetwork":
+        return cls(**meta["qnet"], rng=np.random.default_rng(0), store=stores["qnet"])
 
     def copy_from(self, other: "QNetwork"):
         for name in self.store.names():
@@ -187,9 +194,6 @@ def train_dqn(task_cfg: TaskConfig, compressor: ObsCompressor, hyper: DQNHyper,
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        qnet.store.save(out_dir / "qnet")
-        with open(out_dir / "qnet_meta.json", "w") as fh:
-            json.dump({"input_width": width, "hidden_width": hyper.hidden_width}, fh)
         write_metrics_csv(out_dir / "metrics.csv", metrics)
     return DQNResult(metrics=metrics, qnet=qnet, episodes_done=hyper.episodes)
 

@@ -7,14 +7,14 @@ per-agent advantages and discounted returns, then several shuffled
 minibatch passes maximizing the clipped surrogate (plus an entropy bonus)
 and minimizing the squared value error against the returns.
 
-Checkpoints carry parameters, optimizer moments, all rng streams, and the
+The checkpoint (one file, ``<out_dir>/checkpoint``, rewritten after every
+epoch) carries parameters, optimizer moments, all rng streams, and the
 metric rows, so a resumed run replays the remaining epochs bit-exactly.
 """
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,11 +24,13 @@ from ..diffcore import (
     backward,
     clamp,
     exp,
+    load_checkpoint,
     log_softmax,
     minimum,
     mse,
     mul,
     optimizer_step,
+    save_checkpoint,
     sub,
     sum as tsum,
     take_per_row,
@@ -234,19 +236,14 @@ def train_ppo(task_cfg: TaskConfig, compressor: ObsCompressor, hyper: PPOHyper,
         raise ConfigError(
             f"compressor expects obs width {compressor.config.obs_dim}, "
             f"task produces {task_cfg.obs_dim}")
-    if encoder is not None and encoder.config.obs_feat_width != feat_width:
-        raise ConfigError(
-            f"encoder expects feature width {encoder.config.obs_feat_width}, "
-            f"compressor produces {feat_width}")
     out_dir = Path(out_dir) if out_dir is not None else None
     ckpt = out_dir / "checkpoint" if out_dir else None
 
     if resume:
-        if ckpt is None or not (ckpt / "train_state.json").exists():
-            raise ConfigError("resume requested but no checkpoint found")
-        with open(ckpt / "train_state.json") as fh:
-            saved = json.load(fh)
-        ac = ActorCritic.load(ckpt / "policy")
+        if ckpt is None:
+            raise ConfigError("resume requested without an out_dir to resume from")
+        saved, stores = load_checkpoint(ckpt)
+        ac = ActorCritic.from_checkpoint(saved, stores)
         env_rng = _restore_rng(saved["rng"]["env"])
         action_rng = _restore_rng(saved["rng"]["action"])
         latent_rng = _restore_rng(saved["rng"]["latent"])
@@ -274,18 +271,17 @@ def train_ppo(task_cfg: TaskConfig, compressor: ObsCompressor, hyper: PPOHyper,
                                       hidden_width=hyper.hidden_width),
                          np.random.default_rng(init_s))
 
-    def save_checkpoint():
+    def save_state():
         if ckpt is None:
             return
-        ac.save(ckpt / "policy")
+        policy_meta, stores = ac.checkpoint_parts()
         state = {
             "epoch": epoch, "episodes_done": episodes_done, "stopped": stopped,
             "metrics": metrics,
             "rng": {"env": _rng_state(env_rng), "action": _rng_state(action_rng),
                     "latent": _rng_state(latent_rng), "shuffle": _rng_state(shuffle_rng)},
         }
-        with open(ckpt / "train_state.json", "w") as fh:
-            json.dump(state, fh)
+        save_checkpoint(ckpt, state | policy_meta, stores)
         write_metrics_csv(out_dir / "metrics.csv", metrics)
 
     while epoch < hyper.epochs and not stopped:
@@ -323,7 +319,7 @@ def train_ppo(task_cfg: TaskConfig, compressor: ObsCompressor, hyper: PPOHyper,
         epoch += 1
         if hyper.stop_food_frac is not None and food_frac >= hyper.stop_food_frac:
             stopped = True
-        save_checkpoint()
+        save_state()
     if out_dir is not None:
         write_metrics_csv(out_dir / "metrics.csv", metrics)
     return PPOResult(metrics=metrics, actor_critic=ac, episodes_done=episodes_done)

@@ -11,6 +11,7 @@ import numpy as np
 from ..commgraph import build_graph, fully_connected, normalize
 from ..diffcore import no_grad
 from ..env_gather import observe
+from ..errors import ConfigError
 from ..nvif import NvifEncoder, ObsCompressor
 
 
@@ -74,6 +75,10 @@ def make_provider(mode: str, feat_width: int, encoder=None, rng=None, sample=Tru
     if mode in ("nvif", "full"):
         if encoder is None:
             raise ValueError(f"latent mode {mode!r} needs a pre-trained encoder")
+        if encoder.config.obs_feat_width != feat_width:
+            raise ConfigError(
+                f"encoder expects feature width {encoder.config.obs_feat_width}, "
+                f"compressor produces {feat_width}")
         return NvifLatents(encoder, rng=rng, full_graph=(mode == "full"), sample=sample)
     raise ValueError(f"unknown latent mode {mode!r}")
 

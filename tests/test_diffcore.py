@@ -1,7 +1,12 @@
 """Autodiff core: every op against finite differences, plus the contracts
 around checkpoints, the optimizer, the GRU cell, and reparameterized noise."""
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nviflab import diffcore as dc
 from nviflab.errors import DataError, ShapeError
@@ -306,6 +311,13 @@ class TestBackwardContract:
         dc.backward(loss())
         np.testing.assert_allclose(w.grad, 6.0)
 
+    def test_constants_get_no_gradient(self):
+        w = dc.Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True)
+        c = dc.Tensor(np.array([3.0, 4.0, 5.0]))
+        dc.backward(dc.sum(dc.mul(w, c)))
+        assert c.grad is None
+        np.testing.assert_array_equal(w.grad, [3.0, 4.0, 5.0])
+
     def test_no_grad_builds_no_graph(self):
         w = dc.Tensor(np.ones((2, 2)), requires_grad=True)
         with dc.no_grad():
@@ -350,8 +362,16 @@ class TestParamStore:
         p = store.add("c", rng.standard_normal((2, 2)).astype(np.float32))
         p.grad = np.ones_like(p.data)
         dc.optimizer_step(store, lr=1e-3)
-        store.save(tmp_path / "ckpt")
-        loaded = dc.ParamStore.load(tmp_path / "ckpt")
+        other = dc.ParamStore()
+        other.add("s", np.array(2.5))
+        meta = {"epoch": 3, "config": {"width": 4}}
+        dc.save_checkpoint(tmp_path / "ckpt", meta, {"main": store, "other": other})
+        assert [f.name for f in tmp_path.iterdir()] == ["ckpt"]
+        loaded_meta, stores = dc.load_checkpoint(tmp_path / "ckpt")
+        assert loaded_meta == meta
+        assert list(stores) == ["main", "other"]
+        np.testing.assert_array_equal(stores["other"]["s"].data, 2.5)
+        loaded = stores["main"]
         assert loaded.names() == store.names()
         assert loaded.step_count == store.step_count
         for name in store.names():
@@ -373,9 +393,9 @@ class TestParamStore:
         w = store.add("w", rng.standard_normal((5, 3)).astype(np.float32))
         x = rng.standard_normal((2, 5)).astype(np.float32)
         before = dc.matmul(dc.Tensor(x), w).data
-        store.save(tmp_path / "rt")
-        loaded = dc.ParamStore.load(tmp_path / "rt")
-        after = dc.matmul(dc.Tensor(x), loaded["w"]).data
+        dc.save_checkpoint(tmp_path / "rt", {}, {"s": store})
+        _, stores = dc.load_checkpoint(tmp_path / "rt")
+        after = dc.matmul(dc.Tensor(x), stores["s"]["w"]).data
         np.testing.assert_array_equal(before, after)
 
     def _saved(self, tmp_path, seed=1):
@@ -385,44 +405,94 @@ class TestParamStore:
         p = store.add("b", rng.standard_normal(4))
         p.grad = np.ones_like(p.data)
         dc.optimizer_step(store, lr=1e-3)
-        store.save(tmp_path / "ckpt")
+        dc.save_checkpoint(tmp_path / "ckpt", {"seed": seed}, {"s": store})
         return store
 
     def test_truncated_blob_rejected(self, tmp_path):
         self._saved(tmp_path)
-        blob = tmp_path / "ckpt.bin"
-        blob.write_bytes(blob.read_bytes()[:-1])
-        with pytest.raises(DataError, match="ckpt.bin"):
-            dc.ParamStore.load(tmp_path / "ckpt")
+        path = tmp_path / "ckpt"
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(DataError, match="ckpt"):
+            dc.load_checkpoint(path)
 
     def test_overlong_blob_rejected(self, tmp_path):
         self._saved(tmp_path)
-        blob = tmp_path / "ckpt.bin"
-        blob.write_bytes(blob.read_bytes() + b"\0" * 8)
-        with pytest.raises(DataError, match="ckpt.bin"):
-            dc.ParamStore.load(tmp_path / "ckpt")
+        path = tmp_path / "ckpt"
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(DataError, match="ckpt"):
+            dc.load_checkpoint(path)
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         before = self._saved(tmp_path)
-        files = {name: (tmp_path / name).read_bytes() for name in ("ckpt.json", "ckpt.bin")}
+        data = (tmp_path / "ckpt").read_bytes()
         newer = dc.ParamStore()
         newer.add("w", np.zeros((3, 4), dtype=np.float32))
         newer.add("b", np.zeros(4))
 
         def crash(*args, **kwargs):
-            raise OSError("disk full")
+            raise OSError("killed before the commit")
 
         import nviflab.diffcore.params as params
-        monkeypatch.setattr(params.json, "dump", crash)  # dies writing the manifest
+        monkeypatch.setattr(params.os, "replace", crash)  # dies before its one rename
         with pytest.raises(OSError):
-            newer.save(tmp_path / "ckpt")
+            dc.save_checkpoint(tmp_path / "ckpt", {"seed": 2}, {"s": newer})
         monkeypatch.undo()
-        for name, data in files.items():
-            assert (tmp_path / name).read_bytes() == data
-        loaded = dc.ParamStore.load(tmp_path / "ckpt")
+        assert (tmp_path / "ckpt").read_bytes() == data
+        meta, stores = dc.load_checkpoint(tmp_path / "ckpt")
+        loaded = stores["s"]
+        assert meta == {"seed": 1}
         assert loaded.step_count == before.step_count
         for name in before.names():
             np.testing.assert_array_equal(loaded[name].data, before[name].data)
+
+    @pytest.mark.parametrize("content", [
+        b"", b"not a header\n", b"\xff\xfe\n\0\0", b'["meta"]\n', b'{"meta": {}}\n'])
+    def test_unreadable_header_rejected(self, tmp_path, content):
+        path = tmp_path / "garbage"
+        path.write_bytes(content)
+        with pytest.raises(DataError, match="garbage"):
+            dc.load_checkpoint(path)
+
+    def test_truncated_header_rejected(self, tmp_path):
+        self._saved(tmp_path)
+        path = tmp_path / "ckpt"
+        path.write_bytes(path.read_bytes()[:40])
+        with pytest.raises(DataError, match="ckpt: unreadable checkpoint header"):
+            dc.load_checkpoint(path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["float32", "float64"]),
+                              st.lists(st.integers(0, 3), max_size=3), st.booleans()),
+                    max_size=5),
+           st.integers(0, 10 ** 6))
+    def test_roundtrip_over_random_shapes_and_dtypes(self, specs, step_count):
+        rng = np.random.default_rng(step_count)
+        store = dc.ParamStore()
+        store.step_count = step_count
+        for k, (dtype, shape, with_moment) in enumerate(specs):
+            store.add(f"p{k}", rng.standard_normal(shape).astype(dtype))
+            if with_moment:
+                store.moments[f"p{k}"] = {"m": rng.standard_normal(shape).astype(dtype)}
+        with tempfile.TemporaryDirectory() as tmp:
+            dc.save_checkpoint(Path(tmp) / "ckpt", {"k": len(specs)},
+                               {"s": store, "e": dc.ParamStore()})
+            meta, stores = dc.load_checkpoint(Path(tmp) / "ckpt")
+        loaded = stores["s"]
+        assert meta == {"k": len(specs)} and stores["e"].names() == []
+        assert loaded.names() == store.names() and loaded.step_count == step_count
+        for name in store.names():
+            assert loaded[name].data.dtype == store[name].data.dtype
+            assert loaded[name].data.shape == store[name].data.shape
+            np.testing.assert_array_equal(loaded[name].data, store[name].data)
+        assert loaded.moments.keys() == store.moments.keys()
+        for name, bufs in store.moments.items():
+            assert loaded.moments[name]["m"].dtype == bufs["m"].dtype
+            np.testing.assert_array_equal(loaded.moments[name]["m"], bufs["m"])
+
+    def test_missing_path_or_directory_is_not_found(self, tmp_path):
+        for path in (tmp_path / "nowhere", tmp_path):
+            with pytest.raises(FileNotFoundError, match=str(path)):
+                dc.load_checkpoint(path)
 
 
 class TestMlp:

@@ -17,7 +17,9 @@ from nviflab.harness import (
     scalability_matrix,
 )
 from nviflab.harness.cli import main as cli_main
-from nviflab.policy import ActorCritic, PolicyConfig, PPOHyper, train_ppo
+from nviflab.diffcore import optimizer_step
+from nviflab.nvif import NvifConfig, NvifEncoder
+from nviflab.policy import ActorCritic, PolicyConfig, PPOHyper, QNetwork, train_ppo
 
 
 def write_config(path, **overrides):
@@ -150,6 +152,26 @@ class TestCliExitCodes:
                                    rtol=0, atol=2e-6)
         assert written[0, 0] == 1.0
 
+    def test_resume_missing_then_truncated_checkpoint_exits_2_then_3(self, tmp_path, capsys):
+        path = write_config(tmp_path / "c.json")
+        assert cli_main(["pretrain-obs", "--config", str(path)]) == 0
+        assert cli_main(["train", "--config", str(path), "--resume"]) == 2
+        assert cli_main(["train", "--config", str(path)]) == 0
+        ckpt = tmp_path / "out" / "train-ippo-seed0" / "checkpoint"
+        ckpt.write_bytes(ckpt.read_bytes()[:-4])
+        capsys.readouterr()
+        assert cli_main(["train", "--config", str(path), "--resume"]) == 3
+        assert str(ckpt) in capsys.readouterr().err
+
+    def test_eval_unusable_bundle_exits_3(self, tmp_path, capsys, tiny_compressor):
+        garbage = tmp_path / "garbage.ckpt"
+        garbage.write_bytes(b"\x00" * 64)
+        tiny_compressor.save(tmp_path / "obs_vae.ckpt")  # a checkpoint, not a bundle
+        path = write_config(tmp_path / "c.json")
+        for policy in (garbage, tmp_path / "obs_vae.ckpt"):
+            assert cli_main(["eval", "--config", str(path), "--policy", str(policy)]) == 3
+            assert str(policy) in capsys.readouterr().err
+
     def test_eval_missing_bundle_exits_2(self, tmp_path):
         path = write_config(tmp_path / "c.json")
         assert cli_main(["eval", "--config", str(path),
@@ -164,9 +186,9 @@ class TestCliPipeline:
         out = tmp_path / "out"
         run = out / "train-ippo-seed0"
         assert (run / "metrics.csv").exists()
-        assert (run / "bundle" / "bundle.json").exists()
+        assert (run / "bundle.ckpt").is_file() and (run / "checkpoint").is_file()
         assert cli_main(["eval", "--config", str(path),
-                         "--policy", str(run / "bundle"), "--episodes", "2"]) == 0
+                         "--policy", str(run / "bundle.ckpt"), "--episodes", "2"]) == 0
         metrics = json.loads((out / "eval" / "metrics.json").read_text())
         assert set(metrics) >= {"mean_return", "mean_end_steps", "food_eaten_frac"}
 
@@ -233,6 +255,54 @@ class TestEvaluate:
         assert failure.traceback
         lines = replay.read_text().splitlines()
         assert len(lines) == 2 and json.loads(lines[0])["kind"] == "header"
+
+    @pytest.mark.parametrize("algorithm", ["nvif-ppo", "nvif-dqn"])
+    def test_bundle_with_encoder_roundtrips_through_one_file(self, tmp_path, tiny_task,
+                                                            tiny_compressor, algorithm):
+        rng = np.random.default_rng(6)
+        width = tiny_compressor.config.latent_width
+        encoder = NvifEncoder(NvifConfig(obs_feat_width=width, obs_dim=tiny_task.obs_dim,
+                                         hidden_width=16, latent_width=8, flow_layers=1,
+                                         decoder_hidden=16), rng)
+        if algorithm == "nvif-dqn":
+            head = {"qnet": QNetwork(width + 8, 16, rng)}
+            heads = [head["qnet"].store]
+        else:
+            head = {"actor_critic": ActorCritic(PolicyConfig(width + 8, 16), rng)}
+            heads = [head["actor_critic"].actor, head["actor_critic"].critic]
+        for store in heads:  # optimizer moments and step counts ride along
+            for name in store.names():
+                store[name].grad = rng.standard_normal(store[name].data.shape)
+            optimizer_step(store, lr=1e-2)
+        bundle = PolicyBundle(algorithm, "nvif", "desk-random-12", tiny_compressor,
+                              encoder=encoder, **head)
+        bundle.save(tmp_path / "bundle.ckpt")
+        assert [f.name for f in tmp_path.iterdir()] == ["bundle.ckpt"]
+        loaded = PolicyBundle.load(tmp_path / "bundle.ckpt")
+
+        assert (loaded.algorithm, loaded.latent_mode, loaded.task, loaded.kind) == \
+               (bundle.algorithm, bundle.latent_mode, bundle.task, bundle.kind)
+        assert loaded.compressor.config == bundle.compressor.config
+        assert loaded.encoder.config == encoder.config
+        if algorithm == "nvif-dqn":
+            assert loaded.actor_critic is None
+            loaded_heads = [loaded.qnet.store]
+        else:
+            assert loaded.qnet is None and loaded.actor_critic.config == bundle.actor_critic.config
+            loaded_heads = [loaded.actor_critic.actor, loaded.actor_critic.critic]
+        pairs = zip([tiny_compressor.store, encoder.store, *heads],
+                    [loaded.compressor.store, loaded.encoder.store, *loaded_heads])
+        for before, after in pairs:
+            assert after.names() == before.names() and after.step_count == before.step_count
+            for name in before.names():
+                assert after[name].data.dtype == before[name].data.dtype
+                np.testing.assert_array_equal(after[name].data, before[name].data)
+            assert after.moments.keys() == before.moments.keys()
+            for name, bufs in before.moments.items():
+                for key, arr in bufs.items():
+                    np.testing.assert_array_equal(after.moments[name][key], arr)
+        assert evaluate(loaded, tiny_task, episodes=2, seed=4) == \
+               evaluate(bundle, tiny_task, episodes=2, seed=4)
 
     def test_bundle_width_mismatch_rejected(self, tiny_task, tiny_compressor):
         res = train_ppo(tiny_task, tiny_compressor,
@@ -301,6 +371,40 @@ class TestScalability:
 
 
 class TestResume:
+    def test_save_killed_before_commit_resumes_bit_identical(self, tmp_path, tiny_task,
+                                                             tiny_compressor, monkeypatch):
+        hyper = PPOHyper(epochs=4, episodes_per_epoch=2, seed=11)
+        full_dir = tmp_path / "full"
+        res_full = train_ppo(tiny_task, tiny_compressor, hyper,
+                             latent_mode="none", out_dir=full_dir)
+
+        import nviflab.diffcore.params as params
+        real_replace = params.os.replace
+        saves = []
+
+        def killed_at_epoch_3(src, dst):
+            saves.append(dst)
+            if len(saves) == 3:
+                raise OSError("killed before the commit")
+            real_replace(src, dst)
+
+        part_dir = tmp_path / "part"
+        monkeypatch.setattr(params.os, "replace", killed_at_epoch_3)
+        with pytest.raises(OSError, match="killed"):
+            train_ppo(tiny_task, tiny_compressor, hyper, latent_mode="none", out_dir=part_dir)
+        monkeypatch.undo()
+        assert saves == [part_dir / "checkpoint"] * 3
+        res_resumed = train_ppo(tiny_task, tiny_compressor, hyper,
+                                latent_mode="none", out_dir=part_dir, resume=True)
+
+        assert res_full.metrics == res_resumed.metrics
+        assert (full_dir / "metrics.csv").read_bytes() == \
+               (part_dir / "metrics.csv").read_bytes()
+        for before, after in ((res_full.actor_critic.actor, res_resumed.actor_critic.actor),
+                              (res_full.actor_critic.critic, res_resumed.actor_critic.critic)):
+            for name in before.names():
+                np.testing.assert_array_equal(after[name].data, before[name].data)
+
     def test_checkpoint_resume_bit_identical(self, tmp_path, tiny_task, tiny_compressor):
         hyper = PPOHyper(epochs=4, episodes_per_epoch=2, seed=11)
         full_dir = tmp_path / "full"

@@ -1,4 +1,6 @@
 """Advantage machinery, the clipped objective, trainers, alignment."""
+import importlib
+
 import numpy as np
 import pytest
 
@@ -335,3 +337,24 @@ class TestTrainers:
     def test_zero_count_rejected_at_entry(self, tiny_task, tiny_compressor, train, hyper):
         with pytest.raises(ConfigError):
             train(tiny_task, tiny_compressor, hyper, latent_mode="none")
+
+    @pytest.mark.parametrize("module_name, train, hyper", [
+        ("nviflab.policy.ppo", train_ppo, PPOHyper(epochs=1, episodes_per_epoch=1)),
+        ("nviflab.policy.dqn", train_dqn, DQNHyper(episodes=1)),
+    ])
+    def test_encoder_width_mismatch_rejected_before_env(self, tiny_task, tiny_compressor,
+                                                        monkeypatch, module_name, train, hyper):
+        from nviflab.nvif import NvifConfig, NvifEncoder
+        module = importlib.import_module(module_name)
+
+        def no_env(*args):
+            raise AssertionError("the environment was used")
+
+        monkeypatch.setattr(module, "new_world", no_env)
+        monkeypatch.setattr(module, "step", no_env)
+        wide = tiny_compressor.config.latent_width * 2
+        enc = NvifEncoder(NvifConfig(obs_feat_width=wide, obs_dim=tiny_task.obs_dim,
+                                     hidden_width=8, latent_width=4, flow_layers=1,
+                                     decoder_hidden=8), np.random.default_rng(0))
+        with pytest.raises(ConfigError, match=f"feature width {wide}"):
+            train(tiny_task, tiny_compressor, hyper, latent_mode="nvif", encoder=enc)
