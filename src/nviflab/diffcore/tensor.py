@@ -5,6 +5,12 @@ gradients to its parents. Calling :func:`backward` on a scalar tensor walks
 the graph once in reverse topological order and accumulates gradients into
 every reachable leaf. Ops never broadcast beyond numpy bias/batch rules;
 shape mismatches raise :class:`ShapeError` naming both shapes.
+
+A Python ``int`` or ``float`` operand of :func:`add`, :func:`sub` or
+:func:`mul` stays a Python number and is handed to numpy as is. NumPy treats
+it as a weak scalar (NEP 50), so the result keeps the array's dtype: a
+float32 model computes in float32 throughout, and the scalar adds no node to
+the graph.
 """
 from __future__ import annotations
 
@@ -34,7 +40,9 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
-        self.data = data if isinstance(data, np.ndarray) else np.asarray(data, dtype=np.float64)
+        if not isinstance(data, np.ndarray):  # numpy scalars (reductions) keep their dtype
+            data = np.asarray(data, dtype=data.dtype if isinstance(data, np.generic) else np.float64)
+        self.data = data
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = _parents
@@ -68,7 +76,7 @@ class Tensor:
         return sub(self, other)
 
     def __rsub__(self, other):
-        return sub(as_tensor(other), self)
+        return sub(other, self)
 
     def __neg__(self):
         return mul(self, -1.0)
@@ -83,9 +91,22 @@ def as_tensor(x) -> Tensor:
     return Tensor(np.asarray(x))
 
 
+def _operand(x):
+    """A Tensor for arrays and Tensors; a Python number stays a number."""
+    return float(x) if isinstance(x, (int, float)) else as_tensor(x)
+
+
+def _value(x):
+    return x.data if isinstance(x, Tensor) else x
+
+
+def _needs(x) -> bool:
+    """Whether the operand takes a gradient (scalars and constants do not)."""
+    return isinstance(x, Tensor) and x.requires_grad
+
+
 def _accum(t: Tensor, g: np.ndarray):
-    if t.requires_grad:  # constants (inputs, loss weights, scalars) keep no gradient
-        t.grad = g if t.grad is None else t.grad + g
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -102,10 +123,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _make(data, parents, backward_fn):
-    req = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-    if not req:
-        return Tensor(data)
-    return Tensor(data, requires_grad=True, _parents=parents, _backward=backward_fn)
+    if _GRAD_ENABLED:
+        parents = tuple(p for p in parents if isinstance(p, Tensor))  # scalars are no node
+        if any(p.requires_grad for p in parents):
+            return Tensor(data, requires_grad=True, _parents=parents, _backward=backward_fn)
+    return Tensor(data)
 
 
 def _check_same_shape(a: Tensor, b: Tensor, op: str):
@@ -117,44 +139,49 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str):
 # elementwise / linear algebra primitives
 # ---------------------------------------------------------------------------
 
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+def _elementwise(op: str, fn, a, b):
     try:
-        out = a.data + b.data
+        return fn(_value(a), _value(b))
     except ValueError:
-        raise ShapeError(f"add: shapes {a.data.shape} and {b.data.shape} do not broadcast")
+        raise ShapeError(f"{op}: shapes {np.shape(_value(a))} and {np.shape(_value(b))} "
+                         "do not broadcast")
+
+
+def add(a, b) -> Tensor:
+    a, b = _operand(a), _operand(b)
+    out = _elementwise("add", np.add, a, b)
 
     def back(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        if _needs(a):
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if _needs(b):
+            _accum(b, _unbroadcast(g, b.data.shape))
 
     return _make(out, (a, b), back)
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        out = a.data - b.data
-    except ValueError:
-        raise ShapeError(f"sub: shapes {a.data.shape} and {b.data.shape} do not broadcast")
+    a, b = _operand(a), _operand(b)
+    out = _elementwise("sub", np.subtract, a, b)
 
     def back(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
+        if _needs(a):
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if _needs(b):
+            _accum(b, _unbroadcast(-g, b.data.shape))
 
     return _make(out, (a, b), back)
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        out = a.data * b.data
-    except ValueError:
-        raise ShapeError(f"mul: shapes {a.data.shape} and {b.data.shape} do not broadcast")
+    a, b = _operand(a), _operand(b)
+    out = _elementwise("mul", np.multiply, a, b)
 
     def back(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        if _needs(a):
+            _accum(a, _unbroadcast(g * _value(b), a.data.shape))
+        if _needs(b):
+            _accum(b, _unbroadcast(g * _value(a), b.data.shape))
 
     return _make(out, (a, b), back)
 
@@ -166,8 +193,10 @@ def matmul(a, b) -> Tensor:
     out = a.data @ b.data
 
     def back(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        if a.requires_grad:
+            _accum(a, g @ b.data.T)
+        if b.requires_grad:
+            _accum(b, a.data.T @ g)
 
     return _make(out, (a, b), back)
 
@@ -194,9 +223,10 @@ def concat(tensors, axis=1) -> Tensor:
 
     def back(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            _accum(p, g[tuple(sl)])
+            if p.requires_grad:
+                sl = [slice(None)] * g.ndim
+                sl[axis] = slice(lo, hi)
+                _accum(p, g[tuple(sl)])
 
     return _make(out, tuple(parts), back)
 
@@ -239,9 +269,15 @@ def relu(x) -> Tensor:
     return _make(out, (x,), back)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-x) written as (1 + tanh(x/2)) / 2, which overflows in no
+    dtype (e^-x does below -88 in float32)."""
+    return 0.5 + 0.5 * np.tanh(0.5 * x)
+
+
 def sigmoid(x) -> Tensor:
     x = as_tensor(x)
-    out = 1.0 / (1.0 + np.exp(-x.data))
+    out = _sigmoid(x.data)
 
     def back(g):
         _accum(x, g * out * (1.0 - out))
@@ -287,8 +323,10 @@ def minimum(a, b) -> Tensor:
     out = np.where(take_a, a.data, b.data)
 
     def back(g):
-        _accum(a, g * take_a)
-        _accum(b, g * ~take_a)
+        if a.requires_grad:
+            _accum(a, g * take_a)
+        if b.requires_grad:
+            _accum(b, g * ~take_a)
 
     return _make(out, (a, b), back)
 
@@ -334,38 +372,31 @@ def mean(x, axis=None) -> Tensor:
     return _make(out, (x,), back)
 
 
-BCE_EPS = 1e-7
+def bce_loss(target, logits, axis=None) -> Tensor:
+    """Binary cross entropy of targets t in [0, 1] against Bernoulli logits l.
 
-
-def bce_loss(target, prediction, axis=None) -> Tensor:
-    """Binary cross entropy, -mean[t*log(p) + (1-t)*log(1-p)].
-
-    Predictions are clamped to [1e-7, 1-1e-7] before the logs; the gradient
-    is zero where the clamp binds. ``axis=None`` averages over every element,
-    ``axis=1`` returns the per-row mean.
+    Each element is softplus(l) - t*l = -[t log s(l) + (1-t) log(1-s(l))]
+    with s the logistic sigmoid. softplus(l) = max(l, 0) + log1p(e^-|l|)
+    never overflows, so the value is finite for every finite logit (this is
+    ``np.logaddexp(0, l)``, which has no vectorized loop in numpy and is
+    ten times slower). The gradient is (s(l) - t)/n, with no clamp, so a
+    saturated wrong logit still gets a full-size gradient.
+    ``axis=None`` averages over every element, ``axis=1`` returns the
+    per-row mean. The target is a constant in the logits' dtype.
     """
-    t = target.data if isinstance(target, Tensor) else np.asarray(target)
-    p = as_tensor(prediction)
-    if t.shape != p.data.shape:
-        raise ShapeError(f"bce_loss: shapes {t.shape} and {p.data.shape} differ")
-    pc = np.clip(p.data, BCE_EPS, 1.0 - BCE_EPS)
-    elems = -(t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc))
-    if axis is None:
-        out = elems.mean()
-        n = elems.size
-    else:
-        out = elems.mean(axis=axis)
-        n = elems.shape[axis]
-    inside = (p.data > BCE_EPS) & (p.data < 1.0 - BCE_EPS)
+    lg = as_tensor(logits)
+    t = np.asarray(target.data if isinstance(target, Tensor) else target, dtype=lg.data.dtype)
+    if t.shape != lg.data.shape:
+        raise ShapeError(f"bce_loss: shapes {t.shape} and {lg.data.shape} differ")
+    elems = np.maximum(lg.data, 0) + np.log1p(np.exp(-np.abs(lg.data))) - t * lg.data
+    out = elems.mean(axis=axis)
+    n = elems.size if axis is None else elems.shape[axis]
 
     def back(g):
-        local = -(t / pc - (1.0 - t) / (1.0 - pc)) * inside / n
-        if axis is None:
-            _accum(p, g * local)
-        else:
-            _accum(p, np.expand_dims(g, axis) * local)
+        local = (_sigmoid(lg.data) - t) / n
+        _accum(lg, (g if axis is None else np.expand_dims(g, axis)) * local)
 
-    return _make(out, (p,), back)
+    return _make(out, (lg,), back)
 
 
 def mse(a, b) -> Tensor:
@@ -377,8 +408,10 @@ def mse(a, b) -> Tensor:
     n = diff.size
 
     def back(g):
-        _accum(a, g * 2.0 * diff / n)
-        _accum(b, -g * 2.0 * diff / n)
+        if a.requires_grad:
+            _accum(a, g * 2.0 * diff / n)
+        if b.requires_grad:
+            _accum(b, -g * 2.0 * diff / n)
 
     return _make(out, (a, b), back)
 

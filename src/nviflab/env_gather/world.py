@@ -76,6 +76,13 @@ class GridWorld:
     def done(self) -> bool:
         return self.t >= self.config.max_steps or self.food_remaining() == 0
 
+    @property
+    def truncated(self) -> bool:
+        """Cut off by ``max_steps`` with food left: the task itself goes on,
+        so learners bootstrap from the final state instead of treating it
+        as terminal."""
+        return self.t >= self.config.max_steps and self.food_remaining() > 0
+
 
 def _border_ring(map_size: int) -> list[tuple[int, int]]:
     """Border cells in clockwise order starting at (0, 0)."""

@@ -1,6 +1,7 @@
 """Command-line orchestration.
 
-Exit codes: 0 success, 1 invalid configuration (offending keys are listed),
+Exit codes: 0 success, 1 invalid configuration (offending keys are listed;
+for ``scalability`` also two policies whose run directories share a name),
 2 missing checkpoint, 3 unusable data: a corrupt checkpoint (truncated,
 over-long, or with an unreadable header; the file is named), or, for
 ``scalability``, a task on which no policy beats the random-policy reference
@@ -127,9 +128,15 @@ def _dispatch(args, cfg) -> int:
         section = cfg.scalability
         if not section.get("policies") or not section.get("tasks"):
             raise ConfigError("scalability needs 'policies' and 'tasks' lists in the config")
-        policies = []
+        # rows are labelled by run directory: pipeline bundles are all bundle.ckpt
+        labels = {}
         for entry in section["policies"]:
-            policies.append((Path(entry).name, PolicyBundle.load(entry)))
+            label = Path(entry).resolve().parent.name
+            if label in labels:
+                raise ConfigError(f"scalability: policies {labels[label]} and {entry} "
+                                  f"share the row label {label!r} (their directory name)")
+            labels[label] = entry
+        policies = [(label, PolicyBundle.load(entry)) for label, entry in labels.items()]
         from ..env_gather import preset
         tasks = [(name, preset(name, **cfg.env)) for name in section["tasks"]]
         rows, cols, raw, reference, scores = scalability_matrix(

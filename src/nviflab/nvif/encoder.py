@@ -7,7 +7,7 @@ recurrent state), and reads the latent distribution off an affine head.
 :meth:`NvifEncoder.step` is the one forward pass: inference calls it on one
 episode's graph, pre-training on a block-diagonal multi-episode graph. The
 decoder reconstructs an agent's raw observation window from its sampled
-latent concatenated with its normalized position.
+latent concatenated with its normalized position, as Bernoulli logits.
 """
 from __future__ import annotations
 
@@ -33,7 +33,6 @@ from ..diffcore import (
     load_checkpoint,
     mlp,
     save_checkpoint,
-    sigmoid,
 )
 from ..errors import ProtocolError
 from .flownet import FlowNetParams, flownet_forward, init_flownet
@@ -120,13 +119,14 @@ class NvifEncoder:
 
         ``adj`` is the normalized mixing matrix over ``ids`` (see
         :func:`commgraph.normalize`), block-diagonal when several episodes
-        are stacked. Returns (next state, latent distribution). Agents absent
+        are stacked; array ``feats`` are cast to the model dtype. Returns (next state, latent distribution). Agents absent
         from ``ids`` are dropped from the state; new ones start from a zero
         hidden vector. The latent is ``mu`` when ``sample`` is false, else a
         reparameterized draw with noise ``eps`` (or drawn from ``rng``).
         """
         ids = tuple(ids)
-        feats = as_tensor(feats)
+        feats = feats if isinstance(feats, Tensor) else Tensor(
+            np.asarray(feats, dtype=self.config.np_dtype))
         if feats.data.shape[0] != len(ids):
             raise ProtocolError(
                 f"encoder step: {feats.data.shape[0]} feature rows for {len(ids)} agents")
@@ -141,11 +141,12 @@ class NvifEncoder:
         return EncoderState(ids=ids, hidden=h_next), LatentDistribution(mu, log_sigma, latent)
 
     def decode(self, latents, positions) -> Tensor:
-        """Reconstruct flattened observation windows from latents and
-        normalized positions; sigmoid keeps every cell in (0, 1)."""
+        """Per-cell Bernoulli logits of the flattened observation windows,
+        from latents and normalized positions; the loss takes the logits
+        (:func:`diffcore.bce_loss`)."""
         pos = positions if isinstance(positions, Tensor) else Tensor(
             np.asarray(positions, dtype=self.config.np_dtype))
-        return sigmoid(mlp(concat([as_tensor(latents), pos], axis=1), self.store, "dec/"))
+        return mlp(concat([as_tensor(latents), pos], axis=1), self.store, "dec/")
 
     # -- persistence ----------------------------------------------------------
 

@@ -33,9 +33,10 @@ class NvifLossReport:
     alpha: float
 
 
-def recon_rows(obs, probs) -> Tensor:
-    """Per-row mean binary cross entropy of predicted cell probabilities."""
-    return bce_loss(obs, probs, axis=1)
+def recon_rows(obs, logits) -> Tensor:
+    """Per-row mean binary cross entropy of the observed cells against the
+    decoder's per-cell logits."""
+    return bce_loss(obs, logits, axis=1)
 
 
 def kl_rows(mu, log_sigma) -> Tensor:
@@ -64,7 +65,7 @@ def loss_variational(decoder, obs, positions, latents, mu, log_sigma):
     """Per-agent average of (reconstruction bce, closed-form KL).
 
     ``decoder`` is called as decoder(latents, positions) and must return
-    per-cell probabilities for the flattened observation windows.
+    per-cell logits for the flattened observation windows.
     """
     n = as_tensor(latents).data.shape[0]
     if n == 0:

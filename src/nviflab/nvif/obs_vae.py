@@ -1,9 +1,11 @@
 """Observation compressor: a small VAE trained on raw local views.
 
 The rest of the pipeline consumes its posterior mean as a fixed-width
-1-D feature, deterministically at inference time. Training balances the
-reconstruction term against the KL by summing the cross entropy over cells
-(the usual VAE convention), otherwise the prior collapses the code.
+1-D feature, deterministically at inference time. The decoder returns
+per-cell Bernoulli logits, and the cross entropy is computed from them
+(:func:`diffcore.bce_loss`). Training balances the reconstruction term
+against the KL by summing the cross entropy over cells (the usual VAE
+convention), otherwise the prior collapses the code.
 """
 from __future__ import annotations
 
@@ -30,7 +32,6 @@ from ..diffcore import (
     optimizer_step,
     relu,
     save_checkpoint,
-    sigmoid,
 )
 from ..errors import DataError, StateError, require_counts
 from .losses import kl_standard_normal
@@ -85,7 +86,8 @@ class ObsCompressor:
         return mu, log_sigma
 
     def _decode(self, z):
-        return sigmoid(mlp(z, self.store, "dec_"))
+        """Per-cell logits of the reconstructed observation."""
+        return mlp(z, self.store, "dec_")
 
     def encode(self, obs_flat: np.ndarray) -> np.ndarray:
         """Posterior means for a batch of flattened observations."""

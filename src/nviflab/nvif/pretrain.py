@@ -117,17 +117,14 @@ def _batch_loss(encoder: NvifEncoder, episodes: list[EpisodeRecord], alpha: floa
         pos = np.concatenate([sd.positions for _, sd in live])
         adj = _block_diag([sd.adj_norm for _, sd in live], dt)
         center = _block_diag([np.full((k, k), 1.0 / k, dtype=dt) for k in sizes], dt)
-        weights = np.concatenate([np.full(k, 1.0 / (k * n_slots), dtype=np.float64)
-                                  for k in sizes])
+        weights = np.concatenate([np.full(k, 1.0 / (k * n_slots), dtype=dt) for k in sizes])
         if state is None:
             state = encoder.init_state(keys)
-        # mu is float64 (gru_cell promotes); seeded runs expect float32-rounded noise
-        eps = rng.standard_normal((len(keys), encoder.config.latent_width)).astype(dt)
         state, dist = encoder.step(np.concatenate([sd.feats for _, sd in live]), state,
-                                   keys, adj, eps=eps)
-        o_hat = encoder.decode(dist.latent, pos)
+                                   keys, adj, rng=rng)
+        logits = encoder.decode(dist.latent, pos)
 
-        recon_t = tsum(mul(recon_rows(raw, o_hat), weights))
+        recon_t = tsum(mul(recon_rows(raw, logits), weights))
         kl_t = tsum(mul(kl_rows(dist.mu, dist.log_sigma), weights))
         cons_t = tsum(mul(consistency_rows(dist.latent, center), weights))
 

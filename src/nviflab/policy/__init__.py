@@ -14,13 +14,13 @@ from .ppo import (
     write_metrics_csv,
 )
 from .providers import EmptyLatents, MeanObsLatents, NvifLatents, featurize, make_provider
-from .returns import compute_gae, compute_returns
+from .returns import compute_gae
 
 __all__ = [
     "ActorCritic", "AlignmentReport", "DQNHyper", "DQNResult", "EmptyLatents",
     "METRIC_COLUMNS", "MeanObsLatents", "NvifLatents", "PPOHyper", "PPOResult",
     "PolicyConfig", "QNetwork", "ReplayRing", "alignment_check", "clipped_term",
-    "collect_episode", "compute_gae", "compute_returns", "critic_loss",
+    "collect_episode", "compute_gae", "critic_loss",
     "epsilon_at", "featurize", "make_provider",
     "ppo_actor_objective", "q_target", "train_dqn", "train_ppo",
     "write_metrics_csv",

@@ -2,7 +2,10 @@
 
 Standard machinery: ring replay buffer, target network refreshed every
 ``target_sync`` gradient steps, linear epsilon schedule over environment
-steps, per-agent transitions with agent death or episode end as terminals.
+steps, per-agent transitions with agent death or the food running out as
+terminals. A cut at ``max_steps`` is not a terminal: a survivor's last
+transition is pushed with its final-state row as the next row, so the target
+bootstraps from it (arXiv 1712.00378).
 """
 from __future__ import annotations
 
@@ -155,7 +158,7 @@ def train_dqn(task_cfg: TaskConfig, compressor: ObsCompressor, hyper: DQNHyper,
     for episode in range(hyper.episodes):
         world = new_world(replace(task_cfg, seed=int(env_rng.integers(2 ** 62))))
         provider.reset()
-        pending = None  # (ids, x, a, r, alive_after, env_done)
+        pending = None  # (ids, x, a, r, alive_after, food_out)
         episode_return = 0.0
         losses = []
         while not world.done:
@@ -173,7 +176,7 @@ def train_dqn(task_cfg: TaskConfig, compressor: ObsCompressor, hyper: DQNHyper,
             episode_return += float(np.sum(list(result.rewards.values())))
             pending = (ids, x, actions,
                        np.array([result.rewards[i] for i in ids]),
-                       result.alive, result.done)
+                       result.alive, result.food_remaining == 0)
             env_steps += 1
             if replay.size >= hyper.min_replay and env_steps % hyper.train_every == 0:
                 losses.append(_gradient_step(qnet, target, replay, hyper, sample_rng))
@@ -181,7 +184,11 @@ def train_dqn(task_cfg: TaskConfig, compressor: ObsCompressor, hyper: DQNHyper,
                 if grad_steps % hyper.target_sync == 0:
                     target.copy_from(qnet)
         if pending is not None:
-            _flush(replay, pending, {})
+            final = {}
+            survivors = world.alive_agents()
+            if world.truncated and survivors:
+                final = dict(zip(survivors, featurize(world, survivors, compressor, provider)))
+            _flush(replay, pending, final)
         metrics.append({
             "epoch": episode,
             "mean_return": episode_return,
@@ -199,10 +206,10 @@ def train_dqn(task_cfg: TaskConfig, compressor: ObsCompressor, hyper: DQNHyper,
 
 
 def _flush(replay: ReplayRing, pending, next_rows: dict):
-    ids, x, actions, rewards, alive_after, env_done = pending
+    ids, x, actions, rewards, alive_after, food_out = pending
     zeros = np.zeros(x.shape[1], dtype=x.dtype)
     for row, agent in enumerate(ids):
-        terminal = env_done or not alive_after[agent]
+        terminal = food_out or not alive_after[agent]
         nxt = next_rows.get(agent, zeros) if not terminal else zeros
         replay.push(x[row], actions[row], rewards[row], nxt, 1.0 if terminal else 0.0)
 

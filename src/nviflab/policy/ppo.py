@@ -3,9 +3,10 @@
 One trainer serves every algorithm variant; the latent provider decides
 whether agents see encoder latents (neighbor or complete graph), the mean
 compressed observation, or nothing. Per epoch: collect episodes, finalize
-per-agent advantages and discounted returns, then several shuffled
-minibatch passes maximizing the clipped surrogate (plus an entropy bonus)
-and minimizing the squared value error against the returns.
+per-agent advantages and return targets (advantage plus value, the
+lambda-return), then several shuffled minibatch passes maximizing the
+clipped surrogate (plus an entropy bonus) and minimizing the squared value
+error against the return targets.
 
 The checkpoint (one file, ``<out_dir>/checkpoint``, rewritten after every
 epoch) carries parameters, optimizer moments, all rng streams, and the
@@ -40,7 +41,7 @@ from ..errors import ConfigError, DataError, require_counts
 from ..nvif import NvifEncoder, ObsCompressor
 from .actor_critic import ActorCritic, PolicyConfig
 from .providers import featurize, make_provider
-from .returns import compute_gae, compute_returns
+from .returns import compute_gae
 
 METRIC_COLUMNS = ("epoch", "mean_return", "mean_end_steps", "food_eaten_frac",
                   "actor_obj", "critic_loss", "entropy")
@@ -124,7 +125,7 @@ def ppo_actor_objective(ac: ActorCritic, batch_x, actions, logp_old, adv,
 
 
 def critic_loss(ac: ActorCritic, batch_x, returns) -> Tensor:
-    """Mean squared error of predicted values against discounted returns."""
+    """Mean squared error of predicted values against the return targets."""
     v = ac.value(Tensor(batch_x))
     target = returns.astype(batch_x.dtype).reshape(-1, 1)
     return mse(v, target)
@@ -132,7 +133,17 @@ def critic_loss(ac: ActorCritic, batch_x, returns) -> Tensor:
 
 def collect_episode(task_cfg: TaskConfig, env_seed: int, compressor: ObsCompressor,
                     provider, ac: ActorCritic, action_rng, gamma: float, lam: float):
-    """Roll one episode; returns flattened update rows plus episode stats."""
+    """Roll one episode; returns flattened update rows plus episode stats.
+
+    The rows are (inputs, actions, action probabilities, advantages, return
+    targets, timesteps), grouped by agent. Advantages are GAE; the return
+    target is advantage plus value. Each agent's stream ends with a bootstrap
+    value: when the episode is cut at ``max_steps`` with food left
+    (``world.truncated``), a survivor bootstraps from V(s_T) of the final
+    state (one extra :func:`featurize` and value call), because the time
+    limit is not part of the task (arXiv 1712.00378). An agent that died,
+    and every agent when the food ran out, bootstraps from 0.
+    """
     world = new_world(replace(task_cfg, seed=env_seed))
     provider.reset()
     streams: dict[int, dict] = {}
@@ -151,13 +162,19 @@ def collect_episode(task_cfg: TaskConfig, env_seed: int, compressor: ObsCompress
             s["r"].append(result.rewards[i])
             s["v"].append(values[row])
             s["t"].append(t_now)
+    final_v = {}
+    survivors = world.alive_agents()
+    if world.truncated and survivors:
+        final_v = dict(zip(survivors, ac.values(
+            featurize(world, survivors, compressor, provider))))
     rows_x, rows_a, rows_p, rows_adv, rows_ret, rows_t = [], [], [], [], [], []
     episode_return = 0.0
-    for s in streams.values():
+    for i, s in streams.items():
         r = np.asarray(s["r"])
+        v = np.asarray(s["v"])
         episode_return += float(r.sum())
-        adv = compute_gae(r, np.append(np.asarray(s["v"]), 0.0), gamma, lam)
-        ret = compute_returns(r, gamma)
+        adv = compute_gae(r, np.append(v, final_v.get(i, 0.0)), gamma, lam)
+        ret = adv + v
         rows_x.extend(s["x"])
         rows_a.extend(s["a"])
         rows_p.extend(s["p"])

@@ -1,4 +1,4 @@
-"""Advantage and return computations for one agent's reward stream."""
+"""Advantage estimation for one agent's reward stream."""
 from __future__ import annotations
 
 import numpy as np
@@ -7,10 +7,14 @@ import numpy as np
 def compute_gae(rewards, values, gamma: float, lam: float) -> np.ndarray:
     """Generalized advantage estimate.
 
-    ``values`` must hold one more entry than ``rewards`` (the bootstrap value
-    of the state after the last step; zero when the episode terminated).
+    ``values`` must hold one more entry than ``rewards``: the last is the
+    bootstrap value of the state after the last step. It is zero when the
+    agent's stream terminated (death, or the food ran out) and V(s_T) when
+    the episode was only cut at the time limit.
     A_t = sum_{l>=0} (gamma*lam)^l * delta_{t+l},
     delta_t = r_{t+1} + gamma*V_{t+1} - V_t.
+    With lam = 1 and zero values A_t is the discounted reward-to-go, and
+    A_t + V_t is the lambda-return that trains the critic.
     """
     rewards = np.asarray(rewards, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
@@ -25,14 +29,3 @@ def compute_gae(rewards, values, gamma: float, lam: float) -> np.ndarray:
         acc = deltas[t] + gamma * lam * acc
         adv[t] = acc
     return adv
-
-
-def compute_returns(rewards, gamma: float) -> np.ndarray:
-    """Discounted reward-to-go: xi_t = r_{t+1} + gamma * xi_{t+1}."""
-    rewards = np.asarray(rewards, dtype=np.float64)
-    out = np.empty_like(rewards)
-    acc = 0.0
-    for t in range(len(rewards) - 1, -1, -1):
-        acc = rewards[t] + gamma * acc
-        out[t] = acc
-    return out

@@ -1,6 +1,7 @@
 """Autodiff core: every op against finite differences, plus the contracts
 around checkpoints, the optimizer, the GRU cell, and reparameterized noise."""
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,10 @@ def _check_grads(build, leaves):
     for leaf, num in zip(leaves, numeric):
         analytic = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
         assert max_rel_err(analytic, num) <= TOL
+
+
+def _logit(p):
+    return np.log(p) - np.log1p(-p)
 
 
 def _weighted(t):
@@ -144,13 +149,13 @@ class TestOpGradients:
 
     def test_bce(self):
         target = RNG.random((4, 6))
-        p = dc.Tensor(RNG.random((4, 6)) * 0.9 + 0.05, requires_grad=True)
-        _check_grads(lambda: dc.bce_loss(target, p), [p])
+        logits = dc.Tensor(_logit(RNG.random((4, 6)) * 0.9 + 0.05), requires_grad=True)
+        _check_grads(lambda: dc.bce_loss(target, logits), [logits])
 
     def test_bce_rowwise(self):
         target = RNG.random((4, 6))
-        p = dc.Tensor(RNG.random((4, 6)) * 0.9 + 0.05, requires_grad=True)
-        _check_grads(lambda: _weighted(dc.bce_loss(target, p, axis=1)), [p])
+        logits = dc.Tensor(_logit(RNG.random((4, 6)) * 0.9 + 0.05), requires_grad=True)
+        _check_grads(lambda: _weighted(dc.bce_loss(target, logits, axis=1)), [logits])
 
     def test_mse(self):
         a, b = _leaf((3, 4)), _leaf((3, 4))
@@ -180,14 +185,15 @@ class TestForwardValues:
         np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
 
     def test_bce_quarter(self):
-        # t = p = 0.25: -(0.25 ln 0.25 + 0.75 ln 0.75)
-        val = dc.bce_loss(np.array([0.25]), dc.Tensor(np.array([0.25])))
+        # t = sigmoid(l) = 0.25: -(0.25 ln 0.25 + 0.75 ln 0.75)
+        val = dc.bce_loss(np.array([0.25]), dc.Tensor(_logit(np.array([0.25]))))
         expected = -(0.25 * np.log(0.25) + 0.75 * np.log(0.75))
         assert abs(float(val.data) - expected) < 1e-12
         assert abs(expected - 0.5623) < 1e-4
 
     def test_bce_clamps_extremes(self):
-        val = dc.bce_loss(np.array([1.0]), dc.Tensor(np.array([0.0])))
+        # p = 0 against t = 1, at the most negative finite logit
+        val = dc.bce_loss(np.array([1.0]), dc.Tensor(np.array([-np.finfo(np.float64).max])))
         assert np.isfinite(float(val.data))
 
     def test_sparse_matmul_two_clique(self):
@@ -203,6 +209,49 @@ class TestForwardValues:
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(ValueError):
             dc.backward(dc.Tensor(np.zeros(3), requires_grad=True))
+
+
+class TestBceLogits:
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(31)
+        target = rng.random((3, 5))
+        logits = dc.Tensor(rng.uniform(-10.0, 10.0, (3, 5)), requires_grad=True)
+        _check_grads(lambda: dc.bce_loss(target, logits), [logits])
+        _check_grads(lambda: _weighted(dc.bce_loss(target, logits, axis=1)), [logits])
+
+    @given(st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(0.0, 1.0)),
+                    min_size=1, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_value_is_cross_entropy_of_sigmoid(self, pairs):
+        lg, t = (np.array(col, dtype=np.float64) for col in zip(*pairs))
+        # -[t log s(l) + (1-t) log(1-s(l))], with 1 - s(l) = s(-l)
+        expected = -(t * np.log(1.0 / (1.0 + np.exp(-lg)))
+                     + (1.0 - t) * np.log(1.0 / (1.0 + np.exp(lg))))
+        rows = dc.bce_loss(t[None, :], dc.Tensor(lg[None, :]), axis=1)
+        np.testing.assert_allclose(rows.data, [expected.mean()], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dc.bce_loss(t, dc.Tensor(lg)).data, expected.mean(),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_saturated_logits_keep_full_gradient(self, dtype):
+        # the old clamp at 1e-7 gave these cells zero gradient
+        target = np.array([0.0, 1.0, 1.0, 0.0], dtype=dtype)
+        logits = dc.Tensor(np.array([100.0, -100.0, 100.0, -100.0], dtype=dtype),
+                           requires_grad=True)
+        loss = dc.bce_loss(target, logits)
+        assert np.isfinite(loss.data) and loss.data.dtype == dtype
+        dc.backward(loss)
+        sig = 1.0 / (1.0 + np.exp(-logits.data.astype(np.float64)))
+        np.testing.assert_allclose(logits.grad, (sig - target) / 4, rtol=1e-6, atol=1e-30)
+        assert logits.grad[0] == pytest.approx(0.25) and logits.grad[1] == pytest.approx(-0.25)
+
+    def test_sigmoid_does_not_overflow_in_float32(self):
+        x = np.array([-200.0, -90.0, 0.0, 90.0, 200.0], dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = dc.sigmoid(dc.Tensor(x, requires_grad=True))
+        assert out.data.dtype == np.float32
+        np.testing.assert_array_equal(out.data[[0, 2, 4]], [0.0, 0.5, 1.0])
 
 
 class TestGru:
@@ -277,6 +326,19 @@ class TestGaussianSample:
 
 
 class TestBackwardContract:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_python_scalars_keep_dtype_and_add_no_node(self, dtype):
+        x = dc.Tensor(np.array([0.25, 3.0], dtype=dtype), requires_grad=True)
+        for out, expected in ((dc.sub(1.0, x), [0.75, -2.0]), (1.0 - x, [0.75, -2.0]),
+                              (dc.mul(x, 2), [0.5, 6.0]), (x + 0.5, [0.75, 3.5])):
+            assert out.data.dtype == dtype and out._parents == (x,)
+            np.testing.assert_array_equal(out.data, expected)
+        loss = dc.sum(dc.mul(dc.sub(1.0, x), 2.0))
+        assert loss.data.dtype == dtype
+        dc.backward(loss)
+        assert x.grad.dtype == dtype
+        np.testing.assert_array_equal(x.grad, [-2.0, -2.0])
+
     def test_constant_loss_zero_grads(self):
         store = dc.ParamStore()
         p = store.add("p", np.ones((2, 2)))

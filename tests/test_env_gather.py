@@ -1,9 +1,12 @@
 """Gather world: layouts, actions, observations, step phases, determinism."""
+import copy
 import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nviflab import env_gather as eg
 from nviflab.errors import ConfigError, ProtocolError
@@ -255,6 +258,18 @@ class TestStep:
         with pytest.raises(ProtocolError):
             eg.step(world, {0: 32, 1: 32, 7: 32})  # unknown agent
 
+    def test_truncated_only_at_cap_with_food_left(self):
+        world = world_with([(eg.OMNIVORE, 5, 5), (eg.FOOD, 9, 9)], max_steps=2)
+        eg.step(world, {0: 32})
+        assert not world.done and not world.truncated
+        eg.step(world, {0: 32})
+        assert world.done and world.truncated
+        # eating the last food at the cap terminates the task: not a cut-off
+        world = world_with([(eg.OMNIVORE, 5, 5), (eg.OMNIVORE, 7, 5), (eg.FOOD, 6, 5)],
+                           max_steps=1)
+        eg.step(world, {0: ATTACK_RIGHT, 1: ATTACK_LEFT})
+        assert world.done and not world.truncated
+
     def test_done_at_cap(self):
         world = world_with([(eg.OMNIVORE, 5, 5), (eg.FOOD, 9, 9)], max_steps=3)
         for t in range(3):
@@ -345,6 +360,57 @@ class TestProperties:
         for _, res in stream:
             team = sum(res.rewards.values())
             assert team == pytest.approx(sum(1.0 * r for r in res.rewards.values()))
+
+
+@st.composite
+def crowded_configs(draw):
+    """Small maps with half to all of the border ring filled with low-hp
+    omnivores, so attacks, deaths, hits on an already dying unit and blocked
+    moves all happen within a few steps."""
+    map_size = draw(st.integers(8, 12))
+    ring = 4 * (map_size - 1)
+    return make_config(
+        task_kind=draw(st.sampled_from(["normal", "random"])), map_size=map_size,
+        n_omnivores=draw(st.integers(ring // 2, ring)),
+        n_food=draw(st.integers(1, 9)), max_steps=draw(st.integers(1, 12)),
+        hp_omnivore=draw(st.integers(1, 2)), hp_food=draw(st.integers(2, 3)),
+        seed=draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def _assert_world_invariants(world):
+    alive = [(i, u) for i, u in enumerate(world.units) if u.alive]
+    # the occupancy grid holds exactly the alive units, each at its cell
+    assert np.count_nonzero(world.occupancy != eg.EMPTY) == len(alive)
+    assert all(world.occupancy[u.y, u.x] == i for i, u in alive)
+    # at most one unit per cell
+    assert len({(u.x, u.y) for _, u in alive}) == len(alive)
+    # hp never negative; a unit is dead exactly when its hp is 0
+    assert all(u.hp >= 0 and u.alive == (u.hp > 0) for u in world.units)
+
+
+class TestWorldInvariants:
+    @given(cfg=crowded_configs(), action_seed=st.integers(0, 2 ** 32 - 1),
+           attack_frac=st.floats(0.0, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_invariants_and_action_order_independence(self, cfg, action_seed, attack_frac):
+        world = eg.new_world(cfg)
+        rng = np.random.default_rng(action_seed)
+        _assert_world_invariants(world)
+        while not world.done:
+            ids = world.alive_agents()
+            if not ids:
+                break
+            attack = rng.random(len(ids)) < attack_frac
+            actions = {i: int(rng.integers(28, 32) if a else rng.integers(0, eg.N_ACTIONS))
+                       for i, a in zip(ids, attack)}
+            # the same actions inserted in another order give the same step
+            shuffled = {ids[k]: actions[ids[k]] for k in rng.permutation(len(ids))}
+            twin = copy.deepcopy(world)
+            res = eg.step(world, actions)
+            assert eg.step(twin, shuffled) == res
+            assert twin.units == world.units
+            np.testing.assert_array_equal(twin.occupancy, world.occupancy)
+            _assert_world_invariants(world)
 
 
 class TestReplay:

@@ -128,13 +128,14 @@ class TestCliExitCodes:
         noop.actor["w2"].data[:] = 0.0
         noop.actor["b2"].data[NOOP_INDEX] = 50.0
         PolicyBundle("ippo", "none", "desk-random-12", tiny_compressor,
-                     actor_critic=noop).save(tmp_path / "noop")
+                     actor_critic=noop).save(tmp_path / "noop" / "bundle.ckpt")
         PolicyBundle("ippo", "none", "desk-random-12", tiny_compressor,
                      actor_critic=ActorCritic(
                          PolicyConfig(tiny_compressor.config.latent_width),
-                         np.random.default_rng(1))).save(tmp_path / "fresh")
+                         np.random.default_rng(1))).save(tmp_path / "fresh" / "bundle.ckpt")
         path = write_config(tmp_path / "c.json", env={"r_food": 0.0}, scalability={
-            "policies": [str(tmp_path / "noop"), str(tmp_path / "fresh")],
+            "policies": [str(tmp_path / "noop" / "bundle.ckpt"),
+                         str(tmp_path / "fresh" / "bundle.ckpt")],
             "tasks": ["desk-random-12"], "episodes": 1})
         assert cli_main(["scalability", "--config", str(path)]) == 0
 
@@ -151,6 +152,36 @@ class TestCliExitCodes:
         np.testing.assert_allclose(normalize_matrix(raw[:2], raw[2]), written,
                                    rtol=0, atol=2e-6)
         assert written[0, 0] == 1.0
+
+    def test_scalability_rows_labelled_by_run_directory(self, tmp_path, capsys,
+                                                        tiny_compressor):
+        # pipeline bundles all share the file name bundle.ckpt
+        noop = ActorCritic(PolicyConfig(tiny_compressor.config.latent_width),
+                           np.random.default_rng(0))
+        noop.actor["w2"].data[:] = 0.0
+        noop.actor["b2"].data[NOOP_INDEX] = 50.0
+        runs = [tmp_path / "out" / f"train-ippo-seed{k}" / "bundle.ckpt" for k in (0, 1)]
+        for run in runs:
+            PolicyBundle("ippo", "none", "desk-random-12", tiny_compressor,
+                         actor_critic=noop).save(run)
+        path = write_config(tmp_path / "c.json", env={"r_food": 0.0}, scalability={
+            "policies": [str(run) for run in runs], "tasks": ["desk-random-12"],
+            "episodes": 1})
+        assert cli_main(["scalability", "--config", str(path)]) == 0
+        for name in ("matrix.csv", "raw_returns.csv"):
+            with open(tmp_path / "out" / "scalability" / name) as fh:
+                labels = [row[0] for row in list(csv.reader(fh))[1:]]
+            assert labels[:2] == ["train-ippo-seed0", "train-ippo-seed1"]
+        # two run directories with the same name cannot be told apart
+        twin = tmp_path / "elsewhere" / "train-ippo-seed0" / "bundle.ckpt"
+        PolicyBundle("ippo", "none", "desk-random-12", tiny_compressor,
+                     actor_critic=noop).save(twin)
+        path = write_config(tmp_path / "c.json", env={"r_food": 0.0}, scalability={
+            "policies": [str(runs[0]), str(twin)], "tasks": ["desk-random-12"],
+            "episodes": 1})
+        capsys.readouterr()
+        assert cli_main(["scalability", "--config", str(path)]) == 1
+        assert "'train-ippo-seed0'" in capsys.readouterr().err
 
     def test_resume_missing_then_truncated_checkpoint_exits_2_then_3(self, tmp_path, capsys):
         path = write_config(tmp_path / "c.json")

@@ -1,6 +1,8 @@
 """Encoder/decoder, the three losses, the observation compressor, pretraining."""
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nviflab import commgraph as cg
 from nviflab import diffcore as dc
@@ -215,7 +217,7 @@ class TestDecoder:
     def test_output_strictly_in_unit_interval(self):
         rng = np.random.default_rng(11)
         enc = tiny_encoder(rng)
-        out = enc.decode(rng.standard_normal((5, 4)), rng.random((5, 2)))
+        out = dc.sigmoid(enc.decode(rng.standard_normal((5, 4)), rng.random((5, 2))))
         assert np.all(out.data > 0.0) and np.all(out.data < 1.0)
 
     def test_position_differentiates_reconstructions(self):
@@ -437,3 +439,58 @@ class TestPretrain:
 class _ZeroRng:
     def standard_normal(self, shape):
         return np.zeros(shape)
+
+
+def tape_dtypes(loss) -> set:
+    return {node.data.dtype for node in dc.topological_order(loss)}
+
+
+# the model dtype must hold on every node of the tape, not only on the leaves
+DTYPES = st.sampled_from(["float32", "float64"])
+DTYPE_SETTINGS = settings(max_examples=6, deadline=None,
+                          suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestModelDtypeEndToEnd:
+    @given(dtype=DTYPES, seed=st.integers(0, 2 ** 16))
+    @DTYPE_SETTINGS
+    def test_encoder_step_returns_model_dtype(self, dtype, seed):
+        rng = np.random.default_rng(seed)
+        enc = tiny_encoder(rng, dtype=dtype)
+        graph = cg.fully_connected(3)
+        adj = cg.normalize(graph).astype(dtype)
+        state = enc.init_state(graph.ids)
+        for _ in range(2):  # the second step runs the GRU on a non-zero state
+            state, dist = enc.step(rng.standard_normal((3, 6)).astype(np.float32), state,
+                                   graph.ids, adj, rng=rng)
+            for out in (state.hidden, dist.mu, dist.log_sigma, dist.latent):
+                assert out.data.dtype == dtype
+        with dc.no_grad():
+            _, dist = enc.step(rng.standard_normal((3, 6)), state, graph.ids, adj, rng=rng)
+        assert dist.latent.data.dtype == dtype
+
+    @given(dtype=DTYPES, seed=st.integers(0, 2 ** 16))
+    @DTYPE_SETTINGS
+    def test_batch_loss_tape_is_model_dtype(self, small_buffer, tiny_task, dtype, seed):
+        from nviflab.nvif.pretrain import _batch_loss
+        enc = tiny_encoder(np.random.default_rng(seed), obs_feat=8,
+                           obs_dim=tiny_task.obs_dim, dtype=dtype)
+        total, *_ = _batch_loss(enc, small_buffer[:2], alpha=0.1, recon_weight=1.0,
+                                rng=np.random.default_rng(seed))
+        assert tape_dtypes(total) == {np.dtype(dtype)}
+        enc.store.zero_grad()
+        dc.backward(total)
+        assert {enc.store[n].grad.dtype for n in enc.store.names()} == {np.dtype(dtype)}
+
+    @given(dtype=DTYPES, seed=st.integers(0, 2 ** 16))
+    @DTYPE_SETTINGS
+    def test_gru_kl_consistency_chain_is_model_dtype(self, dtype, seed):
+        rng = np.random.default_rng(seed)
+        params = {k: dc.Tensor(v, requires_grad=True)
+                  for k, v in dc.init_gru(rng, 3, 4, dtype).items()}
+        x = dc.Tensor(rng.standard_normal((5, 3)).astype(dtype))
+        h = dc.gru_cell(x, dc.Tensor(rng.standard_normal((5, 4)).astype(dtype)), params)
+        center = np.full((5, 5), 0.2, dtype=dtype)
+        loss = dc.add(dc.sum(kl_rows(h, dc.mul(h, 0.5))), dc.sum(consistency_rows(h, center)))
+        assert tape_dtypes(loss) == {np.dtype(dtype)}
+

@@ -1,11 +1,14 @@
 """Advantage machinery, the clipped objective, trainers, alignment."""
 import importlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nviflab import diffcore as dc
-from nviflab.env_gather import N_ACTIONS, preset
+from nviflab.env_gather import EMPTY, N_ACTIONS, preset
 from nviflab.errors import ConfigError, DataError
 from nviflab.policy import (
     ActorCritic,
@@ -17,8 +20,8 @@ from nviflab.policy import (
     PPOHyper,
     alignment_check,
     clipped_term,
+    collect_episode,
     compute_gae,
-    compute_returns,
     critic_loss,
     epsilon_at,
     featurize,
@@ -60,21 +63,134 @@ class TestGae:
             compute_gae([1.0, 2.0], [0.0, 0.0], 0.9, 0.9)
 
 
+def _reward_to_go(rewards, gamma):
+    """Discounted reward-to-go: GAE with lam = 1 over zero values."""
+    return compute_gae(rewards, np.zeros(len(rewards) + 1), gamma, 1.0)
+
+
 class TestReturns:
     def test_gamma_zero(self):
-        np.testing.assert_allclose(compute_returns([3.0, -1.0, 2.0], 0.0),
+        np.testing.assert_allclose(_reward_to_go([3.0, -1.0, 2.0], 0.0),
                                    [3.0, -1.0, 2.0])
 
     def test_geometric(self):
-        np.testing.assert_allclose(compute_returns([1.0, 1.0, 1.0], 0.5),
+        np.testing.assert_allclose(_reward_to_go([1.0, 1.0, 1.0], 0.5),
                                    [1.75, 1.5, 1.0])
 
     def test_recurrence_exact(self):
         rng = np.random.default_rng(3)
         r = rng.standard_normal(20)
-        xi = compute_returns(r, 0.95)
+        xi = _reward_to_go(r, 0.95)
         for t in range(19):
             assert xi[t] == r[t] + 0.95 * xi[t + 1]
+
+
+class _EpisodeSpy:
+    """Wraps a trainer module's ``new_world`` and ``step``: keeps the world and
+    every step's rewards, and once the world reaches ``at_t`` kills the agents
+    in ``kill`` and, with ``eat_food``, every food unit."""
+
+    def __init__(self, monkeypatch, module, at_t, kill=(), eat_food=False):
+        self.world, self.rewards = None, []
+        new_world, step = module.new_world, module.step
+
+        def spy_new_world(cfg):
+            self.world = new_world(cfg)
+            return self.world
+
+        def spy_step(world, actions):
+            result = step(world, actions)
+            if world.t == at_t:
+                food = world.units[world.n_agents:] if eat_food else []
+                for unit in [world.units[i] for i in kill] + food:
+                    unit.alive, unit.hp = False, 0
+                    world.occupancy[unit.y, unit.x] = EMPTY
+                result = replace(result, alive={i: world.units[i].alive for i in result.alive},
+                                 food_remaining=world.food_remaining(), done=world.done)
+            self.rewards.append(result.rewards)
+            return result
+
+        monkeypatch.setattr(module, "new_world", spy_new_world)
+        monkeypatch.setattr(module, "step", spy_step)
+
+
+# (max_steps, spy arguments): a cut at the time limit, a death at the cut,
+# and the food running out before the time limit
+ENDINGS = {
+    "cut": (2, dict(at_t=2)),
+    "death": (2, dict(at_t=2, kill=(0,))),
+    "food_out": (3, dict(at_t=2, eat_food=True)),
+}
+
+
+class TestTimeLimitBootstrap:
+    gamma, lam = 0.9, 0.8
+
+    @pytest.mark.parametrize("ending", list(ENDINGS))
+    def test_ppo_bootstraps_only_survivors_of_a_cut(self, tiny_task, tiny_compressor,
+                                                    monkeypatch, ending):
+        max_steps, spy_args = ENDINGS[ending]
+        task = replace(tiny_task, max_steps=max_steps)
+        spy = _EpisodeSpy(monkeypatch, importlib.import_module("nviflab.policy.ppo"),
+                          **spy_args)
+        ac = ActorCritic(PolicyConfig(input_width=8), np.random.default_rng(0))
+        (x, _, _, adv, ret, t), _ = collect_episode(
+            task, 5, tiny_compressor, EmptyLatents(), ac, np.random.default_rng(1),
+            self.gamma, self.lam)
+        world = spy.world
+        assert world.t == 2
+        ids = list(range(task.n_omnivores))
+        np.testing.assert_array_equal(t, np.tile([0, 1], len(ids)))
+        v = ac.values(x).reshape(len(ids), 2)
+        survivors = world.alive_agents()
+        assert survivors == (ids[1:] if ending == "death" else ids)
+        v_final = dict(zip(survivors, ac.values(
+            featurize(world, survivors, tiny_compressor, EmptyLatents()))))
+        bootstrap = [v_final[i] if ending != "food_out" and i in survivors else 0.0
+                     for i in ids]
+        assert (bootstrap[-1] != 0.0) == (ending != "food_out")
+        adv = adv.reshape(len(ids), 2)
+        for k, i in enumerate(ids):
+            r0, r1 = spy.rewards[0][i], spy.rewards[1][i]
+            delta1 = r1 + self.gamma * bootstrap[k] - v[k, 1]
+            delta0 = r0 + self.gamma * v[k, 1] - v[k, 0]
+            assert adv[k, 1] == pytest.approx(delta1, abs=1e-6)
+            assert adv[k, 0] == pytest.approx(delta0 + self.gamma * self.lam * delta1, abs=1e-6)
+        # the critic target is advantage plus value
+        np.testing.assert_allclose(ret, adv.ravel() + v.ravel(), atol=1e-6)
+
+    @pytest.mark.parametrize("ending", list(ENDINGS))
+    def test_dqn_done_flags_follow_the_same_rule(self, tiny_task, tiny_compressor,
+                                                 monkeypatch, ending):
+        max_steps, spy_args = ENDINGS[ending]
+        dqn_mod = importlib.import_module("nviflab.policy.dqn")
+        spy = _EpisodeSpy(monkeypatch, dqn_mod, **spy_args)
+        pushed = []
+        push = dqn_mod.ReplayRing.push
+
+        def record(ring, x, a, r, x2, done):
+            pushed.append((np.array(x2), done))
+            push(ring, x, a, r, x2, done)
+
+        monkeypatch.setattr(dqn_mod.ReplayRing, "push", record)
+        train_dqn(replace(tiny_task, max_steps=max_steps), tiny_compressor,
+                  DQNHyper(episodes=1, min_replay=10 ** 6, replay_capacity=64, seed=0),
+                  latent_mode="none")
+        world = spy.world
+        ids = list(range(tiny_task.n_omnivores))
+        assert world.t == 2 and len(pushed) == 2 * len(ids)
+        # the first step's transitions lead to the next step's rows
+        assert all(done == 0.0 and np.any(x2 != 0.0) for x2, done in pushed[:len(ids)])
+        survivors = world.alive_agents()
+        assert survivors == (ids[1:] if ending == "death" else ids)
+        final = dict(zip(survivors, featurize(world, survivors, tiny_compressor,
+                                              EmptyLatents())))
+        for i, (x2, done) in zip(ids, pushed[len(ids):]):
+            if ending != "food_out" and i in survivors:
+                assert done == 0.0
+                np.testing.assert_array_equal(x2, final[i])
+            else:
+                assert done == 1.0 and not np.any(x2)
 
 
 class TestClipObjective:
@@ -358,3 +474,21 @@ class TestTrainers:
                                      decoder_hidden=8), np.random.default_rng(0))
         with pytest.raises(ConfigError, match=f"feature width {wide}"):
             train(tiny_task, tiny_compressor, hyper, latent_mode="nvif", encoder=enc)
+
+
+class TestModelDtype:
+    @given(dtype=st.sampled_from(["float32", "float64"]), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=6, deadline=None)
+    def test_actor_and_critic_tapes_are_model_dtype(self, dtype, seed):
+        rng = np.random.default_rng(seed)
+        ac = ActorCritic(PolicyConfig(input_width=5, hidden_width=6, dtype=dtype), rng)
+        x = rng.standard_normal((7, 5)).astype(dtype)
+        actions, probs = ac.act(x, rng)
+        # float64 behaviour log-probabilities and advantages, as the trainer holds them
+        objective, entropy = ppo_actor_objective(
+            ac, x, actions, np.log(probs), rng.standard_normal(7), n_slots=3, clip_eps=0.2)
+        actor_loss = dc.mul(objective + dc.mul(entropy, 0.01), -1.0)
+        closs = critic_loss(ac, x, rng.standard_normal(7))
+        for loss in (actor_loss, closs):
+            assert {n.data.dtype for n in dc.topological_order(loss)} == {np.dtype(dtype)}
+
