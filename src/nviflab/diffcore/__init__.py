@@ -2,7 +2,6 @@
 from .nn import (
     LOG_SIGMA_MAX,
     LOG_SIGMA_MIN,
-    affine,
     gaussian_sample,
     gru_cell,
     init_gru,
@@ -15,6 +14,7 @@ from .params import ParamStore, load_checkpoint, save_checkpoint
 from .tensor import (
     Tensor,
     add,
+    affine,
     as_tensor,
     backward,
     bce_loss,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, add, as_tensor, concat, exp, matmul, mul, relu, sigmoid, sub, tanh
+from .tensor import Tensor, add, affine, as_tensor, concat, exp, mul, relu, sigmoid, sub, tanh
 
 LOG_SIGMA_MIN = -10.0
 LOG_SIGMA_MAX = 4.0
@@ -18,10 +18,6 @@ def init_linear(rng: np.random.Generator, fan_in: int, fan_out: int,
     w = (rng.standard_normal((fan_in, fan_out)) * scale).astype(dtype)
     b = np.zeros(fan_out, dtype=dtype)
     return w, b
-
-
-def affine(x, w, b) -> Tensor:
-    return add(matmul(x, w), b)
 
 
 def init_mlp(store, prefix: str, widths: list[int], rng: np.random.Generator,

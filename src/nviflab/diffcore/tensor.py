@@ -3,8 +3,12 @@
 A :class:`Tensor` wraps an ndarray plus the closure that routes upstream
 gradients to its parents. Calling :func:`backward` on a scalar tensor walks
 the graph once in reverse topological order and accumulates gradients into
-every reachable leaf. Ops never broadcast beyond numpy bias/batch rules;
-shape mismatches raise :class:`ShapeError` naming both shapes.
+every reachable leaf. An interior node's gradient is released as soon as its
+closure has passed it on, so the pass never holds a second tape's worth of
+gradients; leaves keep accumulating. The graph itself (parents and closures)
+is left intact, so it can be walked or backpropagated again. Ops never
+broadcast beyond numpy bias/batch rules; shape mismatches raise
+:class:`ShapeError` naming both shapes.
 
 A Python ``int`` or ``float`` operand of :func:`add`, :func:`sub` or
 :func:`mul` stays a Python number and is handed to numpy as is. NumPy treats
@@ -37,7 +41,7 @@ class no_grad:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         if not isinstance(data, np.ndarray):  # numpy scalars (reductions) keep their dtype
@@ -106,6 +110,7 @@ def _needs(x) -> bool:
 
 
 def _accum(t: Tensor, g: np.ndarray):
+    # out of place: _unbroadcast hands the same array to every parent
     t.grad = g if t.grad is None else t.grad + g
 
 
@@ -199,6 +204,26 @@ def matmul(a, b) -> Tensor:
             _accum(b, a.data.T @ g)
 
     return _make(out, (a, b), back)
+
+
+def affine(x, w, b) -> Tensor:
+    """``x @ w + b`` for a 2-D ``x`` and a bias broadcast over its rows, as one
+    node: the same values and gradients as ``add(matmul(x, w), b)`` without
+    keeping the pre-bias product alive on the tape."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise ShapeError(f"affine: shapes {x.data.shape} and {w.data.shape} incompatible")
+    out = _elementwise("affine", np.add, x.data @ w.data, b.data)
+
+    def back(g):
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.data.shape))
+        if x.requires_grad:
+            _accum(x, g @ w.data.T)
+        if w.requires_grad:
+            _accum(w, x.data.T @ g)
+
+    return _make(out, (x, w, b), back)
 
 
 def sparse_matmul(adj, features) -> Tensor:
@@ -457,16 +482,20 @@ def topological_order(root: Tensor) -> list:
 def backward(loss: Tensor):
     """Accumulate d(loss)/d(leaf) into every reachable leaf's ``.grad``.
 
-    Leaves keep accumulating across calls (zero them between losses);
-    interior node gradients are reset on entry so graphs can be shared.
+    Leaves keep accumulating across calls (zero them between losses). Each
+    interior node's gradient is set to ``None`` once its closure has consumed
+    it, so only the gradients still on their way to the leaves are held, and
+    every interior ``.grad`` is ``None`` afterwards. Parents and closures stay,
+    so a graph shared by several losses can be backpropagated once per loss.
     """
     if loss.data.shape != ():
         raise ValueError(f"backward: loss must be scalar, got shape {loss.data.shape}")
     order = topological_order(loss)
-    for node in order:
+    for node in order:  # left over only if an earlier pass raised part-way
         if node._backward is not None:
             node.grad = None
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            node.grad = None

@@ -63,6 +63,13 @@ def make_policy(name_or_bundle, rng, greedy=None):
     return BundlePolicy(PolicyBundle.load(name_or_bundle), rng, greedy=greedy)
 
 
+def _replay_graph(policy, world, ids):
+    """This step's neighbor graph: the one the policy's provider just built
+    when it has one, else built here."""
+    graph = getattr(getattr(policy, "provider", None), "neighbor_graph", None)
+    return graph if graph is not None else build_graph(world.agent_positions(ids), ids)
+
+
 def evaluate(policy_source, task_cfg, episodes: int, seed: int,
              replay_path=None, greedy=None) -> dict:
     """Mean return / end step / food fraction over fixed-seed episodes.
@@ -85,7 +92,7 @@ def evaluate(policy_source, task_cfg, episodes: int, seed: int,
             while not world.done:
                 ids = world.alive_agents()
                 actions = policy.act(world, ids, pol_rng)
-                edges = build_graph(world.agent_positions(ids), ids).edges() if writer else None
+                edges = _replay_graph(policy, world, ids).edges() if writer else None
                 result = step(world, actions)
                 episode_return += float(np.sum(list(result.rewards.values())))
                 if writer:

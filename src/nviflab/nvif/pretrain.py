@@ -161,6 +161,7 @@ def pretrain(buffer: list[EpisodeRecord], hyper: PretrainHyper, encoder: NvifEnc
                 encoder, episodes, hyper.alpha, hyper.recon_weight, rng)
             encoder.store.zero_grad()
             backward(total)
+            del total  # frees this batch's tape before the next one is built
             optimizer_step(encoder.store, lr=hyper.lr)
             sums += np.array([recon, kl, cons]) * n_slots
             slots += n_slots

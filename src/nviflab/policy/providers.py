@@ -42,7 +42,11 @@ class MeanObsLatents:
 
 
 class NvifLatents:
-    """Latent states from a frozen encoder run over the live graph."""
+    """Latent states from a frozen encoder run over the live graph.
+
+    ``neighbor_graph`` is the neighbor graph the latest :meth:`step` built,
+    for callers that need the same graph (``None`` in full-graph mode).
+    """
 
     def __init__(self, encoder: NvifEncoder, rng: np.random.Generator,
                  full_graph: bool = False, sample: bool = True):
@@ -52,12 +56,15 @@ class NvifLatents:
         self.sample = sample
         self.width = encoder.config.latent_width
         self._state = None
+        self.neighbor_graph = None
 
     def reset(self):
         self._state = None
+        self.neighbor_graph = None
 
     def step(self, feats, positions_int, ids) -> np.ndarray:
         graph = fully_connected(ids) if self.full_graph else build_graph(positions_int, ids)
+        self.neighbor_graph = None if self.full_graph else graph
         if self._state is None:
             self._state = self.encoder.init_state(ids)
         adj = normalize(graph).astype(self.encoder.config.np_dtype)

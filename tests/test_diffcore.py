@@ -211,6 +211,60 @@ class TestForwardValues:
             dc.backward(dc.Tensor(np.zeros(3), requires_grad=True))
 
 
+class TestAffine:
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 5), k=st.integers(1, 5), m=st.integers(1, 5),
+           bias=st.sampled_from(["row", "1xm", "nxm"]),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           needs=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+           seed=st.integers(0, 2 ** 16))
+    def test_equals_matmul_then_add(self, n, k, m, bias, dtype, needs, seed):
+        # the fused node computes exactly what add(matmul(x, w), b) computes,
+        # value and gradients, for every subset of {x, w, b} taking a gradient
+        rng = np.random.default_rng(seed)
+        b_shape = {"row": (m,), "1xm": (1, m), "nxm": (n, m)}[bias]
+        arrays = [rng.standard_normal(s).astype(dtype) for s in ((n, k), (k, m), b_shape)]
+        upstream = rng.standard_normal((n, m)).astype(dtype)
+
+        def run(build):
+            leaves = [dc.Tensor(a.copy(), requires_grad=r) for a, r in zip(arrays, needs)]
+            out = build(*leaves)
+            dc.backward(dc.sum(dc.mul(out, upstream)))
+            return out, [leaf.grad for leaf in leaves]
+
+        fused, fused_grads = run(dc.affine)
+        ref, ref_grads = run(lambda x, w, b: dc.add(dc.matmul(x, w), b))
+        assert fused.data.dtype == ref.data.dtype == dtype
+        np.testing.assert_array_equal(fused.data, ref.data)
+        assert fused.requires_grad == ref.requires_grad == any(needs)
+        for got, want, need in zip(fused_grads, ref_grads, needs):
+            if need:
+                assert got.dtype == want.dtype == dtype
+                np.testing.assert_array_equal(got, want)
+            else:
+                assert got is None and want is None
+
+    def test_one_node_per_call(self):
+        x = dc.Tensor(np.ones((2, 3)), requires_grad=True)
+        w, b = dc.Tensor(np.ones((3, 4))), dc.Tensor(np.zeros(4))
+        out = dc.affine(x, w, b)
+        assert out._parents == (x, w, b)
+        assert len(dc.topological_order(out)) == 4
+
+    def test_inner_dimension_mismatch_rejected(self):
+        with pytest.raises(ShapeError) as err:
+            dc.affine(np.zeros((2, 3)), np.zeros((4, 2)), np.zeros(2))
+        assert "(2, 3)" in str(err.value) and "(4, 2)" in str(err.value)
+
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(ShapeError):
+            dc.affine(np.zeros(3), np.zeros((3, 2)), np.zeros(2))
+
+    def test_bias_that_does_not_broadcast_rejected(self):
+        with pytest.raises(ShapeError):
+            dc.affine(np.zeros((2, 3)), np.zeros((3, 2)), np.zeros(3))
+
+
 class TestBceLogits:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(31)
@@ -379,6 +433,48 @@ class TestBackwardContract:
         dc.backward(dc.sum(dc.mul(w, c)))
         assert c.grad is None
         np.testing.assert_array_equal(w.grad, [3.0, 4.0, 5.0])
+
+    def test_interior_grads_released_leaf_grads_unchanged(self):
+        # two GRU steps sharing their weights, an MLP head and a logits loss:
+        # interior nodes feed several consumers and leaves several uses
+        rng = np.random.default_rng(12)
+        params = {k: dc.Tensor(v, requires_grad=True)
+                  for k, v in dc.init_gru(rng, 3, 4, np.float64).items()}
+        store = dc.ParamStore()
+        dc.init_mlp(store, "head/", [4, 5, 6], rng, np.float64)
+        h = dc.Tensor(np.zeros((2, 4)))
+        for _ in range(2):
+            h = dc.gru_cell(dc.Tensor(rng.standard_normal((2, 3))), h, params)
+        loss = dc.add(dc.bce_loss(rng.random((2, 6)), dc.mlp(h, store, "head/")),
+                      dc.mean(dc.mul(h, h)))
+        order = dc.topological_order(loss)
+        interior = [node for node in order if node._backward is not None]
+        leaves = [node for node in order if node._backward is None and node.requires_grad]
+
+        # oracle: the same reverse pass without releasing interior gradients
+        loss.grad = np.ones_like(loss.data)
+        for node in reversed(order):
+            if node._backward is not None and node.grad is not None:
+                node._backward(node.grad)
+        assert all(node.grad is not None for node in interior)
+        kept = [leaf.grad.copy() for leaf in leaves]
+
+        for leaf in leaves:
+            leaf.grad = None
+        dc.backward(loss)
+        assert all(node.grad is None for node in interior)
+        for leaf, want in zip(leaves, kept):
+            np.testing.assert_array_equal(leaf.grad, want)
+
+    def test_gradient_shared_by_two_parents_stays_unmodified(self):
+        # add hands the same upstream array to a and b; a then takes a second
+        # contribution from its other consumer, which must not change b's
+        x = dc.Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        b = dc.Tensor(np.array([0.5, 0.25]), requires_grad=True)
+        a = dc.mul(x, 2.0)
+        dc.backward(dc.sum(dc.add(dc.add(a, b), dc.mul(a, 3.0))))
+        np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+        np.testing.assert_array_equal(x.grad, [8.0, 8.0])
 
     def test_no_grad_builds_no_graph(self):
         w = dc.Tensor(np.ones((2, 2)), requires_grad=True)

@@ -287,6 +287,35 @@ class TestEvaluate:
         lines = replay.read_text().splitlines()
         assert len(lines) == 2 and json.loads(lines[0])["kind"] == "header"
 
+    @pytest.mark.parametrize("latent_mode", ["nvif", "full"])
+    def test_replay_edges_built_once_per_step(self, tmp_path, tiny_task, tiny_compressor,
+                                              monkeypatch, latent_mode):
+        # the replay records the neighbor graph the encoder used, built once;
+        # in full mode the encoder's complete graph is not what gets recorded
+        rng = np.random.default_rng(9)
+        width = tiny_compressor.config.latent_width
+        encoder = NvifEncoder(NvifConfig(obs_feat_width=width, obs_dim=tiny_task.obs_dim,
+                                         hidden_width=16, latent_width=8, flow_layers=1,
+                                         decoder_hidden=16), rng)
+        bundle = PolicyBundle("nvif-ppo", latent_mode, "desk-random-12", tiny_compressor,
+                              encoder=encoder,
+                              actor_critic=ActorCritic(PolicyConfig(width + 8, 16), rng))
+        real_build = importlib.import_module("nviflab.commgraph").build_graph
+        builds = []
+
+        def counted_build(positions, ids):
+            builds.append((np.array(positions), list(ids)))
+            return real_build(positions, ids)
+
+        for name in ("nviflab.policy.providers", "nviflab.harness.evaluate"):
+            monkeypatch.setattr(importlib.import_module(name), "build_graph", counted_build)
+        replay = tmp_path / "r.jsonl"
+        evaluate(bundle, tiny_task, episodes=2, seed=3, replay_path=replay)
+        records = [rec for _, recs in read_replay(replay) for rec in recs]
+        assert len(builds) == len(records)
+        for rec, (positions, ids) in zip(records, builds):
+            assert rec["edges"] == [list(e) for e in real_build(positions, ids).edges()]
+
     @pytest.mark.parametrize("algorithm", ["nvif-ppo", "nvif-dqn"])
     def test_bundle_with_encoder_roundtrips_through_one_file(self, tmp_path, tiny_task,
                                                             tiny_compressor, algorithm):

@@ -1,4 +1,8 @@
 """Encoder/decoder, the three losses, the observation compressor, pretraining."""
+import importlib
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -425,6 +429,51 @@ class TestPretrain:
                                    rtol=1e-10)
         assert float(total.data) == pytest.approx(
             2.0 * float(r.data) + float(k.data) + 0.1 * float(c.data))
+
+    def _watch_batches(self, monkeypatch, on_entry=None, on_return=None):
+        module = importlib.import_module("nviflab.nvif.pretrain")
+        real = module._batch_loss
+
+        def watched(*args, **kwargs):
+            if on_entry:
+                on_entry()
+            out = real(*args, **kwargs)
+            if on_return:
+                on_return(out[0])
+            return out
+
+        monkeypatch.setattr(module, "_batch_loss", watched)
+
+    def test_previous_batch_tape_freed_before_next_batch(self, small_buffer, tiny_task,
+                                                          monkeypatch):
+        losses, alive_at_entry = [], []
+        self._watch_batches(
+            monkeypatch,
+            on_entry=lambda: alive_at_entry.append([r() is not None for r in losses]),
+            on_return=lambda loss: losses.append(weakref.ref(loss)))
+        enc = tiny_encoder(np.random.default_rng(8), obs_feat=8,
+                           obs_dim=tiny_task.obs_dim, dtype="float32")
+        pretrain(small_buffer[:4], PretrainHyper(epochs=1, batch_episodes=2, seed=0), enc)
+        assert alive_at_entry == [[], [False]]
+        assert losses[1]() is None
+
+    def test_epoch_peak_memory_within_two_tapes(self, small_buffer, tiny_task, monkeypatch):
+        # one tape plus the gradients still in flight; a tape outliving its
+        # batch, or every interior gradient kept to the end, breaks the budget
+        tape_bytes = []
+        self._watch_batches(monkeypatch, on_return=lambda loss: tape_bytes.append(
+            sum(node.data.nbytes for node in dc.topological_order(loss))))
+        enc = NvifEncoder(NvifConfig(
+            obs_feat_width=8, obs_dim=tiny_task.obs_dim, hidden_width=64, latent_width=16,
+            flow_layers=2, decoder_hidden=128, dtype="float32"), np.random.default_rng(2))
+        tracemalloc.start()
+        try:
+            pretrain(small_buffer[:4], PretrainHyper(epochs=1, batch_episodes=2, seed=0), enc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tape_bytes) == 2
+        assert peak <= 2 * max(tape_bytes)
 
     def test_zero_batch_rejected(self, small_buffer):
         with pytest.raises(ConfigError):
