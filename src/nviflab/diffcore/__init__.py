@@ -22,7 +22,6 @@ from .tensor import (
     concat,
     exp,
     gather_rows,
-    log,
     log_softmax,
     matmul,
     mean,
@@ -44,7 +43,7 @@ __all__ = [
     "LOG_SIGMA_MAX", "LOG_SIGMA_MIN", "ParamStore", "Tensor", "add", "affine",
     "as_tensor", "backward", "bce_loss", "clamp", "concat", "exp", "gather_rows",
     "gaussian_sample", "gru_cell", "init_gru", "init_linear", "init_mlp",
-    "load_checkpoint", "log", "log_softmax", "matmul", "mean", "minimum", "mlp",
+    "load_checkpoint", "log_softmax", "matmul", "mean", "minimum", "mlp",
     "mse", "mul", "no_grad", "optimizer_step", "relu", "save_checkpoint",
     "sigmoid", "sparse_matmul", "sub", "sum", "take_per_row", "tanh",
     "topological_order",

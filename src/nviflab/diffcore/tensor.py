@@ -1,14 +1,16 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-A :class:`Tensor` wraps an ndarray plus the closure that routes upstream
-gradients to its parents. Calling :func:`backward` on a scalar tensor walks
-the graph once in reverse topological order and accumulates gradients into
-every reachable leaf. An interior node's gradient is released as soon as its
-closure has passed it on, so the pass never holds a second tape's worth of
-gradients; leaves keep accumulating. The graph itself (parents and closures)
-is left intact, so it can be walked or backpropagated again. Ops never
-broadcast beyond numpy bias/batch rules; shape mismatches raise
-:class:`ShapeError` naming both shapes.
+An op gives the node it builds three things: its forward value, its
+``_parents`` and one vector-Jacobian product (VJP) that maps the node's
+gradient to any one parent's (see :func:`_make`). The rest of the backward
+pass belongs to :func:`backward` alone: it walks the graph once in reverse
+topological order, calls the VJP only for parents that require a gradient,
+adds each result into the parent's ``.grad`` out of place, and releases an
+interior node's gradient as soon as it is passed on, so the pass never holds
+a second tape's worth of gradients; leaves keep accumulating. The graph is
+left intact, so it can be walked or backpropagated again. Ops never broadcast
+beyond numpy bias/batch rules; shape mismatches raise :class:`ShapeError`
+naming both shapes.
 
 A Python ``int`` or ``float`` operand of :func:`add`, :func:`sub` or
 :func:`mul` stays a Python number and is handed to numpy as is. NumPy treats
@@ -17,6 +19,8 @@ float32 model computes in float32 throughout, and the scalar adds no node to
 the graph.
 """
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -41,24 +45,18 @@ class no_grad:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_saved",
+                 "__weakref__")
 
-    def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
+    def __init__(self, data, requires_grad=False, _parents=(), _backward=None, _saved=None):
         if not isinstance(data, np.ndarray):  # numpy scalars (reductions) keep their dtype
             data = np.asarray(data, dtype=data.dtype if isinstance(data, np.generic) else np.float64)
         self.data = data
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = _parents
-        self._backward = _backward
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
+        self._backward = _backward  # the node's VJP; None for leaves and constants
+        self._saved = _saved  # what the VJP needs besides .data and ._parents
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
@@ -67,26 +65,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
     def __sub__(self, other):
         return sub(self, other)
 
     def __rsub__(self, other):
         return sub(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def as_tensor(x) -> Tensor:
@@ -104,16 +87,6 @@ def _value(x):
     return x.data if isinstance(x, Tensor) else x
 
 
-def _needs(x) -> bool:
-    """Whether the operand takes a gradient (scalars and constants do not)."""
-    return isinstance(x, Tensor) and x.requires_grad
-
-
-def _accum(t: Tensor, g: np.ndarray):
-    # out of place: _unbroadcast hands the same array to every parent
-    t.grad = g if t.grad is None else t.grad + g
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce a broadcast gradient back to the operand's shape."""
     if grad.shape == shape:
@@ -127,11 +100,26 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _make(data, parents, backward_fn):
+def _spread(grad, shape: tuple, axis) -> np.ndarray:
+    """Spread a reduction's gradient back over the reduced operand's shape."""
+    if axis is not None:
+        grad = np.expand_dims(grad, axis)
+    return np.broadcast_to(grad, shape).copy()
+
+
+def _make(data, parents, vjp, saved=None):
+    """The op's output node; it joins the graph only if a parent requires a gradient.
+
+    ``vjp(g, node, k)`` returns the gradient of ``node._parents[k]`` given the
+    node's gradient ``g`` (Python numbers are dropped from ``parents``, so
+    ``k`` counts Tensor operands). It is a module-level function that reads
+    only ``node``: its value, its parents and ``node._saved``, which holds
+    ``saved``. So a node holds no closure. A VJP may return ``g`` itself or
+    one array for two slots."""
     if _GRAD_ENABLED:
         parents = tuple(p for p in parents if isinstance(p, Tensor))  # scalars are no node
         if any(p.requires_grad for p in parents):
-            return Tensor(data, requires_grad=True, _parents=parents, _backward=backward_fn)
+            return Tensor(data, True, parents, vjp, saved)
     return Tensor(data)
 
 
@@ -146,64 +134,65 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str):
 
 def _elementwise(op: str, fn, a, b):
     try:
-        return fn(_value(a), _value(b))
+        return fn(a, b)
     except ValueError:
-        raise ShapeError(f"{op}: shapes {np.shape(_value(a))} and {np.shape(_value(b))} "
-                         "do not broadcast")
+        raise ShapeError(f"{op}: shapes {np.shape(a)} and {np.shape(b)} do not broadcast")
+
+
+def _broadcasting(op: str, fn, vjp, a, b) -> Tensor:
+    """add/sub/mul: ``fn`` under numpy broadcasting; both operand values are saved."""
+    a, b = _operand(a), _operand(b)
+    av, bv = _value(a), _value(b)
+    return _make(_elementwise(op, fn, av, bv), (a, b), vjp, (av, bv))
+
+
+def _first(k, a) -> bool:
+    """Whether parent ``k`` is the first operand (a Python-number one is no parent)."""
+    return k == 0 and not isinstance(a, float)
+
+
+def _vjp_add(g, node, k):
+    return _unbroadcast(g, node._parents[k].data.shape)
+
+
+def _vjp_sub(g, node, k):
+    return _unbroadcast(g if _first(k, node._saved[0]) else -g, node._parents[k].data.shape)
+
+
+def _vjp_mul(g, node, k):
+    a, b = node._saved
+    return _unbroadcast(g * (b if _first(k, a) else a), node._parents[k].data.shape)
 
 
 def add(a, b) -> Tensor:
-    a, b = _operand(a), _operand(b)
-    out = _elementwise("add", np.add, a, b)
-
-    def back(g):
-        if _needs(a):
-            _accum(a, _unbroadcast(g, a.data.shape))
-        if _needs(b):
-            _accum(b, _unbroadcast(g, b.data.shape))
-
-    return _make(out, (a, b), back)
+    return _broadcasting("add", np.add, _vjp_add, a, b)
 
 
 def sub(a, b) -> Tensor:
-    a, b = _operand(a), _operand(b)
-    out = _elementwise("sub", np.subtract, a, b)
-
-    def back(g):
-        if _needs(a):
-            _accum(a, _unbroadcast(g, a.data.shape))
-        if _needs(b):
-            _accum(b, _unbroadcast(-g, b.data.shape))
-
-    return _make(out, (a, b), back)
+    return _broadcasting("sub", np.subtract, _vjp_sub, a, b)
 
 
 def mul(a, b) -> Tensor:
-    a, b = _operand(a), _operand(b)
-    out = _elementwise("mul", np.multiply, a, b)
+    return _broadcasting("mul", np.multiply, _vjp_mul, a, b)
 
-    def back(g):
-        if _needs(a):
-            _accum(a, _unbroadcast(g * _value(b), a.data.shape))
-        if _needs(b):
-            _accum(b, _unbroadcast(g * _value(a), b.data.shape))
 
-    return _make(out, (a, b), back)
+def _vjp_matmul(g, node, k):
+    a, b = node._parents
+    return g @ b.data.T if k == 0 else a.data.T @ g
 
 
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul: shapes {a.data.shape} and {b.data.shape} incompatible")
-    out = a.data @ b.data
+    return _make(a.data @ b.data, (a, b), _vjp_matmul)
 
-    def back(g):
-        if a.requires_grad:
-            _accum(a, g @ b.data.T)
-        if b.requires_grad:
-            _accum(b, a.data.T @ g)
 
-    return _make(out, (a, b), back)
+def _vjp_affine(g, node, k):
+    x, w, b = node._parents
+    if k == 2:
+        return _unbroadcast(g, b.data.shape)
+    return g @ w.data.T if k == 0 else x.data.T @ g
 
 
 def affine(x, w, b) -> Tensor:
@@ -213,17 +202,11 @@ def affine(x, w, b) -> Tensor:
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise ShapeError(f"affine: shapes {x.data.shape} and {w.data.shape} incompatible")
-    out = _elementwise("affine", np.add, x.data @ w.data, b.data)
+    return _make(_elementwise("affine", np.add, x.data @ w.data, b.data), (x, w, b), _vjp_affine)
 
-    def back(g):
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.data.shape))
-        if x.requires_grad:
-            _accum(x, g @ w.data.T)
-        if w.requires_grad:
-            _accum(w, x.data.T @ g)
 
-    return _make(out, (x, w, b), back)
+def _vjp_sparse_matmul(g, node, k):
+    return node._saved.T @ g
 
 
 def sparse_matmul(adj, features) -> Tensor:
@@ -232,66 +215,55 @@ def sparse_matmul(adj, features) -> Tensor:
     adj = np.asarray(adj)
     if adj.ndim != 2 or x.data.ndim != 2 or adj.shape[1] != x.data.shape[0]:
         raise ShapeError(f"sparse_matmul: shapes {adj.shape} and {x.data.shape} incompatible")
-    out = adj @ x.data
+    return _make(adj @ x.data, (x,), _vjp_sparse_matmul, adj)
 
-    def back(g):
-        _accum(x, adj.T @ g)
 
-    return _make(out, (x,), back)
+def _vjp_concat(g, node, k):
+    axis, offsets = node._saved
+    sl = [slice(None)] * g.ndim
+    sl[axis] = slice(offsets[k], offsets[k + 1])
+    return g[tuple(sl)]
 
 
 def concat(tensors, axis=1) -> Tensor:
     parts = [as_tensor(t) for t in tensors]
     out = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    offsets = tuple(accumulate((p.data.shape[axis] for p in parts), initial=0))
+    return _make(out, tuple(parts), _vjp_concat, (axis, offsets))
 
-    def back(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(lo, hi)
-                _accum(p, g[tuple(sl)])
 
-    return _make(out, tuple(parts), back)
+def _vjp_gather_rows(g, node, k):
+    full = np.zeros_like(node._parents[0].data)
+    np.add.at(full, node._saved, g)
+    return full
 
 
 def gather_rows(x, index) -> Tensor:
     x = as_tensor(x)
     idx = np.asarray(index, dtype=np.intp)
-    out = x.data[idx]
+    return _make(x.data[idx], (x,), _vjp_gather_rows, idx)
 
-    def back(g):
-        full = np.zeros_like(x.data)
-        np.add.at(full, idx, g)
-        _accum(x, full)
 
-    return _make(out, (x,), back)
+def _vjp_take_per_row(g, node, k):
+    full = np.zeros_like(node._parents[0].data)
+    full[node._saved] = g  # the (rows, index) pairs the forward read
+    return full
 
 
 def take_per_row(x, index) -> Tensor:
     """out[i] = x[i, index[i]] for a 2-D tensor."""
     x = as_tensor(x)
-    idx = np.asarray(index, dtype=np.intp)
-    rows = np.arange(x.data.shape[0])
-    out = x.data[rows, idx]
+    rows, idx = np.arange(x.data.shape[0]), np.asarray(index, dtype=np.intp)
+    return _make(x.data[rows, idx], (x,), _vjp_take_per_row, (rows, idx))
 
-    def back(g):
-        full = np.zeros_like(x.data)
-        full[rows, idx] = g
-        _accum(x, full)
 
-    return _make(out, (x,), back)
+def _vjp_relu(g, node, k):
+    return g * (node._parents[0].data > 0)
 
 
 def relu(x) -> Tensor:
     x = as_tensor(x)
-    out = np.maximum(x.data, 0)
-
-    def back(g):
-        _accum(x, g * (x.data > 0))
-
-    return _make(out, (x,), back)
+    return _make(np.maximum(x.data, 0), (x,), _vjp_relu)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -300,44 +272,35 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 + 0.5 * np.tanh(0.5 * x)
 
 
+def _vjp_sigmoid(g, node, k):
+    return g * node.data * (1.0 - node.data)
+
+
 def sigmoid(x) -> Tensor:
     x = as_tensor(x)
-    out = _sigmoid(x.data)
+    return _make(_sigmoid(x.data), (x,), _vjp_sigmoid)
 
-    def back(g):
-        _accum(x, g * out * (1.0 - out))
 
-    return _make(out, (x,), back)
+def _vjp_tanh(g, node, k):
+    return g * (1.0 - node.data * node.data)
 
 
 def tanh(x) -> Tensor:
     x = as_tensor(x)
-    out = np.tanh(x.data)
+    return _make(np.tanh(x.data), (x,), _vjp_tanh)
 
-    def back(g):
-        _accum(x, g * (1.0 - out * out))
 
-    return _make(out, (x,), back)
+def _vjp_exp(g, node, k):
+    return g * node.data
 
 
 def exp(x) -> Tensor:
     x = as_tensor(x)
-    out = np.exp(x.data)
-
-    def back(g):
-        _accum(x, g * out)
-
-    return _make(out, (x,), back)
+    return _make(np.exp(x.data), (x,), _vjp_exp)
 
 
-def log(x) -> Tensor:
-    x = as_tensor(x)
-    out = np.log(x.data)
-
-    def back(g):
-        _accum(x, g / x.data)
-
-    return _make(out, (x,), back)
+def _vjp_minimum(g, node, k):
+    return g * node._saved if k == 0 else g * ~node._saved
 
 
 def minimum(a, b) -> Tensor:
@@ -345,56 +308,47 @@ def minimum(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_same_shape(a, b, "minimum")
     take_a = a.data <= b.data
-    out = np.where(take_a, a.data, b.data)
+    return _make(np.where(take_a, a.data, b.data), (a, b), _vjp_minimum, take_a)
 
-    def back(g):
-        if a.requires_grad:
-            _accum(a, g * take_a)
-        if b.requires_grad:
-            _accum(b, g * ~take_a)
 
-    return _make(out, (a, b), back)
+def _vjp_clamp(g, node, k):
+    lo, hi = node._saved
+    x = node._parents[0].data
+    return g * ((x >= lo) & (x <= hi))
 
 
 def clamp(x, lo, hi) -> Tensor:
     x = as_tensor(x)
-    out = np.clip(x.data, lo, hi)
-
-    def back(g):
-        _accum(x, g * ((x.data >= lo) & (x.data <= hi)))
-
-    return _make(out, (x,), back)
+    return _make(np.clip(x.data, lo, hi), (x,), _vjp_clamp, (lo, hi))
 
 
 # ---------------------------------------------------------------------------
 # reductions and losses
 # ---------------------------------------------------------------------------
 
+def _vjp_sum(g, node, k):
+    return _spread(g, node._parents[0].data.shape, node._saved)
+
+
 def sum(x, axis=None) -> Tensor:  # noqa: A001 - op name fixed by the module contract
     x = as_tensor(x)
-    out = x.data.sum(axis=axis)
+    return _make(x.data.sum(axis=axis), (x,), _vjp_sum, axis)
 
-    def back(g):
-        if axis is None:
-            _accum(x, np.broadcast_to(g, x.data.shape).copy())
-        else:
-            _accum(x, np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy())
 
-    return _make(out, (x,), back)
+def _vjp_mean(g, node, k):
+    x, axis = node._parents[0].data, node._saved
+    return _spread(g / (x.size if axis is None else x.shape[axis]), x.shape, axis)
 
 
 def mean(x, axis=None) -> Tensor:
     x = as_tensor(x)
-    out = x.data.mean(axis=axis)
-    n = x.data.size if axis is None else x.data.shape[axis]
+    return _make(x.data.mean(axis=axis), (x,), _vjp_mean, axis)
 
-    def back(g):
-        if axis is None:
-            _accum(x, np.broadcast_to(g / n, x.data.shape).copy())
-        else:
-            _accum(x, np.broadcast_to(np.expand_dims(g, axis) / n, x.data.shape).copy())
 
-    return _make(out, (x,), back)
+def _vjp_bce_loss(g, node, k):
+    t, axis = node._saved
+    local = (_sigmoid(node._parents[0].data) - t) / (t.size if axis is None else t.shape[axis])
+    return (g if axis is None else np.expand_dims(g, axis)) * local
 
 
 def bce_loss(target, logits, axis=None) -> Tensor:
@@ -414,14 +368,12 @@ def bce_loss(target, logits, axis=None) -> Tensor:
     if t.shape != lg.data.shape:
         raise ShapeError(f"bce_loss: shapes {t.shape} and {lg.data.shape} differ")
     elems = np.maximum(lg.data, 0) + np.log1p(np.exp(-np.abs(lg.data))) - t * lg.data
-    out = elems.mean(axis=axis)
-    n = elems.size if axis is None else elems.shape[axis]
+    return _make(elems.mean(axis=axis), (lg,), _vjp_bce_loss, (t, axis))
 
-    def back(g):
-        local = (_sigmoid(lg.data) - t) / n
-        _accum(lg, (g if axis is None else np.expand_dims(g, axis)) * local)
 
-    return _make(out, (lg,), back)
+def _vjp_mse(g, node, k):
+    diff = node._saved
+    return (g if k == 0 else -g) * 2.0 * diff / diff.size
 
 
 def mse(a, b) -> Tensor:
@@ -429,16 +381,11 @@ def mse(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_same_shape(a, b, "mse")
     diff = a.data - b.data
-    out = np.mean(diff * diff)
-    n = diff.size
+    return _make(np.mean(diff * diff), (a, b), _vjp_mse, diff)
 
-    def back(g):
-        if a.requires_grad:
-            _accum(a, g * 2.0 * diff / n)
-        if b.requires_grad:
-            _accum(b, -g * 2.0 * diff / n)
 
-    return _make(out, (a, b), back)
+def _vjp_log_softmax(g, node, k):
+    return g - np.exp(node.data) * g.sum(axis=1, keepdims=True)
 
 
 def log_softmax(x) -> Tensor:
@@ -446,15 +393,9 @@ def log_softmax(x) -> Tensor:
     x = as_tensor(x)
     if x.data.ndim != 2:
         raise ShapeError(f"log_softmax: expected 2-D input, got {x.data.shape}")
-    m = x.data.max(axis=1, keepdims=True)
-    z = x.data - m
-    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
-    out = z - lse
-
-    def back(g):
-        _accum(x, g - np.exp(out) * g.sum(axis=1, keepdims=True))
-
-    return _make(out, (x,), back)
+    z = x.data - x.data.max(axis=1, keepdims=True)
+    out = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return _make(out, (x,), _vjp_log_softmax)
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +413,9 @@ def topological_order(root: Tensor) -> list:
         if id(node) in seen:
             continue
         seen.add(id(node))
+        if not node._parents:  # a leaf comes straight back off the stack
+            order.append(node)
+            continue
         stack.append((node, True))
         for p in node._parents:
             if id(p) not in seen:
@@ -479,13 +423,26 @@ def topological_order(root: Tensor) -> list:
     return order
 
 
+def _propagate(node: Tensor):
+    """Pass ``node.grad`` on: each parent that requires a gradient gets its
+    VJP's result added to its ``.grad``. Slots are walked by index, so a
+    tensor in two slots takes both contributions."""
+    g, vjp, k = node.grad, node._backward, 0
+    for p in node._parents:
+        if p.requires_grad:
+            pg = vjp(g, node, k)
+            # out of place: a VJP may hand the same array to several parents
+            p.grad = pg if p.grad is None else p.grad + pg
+        k += 1
+
+
 def backward(loss: Tensor):
     """Accumulate d(loss)/d(leaf) into every reachable leaf's ``.grad``.
 
     Leaves keep accumulating across calls (zero them between losses). Each
-    interior node's gradient is set to ``None`` once its closure has consumed
-    it, so only the gradients still on their way to the leaves are held, and
-    every interior ``.grad`` is ``None`` afterwards. Parents and closures stay,
+    interior node's gradient is set to ``None`` once it has been passed on,
+    so only the gradients still on their way to the leaves are held, and
+    every interior ``.grad`` is ``None`` afterwards. Parents and VJPs stay,
     so a graph shared by several losses can be backpropagated once per loss.
     """
     if loss.data.shape != ():
@@ -497,5 +454,5 @@ def backward(loss: Tensor):
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+            _propagate(node)
             node.grad = None

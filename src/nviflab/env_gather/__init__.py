@@ -10,7 +10,7 @@ from .actions import (
     Noop,
     decode_action,
 )
-from .config import TaskConfig, preset, preset_names
+from .config import TaskConfig, preset
 from .replay import ReplayWriter, episode_metrics, read_replay
 from .world import (
     EMPTY,
@@ -30,5 +30,5 @@ __all__ = [
     "Move", "N_ACTIONS", "NOOP", "NOOP_INDEX", "Noop", "OMNIVORE",
     "Observation", "ReplayWriter", "StepResult", "TaskConfig", "Unit",
     "decode_action", "episode_metrics", "new_world", "observe", "preset",
-    "preset_names", "read_replay", "step",
+    "read_replay", "step",
 ]

@@ -63,13 +63,6 @@ def _load_presets() -> dict:
 _PRESETS: dict | None = None
 
 
-def preset_names() -> list[str]:
-    global _PRESETS
-    if _PRESETS is None:
-        _PRESETS = _load_presets()
-    return list(_PRESETS)
-
-
 def preset(name: str, seed: int = 0, **overrides) -> TaskConfig:
     """TaskConfig for a named preset, optionally overriding fields."""
     global _PRESETS

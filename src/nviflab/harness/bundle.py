@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..diffcore import load_checkpoint, save_checkpoint
-from ..errors import ConfigError, DataError
+from ..errors import DataError
 from ..nvif import NvifEncoder, ObsCompressor
 from ..policy import ActorCritic, QNetwork
 
@@ -49,7 +49,4 @@ class PolicyBundle:
                    actor_critic=part(ActorCritic, "actor"), qnet=part(QNetwork, "qnet"))
 
     def check_task(self, task_cfg):
-        if self.compressor.config.obs_dim != task_cfg.obs_dim:
-            raise ConfigError(
-                f"bundle compressor expects observation width "
-                f"{self.compressor.config.obs_dim}, task produces {task_cfg.obs_dim}")
+        self.compressor.check_obs_width(task_cfg)

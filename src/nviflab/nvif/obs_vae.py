@@ -33,7 +33,7 @@ from ..diffcore import (
     relu,
     save_checkpoint,
 )
-from ..errors import DataError, StateError, require_counts
+from ..errors import ConfigError, DataError, StateError, require_counts
 from .losses import kl_standard_normal
 
 
@@ -77,6 +77,12 @@ class ObsCompressor:
             self.store.add(name + "_b", b)
         init_mlp(self.store, "dec_", [c.latent_width, c.hidden_width, c.obs_dim], rng, dt,
                  out_scale=np.sqrt(1.0 / c.hidden_width))
+
+    def check_obs_width(self, task_cfg):
+        """Raise ConfigError unless the task's observations are this compressor's width."""
+        if self.config.obs_dim != task_cfg.obs_dim:
+            raise ConfigError(f"compressor expects observation width {self.config.obs_dim}, "
+                              f"task produces {task_cfg.obs_dim}")
 
     def _encode(self, x):
         h = relu(affine(x, self.store["enc_w1"], self.store["enc_w1_b"]))

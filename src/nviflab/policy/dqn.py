@@ -26,7 +26,7 @@ from ..diffcore import (
     take_per_row,
 )
 from ..env_gather import N_ACTIONS, TaskConfig, new_world, step
-from ..errors import ConfigError, require_counts
+from ..errors import require_counts
 from ..nvif import NvifEncoder, ObsCompressor
 from .ppo import write_metrics_csv
 from .providers import featurize, make_provider
@@ -52,7 +52,7 @@ class DQNHyper:
     def validate(self):
         require_counts("dqn", batch_size=self.batch_size, replay_capacity=self.replay_capacity,
                        eps_decay_steps=self.eps_decay_steps, target_sync=self.target_sync,
-                       train_every=self.train_every)
+                       train_every=self.train_every, min_replay=self.min_replay)
 
 
 def epsilon_at(hyper: DQNHyper, env_steps: int) -> float:
@@ -134,10 +134,7 @@ def train_dqn(task_cfg: TaskConfig, compressor: ObsCompressor, hyper: DQNHyper,
               out_dir=None) -> DQNResult:
     hyper.validate()
     feat_width = compressor.config.latent_width
-    if compressor.config.obs_dim != task_cfg.obs_dim:
-        raise ConfigError(
-            f"compressor expects obs width {compressor.config.obs_dim}, "
-            f"task produces {task_cfg.obs_dim}")
+    compressor.check_obs_width(task_cfg)
     seq = np.random.SeedSequence(hyper.seed)
     env_s, act_s, lat_s, samp_s, init_s = seq.spawn(5)
     env_rng = np.random.default_rng(env_s)

@@ -249,10 +249,7 @@ def train_ppo(task_cfg: TaskConfig, compressor: ObsCompressor, hyper: PPOHyper,
     """Full training run (optionally resumed from ``out_dir``'s checkpoint)."""
     hyper.validate()
     feat_width = compressor.config.latent_width
-    if compressor.config.obs_dim != task_cfg.obs_dim:
-        raise ConfigError(
-            f"compressor expects obs width {compressor.config.obs_dim}, "
-            f"task produces {task_cfg.obs_dim}")
+    compressor.check_obs_width(task_cfg)
     out_dir = Path(out_dir) if out_dir is not None else None
     ckpt = out_dir / "checkpoint" if out_dir else None
 

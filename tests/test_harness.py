@@ -68,6 +68,7 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize("section, key", [
         ("dqn", "train_every"), ("dqn", "target_sync"), ("dqn", "eps_decay_steps"),
+        ("dqn", "min_replay"),
         ("nvif", "batch_episodes"), ("obs_vae", "batch_size"),
         ("ppo", "minibatch_slots"), ("ppo", "episodes_per_epoch"), ("ppo", "update_passes"),
     ])
