@@ -32,6 +32,7 @@ from .tensor import (
     relu,
     sigmoid,
     sparse_matmul,
+    splice,
     sub,
     sum,
     take_per_row,
@@ -45,6 +46,6 @@ __all__ = [
     "gaussian_sample", "gru_cell", "init_gru", "init_linear", "init_mlp",
     "load_checkpoint", "log_softmax", "matmul", "mean", "minimum", "mlp",
     "mse", "mul", "no_grad", "optimizer_step", "relu", "save_checkpoint",
-    "sigmoid", "sparse_matmul", "sub", "sum", "take_per_row", "tanh",
+    "sigmoid", "sparse_matmul", "splice", "sub", "sum", "take_per_row", "tanh",
     "topological_order",
 ]

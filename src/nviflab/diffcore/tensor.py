@@ -322,6 +322,25 @@ def clamp(x, lo, hi) -> Tensor:
     return _make(np.clip(x.data, lo, hi), (x,), _vjp_clamp, (lo, hi))
 
 
+def _vjp_splice(g, node, k):
+    return g * node._saved
+
+
+def splice(x, value, grad) -> Tensor:
+    """A scalar node of value ``value`` whose gradient with respect to ``x``
+    is ``grad`` times its own.
+
+    It stands in for a scalar term of ``x`` whose own backward pass has
+    already run, ``grad`` being d(term)/dx: the larger graph takes the
+    term's value and gradient without keeping the term's graph alive."""
+    x = as_tensor(x)
+    value, grad = np.asarray(value), np.asarray(grad)
+    if value.shape != () or grad.shape != x.data.shape:
+        raise ShapeError(f"splice: value shape {value.shape} and gradient shape "
+                         f"{grad.shape} for an operand of shape {x.data.shape}")
+    return _make(value, (x,), _vjp_splice, grad)
+
+
 # ---------------------------------------------------------------------------
 # reductions and losses
 # ---------------------------------------------------------------------------

@@ -47,6 +47,9 @@ class TaskConfig:
             raise ConfigError(f"hp_food must be >= 2 (food takes several attacks), got {self.hp_food}")
         if self.hp_omnivore < 1:
             raise ConfigError(f"hp_omnivore must be >= 1, got {self.hp_omnivore}")
+        if max(self.hp_food, self.hp_omnivore) > 255:  # pre-training stores hp as uint8
+            raise ConfigError(f"hp_food and hp_omnivore must be <= 255, got "
+                              f"{self.hp_food} and {self.hp_omnivore}")
         if self.view_radius < 1:
             raise ConfigError(f"view_radius must be >= 1, got {self.view_radius}")
         if self.n_omnivores + self.n_food > self.map_size * self.map_size:

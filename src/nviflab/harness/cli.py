@@ -106,7 +106,7 @@ def _dispatch(args, cfg) -> int:
         if source is None:
             raise ConfigError("eval needs --policy or policy_checkpoint in the config")
         section = cfg.eval
-        episodes = args.episodes or section.get("episodes", 10)
+        episodes = args.episodes if args.episodes is not None else section.get("episodes", 10)
         task_cfg = cfg.task_config()
         if source not in ("random", "noop"):
             bundle = PolicyBundle.load(source)

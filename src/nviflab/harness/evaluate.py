@@ -8,6 +8,7 @@ import numpy as np
 
 from ..commgraph import build_graph
 from ..env_gather import N_ACTIONS, NOOP_INDEX, ReplayWriter, new_world, step
+from ..errors import require_counts
 from ..policy import featurize, make_provider
 from .bundle import PolicyBundle
 
@@ -77,6 +78,7 @@ def evaluate(policy_source, task_cfg, episodes: int, seed: int,
     ``policy_source`` is "random", "noop", a PolicyBundle, or a bundle path.
     Deterministic for fixed arguments.
     """
+    require_counts("eval", episodes=episodes)
     env_seq, pol_seq = np.random.SeedSequence(seed).spawn(2)
     env_rng = np.random.default_rng(env_seq)
     pol_rng = np.random.default_rng(pol_seq)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from ..env_gather import N_ACTIONS, new_world, observe, step
+from ..errors import require_counts
 from ..nvif import (
     NvifConfig,
     NvifEncoder,
@@ -24,6 +25,8 @@ from .config import ALGORITHMS, ExperimentConfig
 def collect_obs_corpus(task_cfg, episodes: int, rng: np.random.Generator,
                        max_samples: int | None = None) -> np.ndarray:
     """Raw flattened observations from random-policy play."""
+    limit = {} if max_samples is None else {"corpus_max_samples": max_samples}
+    require_counts("obs_vae", corpus_episodes=episodes, **limit)
     rows = []
     count = 0
     for _ in range(episodes):

@@ -8,6 +8,21 @@ large. The loss weights the per-agent rows of the reconstruction, divergence,
 and consistency terms from :mod:`.losses` so that it averages them over
 agents and episode-timesteps, and one optimizer step is taken per episode
 batch. Gradients flow through the full hidden-state chain of each episode.
+
+The decoder is not recurrent, so its share of the backward pass runs at the
+timestep that used it (per-step gradient checkpointing of the head): the
+reconstruction term is decoded from a leaf copy of the latent, backpropagated
+at once into the ``dec/*`` gradients and the leaf, and joined to the batch
+tape by :func:`diffcore.splice`. So the obs_dim-wide logits, targets and
+decoder activations live for one timestep, not for the whole batch, and the
+gradients are exactly those of the decoder on the batch tape.
+
+The buffer stores each observation window's five grid channels as uint8
+codes, one per cell: the hp count in the two hp channels, 0/1 in the
+obstacle and presence channels. The episode's level table maps a code back
+to :func:`observe`'s float32 value, and the two position channels are rebuilt
+from ``positions``, so :func:`decode_windows` returns the observed windows
+exactly, at a quarter of their bytes or less.
 """
 from __future__ import annotations
 
@@ -16,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..commgraph import build_graph, fully_connected, normalize
-from ..diffcore import backward, mul, no_grad, optimizer_step, sum as tsum
+from ..diffcore import Tensor, backward, mul, no_grad, optimizer_step, splice, sum as tsum
 from ..env_gather import N_ACTIONS, new_world, observe, step
 from ..errors import DataError, require_counts
 from .encoder import NvifEncoder
@@ -24,10 +39,13 @@ from .losses import NvifLossReport, consistency_rows, kl_rows, recon_rows
 from .obs_vae import ObsCompressor
 
 
+GRID_CHANNELS = 5  # observe()'s grid channels; its last two repeat the position
+
+
 @dataclass
 class StepData:
     ids: tuple[int, ...]
-    raw_obs: np.ndarray        # (n, obs_dim)
+    raw_obs: np.ndarray        # (n, 5*w*w) uint8 grid codes; see decode_windows
     feats: np.ndarray          # (n, obs_feat_width)
     positions: np.ndarray      # (n, 2) normalized
     adj_norm: np.ndarray       # (n, n)
@@ -36,6 +54,32 @@ class StepData:
 @dataclass
 class EpisodeRecord:
     steps: list[StepData]
+    levels: np.ndarray         # (5, 256) float32 level table; see level_table
+
+
+def _hp_scale(task_config) -> np.ndarray:
+    """Per grid channel, the code that stands for 1.0."""
+    return np.array([1, 1, task_config.hp_omnivore, 1, task_config.hp_food])
+
+
+def level_table(task_config) -> np.ndarray:
+    """(5, 256) float32: the window value that code k stands for in each grid
+    channel, k/hp_max in the hp channels (float64 division rounded to
+    float32, as in :func:`observe`) and k in the others."""
+    return (np.arange(256) / _hp_scale(task_config)[:, None]).astype(np.float32)
+
+
+def decode_windows(codes: np.ndarray, positions: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """The float32 observation windows (n, 7*w*w) of grid codes (n, 5*w*w)
+    and normalized positions (n, 2): each grid channel is one lookup in its
+    row of ``levels``."""
+    n, cells = codes.shape[0], codes.shape[1] // GRID_CHANNELS
+    out = np.empty((n, GRID_CHANNELS + 2, cells), dtype=np.float32)
+    grid = codes.reshape(n, GRID_CHANNELS, cells)
+    for c in range(GRID_CHANNELS):
+        np.take(levels[c], grid[:, c], out=out[:, c])
+    out[:, GRID_CHANNELS:] = positions[:, :, None]
+    return out.reshape(n, -1)
 
 
 @dataclass
@@ -55,23 +99,28 @@ class PretrainHyper:
 
 def gather_step_data(world, ids, compressor: ObsCompressor, graph_kind: str = "neighbor",
                      dtype=np.float32) -> StepData:
-    """Observations, compressed features, positions, and adjacency for one step."""
+    """Grid codes, compressed features, positions, and adjacency for one step."""
     obs = [observe(world, i) for i in ids]
-    raw = np.stack([o.flat() for o in obs]).astype(dtype)
+    raw = np.stack([o.flat() for o in obs])
     feats = compressor.encode(raw).astype(dtype)
+    cells = world.config.window ** 2
+    grid = raw[:, :GRID_CHANNELS * cells].reshape(len(ids), GRID_CHANNELS, cells)
+    codes = np.rint(grid * _hp_scale(world.config)[:, None]).astype(np.uint8)
     pos = np.asarray([o.position for o in obs], dtype=dtype)
     if graph_kind == "full":
         graph = fully_connected(ids)
     else:
         graph = build_graph(world.agent_positions(ids), ids)
-    return StepData(ids=tuple(ids), raw_obs=raw, feats=feats, positions=pos,
-                    adj_norm=normalize(graph).astype(dtype))
+    return StepData(ids=tuple(ids), raw_obs=codes.reshape(len(ids), -1), feats=feats,
+                    positions=pos, adj_norm=normalize(graph).astype(dtype))
 
 
 def collect_pretrain_buffer(task_config, n_episodes: int, compressor: ObsCompressor,
                             rng: np.random.Generator, graph_kind: str = "neighbor"
                             ) -> list[EpisodeRecord]:
     """Random-policy episodes recorded as (observations, positions, graphs)."""
+    require_counts("nvif", buffer_episodes=n_episodes)
+    levels = level_table(task_config)
     buffer = []
     for _ in range(n_episodes):
         world = new_world(replace(task_config, seed=int(rng.integers(2 ** 62))))
@@ -85,7 +134,7 @@ def collect_pretrain_buffer(task_config, n_episodes: int, compressor: ObsCompres
             step(world, actions)
         if not steps:
             raise DataError("collected an episode with no alive agents at t=0")
-        buffer.append(EpisodeRecord(steps=steps))
+        buffer.append(EpisodeRecord(steps=steps, levels=levels))
     return buffer
 
 
@@ -100,10 +149,34 @@ def _block_diag(blocks: list[np.ndarray], dtype) -> np.ndarray:
     return out
 
 
+def _recon_term(encoder: NvifEncoder, latent: Tensor, pos: np.ndarray, obs: np.ndarray,
+                weights: np.ndarray, recon_weight: float):
+    """One timestep's weighted reconstruction term, and its unweighted value.
+
+    With gradients on, the term's backward pass runs here: it adds the
+    ``dec/*`` weight gradients into the store, and the term joins the
+    caller's tape as a :func:`splice` on ``latent``, so the decoder's
+    obs_dim-wide arrays die with this call."""
+    leaf = Tensor(latent.data, requires_grad=True) if latent.requires_grad else latent
+    recon = tsum(mul(recon_rows(obs, encoder.decode(leaf, pos)), weights))
+    term = mul(recon, recon_weight)
+    if leaf is not latent:
+        backward(term)
+        term = splice(latent, term.data, leaf.grad)
+    return term, float(recon.data)
+
+
 def _batch_loss(encoder: NvifEncoder, episodes: list[EpisodeRecord], alpha: float,
                 recon_weight: float, rng: np.random.Generator):
-    """Episode-batch loss tensor plus the averaged term values."""
+    """Episode-batch loss tensor plus the averaged term values.
+
+    With gradients on, the ``dec/*`` gradients of the returned loss are
+    already in the store (zero it before the call); backpropagating the
+    loss adds the rest."""
     dt = encoder.config.np_dtype
+    levels = episodes[0].levels
+    if any(not np.array_equal(ep.levels, levels) for ep in episodes[1:]):
+        raise DataError("an episode batch mixes tasks with different level tables")
     n_slots = sum(len(ep.steps) for ep in episodes)
     t_max = max(len(ep.steps) for ep in episodes)
     state = None
@@ -113,8 +186,8 @@ def _batch_loss(encoder: NvifEncoder, episodes: list[EpisodeRecord], alpha: floa
         live = [(i, ep.steps[t]) for i, ep in enumerate(episodes) if len(ep.steps) > t]
         sizes = [len(sd.ids) for _, sd in live]
         keys = [(i, a) for i, sd in live for a in sd.ids]
-        raw = np.concatenate([sd.raw_obs for _, sd in live])
         pos = np.concatenate([sd.positions for _, sd in live])
+        obs = decode_windows(np.concatenate([sd.raw_obs for _, sd in live]), pos, levels)
         adj = _block_diag([sd.adj_norm for _, sd in live], dt)
         center = _block_diag([np.full((k, k), 1.0 / k, dtype=dt) for k in sizes], dt)
         weights = np.concatenate([np.full(k, 1.0 / (k * n_slots), dtype=dt) for k in sizes])
@@ -122,17 +195,15 @@ def _batch_loss(encoder: NvifEncoder, episodes: list[EpisodeRecord], alpha: floa
             state = encoder.init_state(keys)
         state, dist = encoder.step(np.concatenate([sd.feats for _, sd in live]), state,
                                    keys, adj, rng=rng)
-        logits = encoder.decode(dist.latent, pos)
-
-        recon_t = tsum(mul(recon_rows(raw, logits), weights))
+        recon_t, recon = _recon_term(encoder, dist.latent, pos, obs, weights, recon_weight)
         kl_t = tsum(mul(kl_rows(dist.mu, dist.log_sigma), weights))
         cons_t = tsum(mul(consistency_rows(dist.latent, center), weights))
 
-        contrib = mul(recon_t, recon_weight) + kl_t
+        contrib = recon_t + kl_t
         if alpha != 0.0:
             contrib = contrib + mul(cons_t, alpha)
         total = contrib if total is None else total + contrib
-        recon_val += recon_weight * float(recon_t.data)
+        recon_val += recon_weight * recon
         kl_val += float(kl_t.data)
         cons_val += float(cons_t.data)
     return total, recon_val, kl_val, cons_val, n_slots
@@ -157,9 +228,9 @@ def pretrain(buffer: list[EpisodeRecord], hyper: PretrainHyper, encoder: NvifEnc
         slots = 0
         for lo in range(0, len(order), hyper.batch_episodes):
             episodes = [buffer[i] for i in order[lo:lo + hyper.batch_episodes]]
+            encoder.store.zero_grad()  # _batch_loss adds the decoder's gradients
             total, recon, kl, cons, n_slots = _batch_loss(
                 encoder, episodes, hyper.alpha, hyper.recon_weight, rng)
-            encoder.store.zero_grad()
             backward(total)
             del total  # frees this batch's tape before the next one is built
             optimizer_step(encoder.store, lr=hyper.lr)

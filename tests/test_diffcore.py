@@ -395,6 +395,39 @@ MULTI_OPERAND = {
 }
 
 
+class TestSplice:
+    def test_stands_in_for_a_backpropagated_term(self):
+        # y feeds a term f(y) and a second loss; the term's own backward plus a
+        # splice of its value and df/dy give the single graph's value and gradient
+        rng = np.random.default_rng(3)
+        x = dc.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        y = dc.tanh(x)
+        term = lambda t: dc.sum(dc.sigmoid(t))  # noqa: E731
+        dc.backward(dc.add(dc.mul(term(y), 2.0), dc.mean(dc.mul(y, y))))
+        want, x.grad = x.grad, None
+        leaf = dc.Tensor(y.data, requires_grad=True)
+        local = term(leaf)
+        dc.backward(local)
+        spliced = dc.splice(y, local.data, leaf.grad)
+        assert spliced._parents == (y,) and spliced.data == local.data
+        loss = dc.add(dc.mul(spliced, 2.0), dc.mean(dc.mul(y, y)))
+        dc.backward(loss)
+        np.testing.assert_array_equal(x.grad, want)
+
+    def test_shapes_checked(self):
+        x = dc.Tensor(np.ones((2, 3)), requires_grad=True)
+        with pytest.raises(ShapeError):
+            dc.splice(x, np.ones(2), np.ones((2, 3)))
+        with pytest.raises(ShapeError):
+            dc.splice(x, 1.0, np.ones((3, 2)))
+
+    def test_no_node_without_gradients(self):
+        x = dc.Tensor(np.ones(3), requires_grad=True)
+        with dc.no_grad():
+            out = dc.splice(x, 2.0, np.ones(3))
+        assert out._parents == () and not out.requires_grad and float(out.data) == 2.0
+
+
 class TestBackwardContract:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_python_scalars_keep_dtype_and_add_no_node(self, dtype):

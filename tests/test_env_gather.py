@@ -96,6 +96,13 @@ class TestNewWorld:
         cells = [(u.x, u.y) for u in world.units if u.alive]
         assert len(cells) == len(set(cells))
 
+    def test_hp_beyond_uint8_rejected(self):
+        # pre-training stores hp counts as uint8 codes
+        assert eg.new_world(make_config(hp_omnivore=255, hp_food=255)).units[0].hp == 255
+        for bad in (dict(hp_omnivore=256), dict(hp_food=256)):
+            with pytest.raises(ConfigError, match="255"):
+                eg.new_world(make_config(**bad))
+
     def test_invariants_rejected(self):
         for bad in (dict(map_size=7), dict(hp_food=1), dict(max_steps=0),
                     dict(n_omnivores=0), dict(task_kind="weird")):

@@ -210,6 +210,29 @@ class TestCliExitCodes:
                          "--policy", str(tmp_path / "nowhere")]) == 2
 
 
+    @pytest.mark.parametrize("command", ["eval", "replay-dump"])
+    def test_zero_episodes_exits_1(self, tmp_path, capsys, command):
+        path = write_config(tmp_path / "c.json", eval={"episodes": 3})
+        assert cli_main([command, "--config", str(path), "--policy", "random",
+                         "--episodes", "0"]) == 1
+        assert "episodes" in capsys.readouterr().err
+
+    def test_zero_buffer_episodes_exits_1(self, tmp_path, capsys, tiny_compressor):
+        tiny_compressor.save(tmp_path / "obs_vae.ckpt")
+        path = write_config(tmp_path / "c.json", algorithm="nvif-ppo",
+                            obs_vae_checkpoint=str(tmp_path / "obs_vae.ckpt"),
+                            nvif={"buffer_episodes": 0})
+        assert cli_main(["pretrain-nvif", "--config", str(path)]) == 1
+        assert "buffer_episodes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["corpus_episodes", "corpus_max_samples"])
+    def test_zero_corpus_count_exits_1(self, tmp_path, capsys, key):
+        obs_vae = {"latent_width": 8, "hidden_width": 32, "epochs": 1, key: 0}
+        path = write_config(tmp_path / "c.json", obs_vae=obs_vae)
+        assert cli_main(["pretrain-obs", "--config", str(path)]) == 1
+        assert key in capsys.readouterr().err
+
+
 class TestCliPipeline:
     def test_ippo_workflow(self, tmp_path):
         path = write_config(tmp_path / "c.json")
@@ -234,6 +257,11 @@ class TestCliPipeline:
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("episodes", [0, -1])
+    def test_nonpositive_episodes_rejected(self, tiny_task, episodes):
+        with pytest.raises(ConfigError, match="episodes"):
+            evaluate("random", tiny_task, episodes=episodes, seed=0)
+
     def test_noop_policy_random_task(self):
         task = preset("random-small", seed=0)
         metrics = evaluate("noop", task, episodes=2, seed=1)

@@ -1,15 +1,21 @@
 """Encoder/decoder, the three losses, the observation compressor, pretraining."""
 import importlib
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import nviflab
 from nviflab import commgraph as cg
 from nviflab import diffcore as dc
+from nviflab.env_gather import N_ACTIONS, OMNIVORE, TaskConfig, new_world, observe, preset, step
 from nviflab.errors import ConfigError, DataError, ProtocolError, ShapeError, StateError
 from nviflab.nvif import (
     EpisodeRecord,
@@ -21,6 +27,7 @@ from nviflab.nvif import (
     PretrainHyper,
     collect_pretrain_buffer,
     flownet_forward,
+    gather_step_data,
     init_flownet,
     kl_standard_normal,
     loss_consistency,
@@ -28,7 +35,8 @@ from nviflab.nvif import (
     pretrain,
     pretrain_loss,
 )
-from nviflab.nvif.losses import consistency_rows, kl_rows
+from nviflab.nvif.losses import consistency_rows, kl_rows, recon_rows
+from nviflab.nvif.pretrain import _batch_loss, _block_diag, decode_windows, level_table
 
 
 def tiny_encoder(rng=None, obs_feat=6, obs_dim=20, hidden=8, latent=4, layers=2,
@@ -413,14 +421,15 @@ class TestPretrain:
         from nviflab.nvif.pretrain import _batch_loss
         enc = tiny_encoder(np.random.default_rng(7), obs_feat=8,
                            obs_dim=tiny_task.obs_dim, dtype="float64")
-        sd = small_buffer[0].steps[0]
+        sd, levels = small_buffer[0].steps[0], small_buffer[0].levels
         total, recon, kl, cons, n_slots = _batch_loss(
-            enc, [EpisodeRecord(steps=[sd])], alpha=0.1, recon_weight=2.0,
+            enc, [EpisodeRecord(steps=[sd], levels=levels)], alpha=0.1, recon_weight=2.0,
             rng=np.random.default_rng(0))
         eps = np.random.default_rng(0).standard_normal((len(sd.ids), 4))
         _, dist = enc.step(sd.feats, enc.init_state(sd.ids), sd.ids,
                            sd.adj_norm.astype(np.float64), eps=eps)
-        r, k = loss_variational(enc.decode, sd.raw_obs, sd.positions,
+        obs = decode_windows(sd.raw_obs, sd.positions, levels)
+        r, k = loss_variational(enc.decode, obs, sd.positions,
                                 dist.latent, dist.mu, dist.log_sigma)
         c = loss_consistency(dist.latent)
         assert n_slots == 1
@@ -483,6 +492,193 @@ class TestPretrain:
         enc = tiny_encoder()
         with pytest.raises(DataError):
             pretrain([], PretrainHyper(epochs=1), enc)
+
+
+class _ZeroCompressor:
+    """Stands in for an ObsCompressor where only the buffer format matters."""
+    width = 16
+
+    def encode(self, raw):
+        return np.zeros((len(raw), self.width), dtype=np.float32)
+
+
+@st.composite
+def hp_worlds(draw):
+    """Worlds a few random steps in, every alive unit at a drawn hp between 1
+    and its maximum, the maxima anywhere in the uint8 range."""
+    map_size = draw(st.integers(8, 16))
+    cfg = TaskConfig(
+        task_kind=draw(st.sampled_from(["normal", "random"])), map_size=map_size,
+        n_omnivores=draw(st.integers(1, 4 * (map_size - 1))), n_food=draw(st.integers(1, 9)),
+        view_radius=draw(st.integers(1, 4)), hp_omnivore=draw(st.integers(1, 255)),
+        hp_food=draw(st.integers(2, 255)), seed=draw(st.integers(0, 2 ** 32 - 1)))
+    world = new_world(cfg)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    for _ in range(draw(st.integers(0, 4))):
+        ids = world.alive_agents()
+        if world.done or not ids:
+            break
+        step(world, {i: int(a) for i, a in zip(ids, rng.integers(0, N_ACTIONS, len(ids)))})
+    assume(world.alive_agents())
+    for u in world.units:
+        if u.alive:
+            top = cfg.hp_omnivore if u.kind == OMNIVORE else cfg.hp_food
+            u.hp = int(draw(st.sampled_from([1, top, int(rng.integers(1, top + 1))])))
+    world._channel_cache = None  # hp changed behind step's back
+    return world
+
+
+class TestBufferCodes:
+    @given(world=hp_worlds())
+    @settings(max_examples=80, deadline=None)
+    def test_decoded_windows_equal_observe(self, world):
+        ids = world.alive_agents()
+        sd = gather_step_data(world, ids, _ZeroCompressor())
+        decoded = decode_windows(sd.raw_obs, sd.positions, level_table(world.config))
+        assert decoded.dtype == np.float32
+        assert np.array_equal(decoded, np.stack([observe(world, i).flat() for i in ids]))
+
+    def test_buffer_bytes_within_a_quarter_of_float32_windows(self):
+        task = preset("random-medium", seed=1, max_steps=10)
+        buffer = collect_pretrain_buffer(task, 2, _ZeroCompressor(), np.random.default_rng(0))
+        cells = task.window ** 2
+        steps = [sd for ep in buffer for sd in ep.steps]
+        for sd in steps:
+            assert sd.raw_obs.dtype == np.uint8
+            assert sd.raw_obs.shape == (len(sd.ids), 5 * cells)
+        nbytes = sum(a.nbytes for sd in steps
+                     for a in (sd.raw_obs, sd.feats, sd.positions, sd.adj_norm))
+        assert nbytes / sum(len(sd.ids) for sd in steps) <= 28 * cells / 4
+
+    @pytest.mark.parametrize("n_episodes", [0, -1])
+    def test_zero_episodes_rejected(self, tiny_task, n_episodes):
+        with pytest.raises(ConfigError, match="buffer_episodes"):
+            collect_pretrain_buffer(tiny_task, n_episodes, _ZeroCompressor(),
+                                    np.random.default_rng(0))
+
+    def test_batch_of_different_level_tables_rejected(self, small_buffer, tiny_task):
+        other = EpisodeRecord(steps=small_buffer[1].steps,
+                              levels=small_buffer[1].levels[:, ::-1].copy())
+        with pytest.raises(DataError):
+            _batch_loss(tiny_encoder(obs_feat=8, obs_dim=tiny_task.obs_dim),
+                        [small_buffer[0], other], 0.1, 1.0, np.random.default_rng(0))
+
+
+def full_tape_batch_loss(encoder, episodes, alpha, recon_weight, rng):
+    """Oracle: the episode-batch loss with every timestep's decoder on one
+    tape, backpropagated once."""
+    dt = encoder.config.np_dtype
+    n_slots = sum(len(ep.steps) for ep in episodes)
+    state = total = None
+    for t in range(max(len(ep.steps) for ep in episodes)):
+        live = [(i, ep.steps[t]) for i, ep in enumerate(episodes) if len(ep.steps) > t]
+        sizes = [len(sd.ids) for _, sd in live]
+        keys = [(i, a) for i, sd in live for a in sd.ids]
+        pos = np.concatenate([sd.positions for _, sd in live])
+        raw = np.concatenate([decode_windows(sd.raw_obs, sd.positions, episodes[i].levels)
+                              for i, sd in live])
+        adj = _block_diag([sd.adj_norm for _, sd in live], dt)
+        center = _block_diag([np.full((k, k), 1.0 / k, dtype=dt) for k in sizes], dt)
+        weights = np.concatenate([np.full(k, 1.0 / (k * n_slots), dtype=dt) for k in sizes])
+        if state is None:
+            state = encoder.init_state(keys)
+        state, dist = encoder.step(np.concatenate([sd.feats for _, sd in live]), state,
+                                   keys, adj, rng=rng)
+        logits = encoder.decode(dist.latent, pos)
+        recon_t = dc.sum(dc.mul(recon_rows(raw, logits), weights))
+        kl_t = dc.sum(dc.mul(kl_rows(dist.mu, dist.log_sigma), weights))
+        cons_t = dc.sum(dc.mul(consistency_rows(dist.latent, center), weights))
+        contrib = dc.mul(recon_t, recon_weight) + kl_t
+        if alpha != 0.0:
+            contrib = contrib + dc.mul(cons_t, alpha)
+        total = contrib if total is None else total + contrib
+    return total
+
+
+def _tape_arrays(loss):
+    """Every node value and saved array on the tape of ``loss``."""
+    for node in dc.topological_order(loss):
+        yield node.data
+        saved = node._saved if isinstance(node._saved, tuple) else (node._saved,)
+        yield from (a for a in saved if isinstance(a, np.ndarray))
+
+
+class TestDecoderLocalBackward:
+    def test_no_obs_dim_wide_array_on_the_batch_tape(self, small_buffer, tiny_task):
+        enc = tiny_encoder(np.random.default_rng(9), obs_feat=8,
+                           obs_dim=tiny_task.obs_dim, dtype="float32")
+        args = (enc, small_buffer[:3], 0.1, 1.0)
+        total, *_ = _batch_loss(*args, rng=np.random.default_rng(0))
+        oracle = full_tape_batch_loss(*args, rng=np.random.default_rng(0))
+
+        def widths(loss):
+            return {a.shape[-1] for a in _tape_arrays(loss) if a.ndim}
+        assert tiny_task.obs_dim in widths(oracle)
+        assert tiny_task.obs_dim not in widths(total)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("alpha", [0.1, 0.0])
+    def test_gradients_equal_full_tape(self, small_buffer, tiny_task, dtype, alpha):
+        enc = tiny_encoder(np.random.default_rng(10), obs_feat=8,
+                           obs_dim=tiny_task.obs_dim, dtype=dtype)
+        args = (enc, small_buffer[:4], alpha, 3.0)
+        enc.store.zero_grad()
+        oracle = full_tape_batch_loss(*args, rng=np.random.default_rng(1))
+        dc.backward(oracle)
+        want = {n: enc.store[n].grad.copy() for n in enc.store.names()}
+        enc.store.zero_grad()
+        total, *_ = _batch_loss(*args, rng=np.random.default_rng(1))
+        dc.backward(total)
+        assert float(total.data) == float(oracle.data)
+        for name in enc.store.names():
+            assert np.array_equal(enc.store[name].grad, want[name]), name
+
+    def test_frozen_loss_builds_no_tape_and_calls_no_backward(self, small_buffer, tiny_task,
+                                                              monkeypatch):
+        module = importlib.import_module("nviflab.nvif.pretrain")
+        monkeypatch.setattr(module, "backward", lambda loss: pytest.fail("backward ran"))
+        enc = tiny_encoder(np.random.default_rng(11), obs_feat=8,
+                           obs_dim=tiny_task.obs_dim, dtype="float32")
+        with dc.no_grad():
+            total, *_ = _batch_loss(enc, small_buffer[:2], 0.1, 1.0, np.random.default_rng(0))
+        assert total._parents == ()
+
+
+# One random-medium pre-training epoch (8 episodes, batches of 4) under an
+# address-space cap, in its own process, so a memory regression fails that
+# process instead of exhausting the machine. With one BLAS thread (CPython
+# 3.11, numpy 2.4, OpenBLAS) the process peaks at 278 MiB of virtual memory,
+# 26% below the cap. With the decoder on the batch tape it peaks at 365 MiB,
+# and with float32 windows in the buffer as well at 427 MiB.
+GATE_MIB = 352
+_GATE_SCRIPT = """
+import resource, sys
+limit = int(sys.argv[1]) * 2 ** 20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+import numpy as np
+from nviflab.env_gather import preset
+from nviflab.nvif import NvifConfig, NvifEncoder, PretrainHyper, collect_pretrain_buffer, pretrain
+
+class ZeroCompressor:
+    def encode(self, raw):
+        return np.zeros((len(raw), 16), dtype=np.float32)
+
+task = preset("random-medium", seed=0)
+buffer = collect_pretrain_buffer(task, 8, ZeroCompressor(), np.random.default_rng(0))
+encoder = NvifEncoder(NvifConfig(obs_feat_width=16, obs_dim=task.obs_dim),
+                      np.random.default_rng(1))
+pretrain(buffer, PretrainHyper(epochs=1, batch_episodes=4, seed=0), encoder)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+def test_pretrain_epoch_within_address_space_gate():
+    src = str(Path(nviflab.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _GATE_SCRIPT, str(GATE_MIB)], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-3000:]
 
 
 class _ZeroRng:
