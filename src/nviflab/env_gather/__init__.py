@@ -1,4 +1,5 @@
-"""Gather grid-world: tasks, actions, observations, stepping, replays."""
+"""Gather grid-world: tasks, actions, observations and their uint8 codec,
+stepping, replays."""
 from .actions import (
     ATTACK_OFFSETS,
     MOVE_OFFSETS,
@@ -17,9 +18,11 @@ from .world import (
     FOOD,
     OMNIVORE,
     GridWorld,
-    Observation,
     StepResult,
     Unit,
+    decode_windows,
+    encode_windows,
+    level_table,
     new_world,
     observe,
     step,
@@ -28,7 +31,7 @@ from .world import (
 __all__ = [
     "ATTACK_OFFSETS", "Attack", "EMPTY", "FOOD", "GridWorld", "MOVE_OFFSETS",
     "Move", "N_ACTIONS", "NOOP", "NOOP_INDEX", "Noop", "OMNIVORE",
-    "Observation", "ReplayWriter", "StepResult", "TaskConfig", "Unit",
-    "decode_action", "episode_metrics", "new_world", "observe", "preset",
-    "read_replay", "step",
+    "ReplayWriter", "StepResult", "TaskConfig", "Unit", "decode_action",
+    "decode_windows", "encode_windows", "episode_metrics", "level_table",
+    "new_world", "observe", "preset", "read_replay", "step",
 ]

@@ -4,6 +4,15 @@ Stepping runs in three phases. Attacks are all evaluated against the
 pre-step occupancy (so within a step their order cannot matter), units at
 zero hit points are removed, then moves apply one at a time in a seeded
 random order, and finally every surviving agent pays the per-step penalty.
+An episode is done at ``max_steps``, when the food is gone, or when every
+agent is dead.
+
+:func:`observe` returns the local windows of a batch of agents as one
+(n, 7*w*w) float32 matrix, gathered in one fancy index from the padded
+channel grids. This module also owns their uint8 codec: :func:`encode_windows`
+stores the five grid channels as one code per cell (the hp count in the hp
+channels, 0/1 elsewhere), and :func:`decode_windows` turns the codes and the
+positions back into exactly the observed windows.
 """
 from __future__ import annotations
 
@@ -21,6 +30,8 @@ FOOD = "food"
 
 EMPTY = -1
 
+GRID_CHANNELS = 5  # observe()'s grid channels; its last two repeat the position
+
 
 @dataclass
 class Unit:
@@ -29,15 +40,6 @@ class Unit:
     y: int
     hp: int
     alive: bool = True
-
-
-@dataclass
-class Observation:
-    channels: np.ndarray      # (7, window, window) float32
-    position: tuple[float, float]  # normalized (x, y)
-
-    def flat(self) -> np.ndarray:
-        return self.channels.ravel()
 
 
 @dataclass
@@ -56,7 +58,6 @@ class GridWorld:
     units: list[Unit]
     occupancy: np.ndarray          # (map_size, map_size) int, unit index or EMPTY
     rng: np.random.Generator
-    _channel_cache: tuple | None = None
 
     @property
     def n_agents(self) -> int:
@@ -74,7 +75,8 @@ class GridWorld:
 
     @property
     def done(self) -> bool:
-        return self.t >= self.config.max_steps or self.food_remaining() == 0
+        return (self.t >= self.config.max_steps or self.food_remaining() == 0
+                or not self.alive_agents())
 
     @property
     def truncated(self) -> bool:
@@ -147,51 +149,74 @@ def new_world(config: TaskConfig) -> GridWorld:
 
 def _channel_grids(world: GridWorld) -> np.ndarray:
     """Padded (5, ms+2R, ms+2R) grids: obstacle, omnivore presence/hp, food presence/hp."""
-    if world._channel_cache is not None and world._channel_cache[0] == world.t:
-        return world._channel_cache[1]
     cfg = world.config
     ms, r = cfg.map_size, cfg.view_radius
-    grids = np.zeros((5, ms, ms), dtype=np.float32)
-    for idx, u in enumerate(world.units):
-        if not u.alive:
-            continue
-        if u.kind == OMNIVORE:
-            grids[1, u.y, u.x] = 1.0
-            grids[2, u.y, u.x] = u.hp / cfg.hp_omnivore
-        else:
-            grids[3, u.y, u.x] = 1.0
-            grids[4, u.y, u.x] = u.hp / cfg.hp_food
-    padded = np.zeros((5, ms + 2 * r, ms + 2 * r), dtype=np.float32)
+    padded = np.zeros((GRID_CHANNELS, ms + 2 * r, ms + 2 * r), dtype=np.float32)
     padded[0] = 1.0
-    padded[:, r:r + ms, r:r + ms] = grids
     padded[0, r:r + ms, r:r + ms] = 0.0
-    world._channel_cache = (world.t, padded)
+    for u in world.units:
+        if u.alive:
+            c, top = (1, cfg.hp_omnivore) if u.kind == OMNIVORE else (3, cfg.hp_food)
+            padded[c, u.y + r, u.x + r] = 1.0
+            padded[c + 1, u.y + r, u.x + r] = u.hp / top
     return padded
 
 
-def observe(world: GridWorld, agent_id: int) -> Observation:
-    """Local 7-channel window centered on the agent.
+def observe(world: GridWorld, ids) -> np.ndarray:
+    """(len(ids), 7*w*w) float32 windows centered on the alive agents ``ids``.
 
     Channels: out-of-bounds mask, other-omnivore presence, their normalized
     hp, food presence, food normalized hp, then two constant channels holding
     the agent's normalized x and y.
     """
-    unit = world.units[agent_id]
-    if agent_id >= world.n_agents or not unit.alive:
-        raise ProtocolError(f"observe: agent {agent_id} is not an alive omnivore")
+    bad = [i for i in ids if not (0 <= i < world.n_agents and world.units[i].alive)]
+    if bad:
+        raise ProtocolError(f"observe: agents {bad} are not alive omnivores")
     cfg = world.config
-    r, w, ms = cfg.view_radius, cfg.window, cfg.map_size
-    padded = _channel_grids(world)
-    window = padded[:, unit.y:unit.y + w, unit.x:unit.x + w].copy()
-    window[1, r, r] = 0.0  # the observer does not see itself
-    window[2, r, r] = 0.0
-    xn = unit.x / (ms - 1)
-    yn = unit.y / (ms - 1)
-    channels = np.empty((7, w, w), dtype=np.float32)
-    channels[:5] = window
-    channels[5] = xn
-    channels[6] = yn
-    return Observation(channels=channels, position=(xn, yn))
+    r, w = cfg.view_radius, cfg.window
+    pos = world.agent_positions(ids).reshape(-1, 2)
+    span = np.arange(w)
+    out = np.empty((len(pos), GRID_CHANNELS + 2, w, w), dtype=np.float32)
+    out[:, :GRID_CHANNELS] = _channel_grids(world)[
+        :, pos[:, 1, None, None] + span[:, None], pos[:, 0, None, None] + span
+    ].transpose(1, 0, 2, 3)
+    out[:, 1:3, r, r] = 0.0  # the observer does not see itself
+    out[:, GRID_CHANNELS:] = (pos / (cfg.map_size - 1))[:, :, None, None]
+    return out.reshape(len(pos), -1)
+
+
+def _hp_scale(config: TaskConfig) -> np.ndarray:
+    """Per grid channel, the code that stands for 1.0."""
+    return np.array([1, 1, config.hp_omnivore, 1, config.hp_food])
+
+
+def encode_windows(windows: np.ndarray, config: TaskConfig) -> np.ndarray:
+    """(n, 5*w*w) uint8 grid codes of :func:`observe`'s windows: each grid
+    cell times its channel's hp scale, rounded; the position channels are
+    left out (:func:`decode_windows` takes the positions instead)."""
+    n, cells = windows.shape[0], config.window ** 2
+    grid = windows[:, :GRID_CHANNELS * cells].reshape(n, GRID_CHANNELS, cells)
+    return np.rint(grid * _hp_scale(config)[:, None]).astype(np.uint8).reshape(n, -1)
+
+
+def level_table(config: TaskConfig) -> np.ndarray:
+    """(5, 256) float32: the window value that code k stands for in each grid
+    channel, k/hp_max in the hp channels (float64 division rounded to
+    float32, as in :func:`observe`) and k in the others."""
+    return (np.arange(256) / _hp_scale(config)[:, None]).astype(np.float32)
+
+
+def decode_windows(codes: np.ndarray, positions: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """The float32 observation windows (n, 7*w*w) of grid codes (n, 5*w*w)
+    and normalized positions (n, 2): each grid channel is one lookup in its
+    row of ``levels``."""
+    n, cells = codes.shape[0], codes.shape[1] // GRID_CHANNELS
+    out = np.empty((n, GRID_CHANNELS + 2, cells), dtype=np.float32)
+    grid = codes.reshape(n, GRID_CHANNELS, cells)
+    for c in range(GRID_CHANNELS):
+        np.take(levels[c], grid[:, c], out=out[:, c])
+    out[:, GRID_CHANNELS:] = positions[:, :, None]
+    return out.reshape(n, -1)
 
 
 def step(world: GridWorld, actions: dict[int, int]) -> StepResult:
@@ -261,13 +286,10 @@ def step(world: GridWorld, actions: dict[int, int]) -> StepResult:
             rewards[i] += cfg.p_step
 
     world.t += 1
-    world._channel_cache = None
-    food_left = world.food_remaining()
-    done = world.t >= cfg.max_steps or food_left == 0
     return StepResult(
         rewards=rewards,
         alive={i: world.units[i].alive for i in alive},
-        done=done,
-        food_remaining=food_left,
+        done=world.done,
+        food_remaining=world.food_remaining(),
         events=events,
     )

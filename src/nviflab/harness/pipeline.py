@@ -33,14 +33,13 @@ def collect_obs_corpus(task_cfg, episodes: int, rng: np.random.Generator,
         world = new_world(replace(task_cfg, seed=int(rng.integers(2 ** 62))))
         while not world.done:
             ids = world.alive_agents()
-            for i in ids:
-                rows.append(observe(world, i).flat())
+            rows.append(observe(world, ids))
             count += len(ids)
             actions = {i: int(a) for i, a in zip(ids, rng.integers(0, N_ACTIONS, len(ids)))}
             step(world, actions)
             if max_samples is not None and count >= max_samples:
-                return np.stack(rows[:max_samples])
-    return np.stack(rows)
+                return np.concatenate(rows)[:max_samples]
+    return np.concatenate(rows)
 
 
 def obs_vae_path(cfg: ExperimentConfig) -> Path:

@@ -1,7 +1,7 @@
 """Communication protocol: encoder, decoder, losses, and pre-training."""
 from .encoder import EncoderState, LatentDistribution, NvifConfig, NvifEncoder
 from .flownet import FlowNetParams, flownet_forward, init_flownet
-from .losses import NvifLossReport, kl_standard_normal, loss_consistency, loss_variational
+from .losses import NvifLossReport, kl_standard_normal
 from .obs_vae import ObsCompressor, ObsVaeConfig, ObsVaeHyper
 from .pretrain import (
     EpisodeRecord,
@@ -18,6 +18,5 @@ __all__ = [
     "NvifConfig", "NvifEncoder", "NvifLossReport", "ObsCompressor",
     "ObsVaeConfig", "ObsVaeHyper", "PretrainHyper", "StepData",
     "collect_pretrain_buffer", "flownet_forward", "gather_step_data",
-    "init_flownet", "kl_standard_normal", "loss_consistency", "loss_variational",
-    "pretrain", "pretrain_loss",
+    "init_flownet", "kl_standard_normal", "pretrain", "pretrain_loss",
 ]

@@ -113,8 +113,7 @@ class NvifEncoder:
     # -- forward passes -------------------------------------------------------
 
     def step(self, feats, state: EncoderState, ids, adj: np.ndarray, *,
-             rng: np.random.Generator | None = None, eps: np.ndarray | None = None,
-             sample: bool = True):
+             rng: np.random.Generator | None = None, sample: bool = True):
         """One encoder timestep over the alive agents ``ids``.
 
         ``adj`` is the normalized mixing matrix over ``ids`` (see
@@ -122,7 +121,7 @@ class NvifEncoder:
         are stacked; array ``feats`` are cast to the model dtype. Returns (next state, latent distribution). Agents absent
         from ``ids`` are dropped from the state; new ones start from a zero
         hidden vector. The latent is ``mu`` when ``sample`` is false, else a
-        reparameterized draw with noise ``eps`` (or drawn from ``rng``).
+        reparameterized draw with noise from ``rng``.
         """
         ids = tuple(ids)
         feats = feats if isinstance(feats, Tensor) else Tensor(
@@ -137,7 +136,7 @@ class NvifEncoder:
         mu = affine(h_next, self.store["head/mu_w"], self.store["head/mu_b"])
         log_sigma = clamp(affine(h_next, self.store["head/ls_w"], self.store["head/ls_b"]),
                           LOG_SIGMA_MIN, LOG_SIGMA_MAX)
-        latent = gaussian_sample(mu, log_sigma, rng=rng, eps=eps) if sample else mu
+        latent = gaussian_sample(mu, log_sigma, rng=rng) if sample else mu
         return EncoderState(ids=ids, hidden=h_next), LatentDistribution(mu, log_sigma, latent)
 
     def decode(self, latents, positions) -> Tensor:

@@ -1,8 +1,8 @@
 """Reconstruction, divergence, and latent-consistency losses.
 
 Each term is computed per agent row; pre-training weights and sums the rows
-over a block-diagonal episode batch, and the obs-VAE and the scalar helpers
-below take their row means.
+over a block-diagonal episode batch, and the obs-VAE takes the mean of the
+KL rows (:func:`kl_standard_normal`).
 """
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from ..diffcore import (
     sub,
     sum as tsum,
 )
-from ..errors import DataError
 
 
 @dataclass
@@ -59,23 +58,3 @@ def consistency_rows(latents, center: np.ndarray) -> Tensor:
 def kl_standard_normal(mu, log_sigma) -> Tensor:
     """Mean over agents of :func:`kl_rows`."""
     return mean(kl_rows(mu, log_sigma))
-
-
-def loss_variational(decoder, obs, positions, latents, mu, log_sigma):
-    """Per-agent average of (reconstruction bce, closed-form KL).
-
-    ``decoder`` is called as decoder(latents, positions) and must return
-    per-cell logits for the flattened observation windows.
-    """
-    n = as_tensor(latents).data.shape[0]
-    if n == 0:
-        raise DataError("loss_variational: empty batch")
-    recon = mean(recon_rows(obs, decoder(latents, positions)))
-    return recon, kl_standard_normal(mu, log_sigma)
-
-
-def loss_consistency(latents) -> Tensor:
-    """Mean over agents of :func:`consistency_rows` with every agent in one
-    group: (1/n) sum_i ||s_i - mean_j s_j||^2."""
-    n = as_tensor(latents).data.shape[0]
-    return mean(consistency_rows(latents, np.full((n, n), 1.0 / n)))

@@ -17,12 +17,10 @@ tape by :func:`diffcore.splice`. So the obs_dim-wide logits, targets and
 decoder activations live for one timestep, not for the whole batch, and the
 gradients are exactly those of the decoder on the batch tape.
 
-The buffer stores each observation window's five grid channels as uint8
-codes, one per cell: the hp count in the two hp channels, 0/1 in the
-obstacle and presence channels. The episode's level table maps a code back
-to :func:`observe`'s float32 value, and the two position channels are rebuilt
-from ``positions``, so :func:`decode_windows` returns the observed windows
-exactly, at a quarter of their bytes or less.
+The buffer stores the observation windows as the uint8 grid codes of
+:func:`env_gather.encode_windows`, at a quarter of their float32 bytes or
+less; each episode keeps its task's level table, and
+:func:`env_gather.decode_windows` rebuilds the observed windows exactly.
 """
 from __future__ import annotations
 
@@ -32,20 +30,25 @@ import numpy as np
 
 from ..commgraph import build_graph, fully_connected, normalize
 from ..diffcore import Tensor, backward, mul, no_grad, optimizer_step, splice, sum as tsum
-from ..env_gather import N_ACTIONS, new_world, observe, step
+from ..env_gather import (
+    N_ACTIONS,
+    decode_windows,
+    encode_windows,
+    level_table,
+    new_world,
+    observe,
+    step,
+)
 from ..errors import DataError, require_counts
 from .encoder import NvifEncoder
 from .losses import NvifLossReport, consistency_rows, kl_rows, recon_rows
 from .obs_vae import ObsCompressor
 
 
-GRID_CHANNELS = 5  # observe()'s grid channels; its last two repeat the position
-
-
 @dataclass
 class StepData:
     ids: tuple[int, ...]
-    raw_obs: np.ndarray        # (n, 5*w*w) uint8 grid codes; see decode_windows
+    raw_obs: np.ndarray        # (n, 5*w*w) uint8 grid codes; see encode_windows
     feats: np.ndarray          # (n, obs_feat_width)
     positions: np.ndarray      # (n, 2) normalized
     adj_norm: np.ndarray       # (n, n)
@@ -55,31 +58,6 @@ class StepData:
 class EpisodeRecord:
     steps: list[StepData]
     levels: np.ndarray         # (5, 256) float32 level table; see level_table
-
-
-def _hp_scale(task_config) -> np.ndarray:
-    """Per grid channel, the code that stands for 1.0."""
-    return np.array([1, 1, task_config.hp_omnivore, 1, task_config.hp_food])
-
-
-def level_table(task_config) -> np.ndarray:
-    """(5, 256) float32: the window value that code k stands for in each grid
-    channel, k/hp_max in the hp channels (float64 division rounded to
-    float32, as in :func:`observe`) and k in the others."""
-    return (np.arange(256) / _hp_scale(task_config)[:, None]).astype(np.float32)
-
-
-def decode_windows(codes: np.ndarray, positions: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """The float32 observation windows (n, 7*w*w) of grid codes (n, 5*w*w)
-    and normalized positions (n, 2): each grid channel is one lookup in its
-    row of ``levels``."""
-    n, cells = codes.shape[0], codes.shape[1] // GRID_CHANNELS
-    out = np.empty((n, GRID_CHANNELS + 2, cells), dtype=np.float32)
-    grid = codes.reshape(n, GRID_CHANNELS, cells)
-    for c in range(GRID_CHANNELS):
-        np.take(levels[c], grid[:, c], out=out[:, c])
-    out[:, GRID_CHANNELS:] = positions[:, :, None]
-    return out.reshape(n, -1)
 
 
 @dataclass
@@ -100,19 +78,13 @@ class PretrainHyper:
 def gather_step_data(world, ids, compressor: ObsCompressor, graph_kind: str = "neighbor",
                      dtype=np.float32) -> StepData:
     """Grid codes, compressed features, positions, and adjacency for one step."""
-    obs = [observe(world, i) for i in ids]
-    raw = np.stack([o.flat() for o in obs])
-    feats = compressor.encode(raw).astype(dtype)
-    cells = world.config.window ** 2
-    grid = raw[:, :GRID_CHANNELS * cells].reshape(len(ids), GRID_CHANNELS, cells)
-    codes = np.rint(grid * _hp_scale(world.config)[:, None]).astype(np.uint8)
-    pos = np.asarray([o.position for o in obs], dtype=dtype)
-    if graph_kind == "full":
-        graph = fully_connected(ids)
-    else:
-        graph = build_graph(world.agent_positions(ids), ids)
-    return StepData(ids=tuple(ids), raw_obs=codes.reshape(len(ids), -1), feats=feats,
-                    positions=pos, adj_norm=normalize(graph).astype(dtype))
+    raw = observe(world, ids)
+    pos = world.agent_positions(ids)
+    graph = fully_connected(ids) if graph_kind == "full" else build_graph(pos, ids)
+    return StepData(ids=tuple(ids), raw_obs=encode_windows(raw, world.config),
+                    feats=compressor.encode(raw).astype(dtype),
+                    positions=(pos / (world.config.map_size - 1)).astype(dtype),
+                    adj_norm=normalize(graph).astype(dtype))
 
 
 def collect_pretrain_buffer(task_config, n_episodes: int, compressor: ObsCompressor,
@@ -127,8 +99,6 @@ def collect_pretrain_buffer(task_config, n_episodes: int, compressor: ObsCompres
         steps = []
         while not world.done:
             ids = world.alive_agents()
-            if not ids:
-                break
             steps.append(gather_step_data(world, ids, compressor, graph_kind))
             actions = {i: int(a) for i, a in zip(ids, rng.integers(0, N_ACTIONS, len(ids)))}
             step(world, actions)

@@ -92,7 +92,6 @@ def make_provider(mode: str, feat_width: int, encoder=None, rng=None, sample=Tru
 
 def featurize(world, ids, compressor: ObsCompressor, provider) -> np.ndarray:
     """Policy input rows [compressed observation || latent] for ``ids``."""
-    raw = np.stack([observe(world, i).flat() for i in ids])
-    feats = compressor.encode(raw)
+    feats = compressor.encode(observe(world, ids))
     latent = provider.step(feats, world.agent_positions(ids), ids)
     return np.concatenate([feats, latent.astype(feats.dtype)], axis=1)

@@ -1,8 +1,10 @@
 """Shared fixtures and oracles."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from nviflab.env_gather import preset
+from nviflab.env_gather import EMPTY, preset
 from nviflab.nvif import ObsCompressor, ObsVaeConfig, ObsVaeHyper
 from nviflab.harness.pipeline import collect_obs_corpus
 
@@ -29,6 +31,35 @@ def max_rel_err(analytic, numeric):
     analytic, numeric = np.asarray(analytic), np.asarray(numeric)
     return float(np.max(np.abs(analytic - numeric) /
                         np.maximum(np.abs(numeric), 1.0)))
+
+
+class EpisodeSpy:
+    """Wraps a trainer module's ``new_world`` and ``step``: keeps the world and
+    every step's rewards, and once the world reaches ``at_t`` kills the agents
+    in ``kill`` and, with ``eat_food``, every food unit."""
+
+    def __init__(self, monkeypatch, module, at_t, kill=(), eat_food=False):
+        self.world, self.rewards = None, []
+        new_world, step = module.new_world, module.step
+
+        def spy_new_world(cfg):
+            self.world = new_world(cfg)
+            return self.world
+
+        def spy_step(world, actions):
+            result = step(world, actions)
+            if world.t == at_t:
+                food = world.units[world.n_agents:] if eat_food else []
+                for unit in [world.units[i] for i in kill] + food:
+                    unit.alive, unit.hp = False, 0
+                    world.occupancy[unit.y, unit.x] = EMPTY
+                result = replace(result, alive={i: world.units[i].alive for i in result.alive},
+                                 food_remaining=world.food_remaining(), done=world.done)
+            self.rewards.append(result.rewards)
+            return result
+
+        monkeypatch.setattr(module, "new_world", spy_new_world)
+        monkeypatch.setattr(module, "step", spy_step)
 
 
 @pytest.fixture(scope="session")

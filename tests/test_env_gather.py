@@ -1,6 +1,7 @@
 """Gather world: layouts, actions, observations, step phases, determinism."""
 import copy
 import dataclasses
+import importlib
 import json
 
 import numpy as np
@@ -37,8 +38,44 @@ def world_with(units, map_size=12, **overrides):
         hp = cfg.hp_omnivore if kind == eg.OMNIVORE else cfg.hp_food
         world.units.append(eg.Unit(kind, x, y, hp))
         world.occupancy[y, x] = idx
-    world._channel_cache = None
     return world
+
+
+def observe_one(world, agent_id):
+    """Oracle: one agent's (7, w, w) window, sliced from the padded grids."""
+    cfg = world.config
+    ms, r, w = cfg.map_size, cfg.view_radius, cfg.window
+    grids = np.zeros((5, ms, ms), dtype=np.float32)
+    for u in world.units:
+        if not u.alive:
+            continue
+        if u.kind == eg.OMNIVORE:
+            grids[1, u.y, u.x] = 1.0
+            grids[2, u.y, u.x] = u.hp / cfg.hp_omnivore
+        else:
+            grids[3, u.y, u.x] = 1.0
+            grids[4, u.y, u.x] = u.hp / cfg.hp_food
+    padded = np.zeros((5, ms + 2 * r, ms + 2 * r), dtype=np.float32)
+    padded[0] = 1.0
+    padded[:, r:r + ms, r:r + ms] = grids
+    padded[0, r:r + ms, r:r + ms] = 0.0
+    unit = world.units[agent_id]
+    window = padded[:, unit.y:unit.y + w, unit.x:unit.x + w].copy()
+    window[1, r, r] = 0.0
+    window[2, r, r] = 0.0
+    channels = np.empty((7, w, w), dtype=np.float32)
+    channels[:5] = window
+    channels[5] = unit.x / (ms - 1)
+    channels[6] = unit.y / (ms - 1)
+    return channels
+
+
+def windows(world, ids):
+    """observe()'s rows for ``ids`` as (len(ids), 7, w, w) channels."""
+    raw = eg.observe(world, ids)
+    w = world.config.window
+    assert raw.shape == (len(ids), 7 * w * w) and raw.dtype == np.float32
+    return raw.reshape(len(ids), 7, w, w)
 
 
 class TestPresets:
@@ -140,41 +177,113 @@ class TestActions:
 class TestObserve:
     def test_lone_agent_channels(self):
         world = world_with([(eg.OMNIVORE, 5, 7)])
-        obs = eg.observe(world, 0)
-        assert obs.channels.shape == (7, 5, 5)
-        np.testing.assert_array_equal(obs.channels[1:5], 0.0)
-        np.testing.assert_allclose(obs.channels[5], 5 / 11)
-        np.testing.assert_allclose(obs.channels[6], 7 / 11)
-        assert obs.position == (5 / 11, 7 / 11)
+        channels = windows(world, [0])[0]
+        assert channels.shape == (7, 5, 5)
+        np.testing.assert_array_equal(channels[1:5], 0.0)
+        np.testing.assert_allclose(channels[5], 5 / 11)
+        np.testing.assert_allclose(channels[6], 7 / 11)
+        assert (channels[5, 0, 0], channels[6, 0, 0]) == (np.float32(5 / 11), np.float32(7 / 11))
 
     def test_food_at_offset(self):
         world = world_with([(eg.OMNIVORE, 5, 5), (eg.FOOD, 6, 5)])
-        obs = eg.observe(world, 0)
+        channels = windows(world, [0])[0]
         r = world.config.view_radius
-        assert obs.channels[3, r, r + 1] == 1.0
-        assert obs.channels[4, r, r + 1] == 1.0  # full hp
-        assert obs.channels[3].sum() == 1.0
+        assert channels[3, r, r + 1] == 1.0
+        assert channels[4, r, r + 1] == 1.0  # full hp
+        assert channels[3].sum() == 1.0
 
     def test_corner_out_of_bounds_mask(self):
         world = world_with([(eg.OMNIVORE, 0, 0)])
-        obs = eg.observe(world, 0)
-        assert obs.channels[0].sum() == 16  # 5x5 window minus the 3x3 inside
-        assert obs.channels[0, 0, 0] == 1.0 and obs.channels[0, 2, 2] == 0.0
+        channels = windows(world, [0])[0]
+        assert channels[0].sum() == 16  # 5x5 window minus the 3x3 inside
+        assert channels[0, 0, 0] == 1.0 and channels[0, 2, 2] == 0.0
 
     def test_presence_and_hp_ranges(self):
         world = eg.new_world(eg.preset("desk-normal-16", seed=2))
-        for agent in world.alive_agents():
-            obs = eg.observe(world, agent)
-            assert set(np.unique(obs.channels[1])) <= {0.0, 1.0}
-            assert set(np.unique(obs.channels[3])) <= {0.0, 1.0}
-            assert obs.channels[2].min() >= 0.0 and obs.channels[2].max() <= 1.0
-            assert obs.channels[4].min() >= 0.0 and obs.channels[4].max() <= 1.0
+        for channels in windows(world, world.alive_agents()):
+            assert set(np.unique(channels[1])) <= {0.0, 1.0}
+            assert set(np.unique(channels[3])) <= {0.0, 1.0}
+            assert channels[2].min() >= 0.0 and channels[2].max() <= 1.0
+            assert channels[4].min() >= 0.0 and channels[4].max() <= 1.0
 
-    def test_dead_agent_rejected(self):
-        world = world_with([(eg.OMNIVORE, 1, 1), (eg.OMNIVORE, 3, 1)])
+    @pytest.mark.parametrize("bad", [-1, 2, 1], ids=["negative", "n_agents", "dead"])
+    def test_dead_agent_rejected(self, bad):
+        # ids -1 and 2 (= n_agents) both index the alive food unit
+        world = world_with([(eg.OMNIVORE, 1, 1), (eg.OMNIVORE, 3, 1), (eg.FOOD, 6, 6)])
         world.units[1].alive = False
         with pytest.raises(ProtocolError):
-            eg.observe(world, 1)
+            eg.observe(world, [bad])
+        with pytest.raises(ProtocolError):
+            eg.observe(world, [0, bad])
+
+
+@st.composite
+def observed_worlds(draw):
+    """Hand-placed worlds whose units crowd the borders and corners, every
+    unit at a drawn hp, some omnivores dead; plus a drawn order of the alive
+    agents to observe."""
+    map_size = draw(st.integers(8, 14))
+    coord = st.one_of(st.sampled_from([0, 1, map_size - 2, map_size - 1]),
+                      st.integers(0, map_size - 1))
+    cells = draw(st.lists(st.tuples(coord, coord), min_size=2, max_size=16, unique=True))
+    n_om = draw(st.integers(1, len(cells) - 1))
+    world = world_with([(eg.OMNIVORE, x, y) for x, y in cells[:n_om]]
+                       + [(eg.FOOD, x, y) for x, y in cells[n_om:]],
+                       map_size=map_size, view_radius=draw(st.integers(1, 4)),
+                       hp_omnivore=draw(st.integers(1, 255)), hp_food=draw(st.integers(2, 255)))
+    cfg = world.config
+    for u in world.units:
+        u.hp = draw(st.integers(1, cfg.hp_omnivore if u.kind == eg.OMNIVORE else cfg.hp_food))
+    for i in draw(st.sets(st.sampled_from(range(n_om)), max_size=n_om - 1)):
+        u = world.units[i]
+        u.alive, u.hp = False, 0
+        world.occupancy[u.y, u.x] = eg.EMPTY
+    ids = draw(st.permutations(world.alive_agents()))
+    return world, ids
+
+
+class TestBatchedObserve:
+    @given(case=observed_worlds())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_stacked_per_agent_windows(self, case):
+        world, ids = case
+        expected = np.stack([observe_one(world, i).ravel() for i in ids])
+        assert np.array_equal(eg.observe(world, ids), expected)
+
+    def test_one_observe_per_env_step(self, monkeypatch, tiny_task):
+        pipeline = importlib.import_module("nviflab.harness.pipeline")
+        pretrain = importlib.import_module("nviflab.nvif.pretrain")
+        providers = importlib.import_module("nviflab.policy.providers")
+
+        class Compressor:
+            def encode(self, raw):
+                return np.zeros((len(raw), 4), dtype=np.float32)
+
+        calls = []
+
+        def observe(world, ids):
+            calls.append("observe")
+            return eg.observe(world, ids)
+
+        def step(world, actions):
+            calls.append("step")
+            return eg.step(world, actions)
+
+        for module in (pipeline, pretrain, providers):
+            monkeypatch.setattr(module, "observe", observe)
+        for module in (pipeline, pretrain):
+            monkeypatch.setattr(module, "step", step)
+        world = eg.new_world(tiny_task)
+        providers.featurize(world, world.alive_agents(), Compressor(), providers.EmptyLatents())
+        assert calls == ["observe"]
+        pretrain.gather_step_data(world, world.alive_agents(), Compressor())
+        assert calls == ["observe"] * 2
+        calls.clear()
+        pipeline.collect_obs_corpus(tiny_task, 2, np.random.default_rng(0))
+        assert calls == ["observe", "step"] * (len(calls) // 2) and calls
+        calls.clear()
+        pretrain.collect_pretrain_buffer(tiny_task, 2, Compressor(), np.random.default_rng(0))
+        assert calls == ["observe", "step"] * (len(calls) // 2) and calls
 
 
 ATTACK_UP, ATTACK_DOWN, ATTACK_LEFT, ATTACK_RIGHT = 28, 29, 30, 31
@@ -276,6 +385,15 @@ class TestStep:
                            max_steps=1)
         eg.step(world, {0: ATTACK_RIGHT, 1: ATTACK_LEFT})
         assert world.done and not world.truncated
+
+    def test_wipeout_is_done(self):
+        world = world_with([(eg.OMNIVORE, 5, 5), (eg.OMNIVORE, 6, 5), (eg.FOOD, 9, 9)],
+                           hp_omnivore=1)
+        res = eg.step(world, {0: ATTACK_RIGHT, 1: ATTACK_LEFT})
+        assert world.alive_agents() == [] and world.food_remaining() == 1
+        assert res.done and world.done and not world.truncated
+        with pytest.raises(ProtocolError):
+            eg.step(world, {})
 
     def test_done_at_cap(self):
         world = world_with([(eg.OMNIVORE, 5, 5), (eg.FOOD, 9, 9)], max_steps=3)

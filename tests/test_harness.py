@@ -21,6 +21,8 @@ from nviflab.diffcore import optimizer_step
 from nviflab.nvif import NvifConfig, NvifEncoder
 from nviflab.policy import ActorCritic, PolicyConfig, PPOHyper, QNetwork, train_ppo
 
+from conftest import EpisodeSpy
+
 
 def write_config(path, **overrides):
     cfg = {
@@ -282,6 +284,15 @@ class TestEvaluate:
         m1 = evaluate(bundle, tiny_task, episodes=3, seed=5)
         m2 = evaluate(bundle, tiny_task, episodes=3, seed=5)
         assert m1 == m2
+
+    def test_bundle_episode_ends_at_wipeout(self, tiny_task, tiny_compressor, monkeypatch):
+        spy = EpisodeSpy(monkeypatch, importlib.import_module("nviflab.harness.evaluate"),
+                         at_t=2, kill=range(tiny_task.n_omnivores))
+        ac = ActorCritic(PolicyConfig(input_width=8), np.random.default_rng(0))
+        bundle = PolicyBundle("ippo", "none", "desk-random-12", tiny_compressor,
+                              actor_critic=ac)
+        metrics = evaluate(bundle, tiny_task, episodes=1, seed=0)
+        assert metrics["mean_end_steps"] == 2.0 and spy.world.food_remaining() > 0
 
     def test_metrics_recomputable_from_replay(self, tmp_path, tiny_task):
         replay = tmp_path / "r.jsonl"

@@ -15,7 +15,17 @@ from hypothesis import strategies as st
 import nviflab
 from nviflab import commgraph as cg
 from nviflab import diffcore as dc
-from nviflab.env_gather import N_ACTIONS, OMNIVORE, TaskConfig, new_world, observe, preset, step
+from nviflab.env_gather import (
+    N_ACTIONS,
+    OMNIVORE,
+    TaskConfig,
+    decode_windows,
+    level_table,
+    new_world,
+    observe,
+    preset,
+    step,
+)
 from nviflab.errors import ConfigError, DataError, ProtocolError, ShapeError, StateError
 from nviflab.nvif import (
     EpisodeRecord,
@@ -30,13 +40,16 @@ from nviflab.nvif import (
     gather_step_data,
     init_flownet,
     kl_standard_normal,
-    loss_consistency,
-    loss_variational,
     pretrain,
     pretrain_loss,
 )
 from nviflab.nvif.losses import consistency_rows, kl_rows, recon_rows
-from nviflab.nvif.pretrain import _batch_loss, _block_diag, decode_windows, level_table
+from nviflab.nvif.pretrain import _batch_loss, _block_diag
+
+
+def _center(n):
+    """Centering matrix of one group of ``n`` agents."""
+    return np.full((n, n), 1.0 / n)
 
 
 def tiny_encoder(rng=None, obs_feat=6, obs_dim=20, hidden=8, latent=4, layers=2,
@@ -119,23 +132,24 @@ class TestEncoderStep:
         hidden = rng.standard_normal((4, 8))
         state = enc.init_state(ids)
         state.hidden.data = hidden
-        eps = rng.standard_normal((4, 4))
-        _, dist = enc.step(feats, state, graph.ids, cg.normalize(graph), eps=eps, sample=True)
+        _, dist = enc.step(feats, state, graph.ids, cg.normalize(graph), sample=False)
 
         perm = [2, 0, 3, 1]
         graph_p = cg.build_graph([pos[k] for k in perm], [ids[k] for k in perm])
         state_p = enc.init_state([ids[k] for k in perm])
         state_p.hidden.data = hidden[perm]
         _, dist_p = enc.step(feats[perm], state_p, graph_p.ids, cg.normalize(graph_p),
-                             eps=eps[perm], sample=True)
+                             sample=False)
         np.testing.assert_allclose(dist_p.mu.data, dist.mu.data[perm], atol=1e-9)
-        np.testing.assert_allclose(dist_p.latent.data, dist.latent.data[perm], atol=1e-9)
-        # all three losses unchanged under relabeling
-        r1, k1 = loss_variational(enc.decode, np.clip(rng.random((4, 20)), 0, 1),
-                                  rng.random((4, 2)), dist.latent, dist.mu, dist.log_sigma)
-        c1 = loss_consistency(dist.latent)
-        c2 = loss_consistency(dist_p.latent)
-        np.testing.assert_allclose(float(c1.data), float(c2.data), atol=1e-9)
+        np.testing.assert_allclose(dist_p.log_sigma.data, dist.log_sigma.data[perm], atol=1e-9)
+        # all three loss terms relabel with the agents
+        obs, obs_pos, center = np.clip(rng.random((4, 20)), 0, 1), rng.random((4, 2)), _center(4)
+        rows = [recon_rows(obs, enc.decode(dist.latent, obs_pos)),
+                kl_rows(dist.mu, dist.log_sigma), consistency_rows(dist.latent, center)]
+        rows_p = [recon_rows(obs[perm], enc.decode(dist_p.latent, obs_pos[perm])),
+                  kl_rows(dist_p.mu, dist_p.log_sigma), consistency_rows(dist_p.latent, center)]
+        for a, b in zip(rows, rows_p):
+            np.testing.assert_allclose(b.data, a.data[perm], atol=1e-9)
 
     def test_edgeless_graph_isolates_agents(self):
         rng = np.random.default_rng(6)
@@ -244,13 +258,11 @@ class TestDecoder:
         enc = tiny_encoder(rng)
         graph = cg.fully_connected(3)
         feats = rng.standard_normal((3, 6))
-        eps = rng.standard_normal((3, 4))
         state, dist = enc.step(feats, enc.init_state(graph.ids), graph.ids, cg.normalize(graph),
-                               eps=eps)
+                               rng=np.random.default_rng(0))
         target = np.clip(rng.random((3, 20)), 0, 1)
-        recon, kl = loss_variational(enc.decode, target, rng.random((3, 2)),
-                                     dist.latent, dist.mu, dist.log_sigma)
-        dc.backward(dc.add(recon, kl))
+        recon = dc.mean(recon_rows(target, enc.decode(dist.latent, rng.random((3, 2)))))
+        dc.backward(dc.add(recon, kl_standard_normal(dist.mu, dist.log_sigma)))
         assert np.any(enc.store["head/mu_w"].grad != 0)
         assert np.any(enc.store["head/ls_w"].grad != 0)
 
@@ -278,9 +290,11 @@ class TestLosses:
             assert abs(closed - float(np.mean(log_q - log_p))) < 1e-2
 
     def test_consistency_examples(self):
-        assert float(loss_consistency(np.array([[1.0], [1.0], [1.0]])).data) == 0.0
-        assert float(loss_consistency(np.array([[0.0], [2.0]])).data) == pytest.approx(1.0)
-        assert float(loss_consistency(np.array([[3.5, -1.0]])).data) == 0.0
+        assert consistency_rows(np.array([[1.0], [1.0], [1.0]]), _center(3)).data.tolist() \
+            == [0.0, 0.0, 0.0]
+        np.testing.assert_allclose(consistency_rows(np.array([[0.0], [2.0]]), _center(2)).data,
+                                   [1.0, 1.0])
+        assert consistency_rows(np.array([[3.5, -1.0]]), _center(1)).data.tolist() == [0.0]
 
     def test_block_centering_matches_per_group(self):
         rng = np.random.default_rng(16)
@@ -289,22 +303,26 @@ class TestLosses:
         center[:3, :3] = 1.0 / 3
         center[3:, 3:] = 1.0 / 2
         rows = consistency_rows(np.vstack([a, b]), center).data
-        assert rows[:3].mean() == pytest.approx(float(loss_consistency(a).data))
-        assert rows[3:].mean() == pytest.approx(float(loss_consistency(b).data))
+        np.testing.assert_allclose(rows[:3], ((a - a.mean(0)) ** 2).sum(1), rtol=1e-12)
+        np.testing.assert_allclose(rows[3:], ((b - b.mean(0)) ** 2).sum(1), rtol=1e-12)
 
     def test_kl_rows_one_per_agent(self):
         rng = np.random.default_rng(17)
-        mu, ls = dc.Tensor(rng.standard_normal((5, 3))), dc.Tensor(rng.standard_normal((5, 3)))
-        rows = kl_rows(mu, ls).data
+        mu, ls = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
+        rows = kl_rows(dc.Tensor(mu), dc.Tensor(ls)).data
         assert rows.shape == (5,)
-        assert rows.mean() == pytest.approx(float(kl_standard_normal(mu, ls).data))
+        np.testing.assert_allclose(
+            rows, 0.5 * (mu ** 2 + np.exp(2 * ls) - 1 - 2 * ls).sum(1), rtol=1e-12)
+        assert rows.mean() == pytest.approx(
+            float(kl_standard_normal(dc.Tensor(mu), dc.Tensor(ls)).data))
 
-    def test_empty_batch_rejected(self):
-        enc = tiny_encoder()
-        with pytest.raises(DataError):
-            loss_variational(enc.decode, np.zeros((0, 20)), np.zeros((0, 2)),
-                             dc.Tensor(np.zeros((0, 4))), dc.Tensor(np.zeros((0, 4))),
-                             dc.Tensor(np.zeros((0, 4))))
+    def test_recon_rows_match_numpy(self):
+        rng = np.random.default_rng(19)
+        obs, logits = rng.random((4, 7)).round(), rng.standard_normal((4, 7))
+        p = 1 / (1 + np.exp(-logits))
+        np.testing.assert_allclose(recon_rows(obs, logits).data,
+                                   -(obs * np.log(p) + (1 - obs) * np.log(1 - p)).mean(1),
+                                   rtol=1e-10)
 
     def test_total_composition(self):
         rng = np.random.default_rng(15)
@@ -312,11 +330,11 @@ class TestLosses:
         graph = cg.fully_connected(4)
         feats = rng.standard_normal((4, 6))
         _, dist = enc.step(feats, enc.init_state(graph.ids), graph.ids, cg.normalize(graph),
-                           eps=rng.standard_normal((4, 4)))
+                           rng=np.random.default_rng(0))
         target = np.clip(rng.random((4, 20)), 0, 1)
-        recon, kl = loss_variational(enc.decode, target, rng.random((4, 2)),
-                                     dist.latent, dist.mu, dist.log_sigma)
-        cons = loss_consistency(dist.latent)
+        recon = dc.mean(recon_rows(target, enc.decode(dist.latent, rng.random((4, 2)))))
+        kl = dc.mean(kl_rows(dist.mu, dist.log_sigma))
+        cons = dc.mean(consistency_rows(dist.latent, _center(4)))
         alpha = 0.1
         total = float(recon.data) + float(kl.data) + alpha * float(cons.data)
         assert float(recon.data) >= 0 and float(kl.data) >= 0 and float(cons.data) >= 0
@@ -417,7 +435,7 @@ class TestPretrain:
 
     def test_batch_loss_is_encoder_step_plus_tested_losses(self, small_buffer, tiny_task):
         # one episode, one step: pre-training's terms are NvifEncoder.step
-        # followed by loss_variational and loss_consistency
+        # followed by the means of recon_rows, kl_rows and consistency_rows
         from nviflab.nvif.pretrain import _batch_loss
         enc = tiny_encoder(np.random.default_rng(7), obs_feat=8,
                            obs_dim=tiny_task.obs_dim, dtype="float64")
@@ -425,13 +443,12 @@ class TestPretrain:
         total, recon, kl, cons, n_slots = _batch_loss(
             enc, [EpisodeRecord(steps=[sd], levels=levels)], alpha=0.1, recon_weight=2.0,
             rng=np.random.default_rng(0))
-        eps = np.random.default_rng(0).standard_normal((len(sd.ids), 4))
         _, dist = enc.step(sd.feats, enc.init_state(sd.ids), sd.ids,
-                           sd.adj_norm.astype(np.float64), eps=eps)
+                           sd.adj_norm.astype(np.float64), rng=np.random.default_rng(0))
         obs = decode_windows(sd.raw_obs, sd.positions, levels)
-        r, k = loss_variational(enc.decode, obs, sd.positions,
-                                dist.latent, dist.mu, dist.log_sigma)
-        c = loss_consistency(dist.latent)
+        r = dc.mean(recon_rows(obs, enc.decode(dist.latent, sd.positions)))
+        k = dc.mean(kl_rows(dist.mu, dist.log_sigma))
+        c = dc.mean(consistency_rows(dist.latent, _center(len(sd.ids))))
         assert n_slots == 1
         np.testing.assert_allclose([recon, kl, cons],
                                    [2.0 * float(r.data), float(k.data), float(c.data)],
@@ -524,7 +541,6 @@ def hp_worlds(draw):
         if u.alive:
             top = cfg.hp_omnivore if u.kind == OMNIVORE else cfg.hp_food
             u.hp = int(draw(st.sampled_from([1, top, int(rng.integers(1, top + 1))])))
-    world._channel_cache = None  # hp changed behind step's back
     return world
 
 
@@ -536,7 +552,7 @@ class TestBufferCodes:
         sd = gather_step_data(world, ids, _ZeroCompressor())
         decoded = decode_windows(sd.raw_obs, sd.positions, level_table(world.config))
         assert decoded.dtype == np.float32
-        assert np.array_equal(decoded, np.stack([observe(world, i).flat() for i in ids]))
+        assert np.array_equal(decoded, observe(world, ids))
 
     def test_buffer_bytes_within_a_quarter_of_float32_windows(self):
         task = preset("random-medium", seed=1, max_steps=10)

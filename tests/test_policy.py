@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nviflab import diffcore as dc
-from nviflab.env_gather import EMPTY, N_ACTIONS, preset
+from nviflab.env_gather import N_ACTIONS, preset
 from nviflab.errors import ConfigError, DataError
 from nviflab.policy import (
     ActorCritic,
@@ -32,7 +32,7 @@ from nviflab.policy import (
     train_ppo,
 )
 
-from conftest import central_diff_grads
+from conftest import EpisodeSpy, central_diff_grads
 
 
 class TestGae:
@@ -85,35 +85,6 @@ class TestReturns:
             assert xi[t] == r[t] + 0.95 * xi[t + 1]
 
 
-class _EpisodeSpy:
-    """Wraps a trainer module's ``new_world`` and ``step``: keeps the world and
-    every step's rewards, and once the world reaches ``at_t`` kills the agents
-    in ``kill`` and, with ``eat_food``, every food unit."""
-
-    def __init__(self, monkeypatch, module, at_t, kill=(), eat_food=False):
-        self.world, self.rewards = None, []
-        new_world, step = module.new_world, module.step
-
-        def spy_new_world(cfg):
-            self.world = new_world(cfg)
-            return self.world
-
-        def spy_step(world, actions):
-            result = step(world, actions)
-            if world.t == at_t:
-                food = world.units[world.n_agents:] if eat_food else []
-                for unit in [world.units[i] for i in kill] + food:
-                    unit.alive, unit.hp = False, 0
-                    world.occupancy[unit.y, unit.x] = EMPTY
-                result = replace(result, alive={i: world.units[i].alive for i in result.alive},
-                                 food_remaining=world.food_remaining(), done=world.done)
-            self.rewards.append(result.rewards)
-            return result
-
-        monkeypatch.setattr(module, "new_world", spy_new_world)
-        monkeypatch.setattr(module, "step", spy_step)
-
-
 # (max_steps, spy arguments): a cut at the time limit, a death at the cut,
 # and the food running out before the time limit
 ENDINGS = {
@@ -131,8 +102,8 @@ class TestTimeLimitBootstrap:
                                                     monkeypatch, ending):
         max_steps, spy_args = ENDINGS[ending]
         task = replace(tiny_task, max_steps=max_steps)
-        spy = _EpisodeSpy(monkeypatch, importlib.import_module("nviflab.policy.ppo"),
-                          **spy_args)
+        spy = EpisodeSpy(monkeypatch, importlib.import_module("nviflab.policy.ppo"),
+                         **spy_args)
         ac = ActorCritic(PolicyConfig(input_width=8), np.random.default_rng(0))
         (x, _, _, adv, ret, t), _ = collect_episode(
             task, 5, tiny_compressor, EmptyLatents(), ac, np.random.default_rng(1),
@@ -164,7 +135,7 @@ class TestTimeLimitBootstrap:
                                                  monkeypatch, ending):
         max_steps, spy_args = ENDINGS[ending]
         dqn_mod = importlib.import_module("nviflab.policy.dqn")
-        spy = _EpisodeSpy(monkeypatch, dqn_mod, **spy_args)
+        spy = EpisodeSpy(monkeypatch, dqn_mod, **spy_args)
         pushed = []
         push = dqn_mod.ReplayRing.push
 
@@ -191,6 +162,39 @@ class TestTimeLimitBootstrap:
                 np.testing.assert_array_equal(x2, final[i])
             else:
                 assert done == 1.0 and not np.any(x2)
+
+
+class TestWipeout:
+    """Every agent dead with food left ends the episode at that step."""
+
+    def test_ppo_episode_ends_at_wipeout(self, tiny_task, tiny_compressor, monkeypatch):
+        n = tiny_task.n_omnivores
+        spy = EpisodeSpy(monkeypatch, importlib.import_module("nviflab.policy.ppo"),
+                         at_t=2, kill=range(n))
+        ac = ActorCritic(PolicyConfig(input_width=8), np.random.default_rng(0))
+        (_, _, _, _, _, t), stats = collect_episode(
+            tiny_task, 5, tiny_compressor, EmptyLatents(), ac, np.random.default_rng(1),
+            0.9, 0.8)
+        assert spy.world.t == stats.end_steps == 2 and spy.world.food_remaining() > 0
+        np.testing.assert_array_equal(t, np.tile([0, 1], n))
+
+    def test_dqn_episode_ends_at_wipeout(self, tiny_task, tiny_compressor, monkeypatch):
+        n = tiny_task.n_omnivores
+        dqn_mod = importlib.import_module("nviflab.policy.dqn")
+        spy = EpisodeSpy(monkeypatch, dqn_mod, at_t=2, kill=range(n))
+        done_flags = []
+        push = dqn_mod.ReplayRing.push
+
+        def record(ring, x, a, r, x2, done):
+            done_flags.append(done)
+            push(ring, x, a, r, x2, done)
+
+        monkeypatch.setattr(dqn_mod.ReplayRing, "push", record)
+        result = train_dqn(tiny_task, tiny_compressor,
+                           DQNHyper(episodes=1, min_replay=10 ** 6, replay_capacity=64, seed=0),
+                           latent_mode="none")
+        assert spy.world.t == result.metrics[0]["mean_end_steps"] == 2
+        assert done_flags == [0.0] * n + [1.0] * n
 
 
 class TestClipObjective:
@@ -352,7 +356,7 @@ class TestProviders:
         world = new_world(tiny_task)
         ids = world.alive_agents()
         x = featurize(world, ids, tiny_compressor, MeanObsLatents(8))
-        feats = tiny_compressor.encode(np.stack([observe(world, i).flat() for i in ids]))
+        feats = tiny_compressor.encode(observe(world, ids))
         assert x.shape == (len(ids), 16) and x.dtype == feats.dtype
         np.testing.assert_array_equal(x[:, :8], feats)
         np.testing.assert_array_equal(x[:, 8:], np.tile(feats.mean(axis=0), (len(ids), 1)))
