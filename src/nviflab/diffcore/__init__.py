@@ -3,7 +3,6 @@ from .nn import (
     LOG_SIGMA_MAX,
     LOG_SIGMA_MIN,
     gaussian_sample,
-    gru_cell,
     init_gru,
     init_linear,
     init_mlp,
@@ -22,6 +21,7 @@ from .tensor import (
     concat,
     exp,
     gather_rows,
+    gru_cell,
     log_softmax,
     matmul,
     mean,

@@ -1,10 +1,11 @@
-"""Network building blocks: linear layers, the relu MLP, the GRU cell,
-reparameterized sampling."""
+"""Network building blocks: linear layers, the relu MLP, the GRU cell's
+parameters, reparameterized sampling. The GRU cell itself is one primitive
+node, :func:`tensor.gru_cell`."""
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, add, affine, as_tensor, concat, exp, mul, relu, sigmoid, sub, tanh
+from .tensor import Tensor, add, affine, as_tensor, exp, mul, relu
 
 LOG_SIGMA_MIN = -10.0
 LOG_SIGMA_MAX = 4.0
@@ -46,7 +47,7 @@ def mlp(x, store, prefix: str) -> Tensor:
 
 
 def init_gru(rng: np.random.Generator, input_width: int, hidden_width: int, dtype=np.float32):
-    """Parameter dict for :func:`gru_cell`; gate weights act on [x, h]."""
+    """Parameter dict for :func:`tensor.gru_cell`; gate weights act on [x, h]."""
     params = {}
     for gate in ("z", "r", "n"):
         w, b = init_linear(rng, input_width + hidden_width, hidden_width, dtype,
@@ -56,33 +57,9 @@ def init_gru(rng: np.random.Generator, input_width: int, hidden_width: int, dtyp
     return params
 
 
-def gru_cell(x, h, params) -> Tensor:
-    """One gated-recurrent-unit step.
-
-    z = sigmoid(W_z [x, h] + b_z)
-    r = sigmoid(W_r [x, h] + b_r)
-    n = tanh(W_n [x, r*h] + b_n)
-    h' = (1 - z) * h + z * n
-    """
-    x, h = as_tensor(x), as_tensor(h)
-    xh = concat([x, h], axis=1)
-    z = sigmoid(affine(xh, params["w_z"], params["b_z"]))
-    r = sigmoid(affine(xh, params["w_r"], params["b_r"]))
-    xrh = concat([x, mul(r, h)], axis=1)
-    n = tanh(affine(xrh, params["w_n"], params["b_n"]))
-    return add(mul(sub(1.0, z), h), mul(z, n))
-
-
-def gaussian_sample(mu, log_sigma, rng: np.random.Generator | None = None,
-                    eps: np.ndarray | None = None) -> Tensor:
-    """Reparameterized draw mu + exp(log_sigma) * eps, eps ~ N(0, I).
-
-    Pass ``eps`` explicitly to pin the noise (finite-difference checks need the
-    same draw on every forward evaluation).
-    """
+def gaussian_sample(mu, log_sigma, rng: np.random.Generator) -> Tensor:
+    """Reparameterized draw mu + exp(log_sigma) * eps, eps ~ N(0, I) from
+    ``rng`` in the dtype of ``mu``."""
     mu, log_sigma = as_tensor(mu), as_tensor(log_sigma)
-    if eps is None:
-        if rng is None:
-            raise ValueError("gaussian_sample: provide rng or eps")
-        eps = rng.standard_normal(mu.data.shape).astype(mu.data.dtype)
+    eps = rng.standard_normal(mu.data.shape).astype(mu.data.dtype)
     return add(mu, mul(exp(log_sigma), eps))

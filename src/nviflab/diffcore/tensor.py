@@ -10,7 +10,13 @@ interior node's gradient as soon as it is passed on, so the pass never holds
 a second tape's worth of gradients; leaves keep accumulating. The graph is
 left intact, so it can be walked or backpropagated again. Ops never broadcast
 beyond numpy bias/batch rules; shape mismatches raise :class:`ShapeError`
-naming both shapes.
+naming the shapes.
+
+Most ops are one numpy expression. :func:`gru_cell` is a whole recurrent
+step as one node: it saves its three gates, and its VJP computes all eight
+parents' gradients at the visit's first parent that requires one, then drops
+them at the last. So a step costs the tape one node and three saved arrays,
+where the same cell built from the elementwise ops costs thirteen nodes.
 
 A Python ``int`` or ``float`` operand of :func:`add`, :func:`sub` or
 :func:`mul` stays a Python number and is handed to numpy as is. NumPy treats
@@ -115,7 +121,8 @@ def _make(data, parents, vjp, saved=None):
     ``k`` counts Tensor operands). It is a module-level function that reads
     only ``node``: its value, its parents and ``node._saved``, which holds
     ``saved``. So a node holds no closure. A VJP may return ``g`` itself or
-    one array for two slots."""
+    one array for two slots, and may keep results in ``node._saved`` for the
+    later slots of the same visit (:func:`gru_cell`)."""
     if _GRAD_ENABLED:
         parents = tuple(p for p in parents if isinstance(p, Tensor))  # scalars are no node
         if any(p.requires_grad for p in parents):
@@ -227,7 +234,11 @@ def _vjp_concat(g, node, k):
 
 def concat(tensors, axis=1) -> Tensor:
     parts = [as_tensor(t) for t in tensors]
-    out = np.concatenate([p.data for p in parts], axis=axis)
+    try:
+        out = np.concatenate([p.data for p in parts], axis=axis)
+    except ValueError:
+        shapes = ", ".join(str(p.data.shape) for p in parts)
+        raise ShapeError(f"concat: shapes {shapes} do not join along axis {axis}")
     offsets = tuple(accumulate((p.data.shape[axis] for p in parts), initial=0))
     return _make(out, tuple(parts), _vjp_concat, (axis, offsets))
 
@@ -339,6 +350,81 @@ def splice(x, value, grad) -> Tensor:
         raise ShapeError(f"splice: value shape {value.shape} and gradient shape "
                          f"{grad.shape} for an operand of shape {x.data.shape}")
     return _make(value, (x,), _vjp_splice, grad)
+
+
+# ---------------------------------------------------------------------------
+# the GRU cell
+# ---------------------------------------------------------------------------
+
+_GRU_PARAMS = ("w_z", "b_z", "w_r", "b_r", "w_n", "b_n")
+
+
+def _gru_grads(g, node) -> list:
+    """The gradients of all eight parents in slot order (``None`` for x and
+    h when neither requires one). Each sum runs in the order in which the
+    cell written as 13 separate ops accumulates it, so both give the same
+    bits."""
+    x, h, w_z, b_z, w_r, b_r, w_n, b_n = (p.data for p in node._parents)
+    z, r, n, _ = node._saved
+    k = x.shape[1]
+    g_n = g * z * (1.0 - n * n)
+    g_xrh = g_n @ w_n.T
+    g_rh = g_xrh[:, k:]
+    g_r = g_rh * h * r * (1.0 - r)
+    g_z = (g * n - g * h) * z * (1.0 - z)
+    xh = np.concatenate([x, h], axis=1)
+    grads = [None, None, xh.T @ g_z, _unbroadcast(g_z, b_z.shape),
+             xh.T @ g_r, _unbroadcast(g_r, b_r.shape),
+             np.concatenate([x, r * h], axis=1).T @ g_n, _unbroadcast(g_n, b_n.shape)]
+    if node._parents[0].requires_grad or node._parents[1].requires_grad:
+        g_xh = g_z @ w_z.T + g_r @ w_r.T
+        grads[0] = g_xh[:, :k] + g_xrh[:, :k]
+        grads[1] = g * (1.0 - z) + g_rh * r + g_xh[:, k:]
+    return grads
+
+
+def _vjp_gru_cell(g, node, k):
+    # the first call of a backward visit computes every parent's gradient
+    # (keyed by g, so a pass that raised part-way leaves nothing stale); the
+    # call for the last parent that requires one releases them
+    pending = node._saved[3]
+    if pending is None or pending[0] is not g:
+        pending = node._saved[3] = (g, _gru_grads(g, node))
+    if not any(p.requires_grad for p in node._parents[k + 1:]):
+        node._saved[3] = None
+    return pending[1][k]
+
+
+def gru_cell(x, h, params) -> Tensor:
+    """One gated-recurrent-unit step, as one node.
+
+    z = sigmoid(W_z [x, h] + b_z)
+    r = sigmoid(W_r [x, h] + b_r)
+    n = tanh(W_n [x, r*h] + b_n)
+    h' = (1 - z) * h + z * n
+
+    ``params`` holds the gate weights ``w_z``, ``w_r`` and ``w_n``, of shape
+    (x width + h width, h width), and the biases ``b_z``, ``b_r`` and ``b_n``,
+    of shape (h width,). The parents are ``(x, h, w_z, b_z, w_r, b_r, w_n,
+    b_n)``. The node saves z, r and n; its VJP rebuilds [x, h] and
+    [x, r*h] from the parents."""
+    x, h = as_tensor(x), as_tensor(h)
+    weights = [as_tensor(params[name]) for name in _GRU_PARAMS]
+    xd, hd = x.data, h.data
+    if xd.ndim != 2 or hd.ndim != 2 or xd.shape[0] != hd.shape[0]:
+        raise ShapeError(f"gru_cell: x {xd.shape} and h {hd.shape} are not row-aligned 2-D")
+    width = hd.shape[1]
+    for name, p in zip(_GRU_PARAMS, weights):
+        want = (xd.shape[1] + width, width) if name[0] == "w" else (width,)
+        if p.data.shape != want:
+            raise ShapeError(f"gru_cell: {name} has shape {p.data.shape}, expected {want} "
+                             f"for x {xd.shape} and h {hd.shape}")
+    w_z, b_z, w_r, b_r, w_n, b_n = (p.data for p in weights)
+    xh = np.concatenate([xd, hd], axis=1)
+    z = _sigmoid(xh @ w_z + b_z)
+    r = _sigmoid(xh @ w_r + b_r)
+    n = np.tanh(np.concatenate([xd, r * hd], axis=1) @ w_n + b_n)
+    return _make((1.0 - z) * hd + z * n, (x, h, *weights), _vjp_gru_cell, [z, r, n, None])
 
 
 # ---------------------------------------------------------------------------

@@ -80,10 +80,11 @@ class GridWorld:
 
     @property
     def truncated(self) -> bool:
-        """Cut off by ``max_steps`` with food left: the task itself goes on,
-        so learners bootstrap from the final state instead of treating it
-        as terminal."""
-        return self.t >= self.config.max_steps and self.food_remaining() > 0
+        """Cut off by ``max_steps`` with food left and an agent alive: the
+        task itself goes on, so learners bootstrap the survivors from the
+        final state instead of treating it as terminal."""
+        return (self.t >= self.config.max_steps and self.food_remaining() > 0
+                and bool(self.alive_agents()))
 
 
 def _border_ring(map_size: int) -> list[tuple[int, int]]:

@@ -3,7 +3,8 @@
 Per timestep the encoder runs two independent FlowNets (one over the agents'
 compressed observations, one over their hidden states), feeds the results
 through a shared GRU cell (observation path as input, hidden path as the
-recurrent state), and reads the latent distribution off an affine head.
+recurrent state; one :func:`diffcore.gru_cell` node), and reads the latent
+distribution off an affine head.
 :meth:`NvifEncoder.step` is the one forward pass: inference calls it on one
 episode's graph, pre-training on a block-diagonal multi-episode graph. The
 decoder reconstructs an agent's raw observation window from its sampled
@@ -118,10 +119,12 @@ class NvifEncoder:
 
         ``adj`` is the normalized mixing matrix over ``ids`` (see
         :func:`commgraph.normalize`), block-diagonal when several episodes
-        are stacked; array ``feats`` are cast to the model dtype. Returns (next state, latent distribution). Agents absent
-        from ``ids`` are dropped from the state; new ones start from a zero
-        hidden vector. The latent is ``mu`` when ``sample`` is false, else a
-        reparameterized draw with noise from ``rng``.
+        are stacked; array ``feats`` are cast to the model dtype. Returns
+        (next state, latent distribution). Agents absent from ``ids`` are
+        dropped from the state; new ones start from a zero hidden vector.
+        The latent is ``mu`` when ``sample`` is false, else a
+        reparameterized draw with noise from ``rng``, which sampling
+        requires.
         """
         ids = tuple(ids)
         feats = feats if isinstance(feats, Tensor) else Tensor(
@@ -129,6 +132,8 @@ class NvifEncoder:
         if feats.data.shape[0] != len(ids):
             raise ProtocolError(
                 f"encoder step: {feats.data.shape[0]} feature rows for {len(ids)} agents")
+        if sample and rng is None:
+            raise ProtocolError("encoder step: sampling the latent needs an rng")
         hidden = self._hidden_for(state, ids)
         phi = flownet_forward(feats, adj, self.flow_o)
         psi = flownet_forward(hidden, adj, self.flow_h)

@@ -182,8 +182,8 @@ def train_dqn(task_cfg: TaskConfig, compressor: ObsCompressor, hyper: DQNHyper,
                     target.copy_from(qnet)
         if pending is not None:
             final = {}
-            survivors = world.alive_agents()
-            if world.truncated and survivors:
+            if world.truncated:
+                survivors = world.alive_agents()
                 final = dict(zip(survivors, featurize(world, survivors, compressor, provider)))
             _flush(replay, pending, final)
         metrics.append({

@@ -163,8 +163,8 @@ def collect_episode(task_cfg: TaskConfig, env_seed: int, compressor: ObsCompress
             s["v"].append(values[row])
             s["t"].append(t_now)
     final_v = {}
-    survivors = world.alive_agents()
-    if world.truncated and survivors:
+    if world.truncated:
+        survivors = world.alive_agents()
         final_v = dict(zip(survivors, ac.values(
             featurize(world, survivors, compressor, provider))))
     rows_x, rows_a, rows_p, rows_adv, rows_ret, rows_t = [], [], [], [], [], []

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from nviflab import diffcore as dc
 from nviflab.env_gather import EMPTY, preset
 from nviflab.nvif import ObsCompressor, ObsVaeConfig, ObsVaeHyper
 from nviflab.harness.pipeline import collect_obs_corpus
@@ -31,6 +32,33 @@ def max_rel_err(analytic, numeric):
     analytic, numeric = np.asarray(analytic), np.asarray(numeric)
     return float(np.max(np.abs(analytic - numeric) /
                         np.maximum(np.abs(numeric), 1.0)))
+
+
+def composite_gru_cell(x, h, params):
+    """The GRU cell of :func:`diffcore.gru_cell` built from 13 elementwise,
+    affine and concat nodes: the oracle of the fused node's value and
+    gradients."""
+    x, h = dc.as_tensor(x), dc.as_tensor(h)
+    xh = dc.concat([x, h], axis=1)
+    z = dc.sigmoid(dc.affine(xh, params["w_z"], params["b_z"]))
+    r = dc.sigmoid(dc.affine(xh, params["w_r"], params["b_r"]))
+    xrh = dc.concat([x, dc.mul(r, h)], axis=1)
+    n = dc.tanh(dc.affine(xrh, params["w_n"], params["b_n"]))
+    return dc.add(dc.mul(dc.sub(1.0, z), h), dc.mul(z, n))
+
+
+def tape_size(loss):
+    """(nodes, bytes) of the tape behind ``loss``. The bytes count each
+    distinct array that a node holds in ``data`` or ``_saved`` once."""
+    order = dc.topological_order(loss)
+    arrays, stack = {}, [item for node in order for item in (node.data, node._saved)]
+    while stack:  # no recursive closure: its cycle would keep the arrays alive
+        item = stack.pop()
+        if isinstance(item, np.ndarray):
+            arrays[id(item)] = item
+        elif isinstance(item, (tuple, list)):
+            stack.extend(item)
+    return len(order), sum(a.nbytes for a in arrays.values())
 
 
 class EpisodeSpy:

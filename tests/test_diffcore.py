@@ -1,5 +1,6 @@
 """Autodiff core: every op against finite differences, plus the contracts
 around checkpoints, the optimizer, the GRU cell, and reparameterized noise."""
+import contextlib
 import itertools
 import tempfile
 import warnings
@@ -14,7 +15,7 @@ from nviflab import diffcore as dc
 from nviflab.diffcore.tensor import _propagate
 from nviflab.errors import DataError, ShapeError
 
-from conftest import central_diff_grads, max_rel_err
+from conftest import central_diff_grads, composite_gru_cell, max_rel_err
 
 RNG = np.random.default_rng(2024)
 TOL = 1e-4
@@ -172,9 +173,10 @@ class TestOpGradients:
         _check_grads(lambda: _weighted(dc.gru_cell(x, h, params)), leaves)
 
     def test_gaussian_sample_fixed_eps(self):
+        # a fresh generator per evaluation draws the same noise every time
         mu, ls = _leaf((3, 4)), _leaf((3, 4))
-        eps = RNG.standard_normal((3, 4))
-        _check_grads(lambda: _weighted(dc.gaussian_sample(mu, ls, eps=eps)), [mu, ls])
+        _check_grads(lambda: _weighted(dc.gaussian_sample(
+            mu, ls, rng=np.random.default_rng(3))), [mu, ls])
 
 
 class TestForwardValues:
@@ -203,6 +205,13 @@ class TestForwardValues:
         with pytest.raises(ShapeError) as err:
             dc.matmul(dc.Tensor(np.zeros((2, 3))), dc.Tensor(np.zeros((4, 2))))
         assert "(2, 3)" in str(err.value) and "(4, 2)" in str(err.value)
+
+    @pytest.mark.parametrize("shapes, axis", [
+        ([(2, 3), (3, 3)], 1), ([(2, 3), (2, 4), (2, 3)], 0), ([(2, 3), (3,)], 0)])
+    def test_concat_shape_error_names_the_shapes(self, shapes, axis):
+        with pytest.raises(ShapeError) as err:
+            dc.concat([dc.Tensor(np.zeros(s)) for s in shapes], axis=axis)
+        assert all(str(s) in str(err.value) for s in shapes)
 
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(ValueError):
@@ -351,6 +360,95 @@ class TestGru:
                 assert abs(out[b, j] - ref) < 1e-12
 
 
+GRU_SLOTS = ("x", "h", "w_z", "b_z", "w_r", "b_r", "w_n", "b_n")
+
+
+def _gru_shapes(rows, n_in, n_h):
+    return [(rows, n_in), (rows, n_h)] + [(n_in + n_h, n_h), (n_h,)] * 3
+
+
+class TestFusedGru:
+    @settings(max_examples=120, deadline=None)
+    @given(rows=st.integers(1, 9), n_in=st.integers(1, 6), n_h=st.integers(1, 6),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           needs=st.tuples(*[st.booleans()] * len(GRU_SLOTS)),
+           grad_on=st.booleans(), seed=st.integers(0, 2 ** 16))
+    def test_equals_composite_oracle(self, rows, n_in, n_h, dtype, needs, grad_on, seed):
+        # one node computes exactly what the 13-node cell computes, value and
+        # gradients, for every subset of parents taking a gradient
+        rng = np.random.default_rng(seed)
+        arrays = [rng.standard_normal(s).astype(dtype) for s in _gru_shapes(rows, n_in, n_h)]
+        upstream = rng.standard_normal((rows, n_h)).astype(dtype)
+
+        def run(cell):
+            leaves = [dc.Tensor(a.copy(), requires_grad=r) for a, r in zip(arrays, needs)]
+            with contextlib.nullcontext() if grad_on else dc.no_grad():
+                out = cell(leaves[0], leaves[1], dict(zip(GRU_SLOTS[2:], leaves[2:])))
+            if out.requires_grad:
+                dc.backward(dc.sum(dc.mul(out, upstream)))
+            return out, leaves
+
+        fused, fused_leaves = run(dc.gru_cell)
+        ref, ref_leaves = run(composite_gru_cell)
+        assert fused.data.dtype == ref.data.dtype == dtype
+        np.testing.assert_array_equal(fused.data, ref.data)
+        assert fused.requires_grad == ref.requires_grad == (grad_on and any(needs))
+        if fused.requires_grad:
+            assert fused._parents == tuple(fused_leaves)
+            assert fused._saved[3] is None  # the pending gradients were released
+        for got, want in zip(fused_leaves, ref_leaves):
+            if fused.requires_grad and got.requires_grad:
+                assert got.grad.dtype == want.grad.dtype == dtype
+                np.testing.assert_array_equal(got.grad, want.grad)
+            else:
+                assert got.grad is None and want.grad is None
+
+    @staticmethod
+    def _cells(x, h):
+        # the fused node and the oracle over copies of the same leaves
+        rng = np.random.default_rng(4)
+        arrays = dc.init_gru(rng, x.shape[1], h.shape[1], np.float64)
+        for cell in (dc.gru_cell, composite_gru_cell):
+            params = {k: dc.Tensor(v.copy(), requires_grad=True) for k, v in arrays.items()}
+            xt = dc.Tensor(x.copy(), requires_grad=True)
+            ht = xt if h is x else dc.Tensor(h.copy())
+            yield cell(xt, ht, params), xt, params
+
+    def test_stale_pending_gradients_not_reused(self):
+        # a pass that stopped after the first slot leaves gradients pending;
+        # the next pass, from another upstream gradient, computes its own
+        rng = np.random.default_rng(5)
+        (fused, fx, fp), (ref, rx, rp) = self._cells(rng.standard_normal((2, 3)),
+                                                     rng.standard_normal((2, 4)))
+        fused._backward(np.ones((2, 4)), fused, 0)
+        assert fused._saved[3] is not None
+        for out in (fused, ref):
+            dc.backward(dc.sum(dc.mul(out, -3.0)))
+        assert fused._saved[3] is None
+        np.testing.assert_array_equal(fx.grad, rx.grad)
+        for name in fp:
+            np.testing.assert_array_equal(fp[name].grad, rp[name].grad)
+
+    def test_one_tensor_in_both_slots_takes_both_gradients(self):
+        xh = np.random.default_rng(6).standard_normal((2, 3))
+        (fused, fx, _), (ref, rx, _) = self._cells(xh, xh)
+        assert fused._parents[0] is fused._parents[1]
+        for out in (fused, ref):
+            dc.backward(dc.sum(out))
+        # the oracle interleaves the two slots' terms, so the sums may round apart
+        np.testing.assert_allclose(fx.grad, rx.grad, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("slot, shape", [
+        ("x", (4,)), ("x", (2, 3)), ("h", (3, 4, 1)), ("w_z", (6, 4)), ("b_r", (1, 4)),
+        ("w_n", (7, 3))])
+    def test_shape_error_names_the_shapes(self, slot, shape):
+        arrays = dict(zip(GRU_SLOTS, (np.zeros(s) for s in _gru_shapes(3, 3, 4))))
+        arrays[slot] = np.zeros(shape)
+        with pytest.raises(ShapeError) as err:
+            dc.gru_cell(arrays["x"], arrays["h"], arrays)
+        assert str(shape) in str(err.value)
+
+
 class TestGaussianSample:
     def test_degenerate_noise_returns_mu(self):
         mu = np.array([[1.0, -2.0]])
@@ -370,9 +468,10 @@ class TestGaussianSample:
         assert np.all(np.abs(draws.mean(axis=0) - mu[0]) < bound)
 
     def test_unit_gradient_to_mu(self):
+        # d/dmu of mu + exp(log_sigma) * eps is 1 whatever the noise
         mu = dc.Tensor(np.zeros((2, 3)), requires_grad=True)
         ls = dc.Tensor(np.zeros((2, 3)))
-        out = dc.gaussian_sample(mu, ls, eps=np.ones((2, 3)))
+        out = dc.gaussian_sample(mu, ls, rng=np.random.default_rng(0))
         dc.backward(dc.sum(out))
         np.testing.assert_array_equal(mu.grad, np.ones((2, 3)))
 

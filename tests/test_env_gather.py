@@ -385,6 +385,12 @@ class TestStep:
                            max_steps=1)
         eg.step(world, {0: ATTACK_RIGHT, 1: ATTACK_LEFT})
         assert world.done and not world.truncated
+        # a wipeout at the cap leaves no survivor to bootstrap: not a cut-off
+        world = world_with([(eg.OMNIVORE, 5, 5), (eg.OMNIVORE, 6, 5), (eg.FOOD, 9, 9)],
+                           hp_omnivore=1, max_steps=1)
+        eg.step(world, {0: ATTACK_RIGHT, 1: ATTACK_LEFT})
+        assert world.alive_agents() == [] and world.food_remaining() == 1
+        assert world.done and not world.truncated
 
     def test_wipeout_is_done(self):
         world = world_with([(eg.OMNIVORE, 5, 5), (eg.OMNIVORE, 6, 5), (eg.FOOD, 9, 9)],

@@ -46,6 +46,8 @@ from nviflab.nvif import (
 from nviflab.nvif.losses import consistency_rows, kl_rows, recon_rows
 from nviflab.nvif.pretrain import _batch_loss, _block_diag
 
+from conftest import composite_gru_cell, tape_size
+
 
 def _center(n):
     """Centering matrix of one group of ``n`` agents."""
@@ -223,6 +225,13 @@ class TestEncoderStep:
         graph = cg.fully_connected(3)
         with pytest.raises(ProtocolError):
             enc.step(np.zeros((2, 6)), enc.init_state(graph.ids), graph.ids,
+                     cg.normalize(graph))
+
+    def test_sampling_without_rng_rejected(self):
+        enc = tiny_encoder()
+        graph = cg.fully_connected(3)
+        with pytest.raises(ProtocolError):
+            enc.step(np.zeros((3, 6)), enc.init_state(graph.ids), graph.ids,
                      cg.normalize(graph))
 
     def test_save_load_roundtrip(self, tmp_path):
@@ -488,7 +497,7 @@ class TestPretrain:
         # batch, or every interior gradient kept to the end, breaks the budget
         tape_bytes = []
         self._watch_batches(monkeypatch, on_return=lambda loss: tape_bytes.append(
-            sum(node.data.nbytes for node in dc.topological_order(loss))))
+            tape_size(loss)[1]))
         enc = NvifEncoder(NvifConfig(
             obs_feat_width=8, obs_dim=tiny_task.obs_dim, hidden_width=64, latent_width=16,
             flow_layers=2, decoder_hidden=128, dtype="float32"), np.random.default_rng(2))
@@ -500,6 +509,31 @@ class TestPretrain:
             tracemalloc.stop()
         assert len(tape_bytes) == 2
         assert peak <= 2 * max(tape_bytes)
+
+    def test_fused_gru_shrinks_the_tape_with_identical_gradients(
+            self, small_buffer, tiny_task, monkeypatch):
+        # one pre-training batch with the fused cell and with the 13-node oracle
+        # patched into the encoder: same loss and gradients, a smaller tape
+        enc = NvifEncoder(NvifConfig(
+            obs_feat_width=8, obs_dim=tiny_task.obs_dim, hidden_width=64, latent_width=16,
+            flow_layers=2, decoder_hidden=128, dtype="float32"), np.random.default_rng(2))
+
+        def batch():
+            enc.store.zero_grad()
+            total, *_ = _batch_loss(enc, small_buffer[:2], alpha=0.1, recon_weight=1.0,
+                                    rng=np.random.default_rng(0))
+            size = tape_size(total)
+            dc.backward(total)
+            return total.data, size, {n: enc.store[n].grad.copy() for n in enc.store.names()}
+
+        loss, (nodes, nbytes), grads = batch()
+        encoder_module = importlib.import_module("nviflab.nvif.encoder")
+        monkeypatch.setattr(encoder_module, "gru_cell", composite_gru_cell)
+        ref_loss, (ref_nodes, ref_bytes), ref_grads = batch()
+        assert loss == ref_loss
+        for name in grads:
+            np.testing.assert_array_equal(grads[name], ref_grads[name])
+        assert nodes < ref_nodes and nbytes < ref_bytes
 
     def test_zero_batch_rejected(self, small_buffer):
         with pytest.raises(ConfigError):
