@@ -212,17 +212,35 @@ def affine(x, w, b) -> Tensor:
     return _make(_elementwise("affine", np.add, x.data @ w.data, b.data), (x, w, b), _vjp_affine)
 
 
+def _blockwise(blocks, x: np.ndarray) -> np.ndarray:
+    """The block-diagonal operator of ``blocks`` times the rows of ``x``."""
+    if len(blocks) == 1:
+        return blocks[0] @ x
+    at = tuple(accumulate((b.shape[0] for b in blocks), initial=0))
+    return np.concatenate([b @ x[lo:hi] for b, lo, hi in zip(blocks, at, at[1:])])
+
+
 def _vjp_sparse_matmul(g, node, k):
-    return node._saved.T @ g
+    return _blockwise([b.T for b in node._saved], g)
 
 
-def sparse_matmul(adj, features) -> Tensor:
-    """Constant adjacency times feature rows; gradient flows to features only."""
-    x = as_tensor(features)
-    adj = np.asarray(adj)
-    if adj.ndim != 2 or x.data.ndim != 2 or adj.shape[1] != x.data.shape[0]:
-        raise ShapeError(f"sparse_matmul: shapes {adj.shape} and {x.data.shape} incompatible")
-    return _make(adj @ x.data, (x,), _vjp_sparse_matmul, adj)
+def sparse_matmul(blocks, features) -> Tensor:
+    """A constant block-diagonal operator times feature rows; the gradient
+    flows to the features only.
+
+    ``blocks`` is a sequence of the operator's square diagonal blocks, in row
+    order: one block for a whole matrix, or one per stacked graph. Each block
+    multiplies its own rows of ``features``, so the full operator is never
+    built, and the node saves the blocks themselves, not copies."""
+    x, blocks, rows = as_tensor(features), tuple(blocks), 0
+    for b in blocks:  # a bare matrix fails here: its items are 1-D rows
+        if b.ndim != 2 or b.shape[0] != b.shape[1]:
+            raise ShapeError(f"sparse_matmul: a block of shape {b.shape} is not a square matrix")
+        rows += b.shape[0]
+    if x.data.ndim != 2 or rows != x.data.shape[0] or not blocks:
+        raise ShapeError(f"sparse_matmul: blocks of {rows} rows in all and features of "
+                         f"shape {x.data.shape} incompatible")
+    return _make(_blockwise(blocks, x.data), (x,), _vjp_sparse_matmul, blocks)
 
 
 def _vjp_concat(g, node, k):

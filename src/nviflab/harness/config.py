@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..env_gather import TaskConfig, preset
-from ..errors import ConfigError
+from ..errors import ConfigError, require_counts
 from ..nvif import ObsVaeHyper, PretrainHyper
 from ..policy import DQNHyper, PPOHyper
 
@@ -111,6 +111,9 @@ def load_experiment(path) -> ExperimentConfig:
     _reject_unknown("eval", cfg.eval, _EVAL_KEYS)
     _reject_unknown("scalability", cfg.scalability, _SCAL_KEYS)
     cfg.task_config()  # validates the preset name and env overrides
+    require_counts("obs_vae", **{k: v for k, v in cfg.obs_vae.items() if k.endswith("_width")})
+    require_counts("nvif", **{k: v for k, v in cfg.nvif.items()
+                              if k.endswith("_width") or k in ("flow_layers", "decoder_hidden")})
     for hyper in (cfg.obs_vae_hyper(), cfg.nvif_hyper(), cfg.ppo_hyper(0), cfg.dqn_hyper(0)):
         hyper.validate()
     return cfg

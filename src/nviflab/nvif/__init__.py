@@ -10,7 +10,6 @@ from .pretrain import (
     collect_pretrain_buffer,
     gather_step_data,
     pretrain,
-    pretrain_loss,
 )
 
 __all__ = [
@@ -18,5 +17,5 @@ __all__ = [
     "NvifConfig", "NvifEncoder", "NvifLossReport", "ObsCompressor",
     "ObsVaeConfig", "ObsVaeHyper", "PretrainHyper", "StepData",
     "collect_pretrain_buffer", "flownet_forward", "gather_step_data",
-    "init_flownet", "kl_standard_normal", "pretrain", "pretrain_loss",
+    "init_flownet", "kl_standard_normal", "pretrain",
 ]

@@ -6,7 +6,7 @@ through a shared GRU cell (observation path as input, hidden path as the
 recurrent state; one :func:`diffcore.gru_cell` node), and reads the latent
 distribution off an affine head.
 :meth:`NvifEncoder.step` is the one forward pass: inference calls it on one
-episode's graph, pre-training on a block-diagonal multi-episode graph. The
+episode's graph, pre-training on the stacked graphs of several episodes. The
 decoder reconstructs an agent's raw observation window from its sampled
 latent concatenated with its normalized position, as Bernoulli logits.
 """
@@ -113,13 +113,14 @@ class NvifEncoder:
 
     # -- forward passes -------------------------------------------------------
 
-    def step(self, feats, state: EncoderState, ids, adj: np.ndarray, *,
+    def step(self, feats, state: EncoderState, ids, blocks, *,
              rng: np.random.Generator | None = None, sample: bool = True):
         """One encoder timestep over the alive agents ``ids``.
 
-        ``adj`` is the normalized mixing matrix over ``ids`` (see
-        :func:`commgraph.normalize`), block-diagonal when several episodes
-        are stacked; array ``feats`` are cast to the model dtype. Returns
+        ``blocks`` are the diagonal blocks of the normalized mixing matrix
+        over ``ids`` (see :func:`commgraph.normalize`) in row order: one
+        block for one episode's graph, one per episode when several are
+        stacked. Array ``feats`` are cast to the model dtype. Returns
         (next state, latent distribution). Agents absent from ``ids`` are
         dropped from the state; new ones start from a zero hidden vector.
         The latent is ``mu`` when ``sample`` is false, else a
@@ -135,8 +136,8 @@ class NvifEncoder:
         if sample and rng is None:
             raise ProtocolError("encoder step: sampling the latent needs an rng")
         hidden = self._hidden_for(state, ids)
-        phi = flownet_forward(feats, adj, self.flow_o)
-        psi = flownet_forward(hidden, adj, self.flow_h)
+        phi = flownet_forward(feats, blocks, self.flow_o)
+        psi = flownet_forward(hidden, blocks, self.flow_h)
         h_next = gru_cell(phi, psi, self._gru)
         mu = affine(h_next, self.store["head/mu_w"], self.store["head/mu_b"])
         log_sigma = clamp(affine(h_next, self.store["head/ls_w"], self.store["head/ls_b"]),

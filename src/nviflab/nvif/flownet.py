@@ -2,6 +2,8 @@
 
 Each layer computes ReLU(A_hat @ H @ W) where A_hat is the symmetric
 normalized adjacency; L layers give L rounds of exchange per timestep.
+A_hat comes as its diagonal blocks (see :func:`diffcore.sparse_matmul`):
+one per graph, so stacked graphs never exchange features.
 """
 from __future__ import annotations
 
@@ -10,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..diffcore import ParamStore, Tensor, init_linear, matmul, relu, sparse_matmul
-from ..errors import ShapeError
 
 
 @dataclass
@@ -30,13 +31,10 @@ def init_flownet(store: ParamStore, prefix: str, widths: list[int],
     return FlowNetParams(weights=weights)
 
 
-def flownet_forward(features, adj: np.ndarray, params: FlowNetParams) -> Tensor:
-    feats = features if isinstance(features, Tensor) else Tensor(features)
-    if feats.data.shape[0] != adj.shape[0]:
-        raise ShapeError(
-            f"flownet_forward: {feats.data.shape[0]} feature rows vs "
-            f"{adj.shape[0]}-agent adjacency")
-    h = feats
+def flownet_forward(features, blocks, params: FlowNetParams) -> Tensor:
+    """The layers over feature rows; ``blocks`` are A_hat's diagonal blocks
+    in row order, and rows that match no block raise :class:`ShapeError`."""
+    h = features if isinstance(features, Tensor) else Tensor(features)
     for w in params.weights:
-        h = relu(matmul(sparse_matmul(adj, h), w))
+        h = relu(matmul(sparse_matmul(blocks, h), w))
     return h

@@ -1,14 +1,12 @@
 """Reconstruction, divergence, and latent-consistency losses.
 
 Each term is computed per agent row; pre-training weights and sums the rows
-over a block-diagonal episode batch, and the obs-VAE takes the mean of the
+over a batch of stacked episodes, and the obs-VAE takes the mean of the
 KL rows (:func:`kl_standard_normal`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..diffcore import (
     Tensor,
@@ -45,13 +43,15 @@ def kl_rows(mu, log_sigma) -> Tensor:
     return mul(tsum(per_dim, axis=1), 0.5)
 
 
-def consistency_rows(latents, center: np.ndarray) -> Tensor:
+def consistency_rows(latents, blocks) -> Tensor:
     """Per-row squared deviation ||s_i - (C s)_i||^2 from the group mean.
 
-    ``center`` is the group-centering matrix: C[i, j] = 1/k when agents i and
-    j share a group of k agents, else 0 (block-diagonal over episodes)."""
+    C is the group-centering matrix: C[i, j] = 1/k when agents i and j share
+    a group of k agents, else 0. ``blocks`` are its diagonal blocks, one
+    (k, k) block of 1/k per group in row order (see
+    :func:`diffcore.sparse_matmul`)."""
     lat = as_tensor(latents)
-    dev = sub(lat, sparse_matmul(center, lat))
+    dev = sub(lat, sparse_matmul(blocks, lat))
     return tsum(mul(dev, dev), axis=1)
 
 

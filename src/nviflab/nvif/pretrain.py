@@ -2,12 +2,14 @@
 
 Episodes are replayed in batches, time-major: at each timestep the alive
 agents of every episode in the batch are stacked into one feature matrix and
-run through :meth:`NvifEncoder.step` with a block-diagonal normalized
-adjacency, so no information leaks between episodes while the matmuls stay
-large. The loss weights the per-agent rows of the reconstruction, divergence,
-and consistency terms from :mod:`.losses` so that it averages them over
-agents and episode-timesteps, and one optimizer step is taken per episode
-batch. Gradients flow through the full hidden-state chain of each episode.
+run through :meth:`NvifEncoder.step` with each episode's own normalized
+adjacency as one diagonal block (:func:`diffcore.sparse_matmul`). So no
+information leaks between episodes, the row-wise layers run once over the
+stacked rows, and no (N, N) matrix over the stacked agents is built. The
+loss weights the per-agent rows of the reconstruction, divergence, and
+consistency terms from :mod:`.losses` so that it averages them over agents
+and episode-timesteps, and one optimizer step is taken per episode batch.
+Gradients flow through the full hidden-state chain of each episode.
 
 The decoder is not recurrent, so its share of the backward pass runs at the
 timestep that used it (per-step gradient checkpointing of the head): the
@@ -29,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..commgraph import build_graph, fully_connected, normalize
-from ..diffcore import Tensor, backward, mul, no_grad, optimizer_step, splice, sum as tsum
+from ..diffcore import Tensor, backward, mul, optimizer_step, splice, sum as tsum
 from ..env_gather import (
     N_ACTIONS,
     decode_windows,
@@ -108,47 +110,34 @@ def collect_pretrain_buffer(task_config, n_episodes: int, compressor: ObsCompres
     return buffer
 
 
-def _block_diag(blocks: list[np.ndarray], dtype) -> np.ndarray:
-    n = sum(b.shape[0] for b in blocks)
-    out = np.zeros((n, n), dtype=dtype)
-    at = 0
-    for b in blocks:
-        k = b.shape[0]
-        out[at:at + k, at:at + k] = b
-        at += k
-    return out
-
-
 def _recon_term(encoder: NvifEncoder, latent: Tensor, pos: np.ndarray, obs: np.ndarray,
                 weights: np.ndarray, recon_weight: float):
     """One timestep's weighted reconstruction term, and its unweighted value.
 
-    With gradients on, the term's backward pass runs here: it adds the
-    ``dec/*`` weight gradients into the store, and the term joins the
-    caller's tape as a :func:`splice` on ``latent``, so the decoder's
-    obs_dim-wide arrays die with this call."""
-    leaf = Tensor(latent.data, requires_grad=True) if latent.requires_grad else latent
+    The term's backward pass runs here: it adds the ``dec/*`` weight
+    gradients into the store, and the term joins the caller's tape as a
+    :func:`splice` on ``latent``, so the decoder's obs_dim-wide arrays die
+    with this call."""
+    leaf = Tensor(latent.data, requires_grad=True)
     recon = tsum(mul(recon_rows(obs, encoder.decode(leaf, pos)), weights))
     term = mul(recon, recon_weight)
-    if leaf is not latent:
-        backward(term)
-        term = splice(latent, term.data, leaf.grad)
-    return term, float(recon.data)
+    backward(term)
+    return splice(latent, term.data, leaf.grad), float(recon.data)
 
 
 def _batch_loss(encoder: NvifEncoder, episodes: list[EpisodeRecord], alpha: float,
                 recon_weight: float, rng: np.random.Generator):
     """Episode-batch loss tensor plus the averaged term values.
 
-    With gradients on, the ``dec/*`` gradients of the returned loss are
-    already in the store (zero it before the call); backpropagating the
-    loss adds the rest."""
+    The ``dec/*`` gradients of the returned loss are already in the store
+    (zero it before the call); backpropagating the loss adds the rest."""
     dt = encoder.config.np_dtype
     levels = episodes[0].levels
     if any(not np.array_equal(ep.levels, levels) for ep in episodes[1:]):
         raise DataError("an episode batch mixes tasks with different level tables")
     n_slots = sum(len(ep.steps) for ep in episodes)
     t_max = max(len(ep.steps) for ep in episodes)
+    centers = {}  # one (k, k) centering block per group size k
     state = None
     total = None
     recon_val = kl_val = cons_val = 0.0
@@ -158,8 +147,10 @@ def _batch_loss(encoder: NvifEncoder, episodes: list[EpisodeRecord], alpha: floa
         keys = [(i, a) for i, sd in live for a in sd.ids]
         pos = np.concatenate([sd.positions for _, sd in live])
         obs = decode_windows(np.concatenate([sd.raw_obs for _, sd in live]), pos, levels)
-        adj = _block_diag([sd.adj_norm for _, sd in live], dt)
-        center = _block_diag([np.full((k, k), 1.0 / k, dtype=dt) for k in sizes], dt)
+        adj = tuple(sd.adj_norm.astype(dt, copy=False) for _, sd in live)
+        for k in set(sizes) - centers.keys():
+            centers[k] = np.full((k, k), 1.0 / k, dtype=dt)
+        center = tuple(centers[k] for k in sizes)
         weights = np.concatenate([np.full(k, 1.0 / (k * n_slots), dtype=dt) for k in sizes])
         if state is None:
             state = encoder.init_state(keys)
@@ -215,21 +206,3 @@ def pretrain(buffer: list[EpisodeRecord], hyper: PretrainHyper, encoder: NvifEnc
                 and cons < history[0].consistency):
             break
     return encoder, history
-
-
-def pretrain_loss(buffer, encoder: NvifEncoder, alpha: float, recon_weight: float,
-                  seed: int, batch_episodes: int = 16) -> NvifLossReport:
-    """Loss of a frozen model over the buffer; deterministic for a fixed seed."""
-    rng = np.random.default_rng(seed)
-    sums = np.zeros(3)
-    slots = 0
-    with no_grad():
-        for lo in range(0, len(buffer), batch_episodes):
-            episodes = buffer[lo:lo + batch_episodes]
-            _, recon, kl, cons, n_slots = _batch_loss(encoder, episodes, alpha,
-                                                      recon_weight, rng)
-            sums += np.array([recon, kl, cons]) * n_slots
-            slots += n_slots
-    recon, kl, cons = sums / slots
-    return NvifLossReport(recon=recon, kl=kl, consistency=cons,
-                          total=recon + kl + alpha * cons, alpha=alpha)

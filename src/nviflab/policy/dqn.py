@@ -52,7 +52,8 @@ class DQNHyper:
     def validate(self):
         require_counts("dqn", batch_size=self.batch_size, replay_capacity=self.replay_capacity,
                        eps_decay_steps=self.eps_decay_steps, target_sync=self.target_sync,
-                       train_every=self.train_every, min_replay=self.min_replay)
+                       train_every=self.train_every, min_replay=self.min_replay,
+                       hidden_width=self.hidden_width)
 
 
 def epsilon_at(hyper: DQNHyper, env_steps: int) -> float:

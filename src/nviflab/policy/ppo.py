@@ -72,7 +72,8 @@ class PPOHyper:
         if not 0.0 < self.clip_eps < 1.0:
             raise ConfigError(f"clip_eps must be in (0, 1), got {self.clip_eps}")
         require_counts("ppo", episodes_per_epoch=self.episodes_per_epoch,
-                       update_passes=self.update_passes, minibatch_slots=self.minibatch_slots)
+                       update_passes=self.update_passes, minibatch_slots=self.minibatch_slots,
+                       hidden_width=self.hidden_width)
 
 
 @dataclass

@@ -70,7 +70,7 @@ class NvifLatents:
         adj = normalize(graph).astype(self.encoder.config.np_dtype)
         with no_grad():
             self._state, dist = self.encoder.step(
-                feats, self._state, graph.ids, adj, rng=self.rng, sample=self.sample)
+                feats, self._state, graph.ids, (adj,), rng=self.rng, sample=self.sample)
         return dist.latent.data
 
 

@@ -47,15 +47,17 @@ def composite_gru_cell(x, h, params):
     return dc.add(dc.mul(dc.sub(1.0, z), h), dc.mul(z, n))
 
 
-def tape_size(loss):
+def tape_size(loss, skip=()):
     """(nodes, bytes) of the tape behind ``loss``. The bytes count each
-    distinct array that a node holds in ``data`` or ``_saved`` once."""
+    distinct array that a node holds in ``data`` or ``_saved`` once, except
+    the arrays whose ids are in ``skip``."""
     order = dc.topological_order(loss)
     arrays, stack = {}, [item for node in order for item in (node.data, node._saved)]
     while stack:  # no recursive closure: its cycle would keep the arrays alive
         item = stack.pop()
         if isinstance(item, np.ndarray):
-            arrays[id(item)] = item
+            if id(item) not in skip:
+                arrays[id(item)] = item
         elif isinstance(item, (tuple, list)):
             stack.extend(item)
     return len(order), sum(a.nbytes for a in arrays.values())

@@ -83,7 +83,7 @@ class TestOpGradients:
     def test_sparse_matmul(self):
         adj = np.abs(RNG.standard_normal((4, 4)))
         x = _leaf((4, 3))
-        _check_grads(lambda: _weighted(dc.sparse_matmul(adj, x)), [x])
+        _check_grads(lambda: _weighted(dc.sparse_matmul((adj,), x)), [x])
 
     def test_concat_axis1(self):
         a, b = _leaf((3, 2)), _leaf((3, 4))
@@ -198,7 +198,7 @@ class TestForwardValues:
 
     def test_sparse_matmul_two_clique(self):
         adj = np.full((2, 2), 0.5)
-        out = dc.sparse_matmul(adj, dc.Tensor(np.array([[1.0], [3.0]])))
+        out = dc.sparse_matmul((adj,), dc.Tensor(np.array([[1.0], [3.0]])))
         np.testing.assert_allclose(out.data, [[2.0], [2.0]])
 
     def test_shape_error_names_both_shapes(self):
@@ -216,6 +216,42 @@ class TestForwardValues:
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(ValueError):
             dc.backward(dc.Tensor(np.zeros(3), requires_grad=True))
+
+
+def _dense(blocks):
+    """The block-diagonal matrix of ``blocks``: the oracle of the operator."""
+    n = sum(b.shape[0] for b in blocks)
+    out, at = np.zeros((n, n)), 0
+    for b in blocks:
+        out[at:at + len(b), at:at + len(b)] = b
+        at += len(b)
+    return out
+
+
+class TestBlockOperator:
+    def test_gradient_over_unequal_blocks(self):
+        blocks = (RNG.standard_normal((3, 3)), RNG.standard_normal((1, 1)),
+                  RNG.standard_normal((2, 2)))  # not symmetric: the VJP transposes
+        x = _leaf((6, 4))
+        _check_grads(lambda: _weighted(dc.sparse_matmul(blocks, x)), [x])
+
+    def test_value_is_the_dense_product_and_blocks_are_saved_not_copied(self):
+        blocks = [RNG.standard_normal((2, 2)), RNG.standard_normal((3, 3))]
+        x = _leaf((5, 2))
+        out = dc.sparse_matmul(blocks, x)
+        np.testing.assert_allclose(out.data, _dense(blocks) @ x.data, rtol=1e-12)
+        assert all(s is b for s, b in zip(out._saved, blocks))
+
+    @pytest.mark.parametrize("blocks, rows", [
+        ((np.ones((2, 3)),), 2),                     # a block that is not square
+        ((np.ones((2, 2)), np.ones((2, 2))), 3),     # sizes that miss the rows
+        ((np.ones((3, 3)),), 2),                     # a block larger than the rows
+        ((), 0),                                     # no blocks
+        (np.ones((3, 3)), 3),                        # a bare matrix, not its blocks
+    ])
+    def test_shape_errors(self, blocks, rows):
+        with pytest.raises(ShapeError):
+            dc.sparse_matmul(blocks, dc.Tensor(np.ones((rows, 2)), requires_grad=True))
 
 
 class TestAffine:

@@ -70,9 +70,12 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize("section, key", [
         ("dqn", "train_every"), ("dqn", "target_sync"), ("dqn", "eps_decay_steps"),
-        ("dqn", "min_replay"),
-        ("nvif", "batch_episodes"), ("obs_vae", "batch_size"),
+        ("dqn", "min_replay"), ("dqn", "hidden_width"),
+        ("nvif", "batch_episodes"), ("nvif", "flow_layers"), ("nvif", "hidden_width"),
+        ("nvif", "latent_width"), ("nvif", "decoder_hidden"),
+        ("obs_vae", "batch_size"), ("obs_vae", "latent_width"), ("obs_vae", "hidden_width"),
         ("ppo", "minibatch_slots"), ("ppo", "episodes_per_epoch"), ("ppo", "update_passes"),
+        ("ppo", "hidden_width"),
     ])
     def test_zero_count_rejected(self, tmp_path, section, key):
         path = write_config(tmp_path / "c.json", **{section: {key: 0}})

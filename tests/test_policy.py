@@ -453,6 +453,8 @@ class TestTrainers:
         (train_ppo, PPOHyper(minibatch_slots=0)),
         (train_dqn, DQNHyper(train_every=0)),
         (train_dqn, DQNHyper(eps_decay_steps=0)),
+        (train_ppo, PPOHyper(hidden_width=0)),
+        (train_dqn, DQNHyper(hidden_width=0)),
     ])
     def test_zero_count_rejected_at_entry(self, tiny_task, tiny_compressor, train, hyper):
         with pytest.raises(ConfigError):
