@@ -36,12 +36,12 @@ N_ACTIONS = N_MOVES + N_ATTACKS + 1
 NOOP_INDEX = N_ACTIONS - 1
 
 
+ACTIONS = (tuple(Move(*o) for o in MOVE_OFFSETS) + tuple(Attack(*o) for o in ATTACK_OFFSETS)
+           + (NOOP,))
+
+
 def decode_action(index: int):
     """Map an action index to Move / Attack / Noop."""
     if not 0 <= index < N_ACTIONS:
         raise ValueError(f"action index {index} outside [0, {N_ACTIONS})")
-    if index < N_MOVES:
-        return Move(*MOVE_OFFSETS[index])
-    if index < N_MOVES + N_ATTACKS:
-        return Attack(*ATTACK_OFFSETS[index - N_MOVES])
-    return NOOP
+    return ACTIONS[index]

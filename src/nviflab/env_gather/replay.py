@@ -30,10 +30,12 @@ class ReplayWriter:
 
     def write_step(self, world: GridWorld, actions: dict[int, int],
                    result: StepResult, edges=None):
+        xy, hp = world.pos.tolist(), world.hp.tolist()
+        live = [i for i, ok in enumerate(world.alive.tolist()) if ok]
         record = {
             "t": world.t,
-            "positions": {str(i): [u.x, u.y] for i, u in enumerate(world.units) if u.alive},
-            "hps": {str(i): u.hp for i, u in enumerate(world.units) if u.alive},
+            "positions": {str(i): xy[i] for i in live},
+            "hps": {str(i): hp[i] for i in live},
             "actions": {str(i): int(a) for i, a in actions.items()},
             "rewards": {str(i): r for i, r in result.rewards.items()},
             "alive": sorted(i for i, ok in result.alive.items() if ok),

@@ -1,5 +1,14 @@
 """The Gather game: omnivore agents cooperatively attack stationary food.
 
+The world holds arrays over its units, omnivores first and food after, so a
+unit is an omnivore exactly when its index is below ``n_agents``: ``pos``
+(x, y), ``hp``, ``alive``, the cell-to-unit ``occupancy``, and ``grids``, the
+padded (5, ms+2R, ms+2R) observation grids. :func:`new_world` builds the grids
+once; :func:`step` then writes only the cells that change (a hit unit's hp, a
+dead unit's presence and hp, a mover's old and new cell), so they always equal
+:func:`_channel_grids` rebuilt from the arrays. ``units`` gives frozen
+:class:`Unit` snapshots to readers outside the step loop.
+
 Stepping runs in three phases. Attacks are all evaluated against the
 pre-step occupancy (so within a step their order cannot matter), units at
 zero hit points are removed, then moves apply one at a time in a seeded
@@ -8,11 +17,11 @@ An episode is done at ``max_steps``, when the food is gone, or when every
 agent is dead.
 
 :func:`observe` returns the local windows of a batch of agents as one
-(n, 7*w*w) float32 matrix, gathered in one fancy index from the padded
-channel grids. This module also owns their uint8 codec: :func:`encode_windows`
-stores the five grid channels as one code per cell (the hp count in the hp
-channels, 0/1 elsewhere), and :func:`decode_windows` turns the codes and the
-positions back into exactly the observed windows.
+(n, 7*w*w) float32 matrix, one fancy index into a read-only (ms, ms, 5, w, w)
+window view of the kept grids. This module also owns their uint8 codec:
+:func:`encode_windows` stores the five grid channels as one code per cell
+(the hp count in the hp channels, 0/1 elsewhere), and :func:`decode_windows`
+turns the codes and the positions back into exactly the observed windows.
 """
 from __future__ import annotations
 
@@ -33,13 +42,14 @@ EMPTY = -1
 GRID_CHANNELS = 5  # observe()'s grid channels; its last two repeat the position
 
 
-@dataclass
+@dataclass(frozen=True)
 class Unit:
+    """Read-only snapshot of one unit; see ``GridWorld.units``."""
     kind: str
     x: int
     y: int
     hp: int
-    alive: bool = True
+    alive: bool
 
 
 @dataclass
@@ -55,36 +65,43 @@ class StepResult:
 class GridWorld:
     config: TaskConfig
     t: int
-    units: list[Unit]
-    occupancy: np.ndarray          # (map_size, map_size) int, unit index or EMPTY
+    pos: np.ndarray                # (n_units, 2) int64 (x, y); omnivores first, then food
+    hp: np.ndarray                 # (n_units,) int64
+    alive: np.ndarray              # (n_units,) bool
+    occupancy: np.ndarray          # (map_size, map_size) int32, unit index or EMPTY
+    grids: np.ndarray              # padded (5, ms+2R, ms+2R) float32, kept by step()
     rng: np.random.Generator
 
     @property
     def n_agents(self) -> int:
         return self.config.n_omnivores
 
-    def alive_agents(self) -> list[int]:
-        return [i for i in range(self.n_agents) if self.units[i].alive]
+    @property
+    def units(self) -> list[Unit]:
+        return [Unit(OMNIVORE if i < self.n_agents else FOOD, x, y, hp, ok) for i, ((x, y), hp, ok)
+                in enumerate(zip(self.pos.tolist(), self.hp.tolist(), self.alive.tolist()))]
 
-    def agent_positions(self, ids=None) -> np.ndarray:
-        ids = self.alive_agents() if ids is None else ids
-        return np.array([(self.units[i].x, self.units[i].y) for i in ids], dtype=np.int64)
+    def alive_agents(self) -> list[int]:
+        return np.flatnonzero(self.alive[:self.n_agents]).tolist()
+
+    def agent_positions(self, ids) -> np.ndarray:
+        return self.pos[np.asarray(ids, dtype=np.intp)]
 
     def food_remaining(self) -> int:
-        return sum(1 for u in self.units[self.n_agents:] if u.alive)
+        return int(np.count_nonzero(self.alive[self.n_agents:]))
 
     @property
     def done(self) -> bool:
-        return (self.t >= self.config.max_steps or self.food_remaining() == 0
-                or not self.alive_agents())
+        return (self.t >= self.config.max_steps or not self.food_remaining()
+                or not np.count_nonzero(self.alive[:self.n_agents]))
 
     @property
     def truncated(self) -> bool:
         """Cut off by ``max_steps`` with food left and an agent alive: the
         task itself goes on, so learners bootstrap the survivors from the
         final state instead of treating it as terminal."""
-        return (self.t >= self.config.max_steps and self.food_remaining() > 0
-                and bool(self.alive_agents()))
+        return bool(self.t >= self.config.max_steps and self.food_remaining()
+                    and np.count_nonzero(self.alive[:self.n_agents]))
 
 
 def _border_ring(map_size: int) -> list[tuple[int, int]]:
@@ -127,39 +144,40 @@ def new_world(config: TaskConfig) -> GridWorld:
     else:
         r0 = int(rng.integers(1, ms - rows))
         c0 = int(rng.integers(1, ms - side))
+    pos = [ring[(k * len(ring)) // config.n_omnivores] for k in range(config.n_omnivores)]
+    pos += [(c0 + k % side, r0 + k // side) for k in range(config.n_food)]
+    return place_units(config, pos, rng)
 
-    units: list[Unit] = []
+
+def place_units(config: TaskConfig, pos, rng: np.random.Generator) -> GridWorld:
+    """World at t=0 with one unit at full hp on each (x, y) of ``pos``, the
+    first ``config.n_omnivores`` of them omnivores and the rest food."""
+    pos = np.asarray(pos, dtype=np.int64).reshape(-1, 2)
+    ms, n_units = config.map_size, len(pos)
+    if pos.size and not (0 <= pos.min() and pos.max() < ms):
+        raise ConfigError(f"unit positions must lie on the {ms}x{ms} map")
+    hp = np.where(np.arange(n_units) < config.n_omnivores, config.hp_omnivore, config.hp_food)
+    alive = np.ones(n_units, dtype=bool)
     occupancy = np.full((ms, ms), EMPTY, dtype=np.int32)
-    for k in range(config.n_omnivores):
-        x, y = ring[(k * len(ring)) // config.n_omnivores]
-        units.append(Unit(OMNIVORE, x, y, config.hp_omnivore))
-        occupancy[y, x] = k
-    placed = 0
-    for r in range(rows):
-        for c in range(side):
-            if placed == config.n_food:
-                break
-            x, y = c0 + c, r0 + r
-            if occupancy[y, x] != EMPTY:
-                raise ConfigError("food block overlaps the omnivore ring")
-            units.append(Unit(FOOD, x, y, config.hp_food))
-            occupancy[y, x] = config.n_omnivores + placed
-            placed += 1
-    return GridWorld(config=config, t=0, units=units, occupancy=occupancy, rng=rng)
+    occupancy[pos[:, 1], pos[:, 0]] = np.arange(n_units)
+    if np.count_nonzero(occupancy != EMPTY) < n_units:
+        raise ConfigError("two units share a cell (does the food block overlap the ring?)")
+    return GridWorld(config=config, t=0, pos=pos, hp=hp, alive=alive,
+                     occupancy=occupancy, grids=_channel_grids(config, pos, hp, alive), rng=rng)
 
 
-def _channel_grids(world: GridWorld) -> np.ndarray:
+def _channel_grids(config: TaskConfig, pos, hp, alive) -> np.ndarray:
     """Padded (5, ms+2R, ms+2R) grids: obstacle, omnivore presence/hp, food presence/hp."""
-    cfg = world.config
-    ms, r = cfg.map_size, cfg.view_radius
+    ms, r = config.map_size, config.view_radius
     padded = np.zeros((GRID_CHANNELS, ms + 2 * r, ms + 2 * r), dtype=np.float32)
     padded[0] = 1.0
     padded[0, r:r + ms, r:r + ms] = 0.0
-    for u in world.units:
-        if u.alive:
-            c, top = (1, cfg.hp_omnivore) if u.kind == OMNIVORE else (3, cfg.hp_food)
-            padded[c, u.y + r, u.x + r] = 1.0
-            padded[c + 1, u.y + r, u.x + r] = u.hp / top
+    food = np.arange(len(pos)) >= config.n_omnivores
+    top = np.where(food, config.hp_food, config.hp_omnivore)
+    c = np.where(food, 3, 1)[alive]
+    x, y = (pos[alive] + r).T
+    padded[c, y, x] = 1.0
+    padded[c + 1, y, x] = (hp / top)[alive]
     return padded
 
 
@@ -170,17 +188,22 @@ def observe(world: GridWorld, ids) -> np.ndarray:
     hp, food presence, food normalized hp, then two constant channels holding
     the agent's normalized x and y.
     """
-    bad = [i for i in ids if not (0 <= i < world.n_agents and world.units[i].alive)]
+    n = world.n_agents
+    ok = world.alive[:n].tolist()
+    bad = [i for i in ids if not (0 <= i < n and ok[i])]
     if bad:
         raise ProtocolError(f"observe: agents {bad} are not alive omnivores")
     cfg = world.config
-    r, w = cfg.view_radius, cfg.window
-    pos = world.agent_positions(ids).reshape(-1, 2)
-    span = np.arange(w)
+    r, w, grids = cfg.view_radius, cfg.window, world.grids
+    # view[y, x]: the (5, w, w) window around (x, y), read-only; built per call,
+    # as a stored view would outlive a deepcopy's grids
+    sc, sy, sx = grids.strides
+    view = np.ndarray((cfg.map_size, cfg.map_size, GRID_CHANNELS, w, w), np.float32,
+                      grids, 0, (sy, sx, sc, sy, sx))
+    view.flags.writeable = False
+    pos = world.pos[np.asarray(ids, dtype=np.intp)]
     out = np.empty((len(pos), GRID_CHANNELS + 2, w, w), dtype=np.float32)
-    out[:, :GRID_CHANNELS] = _channel_grids(world)[
-        :, pos[:, 1, None, None] + span[:, None], pos[:, 0, None, None] + span
-    ].transpose(1, 0, 2, 3)
+    out[:, :GRID_CHANNELS] = view[pos[:, 1], pos[:, 0]]
     out[:, 1:3, r, r] = 0.0  # the observer does not see itself
     out[:, GRID_CHANNELS:] = (pos / (cfg.map_size - 1))[:, :, None, None]
     return out.reshape(len(pos), -1)
@@ -231,26 +254,25 @@ def step(world: GridWorld, actions: dict[int, int]) -> StepResult:
         extra = sorted(set(actions) - set(alive))
         raise ProtocolError(f"step: need one action per alive agent; "
                             f"missing {missing}, not alive {extra}")
-    cfg = world.config
-    ms = cfg.map_size
+    cfg, n = world.config, world.n_agents
+    ms, r, occ, grids = cfg.map_size, cfg.view_radius, world.occupancy, world.grids
+    xy = world.pos[:n].tolist()
     rewards = {i: 0.0 for i in alive}
     events: list = []
     decoded = {i: decode_action(actions[i]) for i in alive}
 
-    # phase 1: simultaneous attacks against the pre-step occupancy
-    pre_occ = world.occupancy.copy()
+    # phase 1: simultaneous attacks in ascending id order; none changes the occupancy
     damage: dict[int, int] = {}
-    for i in sorted(alive):
+    for i in alive:
         act = decoded[i]
         if not isinstance(act, Attack):
             continue
-        u = world.units[i]
-        tx, ty = u.x + act.dx, u.y + act.dy
-        target = pre_occ[ty, tx] if (0 <= tx < ms and 0 <= ty < ms) else EMPTY
+        tx, ty = xy[i][0] + act.dx, xy[i][1] + act.dy
+        target = int(occ[ty, tx]) if (0 <= tx < ms and 0 <= ty < ms) else EMPTY
         if target == EMPTY:
             rewards[i] += cfg.p_blank
             events.append(("blank", i, None))
-        elif world.units[target].kind == FOOD:
+        elif target >= n:
             rewards[i] += cfg.r_food
             damage[target] = damage.get(target, 0) + 1
             events.append(("food_hit", i, target))
@@ -259,38 +281,36 @@ def step(world: GridWorld, actions: dict[int, int]) -> StepResult:
             damage[target] = damage.get(target, 0) + 1
             events.append(("omnivore_hit", i, target))
     for target, hits in damage.items():
-        u = world.units[target]
-        u.hp -= hits
-        if u.hp <= 0:
-            u.hp = 0
-            u.alive = False
-            world.occupancy[u.y, u.x] = EMPTY
+        c, top = (1, cfg.hp_omnivore) if target < n else (3, cfg.hp_food)
+        x, y = world.pos[target].tolist()
+        hp = max(int(world.hp[target]) - hits, 0)
+        world.hp[target] = hp
+        grids[c + 1, y + r, x + r] = hp / top
+        if hp == 0:
+            world.alive[target] = False
+            occ[y, x] = EMPTY
+            grids[c, y + r, x + r] = 0.0
 
     # phase 2: moves in seeded random order; blocked or out-of-bounds moves stay
-    order = world.rng.permutation(len(alive))
-    ordered = [sorted(alive)[k] for k in order]
-    for i in ordered:
-        u = world.units[i]
+    for k in world.rng.permutation(len(alive)).tolist():
+        i = alive[k]
         act = decoded[i]
-        if not u.alive or not isinstance(act, Move):
+        if not isinstance(act, Move) or not world.alive[i]:
             continue
-        tx, ty = u.x + act.dx, u.y + act.dy
-        if not (0 <= tx < ms and 0 <= ty < ms) or world.occupancy[ty, tx] != EMPTY:
+        (x, y), tx, ty = xy[i], xy[i][0] + act.dx, xy[i][1] + act.dy
+        if not (0 <= tx < ms and 0 <= ty < ms) or occ[ty, tx] != EMPTY:
             continue
-        world.occupancy[u.y, u.x] = EMPTY
-        world.occupancy[ty, tx] = i
-        u.x, u.y = tx, ty
+        occ[y, x], occ[ty, tx] = EMPTY, i
+        world.pos[i] = tx, ty
+        grids[1:3, ty + r, tx + r] = grids[1:3, y + r, x + r]
+        grids[1:3, y + r, x + r] = 0.0
 
     # phase 3: per-step penalty for survivors
+    now = world.alive[:n].tolist()
     for i in alive:
-        if world.units[i].alive:
+        if now[i]:
             rewards[i] += cfg.p_step
 
     world.t += 1
-    return StepResult(
-        rewards=rewards,
-        alive={i: world.units[i].alive for i in alive},
-        done=world.done,
-        food_remaining=world.food_remaining(),
-        events=events,
-    )
+    return StepResult(rewards=rewards, alive={i: now[i] for i in alive}, done=world.done,
+                      food_remaining=world.food_remaining(), events=events)

@@ -1,4 +1,5 @@
 """Shared exception types."""
+import numbers
 
 
 class ConfigError(ValueError):
@@ -22,8 +23,9 @@ class DataError(ValueError):
 
 
 def require_counts(section: str, **counts):
-    """Raise ConfigError naming every count below 1 (counts that divide,
-    step a range or size a batch)."""
-    bad = {name: value for name, value in counts.items() if value < 1}
+    """Raise ConfigError naming every count that is not an integer >= 1 (counts
+    that divide, step a range or size a batch); bools are not counts."""
+    bad = {name: value for name, value in counts.items()
+           if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1}
     if bad:
-        raise ConfigError(f"{section}: counts must be >= 1, got {bad}")
+        raise ConfigError(f"{section}: counts must be integers >= 1, got {bad}")

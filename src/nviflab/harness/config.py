@@ -114,6 +114,11 @@ def load_experiment(path) -> ExperimentConfig:
     require_counts("obs_vae", **{k: v for k, v in cfg.obs_vae.items() if k.endswith("_width")})
     require_counts("nvif", **{k: v for k, v in cfg.nvif.items()
                               if k.endswith("_width") or k in ("flow_layers", "decoder_hidden")})
-    for hyper in (cfg.obs_vae_hyper(), cfg.nvif_hyper(), cfg.ppo_hyper(0), cfg.dqn_hyper(0)):
+    for section, hyper in (("obs_vae", cfg.obs_vae_hyper()), ("nvif", cfg.nvif_hyper()),
+                           ("ppo", cfg.ppo_hyper(0)), ("dqn", cfg.dqn_hyper(0))):
+        ints = {f.name for f in dataclasses.fields(hyper) if type(f.default) is int}
+        bad = {k: v for k, v in getattr(cfg, section).items() if k in ints and type(v) is not int}
+        if bad:
+            raise ConfigError(f"{section}: integer hyperparameters got {bad}")
         hyper.validate()
     return cfg

@@ -6,6 +6,7 @@ import pytest
 
 from nviflab import diffcore as dc
 from nviflab.env_gather import EMPTY, preset
+from nviflab.env_gather.world import _channel_grids
 from nviflab.nvif import ObsCompressor, ObsVaeConfig, ObsVaeHyper
 from nviflab.harness.pipeline import collect_obs_corpus
 
@@ -63,6 +64,11 @@ def tape_size(loss, skip=()):
     return len(order), sum(a.nbytes for a in arrays.values())
 
 
+def refresh_grids(world):
+    """Rebuild a world's kept observation grids after a test wrote its arrays."""
+    world.grids[:] = _channel_grids(world.config, world.pos, world.hp, world.alive)
+
+
 class EpisodeSpy:
     """Wraps a trainer module's ``new_world`` and ``step``: keeps the world and
     every step's rewards, and once the world reaches ``at_t`` kills the agents
@@ -79,11 +85,12 @@ class EpisodeSpy:
         def spy_step(world, actions):
             result = step(world, actions)
             if world.t == at_t:
-                food = world.units[world.n_agents:] if eat_food else []
-                for unit in [world.units[i] for i in kill] + food:
-                    unit.alive, unit.hp = False, 0
-                    world.occupancy[unit.y, unit.x] = EMPTY
-                result = replace(result, alive={i: world.units[i].alive for i in result.alive},
+                food = list(range(world.n_agents, len(world.hp))) if eat_food else []
+                for i in list(kill) + food:
+                    world.alive[i], world.hp[i] = False, 0
+                    world.occupancy[world.pos[i, 1], world.pos[i, 0]] = EMPTY
+                refresh_grids(world)
+                result = replace(result, alive={i: bool(world.alive[i]) for i in result.alive},
                                  food_remaining=world.food_remaining(), done=world.done)
             self.rewards.append(result.rewards)
             return result

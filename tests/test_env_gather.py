@@ -10,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nviflab import env_gather as eg
+from nviflab.env_gather.world import _channel_grids, place_units
 from nviflab.errors import ConfigError, ProtocolError
+
+from conftest import refresh_grids
 
 
 def make_config(**overrides):
@@ -24,21 +27,11 @@ def world_with(units, map_size=12, **overrides):
     """Empty world rebuilt with hand-placed units [(kind, x, y)]."""
     cfg = make_config(map_size=map_size, n_omnivores=max(
         1, sum(1 for k, _, _ in units if k == eg.OMNIVORE)), **overrides)
-    world = eg.new_world(cfg)
-    for u in world.units:
-        u.alive = False
-    world.occupancy[:] = eg.EMPTY
-    world.units = []
     n_om = sum(1 for k, _, _ in units if k == eg.OMNIVORE)
-    world.config = dataclasses.replace(cfg, n_omnivores=n_om,
-                                       n_food=max(1, len(units) - n_om))
+    placed = dataclasses.replace(cfg, n_omnivores=n_om, n_food=max(1, len(units) - n_om))
     ordered = [u for u in units if u[0] == eg.OMNIVORE] + \
               [u for u in units if u[0] == eg.FOOD]
-    for idx, (kind, x, y) in enumerate(ordered):
-        hp = cfg.hp_omnivore if kind == eg.OMNIVORE else cfg.hp_food
-        world.units.append(eg.Unit(kind, x, y, hp))
-        world.occupancy[y, x] = idx
-    return world
+    return place_units(placed, [(x, y) for _, x, y in ordered], np.random.default_rng(cfg.seed))
 
 
 def observe_one(world, agent_id):
@@ -128,6 +121,12 @@ class TestNewWorld:
         with pytest.raises(ConfigError):
             eg.new_world(cfg)
 
+    def test_placed_units_on_distinct_map_cells(self):
+        cfg = make_config(n_omnivores=1, n_food=1)
+        for pos in ([(1, 1), (1, 1)], [(1, 1), (12, 3)], [(-1, 0), (2, 2)]):
+            with pytest.raises(ConfigError):
+                place_units(cfg, pos, np.random.default_rng(0))
+
     def test_no_shared_cells(self):
         world = eg.new_world(eg.preset("random-medium", seed=3))
         cells = [(u.x, u.y) for u in world.units if u.alive]
@@ -210,7 +209,7 @@ class TestObserve:
     def test_dead_agent_rejected(self, bad):
         # ids -1 and 2 (= n_agents) both index the alive food unit
         world = world_with([(eg.OMNIVORE, 1, 1), (eg.OMNIVORE, 3, 1), (eg.FOOD, 6, 6)])
-        world.units[1].alive = False
+        world.alive[1] = False
         with pytest.raises(ProtocolError):
             eg.observe(world, [bad])
         with pytest.raises(ProtocolError):
@@ -232,12 +231,12 @@ def observed_worlds(draw):
                        map_size=map_size, view_radius=draw(st.integers(1, 4)),
                        hp_omnivore=draw(st.integers(1, 255)), hp_food=draw(st.integers(2, 255)))
     cfg = world.config
-    for u in world.units:
-        u.hp = draw(st.integers(1, cfg.hp_omnivore if u.kind == eg.OMNIVORE else cfg.hp_food))
+    for i in range(len(world.hp)):
+        world.hp[i] = draw(st.integers(1, cfg.hp_omnivore if i < n_om else cfg.hp_food))
     for i in draw(st.sets(st.sampled_from(range(n_om)), max_size=n_om - 1)):
-        u = world.units[i]
-        u.alive, u.hp = False, 0
-        world.occupancy[u.y, u.x] = eg.EMPTY
+        world.alive[i], world.hp[i] = False, 0
+        world.occupancy[world.pos[i, 1], world.pos[i, 0]] = eg.EMPTY
+    refresh_grids(world)
     ids = draw(st.permutations(world.alive_agents()))
     return world, ids
 
@@ -517,6 +516,9 @@ def _assert_world_invariants(world):
     assert len({(u.x, u.y) for _, u in alive}) == len(alive)
     # hp never negative; a unit is dead exactly when its hp is 0
     assert all(u.hp >= 0 and u.alive == (u.hp > 0) for u in world.units)
+    # the grids that step() keeps equal a rebuild from the unit arrays
+    assert np.array_equal(world.grids,
+                          _channel_grids(world.config, world.pos, world.hp, world.alive))
 
 
 class TestWorldInvariants:
@@ -542,6 +544,17 @@ class TestWorldInvariants:
             assert twin.units == world.units
             np.testing.assert_array_equal(twin.occupancy, world.occupancy)
             _assert_world_invariants(world)
+            # a deepcopied twin observes through its own grids
+            if world.alive_agents():
+                assert np.array_equal(eg.observe(twin, world.alive_agents()),
+                                      eg.observe(world, world.alive_agents()))
+
+    def test_unit_snapshots_are_frozen(self):
+        world = eg.new_world(make_config())
+        unit = world.units[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            unit.hp = 1
+        assert world.hp[0] == unit.hp == world.config.hp_omnivore
 
 
 class TestReplay:

@@ -83,6 +83,18 @@ class TestExperimentConfig:
             load_experiment(path)
         assert key in str(err.value)
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("nvif", "hidden_width", "64"), ("nvif", "latent_width", 2.5),
+        ("obs_vae", "hidden_width", True), ("obs_vae", "batch_size", "256"),
+        ("nvif", "epochs", True), ("ppo", "epochs", "3"), ("ppo", "minibatch_slots", 2.5),
+        ("dqn", "batch_size", 64.0), ("dqn", "episodes", "300"),
+    ])
+    def test_non_integer_count_rejected(self, tmp_path, section, key, value):
+        path = write_config(tmp_path / "c.json", **{section: {key: value}})
+        with pytest.raises(ConfigError) as err:
+            load_experiment(path)
+        assert key in str(err.value)
+
 
 class TestCliExitCodes:
     def test_invalid_config_exits_1(self, tmp_path):
@@ -94,6 +106,11 @@ class TestCliExitCodes:
                             dqn={"train_every": 0})
         assert cli_main(["train", "--config", str(path)]) == 1
         assert "train_every" in capsys.readouterr().err
+
+    def test_non_integer_count_exits_1(self, tmp_path, capsys):
+        path = write_config(tmp_path / "c.json", nvif={"hidden_width": "64"})
+        assert cli_main(["train", "--config", str(path)]) == 1
+        assert "hidden_width" in capsys.readouterr().err
 
     def test_unknown_algorithm_exits_1(self, tmp_path):
         path = write_config(tmp_path / "c.json", algorithm="q-zero")

@@ -17,7 +17,6 @@ from nviflab import commgraph as cg
 from nviflab import diffcore as dc
 from nviflab.env_gather import (
     N_ACTIONS,
-    OMNIVORE,
     TaskConfig,
     decode_windows,
     level_table,
@@ -45,7 +44,7 @@ from nviflab.nvif import (
 from nviflab.nvif.losses import consistency_rows, kl_rows, recon_rows
 from nviflab.nvif.pretrain import _batch_loss
 
-from conftest import composite_gru_cell, tape_size
+from conftest import composite_gru_cell, refresh_grids, tape_size
 
 
 def _center(n):
@@ -567,10 +566,10 @@ def hp_worlds(draw):
             break
         step(world, {i: int(a) for i, a in zip(ids, rng.integers(0, N_ACTIONS, len(ids)))})
     assume(world.alive_agents())
-    for u in world.units:
-        if u.alive:
-            top = cfg.hp_omnivore if u.kind == OMNIVORE else cfg.hp_food
-            u.hp = int(draw(st.sampled_from([1, top, int(rng.integers(1, top + 1))])))
+    for i in np.flatnonzero(world.alive):
+        top = cfg.hp_omnivore if i < world.n_agents else cfg.hp_food
+        world.hp[i] = int(draw(st.sampled_from([1, top, int(rng.integers(1, top + 1))])))
+    refresh_grids(world)
     return world
 
 
