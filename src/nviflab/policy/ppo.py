@@ -154,7 +154,7 @@ def collect_episode(task_cfg: TaskConfig, env_seed: int, compressor: ObsCompress
         t_now = world.t
         actions, probs = ac.act(x, action_rng)
         values = ac.values(x)
-        result = step(world, {i: int(a) for i, a in zip(ids, actions)})
+        result = step(world, dict(zip(ids, actions.tolist())))
         for row, i in enumerate(ids):
             s = streams.setdefault(i, {"x": [], "a": [], "p": [], "r": [], "v": [], "t": []})
             s["x"].append(x[row])

@@ -163,6 +163,17 @@ class TestGraphRuleProperties:
         np.testing.assert_array_equal(g.adj, loop_adjacency(positions, ids))
 
     @settings(max_examples=60, deadline=None)
+    @given(layouts(), st.integers(1, 2 ** 24), st.integers(-2 ** 30, 2 ** 30),
+           st.integers(-2 ** 30, 2 ** 30))
+    def test_far_offsets_match_loop_oracle(self, layout, spread, ox, oy):
+        # coordinates near 2**31 and squared distances near 2**61: int32
+        # positions or distances would overflow, int64 holds them exactly
+        positions, ids = layout
+        shifted = [(x * spread + ox, y * spread + oy) for x, y in positions]
+        np.testing.assert_array_equal(cg.build_graph(shifted, ids).adj,
+                                      loop_adjacency(shifted, ids))
+
+    @settings(max_examples=60, deadline=None)
     @given(layouts())
     def test_symmetric_zero_diagonal(self, layout):
         g = cg.build_graph(*layout)

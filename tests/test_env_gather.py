@@ -172,6 +172,14 @@ class TestActions:
             with pytest.raises(ValueError):
                 eg.decode_action(bad)
 
+    def test_non_integer_rejected(self):
+        # bools are ints to Python, but no action index
+        for bad in (True, False, np.bool_(True), 2.5, "3", np.float64(3.0), None):
+            with pytest.raises(ValueError, match="action index"):
+                eg.decode_action(bad)
+        for ok in (np.int64(3), np.int32(3), np.uint8(3)):
+            assert eg.decode_action(ok) == eg.decode_action(3)
+
 
 class TestObserve:
     def test_lone_agent_channels(self):
@@ -359,6 +367,27 @@ class TestStep:
             moved = [world.units[i] for i in (0, 1) if (world.units[i].x,
                                                         world.units[i].y) != [(4, 5), (6, 5)][i]]
             assert len(moved) == 1  # exactly one agent won the contested cell
+
+    def test_move_into_a_cell_vacated_this_step(self):
+        # B moves into the cell A leaves: blocked exactly when B moves first
+        move_r = eg.MOVE_OFFSETS.index((1, 0))
+        seen = set()
+        for seed in range(20):
+            world = world_with([(eg.OMNIVORE, 5, 5), (eg.OMNIVORE, 4, 5), (eg.FOOD, 0, 0)],
+                               seed=seed)
+            b_first = copy.deepcopy(world.rng).permutation(2)[0] == 1
+            seen.add(b_first)
+            eg.step(world, {0: move_r, 1: move_r})
+            assert world.pos[:2].tolist() == [[6, 5], [4, 5] if b_first else [5, 5]]
+            _assert_world_invariants(world)
+        assert seen == {True, False}
+
+    def test_non_integer_action_rejected(self):
+        world = world_with([(eg.OMNIVORE, 5, 5), (eg.FOOD, 9, 9)])
+        for bad in (True, 2.5, np.float64(3.0)):
+            with pytest.raises(ValueError, match="action index"):
+                eg.step(world, {0: bad})
+        assert world.t == 0 and world.pos[0].tolist() == [5, 5]
 
     def test_out_of_bounds_move_stays(self):
         world = world_with([(eg.OMNIVORE, 0, 0), (eg.FOOD, 9, 9)])
