@@ -24,6 +24,7 @@ from .tensor import (
     gru_cell,
     log_softmax,
     matmul,
+    matmul_relu,
     mean,
     minimum,
     mse,
@@ -33,6 +34,7 @@ from .tensor import (
     sigmoid,
     sparse_matmul,
     splice,
+    sq_dist_rows,
     sub,
     sum,
     take_per_row,
@@ -44,8 +46,8 @@ __all__ = [
     "LOG_SIGMA_MAX", "LOG_SIGMA_MIN", "ParamStore", "Tensor", "add", "affine",
     "as_tensor", "backward", "bce_loss", "clamp", "concat", "exp", "gather_rows",
     "gaussian_sample", "gru_cell", "init_gru", "init_linear", "init_mlp",
-    "load_checkpoint", "log_softmax", "matmul", "mean", "minimum", "mlp",
-    "mse", "mul", "no_grad", "optimizer_step", "relu", "save_checkpoint",
-    "sigmoid", "sparse_matmul", "splice", "sub", "sum", "take_per_row", "tanh",
-    "topological_order",
+    "load_checkpoint", "log_softmax", "matmul", "matmul_relu", "mean", "minimum",
+    "mlp", "mse", "mul", "no_grad", "optimizer_step", "relu", "save_checkpoint",
+    "sigmoid", "sparse_matmul", "splice", "sq_dist_rows", "sub", "sum",
+    "take_per_row", "tanh", "topological_order",
 ]

@@ -1,11 +1,11 @@
 """Network building blocks: linear layers, the relu MLP, the GRU cell's
 parameters, reparameterized sampling. The GRU cell itself is one primitive
-node, :func:`tensor.gru_cell`."""
+node, :func:`tensor.gru_cell`, and the sample is one node as well."""
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, add, affine, as_tensor, exp, mul, relu
+from .tensor import Tensor, _check_same_shape, _make, affine, as_tensor, relu
 
 LOG_SIGMA_MIN = -10.0
 LOG_SIGMA_MAX = 4.0
@@ -57,9 +57,16 @@ def init_gru(rng: np.random.Generator, input_width: int, hidden_width: int, dtyp
     return params
 
 
+def _vjp_gaussian_sample(g, node, k):
+    return g if k == 0 else g * node._saved * np.exp(node._parents[1].data)
+
+
 def gaussian_sample(mu, log_sigma, rng: np.random.Generator) -> Tensor:
     """Reparameterized draw mu + exp(log_sigma) * eps, eps ~ N(0, I) from
-    ``rng`` in the dtype of ``mu``."""
+    ``rng`` in the dtype of ``mu``. One node over (mu, log_sigma) that saves
+    only eps: the values and gradients of ``add(mu, mul(exp(log_sigma), eps))``."""
     mu, log_sigma = as_tensor(mu), as_tensor(log_sigma)
+    _check_same_shape(mu, log_sigma, "gaussian_sample")
     eps = rng.standard_normal(mu.data.shape).astype(mu.data.dtype)
-    return add(mu, mul(exp(log_sigma), eps))
+    return _make(mu.data + np.exp(log_sigma.data) * eps, (mu, log_sigma),
+                 _vjp_gaussian_sample, eps)

@@ -12,11 +12,14 @@ left intact, so it can be walked or backpropagated again. Ops never broadcast
 beyond numpy bias/batch rules; shape mismatches raise :class:`ShapeError`
 naming the shapes.
 
-Most ops are one numpy expression. :func:`gru_cell` is a whole recurrent
-step as one node: it saves its three gates, and its VJP computes all eight
-parents' gradients at the visit's first parent that requires one, then drops
-them at the last. So a step costs the tape one node and three saved arrays,
-where the same cell built from the elementwise ops costs thirteen nodes.
+A node keeps only what its VJP reads; elementwise values are recomputed in
+the VJP from the parents instead. Most ops are one numpy expression, and four
+nodes each stand for a chain of them, bit for bit: :func:`gru_cell`, a whole
+recurrent step of thirteen ops (it saves its three gates, and its VJP
+computes all eight parents' gradients at the visit's first parent that
+requires one and drops them at the last), :func:`matmul_relu` (it keeps only
+its output, whose sign is the relu's mask), :func:`sq_dist_rows` (it saves
+nothing) and :func:`nn.gaussian_sample` (it saves its noise).
 
 A Python ``int`` or ``float`` operand of :func:`add`, :func:`sub` or
 :func:`mul` stays a Python number and is handed to numpy as is. NumPy treats
@@ -195,6 +198,21 @@ def matmul(a, b) -> Tensor:
     return _make(a.data @ b.data, (a, b), _vjp_matmul)
 
 
+def _vjp_matmul_relu(g, node, k):
+    x, w = node._parents
+    g = g * (node.data > 0)  # relu(v) > 0 exactly where v > 0
+    return g @ w.data.T if k == 0 else x.data.T @ g
+
+
+def matmul_relu(x, w) -> Tensor:
+    """``relu(x @ w)`` as one node that keeps only its output: the values and
+    gradients of ``relu(matmul(x, w))`` without the pre-relu product."""
+    x, w = as_tensor(x), as_tensor(w)
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise ShapeError(f"matmul_relu: shapes {x.data.shape} and {w.data.shape} incompatible")
+    return _make(np.maximum(x.data @ w.data, 0), (x, w), _vjp_matmul_relu)
+
+
 def _vjp_affine(g, node, k):
     x, w, b = node._parents
     if k == 2:
@@ -349,6 +367,24 @@ def _vjp_clamp(g, node, k):
 def clamp(x, lo, hi) -> Tensor:
     x = as_tensor(x)
     return _make(np.clip(x.data, lo, hi), (x,), _vjp_clamp, (lo, hi))
+
+
+def _vjp_sq_dist_rows(g, node, k):
+    g = np.expand_dims(g, 1) * (node._parents[0].data - node._parents[1].data)
+    g = g + g  # d(dev * dev), summed as the two slots of a product accumulate it
+    return g if k == 0 else -g
+
+
+def sq_dist_rows(a, b) -> Tensor:
+    """Per-row ``sum((a - b)^2, axis=1)`` of two same-shape matrices as one
+    node that saves nothing: the same values and gradients as
+    ``sum(mul(d, d), axis=1)`` with ``d = sub(a, b)``."""
+    a, b = as_tensor(a), as_tensor(b)
+    if a.data.ndim != 2 or a.data.shape != b.data.shape:
+        raise ShapeError(f"sq_dist_rows: shapes {a.data.shape} and {b.data.shape} "
+                         f"are not one 2-D shape")
+    dev = a.data - b.data
+    return _make((dev * dev).sum(axis=1), (a, b), _vjp_sq_dist_rows)
 
 
 def _vjp_splice(g, node, k):

@@ -16,7 +16,7 @@ from ..diffcore import (
     mean,
     mul,
     sparse_matmul,
-    sub,
+    sq_dist_rows,
     sum as tsum,
 )
 
@@ -49,10 +49,10 @@ def consistency_rows(latents, blocks) -> Tensor:
     C is the group-centering matrix: C[i, j] = 1/k when agents i and j share
     a group of k agents, else 0. ``blocks`` are its diagonal blocks, one
     (k, k) block of 1/k per group in row order (see
-    :func:`diffcore.sparse_matmul`)."""
+    :func:`diffcore.sparse_matmul`); the distance is one :func:`diffcore.sq_dist_rows`
+    node, which recomputes the deviation in its backward pass."""
     lat = as_tensor(latents)
-    dev = sub(lat, sparse_matmul(blocks, lat))
-    return tsum(mul(dev, dev), axis=1)
+    return sq_dist_rows(lat, sparse_matmul(blocks, lat))
 
 
 def kl_standard_normal(mu, log_sigma) -> Tensor:

@@ -84,12 +84,17 @@ class ObsCompressor:
             raise ConfigError(f"compressor expects observation width {self.config.obs_dim}, "
                               f"task produces {task_cfg.obs_dim}")
 
+    def _hidden(self, x):
+        return relu(affine(x, self.store["enc_w1"], self.store["enc_w1_b"]))
+
+    def _mean(self, h):
+        return affine(h, self.store["enc_mu"], self.store["enc_mu_b"])
+
     def _encode(self, x):
-        h = relu(affine(x, self.store["enc_w1"], self.store["enc_w1_b"]))
-        mu = affine(h, self.store["enc_mu"], self.store["enc_mu_b"])
+        h = self._hidden(x)
         log_sigma = clamp(affine(h, self.store["enc_ls"], self.store["enc_ls_b"]),
                           LOG_SIGMA_MIN, LOG_SIGMA_MAX)
-        return mu, log_sigma
+        return self._mean(h), log_sigma
 
     def _decode(self, z):
         """Per-cell logits of the reconstructed observation."""
@@ -101,15 +106,13 @@ class ObsCompressor:
             raise StateError("observation compressor used before training")
         x = np.atleast_2d(np.asarray(obs_flat, dtype=self.config.dtype))
         with no_grad():
-            mu, _ = self._encode(Tensor(x))
-        return mu.data
+            return self._mean(self._hidden(Tensor(x))).data
 
     def reconstruction_bce(self, obs_flat: np.ndarray) -> float:
         """Per-cell mean cross entropy of deterministic reconstructions."""
         x = np.atleast_2d(np.asarray(obs_flat, dtype=self.config.dtype))
         with no_grad():
-            mu, _ = self._encode(Tensor(x))
-            loss = bce_loss(x, self._decode(mu))
+            loss = bce_loss(x, self._decode(self._mean(self._hidden(Tensor(x)))))
         return float(loss.data)
 
     def train(self, corpus: np.ndarray, hyper: ObsVaeHyper) -> list[dict]:

@@ -48,6 +48,25 @@ def composite_gru_cell(x, h, params):
     return dc.add(dc.mul(dc.sub(1.0, z), h), dc.mul(z, n))
 
 
+def composite_matmul_relu(x, w):
+    """:func:`diffcore.matmul_relu` as a matmul node and a relu node."""
+    return dc.relu(dc.matmul(x, w))
+
+
+def composite_gaussian_sample(mu, log_sigma, rng):
+    """:func:`diffcore.gaussian_sample` as exp, mul and add nodes, drawing
+    the same noise from ``rng``."""
+    mu, log_sigma = dc.as_tensor(mu), dc.as_tensor(log_sigma)
+    eps = rng.standard_normal(mu.data.shape).astype(mu.data.dtype)
+    return dc.add(mu, dc.mul(dc.exp(log_sigma), eps))
+
+
+def composite_sq_dist_rows(a, b):
+    """:func:`diffcore.sq_dist_rows` as sub, mul and sum nodes."""
+    dev = dc.sub(a, b)
+    return dc.sum(dc.mul(dev, dev), axis=1)
+
+
 def tape_size(loss, skip=()):
     """(nodes, bytes) of the tape behind ``loss``. The bytes count each
     distinct array that a node holds in ``data`` or ``_saved`` once, except

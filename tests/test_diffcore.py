@@ -15,7 +15,14 @@ from nviflab import diffcore as dc
 from nviflab.diffcore.tensor import _propagate
 from nviflab.errors import DataError, ShapeError
 
-from conftest import central_diff_grads, composite_gru_cell, max_rel_err
+from conftest import (
+    central_diff_grads,
+    composite_gaussian_sample,
+    composite_gru_cell,
+    composite_matmul_relu,
+    composite_sq_dist_rows,
+    max_rel_err,
+)
 
 RNG = np.random.default_rng(2024)
 TOL = 1e-4
@@ -171,6 +178,17 @@ class TestOpGradients:
         x, h = _leaf((3, 3)), _leaf((3, 4))
         leaves = [x, h] + list(params.values())
         _check_grads(lambda: _weighted(dc.gru_cell(x, h, params)), leaves)
+
+    def test_matmul_relu(self):
+        rng = np.random.default_rng(4)
+        x, w = (dc.Tensor(rng.standard_normal(s), requires_grad=True) for s in ((4, 3), (3, 5)))
+        pre = x.data @ w.data  # both signs, and no finite difference crosses the kink
+        assert np.abs(pre).min() > 0.1 and 0 < (pre > 0).sum() < pre.size
+        _check_grads(lambda: _weighted(dc.matmul_relu(x, w)), [x, w])
+
+    def test_sq_dist_rows(self):
+        a, b = _leaf((4, 3)), _leaf((4, 3))
+        _check_grads(lambda: _weighted(dc.sq_dist_rows(a, b)), [a, b])
 
     def test_gaussian_sample_fixed_eps(self):
         # a fresh generator per evaluation draws the same noise every time
@@ -403,6 +421,34 @@ def _gru_shapes(rows, n_in, n_h):
     return [(rows, n_in), (rows, n_h)] + [(n_in + n_h, n_h), (n_h,)] * 3
 
 
+def _fused_vs_composite(fused, composite, arrays, needs, grad_on, upstream):
+    """Build the one-node op ``fused`` and its ``composite`` oracle over copies
+    of the same leaves and backpropagate ``upstream`` through each; value,
+    graph membership and every leaf gradient must agree bit for bit. Returns
+    the fused node."""
+    def run(op):
+        leaves = [dc.Tensor(a.copy(), requires_grad=r) for a, r in zip(arrays, needs)]
+        with contextlib.nullcontext() if grad_on else dc.no_grad():
+            out = op(*leaves)
+        if out.requires_grad:
+            dc.backward(dc.sum(dc.mul(out, upstream)))
+        return out, leaves
+
+    got, got_leaves = run(fused)
+    want, want_leaves = run(composite)
+    assert got.data.dtype == want.data.dtype == arrays[0].dtype
+    np.testing.assert_array_equal(got.data, want.data)
+    assert got.requires_grad == want.requires_grad == (grad_on and any(needs))
+    assert got._parents == (tuple(got_leaves) if got.requires_grad else ())
+    for g, w in zip(got_leaves, want_leaves):
+        if got.requires_grad and g.requires_grad:
+            assert g.grad.dtype == w.grad.dtype == arrays[0].dtype
+            np.testing.assert_array_equal(g.grad, w.grad)
+        else:
+            assert g.grad is None and w.grad is None
+    return got
+
+
 class TestFusedGru:
     @settings(max_examples=120, deadline=None)
     @given(rows=st.integers(1, 9), n_in=st.integers(1, 6), n_h=st.integers(1, 6),
@@ -416,28 +462,13 @@ class TestFusedGru:
         arrays = [rng.standard_normal(s).astype(dtype) for s in _gru_shapes(rows, n_in, n_h)]
         upstream = rng.standard_normal((rows, n_h)).astype(dtype)
 
-        def run(cell):
-            leaves = [dc.Tensor(a.copy(), requires_grad=r) for a, r in zip(arrays, needs)]
-            with contextlib.nullcontext() if grad_on else dc.no_grad():
-                out = cell(leaves[0], leaves[1], dict(zip(GRU_SLOTS[2:], leaves[2:])))
-            if out.requires_grad:
-                dc.backward(dc.sum(dc.mul(out, upstream)))
-            return out, leaves
+        def on_slots(cell):
+            return lambda x, h, *weights: cell(x, h, dict(zip(GRU_SLOTS[2:], weights)))
 
-        fused, fused_leaves = run(dc.gru_cell)
-        ref, ref_leaves = run(composite_gru_cell)
-        assert fused.data.dtype == ref.data.dtype == dtype
-        np.testing.assert_array_equal(fused.data, ref.data)
-        assert fused.requires_grad == ref.requires_grad == (grad_on and any(needs))
+        fused = _fused_vs_composite(on_slots(dc.gru_cell), on_slots(composite_gru_cell),
+                                    arrays, needs, grad_on, upstream)
         if fused.requires_grad:
-            assert fused._parents == tuple(fused_leaves)
             assert fused._saved[3] is None  # the pending gradients were released
-        for got, want in zip(fused_leaves, ref_leaves):
-            if fused.requires_grad and got.requires_grad:
-                assert got.grad.dtype == want.grad.dtype == dtype
-                np.testing.assert_array_equal(got.grad, want.grad)
-            else:
-                assert got.grad is None and want.grad is None
 
     @staticmethod
     def _cells(x, h):
@@ -485,6 +516,74 @@ class TestFusedGru:
         assert str(shape) in str(err.value)
 
 
+LEAN_CASE = dict(rows=st.integers(1, 9), width=st.integers(1, 6),
+                 dtype=st.sampled_from([np.float32, np.float64]),
+                 needs=st.tuples(st.booleans(), st.booleans()), grad_on=st.booleans(),
+                 seed=st.integers(0, 2 ** 16))
+
+
+class TestLeanNodes:
+    """The one-node forms of the graph-conv layer, the latent sample and the
+    consistency term against their composite oracles: same bits, and a node
+    that keeps only what its VJP reads."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(n_in=st.integers(1, 6), dead=st.sampled_from(["none", "rows", "all"]), **LEAN_CASE)
+    def test_matmul_relu_equals_composite(self, rows, width, n_in, dead, dtype, needs,
+                                          grad_on, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((rows, n_in)).astype(dtype)
+        w = rng.standard_normal((n_in, width)).astype(dtype)
+        if dead == "rows":  # pre-activations of exactly 0 in every other row
+            x[::2] = 0.0
+        elif dead == "all":  # every pre-activation below 0
+            x, w = np.abs(x) + 0.1, -np.abs(w) - 0.1
+        upstream = rng.standard_normal((rows, width)).astype(dtype)
+        out = _fused_vs_composite(dc.matmul_relu, composite_matmul_relu, [x, w], needs,
+                                 grad_on, upstream)
+        if dead == "all":
+            assert not out.data.any()
+        assert out._saved is None
+
+    @settings(max_examples=120, deadline=None)
+    @given(**LEAN_CASE)
+    def test_gaussian_sample_equals_composite(self, rows, width, dtype, needs, grad_on, seed):
+        rng = np.random.default_rng(seed)
+        mu, log_sigma = (rng.standard_normal((rows, width)).astype(dtype) for _ in range(2))
+        upstream = rng.standard_normal((rows, width)).astype(dtype)
+        out = _fused_vs_composite(
+            lambda m, s: dc.gaussian_sample(m, s, rng=np.random.default_rng(seed)),
+            lambda m, s: composite_gaussian_sample(m, s, np.random.default_rng(seed)),
+            [mu, log_sigma], needs, grad_on, upstream)
+        if out.requires_grad:  # the noise, and nothing more
+            np.testing.assert_array_equal(
+                out._saved, np.random.default_rng(seed).standard_normal(mu.shape).astype(dtype))
+
+    @settings(max_examples=120, deadline=None)
+    @given(**LEAN_CASE)
+    def test_sq_dist_rows_equals_composite(self, rows, width, dtype, needs, grad_on, seed):
+        rng = np.random.default_rng(seed)
+        a, b = (rng.standard_normal((rows, width)).astype(dtype) for _ in range(2))
+        upstream = rng.standard_normal(rows).astype(dtype)
+        out = _fused_vs_composite(dc.sq_dist_rows, composite_sq_dist_rows, [a, b], needs,
+                                 grad_on, upstream)
+        assert out.data.shape == (rows,) and out._saved is None
+
+    @pytest.mark.parametrize("build, shapes", [
+        (dc.matmul_relu, [(3, 4), (3, 2)]),
+        (dc.matmul_relu, [(4,), (4, 2)]),
+        (dc.matmul_relu, [(3, 4), (4, 2, 1)]),
+        (lambda m, s: dc.gaussian_sample(m, s, rng=np.random.default_rng(0)), [(3, 4), (4,)]),
+        (lambda m, s: dc.gaussian_sample(m, s, rng=np.random.default_rng(0)), [(3, 4), (4, 3)]),
+        (dc.sq_dist_rows, [(3, 4), (3, 5)]),
+        (dc.sq_dist_rows, [(3, 4, 2), (3, 4, 2)]),
+    ])
+    def test_shape_error_names_the_shapes(self, build, shapes):
+        with pytest.raises(ShapeError) as err:
+            build(*(dc.Tensor(np.zeros(s), requires_grad=True) for s in shapes))
+        assert all(str(s) in str(err.value) for s in shapes)
+
+
 class TestGaussianSample:
     def test_degenerate_noise_returns_mu(self):
         mu = np.array([[1.0, -2.0]])
@@ -519,6 +618,10 @@ MULTI_OPERAND = {
     "sub": (dc.sub, [(3, 1), (3, 4)]),
     "mul": (dc.mul, [(3, 4), (1, 4)]),
     "matmul": (dc.matmul, [(3, 4), (4, 2)]),
+    "matmul_relu": (dc.matmul_relu, [(3, 4), (4, 2)]),
+    "gaussian_sample": (lambda m, s: dc.gaussian_sample(m, s, rng=np.random.default_rng(1)),
+                        [(3, 4), (3, 4)]),
+    "sq_dist_rows": (dc.sq_dist_rows, [(3, 4), (3, 4)]),
     "minimum": (dc.minimum, [(3, 4), (3, 4)]),
     "mse": (dc.mse, [(3, 4), (3, 4)]),
     "concat": (lambda a, b, c: dc.concat([a, b, c], axis=1), [(3, 1), (3, 2), (3, 3)]),

@@ -44,7 +44,14 @@ from nviflab.nvif import (
 from nviflab.nvif.losses import consistency_rows, kl_rows, recon_rows
 from nviflab.nvif.pretrain import _batch_loss
 
-from conftest import composite_gru_cell, refresh_grids, tape_size
+from conftest import (
+    composite_gaussian_sample,
+    composite_gru_cell,
+    composite_matmul_relu,
+    composite_sq_dist_rows,
+    refresh_grids,
+    tape_size,
+)
 
 
 def _center(n):
@@ -505,30 +512,56 @@ class TestPretrain:
         assert len(tape_bytes) == 2
         assert peak - fixed <= 2 * max(tape_bytes)
 
-    def test_fused_gru_shrinks_the_tape_with_identical_gradients(
-            self, small_buffer, tiny_task, monkeypatch):
-        # one pre-training batch with the fused cell and with the 13-node oracle
-        # patched into the encoder: same loss and gradients, a smaller tape
+    @staticmethod
+    def _batch_against_oracles(buffer, tiny_task, monkeypatch, oracles):
+        """One pre-training batch as built today and with ``oracles``, (module,
+        name, composite) triples, patched in: (loss, (nodes, bytes), grads)
+        of each."""
         enc = NvifEncoder(NvifConfig(
             obs_feat_width=8, obs_dim=tiny_task.obs_dim, hidden_width=64, latent_width=16,
             flow_layers=2, decoder_hidden=128, dtype="float32"), np.random.default_rng(2))
 
         def batch():
             enc.store.zero_grad()
-            total, *_ = _batch_loss(enc, small_buffer[:2], alpha=0.1, recon_weight=1.0,
+            total, *_ = _batch_loss(enc, buffer[:2], alpha=0.1, recon_weight=1.0,
                                     rng=np.random.default_rng(0))
             size = tape_size(total)
             dc.backward(total)
             return total.data, size, {n: enc.store[n].grad.copy() for n in enc.store.names()}
 
-        loss, (nodes, nbytes), grads = batch()
-        encoder_module = importlib.import_module("nviflab.nvif.encoder")
-        monkeypatch.setattr(encoder_module, "gru_cell", composite_gru_cell)
-        ref_loss, (ref_nodes, ref_bytes), ref_grads = batch()
+        lean = batch()
+        for module, name, composite in oracles:
+            monkeypatch.setattr(importlib.import_module(module), name, composite)
+        return lean, batch()
+
+    def test_fused_gru_shrinks_the_tape_with_identical_gradients(
+            self, small_buffer, tiny_task, monkeypatch):
+        # one pre-training batch with the fused cell and with the 13-node oracle
+        # patched into the encoder: same loss and gradients, a smaller tape
+        (loss, (nodes, nbytes), grads), (ref_loss, (ref_nodes, ref_bytes), ref_grads) = \
+            self._batch_against_oracles(small_buffer, tiny_task, monkeypatch, [
+                ("nviflab.nvif.encoder", "gru_cell", composite_gru_cell)])
         assert loss == ref_loss
         for name in grads:
             np.testing.assert_array_equal(grads[name], ref_grads[name])
         assert nodes < ref_nodes and nbytes < ref_bytes
+
+    def test_lean_nodes_shrink_the_tape_with_identical_gradients(
+            self, small_buffer, tiny_task, monkeypatch):
+        # the graph-conv layer, the latent sample and the consistency term as
+        # one node each, against their composites patched back in: the same
+        # loss and gradient bytes from a tape of at most 0.8 of the bytes
+        (loss, (nodes, nbytes), grads), (ref_loss, (ref_nodes, ref_bytes), ref_grads) = \
+            self._batch_against_oracles(small_buffer, tiny_task, monkeypatch, [
+                ("nviflab.nvif.flownet", "matmul_relu", composite_matmul_relu),
+                ("nviflab.nvif.encoder", "gaussian_sample", composite_gaussian_sample),
+                ("nviflab.nvif.losses", "sq_dist_rows", composite_sq_dist_rows)])
+        assert loss.tobytes() == ref_loss.tobytes()
+        assert grads.keys() == ref_grads.keys()
+        for name in grads:
+            assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+        assert nodes < ref_nodes
+        assert nbytes <= 0.8 * ref_bytes, (nbytes, ref_bytes)
 
     def test_zero_batch_rejected(self, small_buffer):
         with pytest.raises(ConfigError):
@@ -733,14 +766,17 @@ class TestBlockBatches:
 # Pre-training under an address-space cap, in its own process, so a memory
 # regression fails that process instead of exhausting the machine. Figures
 # are VmPeak with one BLAS thread (CPython 3.11, numpy 2.4, OpenBLAS).
-# - One random-medium epoch (8 episodes, batches of 4) peaks at 240 MiB, 32%
-#   below its cap. With the decoder on the batch tape it peaked at 365 MiB,
-#   and with float32 windows in the buffer as well at 427 MiB.
+# - One random-medium epoch (8 episodes, batches of 4) peaks at 221 MiB, 32%
+#   below its cap. With the graph-conv layer, the latent sample and the
+#   consistency term as composite nodes it peaked at 240 MiB, with the decoder
+#   on the batch tape as well at 365 MiB, and with float32 windows in the
+#   buffer as well at 427 MiB.
 # - One paper-scale batch (16 random-large episodes of 49 agents) peaks at
-#   726 MiB, 24% below its cap. With a dense (N, N) matrix over the stacked
-#   agents per timestep it peaked at 1195 MiB.
-GATE_MIB = 352
-LARGE_GATE_MIB = 960
+#   612 MiB, 24% below its cap. With the composite nodes it peaked at
+#   726 MiB, and with a dense (N, N) matrix over the stacked agents per
+#   timestep as well at 1195 MiB.
+GATE_MIB = 326
+LARGE_GATE_MIB = 808
 _GATE_SCRIPT = """
 import resource, sys
 limit = int(sys.argv[1]) * 2 ** 20
