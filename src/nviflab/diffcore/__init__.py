@@ -23,7 +23,6 @@ from .tensor import (
     gather_rows,
     gru_cell,
     log_softmax,
-    matmul,
     matmul_relu,
     mean,
     minimum,
@@ -31,14 +30,12 @@ from .tensor import (
     mul,
     no_grad,
     relu,
-    sigmoid,
     sparse_matmul,
     splice,
     sq_dist_rows,
     sub,
     sum,
     take_per_row,
-    tanh,
     topological_order,
 )
 
@@ -46,8 +43,8 @@ __all__ = [
     "LOG_SIGMA_MAX", "LOG_SIGMA_MIN", "ParamStore", "Tensor", "add", "affine",
     "as_tensor", "backward", "bce_loss", "clamp", "concat", "exp", "gather_rows",
     "gaussian_sample", "gru_cell", "init_gru", "init_linear", "init_mlp",
-    "load_checkpoint", "log_softmax", "matmul", "matmul_relu", "mean", "minimum",
+    "load_checkpoint", "log_softmax", "matmul_relu", "mean", "minimum",
     "mlp", "mse", "mul", "no_grad", "optimizer_step", "relu", "save_checkpoint",
-    "sigmoid", "sparse_matmul", "splice", "sq_dist_rows", "sub", "sum",
-    "take_per_row", "tanh", "topological_order",
+    "sparse_matmul", "splice", "sq_dist_rows", "sub", "sum",
+    "take_per_row", "topological_order",
 ]

@@ -1,4 +1,9 @@
-"""Adaptive-moment gradient descent over a ParamStore."""
+"""Adam (arXiv 1412.6980) over a ParamStore: one multi-tensor update per flat
+buffer of the store, in place. Adam is elementwise, so this is the per-
+parameter update's float arithmetic, in the same order and with the same
+weak-scalar rounding (``tests/conftest.py`` keeps that update as the
+oracle). A graph backpropagated after a step reads the stepped parameters.
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -7,25 +12,24 @@ from .params import ParamStore
 
 
 def optimizer_step(store: ParamStore, lr=3e-4, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One Adam update from the gradients currently held by the store.
-
-    Moment buffers live in ``store.moments`` and persist across calls (and
-    across checkpoint save/load). Missing gradients count as zero.
-    """
+    """One Adam update from the gradients the store holds; a missing one
+    counts as zero, and each is taken in its parameter's dtype."""
     store.step_count += 1
     t = store.step_count
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
-    for name in store.names():
-        p = store[name]
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        bufs = store.moments.get(name)
-        if bufs is None:
-            bufs = {"m": np.zeros_like(p.data), "v": np.zeros_like(p.data)}
-            store.moments[name] = bufs
-        bufs["m"] = beta1 * bufs["m"] + (1.0 - beta1) * g
-        bufs["v"] = beta2 * bufs["v"] + (1.0 - beta2) * (g * g)
-        m_hat = bufs["m"] / bc1
-        v_hat = bufs["v"] / bc2
-        p.data = p.data - (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(p.data.dtype)
-
+    for buf in store.buffers.values():
+        g = np.concatenate([np.zeros_like(p.data) if p.grad is None else p.grad
+                            for p in buf.tensors], axis=None, dtype=buf.data.dtype)
+        if buf.m is None:
+            buf.m, buf.v = np.zeros_like(buf.data), np.zeros_like(buf.data)
+        buf.m *= beta1
+        buf.m += (1.0 - beta1) * g
+        buf.v *= beta2
+        g *= g
+        buf.v += (1.0 - beta2) * g
+        np.sqrt(np.divide(buf.v, bc2, out=g), out=g)  # g is now the denominator
+        g += eps
+        step = buf.m / bc1
+        step *= lr
+        buf.data -= np.divide(step, g, out=step)

@@ -1,17 +1,24 @@
 """Named parameter storage and single-file checkpoints.
 
-Checkpoint format: one file. Its first line is a JSON header
-``{"meta": ..., "stores": {name: {"step_count": n, "arrays": [{"name",
-"shape", "dtype"}, ...]}}}``, holding the caller's ``meta`` and the array
-table of every named store. After the newline come the arrays' little-endian
-raw values, back to back in table order. A store's arrays are its parameters
-(``param/<name>``) and its optimizer moment buffers (``moment/<key>/<name>``),
-so a reload resumes optimization bit-exactly.
+A store packs its parameters into one flat buffer per dtype, in the order
+they were added, and each parameter's ``Tensor.data`` is a view into it; the
+optimizer updates the buffers and their flat Adam moments in place. So code
+that sets a parameter writes into its view (``p.data[...] = x``) or goes
+through the store, and never rebinds ``p.data``.
+
+Checkpoint format, per parameter and so independent of the flat layout:
+one file. Its first line is a JSON header ``{"meta": ..., "stores": {name:
+{"step_count": n, "arrays": [{"name", "shape", "dtype"}, ...]}}}``, holding
+the caller's ``meta`` and the array table of every named store. After the
+newline come the arrays' little-endian raw values, back to back in table
+order: a store's parameters (``param/<name>``), then, once it has stepped,
+each one's moments (``moment/m/<name>``, ``moment/v/<name>``), all written
+from their slices of the flat arrays, so a reload resumes bit-exactly.
 
 ``save_checkpoint`` writes ``<path>.tmp`` and commits it with one atomic
 rename, so a save that fails or is killed part-way leaves the previous
 checkpoint in place. ``load_checkpoint`` checks the table's extents against
-the file length.
+the file length, and that a store's moments cover all its parameters or none.
 """
 from __future__ import annotations
 
@@ -28,18 +35,38 @@ from .tensor import Tensor
 _DTYPE_CODES = {"float32": "<f4", "float64": "<f8"}
 
 
+class FlatBuffer:
+    """One dtype's parameters back to back in ``data``; Adam's moments ``m``
+    and ``v`` share the layout (``None`` until the first step)."""
+
+    def __init__(self, dtype):
+        self.data, self.m, self.v, self.tensors = np.empty(0, dtype), None, None, []
+
+
 class ParamStore:
     def __init__(self):
         self._params: dict[str, Tensor] = {}
-        self.moments: dict[str, dict[str, np.ndarray]] = {}
+        self._slots: dict[str, slice] = {}  # each parameter's place in its buffer
+        self.buffers: dict[np.dtype, FlatBuffer] = {}
         self.step_count = 0
 
     def add(self, name: str, array: np.ndarray) -> Tensor:
+        """Copy ``array`` into its dtype's buffer as parameter ``name``."""
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        t = Tensor(np.asarray(array), requires_grad=True)
-        self._params[name] = t
+        array = np.asarray(array)
+        buf = self.buffers.setdefault(array.dtype, FlatBuffer(array.dtype))
+        self._slots[name] = slice(buf.data.size, buf.data.size + array.size)
+        t = self._params[name] = Tensor(array, requires_grad=True)
+        buf.tensors.append(t)
+        buf.data = np.concatenate([buf.data, array.ravel()])
+        for n, p in self._params.items():
+            if p.data.dtype == array.dtype:
+                p.data = self._view(n, buf.data)
         return t
+
+    def _view(self, name: str, flat: np.ndarray) -> np.ndarray:
+        return flat[self._slots[name]].reshape(self._params[name].data.shape)
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
@@ -53,6 +80,20 @@ class ParamStore:
     def zero_grad(self):
         for t in self._params.values():
             t.grad = np.zeros_like(t.data)
+
+    @property
+    def moments(self) -> dict[str, dict[str, np.ndarray]]:
+        """Each parameter's ``{"m", "v"}`` as views into the flat moments, in
+        parameter order; empty before the first step."""
+        bufs = {n: self.buffers[t.data.dtype] for n, t in self._params.items()}
+        return {n: {"m": self._view(n, b.m), "v": self._view(n, b.v)}
+                for n, b in bufs.items() if b.m is not None}
+
+    def copy_from(self, other: "ParamStore"):
+        """Set the parameters to ``other``'s, whose names, shapes and dtypes
+        match, with one buffer copy per dtype; the moments stay."""
+        for dtype, buf in self.buffers.items():
+            np.copyto(buf.data, other.buffers[dtype].data)
 
 
 def save_checkpoint(path: str | Path, meta: dict, stores: dict[str, ParamStore]):
@@ -80,6 +121,19 @@ def save_checkpoint(path: str | Path, meta: dict, stores: dict[str, ParamStore])
     os.replace(tmp, path)
 
 
+def _set_moments(store: ParamStore, moments: dict, where: str):
+    """Pack a file's per-name ``{"m", "v"}`` moments into the flat moment
+    arrays; a file has them for every parameter or for none."""
+    shapes = {n: t.data.shape for n, t in store._params.items()}
+    bad = sorted(n for n in shapes.keys() | moments.keys() if dict.fromkeys("mv", shapes.get(n))
+                 != {k: a.shape for k, a in moments.get(n, {}).items()})
+    if bad:
+        raise DataError(f"{where} has Adam moments, but none or misshapen ones for {bad}")
+    for dtype, buf in store.buffers.items():
+        buf.m, buf.v = (np.concatenate([moments[n][k].ravel() for n, t in store._params.items()
+                                        if t.data.dtype == dtype], dtype=dtype) for k in "mv")
+
+
 def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, ParamStore]]:
     """Read a :func:`save_checkpoint` file back as (meta, named stores)."""
     path = Path(path)
@@ -96,6 +150,7 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, ParamStore]]:
     for store_name, table in tables.items():
         store = stores[store_name] = ParamStore()
         store.step_count = table["step_count"]
+        moments = {}
         for entry in table["arrays"]:
             code = _DTYPE_CODES[entry["dtype"]]
             size = math.prod(entry["shape"])
@@ -110,7 +165,9 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, ParamStore]]:
                 store.add(rest, arr)
             else:
                 key, _, name = rest.partition("/")
-                store.moments.setdefault(name, {})[key] = arr
+                moments.setdefault(name, {})[key] = arr
+        if moments:
+            _set_moments(store, moments, f"{path}: store {store_name}")
     if end != len(data):
         raise DataError(f"{path}: the array table covers {end} bytes, the file holds {len(data)}")
     return meta, stores

@@ -186,18 +186,6 @@ def mul(a, b) -> Tensor:
     return _broadcasting("mul", np.multiply, _vjp_mul, a, b)
 
 
-def _vjp_matmul(g, node, k):
-    a, b = node._parents
-    return g @ b.data.T if k == 0 else a.data.T @ g
-
-
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: shapes {a.data.shape} and {b.data.shape} incompatible")
-    return _make(a.data @ b.data, (a, b), _vjp_matmul)
-
-
 def _vjp_matmul_relu(g, node, k):
     x, w = node._parents
     g = g * (node.data > 0)  # relu(v) > 0 exactly where v > 0
@@ -206,7 +194,7 @@ def _vjp_matmul_relu(g, node, k):
 
 def matmul_relu(x, w) -> Tensor:
     """``relu(x @ w)`` as one node that keeps only its output: the values and
-    gradients of ``relu(matmul(x, w))`` without the pre-relu product."""
+    gradients of a product node and a relu node, without the pre-relu product."""
     x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise ShapeError(f"matmul_relu: shapes {x.data.shape} and {w.data.shape} incompatible")
@@ -222,8 +210,8 @@ def _vjp_affine(g, node, k):
 
 def affine(x, w, b) -> Tensor:
     """``x @ w + b`` for a 2-D ``x`` and a bias broadcast over its rows, as one
-    node: the same values and gradients as ``add(matmul(x, w), b)`` without
-    keeping the pre-bias product alive on the tape."""
+    node: the values and gradients of a product node and a bias-add node,
+    without keeping the pre-bias product alive on the tape."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise ShapeError(f"affine: shapes {x.data.shape} and {w.data.shape} incompatible")
@@ -317,24 +305,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     """1 / (1 + e^-x) written as (1 + tanh(x/2)) / 2, which overflows in no
     dtype (e^-x does below -88 in float32)."""
     return 0.5 + 0.5 * np.tanh(0.5 * x)
-
-
-def _vjp_sigmoid(g, node, k):
-    return g * node.data * (1.0 - node.data)
-
-
-def sigmoid(x) -> Tensor:
-    x = as_tensor(x)
-    return _make(_sigmoid(x.data), (x,), _vjp_sigmoid)
-
-
-def _vjp_tanh(g, node, k):
-    return g * (1.0 - node.data * node.data)
-
-
-def tanh(x) -> Tensor:
-    x = as_tensor(x)
-    return _make(np.tanh(x.data), (x,), _vjp_tanh)
 
 
 def _vjp_exp(g, node, k):

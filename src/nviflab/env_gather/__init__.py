@@ -12,7 +12,7 @@ from .actions import (
     decode_action,
 )
 from .config import TaskConfig, preset
-from .replay import ReplayWriter, episode_metrics, read_replay
+from .replay import ReplayWriter
 from .world import (
     EMPTY,
     FOOD,
@@ -32,6 +32,6 @@ __all__ = [
     "ATTACK_OFFSETS", "Attack", "EMPTY", "FOOD", "GridWorld", "MOVE_OFFSETS",
     "Move", "N_ACTIONS", "NOOP", "NOOP_INDEX", "Noop", "OMNIVORE",
     "ReplayWriter", "StepResult", "TaskConfig", "Unit", "decode_action",
-    "decode_windows", "encode_windows", "episode_metrics", "level_table",
-    "new_world", "observe", "preset", "read_replay", "step",
+    "decode_windows", "encode_windows", "level_table", "new_world", "observe",
+    "preset", "step",
 ]

@@ -1,7 +1,8 @@
 """Replay export: JSON-lines, one header then one record per timestep.
 
 Replays are self-sufficient: evaluation metrics (return, end step, fraction
-of food eaten) can be recomputed from the file alone.
+of food eaten) can be recomputed from the file alone (the tests' reader,
+``read_replay`` and ``episode_metrics`` in ``tests/conftest.py``, does so).
 """
 from __future__ import annotations
 
@@ -55,28 +56,3 @@ class ReplayWriter:
         self.close()
         return False
 
-
-def read_replay(path):
-    with open(path) as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
-    episodes = []
-    header = None
-    for line in lines:
-        if line.get("kind") == "header":
-            header = line
-            episodes.append((header, []))
-        else:
-            episodes[-1][1].append(line)
-    return episodes
-
-
-def episode_metrics(header: dict, records: list[dict]) -> dict:
-    """Recompute evaluation metrics from a single episode's replay records."""
-    episode_return = sum(r for rec in records for r in rec["rewards"].values())
-    total_food = header["config"]["n_food"]
-    final_left = records[-1]["food_remaining"] if records else total_food
-    return {
-        "return": episode_return,
-        "end_steps": records[-1]["t"] if records else 0,
-        "food_eaten_frac": (total_food - final_left) / total_food,
-    }

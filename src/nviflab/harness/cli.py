@@ -43,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
     with_config(sub.add_parser("pretrain-nvif", help="train the communication encoder"))
 
     p = with_config(sub.add_parser("train", help="run the configured trainer"))
-    p.add_argument("--resume", action="store_true", help="continue from checkpoint")
+    p.add_argument("--resume", action="store_true", help="continue a PPO run from its checkpoint")
     p.add_argument("--seed", type=int, default=None,
                    help="train only this seed (default: every seed in config)")
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from ..env_gather import N_ACTIONS, new_world, observe, step
-from ..errors import require_counts
+from ..errors import ConfigError, require_counts
 from ..nvif import (
     NvifConfig,
     NvifEncoder,
@@ -122,6 +122,8 @@ def run_training(cfg: ExperimentConfig, seed: int, resume: bool = False,
                  encoder: NvifEncoder | None = None) -> Path:
     """Train one seed, write metrics + a self-contained bundle; returns run dir."""
     family, latent_mode = ALGORITHMS[cfg.algorithm]
+    if resume and family != "ppo":
+        raise ConfigError(f"{cfg.algorithm} cannot resume: only the PPO algorithms resume")
     if compressor is None:
         compressor = load_compressor(cfg)
     if encoder is None and latent_mode in ("nvif", "full"):

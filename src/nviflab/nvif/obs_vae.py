@@ -108,13 +108,6 @@ class ObsCompressor:
         with no_grad():
             return self._mean(self._hidden(Tensor(x))).data
 
-    def reconstruction_bce(self, obs_flat: np.ndarray) -> float:
-        """Per-cell mean cross entropy of deterministic reconstructions."""
-        x = np.atleast_2d(np.asarray(obs_flat, dtype=self.config.dtype))
-        with no_grad():
-            loss = bce_loss(x, self._decode(self._mean(self._hidden(Tensor(x)))))
-        return float(loss.data)
-
     def train(self, corpus: np.ndarray, hyper: ObsVaeHyper) -> list[dict]:
         """Minimize summed-bce reconstruction + KL over shuffled minibatches."""
         hyper.validate()

@@ -97,8 +97,7 @@ class QNetwork:
         return cls(**meta["qnet"], rng=np.random.default_rng(0), store=stores["qnet"])
 
     def copy_from(self, other: "QNetwork"):
-        for name in self.store.names():
-            self.store[name].data = other.store[name].data.copy()
+        self.store.copy_from(other.store)
 
 
 class ReplayRing:

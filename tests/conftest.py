@@ -1,11 +1,14 @@
 """Shared fixtures and oracles."""
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from nviflab import diffcore as dc
+from nviflab.diffcore.tensor import _make, _sigmoid, as_tensor
 from nviflab.env_gather import EMPTY, preset
+from nviflab.errors import ShapeError
 from nviflab.env_gather.world import _channel_grids
 from nviflab.nvif import ObsCompressor, ObsVaeConfig, ObsVaeHyper
 from nviflab.harness.pipeline import collect_obs_corpus
@@ -35,22 +38,109 @@ def max_rel_err(analytic, numeric):
                         np.maximum(np.abs(numeric), 1.0)))
 
 
+def _vjp_matmul(g, node, k):
+    a, b = node._parents
+    return g @ b.data.T if k == 0 else a.data.T @ g
+
+
+def matmul(a, b):
+    """A plain 2-D product node: the part of the fused nodes' oracles that
+    training never builds on its own."""
+    a, b = as_tensor(a), as_tensor(b)
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+        raise ShapeError(f"matmul: shapes {a.data.shape} and {b.data.shape} incompatible")
+    return _make(a.data @ b.data, (a, b), _vjp_matmul)
+
+
+def _vjp_sigmoid(g, node, k):
+    return g * node.data * (1.0 - node.data)
+
+
+def sigmoid(x):
+    """An elementwise sigmoid node, for the GRU and cross-entropy oracles."""
+    x = as_tensor(x)
+    return _make(_sigmoid(x.data), (x,), _vjp_sigmoid)
+
+
+def _vjp_tanh(g, node, k):
+    return g * (1.0 - node.data * node.data)
+
+
+def tanh(x):
+    """An elementwise tanh node, for the GRU oracle."""
+    x = as_tensor(x)
+    return _make(np.tanh(x.data), (x,), _vjp_tanh)
+
+
+def per_name_adam(params, grads, moments, t, lr=3e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam one parameter at a time: the oracle of the flat multi-tensor
+    :func:`diffcore.optimizer_step`. ``params`` (name -> array) and
+    ``moments`` (name -> {"m", "v"}) are updated out of place; a gradient
+    that is ``None`` or absent from ``grads`` counts as zero, and ``t`` is
+    the step's count."""
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    for name, p in params.items():
+        g = grads.get(name)
+        g = np.zeros_like(p) if g is None else g
+        bufs = moments.setdefault(name, {"m": np.zeros_like(p), "v": np.zeros_like(p)})
+        bufs["m"] = beta1 * bufs["m"] + (1.0 - beta1) * g
+        bufs["v"] = beta2 * bufs["v"] + (1.0 - beta2) * (g * g)
+        m_hat = bufs["m"] / bc1
+        v_hat = bufs["v"] / bc2
+        params[name] = p - (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(p.dtype)
+
+
+def reconstruction_bce(compressor, obs_flat):
+    """Per-cell mean cross entropy of an observation compressor's
+    deterministic reconstructions (decoder of the posterior mean)."""
+    x = np.atleast_2d(np.asarray(obs_flat, dtype=compressor.config.dtype))
+    with dc.no_grad():
+        mean = compressor._mean(compressor._hidden(dc.Tensor(x)))
+        return float(dc.bce_loss(x, compressor._decode(mean)).data)
+
+
+def read_replay(path):
+    """A replay file (see :mod:`env_gather.replay`) as (header, records) per episode."""
+    with open(path) as fh:
+        lines = [json.loads(line) for line in fh if line.strip()]
+    episodes = []
+    for line in lines:
+        if line.get("kind") == "header":
+            episodes.append((line, []))
+        else:
+            episodes[-1][1].append(line)
+    return episodes
+
+
+def episode_metrics(header: dict, records: list[dict]) -> dict:
+    """Evaluation metrics recomputed from one episode's replay records alone."""
+    episode_return = sum(r for rec in records for r in rec["rewards"].values())
+    total_food = header["config"]["n_food"]
+    final_left = records[-1]["food_remaining"] if records else total_food
+    return {
+        "return": episode_return,
+        "end_steps": records[-1]["t"] if records else 0,
+        "food_eaten_frac": (total_food - final_left) / total_food,
+    }
+
+
 def composite_gru_cell(x, h, params):
     """The GRU cell of :func:`diffcore.gru_cell` built from 13 elementwise,
     affine and concat nodes: the oracle of the fused node's value and
     gradients."""
     x, h = dc.as_tensor(x), dc.as_tensor(h)
     xh = dc.concat([x, h], axis=1)
-    z = dc.sigmoid(dc.affine(xh, params["w_z"], params["b_z"]))
-    r = dc.sigmoid(dc.affine(xh, params["w_r"], params["b_r"]))
+    z = sigmoid(dc.affine(xh, params["w_z"], params["b_z"]))
+    r = sigmoid(dc.affine(xh, params["w_r"], params["b_r"]))
     xrh = dc.concat([x, dc.mul(r, h)], axis=1)
-    n = dc.tanh(dc.affine(xrh, params["w_n"], params["b_n"]))
+    n = tanh(dc.affine(xrh, params["w_n"], params["b_n"]))
     return dc.add(dc.mul(dc.sub(1.0, z), h), dc.mul(z, n))
 
 
 def composite_matmul_relu(x, w):
     """:func:`diffcore.matmul_relu` as a matmul node and a relu node."""
-    return dc.relu(dc.matmul(x, w))
+    return dc.relu(matmul(x, w))
 
 
 def composite_gaussian_sample(mu, log_sigma, rng):

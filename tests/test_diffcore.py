@@ -2,6 +2,8 @@
 around checkpoints, the optimizer, the GRU cell, and reparameterized noise."""
 import contextlib
 import itertools
+import json
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -21,7 +23,11 @@ from conftest import (
     composite_gru_cell,
     composite_matmul_relu,
     composite_sq_dist_rows,
+    matmul,
     max_rel_err,
+    per_name_adam,
+    sigmoid,
+    tanh,
 )
 
 RNG = np.random.default_rng(2024)
@@ -85,7 +91,7 @@ class TestOpGradients:
 
     def test_matmul(self):
         a, b = _leaf((4, 3)), _leaf((3, 5))
-        _check_grads(lambda: _weighted(dc.matmul(a, b)), [a, b])
+        _check_grads(lambda: _weighted(matmul(a, b)), [a, b])
 
     def test_sparse_matmul(self):
         adj = np.abs(RNG.standard_normal((4, 4)))
@@ -116,11 +122,11 @@ class TestOpGradients:
 
     def test_sigmoid(self):
         x = _leaf((3, 5))
-        _check_grads(lambda: _weighted(dc.sigmoid(x)), [x])
+        _check_grads(lambda: _weighted(sigmoid(x)), [x])
 
     def test_tanh(self):
         x = _leaf((3, 5))
-        _check_grads(lambda: _weighted(dc.tanh(x)), [x])
+        _check_grads(lambda: _weighted(tanh(x)), [x])
 
     def test_exp(self):
         x = _leaf((3, 4))
@@ -221,7 +227,7 @@ class TestForwardValues:
 
     def test_shape_error_names_both_shapes(self):
         with pytest.raises(ShapeError) as err:
-            dc.matmul(dc.Tensor(np.zeros((2, 3))), dc.Tensor(np.zeros((4, 2))))
+            matmul(dc.Tensor(np.zeros((2, 3))), dc.Tensor(np.zeros((4, 2))))
         assert "(2, 3)" in str(err.value) and "(4, 2)" in str(err.value)
 
     @pytest.mark.parametrize("shapes, axis", [
@@ -294,7 +300,7 @@ class TestAffine:
             return out, [leaf.grad for leaf in leaves]
 
         fused, fused_grads = run(dc.affine)
-        ref, ref_grads = run(lambda x, w, b: dc.add(dc.matmul(x, w), b))
+        ref, ref_grads = run(lambda x, w, b: dc.add(matmul(x, w), b))
         assert fused.data.dtype == ref.data.dtype == dtype
         np.testing.assert_array_equal(fused.data, ref.data)
         assert fused.requires_grad == ref.requires_grad == any(needs)
@@ -364,7 +370,7 @@ class TestBceLogits:
         x = np.array([-200.0, -90.0, 0.0, 90.0, 200.0], dtype=np.float32)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = dc.sigmoid(dc.Tensor(x, requires_grad=True))
+            out = sigmoid(dc.Tensor(x, requires_grad=True))
         assert out.data.dtype == np.float32
         np.testing.assert_array_equal(out.data[[0, 2, 4]], [0.0, 0.5, 1.0])
 
@@ -617,7 +623,7 @@ MULTI_OPERAND = {
     "add": (dc.add, [(3, 4), (4,)]),
     "sub": (dc.sub, [(3, 1), (3, 4)]),
     "mul": (dc.mul, [(3, 4), (1, 4)]),
-    "matmul": (dc.matmul, [(3, 4), (4, 2)]),
+    "matmul": (matmul, [(3, 4), (4, 2)]),
     "matmul_relu": (dc.matmul_relu, [(3, 4), (4, 2)]),
     "gaussian_sample": (lambda m, s: dc.gaussian_sample(m, s, rng=np.random.default_rng(1)),
                         [(3, 4), (3, 4)]),
@@ -639,8 +645,8 @@ class TestSplice:
         # splice of its value and df/dy give the single graph's value and gradient
         rng = np.random.default_rng(3)
         x = dc.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-        y = dc.tanh(x)
-        term = lambda t: dc.sum(dc.sigmoid(t))  # noqa: E731
+        y = tanh(x)
+        term = lambda t: dc.sum(sigmoid(t))  # noqa: E731
         dc.backward(dc.add(dc.mul(term(y), 2.0), dc.mean(dc.mul(y, y))))
         want, x.grad = x.grad, None
         leaf = dc.Tensor(y.data, requires_grad=True)
@@ -692,9 +698,9 @@ class TestBackwardContract:
         rng = np.random.default_rng(5)
         w = dc.Tensor(rng.standard_normal((3, 3)), requires_grad=True)
         x = dc.Tensor(rng.standard_normal((4, 3)))
-        y = dc.matmul(x, w)
+        y = matmul(x, w)
         l1 = dc.mean(dc.mul(y, y))
-        l2 = dc.sum(dc.sigmoid(y))
+        l2 = dc.sum(sigmoid(y))
         a, b = 2.0, -0.7
 
         w.grad = None
@@ -820,6 +826,55 @@ class TestOptimizer:
 
         np.testing.assert_array_equal(run(), run())
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["float32", "float64"]),
+                              st.lists(st.integers(0, 3), max_size=3), st.booleans()),
+                    min_size=1, max_size=5),
+           st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+    def test_flat_step_equals_per_name_oracle(self, specs, steps, seed):
+        # the flat buffers give the per-parameter update's bits: shapes of size
+        # 0 and 0-d, two dtypes interleaved, parameters whose gradient is None;
+        # parameters down to 1e-4 keep a last-bit change of the step visible
+        rng = np.random.default_rng(seed)
+        store, params, moments = dc.ParamStore(), {}, {}
+        for k, (dtype, shape, _) in enumerate(specs):
+            scale = 10.0 ** rng.integers(-4, 2)
+            params[f"p{k}"] = np.asarray(rng.standard_normal(shape) * scale).astype(dtype)
+            store.add(f"p{k}", params[f"p{k}"])
+        for t in range(1, steps + 1):
+            grads = {name: None if without else
+                     np.asarray(rng.standard_normal(shape)).astype(dtype)
+                     for name, (dtype, shape, without) in zip(params, specs)}
+            for name, g in grads.items():
+                store[name].grad = g
+            dc.optimizer_step(store, lr=1e-2)
+            per_name_adam(params, grads, moments, t, lr=1e-2)
+        assert store.step_count == steps
+        assert list(store.moments) == list(moments) == store.names()
+        for name, want in params.items():
+            got = store[name].data
+            assert got.dtype == want.dtype and got.shape == np.shape(want)
+            np.testing.assert_array_equal(got, want)
+            for key in ("m", "v"):
+                assert store.moments[name][key].dtype == moments[name][key].dtype
+                np.testing.assert_array_equal(store.moments[name][key], moments[name][key])
+
+
+def _parent_store_recipe():
+    """Initial values and four steps' gradients of ``tests/data/parent_store.bin``:
+    a float32/float64 store (with a 0-d and a size-0 parameter, and a None
+    gradient at the second step) that the per-parameter optimizer stepped
+    three times before its ``save_checkpoint`` wrote the file."""
+    rng = np.random.default_rng(16)
+    init = {"w": rng.standard_normal((3, 4)).astype(np.float32),
+            "b": rng.standard_normal(4),
+            "s": np.array(0.5, dtype=np.float32),
+            "e": np.zeros((0, 2))}
+    grads = [{name: None if (name == "b" and t == 1) else
+              rng.standard_normal(a.shape).astype(a.dtype) for name, a in init.items()}
+             for t in range(4)]
+    return init, grads
+
 
 class TestParamStore:
     def test_checkpoint_roundtrip_bit_exact(self, tmp_path):
@@ -860,10 +915,10 @@ class TestParamStore:
         rng = np.random.default_rng(4)
         w = store.add("w", rng.standard_normal((5, 3)).astype(np.float32))
         x = rng.standard_normal((2, 5)).astype(np.float32)
-        before = dc.matmul(dc.Tensor(x), w).data
+        before = matmul(dc.Tensor(x), w).data
         dc.save_checkpoint(tmp_path / "rt", {}, {"s": store})
         _, stores = dc.load_checkpoint(tmp_path / "rt")
-        after = dc.matmul(dc.Tensor(x), stores["s"]["w"]).data
+        after = matmul(dc.Tensor(x), stores["s"]["w"]).data
         np.testing.assert_array_equal(before, after)
 
     def _saved(self, tmp_path, seed=1):
@@ -934,28 +989,98 @@ class TestParamStore:
                     max_size=5),
            st.integers(0, 10 ** 6))
     def test_roundtrip_over_random_shapes_and_dtypes(self, specs, step_count):
+        # moments come from an optimizer step on random gradients (None where
+        # the flag is off) whenever some parameter has one; a store that never
+        # stepped saves none
         rng = np.random.default_rng(step_count)
         store = dc.ParamStore()
         store.step_count = step_count
-        for k, (dtype, shape, with_moment) in enumerate(specs):
-            store.add(f"p{k}", rng.standard_normal(shape).astype(dtype))
-            if with_moment:
-                store.moments[f"p{k}"] = {"m": rng.standard_normal(shape).astype(dtype)}
+        for k, (dtype, shape, with_grad) in enumerate(specs):
+            p = store.add(f"p{k}", rng.standard_normal(shape).astype(dtype))
+            if with_grad:
+                p.grad = rng.standard_normal(shape).astype(dtype)
+        if any(with_grad for *_, with_grad in specs):
+            dc.optimizer_step(store, lr=1e-2)
         with tempfile.TemporaryDirectory() as tmp:
             dc.save_checkpoint(Path(tmp) / "ckpt", {"k": len(specs)},
                                {"s": store, "e": dc.ParamStore()})
             meta, stores = dc.load_checkpoint(Path(tmp) / "ckpt")
         loaded = stores["s"]
         assert meta == {"k": len(specs)} and stores["e"].names() == []
-        assert loaded.names() == store.names() and loaded.step_count == step_count
+        assert loaded.names() == store.names() and loaded.step_count == store.step_count
         for name in store.names():
             assert loaded[name].data.dtype == store[name].data.dtype
             assert loaded[name].data.shape == store[name].data.shape
             np.testing.assert_array_equal(loaded[name].data, store[name].data)
-        assert loaded.moments.keys() == store.moments.keys()
+        assert list(loaded.moments) == list(store.moments)
         for name, bufs in store.moments.items():
-            assert loaded.moments[name]["m"].dtype == bufs["m"].dtype
-            np.testing.assert_array_equal(loaded.moments[name]["m"], bufs["m"])
+            for key, arr in bufs.items():
+                assert loaded.moments[name][key].dtype == arr.dtype
+                np.testing.assert_array_equal(loaded.moments[name][key], arr)
+
+    @staticmethod
+    def _write_raw(path, arrays: dict[str, np.ndarray]):
+        """A checkpoint of one store ``s`` holding exactly ``arrays`` (table
+        name -> array), written by hand in the file format."""
+        table = [{"name": n, "shape": list(a.shape), "dtype": str(a.dtype)}
+                 for n, a in arrays.items()]
+        header = {"meta": {}, "stores": {"s": {"step_count": 1, "arrays": table}}}
+        path.write_bytes(json.dumps(header).encode() + b"\n" +
+                         b"".join(a.tobytes() for a in arrays.values()))
+
+    @pytest.mark.parametrize("moments, wrong", [
+        ({"moment/m/a": np.zeros(2), "moment/v/a": np.zeros(2)},
+         "['b']"),
+        ({"moment/m/a": np.zeros(2), "moment/m/b": np.zeros(3, np.float32),
+          "moment/v/b": np.zeros(3, np.float32)},
+         "['a']"),
+        ({"moment/m/a": np.zeros(2), "moment/v/a": np.zeros(2),
+          "moment/m/b": np.zeros(2, np.float32), "moment/v/b": np.zeros(3, np.float32)},
+         "['b']"),
+        ({"moment/m/a": np.zeros(2), "moment/v/a": np.zeros(2),
+          "moment/m/b": np.zeros(3, np.float32), "moment/v/b": np.zeros(3, np.float32),
+          "moment/m/c": np.zeros(1), "moment/v/c": np.zeros(1)},
+         "['c']"),
+    ], ids=["b-missing", "a-without-v", "b-misshapen", "c-unknown"])
+    def test_partial_moment_table_rejected(self, tmp_path, moments, wrong):
+        # the optimizer sets every parameter's moments at once, so a table
+        # that covers some of them is a damaged or foreign file
+        path = tmp_path / "partial"
+        self._write_raw(path, {"param/a": np.ones(2), "param/b": np.ones(3, np.float32),
+                               **moments})
+        with pytest.raises(DataError, match=re.escape(
+                f"partial: store s has Adam moments, but none or misshapen ones for {wrong}")):
+            dc.load_checkpoint(path)
+
+    def test_parent_written_checkpoint_loads_steps_and_resaves(self, tmp_path):
+        # the per-parameter optimizer of the earlier layout saved this file;
+        # the flat store loads it, steps exactly as that optimizer would, and
+        # writes the same bytes back
+        fixture = Path(__file__).parent / "data" / "parent_store.bin"
+        meta, stores = dc.load_checkpoint(fixture)
+        loaded = stores["main"]
+        assert meta == {"recipe": "parent_store", "steps": 3}
+        init, grads = _parent_store_recipe()
+        params = {name: arr.copy() for name, arr in init.items()}
+        moments = {}
+        for t, step in enumerate(grads[:3], start=1):
+            per_name_adam(params, step, moments, t, lr=1e-2)
+        assert loaded.names() == list(init) and loaded.step_count == 3
+        for name in init:
+            assert loaded[name].data.dtype == init[name].dtype
+            np.testing.assert_array_equal(loaded[name].data, params[name])
+            for key in ("m", "v"):
+                np.testing.assert_array_equal(loaded.moments[name][key], moments[name][key])
+        dc.save_checkpoint(tmp_path / "again", meta, stores)
+        assert (tmp_path / "again").read_bytes() == fixture.read_bytes()
+        for name, g in grads[3].items():
+            loaded[name].grad = g
+        dc.optimizer_step(loaded, lr=1e-2)
+        per_name_adam(params, grads[3], moments, 4, lr=1e-2)
+        for name in init:
+            np.testing.assert_array_equal(loaded[name].data, params[name])
+            for key in ("m", "v"):
+                np.testing.assert_array_equal(loaded.moments[name][key], moments[name][key])
 
     def test_missing_path_or_directory_is_not_found(self, tmp_path):
         for path in (tmp_path / "nowhere", tmp_path):

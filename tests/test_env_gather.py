@@ -13,7 +13,7 @@ from nviflab import env_gather as eg
 from nviflab.env_gather.world import _channel_grids, place_units
 from nviflab.errors import ConfigError, ProtocolError
 
-from conftest import refresh_grids
+from conftest import episode_metrics, read_replay, refresh_grids
 
 
 def make_config(**overrides):
@@ -602,10 +602,10 @@ class TestReplay:
             writer.write_step(world, actions, res, edges=[(0, 1)])
             total += sum(res.rewards.values())
         writer.close()
-        episodes = eg.read_replay(path)
+        episodes = read_replay(path)
         assert len(episodes) == 1
         header, records = episodes[0]
-        metrics = eg.episode_metrics(header, records)
+        metrics = episode_metrics(header, records)
         assert metrics["return"] == pytest.approx(total)
         assert metrics["end_steps"] == world.t
         assert records[0]["edges"] == [[0, 1]]

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nviflab.env_gather import NOOP_INDEX, preset, read_replay, episode_metrics
+from nviflab.env_gather import NOOP_INDEX, preset
 from nviflab.errors import ConfigError, DataError
 from nviflab.harness import (
     PolicyBundle,
@@ -21,7 +21,7 @@ from nviflab.diffcore import optimizer_step
 from nviflab.nvif import NvifConfig, NvifEncoder
 from nviflab.policy import ActorCritic, PolicyConfig, PPOHyper, QNetwork, train_ppo
 
-from conftest import EpisodeSpy
+from conftest import EpisodeSpy, episode_metrics, read_replay
 
 
 def write_config(path, **overrides):
@@ -216,6 +216,16 @@ class TestCliExitCodes:
         capsys.readouterr()
         assert cli_main(["train", "--config", str(path), "--resume"]) == 3
         assert str(ckpt) in capsys.readouterr().err
+
+    def test_resume_of_a_dqn_algorithm_exits_1_before_any_work(self, tmp_path, capsys):
+        # DQN writes no checkpoint, so resuming would retrain from scratch over
+        # the previous run's metrics and bundle
+        path = write_config(tmp_path / "c.json", algorithm="nvif-dqn")
+        capsys.readouterr()
+        assert cli_main(["train", "--config", str(path), "--resume"]) == 1
+        err = capsys.readouterr().err
+        assert "nvif-dqn cannot resume" in err and "only the PPO algorithms" in err
+        assert not (tmp_path / "out").exists()
 
     def test_eval_unusable_bundle_exits_3(self, tmp_path, capsys, tiny_compressor):
         garbage = tmp_path / "garbage.ckpt"

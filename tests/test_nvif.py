@@ -49,7 +49,9 @@ from conftest import (
     composite_gru_cell,
     composite_matmul_relu,
     composite_sq_dist_rows,
+    reconstruction_bce,
     refresh_grids,
+    sigmoid,
     tape_size,
 )
 
@@ -72,7 +74,7 @@ class TestFlowNet:
     def test_single_agent_identity_weights(self):
         store = dc.ParamStore()
         params = init_flownet(store, "f", [3, 3], np.random.default_rng(0), np.float64)
-        params.weights[0].data = np.eye(3)
+        params.weights[0].data[...] = np.eye(3)
         v = np.array([[0.5, 1.0, 2.0]])
         adj = (cg.normalize(cg.fully_connected(1)),)
         out = flownet_forward(v, adj, params)
@@ -81,7 +83,7 @@ class TestFlowNet:
     def test_two_clique_averages(self):
         store = dc.ParamStore()
         params = init_flownet(store, "f", [1, 1], np.random.default_rng(0), np.float64)
-        params.weights[0].data = np.eye(1)
+        params.weights[0].data[...] = np.eye(1)
         adj = (cg.normalize(cg.fully_connected(2)),)
         out = flownet_forward(np.array([[1.0], [3.0]]), adj, params)
         np.testing.assert_allclose(out.data, [[2.0], [2.0]])
@@ -119,9 +121,9 @@ class TestEncoderStep:
         enc = tiny_encoder()
         for name in enc.store.names():
             if not name.startswith("head/"):
-                enc.store[name].data = np.zeros_like(enc.store[name].data)
-        enc.store["head/mu_w"].data = np.zeros_like(enc.store["head/mu_w"].data)
-        enc.store["head/mu_b"].data = np.arange(4, dtype=np.float64)
+                enc.store[name].data[...] = 0
+        enc.store["head/mu_w"].data[...] = 0
+        enc.store["head/mu_b"].data[...] = np.arange(4, dtype=np.float64)
         graph = self._graph_chain()
         state = enc.init_state(graph.ids)
         feats = np.ones((3, 6))
@@ -257,7 +259,7 @@ class TestDecoder:
     def test_output_strictly_in_unit_interval(self):
         rng = np.random.default_rng(11)
         enc = tiny_encoder(rng)
-        out = dc.sigmoid(enc.decode(rng.standard_normal((5, 4)), rng.random((5, 2))))
+        out = sigmoid(enc.decode(rng.standard_normal((5, 4)), rng.random((5, 2))))
         assert np.all(out.data > 0.0) and np.all(out.data < 1.0)
 
     def test_position_differentiates_reconstructions(self):
@@ -372,7 +374,7 @@ class TestObsCompressor:
         from nviflab.harness.pipeline import collect_obs_corpus
         held_out = collect_obs_corpus(tiny_task, episodes=3,
                                       rng=np.random.default_rng(999), max_samples=800)
-        bce = tiny_compressor.reconstruction_bce(held_out)
+        bce = reconstruction_bce(tiny_compressor, held_out)
         assert bce < np.log(2.0)
 
     def test_save_load(self, tmp_path, tiny_compressor, tiny_task):
@@ -507,8 +509,8 @@ class TestPretrain:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        fixed = sum(enc.store[n].grad.nbytes + sum(m.nbytes for m in enc.store.moments[n].values())
-                    for n in enc.store.names())
+        fixed = (sum(enc.store[n].grad.nbytes for n in enc.store.names()) +
+                 sum(buf.m.nbytes + buf.v.nbytes for buf in enc.store.buffers.values()))
         assert len(tape_bytes) == 2
         assert peak - fixed <= 2 * max(tape_bytes)
 

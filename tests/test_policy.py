@@ -18,6 +18,7 @@ from nviflab.policy import (
     NvifLatents,
     PolicyConfig,
     PPOHyper,
+    QNetwork,
     alignment_check,
     clipped_term,
     collect_episode,
@@ -262,7 +263,7 @@ class TestCriticLoss:
         rng = np.random.default_rng(6)
         ac = ActorCritic(PolicyConfig(input_width=4, dtype="float64"), rng)
         for name in ac.critic.names():
-            ac.critic[name].data = np.zeros_like(ac.critic[name].data)
+            ac.critic[name].data[...] = 0
         loss = critic_loss(ac, rng.standard_normal((2, 4)), np.array([1.0, 2.0]))
         assert float(loss.data) == pytest.approx(2.5)
 
@@ -286,7 +287,7 @@ class TestAct:
         ac = ActorCritic(PolicyConfig(input_width=3, dtype="float64"),
                          np.random.default_rng(0))
         for name in ("w2", "b2"):
-            ac.actor[name].data = np.zeros_like(ac.actor[name].data)
+            ac.actor[name].data[...] = 0
         with dc.no_grad():
             lp = ac.log_probs(dc.Tensor(np.zeros((1, 3)))).data
         np.testing.assert_allclose(np.exp(lp), 1.0 / N_ACTIONS)
@@ -294,9 +295,9 @@ class TestAct:
     def test_dominant_logit(self):
         ac = ActorCritic(PolicyConfig(input_width=2, n_actions=5, dtype="float64"),
                          np.random.default_rng(0))
-        ac.actor["w1"].data = np.zeros_like(ac.actor["w1"].data)
-        ac.actor["w2"].data = np.zeros_like(ac.actor["w2"].data)
-        ac.actor["b2"].data = np.array([0.0, 20.0, 0.0, 0.0, 0.0])
+        ac.actor["w1"].data[...] = 0
+        ac.actor["w2"].data[...] = 0
+        ac.actor["b2"].data[...] = np.array([0.0, 20.0, 0.0, 0.0, 0.0])
         actions, probs = ac.act(np.zeros((200, 2)), np.random.default_rng(1))
         assert np.all(actions == 1)
         assert np.all(probs > 0.999)
@@ -304,9 +305,9 @@ class TestAct:
     def test_sampling_frequencies(self):
         ac = ActorCritic(PolicyConfig(input_width=2, n_actions=4, dtype="float64"),
                          np.random.default_rng(2))
-        ac.actor["w1"].data = np.zeros_like(ac.actor["w1"].data)
-        ac.actor["w2"].data = np.zeros_like(ac.actor["w2"].data)
-        ac.actor["b2"].data = np.array([1.0, 0.0, -1.0, 0.5])
+        ac.actor["w1"].data[...] = 0
+        ac.actor["w2"].data[...] = 0
+        ac.actor["b2"].data[...] = np.array([1.0, 0.0, -1.0, 0.5])
         probs = np.exp(ac.actor["b2"].data)
         probs /= probs.sum()
         n = 10 ** 5
@@ -413,6 +414,44 @@ class TestDqnPieces:
         assert epsilon_at(hyper, 1000) == 0.05
         assert epsilon_at(hyper, 5000) == 0.05
         assert epsilon_at(hyper, 500) == pytest.approx(0.525)
+
+    def test_parameters_view_their_store_buffers(self, tmp_path):
+        # the optimizer steps each dtype's buffer in place, so every parameter
+        # must stay a view of its own store's buffer: after construction,
+        # after a checkpoint load and after the target sync
+        def views_own_buffer(store):
+            for name in store.names():
+                data = store[name].data
+                assert np.shares_memory(data, store.buffers[data.dtype].data), name
+
+        def shares_none(a, b):
+            return not any(np.shares_memory(a[m].data, b[n].data)
+                           for m in a.names() for n in b.names())
+
+        rng = np.random.default_rng(3)
+        qnet = QNetwork(6, 5, rng)
+        target = QNetwork(6, 5, rng)
+        views_own_buffer(qnet.store)
+        for name in qnet.store.names():
+            qnet.store[name].grad = rng.standard_normal(qnet.store[name].data.shape).astype(
+                np.float32)
+        dc.optimizer_step(qnet.store, lr=1e-2)
+        target.copy_from(qnet)
+        views_own_buffer(target.store)
+        assert shares_none(qnet.store, target.store)
+        for name in qnet.store.names():
+            np.testing.assert_array_equal(target.store[name].data, qnet.store[name].data)
+        dc.optimizer_step(qnet.store, lr=1e-2)  # stepping the online net leaves the target
+        assert not np.array_equal(target.store["w1"].data, qnet.store["w1"].data)
+
+        dc.save_checkpoint(tmp_path / "q", *qnet.checkpoint_parts())
+        loaded = QNetwork.from_checkpoint(*dc.load_checkpoint(tmp_path / "q"))
+        views_own_buffer(loaded.store)
+        assert shares_none(loaded.store, qnet.store)
+        for name in qnet.store.names():
+            np.testing.assert_array_equal(loaded.store[name].data, qnet.store[name].data)
+        with pytest.raises(ValueError):  # another layout
+            target.copy_from(QNetwork(6, 4, rng))
 
 
 class TestTrainers:
