@@ -53,7 +53,7 @@ class ObsVaeHyper:
     seed: int = 0
 
     def validate(self):
-        require_counts("obs_vae", batch_size=self.batch_size)
+        require_counts("obs_vae", epochs=self.epochs, batch_size=self.batch_size)
 
 
 class ObsCompressor:

@@ -26,7 +26,7 @@ from ..diffcore import (
     take_per_row,
 )
 from ..env_gather import N_ACTIONS, TaskConfig, new_world, step
-from ..errors import require_counts
+from ..errors import ConfigError, require_counts
 from ..nvif import NvifEncoder, ObsCompressor
 from .ppo import write_metrics_csv
 from .providers import featurize, make_provider
@@ -50,6 +50,8 @@ class DQNHyper:
     seed: int = 0
 
     def validate(self):
+        if not 0.0 < self.gamma <= 1.0:
+            raise ConfigError(f"gamma must be in (0, 1], got {self.gamma}")
         require_counts("dqn", batch_size=self.batch_size, replay_capacity=self.replay_capacity,
                        eps_decay_steps=self.eps_decay_steps, target_sync=self.target_sync,
                        train_every=self.train_every, min_replay=self.min_replay,
@@ -126,7 +128,6 @@ class ReplayRing:
 class DQNResult:
     metrics: list[dict]
     qnet: QNetwork
-    episodes_done: int
 
 
 def train_dqn(task_cfg: TaskConfig, compressor: ObsCompressor, hyper: DQNHyper,
@@ -199,7 +200,7 @@ def train_dqn(task_cfg: TaskConfig, compressor: ObsCompressor, hyper: DQNHyper,
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         write_metrics_csv(out_dir / "metrics.csv", metrics)
-    return DQNResult(metrics=metrics, qnet=qnet, episodes_done=hyper.episodes)
+    return DQNResult(metrics=metrics, qnet=qnet)
 
 
 def _flush(replay: ReplayRing, pending, next_rows: dict):

@@ -2,20 +2,22 @@
 
 One trainer serves every algorithm variant; the latent provider decides
 whether agents see encoder latents (neighbor or complete graph), the mean
-compressed observation, or nothing. Per epoch: collect episodes, finalize
-per-agent advantages and return targets (advantage plus value, the
-lambda-return), then several shuffled minibatch passes maximizing the
-clipped surrogate (plus an entropy bonus) and minimizing the squared value
-error against the return targets.
+compressed observation, or nothing. Per epoch: collect episodes as (T, n)
+step-by-agent arrays, one GAE pass each giving every agent's advantages and
+return targets (advantage plus value, the lambda-return), then several
+shuffled passes over minibatches of timesteps maximizing the clipped
+surrogate (plus an entropy bonus) and minimizing the squared value error.
 
 The checkpoint (one file, ``<out_dir>/checkpoint``, rewritten after every
-epoch) carries parameters, optimizer moments, all rng streams, and the
-metric rows, so a resumed run replays the remaining epochs bit-exactly.
+epoch) carries parameters, optimizer moments, all rng streams, the metric
+rows and the run's settings, so a resumed run replays the remaining epochs
+bit-exactly; a resume with other settings is refused before it runs.
 """
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+import json
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +47,7 @@ from .returns import compute_gae
 
 METRIC_COLUMNS = ("epoch", "mean_return", "mean_end_steps", "food_eaten_frac",
                   "actor_obj", "critic_loss", "entropy")
+RNG_STREAMS = ("env", "action", "latent", "shuffle")  # the checkpoint's keys
 
 
 @dataclass
@@ -80,11 +83,10 @@ class PPOHyper:
 class EpochBatch:
     x: np.ndarray          # (rows, input_width)
     actions: np.ndarray    # (rows,)
-    logp_old: np.ndarray   # (rows,)
+    probs: np.ndarray      # (rows,) behavior probabilities of the actions
     adv: np.ndarray        # (rows,)
     ret: np.ndarray        # (rows,)
     slot: np.ndarray       # (rows,) timestep-group index
-    n_slots: int
 
 
 @dataclass
@@ -98,7 +100,6 @@ class EpisodeStats:
 class PPOResult:
     metrics: list[dict]
     actor_critic: ActorCritic
-    episodes_done: int
 
 
 def clipped_term(ratio, adv, eps: float) -> Tensor:
@@ -136,59 +137,53 @@ def collect_episode(task_cfg: TaskConfig, env_seed: int, compressor: ObsCompress
                     provider, ac: ActorCritic, action_rng, gamma: float, lam: float):
     """Roll one episode; returns flattened update rows plus episode stats.
 
+    Each step fills its alive agents' cells of (T, n) arrays, T = ``max_steps``
+    and n = ``n_agents``. The values get one more row for the bootstrap, and
+    cells no agent filled stay 0, so one :func:`compute_gae` over the time
+    axis serves every agent. When the episode is cut at ``max_steps`` with
+    food left (``world.truncated``), a survivor bootstraps from V(s_T) of the
+    final state (one extra :func:`featurize` and value call), because the
+    time limit is not part of the task (arXiv 1712.00378). An agent that
+    died, and every agent when the food ran out, bootstraps from 0.
+
     The rows are (inputs, actions, action probabilities, advantages, return
-    targets, timesteps), grouped by agent. Advantages are GAE; the return
-    target is advantage plus value. Each agent's stream ends with a bootstrap
-    value: when the episode is cut at ``max_steps`` with food left
-    (``world.truncated``), a survivor bootstraps from V(s_T) of the final
-    state (one extra :func:`featurize` and value call), because the time
-    limit is not part of the task (arXiv 1712.00378). An agent that died,
-    and every agent when the food ran out, bootstraps from 0.
+    targets, timesteps), agent-major: agents ascending, each agent's steps in
+    time order. Advantages are GAE; the return target is advantage plus value.
     """
     world = new_world(replace(task_cfg, seed=env_seed))
     provider.reset()
-    streams: dict[int, dict] = {}
+    horizon, n = task_cfg.max_steps, world.n_agents
+    live = np.zeros((horizon, n), dtype=bool)
+    acts = np.zeros((horizon, n), dtype=np.int64)
+    probs, rewards = np.zeros((2, horizon, n))
+    values = np.zeros((horizon + 1, n))
+    xs = np.zeros((horizon, n, compressor.config.latent_width + provider.width),
+                  dtype=compressor.config.dtype)
     while not world.done:
-        ids = world.alive_agents()
+        t, ids = world.t, world.alive_agents()
         x = featurize(world, ids, compressor, provider)
-        t_now = world.t
-        actions, probs = ac.act(x, action_rng)
-        values = ac.values(x)
+        actions, p = ac.act(x, action_rng)
+        live[t, ids], xs[t, ids], acts[t, ids], probs[t, ids] = True, x, actions, p
+        values[t, ids] = ac.values(x)
         result = step(world, dict(zip(ids, actions.tolist())))
-        for row, i in enumerate(ids):
-            s = streams.setdefault(i, {"x": [], "a": [], "p": [], "r": [], "v": [], "t": []})
-            s["x"].append(x[row])
-            s["a"].append(actions[row])
-            s["p"].append(probs[row])
-            s["r"].append(result.rewards[i])
-            s["v"].append(values[row])
-            s["t"].append(t_now)
-    final_v = {}
+        rewards[t, ids] = [result.rewards[i] for i in ids]
+    end = world.t
     if world.truncated:
         survivors = world.alive_agents()
-        final_v = dict(zip(survivors, ac.values(
-            featurize(world, survivors, compressor, provider))))
-    rows_x, rows_a, rows_p, rows_adv, rows_ret, rows_t = [], [], [], [], [], []
-    episode_return = 0.0
-    for i, s in streams.items():
-        r = np.asarray(s["r"])
-        v = np.asarray(s["v"])
-        episode_return += float(r.sum())
-        adv = compute_gae(r, np.append(v, final_v.get(i, 0.0)), gamma, lam)
-        ret = adv + v
-        rows_x.extend(s["x"])
-        rows_a.extend(s["a"])
-        rows_p.extend(s["p"])
-        rows_adv.extend(adv)
-        rows_ret.extend(ret)
-        rows_t.extend(s["t"])
+        values[end, survivors] = ac.values(featurize(world, survivors, compressor, provider))
+    adv = compute_gae(rewards[:end], values[:end + 1], gamma, lam)
+    by_agent = live[:end].T
+    x, a, p, adv, v, r = (arr[:end].swapaxes(0, 1)[by_agent]
+                          for arr in (xs, acts, probs, adv, values, rewards))
+    episode_return = 0.0  # per-agent sums in agent order; one sum of all rows rounds otherwise
+    for agent_r in np.split(r, np.cumsum(by_agent.sum(axis=1))[:-1]):
+        episode_return += float(agent_r.sum())
     stats = EpisodeStats(
         episode_return=episode_return,
-        end_steps=world.t,
+        end_steps=end,
         food_eaten_frac=(task_cfg.n_food - world.food_remaining()) / task_cfg.n_food,
     )
-    return (np.asarray(rows_x), np.asarray(rows_a), np.asarray(rows_p),
-            np.asarray(rows_adv), np.asarray(rows_ret), np.asarray(rows_t)), stats
+    return (x, a, p, adv, adv + v, np.nonzero(by_agent)[1]), stats
 
 
 def _update(ac: ActorCritic, batch: EpochBatch, hyper: PPOHyper, shuffle_rng):
@@ -196,18 +191,17 @@ def _update(ac: ActorCritic, batch: EpochBatch, hyper: PPOHyper, shuffle_rng):
     adv = batch.adv
     if hyper.adv_norm:
         adv = (adv - adv.mean()) / (adv.std() + 1e-8)
-    slot_rows: dict[int, list[int]] = {}
-    for row, slot in enumerate(batch.slot):
-        slot_rows.setdefault(int(slot), []).append(row)
-    slot_ids = sorted(slot_rows)
-    logp_old = np.log(batch.logp_old)
+    # every slot from 0 up has a row: each episode step has an alive agent
+    slot_rows = np.split(np.argsort(batch.slot, kind="stable"),
+                         np.cumsum(np.bincount(batch.slot))[:-1])
+    logp_old = np.log(batch.probs)
     sums = np.zeros(3)
     n_updates = 0
     for _ in range(hyper.update_passes):
-        order = shuffle_rng.permutation(len(slot_ids))
+        order = shuffle_rng.permutation(len(slot_rows))
         for lo in range(0, len(order), hyper.minibatch_slots):
             chosen = order[lo:lo + hyper.minibatch_slots]
-            rows = np.concatenate([slot_rows[slot_ids[k]] for k in chosen])
+            rows = np.concatenate([slot_rows[k] for k in chosen])
             x = batch.x[rows]
             objective, entropy = ppo_actor_objective(
                 ac, x, batch.actions[rows], logp_old[rows], adv[rows],
@@ -224,10 +218,6 @@ def _update(ac: ActorCritic, batch: EpochBatch, hyper: PPOHyper, shuffle_rng):
             sums += [float(objective.data), float(closs.data), per_row_entropy]
             n_updates += 1
     return sums / n_updates
-
-
-def _rng_state(gen) -> dict:
-    return gen.bit_generator.state
 
 
 def _restore_rng(state: dict):
@@ -253,19 +243,27 @@ def train_ppo(task_cfg: TaskConfig, compressor: ObsCompressor, hyper: PPOHyper,
     compressor.check_obs_width(task_cfg)
     out_dir = Path(out_dir) if out_dir is not None else None
     ckpt = out_dir / "checkpoint" if out_dir else None
+    # what a resume must keep, as the checkpoint's JSON holds it: all but epochs
+    settings = json.loads(json.dumps({
+        "latent_mode": latent_mode, **{f"task.{k}": v for k, v in asdict(task_cfg).items()},
+        **{f"ppo.{k}": v for k, v in asdict(hyper).items() if k != "epochs"}}))
 
     if resume:
         if ckpt is None:
             raise ConfigError("resume requested without an out_dir to resume from")
         saved, stores = load_checkpoint(ckpt)
+        recorded = saved.get("settings", {})
+        if recorded != settings:
+            diff = [f"{k} saved {recorded.get(k)!r}, given {settings.get(k)!r}"
+                    for k in sorted(recorded.keys() | settings.keys())
+                    if recorded.get(k) != settings.get(k)]
+            raise ConfigError(f"{ckpt}: a resume must keep the run's settings: "
+                              + ("; ".join(diff) if recorded else "none recorded"))
         ac = ActorCritic.from_checkpoint(saved, stores)
-        env_rng = _restore_rng(saved["rng"]["env"])
-        action_rng = _restore_rng(saved["rng"]["action"])
-        latent_rng = _restore_rng(saved["rng"]["latent"])
-        shuffle_rng = _restore_rng(saved["rng"]["shuffle"])
+        env_rng, action_rng, latent_rng, shuffle_rng = (
+            _restore_rng(saved["rng"][k]) for k in RNG_STREAMS)
         metrics = saved["metrics"]
         epoch = saved["epoch"]
-        episodes_done = saved["episodes_done"]
         stopped = saved["stopped"]
     else:
         seq = np.random.SeedSequence(hyper.seed)
@@ -276,7 +274,6 @@ def train_ppo(task_cfg: TaskConfig, compressor: ObsCompressor, hyper: PPOHyper,
         shuffle_rng = np.random.default_rng(shuf_s)
         metrics = []
         epoch = 0
-        episodes_done = 0
         stopped = False
 
     provider = make_provider(latent_mode, feat_width, encoder=encoder,
@@ -291,35 +288,23 @@ def train_ppo(task_cfg: TaskConfig, compressor: ObsCompressor, hyper: PPOHyper,
             return
         policy_meta, stores = ac.checkpoint_parts()
         state = {
-            "epoch": epoch, "episodes_done": episodes_done, "stopped": stopped,
-            "metrics": metrics,
-            "rng": {"env": _rng_state(env_rng), "action": _rng_state(action_rng),
-                    "latent": _rng_state(latent_rng), "shuffle": _rng_state(shuffle_rng)},
+            "epoch": epoch, "stopped": stopped, "metrics": metrics, "settings": settings,
+            "rng": {k: g.bit_generator.state for k, g in zip(
+                RNG_STREAMS, (env_rng, action_rng, latent_rng, shuffle_rng))},
         }
         save_checkpoint(ckpt, state | policy_meta, stores)
         write_metrics_csv(out_dir / "metrics.csv", metrics)
 
     while epoch < hyper.epochs and not stopped:
         parts, stats = [], []
-        slot_base = 0
         for _ in range(hyper.episodes_per_epoch):
             env_seed = int(env_rng.integers(2 ** 62))
             (x, a, p, adv, ret, t), st = collect_episode(
                 task_cfg, env_seed, compressor, provider, ac, action_rng,
                 hyper.gamma, hyper.lam)
-            parts.append((x, a, p, adv, ret, t + slot_base))
-            slot_base += int(t.max()) + 1
+            parts.append((x, a, p, adv, ret, t + sum(s.end_steps for s in stats)))
             stats.append(st)
-            episodes_done += 1
-        batch = EpochBatch(
-            x=np.concatenate([p[0] for p in parts]),
-            actions=np.concatenate([p[1] for p in parts]),
-            logp_old=np.concatenate([p[2] for p in parts]),
-            adv=np.concatenate([p[3] for p in parts]),
-            ret=np.concatenate([p[4] for p in parts]),
-            slot=np.concatenate([p[5] for p in parts]),
-            n_slots=slot_base,
-        )
+        batch = EpochBatch(*map(np.concatenate, zip(*parts)))
         actor_obj, closs, entropy = _update(ac, batch, hyper, shuffle_rng)
         food_frac = float(np.mean([s.food_eaten_frac for s in stats]))
         metrics.append({
@@ -337,4 +322,4 @@ def train_ppo(task_cfg: TaskConfig, compressor: ObsCompressor, hyper: PPOHyper,
         save_state()
     if out_dir is not None:
         write_metrics_csv(out_dir / "metrics.csv", metrics)
-    return PPOResult(metrics=metrics, actor_critic=ac, episodes_done=episodes_done)
+    return PPOResult(metrics=metrics, actor_critic=ac)

@@ -1,20 +1,22 @@
-"""Advantage estimation for one agent's reward stream."""
+"""Advantage estimation for agents' reward streams."""
 from __future__ import annotations
 
 import numpy as np
 
 
 def compute_gae(rewards, values, gamma: float, lam: float) -> np.ndarray:
-    """Generalized advantage estimate.
+    """Generalized advantage estimate over the time axis, axis 0.
 
-    ``values`` must hold one more entry than ``rewards``: the last is the
-    bootstrap value of the state after the last step. It is zero when the
-    agent's stream terminated (death, or the food ran out) and V(s_T) when
-    the episode was only cut at the time limit.
+    ``rewards`` is (T, ...), one column per stream, and ``values`` must hold
+    one more row: the last is the bootstrap value of the state after the
+    last step. It is zero when the stream terminated (death, or the food ran
+    out) and V(s_T) when the episode was only cut at the time limit.
     A_t = sum_{l>=0} (gamma*lam)^l * delta_{t+l},
     delta_t = r_{t+1} + gamma*V_{t+1} - V_t.
     With lam = 1 and zero values A_t is the discounted reward-to-go, and
-    A_t + V_t is the lambda-return that trains the critic.
+    A_t + V_t is the lambda-return that trains the critic. A column of L < T
+    steps and zeros after them, its bootstrap row L in ``values`` included,
+    gets the bits of a call on its prefix alone, then zeros.
     """
     rewards = np.asarray(rewards, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)

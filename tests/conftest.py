@@ -1,4 +1,5 @@
 """Shared fixtures and oracles."""
+import importlib
 import json
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ from nviflab.errors import ShapeError
 from nviflab.env_gather.world import _channel_grids
 from nviflab.nvif import ObsCompressor, ObsVaeConfig, ObsVaeHyper
 from nviflab.harness.pipeline import collect_obs_corpus
+from nviflab.policy import compute_gae, featurize
 
 
 def central_diff_grads(f, arrays, h=1e-4):
@@ -206,6 +208,57 @@ class EpisodeSpy:
 
         monkeypatch.setattr(module, "new_world", spy_new_world)
         monkeypatch.setattr(module, "step", spy_step)
+
+
+def per_agent_episode(task_cfg, env_seed, compressor, provider, ac, action_rng, gamma, lam):
+    """:func:`policy.ppo.collect_episode` as per-agent lists, with one
+    :func:`compute_gae` call per agent: the oracle of its (T, n) record. It
+    reaches ``new_world`` and ``step`` through the ppo module, so an
+    :class:`EpisodeSpy` on that module wraps both."""
+    ppo = importlib.import_module("nviflab.policy.ppo")
+    world = ppo.new_world(replace(task_cfg, seed=env_seed))
+    provider.reset()
+    streams: dict[int, dict] = {}
+    while not world.done:
+        ids = world.alive_agents()
+        x = featurize(world, ids, compressor, provider)
+        t_now = world.t
+        actions, probs = ac.act(x, action_rng)
+        values = ac.values(x)
+        result = ppo.step(world, dict(zip(ids, actions.tolist())))
+        for row, i in enumerate(ids):
+            s = streams.setdefault(i, {"x": [], "a": [], "p": [], "r": [], "v": [], "t": []})
+            s["x"].append(x[row])
+            s["a"].append(actions[row])
+            s["p"].append(probs[row])
+            s["r"].append(result.rewards[i])
+            s["v"].append(values[row])
+            s["t"].append(t_now)
+    final_v = {}
+    if world.truncated:
+        survivors = world.alive_agents()
+        final_v = dict(zip(survivors, ac.values(
+            featurize(world, survivors, compressor, provider))))
+    rows_x, rows_a, rows_p, rows_adv, rows_ret, rows_t = [], [], [], [], [], []
+    episode_return = 0.0
+    for i, s in streams.items():
+        r = np.asarray(s["r"])
+        v = np.asarray(s["v"])
+        episode_return += float(r.sum())
+        adv = compute_gae(r, np.append(v, final_v.get(i, 0.0)), gamma, lam)
+        rows_x.extend(s["x"])
+        rows_a.extend(s["a"])
+        rows_p.extend(s["p"])
+        rows_adv.extend(adv)
+        rows_ret.extend(adv + v)
+        rows_t.extend(s["t"])
+    stats = ppo.EpisodeStats(
+        episode_return=episode_return,
+        end_steps=world.t,
+        food_eaten_frac=(task_cfg.n_food - world.food_remaining()) / task_cfg.n_food,
+    )
+    return (np.asarray(rows_x), np.asarray(rows_a), np.asarray(rows_p),
+            np.asarray(rows_adv), np.asarray(rows_ret), np.asarray(rows_t)), stats
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ from nviflab.harness import (
     scalability_matrix,
 )
 from nviflab.harness.cli import main as cli_main
-from nviflab.diffcore import optimizer_step
+from nviflab.diffcore import load_checkpoint, optimizer_step, save_checkpoint
 from nviflab.nvif import NvifConfig, NvifEncoder
 from nviflab.policy import ActorCritic, PolicyConfig, PPOHyper, QNetwork, train_ppo
 
@@ -74,11 +74,22 @@ class TestExperimentConfig:
         ("nvif", "batch_episodes"), ("nvif", "flow_layers"), ("nvif", "hidden_width"),
         ("nvif", "latent_width"), ("nvif", "decoder_hidden"),
         ("obs_vae", "batch_size"), ("obs_vae", "latent_width"), ("obs_vae", "hidden_width"),
+        ("obs_vae", "epochs"),
         ("ppo", "minibatch_slots"), ("ppo", "episodes_per_epoch"), ("ppo", "update_passes"),
         ("ppo", "hidden_width"),
     ])
     def test_zero_count_rejected(self, tmp_path, section, key):
         path = write_config(tmp_path / "c.json", **{section: {key: 0}})
+        with pytest.raises(ConfigError) as err:
+            load_experiment(path)
+        assert key in str(err.value)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("ppo", "gamma", 1.5), ("ppo", "lam", 1.5), ("ppo", "clip_eps", 1.0),
+        ("dqn", "gamma", 0.0), ("dqn", "gamma", 1.5),
+    ])
+    def test_out_of_range_rejected(self, tmp_path, section, key, value):
+        path = write_config(tmp_path / "c.json", **{section: {key: value}})
         with pytest.raises(ConfigError) as err:
             load_experiment(path)
         assert key in str(err.value)
@@ -216,6 +227,19 @@ class TestCliExitCodes:
         capsys.readouterr()
         assert cli_main(["train", "--config", str(path), "--resume"]) == 3
         assert str(ckpt) in capsys.readouterr().err
+
+    def test_resume_with_an_edited_setting_exits_1_and_keeps_the_run(self, tmp_path, capsys):
+        path = write_config(tmp_path / "c.json")
+        assert cli_main(["pretrain-obs", "--config", str(path)]) == 0
+        assert cli_main(["train", "--config", str(path)]) == 0
+        run = tmp_path / "out" / "train-ippo-seed0"
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        assert {"checkpoint", "metrics.csv"} <= set(before)
+        write_config(path, ppo={"epochs": 2, "episodes_per_epoch": 2, "gamma": 0.5})
+        capsys.readouterr()
+        assert cli_main(["train", "--config", str(path), "--resume"]) == 1
+        assert "gamma" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
     def test_resume_of_a_dqn_algorithm_exits_1_before_any_work(self, tmp_path, capsys):
         # DQN writes no checkpoint, so resuming would retrain from scratch over
@@ -534,6 +558,35 @@ class TestResume:
                               (res_full.actor_critic.critic, res_resumed.actor_critic.critic)):
             for name in before.names():
                 np.testing.assert_array_equal(after[name].data, before[name].data)
+
+    @pytest.mark.parametrize("key, task, hyper, latent_mode", [
+        ("gamma", {}, {"gamma": 0.5}, "none"),
+        ("episodes_per_epoch", {}, {"episodes_per_epoch": 3}, "none"),
+        ("hidden_width", {}, {"hidden_width": 128}, "none"),
+        ("latent_mode", {}, {}, "mean"),
+        ("map_size", {"map_size": 10}, {}, "none"),
+    ])
+    def test_resume_with_other_settings_rejected(self, tmp_path, tiny_task, tiny_compressor,
+                                                 key, task, hyper, latent_mode):
+        saved = PPOHyper(epochs=1, episodes_per_epoch=1, seed=1)
+        train_ppo(tiny_task, tiny_compressor, saved, latent_mode="none", out_dir=tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(ConfigError, match=key):
+            train_ppo(replace(tiny_task, **task), tiny_compressor,
+                      replace(saved, epochs=2, **hyper), latent_mode=latent_mode,
+                      out_dir=tmp_path, resume=True)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_resume_without_a_settings_record_rejected(self, tmp_path, tiny_task,
+                                                       tiny_compressor):
+        hyper = PPOHyper(epochs=1, episodes_per_epoch=1, seed=1)
+        train_ppo(tiny_task, tiny_compressor, hyper, latent_mode="none", out_dir=tmp_path)
+        meta, stores = load_checkpoint(tmp_path / "checkpoint")
+        del meta["settings"]
+        save_checkpoint(tmp_path / "checkpoint", meta, stores)
+        with pytest.raises(ConfigError, match="none recorded"):
+            train_ppo(tiny_task, tiny_compressor, replace(hyper, epochs=2),
+                      latent_mode="none", out_dir=tmp_path, resume=True)
 
     def test_checkpoint_resume_bit_identical(self, tmp_path, tiny_task, tiny_compressor):
         hyper = PPOHyper(epochs=4, episodes_per_epoch=2, seed=11)

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nviflab import diffcore as dc
@@ -33,7 +33,7 @@ from nviflab.policy import (
     train_ppo,
 )
 
-from conftest import EpisodeSpy, central_diff_grads
+from conftest import EpisodeSpy, central_diff_grads, per_agent_episode
 
 
 class TestGae:
@@ -62,6 +62,25 @@ class TestGae:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             compute_gae([1.0, 2.0], [0.0, 0.0], 0.9, 0.9)
+
+    @given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+           pad=st.integers(0, 3), seed=st.integers(0, 2 ** 16),
+           gamma=st.floats(0.5, 1.0), lam=st.floats(0.0, 1.0))
+    @settings(max_examples=50, deadline=None)
+    def test_padded_columns_match_prefix_calls(self, lengths, pad, seed, gamma, lam):
+        # column i holds L_i steps and zeros after; only a column of T steps
+        # bootstraps from a nonzero value, as a survivor of a time-limit cut
+        rng = np.random.default_rng(seed)
+        horizon = max(lengths) + pad
+        rewards, values = np.zeros((horizon, len(lengths))), np.zeros((horizon + 1, len(lengths)))
+        for i, n in enumerate(lengths):
+            rewards[:n, i] = rng.standard_normal(n)
+            values[:n + (n == horizon), i] = rng.standard_normal(n + (n == horizon))
+        adv = compute_gae(rewards, values, gamma, lam)
+        for i, n in enumerate(lengths):
+            np.testing.assert_array_equal(
+                adv[:n, i], compute_gae(rewards[:n, i], values[:n + 1, i], gamma, lam))
+            assert not adv[n:, i].any()
 
 
 def _reward_to_go(rewards, gamma):
@@ -196,6 +215,60 @@ class TestWipeout:
                            latent_mode="none")
         assert spy.world.t == result.metrics[0]["mean_end_steps"] == 2
         assert done_flags == [0.0] * n + [1.0] * n
+
+
+ROLLOUT_ENDINGS = ("none", "subset", "food_out", "wipeout")
+
+
+class TestArrayRollout:
+    def test_matches_per_agent_oracle(self, tiny_task, tiny_compressor):
+        """The (T, n) record gives the per-agent oracle's rows and stats, bit
+        for bit, on random desk tasks, latent modes and episode endings."""
+        from nviflab.nvif import NvifConfig, NvifEncoder
+        ppo_mod = importlib.import_module("nviflab.policy.ppo")
+        encoder = NvifEncoder(NvifConfig(obs_feat_width=8, obs_dim=tiny_task.obs_dim,
+                                         hidden_width=8, latent_width=4, flow_layers=1,
+                                         decoder_hidden=8), np.random.default_rng(0))
+        seen = set()
+
+        @given(map_size=st.integers(8, 12), n_agents=st.integers(2, 6),
+               max_steps=st.integers(1, 12), mode=st.sampled_from(["none", "mean", "nvif"]),
+               ending=st.sampled_from(ROLLOUT_ENDINGS), at=st.integers(1, 12),
+               seed=st.integers(0, 2 ** 16))
+        @settings(max_examples=40, deadline=None)
+        def rollout(map_size, n_agents, max_steps, mode, ending, at, seed):
+            task = replace(tiny_task, map_size=map_size, n_omnivores=n_agents,
+                           max_steps=max_steps)
+            rng = np.random.default_rng(seed)
+            kill = {"subset": rng.choice(n_agents, int(rng.integers(1, n_agents)),
+                                         replace=False).tolist(),
+                    "wipeout": list(range(n_agents))}.get(ending, [])
+            # at_t = 0 never fires: the spy looks after each step, from t = 1
+            at_t = 0 if ending == "none" else min(at, max_steps)
+            outs = []
+            for collect in (collect_episode, per_agent_episode):
+                provider = make_provider(mode, 8, encoder=encoder,
+                                         rng=np.random.default_rng(seed))
+                ac = ActorCritic(PolicyConfig(input_width=8 + provider.width),
+                                 np.random.default_rng(seed))
+                with pytest.MonkeyPatch.context() as mp:
+                    spy = EpisodeSpy(mp, ppo_mod, at_t=at_t, kill=kill,
+                                     eat_food=ending == "food_out")
+                    outs.append(collect(task, seed, tiny_compressor, provider, ac,
+                                        np.random.default_rng(seed + 1), 0.9, 0.8))
+            (rows, stats), (want_rows, want_stats) = outs
+            for got, want in zip(rows, want_rows):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+            assert stats == want_stats
+            if spy.world.t >= at_t:
+                seen.add(ending)
+
+        for ending in ROLLOUT_ENDINGS:  # each ending at least once, at a mid-episode t
+            rollout = example(map_size=10, n_agents=4, max_steps=6, mode="nvif",
+                              ending=ending, at=3, seed=0)(rollout)
+        rollout()
+        assert seen == set(ROLLOUT_ENDINGS)
 
 
 class TestClipObjective:
