@@ -6,6 +6,7 @@ from .nn import (
     init_gru,
     init_linear,
     init_mlp,
+    kl_rows,
     mlp,
 )
 from .optim import optimizer_step
@@ -21,9 +22,9 @@ from .tensor import (
     concat,
     exp,
     gather_rows,
+    graph_conv,
     gru_cell,
     log_softmax,
-    matmul_relu,
     mean,
     minimum,
     mse,
@@ -42,8 +43,8 @@ from .tensor import (
 __all__ = [
     "LOG_SIGMA_MAX", "LOG_SIGMA_MIN", "ParamStore", "Tensor", "add", "affine",
     "as_tensor", "backward", "bce_loss", "clamp", "concat", "exp", "gather_rows",
-    "gaussian_sample", "gru_cell", "init_gru", "init_linear", "init_mlp",
-    "load_checkpoint", "log_softmax", "matmul_relu", "mean", "minimum",
+    "gaussian_sample", "graph_conv", "gru_cell", "init_gru", "init_linear", "init_mlp",
+    "kl_rows", "load_checkpoint", "log_softmax", "mean", "minimum",
     "mlp", "mse", "mul", "no_grad", "optimizer_step", "relu", "save_checkpoint",
     "sparse_matmul", "splice", "sq_dist_rows", "sub", "sum",
     "take_per_row", "topological_order",

@@ -1,11 +1,13 @@
 """Network building blocks: linear layers, the relu MLP, the GRU cell's
-parameters, reparameterized sampling. The GRU cell itself is one primitive
-node, :func:`tensor.gru_cell`, and the sample is one node as well."""
+parameters, reparameterized sampling and the Gaussian KL divergence. The GRU
+cell itself is one primitive node, :func:`tensor.gru_cell`, and the sample
+and the divergence are one node each as well."""
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, _check_same_shape, _make, affine, as_tensor, relu
+from ..errors import ShapeError
+from .tensor import Tensor, _check_same_shape, _make, _spread, affine, as_tensor, relu
 
 LOG_SIGMA_MIN = -10.0
 LOG_SIGMA_MAX = 4.0
@@ -70,3 +72,25 @@ def gaussian_sample(mu, log_sigma, rng: np.random.Generator) -> Tensor:
     eps = rng.standard_normal(mu.data.shape).astype(mu.data.dtype)
     return _make(mu.data + np.exp(log_sigma.data) * eps, (mu, log_sigma),
                  _vjp_gaussian_sample, eps)
+
+
+def _vjp_kl_rows(g, node, k):
+    mu, log_sigma = node._parents[0].data, node._parents[2].data
+    gp = _spread(g * 0.5, mu.shape, 1)
+    if k < 2:
+        return gp * mu
+    return (gp * np.exp(log_sigma * 2.0)) * 2.0 if k == 2 else (-gp) * 2.0
+
+
+def kl_rows(mu, log_sigma) -> Tensor:
+    """Per-row ``0.5 * sum_d(mu*mu + exp(log_sigma*2) - 1 - log_sigma*2)``
+    of two (rows, d) matrices as one node that saves nothing. Its parents are
+    ``(mu, mu, log_sigma, log_sigma)``, one slot per operand use, so it gives
+    the values and gradients of that expression built from nine nodes."""
+    mu, log_sigma = as_tensor(mu), as_tensor(log_sigma)
+    if mu.data.ndim != 2 or mu.data.shape != log_sigma.data.shape:
+        raise ShapeError(f"kl_rows: shapes {mu.data.shape} and {log_sigma.data.shape} "
+                         f"are not one 2-D shape")
+    ls2 = log_sigma.data * 2.0
+    per_dim = mu.data * mu.data + np.exp(ls2) - 1.0 - ls2
+    return _make(per_dim.sum(axis=1) * 0.5, (mu, mu, log_sigma, log_sigma), _vjp_kl_rows)

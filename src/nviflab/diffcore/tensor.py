@@ -13,13 +13,19 @@ beyond numpy bias/batch rules; shape mismatches raise :class:`ShapeError`
 naming the shapes.
 
 A node keeps only what its VJP reads; elementwise values are recomputed in
-the VJP from the parents instead. Most ops are one numpy expression, and four
-nodes each stand for a chain of them, bit for bit: :func:`gru_cell`, a whole
-recurrent step of thirteen ops (it saves its three gates, and its VJP
-computes all eight parents' gradients at the visit's first parent that
-requires one and drops them at the last), :func:`matmul_relu` (it keeps only
-its output, whose sign is the relu's mask), :func:`sq_dist_rows` (it saves
-nothing) and :func:`nn.gaussian_sample` (it saves its noise).
+the VJP from the parents instead. Most ops are one numpy expression, and six
+nodes each stand for a chain of them, bit for bit; what each saves:
+
+- :func:`graph_conv`, ``relu(A x w)`` (three nodes): its output, whose sign
+  is the relu's mask, and A's blocks; the ``w`` slot recomputes ``A x``.
+- :func:`gru_cell`, a recurrent step (thirteen nodes): nothing of its own.
+  Its VJP recomputes the gates, computes all eight parents' gradients at
+  the visit's first slot that needs one and keeps them in ``_saved`` until
+  the last.
+- :func:`affine` (two nodes) and :func:`sq_dist_rows` (three): nothing.
+- :func:`nn.gaussian_sample` (three nodes): its noise.
+- :func:`nn.kl_rows` (nine nodes): nothing; its parents are ``(mu, mu,
+  log_sigma, log_sigma)``, so each term is added as the chain adds it.
 
 A Python ``int`` or ``float`` operand of :func:`add`, :func:`sub` or
 :func:`mul` stays a Python number and is handed to numpy as is. NumPy treats
@@ -186,21 +192,6 @@ def mul(a, b) -> Tensor:
     return _broadcasting("mul", np.multiply, _vjp_mul, a, b)
 
 
-def _vjp_matmul_relu(g, node, k):
-    x, w = node._parents
-    g = g * (node.data > 0)  # relu(v) > 0 exactly where v > 0
-    return g @ w.data.T if k == 0 else x.data.T @ g
-
-
-def matmul_relu(x, w) -> Tensor:
-    """``relu(x @ w)`` as one node that keeps only its output: the values and
-    gradients of a product node and a relu node, without the pre-relu product."""
-    x, w = as_tensor(x), as_tensor(w)
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
-        raise ShapeError(f"matmul_relu: shapes {x.data.shape} and {w.data.shape} incompatible")
-    return _make(np.maximum(x.data @ w.data, 0), (x, w), _vjp_matmul_relu)
-
-
 def _vjp_affine(g, node, k):
     x, w, b = node._parents
     if k == 2:
@@ -247,6 +238,30 @@ def sparse_matmul(blocks, features) -> Tensor:
         raise ShapeError(f"sparse_matmul: blocks of {rows} rows in all and features of "
                          f"shape {x.data.shape} incompatible")
     return _make(_blockwise(blocks, x.data), (x,), _vjp_sparse_matmul, blocks)
+
+
+def _vjp_graph_conv(g, node, k):
+    x, w = node._parents
+    g = g * (node.data > 0)  # relu(v) > 0 exactly where v > 0
+    if k == 0:
+        return _blockwise([b.T for b in node._saved], g @ w.data.T)
+    return _blockwise(node._saved, x.data).T @ g  # the block product, recomputed
+
+
+def graph_conv(blocks, x, w) -> Tensor:
+    """One graph-convolution layer, ``relu(A x w)`` with ``A`` the constant
+    block-diagonal operator of ``blocks`` (as in :func:`sparse_matmul`), as
+    one node over ``(x, w)`` that saves its output and the blocks: the values
+    and gradients of a :func:`sparse_matmul` node followed by a product node
+    and a relu node. The ``w`` slot recomputes ``A x`` instead of keeping it."""
+    x, w, blocks = as_tensor(x), as_tensor(w), tuple(blocks)
+    if w.data.ndim != 2 or x.data.shape[1:2] != w.data.shape[:1]:
+        raise ShapeError(f"graph_conv: features {x.data.shape} and weights {w.data.shape} "
+                         f"incompatible")
+    # sparse_matmul checks the blocks and builds no node on a constant; its
+    # product is freed right after the multiply, not held through the relu
+    out = np.maximum(sparse_matmul(blocks, x.data).data @ w.data, 0)
+    return _make(out, (x, w), _vjp_graph_conv, blocks)
 
 
 def _vjp_concat(g, node, k):
@@ -383,23 +398,32 @@ def splice(x, value, grad) -> Tensor:
 _GRU_PARAMS = ("w_z", "b_z", "w_r", "b_r", "w_n", "b_n")
 
 
+def _gru_gates(x, h, w_z, b_z, w_r, b_r, w_n, b_n):
+    """[x, h], z, r, [x, r*h] and n of one step; the forward pass and the VJP
+    both compute them here, so the VJP's recomputed gates are the forward's bits."""
+    xh = np.concatenate([x, h], axis=1)
+    z = _sigmoid(xh @ w_z + b_z)
+    r = _sigmoid(xh @ w_r + b_r)
+    xrh = np.concatenate([x, r * h], axis=1)
+    return xh, z, r, xrh, np.tanh(xrh @ w_n + b_n)
+
+
 def _gru_grads(g, node) -> list:
     """The gradients of all eight parents in slot order (``None`` for x and
     h when neither requires one). Each sum runs in the order in which the
     cell written as 13 separate ops accumulates it, so both give the same
     bits."""
     x, h, w_z, b_z, w_r, b_r, w_n, b_n = (p.data for p in node._parents)
-    z, r, n, _ = node._saved
+    xh, z, r, xrh, n = _gru_gates(x, h, w_z, b_z, w_r, b_r, w_n, b_n)
     k = x.shape[1]
     g_n = g * z * (1.0 - n * n)
     g_xrh = g_n @ w_n.T
     g_rh = g_xrh[:, k:]
     g_r = g_rh * h * r * (1.0 - r)
     g_z = (g * n - g * h) * z * (1.0 - z)
-    xh = np.concatenate([x, h], axis=1)
     grads = [None, None, xh.T @ g_z, _unbroadcast(g_z, b_z.shape),
              xh.T @ g_r, _unbroadcast(g_r, b_r.shape),
-             np.concatenate([x, r * h], axis=1).T @ g_n, _unbroadcast(g_n, b_n.shape)]
+             xrh.T @ g_n, _unbroadcast(g_n, b_n.shape)]
     if node._parents[0].requires_grad or node._parents[1].requires_grad:
         g_xh = g_z @ w_z.T + g_r @ w_r.T
         grads[0] = g_xh[:, :k] + g_xrh[:, :k]
@@ -411,11 +435,11 @@ def _vjp_gru_cell(g, node, k):
     # the first call of a backward visit computes every parent's gradient
     # (keyed by g, so a pass that raised part-way leaves nothing stale); the
     # call for the last parent that requires one releases them
-    pending = node._saved[3]
+    pending = node._saved
     if pending is None or pending[0] is not g:
-        pending = node._saved[3] = (g, _gru_grads(g, node))
+        pending = node._saved = (g, _gru_grads(g, node))
     if not any(p.requires_grad for p in node._parents[k + 1:]):
-        node._saved[3] = None
+        node._saved = None
     return pending[1][k]
 
 
@@ -430,8 +454,9 @@ def gru_cell(x, h, params) -> Tensor:
     ``params`` holds the gate weights ``w_z``, ``w_r`` and ``w_n``, of shape
     (x width + h width, h width), and the biases ``b_z``, ``b_r`` and ``b_n``,
     of shape (h width,). The parents are ``(x, h, w_z, b_z, w_r, b_r, w_n,
-    b_n)``. The node saves z, r and n; its VJP rebuilds [x, h] and
-    [x, r*h] from the parents."""
+    b_n)``. The node saves no gate: its VJP recomputes z, r and n from the
+    parents, and ``_saved`` holds only the gradients pending within one
+    backward visit."""
     x, h = as_tensor(x), as_tensor(h)
     weights = [as_tensor(params[name]) for name in _GRU_PARAMS]
     xd, hd = x.data, h.data
@@ -443,12 +468,8 @@ def gru_cell(x, h, params) -> Tensor:
         if p.data.shape != want:
             raise ShapeError(f"gru_cell: {name} has shape {p.data.shape}, expected {want} "
                              f"for x {xd.shape} and h {hd.shape}")
-    w_z, b_z, w_r, b_r, w_n, b_n = (p.data for p in weights)
-    xh = np.concatenate([xd, hd], axis=1)
-    z = _sigmoid(xh @ w_z + b_z)
-    r = _sigmoid(xh @ w_r + b_r)
-    n = np.tanh(np.concatenate([xd, r * hd], axis=1) @ w_n + b_n)
-    return _make((1.0 - z) * hd + z * n, (x, h, *weights), _vjp_gru_cell, [z, r, n, None])
+    _, z, _, _, n = _gru_gates(xd, hd, *(p.data for p in weights))
+    return _make((1.0 - z) * hd + z * n, (x, h, *weights), _vjp_gru_cell)
 
 
 # ---------------------------------------------------------------------------

@@ -29,3 +29,12 @@ def require_counts(section: str, **counts):
            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1}
     if bad:
         raise ConfigError(f"{section}: counts must be integers >= 1, got {bad}")
+
+
+def require_rates(section: str, **rates):
+    """Raise ConfigError naming every rate (a step size) that is not a real
+    number > 0; bools are not rates."""
+    bad = {name: value for name, value in rates.items()
+           if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value > 0}
+    if bad:
+        raise ConfigError(f"{section}: rates must be numbers > 0, got {bad}")

@@ -3,8 +3,9 @@
 Each layer computes ReLU(A_hat @ H @ W) where A_hat is the symmetric
 normalized adjacency; L layers give L rounds of exchange per timestep.
 A_hat comes as its diagonal blocks (see :func:`diffcore.sparse_matmul`):
-one per graph, so stacked graphs never exchange features. A layer is two
-nodes: A_hat @ H, which the weight gradient reads, and :func:`diffcore.matmul_relu`.
+one per graph, so stacked graphs never exchange features. A layer is one
+node, :func:`diffcore.graph_conv`, which keeps its output and A_hat's blocks
+and recomputes A_hat @ H for the weight gradient.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..diffcore import ParamStore, Tensor, init_linear, matmul_relu, sparse_matmul
+from ..diffcore import ParamStore, Tensor, graph_conv, init_linear
 
 
 @dataclass
@@ -37,5 +38,5 @@ def flownet_forward(features, blocks, params: FlowNetParams) -> Tensor:
     in row order, and rows that match no block raise :class:`ShapeError`."""
     h = features if isinstance(features, Tensor) else Tensor(features)
     for w in params.weights:
-        h = matmul_relu(sparse_matmul(blocks, h), w)
+        h = graph_conv(blocks, h, w)
     return h

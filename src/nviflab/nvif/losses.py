@@ -8,17 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..diffcore import (
-    Tensor,
-    as_tensor,
-    bce_loss,
-    exp,
-    mean,
-    mul,
-    sparse_matmul,
-    sq_dist_rows,
-    sum as tsum,
-)
+from ..diffcore import Tensor, as_tensor, bce_loss, mean, nn, sparse_matmul, sq_dist_rows
 
 
 @dataclass
@@ -38,9 +28,16 @@ def recon_rows(obs, logits) -> Tensor:
 
 def kl_rows(mu, log_sigma) -> Tensor:
     """Per-row KL(N(mu, sigma^2) || N(0, I)) summed over latent dims:
-    0.5 * sum_d(mu^2 + sigma^2 - 1 - 2 log sigma)."""
-    per_dim = mul(mu, mu) + exp(mul(log_sigma, 2.0)) - 1.0 - mul(log_sigma, 2.0)
-    return mul(tsum(per_dim, axis=1), 0.5)
+    0.5 * sum_d(mu^2 + sigma^2 - 1 - 2 log sigma), as one node
+    (:func:`diffcore.nn.kl_rows`) that saves nothing.
+
+    The node's parents are ``(mu, mu, log_sigma, log_sigma)``: each operand
+    appears once per use in the expression, so its two gradient terms are
+    added one at a time, in the order of the expression written as nine
+    nodes. A node over ``(mu, log_sigma)`` that summed each pair first would
+    round ``log_sigma``'s gradient differently wherever the latent sample
+    adds its own term to it."""
+    return nn.kl_rows(mu, log_sigma)
 
 
 def consistency_rows(latents, blocks) -> Tensor:

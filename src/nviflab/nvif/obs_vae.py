@@ -33,7 +33,7 @@ from ..diffcore import (
     relu,
     save_checkpoint,
 )
-from ..errors import ConfigError, DataError, StateError, require_counts
+from ..errors import ConfigError, DataError, StateError, require_counts, require_rates
 from .losses import kl_standard_normal
 
 
@@ -54,6 +54,7 @@ class ObsVaeHyper:
 
     def validate(self):
         require_counts("obs_vae", epochs=self.epochs, batch_size=self.batch_size)
+        require_rates("obs_vae", lr=self.lr)
 
 
 class ObsCompressor:

@@ -41,7 +41,7 @@ from ..env_gather import (
     observe,
     step,
 )
-from ..errors import DataError, require_counts
+from ..errors import DataError, require_counts, require_rates
 from .encoder import NvifEncoder
 from .losses import NvifLossReport, consistency_rows, kl_rows, recon_rows
 from .obs_vae import ObsCompressor
@@ -75,6 +75,7 @@ class PretrainHyper:
 
     def validate(self):
         require_counts("nvif", epochs=self.epochs, batch_episodes=self.batch_episodes)
+        require_rates("nvif", lr=self.lr)
 
 
 def gather_step_data(world, ids, compressor: ObsCompressor, graph_kind: str = "neighbor",

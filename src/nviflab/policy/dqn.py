@@ -26,7 +26,7 @@ from ..diffcore import (
     take_per_row,
 )
 from ..env_gather import N_ACTIONS, TaskConfig, new_world, step
-from ..errors import ConfigError, require_counts
+from ..errors import ConfigError, require_counts, require_rates
 from ..nvif import NvifEncoder, ObsCompressor
 from .ppo import write_metrics_csv
 from .providers import featurize, make_provider
@@ -52,6 +52,10 @@ class DQNHyper:
     def validate(self):
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigError(f"gamma must be in (0, 1], got {self.gamma}")
+        if not 0.0 <= self.eps_end <= self.eps_start <= 1.0:
+            raise ConfigError(f"need 0 <= eps_end <= eps_start <= 1, got eps_start="
+                              f"{self.eps_start} and eps_end={self.eps_end}")
+        require_rates("dqn", lr=self.lr)
         require_counts("dqn", batch_size=self.batch_size, replay_capacity=self.replay_capacity,
                        eps_decay_steps=self.eps_decay_steps, target_sync=self.target_sync,
                        train_every=self.train_every, min_replay=self.min_replay,

@@ -39,7 +39,7 @@ from ..diffcore import (
     take_per_row,
 )
 from ..env_gather import TaskConfig, new_world, step
-from ..errors import ConfigError, DataError, require_counts
+from ..errors import ConfigError, DataError, require_counts, require_rates
 from ..nvif import NvifEncoder, ObsCompressor
 from .actor_critic import ActorCritic, PolicyConfig
 from .providers import featurize, make_provider
@@ -74,6 +74,9 @@ class PPOHyper:
             raise ConfigError(f"lam must be in [0, 1], got {self.lam}")
         if not 0.0 < self.clip_eps < 1.0:
             raise ConfigError(f"clip_eps must be in (0, 1), got {self.clip_eps}")
+        if not self.entropy_coef >= 0.0:
+            raise ConfigError(f"entropy_coef must be >= 0, got {self.entropy_coef}")
+        require_rates("ppo", lr=self.lr)
         require_counts("ppo", episodes_per_epoch=self.episodes_per_epoch,
                        update_passes=self.update_passes, minibatch_slots=self.minibatch_slots,
                        hidden_width=self.hidden_width)

@@ -54,6 +54,21 @@ def matmul(a, b):
     return _make(a.data @ b.data, (a, b), _vjp_matmul)
 
 
+def _vjp_matmul_relu(g, node, k):
+    x, w = node._parents
+    g = g * (node.data > 0)  # relu(v) > 0 exactly where v > 0
+    return g @ w.data.T if k == 0 else x.data.T @ g
+
+
+def matmul_relu(x, w):
+    """``relu(x @ w)`` as one node that keeps only its output: the
+    product-relu half of :func:`composite_graph_conv`."""
+    x, w = as_tensor(x), as_tensor(w)
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise ShapeError(f"matmul_relu: shapes {x.data.shape} and {w.data.shape} incompatible")
+    return _make(np.maximum(x.data @ w.data, 0), (x, w), _vjp_matmul_relu)
+
+
 def _vjp_sigmoid(g, node, k):
     return g * node.data * (1.0 - node.data)
 
@@ -141,8 +156,22 @@ def composite_gru_cell(x, h, params):
 
 
 def composite_matmul_relu(x, w):
-    """:func:`diffcore.matmul_relu` as a matmul node and a relu node."""
+    """:func:`matmul_relu` as a matmul node and a relu node."""
     return dc.relu(matmul(x, w))
+
+
+def composite_graph_conv(blocks, x, w):
+    """:func:`diffcore.graph_conv` as a :func:`diffcore.sparse_matmul` node
+    and a :func:`matmul_relu` node (looked up at call time, so a test can
+    patch in :func:`composite_matmul_relu`)."""
+    return matmul_relu(dc.sparse_matmul(blocks, x), w)
+
+
+def composite_kl_rows(mu, log_sigma):
+    """:func:`diffcore.kl_rows` as the nine-node chain
+    0.5 * sum_d(mu*mu + exp(log_sigma*2) - 1 - log_sigma*2)."""
+    per_dim = dc.mul(mu, mu) + dc.exp(dc.mul(log_sigma, 2.0)) - 1.0 - dc.mul(log_sigma, 2.0)
+    return dc.mul(dc.sum(per_dim, axis=1), 0.5)
 
 
 def composite_gaussian_sample(mu, log_sigma, rng):

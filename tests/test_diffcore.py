@@ -20,10 +20,13 @@ from nviflab.errors import DataError, ShapeError
 from conftest import (
     central_diff_grads,
     composite_gaussian_sample,
+    composite_graph_conv,
     composite_gru_cell,
+    composite_kl_rows,
     composite_matmul_relu,
     composite_sq_dist_rows,
     matmul,
+    matmul_relu,
     max_rel_err,
     per_name_adam,
     sigmoid,
@@ -190,7 +193,19 @@ class TestOpGradients:
         x, w = (dc.Tensor(rng.standard_normal(s), requires_grad=True) for s in ((4, 3), (3, 5)))
         pre = x.data @ w.data  # both signs, and no finite difference crosses the kink
         assert np.abs(pre).min() > 0.1 and 0 < (pre > 0).sum() < pre.size
-        _check_grads(lambda: _weighted(dc.matmul_relu(x, w)), [x, w])
+        _check_grads(lambda: _weighted(matmul_relu(x, w)), [x, w])
+
+    def test_graph_conv(self):
+        rng = np.random.default_rng(1)
+        x, w = (dc.Tensor(rng.standard_normal(s), requires_grad=True) for s in ((5, 3), (3, 4)))
+        blocks = (rng.standard_normal((2, 2)), rng.standard_normal((3, 3)))
+        pre = np.concatenate([blocks[0] @ x.data[:2], blocks[1] @ x.data[2:]]) @ w.data
+        assert np.abs(pre).min() > 0.1 and 0 < (pre > 0).sum() < pre.size
+        _check_grads(lambda: _weighted(dc.graph_conv(blocks, x, w)), [x, w])
+
+    def test_kl_rows(self):
+        mu, ls = _leaf((3, 4)), _leaf((3, 4))
+        _check_grads(lambda: _weighted(dc.kl_rows(mu, ls)), [mu, ls])
 
     def test_sq_dist_rows(self):
         a, b = _leaf((4, 3)), _leaf((4, 3))
@@ -252,6 +267,15 @@ def _dense(blocks):
     return out
 
 
+BAD_BLOCKS = [
+    ((np.ones((2, 3)),), 2),                     # a block that is not square
+    ((np.ones((2, 2)), np.ones((2, 2))), 3),     # sizes that miss the rows
+    ((np.ones((3, 3)),), 2),                     # a block larger than the rows
+    ((), 0),                                     # no blocks
+    (np.ones((3, 3)), 3),                        # a bare matrix, not its blocks
+]
+
+
 class TestBlockOperator:
     def test_gradient_over_unequal_blocks(self):
         blocks = (RNG.standard_normal((3, 3)), RNG.standard_normal((1, 1)),
@@ -266,16 +290,17 @@ class TestBlockOperator:
         np.testing.assert_allclose(out.data, _dense(blocks) @ x.data, rtol=1e-12)
         assert all(s is b for s, b in zip(out._saved, blocks))
 
-    @pytest.mark.parametrize("blocks, rows", [
-        ((np.ones((2, 3)),), 2),                     # a block that is not square
-        ((np.ones((2, 2)), np.ones((2, 2))), 3),     # sizes that miss the rows
-        ((np.ones((3, 3)),), 2),                     # a block larger than the rows
-        ((), 0),                                     # no blocks
-        (np.ones((3, 3)), 3),                        # a bare matrix, not its blocks
-    ])
+    @pytest.mark.parametrize("blocks, rows", BAD_BLOCKS)
     def test_shape_errors(self, blocks, rows):
         with pytest.raises(ShapeError):
             dc.sparse_matmul(blocks, dc.Tensor(np.ones((rows, 2)), requires_grad=True))
+
+    @pytest.mark.parametrize("blocks, rows", BAD_BLOCKS)
+    def test_graph_conv_shape_errors(self, blocks, rows):
+        # the graph-conv layer checks its blocks as the block product does
+        with pytest.raises(ShapeError):
+            dc.graph_conv(blocks, dc.Tensor(np.ones((rows, 2)), requires_grad=True),
+                          dc.Tensor(np.ones((2, 3)), requires_grad=True))
 
 
 class TestAffine:
@@ -427,11 +452,12 @@ def _gru_shapes(rows, n_in, n_h):
     return [(rows, n_in), (rows, n_h)] + [(n_in + n_h, n_h), (n_h,)] * 3
 
 
-def _fused_vs_composite(fused, composite, arrays, needs, grad_on, upstream):
+def _fused_vs_composite(fused, composite, arrays, needs, grad_on, upstream, slots=None):
     """Build the one-node op ``fused`` and its ``composite`` oracle over copies
     of the same leaves and backpropagate ``upstream`` through each; value,
-    graph membership and every leaf gradient must agree bit for bit. Returns
-    the fused node."""
+    graph membership and every leaf gradient must agree bit for bit. The
+    fused node's parents are the leaves, or the leaves at the indices
+    ``slots`` when an operand fills several slots. Returns the fused node."""
     def run(op):
         leaves = [dc.Tensor(a.copy(), requires_grad=r) for a, r in zip(arrays, needs)]
         with contextlib.nullcontext() if grad_on else dc.no_grad():
@@ -445,7 +471,8 @@ def _fused_vs_composite(fused, composite, arrays, needs, grad_on, upstream):
     assert got.data.dtype == want.data.dtype == arrays[0].dtype
     np.testing.assert_array_equal(got.data, want.data)
     assert got.requires_grad == want.requires_grad == (grad_on and any(needs))
-    assert got._parents == (tuple(got_leaves) if got.requires_grad else ())
+    parents = got_leaves if slots is None else [got_leaves[i] for i in slots]
+    assert got._parents == (tuple(parents) if got.requires_grad else ())
     for g, w in zip(got_leaves, want_leaves):
         if got.requires_grad and g.requires_grad:
             assert g.grad.dtype == w.grad.dtype == arrays[0].dtype
@@ -474,7 +501,7 @@ class TestFusedGru:
         fused = _fused_vs_composite(on_slots(dc.gru_cell), on_slots(composite_gru_cell),
                                     arrays, needs, grad_on, upstream)
         if fused.requires_grad:
-            assert fused._saved[3] is None  # the pending gradients were released
+            assert fused._saved is None  # the pending gradients were released
 
     @staticmethod
     def _cells(x, h):
@@ -494,10 +521,10 @@ class TestFusedGru:
         (fused, fx, fp), (ref, rx, rp) = self._cells(rng.standard_normal((2, 3)),
                                                      rng.standard_normal((2, 4)))
         fused._backward(np.ones((2, 4)), fused, 0)
-        assert fused._saved[3] is not None
+        assert fused._saved is not None
         for out in (fused, ref):
             dc.backward(dc.sum(dc.mul(out, -3.0)))
-        assert fused._saved[3] is None
+        assert fused._saved is None
         np.testing.assert_array_equal(fx.grad, rx.grad)
         for name in fp:
             np.testing.assert_array_equal(fp[name].grad, rp[name].grad)
@@ -529,27 +556,88 @@ LEAN_CASE = dict(rows=st.integers(1, 9), width=st.integers(1, 6),
 
 
 class TestLeanNodes:
-    """The one-node forms of the graph-conv layer, the latent sample and the
-    consistency term against their composite oracles: same bits, and a node
-    that keeps only what its VJP reads."""
+    """The one-node forms of the graph-conv layer, the latent sample, the
+    consistency term and the KL rows against their composite oracles: same
+    bits, and a node that keeps only what its VJP reads."""
+
+    @staticmethod
+    def _dead(x, w, dead):
+        if dead == "rows":  # pre-activations of exactly 0 in every other row
+            x[::2] = 0.0
+        elif dead == "all":  # every pre-activation below 0
+            x, w = np.abs(x) + 0.1, -np.abs(w) - 0.1
+        return x, w
 
     @settings(max_examples=120, deadline=None)
     @given(n_in=st.integers(1, 6), dead=st.sampled_from(["none", "rows", "all"]), **LEAN_CASE)
     def test_matmul_relu_equals_composite(self, rows, width, n_in, dead, dtype, needs,
                                           grad_on, seed):
+        # the oracle inside the graph-conv layer's composite
         rng = np.random.default_rng(seed)
-        x = rng.standard_normal((rows, n_in)).astype(dtype)
-        w = rng.standard_normal((n_in, width)).astype(dtype)
-        if dead == "rows":  # pre-activations of exactly 0 in every other row
-            x[::2] = 0.0
-        elif dead == "all":  # every pre-activation below 0
-            x, w = np.abs(x) + 0.1, -np.abs(w) - 0.1
+        x, w = self._dead(rng.standard_normal((rows, n_in)).astype(dtype),
+                          rng.standard_normal((n_in, width)).astype(dtype), dead)
         upstream = rng.standard_normal((rows, width)).astype(dtype)
-        out = _fused_vs_composite(dc.matmul_relu, composite_matmul_relu, [x, w], needs,
-                                 grad_on, upstream)
+        out = _fused_vs_composite(matmul_relu, composite_matmul_relu, [x, w], needs,
+                                  grad_on, upstream)
         if dead == "all":
             assert not out.data.any()
         assert out._saved is None
+
+    @settings(max_examples=120, deadline=None)
+    @given(n_in=st.integers(1, 6), sizes=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+           dead=st.sampled_from(["none", "rows", "all"]),
+           **{k: v for k, v in LEAN_CASE.items() if k != "rows"})
+    def test_graph_conv_equals_composite(self, width, n_in, sizes, dead, dtype, needs,
+                                         grad_on, seed):
+        # one block per stacked graph; their sizes set the row count
+        rng = np.random.default_rng(seed)
+        n = sum(sizes)
+        x, w = self._dead(rng.standard_normal((n, n_in)).astype(dtype),
+                          rng.standard_normal((n_in, width)).astype(dtype), dead)
+        blocks = tuple(rng.random((k, k)).astype(dtype) for k in sizes)  # dead stays dead
+        if dead == "rows":  # mixed rows of exactly 0 in every other row of each block
+            for b in blocks:
+                b[::2] = 0.0
+        upstream = rng.standard_normal((n, width)).astype(dtype)
+        out = _fused_vs_composite(lambda a, b: dc.graph_conv(blocks, a, b),
+                                  lambda a, b: composite_graph_conv(blocks, a, b),
+                                  [x, w], needs, grad_on, upstream)
+        if dead == "all":
+            assert not out.data.any()
+        if out.requires_grad:  # the blocks themselves, and nothing more
+            assert all(a is b for a, b in zip(out._saved, blocks, strict=True))
+
+    @settings(max_examples=120, deadline=None)
+    @given(**LEAN_CASE)
+    def test_kl_rows_equals_composite(self, rows, width, dtype, needs, grad_on, seed):
+        rng = np.random.default_rng(seed)
+        mu, log_sigma = (rng.standard_normal((rows, width)).astype(dtype) for _ in range(2))
+        upstream = rng.standard_normal(rows).astype(dtype)
+        out = _fused_vs_composite(dc.kl_rows, composite_kl_rows, [mu, log_sigma], needs,
+                                  grad_on, upstream, slots=(0, 0, 1, 1))
+        assert out.data.shape == (rows,) and out._saved is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=LEAN_CASE["rows"], width=LEAN_CASE["width"], dtype=LEAN_CASE["dtype"],
+           seed=LEAN_CASE["seed"], kl_first=st.booleans())
+    def test_kl_rows_beside_the_sample_equals_composite(self, rows, width, dtype, seed,
+                                                        kl_first):
+        # mu and log_sigma also feed the latent sample, as in the encoder:
+        # each operand's terms still add up in the composite's order
+        rng = np.random.default_rng(seed)
+        mu, log_sigma = (rng.standard_normal((rows, width)).astype(dtype) for _ in range(2))
+        up_z, up_kl = rng.standard_normal((rows, width)), rng.standard_normal(rows)
+
+        def run(kl):
+            m, s = (dc.Tensor(a.copy(), requires_grad=True) for a in (mu, log_sigma))
+            terms = [dc.sum(dc.mul(kl(m, s), up_kl.astype(dtype))),
+                     dc.sum(dc.mul(dc.gaussian_sample(m, s, rng=np.random.default_rng(seed)),
+                                   up_z.astype(dtype)))]
+            loss = dc.add(*(terms if kl_first else terms[::-1]))
+            dc.backward(loss)
+            return [loss.data.tobytes(), m.grad.tobytes(), s.grad.tobytes()]
+
+        assert run(dc.kl_rows) == run(composite_kl_rows)
 
     @settings(max_examples=120, deadline=None)
     @given(**LEAN_CASE)
@@ -576,13 +664,20 @@ class TestLeanNodes:
         assert out.data.shape == (rows,) and out._saved is None
 
     @pytest.mark.parametrize("build, shapes", [
-        (dc.matmul_relu, [(3, 4), (3, 2)]),
-        (dc.matmul_relu, [(4,), (4, 2)]),
-        (dc.matmul_relu, [(3, 4), (4, 2, 1)]),
+        (matmul_relu, [(3, 4), (3, 2)]),
+        (matmul_relu, [(4,), (4, 2)]),
+        (matmul_relu, [(3, 4), (4, 2, 1)]),
         (lambda m, s: dc.gaussian_sample(m, s, rng=np.random.default_rng(0)), [(3, 4), (4,)]),
         (lambda m, s: dc.gaussian_sample(m, s, rng=np.random.default_rng(0)), [(3, 4), (4, 3)]),
         (dc.sq_dist_rows, [(3, 4), (3, 5)]),
         (dc.sq_dist_rows, [(3, 4, 2), (3, 4, 2)]),
+        (dc.kl_rows, [(3, 4), (3, 5)]),
+        (dc.kl_rows, [(3, 4), (4,)]),
+        (dc.kl_rows, [(4,), (4,)]),
+        (dc.kl_rows, [(3, 4, 2), (3, 4, 2)]),
+        (lambda x, w: dc.graph_conv((np.eye(3),), x, w), [(3, 4), (3, 2)]),
+        (lambda x, w: dc.graph_conv((np.eye(3),), x, w), [(3, 4), (4, 2, 1)]),
+        (lambda x, w: dc.graph_conv((np.eye(3),), x, w), [(3, 4), (4,)]),
     ])
     def test_shape_error_names_the_shapes(self, build, shapes):
         with pytest.raises(ShapeError) as err:
@@ -624,7 +719,10 @@ MULTI_OPERAND = {
     "sub": (dc.sub, [(3, 1), (3, 4)]),
     "mul": (dc.mul, [(3, 4), (1, 4)]),
     "matmul": (matmul, [(3, 4), (4, 2)]),
-    "matmul_relu": (dc.matmul_relu, [(3, 4), (4, 2)]),
+    "matmul_relu": (matmul_relu, [(3, 4), (4, 2)]),
+    "graph_conv": (lambda x, w: dc.graph_conv((np.full((1, 1), 0.5), np.full((2, 2), -0.25)),
+                                              x, w), [(3, 4), (4, 2)]),
+    "kl_rows": (dc.kl_rows, [(3, 4), (3, 4)]),
     "gaussian_sample": (lambda m, s: dc.gaussian_sample(m, s, rng=np.random.default_rng(1)),
                         [(3, 4), (3, 4)]),
     "sq_dist_rows": (dc.sq_dist_rows, [(3, 4), (3, 4)]),

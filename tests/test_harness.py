@@ -18,8 +18,8 @@ from nviflab.harness import (
 )
 from nviflab.harness.cli import main as cli_main
 from nviflab.diffcore import load_checkpoint, optimizer_step, save_checkpoint
-from nviflab.nvif import NvifConfig, NvifEncoder
-from nviflab.policy import ActorCritic, PolicyConfig, PPOHyper, QNetwork, train_ppo
+from nviflab.nvif import NvifConfig, NvifEncoder, ObsVaeHyper, PretrainHyper
+from nviflab.policy import ActorCritic, DQNHyper, PolicyConfig, PPOHyper, QNetwork, train_ppo
 
 from conftest import EpisodeSpy, episode_metrics, read_replay
 
@@ -44,6 +44,11 @@ class TestExperimentConfig:
         cfg = load_experiment(write_config(tmp_path / "c.json"))
         assert cfg.task == "desk-random-12"
         assert cfg.task_config().map_size == 12
+
+    def test_every_default_section_validates(self):
+        # the shipped defaults of each trainer pass the range checks
+        for hyper in (PPOHyper(), DQNHyper(), ObsVaeHyper(), PretrainHyper()):
+            hyper.validate()
 
     def test_unknown_top_key_rejected(self, tmp_path):
         path = write_config(tmp_path / "c.json", mystery_knob=1)
@@ -87,6 +92,10 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("section, key, value", [
         ("ppo", "gamma", 1.5), ("ppo", "lam", 1.5), ("ppo", "clip_eps", 1.0),
         ("dqn", "gamma", 0.0), ("dqn", "gamma", 1.5),
+        ("ppo", "lr", -1.0), ("ppo", "lr", 0.0), ("ppo", "entropy_coef", -5.0),
+        ("dqn", "lr", 0.0), ("dqn", "lr", True), ("dqn", "eps_start", 1.5),
+        ("dqn", "eps_end", -0.2), ("dqn", "eps_start", 0.01),
+        ("obs_vae", "lr", -1.0), ("nvif", "lr", -1.0), ("nvif", "lr", "3e-3"),
     ])
     def test_out_of_range_rejected(self, tmp_path, section, key, value):
         path = write_config(tmp_path / "c.json", **{section: {key: value}})
