@@ -21,9 +21,8 @@ from .tensor import (
     clamp,
     concat,
     exp,
+    flow_gru_cell,
     gather_rows,
-    graph_conv,
-    gru_cell,
     log_softmax,
     mean,
     minimum,
@@ -42,8 +41,8 @@ from .tensor import (
 
 __all__ = [
     "LOG_SIGMA_MAX", "LOG_SIGMA_MIN", "ParamStore", "Tensor", "add", "affine",
-    "as_tensor", "backward", "bce_loss", "clamp", "concat", "exp", "gather_rows",
-    "gaussian_sample", "graph_conv", "gru_cell", "init_gru", "init_linear", "init_mlp",
+    "as_tensor", "backward", "bce_loss", "clamp", "concat", "exp", "flow_gru_cell",
+    "gather_rows", "gaussian_sample", "init_gru", "init_linear", "init_mlp",
     "kl_rows", "load_checkpoint", "log_softmax", "mean", "minimum",
     "mlp", "mse", "mul", "no_grad", "optimizer_step", "relu", "save_checkpoint",
     "sparse_matmul", "splice", "sq_dist_rows", "sub", "sum",

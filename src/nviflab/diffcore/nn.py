@@ -1,7 +1,8 @@
 """Network building blocks: linear layers, the relu MLP, the GRU cell's
 parameters, reparameterized sampling and the Gaussian KL divergence. The GRU
-cell itself is one primitive node, :func:`tensor.gru_cell`, and the sample
-and the divergence are one node each as well."""
+cell itself runs inside the encoder's one-node timestep,
+:func:`tensor.flow_gru_cell`, and the sample and the divergence are one node
+each as well."""
 from __future__ import annotations
 
 import numpy as np
@@ -49,7 +50,7 @@ def mlp(x, store, prefix: str) -> Tensor:
 
 
 def init_gru(rng: np.random.Generator, input_width: int, hidden_width: int, dtype=np.float32):
-    """Parameter dict for :func:`tensor.gru_cell`; gate weights act on [x, h]."""
+    """Parameter dict of the GRU in :func:`tensor.flow_gru_cell`; gate weights act on [x, h]."""
     params = {}
     for gate in ("z", "r", "n"):
         w, b = init_linear(rng, input_width + hidden_width, hidden_width, dtype,

@@ -13,15 +13,14 @@ beyond numpy bias/batch rules; shape mismatches raise :class:`ShapeError`
 naming the shapes.
 
 A node keeps only what its VJP reads; elementwise values are recomputed in
-the VJP from the parents instead. Most ops are one numpy expression, and six
+the VJP from the parents instead. Most ops are one numpy expression, and four
 nodes each stand for a chain of them, bit for bit; what each saves:
 
-- :func:`graph_conv`, ``relu(A x w)`` (three nodes): its output, whose sign
-  is the relu's mask, and A's blocks; the ``w`` slot recomputes ``A x``.
-- :func:`gru_cell`, a recurrent step (thirteen nodes): nothing of its own.
-  Its VJP recomputes the gates, computes all eight parents' gradients at
-  the visit's first slot that needs one and keeps them in ``_saved`` until
-  the last.
+- :func:`flow_gru_cell`, an encoder timestep (two stacks of graph-conv
+  layers ``relu(A x w)``, three nodes each, and a thirteen-node GRU cell):
+  A's blocks. Its VJP recomputes every layer's ``A x`` and output and the
+  gates, computes all parents' gradients at the visit's first slot that
+  needs one and keeps them in ``_saved`` until the last.
 - :func:`affine` (two nodes) and :func:`sq_dist_rows` (three): nothing.
 - :func:`nn.gaussian_sample` (three nodes): its noise.
 - :func:`nn.kl_rows` (nine nodes): nothing; its parents are ``(mu, mu,
@@ -131,7 +130,7 @@ def _make(data, parents, vjp, saved=None):
     only ``node``: its value, its parents and ``node._saved``, which holds
     ``saved``. So a node holds no closure. A VJP may return ``g`` itself or
     one array for two slots, and may keep results in ``node._saved`` for the
-    later slots of the same visit (:func:`gru_cell`)."""
+    later slots of the same visit (:func:`flow_gru_cell`)."""
     if _GRAD_ENABLED:
         parents = tuple(p for p in parents if isinstance(p, Tensor))  # scalars are no node
         if any(p.requires_grad for p in parents):
@@ -238,30 +237,6 @@ def sparse_matmul(blocks, features) -> Tensor:
         raise ShapeError(f"sparse_matmul: blocks of {rows} rows in all and features of "
                          f"shape {x.data.shape} incompatible")
     return _make(_blockwise(blocks, x.data), (x,), _vjp_sparse_matmul, blocks)
-
-
-def _vjp_graph_conv(g, node, k):
-    x, w = node._parents
-    g = g * (node.data > 0)  # relu(v) > 0 exactly where v > 0
-    if k == 0:
-        return _blockwise([b.T for b in node._saved], g @ w.data.T)
-    return _blockwise(node._saved, x.data).T @ g  # the block product, recomputed
-
-
-def graph_conv(blocks, x, w) -> Tensor:
-    """One graph-convolution layer, ``relu(A x w)`` with ``A`` the constant
-    block-diagonal operator of ``blocks`` (as in :func:`sparse_matmul`), as
-    one node over ``(x, w)`` that saves its output and the blocks: the values
-    and gradients of a :func:`sparse_matmul` node followed by a product node
-    and a relu node. The ``w`` slot recomputes ``A x`` instead of keeping it."""
-    x, w, blocks = as_tensor(x), as_tensor(w), tuple(blocks)
-    if w.data.ndim != 2 or x.data.shape[1:2] != w.data.shape[:1]:
-        raise ShapeError(f"graph_conv: features {x.data.shape} and weights {w.data.shape} "
-                         f"incompatible")
-    # sparse_matmul checks the blocks and builds no node on a constant; its
-    # product is freed right after the multiply, not held through the relu
-    out = np.maximum(sparse_matmul(blocks, x.data).data @ w.data, 0)
-    return _make(out, (x, w), _vjp_graph_conv, blocks)
 
 
 def _vjp_concat(g, node, k):
@@ -392,10 +367,23 @@ def splice(x, value, grad) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# the GRU cell
+# the encoder cell: two graph-conv stacks feeding a GRU
 # ---------------------------------------------------------------------------
 
 _GRU_PARAMS = ("w_z", "b_z", "w_r", "b_r", "w_n", "b_n")
+
+
+def _check_gru(op: str, x: np.ndarray, h: np.ndarray, weights):
+    """A GRU's input ``x`` and state ``h`` are row-aligned matrices, and its
+    ``weights`` (in :data:`_GRU_PARAMS` order) fit their widths."""
+    if x.ndim != 2 or h.ndim != 2 or x.shape[0] != h.shape[0]:
+        raise ShapeError(f"{op}: x {x.shape} and h {h.shape} are not row-aligned 2-D")
+    width = h.shape[1]
+    for name, p in zip(_GRU_PARAMS, weights):
+        want = (x.shape[1] + width, width) if name[0] == "w" else (width,)
+        if p.shape != want:
+            raise ShapeError(f"{op}: {name} has shape {p.shape}, expected {want} "
+                             f"for x {x.shape} and h {h.shape}")
 
 
 def _gru_gates(x, h, w_z, b_z, w_r, b_r, w_n, b_n):
@@ -408,13 +396,13 @@ def _gru_gates(x, h, w_z, b_z, w_r, b_r, w_n, b_n):
     return xh, z, r, xrh, np.tanh(xrh @ w_n + b_n)
 
 
-def _gru_grads(g, node) -> list:
-    """The gradients of all eight parents in slot order (``None`` for x and
-    h when neither requires one). Each sum runs in the order in which the
-    cell written as 13 separate ops accumulates it, so both give the same
-    bits."""
-    x, h, w_z, b_z, w_r, b_r, w_n, b_n = (p.data for p in node._parents)
-    xh, z, r, xrh, n = _gru_gates(x, h, w_z, b_z, w_r, b_r, w_n, b_n)
+def _gru_grads(g, x, h, weights, need_xh: bool) -> list:
+    """The GRU step's gradients, ``g`` being its output's, in the order
+    ``(x, h, *weights)``; x and h get ``None`` unless ``need_xh``. Each sum
+    runs in the order in which the cell written as 13 separate ops
+    accumulates it, so both give the same bits."""
+    w_z, b_z, w_r, b_r, w_n, b_n = weights
+    xh, z, r, xrh, n = _gru_gates(x, h, *weights)
     k = x.shape[1]
     g_n = g * z * (1.0 - n * n)
     g_xrh = g_n @ w_n.T
@@ -424,52 +412,100 @@ def _gru_grads(g, node) -> list:
     grads = [None, None, xh.T @ g_z, _unbroadcast(g_z, b_z.shape),
              xh.T @ g_r, _unbroadcast(g_r, b_r.shape),
              xrh.T @ g_n, _unbroadcast(g_n, b_n.shape)]
-    if node._parents[0].requires_grad or node._parents[1].requires_grad:
+    if need_xh:
         g_xh = g_z @ w_z.T + g_r @ w_r.T
         grads[0] = g_xh[:, :k] + g_xrh[:, :k]
         grads[1] = g * (1.0 - z) + g_rh * r + g_xh[:, k:]
     return grads
 
 
-def _vjp_gru_cell(g, node, k):
+def _checked_blockwise(blocks, x: np.ndarray) -> np.ndarray:
+    """``_blockwise`` through :func:`sparse_matmul`, which checks the blocks."""
+    return sparse_matmul(blocks, x).data
+
+
+def _flow(blocks, x, weights, product):
+    """The graph-conv layers ``relu(A x w)`` over ``x``, ``product(blocks, x)``
+    being ``A x``: each layer's ``(A x, output)``, and the last output."""
+    acts = []
+    for w in weights:
+        if w.ndim != 2 or x.shape[1:2] != w.shape[:1]:
+            raise ShapeError(f"flow_gru_cell: features {x.shape} and layer weights "
+                             f"{w.shape} incompatible")
+        ax = product(blocks, x)
+        x = np.maximum(ax @ w, 0)
+        acts.append((ax, x))
+    return acts, x
+
+
+def _flow_back(blocks, acts, weights, g, need_x: bool):
+    """The gradients of the layers of ``acts``, ``g`` being their output's:
+    the input's (``None`` unless ``need_x``) and the weights'. Each layer's
+    are those of a block product, a product and a relu node."""
+    grads, blocks_t = [None] * len(weights), [b.T for b in blocks]
+    for i in reversed(range(len(weights))):
+        ax, out = acts[i]
+        g = g * (out > 0)  # relu(v) > 0 exactly where v > 0
+        grads[i] = ax.T @ g
+        g = _blockwise(blocks_t, g @ weights[i].T) if i or need_x else None
+    return g, grads
+
+
+def _flow_gru_grads(g, node) -> list:
+    """The gradients of all the cell's parents in slot order, from its
+    recomputed layers and gates (``None`` for an input that takes none)."""
+    blocks, n_o, _ = node._saved
+    feats, hidden, *weights = node._parents
+    w_o, w_h, w_gru = ([p.data for p in part] for part in
+                       (weights[:n_o], weights[n_o:-6], weights[-6:]))
+    acts_o, phi = _flow(blocks, feats.data, w_o, _blockwise)
+    acts_h, psi = _flow(blocks, hidden.data, w_h, _blockwise)
+    g_phi, g_psi, *g_gru = _gru_grads(g, phi, psi, w_gru, True)
+    g_feats, g_o = _flow_back(blocks, acts_o, w_o, g_phi, feats.requires_grad)
+    g_hidden, g_h = _flow_back(blocks, acts_h, w_h, g_psi, hidden.requires_grad)
+    return [g_feats, g_hidden, *g_o, *g_h, *g_gru]
+
+
+def _vjp_flow_gru_cell(g, node, k):
     # the first call of a backward visit computes every parent's gradient
     # (keyed by g, so a pass that raised part-way leaves nothing stale); the
     # call for the last parent that requires one releases them
-    pending = node._saved
+    blocks, n_o, pending = node._saved
     if pending is None or pending[0] is not g:
-        pending = node._saved = (g, _gru_grads(g, node))
-    if not any(p.requires_grad for p in node._parents[k + 1:]):
-        node._saved = None
+        pending = (g, _flow_gru_grads(g, node))
+    last = not any(p.requires_grad for p in node._parents[k + 1:])
+    node._saved = (blocks, n_o, None if last else pending)
     return pending[1][k]
 
 
-def gru_cell(x, h, params) -> Tensor:
-    """One gated-recurrent-unit step, as one node.
+def flow_gru_cell(blocks, feats, hidden, flow_o, flow_h, gru) -> Tensor:
+    """One encoder timestep as one node: two stacks of graph-convolution
+    layers feeding a GRU cell.
 
-    z = sigmoid(W_z [x, h] + b_z)
-    r = sigmoid(W_r [x, h] + b_r)
-    n = tanh(W_n [x, r*h] + b_n)
-    h' = (1 - z) * h + z * n
+    phi = F_o(feats) and psi = F_h(hidden), where F applies ``x <- relu(A x
+    w)`` for each weight of ``flow_o`` or ``flow_h`` and ``A`` is the constant
+    block-diagonal operator of ``blocks`` (each ``A x`` is a
+    :func:`sparse_matmul`). The value is the GRU step with input phi and
+    state psi:
 
-    ``params`` holds the gate weights ``w_z``, ``w_r`` and ``w_n``, of shape
-    (x width + h width, h width), and the biases ``b_z``, ``b_r`` and ``b_n``,
-    of shape (h width,). The parents are ``(x, h, w_z, b_z, w_r, b_r, w_n,
-    b_n)``. The node saves no gate: its VJP recomputes z, r and n from the
-    parents, and ``_saved`` holds only the gradients pending within one
-    backward visit."""
-    x, h = as_tensor(x), as_tensor(h)
-    weights = [as_tensor(params[name]) for name in _GRU_PARAMS]
-    xd, hd = x.data, h.data
-    if xd.ndim != 2 or hd.ndim != 2 or xd.shape[0] != hd.shape[0]:
-        raise ShapeError(f"gru_cell: x {xd.shape} and h {hd.shape} are not row-aligned 2-D")
-    width = hd.shape[1]
-    for name, p in zip(_GRU_PARAMS, weights):
-        want = (xd.shape[1] + width, width) if name[0] == "w" else (width,)
-        if p.data.shape != want:
-            raise ShapeError(f"gru_cell: {name} has shape {p.data.shape}, expected {want} "
-                             f"for x {xd.shape} and h {hd.shape}")
-    _, z, _, _, n = _gru_gates(xd, hd, *(p.data for p in weights))
-    return _make((1.0 - z) * hd + z * n, (x, h, *weights), _vjp_gru_cell)
+    z = sigmoid(W_z [phi, psi] + b_z),  r = sigmoid(W_r [phi, psi] + b_r)
+    n = tanh(W_n [phi, r*psi] + b_n),   h' = (1 - z) * psi + z * n
+
+    ``gru`` maps ``w_z``, ``w_r`` and ``w_n``, of shape (phi width + psi
+    width, psi width), and ``b_z``, ``b_r`` and ``b_n``, of shape (psi
+    width,). The parents are ``(feats, hidden, *flow_o, *flow_h, w_z, b_z,
+    w_r, b_r, w_n, b_n)``, and values and gradients are those of the layers
+    and the cell as separate nodes. The node saves the blocks; its VJP
+    recomputes every layer and gate."""
+    feats, hidden, blocks = as_tensor(feats), as_tensor(hidden), tuple(blocks)
+    w_o, w_h = [as_tensor(w) for w in flow_o], [as_tensor(w) for w in flow_h]
+    w_gru = [as_tensor(gru[name]) for name in _GRU_PARAMS]
+    _, phi = _flow(blocks, feats.data, [w.data for w in w_o], _checked_blockwise)
+    _, psi = _flow(blocks, hidden.data, [w.data for w in w_h], _checked_blockwise)
+    _check_gru("flow_gru_cell", phi, psi, [p.data for p in w_gru])
+    _, z, _, _, n = _gru_gates(phi, psi, *(p.data for p in w_gru))
+    return _make((1.0 - z) * psi + z * n, (feats, hidden, *w_o, *w_h, *w_gru),
+                 _vjp_flow_gru_cell, (blocks, len(w_o), None))
 
 
 # ---------------------------------------------------------------------------

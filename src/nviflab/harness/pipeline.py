@@ -24,22 +24,34 @@ from .config import ALGORITHMS, ExperimentConfig
 
 def collect_obs_corpus(task_cfg, episodes: int, rng: np.random.Generator,
                        max_samples: int | None = None) -> np.ndarray:
-    """Raw flattened observations from random-policy play."""
+    """Raw flattened observations from random-policy play, in the order
+    observed. With ``max_samples``, the first ``max_samples`` rows, written
+    into one array as they are observed."""
     limit = {} if max_samples is None else {"corpus_max_samples": max_samples}
     require_counts("obs_vae", corpus_episodes=episodes, **limit)
-    rows = []
-    count = 0
+    rows, corpus, count = [], None, 0
     for _ in range(episodes):
         world = new_world(replace(task_cfg, seed=int(rng.integers(2 ** 62))))
         while not world.done:
             ids = world.alive_agents()
-            rows.append(observe(world, ids))
+            window = observe(world, ids)
+            if max_samples is None:
+                rows.append(window)
+            else:
+                if corpus is None:
+                    corpus = np.empty((max_samples, window.shape[1]), dtype=window.dtype)
+                corpus[count:count + len(ids)] = window[:max_samples - count]
             count += len(ids)
             actions = dict(zip(ids, rng.integers(0, N_ACTIONS, len(ids)).tolist()))
             step(world, actions)
             if max_samples is not None and count >= max_samples:
-                return np.concatenate(rows)[:max_samples]
-    return np.concatenate(rows)
+                return corpus
+    if corpus is None:
+        return np.concatenate(rows)
+    # drop the rows no window filled; realloc shrinks the block in place, so
+    # no second copy of the corpus is made, as a slice's copy would
+    corpus.resize((count, corpus.shape[1]), refcheck=False)
+    return corpus
 
 
 def obs_vae_path(cfg: ExperimentConfig) -> Path:

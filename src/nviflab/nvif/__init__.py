@@ -1,6 +1,6 @@
 """Communication protocol: encoder, decoder, losses, and pre-training."""
 from .encoder import EncoderState, LatentDistribution, NvifConfig, NvifEncoder
-from .flownet import FlowNetParams, flownet_forward, init_flownet
+from .flownet import init_flownet
 from .losses import NvifLossReport, kl_standard_normal
 from .obs_vae import ObsCompressor, ObsVaeConfig, ObsVaeHyper
 from .pretrain import (
@@ -13,9 +13,9 @@ from .pretrain import (
 )
 
 __all__ = [
-    "EncoderState", "EpisodeRecord", "FlowNetParams", "LatentDistribution",
+    "EncoderState", "EpisodeRecord", "LatentDistribution",
     "NvifConfig", "NvifEncoder", "NvifLossReport", "ObsCompressor",
     "ObsVaeConfig", "ObsVaeHyper", "PretrainHyper", "StepData",
-    "collect_pretrain_buffer", "flownet_forward", "gather_step_data",
+    "collect_pretrain_buffer", "gather_step_data",
     "init_flownet", "kl_standard_normal", "pretrain",
 ]

@@ -1,10 +1,11 @@
 """The communication encoder/decoder pair.
 
 Per timestep the encoder runs two independent FlowNets (one over the agents'
-compressed observations, one over their hidden states), feeds the results
+compressed observations, one over their hidden states) and feeds the results
 through a shared GRU cell (observation path as input, hidden path as the
-recurrent state; one :func:`diffcore.gru_cell` node), and reads the latent
-distribution off an affine head.
+recurrent state), all as one :func:`diffcore.flow_gru_cell` node whose value
+is the next hidden state; it then reads the latent distribution off an
+affine head.
 :meth:`NvifEncoder.step` is the one forward pass: inference calls it on one
 episode's graph, pre-training on the stacked graphs of several episodes. The
 decoder reconstructs an agent's raw observation window from its sampled
@@ -25,9 +26,9 @@ from ..diffcore import (
     as_tensor,
     clamp,
     concat,
+    flow_gru_cell,
     gather_rows,
     gaussian_sample,
-    gru_cell,
     init_gru,
     init_linear,
     init_mlp,
@@ -36,7 +37,7 @@ from ..diffcore import (
     save_checkpoint,
 )
 from ..errors import ProtocolError
-from .flownet import FlowNetParams, flownet_forward, init_flownet
+from .flownet import init_flownet
 
 
 @dataclass
@@ -90,8 +91,8 @@ class NvifEncoder:
                      rng, dt, out_scale=np.sqrt(1.0 / c.decoder_hidden))
         else:
             layers = config.flow_layers
-            self.flow_o = FlowNetParams([self.store[f"flow_o/w{i}"] for i in range(layers)])
-            self.flow_h = FlowNetParams([self.store[f"flow_h/w{i}"] for i in range(layers)])
+            self.flow_o = [self.store[f"flow_o/w{i}"] for i in range(layers)]
+            self.flow_h = [self.store[f"flow_h/w{i}"] for i in range(layers)]
         self._gru = {k.split("/", 1)[1]: v for k, v in
                      ((n, self.store[n]) for n in self.store.names() if n.startswith("gru/"))}
 
@@ -136,9 +137,7 @@ class NvifEncoder:
         if sample and rng is None:
             raise ProtocolError("encoder step: sampling the latent needs an rng")
         hidden = self._hidden_for(state, ids)
-        phi = flownet_forward(feats, blocks, self.flow_o)
-        psi = flownet_forward(hidden, blocks, self.flow_h)
-        h_next = gru_cell(phi, psi, self._gru)
+        h_next = flow_gru_cell(blocks, feats, hidden, self.flow_o, self.flow_h, self._gru)
         mu = affine(h_next, self.store["head/mu_w"], self.store["head/mu_b"])
         log_sigma = clamp(affine(h_next, self.store["head/ls_w"], self.store["head/ls_b"]),
                           LOG_SIGMA_MIN, LOG_SIGMA_MAX)

@@ -41,7 +41,7 @@ from ..env_gather import (
     observe,
     step,
 )
-from ..errors import DataError, require_counts, require_rates
+from ..errors import ConfigError, DataError, require_counts, require_rates
 from .encoder import NvifEncoder
 from .losses import NvifLossReport, consistency_rows, kl_rows, recon_rows
 from .obs_vae import ObsCompressor
@@ -76,6 +76,11 @@ class PretrainHyper:
     def validate(self):
         require_counts("nvif", epochs=self.epochs, batch_episodes=self.batch_episodes)
         require_rates("nvif", lr=self.lr)
+        for name in ("alpha", "recon_weight"):
+            if not getattr(self, name) >= 0.0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.stop_recon_frac is not None and not 0.0 < self.stop_recon_frac <= 1.0:
+            raise ConfigError(f"stop_recon_frac must be in (0, 1], got {self.stop_recon_frac}")
 
 
 def gather_step_data(world, ids, compressor: ObsCompressor, graph_kind: str = "neighbor",

@@ -76,6 +76,8 @@ class PPOHyper:
             raise ConfigError(f"clip_eps must be in (0, 1), got {self.clip_eps}")
         if not self.entropy_coef >= 0.0:
             raise ConfigError(f"entropy_coef must be >= 0, got {self.entropy_coef}")
+        if self.stop_food_frac is not None and not 0.0 < self.stop_food_frac <= 1.0:
+            raise ConfigError(f"stop_food_frac must be in (0, 1], got {self.stop_food_frac}")
         require_rates("ppo", lr=self.lr)
         require_counts("ppo", episodes_per_epoch=self.episodes_per_epoch,
                        update_passes=self.update_passes, minibatch_slots=self.minibatch_slots,

@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 
 from nviflab import diffcore as dc
-from nviflab.diffcore.tensor import _make, _sigmoid, as_tensor
+from nviflab.diffcore.tensor import (
+    _GRU_PARAMS,
+    _blockwise,
+    _check_gru,
+    _gru_gates,
+    _gru_grads,
+    _make,
+    _sigmoid,
+    as_tensor,
+)
 from nviflab.env_gather import EMPTY, preset
 from nviflab.errors import ShapeError
 from nviflab.env_gather.world import _channel_grids
@@ -142,8 +151,72 @@ def episode_metrics(header: dict, records: list[dict]) -> dict:
     }
 
 
+def _vjp_graph_conv(g, node, k):
+    x, w = node._parents
+    g = g * (node.data > 0)  # relu(v) > 0 exactly where v > 0
+    if k == 0:
+        return _blockwise([b.T for b in node._saved], g @ w.data.T)
+    return _blockwise(node._saved, x.data).T @ g  # the block product, recomputed
+
+
+def graph_conv(blocks, x, w):
+    """One graph-convolution layer, ``relu(A x w)`` with ``A`` the constant
+    block-diagonal operator of ``blocks``, as one node over ``(x, w)`` that
+    saves its output and the blocks: a layer of
+    :func:`diffcore.flow_gru_cell` on its own."""
+    x, w, blocks = as_tensor(x), as_tensor(w), tuple(blocks)
+    if w.data.ndim != 2 or x.data.shape[1:2] != w.data.shape[:1]:
+        raise ShapeError(f"graph_conv: features {x.data.shape} and weights {w.data.shape} "
+                         f"incompatible")
+    out = np.maximum(dc.sparse_matmul(blocks, x.data).data @ w.data, 0)
+    return _make(out, (x, w), _vjp_graph_conv, blocks)
+
+
+def _vjp_gru_cell(g, node, k):
+    # the first call of a backward visit computes every parent's gradient
+    # (keyed by g); the call for the last parent that requires one releases them
+    pending = node._saved
+    if pending is None or pending[0] is not g:
+        x, h, *weights = node._parents
+        pending = node._saved = (g, _gru_grads(g, x.data, h.data, [p.data for p in weights],
+                                               x.requires_grad or h.requires_grad))
+    if not any(p.requires_grad for p in node._parents[k + 1:]):
+        node._saved = None
+    return pending[1][k]
+
+
+def gru_cell(x, h, params):
+    """The GRU step of :func:`diffcore.flow_gru_cell` on its own, as one node
+    over ``(x, h, w_z, b_z, w_r, b_r, w_n, b_n)`` that saves no gate;
+    ``_saved`` holds only the gradients pending within one backward visit."""
+    x, h = as_tensor(x), as_tensor(h)
+    weights = [as_tensor(params[name]) for name in _GRU_PARAMS]
+    _check_gru("gru_cell", x.data, h.data, [p.data for p in weights])
+    _, z, _, _, n = _gru_gates(x.data, h.data, *(p.data for p in weights))
+    return _make((1.0 - z) * h.data + z * n, (x, h, *weights), _vjp_gru_cell)
+
+
+def flownet_forward(features, blocks, weights):
+    """A FlowNet as one :func:`graph_conv` node per layer weight; ``blocks``
+    are A_hat's diagonal blocks in row order."""
+    h = features if isinstance(features, dc.Tensor) else dc.Tensor(features)
+    for w in weights:
+        h = graph_conv(blocks, h, w)
+    return h
+
+
+def composite_flow_gru_cell(blocks, feats, hidden, flow_o, flow_h, gru):
+    """:func:`diffcore.flow_gru_cell` as the chain it fuses: a
+    :func:`flownet_forward` over each input and a :func:`gru_cell` node.
+    Each is looked up at call time, so a test can patch in the composite
+    layer or cell."""
+    phi = flownet_forward(feats, blocks, flow_o)
+    psi = flownet_forward(hidden, blocks, flow_h)
+    return gru_cell(phi, psi, gru)
+
+
 def composite_gru_cell(x, h, params):
-    """The GRU cell of :func:`diffcore.gru_cell` built from 13 elementwise,
+    """The GRU cell of :func:`gru_cell` built from 13 elementwise,
     affine and concat nodes: the oracle of the fused node's value and
     gradients."""
     x, h = dc.as_tensor(x), dc.as_tensor(h)
@@ -161,7 +234,7 @@ def composite_matmul_relu(x, w):
 
 
 def composite_graph_conv(blocks, x, w):
-    """:func:`diffcore.graph_conv` as a :func:`diffcore.sparse_matmul` node
+    """:func:`graph_conv` as a :func:`diffcore.sparse_matmul` node
     and a :func:`matmul_relu` node (looked up at call time, so a test can
     patch in :func:`composite_matmul_relu`)."""
     return matmul_relu(dc.sparse_matmul(blocks, x), w)

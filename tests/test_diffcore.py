@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nviflab import diffcore as dc
@@ -19,12 +19,15 @@ from nviflab.errors import DataError, ShapeError
 
 from conftest import (
     central_diff_grads,
+    composite_flow_gru_cell,
     composite_gaussian_sample,
     composite_graph_conv,
     composite_gru_cell,
     composite_kl_rows,
     composite_matmul_relu,
     composite_sq_dist_rows,
+    graph_conv,
+    gru_cell,
     matmul,
     matmul_relu,
     max_rel_err,
@@ -186,7 +189,7 @@ class TestOpGradients:
             ("w_n", (7, 4)), ("b_n", (4,))]}
         x, h = _leaf((3, 3)), _leaf((3, 4))
         leaves = [x, h] + list(params.values())
-        _check_grads(lambda: _weighted(dc.gru_cell(x, h, params)), leaves)
+        _check_grads(lambda: _weighted(gru_cell(x, h, params)), leaves)
 
     def test_matmul_relu(self):
         rng = np.random.default_rng(4)
@@ -201,7 +204,7 @@ class TestOpGradients:
         blocks = (rng.standard_normal((2, 2)), rng.standard_normal((3, 3)))
         pre = np.concatenate([blocks[0] @ x.data[:2], blocks[1] @ x.data[2:]]) @ w.data
         assert np.abs(pre).min() > 0.1 and 0 < (pre > 0).sum() < pre.size
-        _check_grads(lambda: _weighted(dc.graph_conv(blocks, x, w)), [x, w])
+        _check_grads(lambda: _weighted(graph_conv(blocks, x, w)), [x, w])
 
     def test_kl_rows(self):
         mu, ls = _leaf((3, 4)), _leaf((3, 4))
@@ -299,8 +302,8 @@ class TestBlockOperator:
     def test_graph_conv_shape_errors(self, blocks, rows):
         # the graph-conv layer checks its blocks as the block product does
         with pytest.raises(ShapeError):
-            dc.graph_conv(blocks, dc.Tensor(np.ones((rows, 2)), requires_grad=True),
-                          dc.Tensor(np.ones((2, 3)), requires_grad=True))
+            graph_conv(blocks, dc.Tensor(np.ones((rows, 2)), requires_grad=True),
+                       dc.Tensor(np.ones((2, 3)), requires_grad=True))
 
 
 class TestAffine:
@@ -407,7 +410,7 @@ class TestGru:
             ("w_n", (5, 3)), ("b_n", (3,))]}
         h = np.array([[0.4, -1.0, 2.0]])
         x = np.array([[1.0, 0.5]])
-        out = dc.gru_cell(dc.Tensor(x), dc.Tensor(h), params)
+        out = gru_cell(dc.Tensor(x), dc.Tensor(h), params)
         np.testing.assert_allclose(out.data, 0.5 * h, atol=1e-12)
 
     def test_zero_hidden_zero_candidate_path(self):
@@ -416,8 +419,8 @@ class TestGru:
             ("w_z", (5, 3)), ("b_z", (3,)), ("w_r", (5, 3)), ("b_r", (3,))]}
         params["w_n"] = dc.Tensor(np.zeros((5, 3)))
         params["b_n"] = dc.Tensor(np.zeros(3))
-        out = dc.gru_cell(dc.Tensor(rng.standard_normal((2, 2))),
-                          dc.Tensor(np.zeros((2, 3))), params)
+        out = gru_cell(dc.Tensor(rng.standard_normal((2, 2))),
+                       dc.Tensor(np.zeros((2, 3))), params)
         np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
     def test_matches_scalar_reference(self):
@@ -429,7 +432,7 @@ class TestGru:
             params[f"b_{gate}"] = dc.Tensor(rng.standard_normal(n_h))
         x = rng.standard_normal((batch, n_in))
         h = rng.standard_normal((batch, n_h))
-        out = dc.gru_cell(dc.Tensor(x), dc.Tensor(h), params).data
+        out = gru_cell(dc.Tensor(x), dc.Tensor(h), params).data
 
         def sig(v):
             return 1.0 / (1.0 + np.exp(-v))
@@ -498,7 +501,7 @@ class TestFusedGru:
         def on_slots(cell):
             return lambda x, h, *weights: cell(x, h, dict(zip(GRU_SLOTS[2:], weights)))
 
-        fused = _fused_vs_composite(on_slots(dc.gru_cell), on_slots(composite_gru_cell),
+        fused = _fused_vs_composite(on_slots(gru_cell), on_slots(composite_gru_cell),
                                     arrays, needs, grad_on, upstream)
         if fused.requires_grad:
             assert fused._saved is None  # the pending gradients were released
@@ -508,7 +511,7 @@ class TestFusedGru:
         # the fused node and the oracle over copies of the same leaves
         rng = np.random.default_rng(4)
         arrays = dc.init_gru(rng, x.shape[1], h.shape[1], np.float64)
-        for cell in (dc.gru_cell, composite_gru_cell):
+        for cell in (gru_cell, composite_gru_cell):
             params = {k: dc.Tensor(v.copy(), requires_grad=True) for k, v in arrays.items()}
             xt = dc.Tensor(x.copy(), requires_grad=True)
             ht = xt if h is x else dc.Tensor(h.copy())
@@ -545,7 +548,88 @@ class TestFusedGru:
         arrays = dict(zip(GRU_SLOTS, (np.zeros(s) for s in _gru_shapes(3, 3, 4))))
         arrays[slot] = np.zeros(shape)
         with pytest.raises(ShapeError) as err:
-            dc.gru_cell(arrays["x"], arrays["h"], arrays)
+            gru_cell(arrays["x"], arrays["h"], arrays)
+        assert str(shape) in str(err.value)
+
+
+def _cell_arrays(rng, dtype, sizes, n_feat, n_hidden, flow_o, flow_h):
+    """Blocks and the leaves ``(feats, hidden, *flow_o, *flow_h, *gru)`` of an
+    encoder cell whose layers have the output widths ``flow_o`` and ``flow_h``."""
+    n, phi, psi = sum(sizes), flow_o[-1], flow_h[-1]
+    shapes = [(n, n_feat), (n, n_hidden)]
+    shapes += list(zip([n_feat] + flow_o[:-1], flow_o))
+    shapes += list(zip([n_hidden] + flow_h[:-1], flow_h))
+    shapes += [(phi + psi, psi), (psi,)] * 3
+    blocks = tuple(rng.standard_normal((k, k)).astype(dtype) for k in sizes)
+    return blocks, [rng.standard_normal(s).astype(dtype) for s in shapes]
+
+
+def _on_slots(cell, blocks, n_o, n_h):
+    return lambda feats, hidden, *w: cell(blocks, feats, hidden, w[:n_o], w[n_o:n_o + n_h],
+                                          dict(zip(GRU_SLOTS[2:], w[n_o + n_h:])))
+
+
+class TestFlowGruCell:
+    """The encoder step as one node against its chain of one-node graph-conv
+    layers and a one-node GRU cell."""
+
+    # blocks of one row are left out: a one-row product takes numpy's
+    # matrix-vector path, which rounds differently from the matrix-matrix one
+    @settings(max_examples=150, deadline=None)
+    @given(sizes=st.lists(st.integers(2, 9), min_size=1, max_size=4),
+           n_feat=st.integers(1, 6), n_hidden=st.integers(1, 6),
+           flow_o=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+           flow_h=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           needs=st.lists(st.booleans(), min_size=14, max_size=14), grad_on=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
+    def test_equals_the_chain_bit_for_bit(self, sizes, n_feat, n_hidden, flow_o, flow_h,
+                                          dtype, needs, grad_on, seed):
+        assume(n_feat != n_hidden)
+        rng = np.random.default_rng(seed)
+        blocks, arrays = _cell_arrays(rng, dtype, sizes, n_feat, n_hidden, flow_o, flow_h)
+        upstream = rng.standard_normal((sum(sizes), flow_h[-1])).astype(dtype)
+
+        def run(cell):
+            leaves = [dc.Tensor(a.copy(), requires_grad=r) for a, r in zip(arrays, needs)]
+            with contextlib.nullcontext() if grad_on else dc.no_grad():
+                out = _on_slots(cell, blocks, len(flow_o), len(flow_h))(*leaves)
+            if out.requires_grad:
+                dc.backward(dc.sum(dc.mul(out, upstream)))
+            return out, leaves
+
+        (got, got_leaves), (want, want_leaves) = run(dc.flow_gru_cell), run(
+            composite_flow_gru_cell)
+        assert got.data.dtype == dtype and got.data.tobytes() == want.data.tobytes()
+        assert got.requires_grad == want.requires_grad == (grad_on and any(needs[:len(arrays)]))
+        assert got._parents == (tuple(got_leaves) if got.requires_grad else ())
+        for g, w in zip(got_leaves, want_leaves):
+            assert (g.grad is None) == (w.grad is None)
+            if g.grad is not None:
+                assert g.grad.dtype == dtype and g.grad.tobytes() == w.grad.tobytes()
+        if got.requires_grad:  # the blocks themselves; the pending gradients released
+            saved_blocks, n_o, pending = got._saved
+            assert all(a is b for a, b in zip(saved_blocks, blocks, strict=True))
+            assert n_o == len(flow_o) and pending is None
+
+    def test_one_node_over_the_leaves(self):
+        # no layer output or gate joins the tape: the graph is the leaves and the node
+        blocks, arrays = _cell_arrays(np.random.default_rng(3), np.float64, [3, 2], 4, 5,
+                                      [6, 6], [5, 5])
+        leaves = [dc.Tensor(a, requires_grad=i > 0) for i, a in enumerate(arrays)]
+        out = _on_slots(dc.flow_gru_cell, blocks, 2, 2)(*leaves)
+        order = dc.topological_order(out)
+        assert order[-1] is out and {id(t) for t in order[:-1]} == {id(t) for t in leaves}
+
+    @pytest.mark.parametrize("index, shape", [
+        (0, (5,)), (1, (4, 5)), (2, (3, 6)), (3, (6,)), (4, (5, 5, 1)), (6, (12, 5)),
+        (7, (1, 5))])
+    def test_shape_error_names_the_shapes(self, index, shape):
+        blocks, arrays = _cell_arrays(np.random.default_rng(0), np.float64, [2, 3], 4, 5,
+                                      [6, 6], [5, 5])
+        arrays[index] = np.zeros(shape)
+        with pytest.raises(ShapeError) as err:
+            _on_slots(dc.flow_gru_cell, blocks, 2, 2)(*arrays)
         assert str(shape) in str(err.value)
 
 
@@ -599,7 +683,7 @@ class TestLeanNodes:
             for b in blocks:
                 b[::2] = 0.0
         upstream = rng.standard_normal((n, width)).astype(dtype)
-        out = _fused_vs_composite(lambda a, b: dc.graph_conv(blocks, a, b),
+        out = _fused_vs_composite(lambda a, b: graph_conv(blocks, a, b),
                                   lambda a, b: composite_graph_conv(blocks, a, b),
                                   [x, w], needs, grad_on, upstream)
         if dead == "all":
@@ -675,9 +759,9 @@ class TestLeanNodes:
         (dc.kl_rows, [(3, 4), (4,)]),
         (dc.kl_rows, [(4,), (4,)]),
         (dc.kl_rows, [(3, 4, 2), (3, 4, 2)]),
-        (lambda x, w: dc.graph_conv((np.eye(3),), x, w), [(3, 4), (3, 2)]),
-        (lambda x, w: dc.graph_conv((np.eye(3),), x, w), [(3, 4), (4, 2, 1)]),
-        (lambda x, w: dc.graph_conv((np.eye(3),), x, w), [(3, 4), (4,)]),
+        (lambda x, w: graph_conv((np.eye(3),), x, w), [(3, 4), (3, 2)]),
+        (lambda x, w: graph_conv((np.eye(3),), x, w), [(3, 4), (4, 2, 1)]),
+        (lambda x, w: graph_conv((np.eye(3),), x, w), [(3, 4), (4,)]),
     ])
     def test_shape_error_names_the_shapes(self, build, shapes):
         with pytest.raises(ShapeError) as err:
@@ -720,9 +804,12 @@ MULTI_OPERAND = {
     "mul": (dc.mul, [(3, 4), (1, 4)]),
     "matmul": (matmul, [(3, 4), (4, 2)]),
     "matmul_relu": (matmul_relu, [(3, 4), (4, 2)]),
-    "graph_conv": (lambda x, w: dc.graph_conv((np.full((1, 1), 0.5), np.full((2, 2), -0.25)),
-                                              x, w), [(3, 4), (4, 2)]),
+    "graph_conv": (lambda x, w: graph_conv((np.full((1, 1), 0.5), np.full((2, 2), -0.25)),
+                                           x, w), [(3, 4), (4, 2)]),
     "kl_rows": (dc.kl_rows, [(3, 4), (3, 4)]),
+    "flow_gru_cell": (lambda x, h, wo, wh, *gru: dc.flow_gru_cell(
+        (np.full((1, 1), 0.5), np.full((2, 2), -0.25)), x, h, [wo], [wh],
+        dict(zip(GRU_SLOTS[2:], gru))), [(3, 2), (3, 4), (2, 3), (4, 5)] + [(8, 5), (5,)] * 3),
     "gaussian_sample": (lambda m, s: dc.gaussian_sample(m, s, rng=np.random.default_rng(1)),
                         [(3, 4), (3, 4)]),
     "sq_dist_rows": (dc.sq_dist_rows, [(3, 4), (3, 4)]),
@@ -835,7 +922,7 @@ class TestBackwardContract:
         dc.init_mlp(store, "head/", [4, 5, 6], rng, np.float64)
         h = dc.Tensor(np.zeros((2, 4)))
         for _ in range(2):
-            h = dc.gru_cell(dc.Tensor(rng.standard_normal((2, 3))), h, params)
+            h = gru_cell(dc.Tensor(rng.standard_normal((2, 3))), h, params)
         loss = dc.add(dc.bce_loss(rng.random((2, 6)), dc.mlp(h, store, "head/")),
                       dc.mean(dc.mul(h, h)))
         order = dc.topological_order(loss)

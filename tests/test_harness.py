@@ -6,11 +6,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nviflab.env_gather import NOOP_INDEX, preset
+from nviflab.env_gather import N_ACTIONS, NOOP_INDEX, new_world, observe, preset, step
 from nviflab.errors import ConfigError, DataError
 from nviflab.harness import (
     PolicyBundle,
+    collect_obs_corpus,
     evaluate,
     load_experiment,
     normalize_matrix,
@@ -96,6 +99,10 @@ class TestExperimentConfig:
         ("dqn", "lr", 0.0), ("dqn", "lr", True), ("dqn", "eps_start", 1.5),
         ("dqn", "eps_end", -0.2), ("dqn", "eps_start", 0.01),
         ("obs_vae", "lr", -1.0), ("nvif", "lr", -1.0), ("nvif", "lr", "3e-3"),
+        ("nvif", "alpha", -0.1), ("nvif", "recon_weight", -1.0),
+        ("nvif", "stop_recon_frac", -0.5), ("nvif", "stop_recon_frac", 0.0),
+        ("nvif", "stop_recon_frac", 3.0), ("ppo", "stop_food_frac", 1.5),
+        ("ppo", "stop_food_frac", -0.2), ("ppo", "stop_food_frac", 0.0),
     ])
     def test_out_of_range_rejected(self, tmp_path, section, key, value):
         path = write_config(tmp_path / "c.json", **{section: {key: value}})
@@ -114,6 +121,35 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError) as err:
             load_experiment(path)
         assert key in str(err.value)
+
+
+def _corpus_oracle(task_cfg, episodes, rng, max_samples):
+    """:func:`collect_obs_corpus` as a list of windows, concatenated and cut."""
+    rows, count = [], 0
+    for _ in range(episodes):
+        world = new_world(replace(task_cfg, seed=int(rng.integers(2 ** 62))))
+        while not world.done:
+            ids = world.alive_agents()
+            rows.append(observe(world, ids))
+            count += len(ids)
+            step(world, dict(zip(ids, rng.integers(0, N_ACTIONS, len(ids)).tolist())))
+            if max_samples is not None and count >= max_samples:
+                return np.concatenate(rows)[:max_samples]
+    return np.concatenate(rows)
+
+
+class TestObsCorpus:
+    @settings(max_examples=12, deadline=None)
+    @given(episodes=st.integers(1, 2), max_samples=st.none() | st.integers(1, 400),
+           seed=st.integers(0, 2 ** 16))
+    def test_rows_are_the_first_windows_in_order(self, tiny_task, episodes, max_samples,
+                                                 seed):
+        # a limit inside a step's window, past every window, or none; the
+        # corpus owns its rows, so it keeps no larger array alive
+        got = collect_obs_corpus(tiny_task, episodes, np.random.default_rng(seed), max_samples)
+        want = _corpus_oracle(tiny_task, episodes, np.random.default_rng(seed), max_samples)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got.flags.owndata
 
 
 class TestCliExitCodes:

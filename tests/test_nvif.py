@@ -35,7 +35,6 @@ from nviflab.nvif import (
     ObsVaeHyper,
     PretrainHyper,
     collect_pretrain_buffer,
-    flownet_forward,
     gather_step_data,
     init_flownet,
     kl_standard_normal,
@@ -44,13 +43,18 @@ from nviflab.nvif import (
 from nviflab.nvif.losses import consistency_rows, kl_rows, recon_rows
 from nviflab.nvif.pretrain import _batch_loss
 
+import conftest
 from conftest import (
+    composite_flow_gru_cell,
     composite_gaussian_sample,
     composite_graph_conv,
     composite_gru_cell,
     composite_kl_rows,
     composite_matmul_relu,
     composite_sq_dist_rows,
+    flownet_forward,
+    graph_conv,
+    gru_cell,
     reconstruction_bce,
     refresh_grids,
     sigmoid,
@@ -76,7 +80,7 @@ class TestFlowNet:
     def test_single_agent_identity_weights(self):
         store = dc.ParamStore()
         params = init_flownet(store, "f", [3, 3], np.random.default_rng(0), np.float64)
-        params.weights[0].data[...] = np.eye(3)
+        params[0].data[...] = np.eye(3)
         v = np.array([[0.5, 1.0, 2.0]])
         adj = (cg.normalize(cg.fully_connected(1)),)
         out = flownet_forward(v, adj, params)
@@ -85,7 +89,7 @@ class TestFlowNet:
     def test_two_clique_averages(self):
         store = dc.ParamStore()
         params = init_flownet(store, "f", [1, 1], np.random.default_rng(0), np.float64)
-        params.weights[0].data[...] = np.eye(1)
+        params[0].data[...] = np.eye(1)
         adj = (cg.normalize(cg.fully_connected(2)),)
         out = flownet_forward(np.array([[1.0], [3.0]]), adj, params)
         np.testing.assert_allclose(out.data, [[2.0], [2.0]])
@@ -97,9 +101,8 @@ class TestFlowNet:
         adj = (cg.normalize(cg.fully_connected(3)),)
         x = rng.standard_normal((3, 4))
         full = flownet_forward(x, adj, two)
-        from nviflab.nvif.flownet import FlowNetParams
-        first = flownet_forward(x, adj, FlowNetParams(two.weights[:1]))
-        second = flownet_forward(first, adj, FlowNetParams(two.weights[1:]))
+        first = flownet_forward(x, adj, two[:1])
+        second = flownet_forward(first, adj, two[1:])
         np.testing.assert_allclose(full.data, second.data)
 
     def test_row_mismatch_rejected(self):
@@ -110,8 +113,8 @@ class TestFlowNet:
 
     def test_independent_flownets_never_share(self):
         enc = tiny_encoder()
-        o_names = {id(w) for w in enc.flow_o.weights}
-        h_names = {id(w) for w in enc.flow_h.weights}
+        o_names = {id(w) for w in enc.flow_o}
+        h_names = {id(w) for w in enc.flow_h}
         assert not o_names & h_names
 
 
@@ -540,29 +543,55 @@ class TestPretrain:
 
     def test_fused_gru_shrinks_the_tape_with_identical_gradients(
             self, small_buffer, tiny_task, monkeypatch):
-        # one pre-training batch with the fused cell and with the 13-node oracle
-        # patched into the encoder: same loss and gradients, a smaller tape
+        # one pre-training batch with the one-node encoder step and with its
+        # chain, whose GRU is the 13-node oracle, patched into the encoder:
+        # same loss and gradients, a smaller tape
         (loss, (nodes, nbytes), grads), (ref_loss, (ref_nodes, ref_bytes), ref_grads) = \
             self._batch_against_oracles(small_buffer, tiny_task, monkeypatch, [
-                ("nviflab.nvif.encoder", "gru_cell", composite_gru_cell)])
+                ("nviflab.nvif.encoder", "flow_gru_cell", composite_flow_gru_cell),
+                ("conftest", "gru_cell", composite_gru_cell)])
         assert loss == ref_loss
         for name in grads:
             np.testing.assert_array_equal(grads[name], ref_grads[name])
         assert nodes < ref_nodes and nbytes < ref_bytes
 
-    def test_lean_nodes_shrink_the_tape_with_identical_gradients(
+    def test_encoder_step_node_takes_the_layers_off_the_tape(
             self, small_buffer, tiny_task, monkeypatch):
-        # every fused node against its composite patched back in: the
-        # graph-conv layer (sparse_matmul, matmul and relu nodes), the GRU
-        # cell, the latent sample, the consistency distance and the KL rows.
-        # Same loss and gradient bytes, from a tape of at most 0.33 of the
-        # bytes: this batch measured 0.275 (974 against 2253 nodes), so the
-        # bound leaves a 20% margin
+        # the one-node encoder step against its chain of one-node graph-conv
+        # layers and GRU cell: same loss and gradient bytes, and the tape
+        # loses each step's four layer nodes and their outputs
+        layers = []
+
+        def counted(*args):
+            layers.append(graph_conv(*args))
+            return layers[-1]
+
+        monkeypatch.setattr(conftest, "graph_conv", counted)
         (loss, (nodes, nbytes), grads), (ref_loss, (ref_nodes, ref_bytes), ref_grads) = \
             self._batch_against_oracles(small_buffer, tiny_task, monkeypatch, [
-                ("nviflab.nvif.flownet", "graph_conv", composite_graph_conv),
+                ("nviflab.nvif.encoder", "flow_gru_cell", composite_flow_gru_cell)])
+        assert loss.tobytes() == ref_loss.tobytes()
+        for name in grads:
+            assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+        assert len(layers) == 4 * max(len(ep.steps) for ep in small_buffer[:2])
+        assert nodes == ref_nodes - len(layers)
+        assert ref_bytes - nbytes >= sum(layer.data.nbytes for layer in layers)
+
+    def test_lean_nodes_shrink_the_tape_with_identical_gradients(
+            self, small_buffer, tiny_task, monkeypatch):
+        # every fused node against its composite patched back in: the encoder
+        # step (its graph-conv layers and GRU cell as nodes), the graph-conv
+        # layer (sparse_matmul, matmul and relu nodes), the GRU cell, the
+        # latent sample, the consistency distance and the KL rows.
+        # Same loss and gradient bytes, from a tape of at most 0.18 of the
+        # bytes: this batch measured 0.152 (814 against 2253 nodes), so the
+        # bound leaves an 18% margin
+        (loss, (nodes, nbytes), grads), (ref_loss, (ref_nodes, ref_bytes), ref_grads) = \
+            self._batch_against_oracles(small_buffer, tiny_task, monkeypatch, [
+                ("nviflab.nvif.encoder", "flow_gru_cell", composite_flow_gru_cell),
+                ("conftest", "graph_conv", composite_graph_conv),
                 ("conftest", "matmul_relu", composite_matmul_relu),
-                ("nviflab.nvif.encoder", "gru_cell", composite_gru_cell),
+                ("conftest", "gru_cell", composite_gru_cell),
                 ("nviflab.nvif.encoder", "gaussian_sample", composite_gaussian_sample),
                 ("nviflab.nvif.losses", "sq_dist_rows", composite_sq_dist_rows),
                 ("nviflab.diffcore.nn", "kl_rows", composite_kl_rows)])
@@ -571,7 +600,7 @@ class TestPretrain:
         for name in grads:
             assert grads[name].tobytes() == ref_grads[name].tobytes(), name
         assert nodes < ref_nodes
-        assert nbytes <= 0.33 * ref_bytes, (nbytes, ref_bytes)
+        assert nbytes <= 0.18 * ref_bytes, (nbytes, ref_bytes)
 
     def test_zero_batch_rejected(self, small_buffer):
         with pytest.raises(ConfigError):
@@ -776,19 +805,21 @@ class TestBlockBatches:
 # Pre-training under an address-space cap, in its own process, so a memory
 # regression fails that process instead of exhausting the machine. Figures
 # are VmPeak with one BLAS thread (CPython 3.11, numpy 2.4, OpenBLAS).
-# - One random-medium epoch (8 episodes, batches of 4) peaks at 192 MiB, 32%
-#   below its cap. With the graph-conv layer as a block product and a fused
-#   product-relu, a GRU cell that saves its gates and the KL rows as nine
-#   nodes it peaked at 221 MiB; with the product-relu, the latent sample and
-#   the consistency term as composite nodes as well at 240 MiB, with the
-#   decoder on the batch tape as well at 365 MiB, and with float32 windows in
-#   the buffer as well at 427 MiB.
+# - One random-medium epoch (8 episodes, batches of 4) peaks at 181 MiB, 32%
+#   below its cap. With the encoder step's graph-conv layers and GRU cell as
+#   nodes of their own it peaked at 192 MiB; with the graph-conv layer as a
+#   block product and a fused product-relu, a GRU cell that saves its gates
+#   and the KL rows as nine nodes at 221 MiB; with the product-relu, the
+#   latent sample and the consistency term as composite nodes as well at
+#   240 MiB, with the decoder on the batch tape as well at 365 MiB, and with
+#   float32 windows in the buffer as well at 427 MiB.
 # - One paper-scale batch (16 random-large episodes of 49 agents) peaks at
-#   409 MiB, 24% below its cap. With those three nodes as before it peaked at
+#   336-337 MiB, 24% below its cap. With the layers and the cell as nodes of
+#   their own it peaked at 409 MiB, with those three nodes as before at
 #   612 MiB, with the composite nodes as well at 726 MiB, and with a dense
 #   (N, N) matrix over the stacked agents per timestep as well at 1195 MiB.
-GATE_MIB = 282
-LARGE_GATE_MIB = 538
+GATE_MIB = 266
+LARGE_GATE_MIB = 442
 _GATE_SCRIPT = """
 import resource, sys
 limit = int(sys.argv[1]) * 2 ** 20
@@ -887,7 +918,7 @@ class TestModelDtypeEndToEnd:
         params = {k: dc.Tensor(v, requires_grad=True)
                   for k, v in dc.init_gru(rng, 3, 4, dtype).items()}
         x = dc.Tensor(rng.standard_normal((5, 3)).astype(dtype))
-        h = dc.gru_cell(x, dc.Tensor(rng.standard_normal((5, 4)).astype(dtype)), params)
+        h = gru_cell(x, dc.Tensor(rng.standard_normal((5, 4)).astype(dtype)), params)
         center = (np.full((5, 5), 0.2, dtype=dtype),)
         loss = dc.add(dc.sum(kl_rows(h, dc.mul(h, 0.5))), dc.sum(consistency_rows(h, center)))
         assert tape_dtypes(loss) == {np.dtype(dtype)}
