@@ -1,11 +1,11 @@
 """Deep Q-learning on [compressed observation || latent] inputs.
 
-Standard machinery: ring replay buffer, target network refreshed every
-``target_sync`` gradient steps, linear epsilon schedule over environment
-steps, per-agent transitions with agent death or the food running out as
-terminals. A cut at ``max_steps`` is not a terminal: a survivor's last
-transition is pushed with its final-state row as the next row, so the target
-bootstraps from it (arXiv 1712.00378).
+Standard machinery: a ring replay buffer that stores each row once and finds
+next states by index, target network refreshed every ``target_sync`` gradient
+steps, linear epsilon schedule over environment steps, per-agent transitions
+with agent death or the food running out as terminals. A cut at ``max_steps``
+is not a terminal: a survivor's last transition leads to its final-state row,
+so the target bootstraps from it (arXiv 1712.00378).
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from ..diffcore import (
     take_per_row,
 )
 from ..env_gather import N_ACTIONS, TaskConfig, new_world, step
-from ..errors import ConfigError, require_counts, require_rates
+from ..errors import ConfigError, ProtocolError, require_counts, require_rates
 from ..nvif import NvifEncoder, ObsCompressor
 from .ppo import write_metrics_csv
 from .providers import featurize, make_provider
@@ -107,25 +107,50 @@ class QNetwork:
 
 
 class ReplayRing:
-    def __init__(self, capacity: int, width: int, dtype=np.float32):
-        self.x = np.zeros((capacity, width), dtype=dtype)
-        self.a = np.zeros(capacity, dtype=np.int64)
-        self.r = np.zeros(capacity, dtype=np.float64)
-        self.x2 = np.zeros((capacity, width), dtype=dtype)
-        self.done = np.zeros(capacity, dtype=np.float64)
-        self.capacity = capacity
-        self.idx = 0
-        self.size = 0
+    """Slot ``i`` holds a transition from ``x[i]`` to ``rows[nxt[i]]``. One
+    row store holds the slots' ``x``, a zero row for terminals, a stage for
+    the next step's rows (re-pointed to their slots once that step is pushed)
+    and a ring of truncated survivors' final rows. Each survivor of a cut has
+    ``max_steps`` transitions, so the final rows in use number at most
+    ``capacity // max_steps``, plus ``n_agents`` of one episode straddling
+    the oldest slot."""
 
-    def push(self, x, a, r, x2, done):
-        i = self.idx
-        self.x[i], self.a[i], self.r[i], self.x2[i], self.done[i] = x, a, r, x2, done
-        self.idx = (i + 1) % self.capacity
-        self.size = min(self.size + 1, self.capacity)
+    def __init__(self, capacity: int, width: int, n_agents: int, max_steps: int,
+                 dtype=np.float32):
+        self.finals = capacity // max_steps + n_agents
+        self.rows = np.zeros((capacity + 1 + n_agents + self.finals, width), dtype=dtype)
+        self.x = self.rows[:capacity]
+        self.nxt = np.zeros(capacity, dtype=np.int32)
+        self.a = np.zeros(capacity, dtype=np.int8)
+        self.r = np.zeros(capacity, dtype=np.float64)
+        self.done = np.zeros(capacity, dtype=bool)
+        self.capacity, self.stage, self.final_base = capacity, capacity + 1, capacity + 1 + n_agents
+        self.staged = np.zeros(0, dtype=np.intp)
+        self.idx = self.size = self.final_idx = 0
+
+    def push(self, x, a, r, nxt, to, final: bool):
+        """One step's rows. Row ``j`` leads to ``nxt[to[j]]``, or is terminal
+        where ``to[j] < 0``; ``nxt`` holds the next step's rows or, with
+        ``final``, the survivors' final rows."""
+        c, k, m, staged = self.capacity, len(x), len(nxt), self.staged
+        self.nxt[staged] = (self.nxt[staged] + (self.idx - self.stage)) % c
+        if final:
+            at = self.final_base + (self.final_idx + np.arange(m)) % self.finals
+            ptr = np.where(to < 0, c, self.final_base + (self.final_idx + to) % self.finals)
+            self.final_idx = (self.final_idx + m) % self.finals
+        else:  # the stage sits just above the zero row, which to == -1 picks
+            at, ptr = slice(self.stage, self.stage + m), to + self.stage
+        self.rows[at] = nxt
+        skip = max(0, k - c)  # a step of more rows than slots keeps its last
+        slots, done = np.arange(self.idx + skip, self.idx + k) % c, to[skip:] < 0
+        self.x[slots], self.a[slots], self.r[slots] = x[skip:], a[skip:], r[skip:]
+        self.done[slots], self.nxt[slots] = done, ptr[skip:]
+        self.staged = slots[:0] if final else slots[~done]
+        self.idx, self.size = (self.idx + k) % c, min(self.size + k, c)
 
     def sample(self, rng, n):
         idx = rng.integers(0, self.size, n)
-        return self.x[idx], self.a[idx], self.r[idx], self.x2[idx], self.done[idx]
+        return self.x[idx], self.a[idx], self.r[idx], self.rows[self.nxt[idx]], self.done[idx]
 
 
 @dataclass
@@ -152,7 +177,7 @@ def train_dqn(task_cfg: TaskConfig, compressor: ObsCompressor, hyper: DQNHyper,
     qnet = QNetwork(width, hyper.hidden_width, np.random.default_rng(init_s))
     target = QNetwork(width, hyper.hidden_width, np.random.default_rng(init_s))
     target.copy_from(qnet)
-    replay = ReplayRing(hyper.replay_capacity, width)
+    replay = ReplayRing(hyper.replay_capacity, width, task_cfg.n_omnivores, task_cfg.max_steps)
 
     env_steps = 0
     grad_steps = 0
@@ -167,7 +192,7 @@ def train_dqn(task_cfg: TaskConfig, compressor: ObsCompressor, hyper: DQNHyper,
             ids = world.alive_agents()
             x = featurize(world, ids, compressor, provider)
             if pending is not None:
-                _flush(replay, pending, {i: x[row] for row, i in enumerate(ids)})
+                _flush(replay, pending, ids, x)
             eps = epsilon_at(hyper, env_steps)
             q = qnet.q_values(x)
             greedy = q.argmax(axis=1)
@@ -186,11 +211,9 @@ def train_dqn(task_cfg: TaskConfig, compressor: ObsCompressor, hyper: DQNHyper,
                 if grad_steps % hyper.target_sync == 0:
                     target.copy_from(qnet)
         if pending is not None:
-            final = {}
-            if world.truncated:
-                survivors = world.alive_agents()
-                final = dict(zip(survivors, featurize(world, survivors, compressor, provider)))
-            _flush(replay, pending, final)
+            survivors = world.alive_agents() if world.truncated else []
+            last = featurize(world, survivors, compressor, provider) if survivors else x[:0]
+            _flush(replay, pending, survivors, last, final=True)
         metrics.append({
             "epoch": episode,
             "mean_return": episode_return,
@@ -207,13 +230,15 @@ def train_dqn(task_cfg: TaskConfig, compressor: ObsCompressor, hyper: DQNHyper,
     return DQNResult(metrics=metrics, qnet=qnet)
 
 
-def _flush(replay: ReplayRing, pending, next_rows: dict):
+def _flush(replay: ReplayRing, pending, next_ids, next_x, final=False):
+    """Pushes the pending step; a live agent leads to its row of ``next_x``."""
     ids, x, actions, rewards, alive_after, food_out = pending
-    zeros = np.zeros(x.shape[1], dtype=x.dtype)
-    for row, agent in enumerate(ids):
-        terminal = food_out or not alive_after[agent]
-        nxt = next_rows.get(agent, zeros) if not terminal else zeros
-        replay.push(x[row], actions[row], rewards[row], nxt, 1.0 if terminal else 0.0)
+    row_of = dict(zip(next_ids, range(len(next_ids))))
+    to = [-1 if food_out or not alive_after[i] else row_of.get(i) for i in ids]
+    if None in to:
+        missing = [i for i, row in zip(ids, to) if row is None]
+        raise ProtocolError(f"replay: agents {missing} are not terminal but have no next row")
+    replay.push(x, actions, rewards, next_x, np.array(to), final)
 
 
 def _gradient_step(qnet: QNetwork, target: QNetwork, replay: ReplayRing,

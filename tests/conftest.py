@@ -1,11 +1,16 @@
 """Shared fixtures and oracles."""
 import importlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nviflab
 from nviflab import diffcore as dc
 from nviflab.diffcore.tensor import (
     _GRU_PARAMS,
@@ -361,6 +366,61 @@ def per_agent_episode(task_cfg, env_seed, compressor, provider, ac, action_rng, 
     )
     return (np.asarray(rows_x), np.asarray(rows_a), np.asarray(rows_p),
             np.asarray(rows_adv), np.asarray(rows_ret), np.asarray(rows_t)), stats
+
+
+linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                                reason="RLIMIT_AS is enforced on Linux")
+
+
+def run_capped(script: str, cap_mib: int, *args):
+    """Runs ``script`` in its own process with one BLAS thread, passing
+    ``cap_mib`` and ``args`` as its arguments, and asserts that it exits 0.
+    The script caps its own address space (``RLIMIT_AS``) at ``argv[1]``
+    MiB, so a memory regression fails that process instead of exhausting
+    the machine."""
+    src = str(Path(nviflab.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, (cap_mib, *args))], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+
+
+class TwoArrayRing:
+    """The DQN replay ring as two row arrays, ``x`` and a copy of each next
+    state in ``x2``, pushed one transition at a time: the oracle of
+    :class:`policy.ReplayRing`, which stores each row once."""
+
+    def __init__(self, capacity: int, width: int, dtype=np.float32):
+        self.x = np.zeros((capacity, width), dtype=dtype)
+        self.a = np.zeros(capacity, dtype=np.int64)
+        self.r = np.zeros(capacity, dtype=np.float64)
+        self.x2 = np.zeros((capacity, width), dtype=dtype)
+        self.done = np.zeros(capacity, dtype=np.float64)
+        self.capacity = capacity
+        self.idx = 0
+        self.size = 0
+
+    def push(self, x, a, r, x2, done):
+        i = self.idx
+        self.x[i], self.a[i], self.r[i], self.x2[i], self.done[i] = x, a, r, x2, done
+        self.idx = (i + 1) % self.capacity
+        self.size = min(self.size + 1, self.capacity)
+
+    def sample(self, rng, n):
+        idx = rng.integers(0, self.size, n)
+        return self.x[idx], self.a[idx], self.r[idx], self.x2[idx], self.done[idx]
+
+
+def two_array_flush(replay: TwoArrayRing, pending, next_rows: dict):
+    """``policy.dqn._flush`` for :class:`TwoArrayRing`: a terminal, or an
+    agent with no row in ``next_rows``, leads to a zero row."""
+    ids, x, actions, rewards, alive_after, food_out = pending
+    zeros = np.zeros(x.shape[1], dtype=x.dtype)
+    for row, agent in enumerate(ids):
+        terminal = food_out or not alive_after[agent]
+        nxt = next_rows.get(agent, zeros) if not terminal else zeros
+        replay.push(x[row], actions[row], rewards[row], nxt, 1.0 if terminal else 0.0)
 
 
 @pytest.fixture(scope="session")

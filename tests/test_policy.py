@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from nviflab import diffcore as dc
 from nviflab.env_gather import N_ACTIONS, preset
-from nviflab.errors import ConfigError, DataError
+from nviflab.errors import ConfigError, DataError, ProtocolError
 from nviflab.policy import (
     ActorCritic,
     DQNHyper,
@@ -19,6 +19,7 @@ from nviflab.policy import (
     PolicyConfig,
     PPOHyper,
     QNetwork,
+    ReplayRing,
     alignment_check,
     clipped_term,
     collect_episode,
@@ -32,8 +33,17 @@ from nviflab.policy import (
     train_dqn,
     train_ppo,
 )
+from nviflab.policy.dqn import _flush
 
-from conftest import EpisodeSpy, central_diff_grads, per_agent_episode
+from conftest import (
+    EpisodeSpy,
+    TwoArrayRing,
+    central_diff_grads,
+    linux_only,
+    per_agent_episode,
+    run_capped,
+    two_array_flush,
+)
 
 
 class TestGae:
@@ -105,6 +115,26 @@ class TestReturns:
             assert xi[t] == r[t] + 0.95 * xi[t + 1]
 
 
+class _AllSlots:
+    """A stand-in rng whose draw is every filled slot in order, so that
+    ``ReplayRing.sample`` reads the whole ring back."""
+
+    def integers(self, low, high, size):
+        return np.arange(low, high)
+
+
+def _ring_spy(monkeypatch, dqn_mod) -> list:
+    """Keeps each ``ReplayRing`` that ``dqn_mod`` builds."""
+    rings, ring_cls = [], dqn_mod.ReplayRing
+
+    def make(*args, **kwargs):
+        rings.append(ring_cls(*args, **kwargs))
+        return rings[-1]
+
+    monkeypatch.setattr(dqn_mod, "ReplayRing", make)
+    return rings
+
+
 # (max_steps, spy arguments): a cut at the time limit, a death at the cut,
 # and the food running out before the time limit
 ENDINGS = {
@@ -156,17 +186,12 @@ class TestTimeLimitBootstrap:
         max_steps, spy_args = ENDINGS[ending]
         dqn_mod = importlib.import_module("nviflab.policy.dqn")
         spy = EpisodeSpy(monkeypatch, dqn_mod, **spy_args)
-        pushed = []
-        push = dqn_mod.ReplayRing.push
-
-        def record(ring, x, a, r, x2, done):
-            pushed.append((np.array(x2), done))
-            push(ring, x, a, r, x2, done)
-
-        monkeypatch.setattr(dqn_mod.ReplayRing, "push", record)
+        rings = _ring_spy(monkeypatch, dqn_mod)
         train_dqn(replace(tiny_task, max_steps=max_steps), tiny_compressor,
                   DQNHyper(episodes=1, min_replay=10 ** 6, replay_capacity=64, seed=0),
                   latent_mode="none")
+        *_, next_x, done = rings[0].sample(_AllSlots(), None)
+        pushed = list(zip(next_x, done))
         world = spy.world
         ids = list(range(tiny_task.n_omnivores))
         assert world.t == 2 and len(pushed) == 2 * len(ids)
@@ -202,17 +227,11 @@ class TestWipeout:
         n = tiny_task.n_omnivores
         dqn_mod = importlib.import_module("nviflab.policy.dqn")
         spy = EpisodeSpy(monkeypatch, dqn_mod, at_t=2, kill=range(n))
-        done_flags = []
-        push = dqn_mod.ReplayRing.push
-
-        def record(ring, x, a, r, x2, done):
-            done_flags.append(done)
-            push(ring, x, a, r, x2, done)
-
-        monkeypatch.setattr(dqn_mod.ReplayRing, "push", record)
+        rings = _ring_spy(monkeypatch, dqn_mod)
         result = train_dqn(tiny_task, tiny_compressor,
                            DQNHyper(episodes=1, min_replay=10 ** 6, replay_capacity=64, seed=0),
                            latent_mode="none")
+        done_flags = rings[0].sample(_AllSlots(), None)[-1].tolist()
         assert spy.world.t == result.metrics[0]["mean_end_steps"] == 2
         assert done_flags == [0.0] * n + [1.0] * n
 
@@ -488,6 +507,78 @@ class TestDqnPieces:
         assert epsilon_at(hyper, 5000) == 0.05
         assert epsilon_at(hyper, 500) == pytest.approx(0.525)
 
+    @given(n_agents=st.integers(1, 6), max_steps=st.integers(1, 5), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_ring_samples_equal_the_two_array_oracle(self, n_agents, max_steps, data):
+        # both rings driven by the same steps, each step's rows flushed as in
+        # train_dqn: deaths, food-out, wipeout and cuts at max_steps, with
+        # capacities from 1 to 3n; after every flush, seeded draws and the
+        # whole ring read back must agree
+        width = 3
+        capacity = data.draw(st.integers(1, 3 * n_agents), label="capacity")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16), label="seed"))
+        ring = ReplayRing(capacity, width, n_agents, max_steps)
+        oracle = TwoArrayRing(capacity, width)
+
+        def check():
+            seed = int(rng.integers(2 ** 32))
+            for got, want in [
+                    (ring.sample(np.random.default_rng(seed), 7),
+                     oracle.sample(np.random.default_rng(seed), 7)),
+                    (ring.sample(_AllSlots(), None), oracle.sample(_AllSlots(), None))]:
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w)
+
+        for _ in range(data.draw(st.integers(1, 6), label="episodes")):
+            alive, t, pending = list(range(n_agents)), 0, None
+            while True:
+                x = (rng.standard_normal((len(alive), width)) + 5.0).astype(np.float32)
+                if pending is not None:
+                    _flush(ring, pending, alive, x)
+                    two_array_flush(oracle, pending, dict(zip(alive, x)))
+                    check()
+                event = data.draw(st.sampled_from(["none", "death", "food_out", "wipeout"]))
+                dead = alive if event == "wipeout" else []
+                if event == "death":
+                    dead = data.draw(st.sets(st.sampled_from(alive)))
+                t += 1
+                pending = (alive, x, rng.integers(0, N_ACTIONS, len(alive)),
+                           rng.standard_normal(len(alive)), {i: i not in dead for i in alive},
+                           event == "food_out")
+                alive = [i for i in alive if i not in dead]
+                if event == "food_out" or not alive or t >= max_steps:
+                    break
+            survivors = alive if event != "food_out" else []
+            final = (rng.standard_normal((len(survivors), width)) - 5.0).astype(np.float32)
+            _flush(ring, pending, survivors, final, final=True)
+            two_array_flush(oracle, pending, dict(zip(survivors, final)))
+            check()
+
+    def test_a_step_of_more_rows_than_slots_keeps_its_last(self):
+        # three rows into two slots: the first agent's row is overwritten by
+        # the third, a death, which must keep its zero next row when the
+        # next step (one row) re-points the first agent's transition
+        ring, oracle = ReplayRing(2, 2, n_agents=3, max_steps=4), TwoArrayRing(2, 2)
+        x0, x1 = np.arange(1, 7, dtype=np.float32).reshape(3, 2), np.full((1, 2), 9, np.float32)
+        steps = [(([0, 1, 2], x0, np.arange(3), np.ones(3), {0: True, 1: False, 2: False},
+                   False), [0], x1, False),
+                 (([0], x1, np.zeros(1, dtype=np.int64), np.ones(1), {0: False}, False),
+                  [], x1[:0], True)]
+        for pending, next_ids, next_x, final in steps:
+            _flush(ring, pending, next_ids, next_x, final=final)
+            two_array_flush(oracle, pending, dict(zip(next_ids, next_x)))
+            for got, want in zip(ring.sample(_AllSlots(), None), oracle.sample(_AllSlots(), None)):
+                np.testing.assert_array_equal(got, want)
+
+    def test_flush_rejects_a_live_agent_with_no_next_row(self):
+        ring = ReplayRing(8, 2, n_agents=2, max_steps=4)
+        x = np.ones((2, 2), dtype=np.float32)
+        pending = ([0, 1], x, np.zeros(2, dtype=np.int64), np.zeros(2), {0: True, 1: True},
+                   False)
+        with pytest.raises(ProtocolError, match=r"\[1\]"):
+            _flush(ring, pending, [0], x[:1])
+        assert ring.size == 0
+
     def test_parameters_view_their_store_buffers(self, tmp_path):
         # the optimizer steps each dtype's buffer in place, so every parameter
         # must stay a view of its own store's buffer: after construction,
@@ -525,6 +616,49 @@ class TestDqnPieces:
             np.testing.assert_array_equal(loaded.store[name].data, qnet.store[name].data)
         with pytest.raises(ValueError):  # another layout
             target.copy_from(QNetwork(6, 4, rng))
+
+
+# A default-capacity DQN replay ring filled on desk-random-16 under an
+# address-space cap, in its own process: 320 episodes of zero 40-wide rows
+# (dqn-desk's width: 8 compressed features and 32 latents), with no gradient
+# step. VmPeak with one BLAS thread (CPython 3.11, numpy 2.4, OpenBLAS) is
+# 125 MiB with each row stored once and 142 MiB with the two-array ring,
+# which also kept a copy of every next state; the cap sits between them.
+DQN_RING_GATE_MIB = 133
+_DQN_RING_SCRIPT = """
+import resource, sys
+limit = int(sys.argv[1]) * 2 ** 20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from types import SimpleNamespace
+import numpy as np
+from nviflab.env_gather import preset
+from nviflab.policy import DQNHyper, dqn, train_dqn
+
+class ZeroCompressor:
+    config = SimpleNamespace(latent_width=40)
+
+    def check_obs_width(self, task_cfg):
+        pass
+
+    def encode(self, raw):
+        return np.zeros((len(raw), 40), dtype=np.float32)
+
+rings, ring_cls = [], dqn.ReplayRing
+
+def keep_ring(*args):
+    rings.append(ring_cls(*args))
+    return rings[-1]
+
+dqn.ReplayRing = keep_ring
+hyper = DQNHyper(episodes=320, min_replay=DQNHyper.replay_capacity + 1, seed=0)
+train_dqn(preset("desk-random-16", seed=0), ZeroCompressor(), hyper, latent_mode="none")
+assert rings[0].size == rings[0].capacity == DQNHyper.replay_capacity, rings[0].size
+"""
+
+
+@linux_only
+def test_filled_dqn_ring_within_address_space_gate():
+    run_capped(_DQN_RING_SCRIPT, DQN_RING_GATE_MIB)
 
 
 class TestTrainers:
