@@ -1,15 +1,14 @@
-"""Gather grid-world: tasks, actions, observations and their uint8 codec,
-stepping, replays."""
+"""Gather grid-world: tasks, the action table, observations and their uint8
+codec, array-native stepping, replays."""
 from .actions import (
+    ACTION_TABLE,
     ATTACK_OFFSETS,
+    KIND_ATTACK,
+    KIND_MOVE,
+    KIND_NOOP,
     MOVE_OFFSETS,
     N_ACTIONS,
-    NOOP,
     NOOP_INDEX,
-    Attack,
-    Move,
-    Noop,
-    decode_action,
 )
 from .config import TaskConfig, preset
 from .replay import ReplayWriter
@@ -29,9 +28,8 @@ from .world import (
 )
 
 __all__ = [
-    "ATTACK_OFFSETS", "Attack", "EMPTY", "FOOD", "GridWorld", "MOVE_OFFSETS",
-    "Move", "N_ACTIONS", "NOOP", "NOOP_INDEX", "Noop", "OMNIVORE",
-    "ReplayWriter", "StepResult", "TaskConfig", "Unit", "decode_action",
-    "decode_windows", "encode_windows", "level_table", "new_world", "observe",
-    "preset", "step",
+    "ACTION_TABLE", "ATTACK_OFFSETS", "EMPTY", "FOOD", "GridWorld", "KIND_ATTACK",
+    "KIND_MOVE", "KIND_NOOP", "MOVE_OFFSETS", "N_ACTIONS", "NOOP_INDEX", "OMNIVORE",
+    "ReplayWriter", "StepResult", "TaskConfig", "Unit", "decode_windows",
+    "encode_windows", "level_table", "new_world", "observe", "preset", "step",
 ]

@@ -29,17 +29,19 @@ class ReplayWriter:
         }
         self._fh.write(json.dumps(header) + "\n")
 
-    def write_step(self, world: GridWorld, actions: dict[int, int],
-                   result: StepResult, edges=None):
+    def write_step(self, world: GridWorld, actions, result: StepResult, edges=None):
+        """One record for the step that took ``actions`` (aligned with
+        ``result.ids``) and gave ``result``; ``world`` is the post-step world."""
         xy, hp = world.pos.tolist(), world.hp.tolist()
         live = [i for i, ok in enumerate(world.alive.tolist()) if ok]
+        keys = [str(i) for i in result.ids.tolist()]
         record = {
             "t": world.t,
             "positions": {str(i): xy[i] for i in live},
             "hps": {str(i): hp[i] for i in live},
-            "actions": {str(i): int(a) for i, a in actions.items()},
-            "rewards": {str(i): r for i, r in result.rewards.items()},
-            "alive": sorted(i for i, ok in result.alive.items() if ok),
+            "actions": dict(zip(keys, actions.tolist())),
+            "rewards": dict(zip(keys, result.rewards.tolist())),
+            "alive": result.ids[result.alive].tolist(),
             "food_remaining": result.food_remaining,
         }
         if edges is not None:

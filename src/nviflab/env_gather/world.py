@@ -10,6 +10,12 @@ dead unit's presence and hp, a mover's old and new cell), so they always equal
 into their flat view, and ``pos`` takes the moved positions once per step.
 ``units`` gives frozen :class:`Unit` snapshots to readers outside the step loop.
 
+:func:`step` speaks arrays, as a vectorized environment does: it takes one
+integer action index per alive agent, in the order of ``alive_agents()``,
+and returns the agents that acted with their rewards and post-step liveness
+as arrays in that same order. Actions are decoded by one lookup into the
+(dx, dy, kind) rows of ``ACTION_TABLE``.
+
 Stepping runs in three phases. Attacks are all evaluated against the
 pre-step occupancy (so within a step their order cannot matter), units at
 zero hit points are removed, then moves apply one at a time in a seeded
@@ -32,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError, ProtocolError
-from .actions import Attack, Move, decode_action
+from .actions import ACTION_TABLE, KIND_ATTACK, KIND_MOVE, N_ACTIONS
 from .config import TaskConfig
 
 OMNIVORE = "omnivore"
@@ -55,8 +61,9 @@ class Unit:
 
 @dataclass
 class StepResult:
-    rewards: dict[int, float]      # one entry per agent that acted this step
-    alive: dict[int, bool]         # same keys, post-step liveness
+    ids: np.ndarray                # (k,) int: the agents that acted, ascending (alive_agents())
+    rewards: np.ndarray            # (k,) float64, aligned with ids
+    alive: np.ndarray              # (k,) bool, post-step liveness, aligned with ids
     done: bool
     food_remaining: int
     events: list = field(default_factory=list)  # (kind, agent, target_or_None)
@@ -244,31 +251,36 @@ def decode_windows(codes: np.ndarray, positions: np.ndarray, levels: np.ndarray)
     return out.reshape(n, -1)
 
 
-def step(world: GridWorld, actions: dict[int, int]) -> StepResult:
-    """Advance one timestep. ``actions`` maps every alive agent id to an
-    action index (exactly the alive set; anything else is a protocol error)."""
+def step(world: GridWorld, actions) -> StepResult:
+    """Advance one timestep. ``actions`` is a 1-D integer array of action
+    indices, one per alive agent in the order of ``world.alive_agents()``: a
+    wrong shape is a protocol error, a non-integer dtype or an index outside
+    ``[0, N_ACTIONS)`` a ValueError, and either leaves the world untouched."""
     if world.done:
         raise ProtocolError("step: world is already done")
-    alive = world.alive_agents()
-    if set(actions) != set(alive):
-        missing = sorted(set(alive) - set(actions))
-        extra = sorted(set(actions) - set(alive))
-        raise ProtocolError(f"step: need one action per alive agent; "
-                            f"missing {missing}, not alive {extra}")
     cfg, n = world.config, world.n_agents
+    ids = np.flatnonzero(world.alive[:n])
+    actions = np.asarray(actions)
+    if actions.shape != ids.shape:
+        raise ProtocolError(f"step: need a 1-D array of {len(ids)} actions, one per alive "
+                            f"agent; got shape {actions.shape}")
+    if actions.dtype.kind not in "iu":
+        raise ValueError(f"action index dtype {actions.dtype} is not an integer dtype")
+    if not (0 <= actions.min() and actions.max() < N_ACTIONS):
+        bad = actions[(actions < 0) | (actions >= N_ACTIONS)].tolist()
+        raise ValueError(f"action index {bad} outside [0, {N_ACTIONS})")
     ms, r, occ, grids = cfg.map_size, cfg.view_radius, world.occupancy, world.grids
-    xy = world.pos[:n].tolist()
-    rewards = {i: 0.0 for i in alive}
+    alive, xy = ids.tolist(), world.pos[:n].tolist()
+    dxs, dys, kinds = ACTION_TABLE[actions].T.tolist()
+    rewards = [0.0] * n  # by agent id
     events: list = []
-    decoded = {i: decode_action(actions[i]) for i in alive}
 
     # phase 1: simultaneous attacks in ascending id order; none changes the occupancy
     damage: dict[int, int] = {}
-    for i in alive:
-        act = decoded[i]
-        if not isinstance(act, Attack):
+    for k, i in enumerate(alive):
+        if kinds[k] != KIND_ATTACK:
             continue
-        tx, ty = xy[i][0] + act.dx, xy[i][1] + act.dy
+        tx, ty = xy[i][0] + dxs[k], xy[i][1] + dys[k]
         target = int(occ[ty, tx]) if (0 <= tx < ms and 0 <= ty < ms) else EMPTY
         if target == EMPTY:
             rewards[i] += cfg.p_blank
@@ -297,10 +309,9 @@ def step(world: GridWorld, actions: dict[int, int]) -> StepResult:
     flat, side, moved = grids.reshape(GRID_CHANNELS, -1), ms + 2 * r, False
     for k in world.rng.permutation(len(alive)).tolist():
         i = alive[k]
-        act = decoded[i]
-        if not isinstance(act, Move) or not now[i]:
+        if kinds[k] != KIND_MOVE or not now[i]:
             continue
-        (x, y), tx, ty = xy[i], xy[i][0] + act.dx, xy[i][1] + act.dy
+        (x, y), tx, ty = xy[i], xy[i][0] + dxs[k], xy[i][1] + dys[k]
         if not (0 <= tx < ms and 0 <= ty < ms) or occ[ty, tx] != EMPTY:
             continue
         occ[y, x], occ[ty, tx] = EMPTY, i
@@ -312,10 +323,10 @@ def step(world: GridWorld, actions: dict[int, int]) -> StepResult:
         world.pos[:n] = xy
 
     # phase 3: per-step penalty for survivors
-    for i in alive:
-        if now[i]:
-            rewards[i] += cfg.p_step
+    survived = world.alive[ids]
+    rewards = np.array(rewards)[ids]
+    rewards[survived] += cfg.p_step
 
     world.t += 1
-    return StepResult(rewards=rewards, alive={i: now[i] for i in alive}, done=world.done,
+    return StepResult(ids=ids, rewards=rewards, alive=survived, done=world.done,
                       food_remaining=world.food_remaining(), events=events)

@@ -1,4 +1,5 @@
-"""Policy evaluation and replay export."""
+"""Policy evaluation and replay export. A policy's ``act(world, ids, rng)``
+returns one action index per agent of ``ids``, as an array in that order."""
 from __future__ import annotations
 
 from contextlib import nullcontext
@@ -17,16 +18,16 @@ class RandomPolicy:
     def reset(self):
         pass
 
-    def act(self, world, ids, rng) -> dict:
-        return dict(zip(ids, rng.integers(0, N_ACTIONS, len(ids)).tolist()))
+    def act(self, world, ids, rng) -> np.ndarray:
+        return rng.integers(0, N_ACTIONS, len(ids))
 
 
 class NoopPolicy:
     def reset(self):
         pass
 
-    def act(self, world, ids, rng) -> dict:
-        return {i: NOOP_INDEX for i in ids}
+    def act(self, world, ids, rng) -> np.ndarray:
+        return np.full(len(ids), NOOP_INDEX)
 
 
 class BundlePolicy:
@@ -43,15 +44,13 @@ class BundlePolicy:
     def reset(self):
         self.provider.reset()
 
-    def act(self, world, ids, rng) -> dict:
+    def act(self, world, ids, rng) -> np.ndarray:
         x = featurize(world, ids, self.bundle.compressor, self.provider)
         if self.bundle.kind == "dqn":
-            actions = self.bundle.qnet.q_values(x).argmax(axis=1)
-        elif self.greedy:
-            actions = self.bundle.actor_critic.greedy(x)
-        else:
-            actions, _ = self.bundle.actor_critic.act(x, rng)
-        return dict(zip(ids, actions.tolist()))
+            return self.bundle.qnet.q_values(x).argmax(axis=1)
+        if self.greedy:
+            return self.bundle.actor_critic.greedy(x)
+        return self.bundle.actor_critic.act(x, rng)[0]
 
 
 def make_policy(name_or_bundle, rng, greedy=None):
@@ -96,7 +95,7 @@ def evaluate(policy_source, task_cfg, episodes: int, seed: int,
                 actions = policy.act(world, ids, pol_rng)
                 edges = _replay_graph(policy, world, ids).edges() if writer else None
                 result = step(world, actions)
-                episode_return += float(np.sum(list(result.rewards.values())))
+                episode_return += float(result.rewards.sum())
                 if writer:
                     writer.write_step(world, actions, result, edges=edges)
             returns.append(episode_return)

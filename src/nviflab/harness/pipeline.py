@@ -42,8 +42,7 @@ def collect_obs_corpus(task_cfg, episodes: int, rng: np.random.Generator,
                     corpus = np.empty((max_samples, window.shape[1]), dtype=window.dtype)
                 corpus[count:count + len(ids)] = window[:max_samples - count]
             count += len(ids)
-            actions = dict(zip(ids, rng.integers(0, N_ACTIONS, len(ids)).tolist()))
-            step(world, actions)
+            step(world, rng.integers(0, N_ACTIONS, len(ids)))
             if max_samples is not None and count >= max_samples:
                 return corpus
     if corpus is None:

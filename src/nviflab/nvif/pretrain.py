@@ -108,8 +108,7 @@ def collect_pretrain_buffer(task_config, n_episodes: int, compressor: ObsCompres
         while not world.done:
             ids = world.alive_agents()
             steps.append(gather_step_data(world, ids, compressor, graph_kind))
-            actions = dict(zip(ids, rng.integers(0, N_ACTIONS, len(ids)).tolist()))
-            step(world, actions)
+            step(world, rng.integers(0, N_ACTIONS, len(ids)))
         if not steps:
             raise DataError("collected an episode with no alive agents at t=0")
         buffer.append(EpisodeRecord(steps=steps, levels=levels))

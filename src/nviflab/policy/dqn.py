@@ -185,7 +185,7 @@ def train_dqn(task_cfg: TaskConfig, compressor: ObsCompressor, hyper: DQNHyper,
     for episode in range(hyper.episodes):
         world = new_world(replace(task_cfg, seed=int(env_rng.integers(2 ** 62))))
         provider.reset()
-        pending = None  # (ids, x, a, r, alive_after, food_out)
+        pending = None  # (ids, x, a, r, alive_after, food_out), arrays aligned with ids
         episode_return = 0.0
         losses = []
         while not world.done:
@@ -199,11 +199,10 @@ def train_dqn(task_cfg: TaskConfig, compressor: ObsCompressor, hyper: DQNHyper,
             explore = action_rng.random(len(ids)) < eps
             randoms = action_rng.integers(0, N_ACTIONS, len(ids))
             actions = np.where(explore, randoms, greedy)
-            result = step(world, dict(zip(ids, actions.tolist())))
-            episode_return += float(np.sum(list(result.rewards.values())))
-            pending = (ids, x, actions,
-                       np.array([result.rewards[i] for i in ids]),
-                       result.alive, result.food_remaining == 0)
+            result = step(world, actions)
+            episode_return += float(result.rewards.sum())
+            pending = (result.ids, x, actions, result.rewards, result.alive,
+                       result.food_remaining == 0)
             env_steps += 1
             if replay.size >= hyper.min_replay and env_steps % hyper.train_every == 0:
                 losses.append(_gradient_step(qnet, target, replay, hyper, sample_rng))
@@ -231,14 +230,16 @@ def train_dqn(task_cfg: TaskConfig, compressor: ObsCompressor, hyper: DQNHyper,
 
 
 def _flush(replay: ReplayRing, pending, next_ids, next_x, final=False):
-    """Pushes the pending step; a live agent leads to its row of ``next_x``."""
+    """Pushes the pending step; a live agent leads to its row of ``next_x``,
+    found by its position in ``next_ids`` (ascending, as ``alive_agents()``)."""
     ids, x, actions, rewards, alive_after, food_out = pending
-    row_of = dict(zip(next_ids, range(len(next_ids))))
-    to = [-1 if food_out or not alive_after[i] else row_of.get(i) for i in ids]
-    if None in to:
-        missing = [i for i, row in zip(ids, to) if row is None]
-        raise ProtocolError(f"replay: agents {missing} are not terminal but have no next row")
-    replay.push(x, actions, rewards, next_x, np.array(to), final)
+    row = np.searchsorted(next_ids, ids)
+    live = alive_after & (not food_out)
+    missing = live & (np.append(next_ids, -1)[row] != ids)
+    if missing.any():
+        raise ProtocolError(f"replay: agents {ids[missing].tolist()} are not terminal "
+                            f"but have no next row")
+    replay.push(x, actions, rewards, next_x, np.where(live, row, -1), final)
 
 
 def _gradient_step(qnet: QNetwork, target: QNetwork, replay: ReplayRing,

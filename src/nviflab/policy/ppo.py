@@ -170,8 +170,7 @@ def collect_episode(task_cfg: TaskConfig, env_seed: int, compressor: ObsCompress
         actions, p = ac.act(x, action_rng)
         live[t, ids], xs[t, ids], acts[t, ids], probs[t, ids] = True, x, actions, p
         values[t, ids] = ac.values(x)
-        result = step(world, dict(zip(ids, actions.tolist())))
-        rewards[t, ids] = [result.rewards[i] for i in ids]
+        rewards[t, ids] = step(world, actions).rewards
     end = world.t
     if world.truncated:
         survivors = world.alive_agents()

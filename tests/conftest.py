@@ -4,8 +4,10 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
+from numbers import Integral
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -22,9 +24,9 @@ from nviflab.diffcore.tensor import (
     _sigmoid,
     as_tensor,
 )
-from nviflab.env_gather import EMPTY, preset
-from nviflab.errors import ShapeError
-from nviflab.env_gather.world import _channel_grids
+from nviflab.env_gather import ATTACK_OFFSETS, EMPTY, MOVE_OFFSETS, N_ACTIONS, preset
+from nviflab.errors import ProtocolError, ShapeError
+from nviflab.env_gather.world import GRID_CHANNELS, GridWorld, _channel_grids
 from nviflab.nvif import ObsCompressor, ObsVaeConfig, ObsVaeHyper
 from nviflab.harness.pipeline import collect_obs_corpus
 from nviflab.policy import compute_gae, featurize
@@ -289,8 +291,9 @@ def refresh_grids(world):
 
 class EpisodeSpy:
     """Wraps a trainer module's ``new_world`` and ``step``: keeps the world and
-    every step's rewards, and once the world reaches ``at_t`` kills the agents
-    in ``kill`` and, with ``eat_food``, every food unit."""
+    every step's rewards as {agent id: reward}, and once the world reaches
+    ``at_t`` kills the agents in ``kill`` and, with ``eat_food``, every food
+    unit."""
 
     def __init__(self, monkeypatch, module, at_t, kill=(), eat_food=False):
         self.world, self.rewards = None, []
@@ -308,13 +311,25 @@ class EpisodeSpy:
                     world.alive[i], world.hp[i] = False, 0
                     world.occupancy[world.pos[i, 1], world.pos[i, 0]] = EMPTY
                 refresh_grids(world)
-                result = replace(result, alive={i: bool(world.alive[i]) for i in result.alive},
+                result = replace(result, alive=world.alive[result.ids],
                                  food_remaining=world.food_remaining(), done=world.done)
-            self.rewards.append(result.rewards)
+            self.rewards.append(by_agent(result)[0])
             return result
 
         monkeypatch.setattr(module, "new_world", spy_new_world)
         monkeypatch.setattr(module, "step", spy_step)
+
+
+def ring_spy(monkeypatch, dqn_mod) -> list:
+    """Keeps each ``ReplayRing`` that ``dqn_mod`` builds."""
+    rings, ring_cls = [], dqn_mod.ReplayRing
+
+    def make(*args, **kwargs):
+        rings.append(ring_cls(*args, **kwargs))
+        return rings[-1]
+
+    monkeypatch.setattr(dqn_mod, "ReplayRing", make)
+    return rings
 
 
 def per_agent_episode(task_cfg, env_seed, compressor, provider, ac, action_rng, gamma, lam):
@@ -332,13 +347,13 @@ def per_agent_episode(task_cfg, env_seed, compressor, provider, ac, action_rng, 
         t_now = world.t
         actions, probs = ac.act(x, action_rng)
         values = ac.values(x)
-        result = ppo.step(world, dict(zip(ids, actions.tolist())))
+        result = ppo.step(world, actions)
         for row, i in enumerate(ids):
             s = streams.setdefault(i, {"x": [], "a": [], "p": [], "r": [], "v": [], "t": []})
             s["x"].append(x[row])
             s["a"].append(actions[row])
             s["p"].append(probs[row])
-            s["r"].append(result.rewards[i])
+            s["r"].append(result.rewards[row])
             s["v"].append(values[row])
             s["t"].append(t_now)
     final_v = {}
@@ -366,6 +381,133 @@ def per_agent_episode(task_cfg, env_seed, compressor, provider, ac, action_rng, 
     )
     return (np.asarray(rows_x), np.asarray(rows_a), np.asarray(rows_p),
             np.asarray(rows_adv), np.asarray(rows_ret), np.asarray(rows_t)), stats
+
+
+# --- the dict-speaking step: the oracle of the array-native env_gather.step ---
+
+class Move(NamedTuple):
+    dx: int
+    dy: int
+
+
+class Attack(NamedTuple):
+    dx: int
+    dy: int
+
+
+class Noop(NamedTuple):
+    pass
+
+
+NOOP = Noop()
+ACTIONS = (tuple(Move(*o) for o in MOVE_OFFSETS) + tuple(Attack(*o) for o in ATTACK_OFFSETS)
+           + (NOOP,))
+
+
+def decode_action(index: int):
+    """Map an action index (an integer, not a bool) to Move / Attack / Noop."""
+    if type(index) is not int and (isinstance(index, bool) or not isinstance(index, Integral)):
+        raise ValueError(f"action index {index!r} is not an integer")
+    if not 0 <= index < N_ACTIONS:
+        raise ValueError(f"action index {index} outside [0, {N_ACTIONS})")
+    return ACTIONS[index]
+
+
+@dataclass
+class DictStepResult:
+    rewards: dict[int, float]      # one entry per agent that acted this step
+    alive: dict[int, bool]         # same keys, post-step liveness
+    done: bool
+    food_remaining: int
+    events: list = field(default_factory=list)  # (kind, agent, target_or_None)
+
+
+def dict_step(world: GridWorld, actions: dict[int, int]) -> DictStepResult:
+    """Advance one timestep. ``actions`` maps every alive agent id to an
+    action index (exactly the alive set; anything else is a protocol error)."""
+    if world.done:
+        raise ProtocolError("step: world is already done")
+    alive = world.alive_agents()
+    if set(actions) != set(alive):
+        missing = sorted(set(alive) - set(actions))
+        extra = sorted(set(actions) - set(alive))
+        raise ProtocolError(f"step: need one action per alive agent; "
+                            f"missing {missing}, not alive {extra}")
+    cfg, n = world.config, world.n_agents
+    ms, r, occ, grids = cfg.map_size, cfg.view_radius, world.occupancy, world.grids
+    xy = world.pos[:n].tolist()
+    rewards = {i: 0.0 for i in alive}
+    events: list = []
+    decoded = {i: decode_action(actions[i]) for i in alive}
+
+    # phase 1: simultaneous attacks in ascending id order; none changes the occupancy
+    damage: dict[int, int] = {}
+    for i in alive:
+        act = decoded[i]
+        if not isinstance(act, Attack):
+            continue
+        tx, ty = xy[i][0] + act.dx, xy[i][1] + act.dy
+        target = int(occ[ty, tx]) if (0 <= tx < ms and 0 <= ty < ms) else EMPTY
+        if target == EMPTY:
+            rewards[i] += cfg.p_blank
+            events.append(("blank", i, None))
+        elif target >= n:
+            rewards[i] += cfg.r_food
+            damage[target] = damage.get(target, 0) + 1
+            events.append(("food_hit", i, target))
+        else:
+            rewards[target] += cfg.p_attacked
+            damage[target] = damage.get(target, 0) + 1
+            events.append(("omnivore_hit", i, target))
+    for target, hits in damage.items():
+        c, top = (1, cfg.hp_omnivore) if target < n else (3, cfg.hp_food)
+        x, y = world.pos[target].tolist()
+        hp = max(int(world.hp[target]) - hits, 0)
+        world.hp[target] = hp
+        grids[c + 1, y + r, x + r] = hp / top
+        if hp == 0:
+            world.alive[target] = False
+            occ[y, x] = EMPTY
+            grids[c, y + r, x + r] = 0.0
+
+    # phase 2: moves in seeded random order; blocked or out-of-bounds moves stay
+    now = world.alive[:n].tolist()
+    flat, side, moved = grids.reshape(GRID_CHANNELS, -1), ms + 2 * r, False
+    for k in world.rng.permutation(len(alive)).tolist():
+        i = alive[k]
+        act = decoded[i]
+        if not isinstance(act, Move) or not now[i]:
+            continue
+        (x, y), tx, ty = xy[i], xy[i][0] + act.dx, xy[i][1] + act.dy
+        if not (0 <= tx < ms and 0 <= ty < ms) or occ[ty, tx] != EMPTY:
+            continue
+        occ[y, x], occ[ty, tx] = EMPTY, i
+        xy[i], moved = [tx, ty], True
+        old, new = (y + r) * side + x + r, (ty + r) * side + tx + r
+        flat[1, new], flat[2, new] = flat[1, old], flat[2, old]
+        flat[1, old] = flat[2, old] = 0.0
+    if moved:
+        world.pos[:n] = xy
+
+    # phase 3: per-step penalty for survivors
+    for i in alive:
+        if now[i]:
+            rewards[i] += cfg.p_step
+
+    world.t += 1
+    return DictStepResult(rewards=rewards, alive={i: now[i] for i in alive}, done=world.done,
+                      food_remaining=world.food_remaining(), events=events)
+
+
+def by_agent(result):
+    """An array step result's rewards and post-step liveness as {agent id: value}."""
+    ids = result.ids.tolist()
+    return dict(zip(ids, result.rewards.tolist())), dict(zip(ids, result.alive.tolist()))
+
+
+def action_array(world, actions: dict) -> np.ndarray:
+    """The {agent id: action} of every alive agent as the array ``step`` takes."""
+    return np.array([actions[i] for i in world.alive_agents()], dtype=np.int64)
 
 
 linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -417,8 +559,8 @@ def two_array_flush(replay: TwoArrayRing, pending, next_rows: dict):
     agent with no row in ``next_rows``, leads to a zero row."""
     ids, x, actions, rewards, alive_after, food_out = pending
     zeros = np.zeros(x.shape[1], dtype=x.dtype)
-    for row, agent in enumerate(ids):
-        terminal = food_out or not alive_after[agent]
+    for row, agent in enumerate(ids.tolist()):
+        terminal = food_out or not alive_after[row]
         nxt = next_rows.get(agent, zeros) if not terminal else zeros
         replay.push(x[row], actions[row], rewards[row], nxt, 1.0 if terminal else 0.0)
 

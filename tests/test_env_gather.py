@@ -13,7 +13,14 @@ from nviflab import env_gather as eg
 from nviflab.env_gather.world import _channel_grids, place_units
 from nviflab.errors import ConfigError, ProtocolError
 
-from conftest import episode_metrics, read_replay, refresh_grids
+from conftest import (
+    action_array,
+    by_agent,
+    dict_step,
+    episode_metrics,
+    read_replay,
+    refresh_grids,
+)
 
 
 def make_config(**overrides):
@@ -149,36 +156,55 @@ class TestNewWorld:
 class TestActions:
     def test_exactly_33(self):
         assert eg.N_ACTIONS == 33
-        decoded = [eg.decode_action(i) for i in range(33)]
-        assert len(set(map(str, decoded))) == 33
-        assert sum(isinstance(d, eg.Move) for d in decoded) == 28
-        assert sum(isinstance(d, eg.Attack) for d in decoded) == 4
+        table = eg.ACTION_TABLE
+        assert table.shape == (33, 3)
+        assert len(set(map(tuple, table.tolist()))) == 33
+        assert np.count_nonzero(table[:, 2] == eg.KIND_MOVE) == 28
+        assert np.count_nonzero(table[:, 2] == eg.KIND_ATTACK) == 4
 
     def test_move_set_is_radius_three_ball(self):
         lattice = {(dx, dy) for dy in range(-4, 5) for dx in range(-4, 5)
                    if 0 < dx * dx + dy * dy <= 9}
         assert set(eg.MOVE_OFFSETS) == lattice
         assert list(eg.MOVE_OFFSETS) == sorted(lattice, key=lambda o: (o[1], o[0]))
+        assert eg.ACTION_TABLE[:28, :2].tolist() == [list(o) for o in eg.MOVE_OFFSETS]
 
     def test_attack_order_and_noop(self):
-        assert eg.decode_action(28) == eg.Attack(0, -1)  # up
-        assert eg.decode_action(29) == eg.Attack(0, 1)
-        assert eg.decode_action(30) == eg.Attack(-1, 0)
-        assert eg.decode_action(31) == eg.Attack(1, 0)
-        assert isinstance(eg.decode_action(32), eg.Noop)
+        table = eg.ACTION_TABLE.tolist()
+        assert table[28] == [0, -1, eg.KIND_ATTACK]  # up
+        assert table[29] == [0, 1, eg.KIND_ATTACK]
+        assert table[30] == [-1, 0, eg.KIND_ATTACK]
+        assert table[31] == [1, 0, eg.KIND_ATTACK]
+        assert table[32][2] == eg.KIND_NOOP and eg.NOOP_INDEX == 32
 
     def test_out_of_range(self):
         for bad in (-1, 33, 100):
-            with pytest.raises(ValueError):
-                eg.decode_action(bad)
+            world = world_with([(eg.OMNIVORE, 5, 5), (eg.FOOD, 9, 9)])
+            with pytest.raises(ValueError, match="action index"):
+                eg.step(world, np.array([bad]))
+            assert world.t == 0
+        # one bad index among good ones, in the narrow dtypes too
+        for bad in (np.array([0, 33], dtype=np.uint8), np.array([-1, 0], dtype=np.int8),
+                    np.array([32, 100], dtype=np.int32)):
+            world = world_with([(eg.OMNIVORE, 5, 5), (eg.OMNIVORE, 7, 7), (eg.FOOD, 9, 9)])
+            with pytest.raises(ValueError, match="action index"):
+                eg.step(world, bad)
+            assert world.t == 0
 
     def test_non_integer_rejected(self):
         # bools are ints to Python, but no action index
         for bad in (True, False, np.bool_(True), 2.5, "3", np.float64(3.0), None):
+            world = world_with([(eg.OMNIVORE, 5, 5), (eg.FOOD, 9, 9)])
             with pytest.raises(ValueError, match="action index"):
-                eg.decode_action(bad)
-        for ok in (np.int64(3), np.int32(3), np.uint8(3)):
-            assert eg.decode_action(ok) == eg.decode_action(3)
+                eg.step(world, np.array([bad]))
+            assert world.t == 0
+        want = world_with([(eg.OMNIVORE, 5, 5), (eg.FOOD, 9, 9)])
+        want_res = eg.step(want, np.array([3]))
+        for dtype in (np.int8, np.int32, np.int64, np.uint8):
+            world = world_with([(eg.OMNIVORE, 5, 5), (eg.FOOD, 9, 9)])
+            res = eg.step(world, np.array([3], dtype=dtype))
+            assert by_agent(res) == by_agent(want_res)
+            assert world.pos.tolist() == want.pos.tolist()
 
 
 class TestObserve:
@@ -300,7 +326,7 @@ class TestStep:
     def test_attack_adjacent_food(self):
         world = world_with([(eg.OMNIVORE, 5, 5), (eg.FOOD, 6, 5)])
         cfg = world.config
-        res = eg.step(world, {0: ATTACK_RIGHT})
+        res = eg.step(world, np.array([ATTACK_RIGHT]))
         assert res.rewards[0] == pytest.approx(cfg.r_food + cfg.p_step)
         assert world.units[1].hp == cfg.hp_food - 1
         assert res.food_remaining == 1
@@ -308,19 +334,19 @@ class TestStep:
     def test_attack_blank(self):
         world = world_with([(eg.OMNIVORE, 5, 5), (eg.FOOD, 9, 9)])
         cfg = world.config
-        res = eg.step(world, {0: ATTACK_LEFT})
+        res = eg.step(world, np.array([ATTACK_LEFT]))
         assert res.rewards[0] == pytest.approx(cfg.p_blank + cfg.p_step)
 
     def test_attack_out_of_bounds_counts_blank(self):
         world = world_with([(eg.OMNIVORE, 0, 0), (eg.FOOD, 9, 9)])
         cfg = world.config
-        res = eg.step(world, {0: ATTACK_UP})
+        res = eg.step(world, np.array([ATTACK_UP]))
         assert res.rewards[0] == pytest.approx(cfg.p_blank + cfg.p_step)
 
     def test_attack_omnivore_penalizes_target(self):
         world = world_with([(eg.OMNIVORE, 5, 5), (eg.OMNIVORE, 6, 5), (eg.FOOD, 9, 9)])
         cfg = world.config
-        res = eg.step(world, {0: ATTACK_RIGHT, 1: 32})
+        res = eg.step(world, np.array([ATTACK_RIGHT, 32]))
         assert res.rewards[0] == pytest.approx(0.0 + cfg.p_step)
         assert res.rewards[1] == pytest.approx(cfg.p_attacked + cfg.p_step)
         assert world.units[1].hp == cfg.hp_omnivore - 1
@@ -329,9 +355,9 @@ class TestStep:
         world = world_with([(eg.OMNIVORE, 5, 5), (eg.OMNIVORE, 6, 5), (eg.FOOD, 9, 9)],
                            hp_omnivore=1)
         cfg = world.config
-        res = eg.step(world, {0: ATTACK_RIGHT, 1: 32})
+        res = eg.step(world, np.array([ATTACK_RIGHT, 32]))
         assert not world.units[1].alive
-        assert res.alive == {0: True, 1: False}
+        assert by_agent(res)[1] == {0: True, 1: False}
         assert res.rewards[1] == pytest.approx(cfg.p_attacked)  # no step penalty once dead
         assert world.occupancy[5, 6] == eg.EMPTY
 
@@ -339,7 +365,7 @@ class TestStep:
         # both agents hit the same 2-hp food; both earn the food reward
         world = world_with([(eg.OMNIVORE, 5, 5), (eg.OMNIVORE, 7, 5), (eg.FOOD, 6, 5)])
         cfg = world.config
-        res = eg.step(world, {0: ATTACK_RIGHT, 1: ATTACK_LEFT})
+        res = eg.step(world, np.array([ATTACK_RIGHT, ATTACK_LEFT]))
         assert res.rewards[0] == pytest.approx(cfg.r_food + cfg.p_step)
         assert res.rewards[1] == pytest.approx(cfg.r_food + cfg.p_step)
         assert res.food_remaining == 0 and res.done
@@ -348,10 +374,10 @@ class TestStep:
         # only the target cell matters: a 3-cell hop clears the food line,
         # a 1-cell move onto the food cell is blocked
         world = world_with([(eg.OMNIVORE, 5, 5), (eg.FOOD, 6, 5)])
-        eg.step(world, {0: eg.MOVE_OFFSETS.index((3, 0))})
+        eg.step(world, np.array([eg.MOVE_OFFSETS.index((3, 0))]))
         assert (world.units[0].x, world.units[0].y) == (8, 5)
         world = world_with([(eg.OMNIVORE, 5, 5), (eg.FOOD, 6, 5)])
-        eg.step(world, {0: eg.MOVE_OFFSETS.index((1, 0))})
+        eg.step(world, np.array([eg.MOVE_OFFSETS.index((1, 0))]))
         assert (world.units[0].x, world.units[0].y) == (5, 5)
 
 
@@ -361,7 +387,7 @@ class TestStep:
                                seed=seed)
             move_r = eg.MOVE_OFFSETS.index((1, 0))
             move_l = eg.MOVE_OFFSETS.index((-1, 0))
-            eg.step(world, {0: move_r, 1: move_l})
+            eg.step(world, np.array([move_r, move_l]))
             positions = {(u.x, u.y) for u in world.units if u.alive}
             assert len(positions) == 3
             moved = [world.units[i] for i in (0, 1) if (world.units[i].x,
@@ -377,7 +403,7 @@ class TestStep:
                                seed=seed)
             b_first = copy.deepcopy(world.rng).permutation(2)[0] == 1
             seen.add(b_first)
-            eg.step(world, {0: move_r, 1: move_r})
+            eg.step(world, np.array([move_r, move_r]))
             assert world.pos[:2].tolist() == [[6, 5], [4, 5] if b_first else [5, 5]]
             _assert_world_invariants(world)
         assert seen == {True, False}
@@ -386,56 +412,63 @@ class TestStep:
         world = world_with([(eg.OMNIVORE, 5, 5), (eg.FOOD, 9, 9)])
         for bad in (True, 2.5, np.float64(3.0)):
             with pytest.raises(ValueError, match="action index"):
-                eg.step(world, {0: bad})
+                eg.step(world, np.array([bad]))
         assert world.t == 0 and world.pos[0].tolist() == [5, 5]
 
     def test_out_of_bounds_move_stays(self):
         world = world_with([(eg.OMNIVORE, 0, 0), (eg.FOOD, 9, 9)])
         move_up = eg.MOVE_OFFSETS.index((0, -3))
-        eg.step(world, {0: move_up})
+        eg.step(world, np.array([move_up]))
         assert (world.units[0].x, world.units[0].y) == (0, 0)
 
     def test_protocol_errors(self):
         world = world_with([(eg.OMNIVORE, 5, 5), (eg.OMNIVORE, 7, 7), (eg.FOOD, 9, 9)])
         with pytest.raises(ProtocolError):
-            eg.step(world, {0: 32})  # missing action
+            eg.step(world, np.array([32]))  # missing action
         with pytest.raises(ProtocolError):
-            eg.step(world, {0: 32, 1: 32, 7: 32})  # unknown agent
+            eg.step(world, np.array([32, 32, 32]))  # an action for no alive agent
+        for bad in (np.array([[32, 32]]), np.array([[32], [32]]), np.int64(32),
+                    np.array([], dtype=np.int64)):
+            with pytest.raises(ProtocolError):
+                eg.step(world, bad)  # not a 1-D array of one action per alive agent
+        with pytest.raises(ProtocolError):
+            eg.step(world, {0: 32, 1: 32})  # a dict is no action array
+        assert world.t == 0
 
     def test_truncated_only_at_cap_with_food_left(self):
         world = world_with([(eg.OMNIVORE, 5, 5), (eg.FOOD, 9, 9)], max_steps=2)
-        eg.step(world, {0: 32})
+        eg.step(world, np.array([32]))
         assert not world.done and not world.truncated
-        eg.step(world, {0: 32})
+        eg.step(world, np.array([32]))
         assert world.done and world.truncated
         # eating the last food at the cap terminates the task: not a cut-off
         world = world_with([(eg.OMNIVORE, 5, 5), (eg.OMNIVORE, 7, 5), (eg.FOOD, 6, 5)],
                            max_steps=1)
-        eg.step(world, {0: ATTACK_RIGHT, 1: ATTACK_LEFT})
+        eg.step(world, np.array([ATTACK_RIGHT, ATTACK_LEFT]))
         assert world.done and not world.truncated
         # a wipeout at the cap leaves no survivor to bootstrap: not a cut-off
         world = world_with([(eg.OMNIVORE, 5, 5), (eg.OMNIVORE, 6, 5), (eg.FOOD, 9, 9)],
                            hp_omnivore=1, max_steps=1)
-        eg.step(world, {0: ATTACK_RIGHT, 1: ATTACK_LEFT})
+        eg.step(world, np.array([ATTACK_RIGHT, ATTACK_LEFT]))
         assert world.alive_agents() == [] and world.food_remaining() == 1
         assert world.done and not world.truncated
 
     def test_wipeout_is_done(self):
         world = world_with([(eg.OMNIVORE, 5, 5), (eg.OMNIVORE, 6, 5), (eg.FOOD, 9, 9)],
                            hp_omnivore=1)
-        res = eg.step(world, {0: ATTACK_RIGHT, 1: ATTACK_LEFT})
+        res = eg.step(world, np.array([ATTACK_RIGHT, ATTACK_LEFT]))
         assert world.alive_agents() == [] and world.food_remaining() == 1
         assert res.done and world.done and not world.truncated
         with pytest.raises(ProtocolError):
-            eg.step(world, {})
+            eg.step(world, np.array([], dtype=np.int64))
 
     def test_done_at_cap(self):
         world = world_with([(eg.OMNIVORE, 5, 5), (eg.FOOD, 9, 9)], max_steps=3)
         for t in range(3):
-            res = eg.step(world, {0: 32})
+            res = eg.step(world, np.array([32]))
         assert res.done and world.t == 3
         with pytest.raises(ProtocolError):
-            eg.step(world, {0: 32})
+            eg.step(world, np.array([32]))
 
 
 class TestProperties:
@@ -448,7 +481,7 @@ class TestProperties:
             ids = world.alive_agents()
             if not ids:
                 break
-            actions = {i: int(a) for i, a in zip(ids, rng.integers(0, 33, len(ids)))}
+            actions = rng.integers(0, 33, len(ids))
             res = eg.step(world, actions)
             stream.append((actions, res))
             if record is not None:
@@ -461,7 +494,7 @@ class TestProperties:
             om_alive = cfg.n_omnivores
             food_alive = cfg.n_food
             for _, res in stream:
-                now_om = sum(1 for i, ok in res.alive.items() if ok)
+                now_om = sum(1 for i, ok in by_agent(res)[1].items() if ok)
                 assert now_om <= om_alive
                 om_alive = now_om
                 assert res.food_remaining <= food_alive
@@ -471,7 +504,8 @@ class TestProperties:
         for seed in range(8):
             cfg, world, stream = self._random_rollout(seed)
             for actions, res in stream:
-                expected = {i: 0.0 for i in res.rewards}
+                rewards, alive = by_agent(res)
+                expected = {i: 0.0 for i in rewards}
                 for kind, agent, target in res.events:
                     if kind == "blank":
                         expected[agent] += cfg.p_blank
@@ -479,11 +513,11 @@ class TestProperties:
                         expected[agent] += cfg.r_food
                     else:
                         expected[target] += cfg.p_attacked
-                for i, ok in res.alive.items():
+                for i, ok in alive.items():
                     if ok:
                         expected[i] += cfg.p_step
-                for i in res.rewards:
-                    assert res.rewards[i] == pytest.approx(expected[i], abs=1e-12)
+                for i in rewards:
+                    assert rewards[i] == pytest.approx(expected[i], abs=1e-12)
 
     def test_bit_identical_determinism(self):
         def run(seed):
@@ -493,10 +527,10 @@ class TestProperties:
             trace = []
             while not world.done:
                 ids = world.alive_agents()
-                actions = {i: int(a) for i, a in zip(ids, rng.integers(0, 33, len(ids)))}
-                res = eg.step(world, actions)
-                trace.append((tuple(sorted(res.rewards.items())),
-                              tuple(sorted(res.alive.items())), res.food_remaining))
+                res = eg.step(world, rng.integers(0, 33, len(ids)))
+                rewards, alive = by_agent(res)
+                trace.append((tuple(sorted(rewards.items())),
+                              tuple(sorted(alive.items())), res.food_remaining))
             return trace
 
         assert run(4) == run(4)
@@ -509,7 +543,7 @@ class TestProperties:
             steps = 0
             while not world.done:
                 ids = world.alive_agents()
-                eg.step(world, {i: int(a) for i, a in zip(ids, rng.integers(0, 33, len(ids)))})
+                eg.step(world, rng.integers(0, 33, len(ids)))
                 steps += 1
             assert steps <= 100
 
@@ -517,8 +551,9 @@ class TestProperties:
         # the team reward is the plain sum of agent rewards, weights all one
         _, _, stream = self._random_rollout(3)
         for _, res in stream:
-            team = sum(res.rewards.values())
-            assert team == pytest.approx(sum(1.0 * r for r in res.rewards.values()))
+            rewards = by_agent(res)[0]
+            team = sum(rewards.values())
+            assert team == pytest.approx(sum(1.0 * r for r in rewards.values()))
 
 
 @st.composite
@@ -550,6 +585,42 @@ def _assert_world_invariants(world):
                           _channel_grids(world.config, world.pos, world.hp, world.alive))
 
 
+def assert_same_step(res, want):
+    """An array step result agrees with a :func:`dict_step` result on each
+    agent's reward and alive flag, the events and the episode flags."""
+    assert by_agent(res) == (want.rewards, want.alive)
+    assert list(want.rewards) == res.ids.tolist()  # the oracle's keys, in the ids' order
+    assert res.rewards.dtype == np.float64 and res.alive.dtype == bool
+    assert (res.events, res.done, res.food_remaining) == (want.events, want.done,
+                                                          want.food_remaining)
+
+
+class TestArrayStepOracle:
+    @given(cfg=crowded_configs(), action_seed=st.integers(0, 2 ** 32 - 1),
+           attack_frac=st.floats(0.0, 1.0),
+           dtype=st.sampled_from([np.int8, np.int32, np.int64, np.uint8]))
+    @settings(max_examples=60, deadline=None)
+    def test_array_step_equals_dict_step(self, cfg, action_seed, attack_frac, dtype):
+        # both worlds roll the same episode, one through the array step and
+        # one through the dict oracle; after every step they agree on the
+        # result and on every world array, and have drawn the same numbers
+        world = eg.new_world(cfg)
+        twin = copy.deepcopy(world)
+        rng = np.random.default_rng(action_seed)
+        while not world.done:
+            ids = world.alive_agents()
+            actions = np.where(rng.random(len(ids)) < attack_frac,
+                               rng.integers(28, 32, len(ids)),
+                               rng.integers(0, eg.N_ACTIONS, len(ids))).astype(dtype)
+            want = dict_step(twin, dict(zip(ids, actions.tolist())))
+            assert_same_step(eg.step(world, actions), want)
+            for name in ("pos", "hp", "alive", "occupancy", "grids"):
+                assert np.array_equal(getattr(world, name), getattr(twin, name)), name
+            assert world.rng.bit_generator.state == twin.rng.bit_generator.state
+            assert world.t == twin.t
+        assert twin.done
+
+
 class TestWorldInvariants:
     @given(cfg=crowded_configs(), action_seed=st.integers(0, 2 ** 32 - 1),
            attack_frac=st.floats(0.0, 1.0))
@@ -565,11 +636,12 @@ class TestWorldInvariants:
             attack = rng.random(len(ids)) < attack_frac
             actions = {i: int(rng.integers(28, 32) if a else rng.integers(0, eg.N_ACTIONS))
                        for i, a in zip(ids, attack)}
-            # the same actions inserted in another order give the same step
+            # the dict oracle, given the same actions inserted in another
+            # order, takes the same step
             shuffled = {ids[k]: actions[ids[k]] for k in rng.permutation(len(ids))}
             twin = copy.deepcopy(world)
-            res = eg.step(world, actions)
-            assert eg.step(twin, shuffled) == res
+            res = eg.step(world, action_array(world, actions))
+            assert_same_step(res, dict_step(twin, shuffled))
             assert twin.units == world.units
             np.testing.assert_array_equal(twin.occupancy, world.occupancy)
             _assert_world_invariants(world)
@@ -597,10 +669,10 @@ class TestReplay:
         total = 0.0
         while not world.done:
             ids = world.alive_agents()
-            actions = {i: int(a) for i, a in zip(ids, rng.integers(0, 33, len(ids)))}
+            actions = rng.integers(0, 33, len(ids))
             res = eg.step(world, actions)
             writer.write_step(world, actions, res, edges=[(0, 1)])
-            total += sum(res.rewards.values())
+            total += sum(res.rewards.tolist())
         writer.close()
         episodes = read_replay(path)
         assert len(episodes) == 1

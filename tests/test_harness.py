@@ -3,6 +3,7 @@ import csv
 import importlib
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,9 +23,17 @@ from nviflab.harness import (
 from nviflab.harness.cli import main as cli_main
 from nviflab.diffcore import load_checkpoint, optimizer_step, save_checkpoint
 from nviflab.nvif import NvifConfig, NvifEncoder, ObsVaeHyper, PretrainHyper
-from nviflab.policy import ActorCritic, DQNHyper, PolicyConfig, PPOHyper, QNetwork, train_ppo
+from nviflab.policy import (
+    ActorCritic,
+    DQNHyper,
+    EmptyLatents,
+    PolicyConfig,
+    PPOHyper,
+    QNetwork,
+    train_ppo,
+)
 
-from conftest import EpisodeSpy, episode_metrics, read_replay
+from conftest import EpisodeSpy, episode_metrics, read_replay, ring_spy
 
 
 def write_config(path, **overrides):
@@ -132,7 +141,7 @@ def _corpus_oracle(task_cfg, episodes, rng, max_samples):
             ids = world.alive_agents()
             rows.append(observe(world, ids))
             count += len(ids)
-            step(world, dict(zip(ids, rng.integers(0, N_ACTIONS, len(ids)).tolist())))
+            step(world, rng.integers(0, N_ACTIONS, len(ids)))
             if max_samples is not None and count >= max_samples:
                 return np.concatenate(rows)[:max_samples]
     return np.concatenate(rows)
@@ -405,6 +414,17 @@ class TestEvaluate:
         assert np.mean([m["food_eaten_frac"] for m in per_ep]) == pytest.approx(
             metrics["food_eaten_frac"])
 
+    def test_replay_bytes_equal_the_golden_file(self, tmp_path):
+        # pins the JSON-lines format: a random-policy episode in which agents
+        # die, written byte for byte as tests/data/golden_random_replay.jsonl
+        golden = Path(__file__).parent / "data" / "golden_random_replay.jsonl"
+        task = preset("desk-random-12", seed=0, n_omnivores=20, hp_omnivore=1)
+        replay = tmp_path / "r.jsonl"
+        evaluate("random", task, episodes=1, seed=3, replay_path=replay)
+        assert replay.read_bytes() == golden.read_bytes()
+        (_, records), = read_replay(golden)
+        assert len(records[-1]["alive"]) < task.n_omnivores
+
     def test_replay_closed_when_episode_raises(self, tmp_path, tiny_task, monkeypatch):
         module = importlib.import_module("nviflab.harness.evaluate")
         real_step = module.step
@@ -512,6 +532,53 @@ class TestEvaluate:
         other = preset("desk-normal-16", seed=0, view_radius=4)
         with pytest.raises(ConfigError):
             bundle.check_task(other)
+
+
+def _count_step_actions(monkeypatch, module) -> list:
+    """Patches ``module.step`` as the benchmark's agent-step probe does
+    (``_count_agent_steps`` in ``perfbench/workloads.py``): a positional
+    ``probe(world, actions)`` adding ``len(actions)`` to a count."""
+    count, original = [0], module.step
+
+    def probe(world, actions):
+        count[0] += len(actions)
+        return original(world, actions)
+
+    monkeypatch.setattr(module, "step", probe)
+    return count
+
+
+class TestBenchmarkProbeSites:
+    """The benchmark counts agent-steps by patching ``step`` in the PPO, DQN
+    and evaluation modules; each must call it there, once per env step, or
+    the benchmark reads zero agent-steps/s."""
+
+    def test_ppo_collect_episode(self, tiny_task, tiny_compressor, monkeypatch):
+        ppo_mod = importlib.import_module("nviflab.policy.ppo")
+        count = _count_step_actions(monkeypatch, ppo_mod)
+        ac = ActorCritic(PolicyConfig(input_width=8), np.random.default_rng(0))
+        (x, _, probs, adv, ret, _), stats = ppo_mod.collect_episode(
+            tiny_task, 5, tiny_compressor, EmptyLatents(), ac, np.random.default_rng(1),
+            0.9, 0.8)
+        assert count[0] == len(x) == len(probs) == len(adv) == len(ret) > 0
+
+    def test_dqn_train_dqn(self, tiny_task, tiny_compressor, monkeypatch):
+        dqn_mod = importlib.import_module("nviflab.policy.dqn")
+        count = _count_step_actions(monkeypatch, dqn_mod)
+        rings = ring_spy(monkeypatch, dqn_mod)
+        hyper = DQNHyper(episodes=2, min_replay=10 ** 6, replay_capacity=10 ** 4, seed=0)
+        dqn_mod.train_dqn(tiny_task, tiny_compressor, hyper, latent_mode="none")
+        # one ring row per alive agent per step, none overwritten
+        assert 0 < rings[0].size < hyper.replay_capacity
+        assert count[0] == rings[0].size
+
+    def test_harness_evaluate(self, tmp_path, tiny_task, monkeypatch):
+        eval_mod = importlib.import_module("nviflab.harness.evaluate")
+        count = _count_step_actions(monkeypatch, eval_mod)
+        replay = tmp_path / "r.jsonl"
+        eval_mod.evaluate("random", tiny_task, episodes=2, seed=4, replay_path=replay)
+        records = [rec for _, recs in read_replay(replay) for rec in recs]
+        assert count[0] == sum(len(rec["actions"]) for rec in records) > 0
 
 
 class TestScalability:

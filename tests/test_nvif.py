@@ -641,7 +641,7 @@ def hp_worlds(draw):
         ids = world.alive_agents()
         if world.done or not ids:
             break
-        step(world, {i: int(a) for i, a in zip(ids, rng.integers(0, N_ACTIONS, len(ids)))})
+        step(world, rng.integers(0, N_ACTIONS, len(ids)))
     assume(world.alive_agents())
     for i in np.flatnonzero(world.alive):
         top = cfg.hp_omnivore if i < world.n_agents else cfg.hp_food

@@ -41,6 +41,7 @@ from conftest import (
     central_diff_grads,
     linux_only,
     per_agent_episode,
+    ring_spy,
     run_capped,
     two_array_flush,
 )
@@ -123,18 +124,6 @@ class _AllSlots:
         return np.arange(low, high)
 
 
-def _ring_spy(monkeypatch, dqn_mod) -> list:
-    """Keeps each ``ReplayRing`` that ``dqn_mod`` builds."""
-    rings, ring_cls = [], dqn_mod.ReplayRing
-
-    def make(*args, **kwargs):
-        rings.append(ring_cls(*args, **kwargs))
-        return rings[-1]
-
-    monkeypatch.setattr(dqn_mod, "ReplayRing", make)
-    return rings
-
-
 # (max_steps, spy arguments): a cut at the time limit, a death at the cut,
 # and the food running out before the time limit
 ENDINGS = {
@@ -186,7 +175,7 @@ class TestTimeLimitBootstrap:
         max_steps, spy_args = ENDINGS[ending]
         dqn_mod = importlib.import_module("nviflab.policy.dqn")
         spy = EpisodeSpy(monkeypatch, dqn_mod, **spy_args)
-        rings = _ring_spy(monkeypatch, dqn_mod)
+        rings = ring_spy(monkeypatch, dqn_mod)
         train_dqn(replace(tiny_task, max_steps=max_steps), tiny_compressor,
                   DQNHyper(episodes=1, min_replay=10 ** 6, replay_capacity=64, seed=0),
                   latent_mode="none")
@@ -227,7 +216,7 @@ class TestWipeout:
         n = tiny_task.n_omnivores
         dqn_mod = importlib.import_module("nviflab.policy.dqn")
         spy = EpisodeSpy(monkeypatch, dqn_mod, at_t=2, kill=range(n))
-        rings = _ring_spy(monkeypatch, dqn_mod)
+        rings = ring_spy(monkeypatch, dqn_mod)
         result = train_dqn(tiny_task, tiny_compressor,
                            DQNHyper(episodes=1, min_replay=10 ** 6, replay_capacity=64, seed=0),
                            latent_mode="none")
@@ -542,8 +531,9 @@ class TestDqnPieces:
                 if event == "death":
                     dead = data.draw(st.sets(st.sampled_from(alive)))
                 t += 1
-                pending = (alive, x, rng.integers(0, N_ACTIONS, len(alive)),
-                           rng.standard_normal(len(alive)), {i: i not in dead for i in alive},
+                pending = (np.array(alive), x, rng.integers(0, N_ACTIONS, len(alive)),
+                           rng.standard_normal(len(alive)),
+                           np.array([i not in dead for i in alive], dtype=bool),
                            event == "food_out")
                 alive = [i for i in alive if i not in dead]
                 if event == "food_out" or not alive or t >= max_steps:
@@ -560,10 +550,10 @@ class TestDqnPieces:
         # next step (one row) re-points the first agent's transition
         ring, oracle = ReplayRing(2, 2, n_agents=3, max_steps=4), TwoArrayRing(2, 2)
         x0, x1 = np.arange(1, 7, dtype=np.float32).reshape(3, 2), np.full((1, 2), 9, np.float32)
-        steps = [(([0, 1, 2], x0, np.arange(3), np.ones(3), {0: True, 1: False, 2: False},
+        steps = [((np.arange(3), x0, np.arange(3), np.ones(3), np.array([True, False, False]),
                    False), [0], x1, False),
-                 (([0], x1, np.zeros(1, dtype=np.int64), np.ones(1), {0: False}, False),
-                  [], x1[:0], True)]
+                 ((np.array([0]), x1, np.zeros(1, dtype=np.int64), np.ones(1), np.array([False]),
+                   False), [], x1[:0], True)]
         for pending, next_ids, next_x, final in steps:
             _flush(ring, pending, next_ids, next_x, final=final)
             two_array_flush(oracle, pending, dict(zip(next_ids, next_x)))
@@ -573,8 +563,8 @@ class TestDqnPieces:
     def test_flush_rejects_a_live_agent_with_no_next_row(self):
         ring = ReplayRing(8, 2, n_agents=2, max_steps=4)
         x = np.ones((2, 2), dtype=np.float32)
-        pending = ([0, 1], x, np.zeros(2, dtype=np.int64), np.zeros(2), {0: True, 1: True},
-                   False)
+        pending = (np.array([0, 1]), x, np.zeros(2, dtype=np.int64), np.zeros(2),
+                   np.array([True, True]), False)
         with pytest.raises(ProtocolError, match=r"\[1\]"):
             _flush(ring, pending, [0], x[:1])
         assert ring.size == 0
