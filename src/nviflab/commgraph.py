@@ -1,4 +1,4 @@
-"""Dynamic neighboring-communication graphs and the information-flow oracle.
+"""Dynamic neighboring-communication graphs.
 
 The graph rule: every agent classifies every other alive agent into one of
 four directions by dominant axis (vertical wins ties), keeps the squared-
@@ -8,22 +8,16 @@ the rule in one dense numpy pass: contiguous (n, n) int64 offsets dx and dy,
 squared distances with each agent's own column set to the int64 maximum, then
 per direction mask (up -dy >= |dx|, down dy >= |dx|, left -dx > |dy|, right
 dx > |dy|) a row-wise argmin over columns sorted by id (lowest id first).
-``tests/test_commgraph.py`` keeps the per-pair loop as its reference oracle.
-The info-flow functions track which (agent, timestep) messages are reachable,
-both by the explicit union over past graphs and by the one-step recurrence;
-the two must agree, which is what the property suite checks.
+``tests/test_commgraph.py`` keeps the per-pair loop as its reference oracle,
+and ``tests/conftest.py`` the information-flow oracle over graph histories.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError, ProtocolError
-
-Message = tuple[int, int]          # (agent id, timestep it was shared)
-InfoSet = frozenset                # of Message
+from .errors import DataError
 
 
 @dataclass(frozen=True)
@@ -34,13 +28,6 @@ class NeighborGraph:
     @property
     def n_alive(self) -> int:
         return len(self.ids)
-
-    def index_of(self, agent_id: int) -> int:
-        return self.ids.index(agent_id)
-
-    def neighbors(self, agent_id: int) -> list[int]:
-        row = self.adj[self.index_of(agent_id)]
-        return [self.ids[j] for j in np.flatnonzero(row)]
 
     def edges(self) -> list[tuple[int, int]]:
         """Each edge once as (ids[i], ids[j]) with i < j, in row-major order."""
@@ -98,46 +85,3 @@ def normalize(graph: NeighborGraph) -> np.ndarray:
     g_tilde = graph.adj.astype(np.float64) + np.eye(graph.n_alive)
     inv_sqrt_deg = 1.0 / np.sqrt(g_tilde.sum(axis=1))
     return g_tilde * inv_sqrt_deg[:, None] * inv_sqrt_deg[None, :]
-
-
-def info_direct(graph_history, agent_id: int, t: int) -> InfoSet:
-    """Messages reachable by ``agent_id`` after step ``t``, by explicit expansion.
-
-    Walks k = t..0; at each k the reachable set grows to the union of the
-    previous set's neighborhoods under the graph at k, and every member's
-    message from timestep k is collected.
-    """
-    if len(graph_history) <= t:
-        raise DataError(f"info_direct: history has {len(graph_history)} graphs, need {t + 1}")
-    frontier = {agent_id}
-    collected: set[Message] = set()
-    for k in range(t, -1, -1):
-        graph = graph_history[k]
-        grown: set[int] = set()
-        for j in frontier:
-            grown.add(j)
-            grown.update(graph.neighbors(j))
-        frontier = grown
-        collected.update((j, k) for j in frontier)
-    return frozenset(collected)
-
-
-class FlowParts(NamedTuple):
-    total: InfoSet
-    recurrent: InfoSet  # previous collections of the closed neighborhood
-    flow: InfoSet       # messages shared now by the closed neighborhood
-
-
-def info_recursive(previous: dict[int, InfoSet], graph: NeighborGraph, t: int) -> dict[int, FlowParts]:
-    """One recurrence step: next collection = neighborhood's old collections
-    plus the neighborhood's current messages, per alive agent."""
-    for agent_id in graph.ids:
-        if agent_id not in previous:
-            raise ProtocolError(f"info_recursive: missing previous set for agent {agent_id}")
-    out = {}
-    for agent_id in graph.ids:
-        closed = [agent_id] + graph.neighbors(agent_id)
-        recurrent = frozenset().union(*(previous[j] for j in closed))
-        flow = frozenset((j, t) for j in closed)
-        out[agent_id] = FlowParts(total=recurrent | flow, recurrent=recurrent, flow=flow)
-    return out

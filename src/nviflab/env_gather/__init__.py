@@ -21,7 +21,6 @@ from .world import (
     Unit,
     decode_windows,
     encode_windows,
-    level_table,
     new_world,
     observe,
     step,
@@ -31,5 +30,5 @@ __all__ = [
     "ACTION_TABLE", "ATTACK_OFFSETS", "EMPTY", "FOOD", "GridWorld", "KIND_ATTACK",
     "KIND_MOVE", "KIND_NOOP", "MOVE_OFFSETS", "N_ACTIONS", "NOOP_INDEX", "OMNIVORE",
     "ReplayWriter", "StepResult", "TaskConfig", "Unit", "decode_windows",
-    "encode_windows", "level_table", "new_world", "observe", "preset", "step",
+    "encode_windows", "new_world", "observe", "preset", "step",
 ]

@@ -47,7 +47,8 @@ class TaskConfig:
             raise ConfigError(f"hp_food must be >= 2 (food takes several attacks), got {self.hp_food}")
         if self.hp_omnivore < 1:
             raise ConfigError(f"hp_omnivore must be >= 1, got {self.hp_omnivore}")
-        if max(self.hp_food, self.hp_omnivore) > 255:  # pre-training stores hp as uint8
+        # the obs-VAE corpus and the pre-training buffer store hp counts as uint8 codes
+        if max(self.hp_food, self.hp_omnivore) > 255:
             raise ConfigError(f"hp_food and hp_omnivore must be <= 255, got "
                               f"{self.hp_food} and {self.hp_omnivore}")
         if self.view_radius < 1:

@@ -25,10 +25,13 @@ agent is dead.
 
 :func:`observe` returns the local windows of a batch of agents as one
 (n, 7*w*w) float32 matrix, one fancy index into a read-only (ms, ms, 5, w, w)
-window view of the kept grids. This module also owns their uint8 codec:
-:func:`encode_windows` stores the five grid channels as one code per cell
-(the hp count in the hp channels, 0/1 elsewhere), and :func:`decode_windows`
-turns the codes and the positions back into exactly the observed windows.
+window view of the kept grids. This module also owns their uint8 codec, which
+the obs-VAE corpus and the pre-training buffer store windows in:
+:func:`encode_windows` keeps the five grid channels as one code per cell (the
+hp count in the hp channels, 0/1 elsewhere), and :func:`decode_windows` turns
+the codes and the positions back into exactly the observed windows by a cast
+and one float32 division per hp channel: float32(k) / float32(hp) equals the
+observed float32(k / hp) for every hp and k up to 255.
 """
 from __future__ import annotations
 
@@ -59,7 +62,7 @@ class Unit:
     alive: bool
 
 
-@dataclass
+@dataclass(eq=False)  # array fields have no single truth value; results compare by identity
 class StepResult:
     ids: np.ndarray                # (k,) int: the agents that acted, ascending (alive_agents())
     rewards: np.ndarray            # (k,) float64, aligned with ids
@@ -217,38 +220,33 @@ def observe(world: GridWorld, ids) -> np.ndarray:
     return out.reshape(len(pos), -1)
 
 
-def _hp_scale(config: TaskConfig) -> np.ndarray:
-    """Per grid channel, the code that stands for 1.0."""
-    return np.array([1, 1, config.hp_omnivore, 1, config.hp_food])
-
-
 def encode_windows(windows: np.ndarray, config: TaskConfig) -> np.ndarray:
     """(n, 5*w*w) uint8 grid codes of :func:`observe`'s windows: each grid
-    cell times its channel's hp scale, rounded; the position channels are
-    left out (:func:`decode_windows` takes the positions instead)."""
+    cell times its channel's hp maximum (1 outside the hp channels), in
+    float32, rounded; the position channels are left out
+    (:func:`decode_windows` takes the positions instead)."""
     n, cells = windows.shape[0], config.window ** 2
     grid = windows[:, :GRID_CHANNELS * cells].reshape(n, GRID_CHANNELS, cells)
-    return np.rint(grid * _hp_scale(config)[:, None]).astype(np.uint8).reshape(n, -1)
+    scale = np.array([1, 1, config.hp_omnivore, 1, config.hp_food], dtype=np.float32)
+    return np.rint(grid * scale[:, None]).astype(np.uint8).reshape(n, -1)
 
 
-def level_table(config: TaskConfig) -> np.ndarray:
-    """(5, 256) float32: the window value that code k stands for in each grid
-    channel, k/hp_max in the hp channels (float64 division rounded to
-    float32, as in :func:`observe`) and k in the others."""
-    return (np.arange(256) / _hp_scale(config)[:, None]).astype(np.float32)
-
-
-def decode_windows(codes: np.ndarray, positions: np.ndarray, levels: np.ndarray) -> np.ndarray:
+def decode_windows(codes: np.ndarray, positions: np.ndarray, config, out=None) -> np.ndarray:
     """The float32 observation windows (n, 7*w*w) of grid codes (n, 5*w*w)
-    and normalized positions (n, 2): each grid channel is one lookup in its
-    row of ``levels``."""
+    and normalized positions (n, 2), written into ``out`` when given (a
+    C-contiguous float32 array of that shape). ``config`` is the task's
+    :class:`TaskConfig`, or a record carrying its ``hp_omnivore`` and
+    ``hp_food``: the codes are cast to float32 and the hp channels divided
+    by their hp maximum, which is exact (see the module docstring)."""
     n, cells = codes.shape[0], codes.shape[1] // GRID_CHANNELS
-    out = np.empty((n, GRID_CHANNELS + 2, cells), dtype=np.float32)
-    grid = codes.reshape(n, GRID_CHANNELS, cells)
-    for c in range(GRID_CHANNELS):
-        np.take(levels[c], grid[:, c], out=out[:, c])
-    out[:, GRID_CHANNELS:] = positions[:, :, None]
-    return out.reshape(n, -1)
+    if out is None:
+        out = np.empty((n, (GRID_CHANNELS + 2) * cells), dtype=np.float32)
+    view = out.reshape(n, GRID_CHANNELS + 2, cells)
+    view[:, :GRID_CHANNELS] = codes.reshape(n, GRID_CHANNELS, cells)
+    view[:, 2] /= np.float32(config.hp_omnivore)
+    view[:, 4] /= np.float32(config.hp_food)
+    view[:, GRID_CHANNELS:] = positions[:, :, None]
+    return out
 
 
 def step(world: GridWorld, actions) -> StepResult:

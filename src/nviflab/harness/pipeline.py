@@ -7,12 +7,14 @@ from pathlib import Path
 
 import numpy as np
 
-from ..env_gather import N_ACTIONS, new_world, observe, step
+from ..env_gather import N_ACTIONS, encode_windows, new_world, observe, step
+from ..env_gather.world import GRID_CHANNELS
 from ..errors import ConfigError, require_counts
 from ..nvif import (
     NvifConfig,
     NvifEncoder,
     ObsCompressor,
+    ObsCorpus,
     ObsVaeConfig,
     collect_pretrain_buffer,
     pretrain,
@@ -23,34 +25,40 @@ from .config import ALGORITHMS, ExperimentConfig
 
 
 def collect_obs_corpus(task_cfg, episodes: int, rng: np.random.Generator,
-                       max_samples: int | None = None) -> np.ndarray:
-    """Raw flattened observations from random-policy play, in the order
-    observed. With ``max_samples``, the first ``max_samples`` rows, written
-    into one array as they are observed."""
+                       max_samples: int | None = None) -> ObsCorpus:
+    """Observation windows from random-policy play, in the order observed,
+    coded as they are observed: their uint8 grid codes
+    (:func:`env_gather.encode_windows`), the normalized positions read from
+    their position channels, and the task's hp maxima. With
+    ``max_samples``, the first ``max_samples`` windows.
+
+    Both codes and positions are written into arrays sized for the most
+    windows the episodes can yield (every agent alive at every step, cut at
+    ``max_samples``) and shrunk to the rows filled."""
     limit = {} if max_samples is None else {"corpus_max_samples": max_samples}
     require_counts("obs_vae", corpus_episodes=episodes, **limit)
-    rows, corpus, count = [], None, 0
+    room = episodes * task_cfg.max_steps * task_cfg.n_omnivores
+    room = room if max_samples is None else min(room, max_samples)
+    cells = task_cfg.window ** 2
+    codes = np.empty((room, GRID_CHANNELS * cells), dtype=np.uint8)
+    positions = np.empty((room, 2), dtype=np.float32)
+    count = 0
     for _ in range(episodes):
         world = new_world(replace(task_cfg, seed=int(rng.integers(2 ** 62))))
-        while not world.done:
+        while not world.done and count < room:
             ids = world.alive_agents()
-            window = observe(world, ids)
-            if max_samples is None:
-                rows.append(window)
-            else:
-                if corpus is None:
-                    corpus = np.empty((max_samples, window.shape[1]), dtype=window.dtype)
-                corpus[count:count + len(ids)] = window[:max_samples - count]
-            count += len(ids)
+            window = observe(world, ids)[:room - count]
+            codes[count:count + len(window)] = encode_windows(window, task_cfg)
+            positions[count:count + len(window)] = window[:, GRID_CHANNELS * cells::cells]
+            count += len(window)
             step(world, rng.integers(0, N_ACTIONS, len(ids)))
-            if max_samples is not None and count >= max_samples:
-                return corpus
-    if corpus is None:
-        return np.concatenate(rows)
-    # drop the rows no window filled; realloc shrinks the block in place, so
-    # no second copy of the corpus is made, as a slice's copy would
-    corpus.resize((count, corpus.shape[1]), refcheck=False)
-    return corpus
+        if count == room:  # no further rng draw, so the caller's stream goes on from here
+            break
+    # drop the rows no window filled; realloc shrinks each block in place, so
+    # no second copy is made, as a slice's copy would
+    codes.resize((count, codes.shape[1]), refcheck=False)
+    positions.resize((count, 2), refcheck=False)
+    return ObsCorpus(codes, positions, task_cfg.hp_omnivore, task_cfg.hp_food)
 
 
 def obs_vae_path(cfg: ExperimentConfig) -> Path:

@@ -2,7 +2,7 @@
 from .encoder import EncoderState, LatentDistribution, NvifConfig, NvifEncoder
 from .flownet import init_flownet
 from .losses import NvifLossReport, kl_standard_normal
-from .obs_vae import ObsCompressor, ObsVaeConfig, ObsVaeHyper
+from .obs_vae import ObsCompressor, ObsCorpus, ObsVaeConfig, ObsVaeHyper
 from .pretrain import (
     EpisodeRecord,
     PretrainHyper,
@@ -15,7 +15,7 @@ from .pretrain import (
 __all__ = [
     "EncoderState", "EpisodeRecord", "LatentDistribution",
     "NvifConfig", "NvifEncoder", "NvifLossReport", "ObsCompressor",
-    "ObsVaeConfig", "ObsVaeHyper", "PretrainHyper", "StepData",
+    "ObsCorpus", "ObsVaeConfig", "ObsVaeHyper", "PretrainHyper", "StepData",
     "collect_pretrain_buffer", "gather_step_data",
     "init_flownet", "kl_standard_normal", "pretrain",
 ]

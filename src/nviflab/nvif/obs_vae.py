@@ -6,6 +6,12 @@ per-cell Bernoulli logits, and the cross entropy is computed from them
 (:func:`diffcore.bce_loss`). Training balances the reconstruction term
 against the KL by summing the cross entropy over cells (the usual VAE
 convention), otherwise the prior collapses the code.
+
+It trains on an :class:`ObsCorpus`: the windows as the uint8 grid codes of
+:func:`env_gather.encode_windows` with their positions, at under a fifth of
+their float32 bytes. Each shuffled minibatch is decoded by
+:func:`env_gather.decode_windows` into one float32 batch buffer that training
+owns and reuses, so no float32 copy of the corpus is ever held.
 """
 from __future__ import annotations
 
@@ -33,8 +39,18 @@ from ..diffcore import (
     relu,
     save_checkpoint,
 )
+from ..env_gather import decode_windows
 from ..errors import ConfigError, DataError, StateError, require_counts, require_rates
 from .losses import kl_standard_normal
+
+
+@dataclass(eq=False)  # array fields have no single truth value
+class ObsCorpus:
+    """Observation windows in the codec of :func:`env_gather.encode_windows`."""
+    codes: np.ndarray          # (n, 5*w*w) uint8 grid codes
+    positions: np.ndarray      # (n, 2) float32 normalized positions
+    hp_omnivore: int           # the task's hp maxima, which the codes count in
+    hp_food: int
 
 
 @dataclass
@@ -109,24 +125,29 @@ class ObsCompressor:
         with no_grad():
             return self._mean(self._hidden(Tensor(x))).data
 
-    def train(self, corpus: np.ndarray, hyper: ObsVaeHyper) -> list[dict]:
+    def train(self, corpus: ObsCorpus, hyper: ObsVaeHyper) -> list[dict]:
         """Minimize summed-bce reconstruction + KL over shuffled minibatches."""
         hyper.validate()
-        corpus = np.asarray(corpus, dtype=self.config.dtype)
-        if corpus.ndim != 2 or corpus.shape[0] == 0:
-            raise DataError(f"obs-vae corpus must be (n, obs_dim), got {corpus.shape}")
+        n, obs_dim = len(corpus.codes), self.config.obs_dim
+        if corpus.codes.ndim != 2 or n == 0 or 7 * corpus.codes.shape[1] != 5 * obs_dim:
+            raise DataError(f"obs-vae corpus must be (n, 5*w*w) codes of {obs_dim}-wide "
+                            f"windows, got {corpus.codes.shape}")
         rng = np.random.default_rng(hyper.seed)
+        buffer = np.empty((min(n, hyper.batch_size), obs_dim), dtype=np.float32)
         history = []
         for epoch in range(hyper.epochs):
-            order = rng.permutation(corpus.shape[0])
+            order = rng.permutation(n)
             epoch_recon = epoch_kl = 0.0
             n_batches = 0
-            for lo in range(0, len(order), hyper.batch_size):
-                batch = corpus[order[lo:lo + hyper.batch_size]]
+            for lo in range(0, n, hyper.batch_size):
+                rows = order[lo:lo + hyper.batch_size]
+                batch = decode_windows(corpus.codes[rows], corpus.positions[rows], corpus,
+                                       out=buffer[:len(rows)])
+                batch = batch.astype(self.config.dtype, copy=False)
                 x = Tensor(batch)
                 mu, log_sigma = self._encode(x)
                 z = gaussian_sample(mu, log_sigma, rng=rng)
-                recon = mul(bce_loss(batch, self._decode(z)), float(self.config.obs_dim))
+                recon = mul(bce_loss(batch, self._decode(z)), float(obs_dim))
                 kl = kl_standard_normal(mu, log_sigma)
                 loss = recon + kl
                 self.store.zero_grad()

@@ -21,8 +21,10 @@ gradients are exactly those of the decoder on the batch tape.
 
 The buffer stores the observation windows as the uint8 grid codes of
 :func:`env_gather.encode_windows`, at a quarter of their float32 bytes or
-less; each episode keeps its task's level table, and
-:func:`env_gather.decode_windows` rebuilds the observed windows exactly.
+less; each episode keeps its task's hp maxima, and
+:func:`env_gather.decode_windows` rebuilds the observed windows exactly, by
+the same cast and division that decodes the obs-VAE corpus. So the episodes
+of one batch must share their hp maxima.
 """
 from __future__ import annotations
 
@@ -36,7 +38,6 @@ from ..env_gather import (
     N_ACTIONS,
     decode_windows,
     encode_windows,
-    level_table,
     new_world,
     observe,
     step,
@@ -59,7 +60,8 @@ class StepData:
 @dataclass
 class EpisodeRecord:
     steps: list[StepData]
-    levels: np.ndarray         # (5, 256) float32 level table; see level_table
+    hp_omnivore: int           # the task's hp maxima, which raw_obs counts in
+    hp_food: int
 
 
 @dataclass
@@ -100,7 +102,6 @@ def collect_pretrain_buffer(task_config, n_episodes: int, compressor: ObsCompres
                             ) -> list[EpisodeRecord]:
     """Random-policy episodes recorded as (observations, positions, graphs)."""
     require_counts("nvif", buffer_episodes=n_episodes)
-    levels = level_table(task_config)
     buffer = []
     for _ in range(n_episodes):
         world = new_world(replace(task_config, seed=int(rng.integers(2 ** 62))))
@@ -111,7 +112,7 @@ def collect_pretrain_buffer(task_config, n_episodes: int, compressor: ObsCompres
             step(world, rng.integers(0, N_ACTIONS, len(ids)))
         if not steps:
             raise DataError("collected an episode with no alive agents at t=0")
-        buffer.append(EpisodeRecord(steps=steps, levels=levels))
+        buffer.append(EpisodeRecord(steps, task_config.hp_omnivore, task_config.hp_food))
     return buffer
 
 
@@ -137,9 +138,10 @@ def _batch_loss(encoder: NvifEncoder, episodes: list[EpisodeRecord], alpha: floa
     The ``dec/*`` gradients of the returned loss are already in the store
     (zero it before the call); backpropagating the loss adds the rest."""
     dt = encoder.config.np_dtype
-    levels = episodes[0].levels
-    if any(not np.array_equal(ep.levels, levels) for ep in episodes[1:]):
-        raise DataError("an episode batch mixes tasks with different level tables")
+    first = episodes[0]
+    if any((ep.hp_omnivore, ep.hp_food) != (first.hp_omnivore, first.hp_food)
+           for ep in episodes[1:]):
+        raise DataError("an episode batch mixes tasks with different hp maxima")
     n_slots = sum(len(ep.steps) for ep in episodes)
     t_max = max(len(ep.steps) for ep in episodes)
     centers = {}  # one (k, k) centering block per group size k
@@ -151,7 +153,7 @@ def _batch_loss(encoder: NvifEncoder, episodes: list[EpisodeRecord], alpha: floa
         sizes = [len(sd.ids) for _, sd in live]
         keys = [(i, a) for i, sd in live for a in sd.ids]
         pos = np.concatenate([sd.positions for _, sd in live])
-        obs = decode_windows(np.concatenate([sd.raw_obs for _, sd in live]), pos, levels)
+        obs = decode_windows(np.concatenate([sd.raw_obs for _, sd in live]), pos, first)
         adj = tuple(sd.adj_norm.astype(dt, copy=False) for _, sd in live)
         for k in set(sizes) - centers.keys():
             centers[k] = np.full((k, k), 1.0 / k, dtype=dt)

@@ -25,7 +25,7 @@ from nviflab.diffcore.tensor import (
     as_tensor,
 )
 from nviflab.env_gather import ATTACK_OFFSETS, EMPTY, MOVE_OFFSETS, N_ACTIONS, preset
-from nviflab.errors import ProtocolError, ShapeError
+from nviflab.errors import DataError, ProtocolError, ShapeError
 from nviflab.env_gather.world import GRID_CHANNELS, GridWorld, _channel_grids
 from nviflab.nvif import ObsCompressor, ObsVaeConfig, ObsVaeHyper
 from nviflab.harness.pipeline import collect_obs_corpus
@@ -131,6 +131,62 @@ def reconstruction_bce(compressor, obs_flat):
     with dc.no_grad():
         mean = compressor._mean(compressor._hidden(dc.Tensor(x)))
         return float(dc.bce_loss(x, compressor._decode(mean)).data)
+
+
+def neighbors(graph, agent_id: int) -> list[int]:
+    """The ids adjacent to ``agent_id`` in a :class:`commgraph.NeighborGraph`,
+    in row order."""
+    row = graph.adj[graph.ids.index(agent_id)]
+    return [graph.ids[j] for j in np.flatnonzero(row)]
+
+
+Message = tuple[int, int]          # (agent id, timestep it was shared)
+InfoSet = frozenset                # of Message
+
+
+def info_direct(graph_history, agent_id: int, t: int) -> InfoSet:
+    """The information-flow oracle: messages reachable by ``agent_id`` after
+    step ``t``, by explicit expansion.
+
+    Walks k = t..0; at each k the reachable set grows to the union of the
+    previous set's neighborhoods under the graph at k, and every member's
+    message from timestep k is collected.
+    """
+    if len(graph_history) <= t:
+        raise DataError(f"info_direct: history has {len(graph_history)} graphs, need {t + 1}")
+    frontier = {agent_id}
+    collected: set[Message] = set()
+    for k in range(t, -1, -1):
+        graph = graph_history[k]
+        grown: set[int] = set()
+        for j in frontier:
+            grown.add(j)
+            grown.update(neighbors(graph, j))
+        frontier = grown
+        collected.update((j, k) for j in frontier)
+    return frozenset(collected)
+
+
+class FlowParts(NamedTuple):
+    total: InfoSet
+    recurrent: InfoSet  # previous collections of the closed neighborhood
+    flow: InfoSet       # messages shared now by the closed neighborhood
+
+
+def info_recursive(previous: dict[int, InfoSet], graph, t: int) -> dict[int, FlowParts]:
+    """One recurrence step of the information flow: next collection =
+    neighborhood's old collections plus the neighborhood's current
+    messages, per alive agent. It must agree with :func:`info_direct`."""
+    for agent_id in graph.ids:
+        if agent_id not in previous:
+            raise ProtocolError(f"info_recursive: missing previous set for agent {agent_id}")
+    out = {}
+    for agent_id in graph.ids:
+        closed = [agent_id] + neighbors(graph, agent_id)
+        recurrent = frozenset().union(*(previous[j] for j in closed))
+        flow = frozenset((j, t) for j in closed)
+        out[agent_id] = FlowParts(total=recurrent | flow, recurrent=recurrent, flow=flow)
+    return out
 
 
 def read_replay(path):

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from nviflab import commgraph as cg
 from nviflab.errors import DataError, ProtocolError
 
+from conftest import info_direct, info_recursive, neighbors
+
 
 def direction(dx, dy):
     """Dominant axis of the offset (dx, dy); vertical wins ties."""
@@ -97,7 +99,7 @@ class TestBuildGraph:
     def test_two_agents_mutual(self):
         g = cg.build_graph([(0, 0), (3, 0)], [0, 1])
         assert g.edges() == [(0, 1)]
-        assert g.neighbors(0) == [1] and g.neighbors(1) == [0]
+        assert neighbors(g, 0) == [1] and neighbors(g, 1) == [0]
 
     def test_three_collinear_chain(self):
         g = cg.build_graph([(0, 0), (2, 0), (5, 0)], [0, 1, 2])
@@ -113,7 +115,7 @@ class TestBuildGraph:
             graph = random_episode(rng)[0]
             if graph.n_alive > 1:
                 for agent in graph.ids:
-                    assert len(graph.neighbors(agent)) >= 1
+                    assert len(neighbors(graph, agent)) >= 1
 
     def test_symmetry_and_relabel_invariance(self):
         rng = np.random.default_rng(1)
@@ -238,26 +240,26 @@ class TestInfoFlow:
         return cg.build_graph([(0, 0), (2, 0), (5, 0)], [0, 1, 2])
 
     def test_direct_t0(self):
-        assert cg.info_direct([self.chain()], 0, 0) == {(0, 0), (1, 0)}
+        assert info_direct([self.chain()], 0, 0) == {(0, 0), (1, 0)}
 
     def test_direct_t1_reaches_second_order(self):
         hist = [self.chain(), self.chain()]
         expected = {(0, 1), (1, 1), (0, 0), (1, 0), (2, 0)}
-        assert cg.info_direct(hist, 0, 1) == expected
+        assert info_direct(hist, 0, 1) == expected
 
     def test_fully_connected_saturates(self):
         hist = [cg.fully_connected(4) for _ in range(3)]
-        got = cg.info_direct(hist, 2, 2)
+        got = info_direct(hist, 2, 2)
         assert got == {(j, k) for j in range(4) for k in range(3)}
 
     def test_short_history_rejected(self):
         with pytest.raises(DataError):
-            cg.info_direct([self.chain()], 0, 1)
+            info_direct([self.chain()], 0, 1)
 
     def test_recursive_first_step_parts(self):
         graph = self.chain()
         prev = {i: frozenset() for i in graph.ids}
-        out = cg.info_recursive(prev, graph, 0)
+        out = info_recursive(prev, graph, 0)
         assert out[1].recurrent == frozenset()
         assert out[1].flow == {(0, 0), (1, 0), (2, 0)}
         assert out[1].total == out[1].flow
@@ -265,7 +267,7 @@ class TestInfoFlow:
     def test_missing_previous_set_rejected(self):
         graph = self.chain()
         with pytest.raises(ProtocolError):
-            cg.info_recursive({0: frozenset()}, graph, 0)
+            info_recursive({0: frozenset()}, graph, 0)
 
     def test_isolated_pair_stays_isolated(self):
         # hand-built graph with two components; the union cannot cross them
@@ -275,7 +277,7 @@ class TestInfoFlow:
         g = cg.NeighborGraph(ids=(0, 1, 2, 3), adj=adj)
         sets = {i: frozenset() for i in g.ids}
         for t in range(4):
-            out = cg.info_recursive(sets, g, t)
+            out = info_recursive(sets, g, t)
             sets = {i: p.total for i, p in out.items()}
             assert all(j in (0, 1) for j, _ in sets[0])
             assert all(j in (2, 3) for j, _ in sets[3])
@@ -286,11 +288,11 @@ class TestInfoFlow:
             history = random_episode(rng)
             sets = {i: frozenset() for i in history[0].ids}
             for t, graph in enumerate(history):
-                stepped = cg.info_recursive(
+                stepped = info_recursive(
                     {i: sets.get(i, frozenset()) for i in graph.ids}, graph, t)
                 sets = {i: parts.total for i, parts in stepped.items()}
                 for agent in graph.ids:
-                    assert sets[agent] == cg.info_direct(history, agent, t), \
+                    assert sets[agent] == info_direct(history, agent, t), \
                         f"mismatch at t={t}, agent={agent}"
 
     def test_monotone_growth_under_static_graph(self):
@@ -298,7 +300,7 @@ class TestInfoFlow:
         sets = {i: frozenset() for i in graph.ids}
         previous = dict(sets)
         for t in range(5):
-            out = cg.info_recursive(sets, graph, t)
+            out = info_recursive(sets, graph, t)
             sets = {i: p.total for i, p in out.items()}
             for agent in graph.ids:
                 assert previous[agent] <= sets[agent]

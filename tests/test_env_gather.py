@@ -319,6 +319,29 @@ class TestBatchedObserve:
         assert calls == ["observe", "step"] * (len(calls) // 2) and calls
 
 
+class TestWindowCodec:
+    @given(case=observed_worlds())
+    @settings(max_examples=80, deadline=None)
+    def test_decoded_codes_equal_observe(self, case):
+        world, ids = case
+        windows = eg.observe(world, ids)
+        codes = eg.encode_windows(windows, world.config)
+        positions = (world.agent_positions(ids) / (world.config.map_size - 1)).astype(np.float32)
+        decoded = eg.decode_windows(codes, positions, world.config)
+        assert codes.dtype == np.uint8 and decoded.dtype == np.float32
+        assert np.array_equal(decoded, windows)
+        out = np.full((len(ids) + 2, world.config.obs_dim), np.nan, dtype=np.float32)
+        eg.decode_windows(codes, positions, world.config, out=out[:len(ids)])
+        assert np.array_equal(out[:len(ids)], windows) and np.isnan(out[len(ids):]).all()
+
+    def test_float32_division_is_the_observed_value_for_every_hp(self):
+        # decode divides in float32; observe rounds the float64 quotient
+        k = np.arange(256)
+        for hp in range(1, 256):
+            assert np.array_equal(k.astype(np.float32) / np.float32(hp),
+                                  (k / hp).astype(np.float32)), hp
+
+
 ATTACK_UP, ATTACK_DOWN, ATTACK_LEFT, ATTACK_RIGHT = 28, 29, 30, 31
 
 
@@ -420,6 +443,16 @@ class TestStep:
         move_up = eg.MOVE_OFFSETS.index((0, -3))
         eg.step(world, np.array([move_up]))
         assert (world.units[0].x, world.units[0].y) == (0, 0)
+
+    def test_results_compare_without_raising(self):
+        # array fields have no single truth value, so results compare by identity
+        results = []
+        for _ in range(2):
+            world = eg.new_world(eg.preset("desk-random-12", seed=0))
+            results.append(eg.step(world, np.full(len(world.alive_agents()), eg.NOOP_INDEX)))
+        r1, r2 = results
+        assert len(r1.ids) > 1
+        assert r1 == r1 and not r1 == r2 and r1 != r2
 
     def test_protocol_errors(self):
         world = world_with([(eg.OMNIVORE, 5, 5), (eg.OMNIVORE, 7, 7), (eg.FOOD, 9, 9)])

@@ -10,7 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nviflab.env_gather import N_ACTIONS, NOOP_INDEX, new_world, observe, preset, step
+from nviflab.env_gather import (
+    N_ACTIONS,
+    NOOP_INDEX,
+    decode_windows,
+    new_world,
+    observe,
+    preset,
+    step,
+)
 from nviflab.errors import ConfigError, DataError
 from nviflab.harness import (
     PolicyBundle,
@@ -21,8 +29,25 @@ from nviflab.harness import (
     scalability_matrix,
 )
 from nviflab.harness.cli import main as cli_main
-from nviflab.diffcore import load_checkpoint, optimizer_step, save_checkpoint
-from nviflab.nvif import NvifConfig, NvifEncoder, ObsVaeHyper, PretrainHyper
+from nviflab.diffcore import (
+    Tensor,
+    backward,
+    bce_loss,
+    gaussian_sample,
+    load_checkpoint,
+    mul,
+    optimizer_step,
+    save_checkpoint,
+)
+from nviflab.nvif import (
+    NvifConfig,
+    NvifEncoder,
+    ObsCompressor,
+    ObsVaeConfig,
+    ObsVaeHyper,
+    PretrainHyper,
+    kl_standard_normal,
+)
 from nviflab.policy import (
     ActorCritic,
     DQNHyper,
@@ -33,7 +58,14 @@ from nviflab.policy import (
     train_ppo,
 )
 
-from conftest import EpisodeSpy, episode_metrics, read_replay, ring_spy
+from conftest import (
+    EpisodeSpy,
+    episode_metrics,
+    linux_only,
+    read_replay,
+    ring_spy,
+    run_capped,
+)
 
 
 def write_config(path, **overrides):
@@ -147,6 +179,33 @@ def _corpus_oracle(task_cfg, episodes, rng, max_samples):
     return np.concatenate(rows)
 
 
+def float_rows_train(compressor, rows, hyper):
+    """:meth:`ObsCompressor.train` on float32 window rows, one fancy-indexed
+    copy per shuffled minibatch: the oracle of training on the coded corpus."""
+    rng = np.random.default_rng(hyper.seed)
+    history = []
+    for epoch in range(hyper.epochs):
+        order = rng.permutation(rows.shape[0])
+        recon_sum = kl_sum = 0.0
+        n_batches = 0
+        for lo in range(0, len(order), hyper.batch_size):
+            batch = rows[order[lo:lo + hyper.batch_size]]
+            mu, log_sigma = compressor._encode(Tensor(batch))
+            z = gaussian_sample(mu, log_sigma, rng=rng)
+            recon = mul(bce_loss(batch, compressor._decode(z)), float(compressor.config.obs_dim))
+            kl = kl_standard_normal(mu, log_sigma)
+            compressor.store.zero_grad()
+            backward(recon + kl)
+            optimizer_step(compressor.store, lr=hyper.lr)
+            recon_sum += float(recon.data)
+            kl_sum += float(kl.data)
+            n_batches += 1
+        history.append({"epoch": epoch, "recon": recon_sum / n_batches,
+                        "kl": kl_sum / n_batches})
+    compressor.trained = True
+    return history
+
+
 class TestObsCorpus:
     @settings(max_examples=12, deadline=None)
     @given(episodes=st.integers(1, 2), max_samples=st.none() | st.integers(1, 400),
@@ -154,11 +213,69 @@ class TestObsCorpus:
     def test_rows_are_the_first_windows_in_order(self, tiny_task, episodes, max_samples,
                                                  seed):
         # a limit inside a step's window, past every window, or none; the
-        # corpus owns its rows, so it keeps no larger array alive
-        got = collect_obs_corpus(tiny_task, episodes, np.random.default_rng(seed), max_samples)
-        want = _corpus_oracle(tiny_task, episodes, np.random.default_rng(seed), max_samples)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert got.flags.owndata
+        # codes own their rows, so they keep no larger array alive
+        rng = np.random.default_rng(seed)
+        got = collect_obs_corpus(tiny_task, episodes, rng, max_samples)
+        want_rng = np.random.default_rng(seed)
+        want = _corpus_oracle(tiny_task, episodes, want_rng, max_samples)
+        assert got.codes.dtype == np.uint8 and got.positions.dtype == np.float32
+        assert (got.hp_omnivore, got.hp_food) == (tiny_task.hp_omnivore, tiny_task.hp_food)
+        assert np.array_equal(decode_windows(got.codes, got.positions, got), want)
+        assert got.codes.flags.owndata and got.positions.flags.owndata
+        # the same draws: a caller's stream goes on as it did with the float rows
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+
+    @settings(max_examples=8, deadline=None)
+    @given(max_samples=st.integers(1, 700), batch_size=st.integers(1, 300),
+           seed=st.integers(0, 2 ** 16))
+    def test_training_equals_training_on_float_rows(self, tiny_task, max_samples, batch_size,
+                                                    seed):
+        # a last minibatch shorter than the others, or one batch larger than
+        # the corpus: the reused batch buffer must give the float rows' bytes
+        corpus = collect_obs_corpus(tiny_task, 2, np.random.default_rng(seed), max_samples)
+        rows = _corpus_oracle(tiny_task, 2, np.random.default_rng(seed), max_samples)
+        hyper = ObsVaeHyper(epochs=2, lr=2e-3, batch_size=batch_size, seed=seed)
+        config = ObsVaeConfig(obs_dim=tiny_task.obs_dim, latent_width=4, hidden_width=16)
+        coded = ObsCompressor(config, np.random.default_rng(seed))
+        floats = ObsCompressor(config, np.random.default_rng(seed))
+        assert coded.train(corpus, hyper) == float_rows_train(floats, rows, hyper)
+        for name in coded.store.names():
+            assert coded.store[name].data.tobytes() == floats.store[name].data.tobytes()
+
+    def test_empty_or_misfit_corpus_rejected(self, tiny_task):
+        corpus = collect_obs_corpus(tiny_task, 1, np.random.default_rng(0), 10)
+        comp = ObsCompressor(ObsVaeConfig(obs_dim=tiny_task.obs_dim), np.random.default_rng(0))
+        for codes in (corpus.codes[:0], corpus.codes[:, 1:], corpus.codes[0]):
+            with pytest.raises(DataError, match="corpus"):
+                comp.train(replace(corpus, codes=codes), ObsVaeHyper(epochs=1))
+
+
+# The obs-VAE set-up of the CLI's defaults, under an address-space cap in its
+# own process: a corpus of 30,000 normal-large windows (60 episodes at most)
+# and one training epoch. VmPeak with one BLAS thread (CPython 3.11, numpy
+# 2.4, OpenBLAS) is 166.2 MiB with the corpus as uint8 codes decoded per
+# minibatch, and 246.6 MiB with the corpus as float32 windows.
+OBS_VAE_GATE_MIB = 200
+_OBS_VAE_SCRIPT = """
+import resource, sys
+limit = int(sys.argv[1]) * 2 ** 20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+import numpy as np
+from nviflab.env_gather import preset
+from nviflab.harness import collect_obs_corpus
+from nviflab.nvif import ObsCompressor, ObsVaeConfig, ObsVaeHyper
+
+task = preset("normal-large", seed=0)
+rng = np.random.default_rng(0)
+corpus = collect_obs_corpus(task, episodes=60, rng=rng, max_samples=30_000)
+comp = ObsCompressor(ObsVaeConfig(obs_dim=task.obs_dim), rng)
+comp.train(corpus, ObsVaeHyper(epochs=1))
+"""
+
+
+@linux_only
+def test_paper_scale_obs_vae_within_address_space_gate():
+    run_capped(_OBS_VAE_SCRIPT, OBS_VAE_GATE_MIB)
 
 
 class TestCliExitCodes:

@@ -2,6 +2,7 @@
 import importlib
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from nviflab.env_gather import (
     N_ACTIONS,
     TaskConfig,
     decode_windows,
-    level_table,
     new_world,
     observe,
     preset,
@@ -23,7 +23,6 @@ from nviflab.env_gather import (
 )
 from nviflab.errors import ConfigError, DataError, ProtocolError, ShapeError, StateError
 from nviflab.nvif import (
-    EpisodeRecord,
     NvifConfig,
     NvifEncoder,
     ObsCompressor,
@@ -377,7 +376,8 @@ class TestObsCompressor:
         from nviflab.harness.pipeline import collect_obs_corpus
         held_out = collect_obs_corpus(tiny_task, episodes=3,
                                       rng=np.random.default_rng(999), max_samples=800)
-        bce = reconstruction_bce(tiny_compressor, held_out)
+        rows = decode_windows(held_out.codes, held_out.positions, held_out)
+        bce = reconstruction_bce(tiny_compressor, rows)
         assert bce < np.log(2.0)
 
     def test_save_load(self, tmp_path, tiny_compressor, tiny_task):
@@ -449,13 +449,14 @@ class TestPretrain:
         from nviflab.nvif.pretrain import _batch_loss
         enc = tiny_encoder(np.random.default_rng(7), obs_feat=8,
                            obs_dim=tiny_task.obs_dim, dtype="float64")
-        sd, levels = small_buffer[0].steps[0], small_buffer[0].levels
+        first = small_buffer[0]
+        sd = first.steps[0]
         total, recon, kl, cons, n_slots = _batch_loss(
-            enc, [EpisodeRecord(steps=[sd], levels=levels)], alpha=0.1, recon_weight=2.0,
+            enc, [replace(first, steps=[sd])], alpha=0.1, recon_weight=2.0,
             rng=np.random.default_rng(0))
         _, dist = enc.step(sd.feats, enc.init_state(sd.ids), sd.ids,
                            (sd.adj_norm.astype(np.float64),), rng=np.random.default_rng(0))
-        obs = decode_windows(sd.raw_obs, sd.positions, levels)
+        obs = decode_windows(sd.raw_obs, sd.positions, first)
         r = dc.mean(recon_rows(obs, enc.decode(dist.latent, sd.positions)))
         k = dc.mean(kl_rows(dist.mu, dist.log_sigma))
         c = dc.mean(consistency_rows(dist.latent, _center(len(sd.ids))))
@@ -656,7 +657,7 @@ class TestBufferCodes:
     def test_decoded_windows_equal_observe(self, world):
         ids = world.alive_agents()
         sd = gather_step_data(world, ids, _ZeroCompressor())
-        decoded = decode_windows(sd.raw_obs, sd.positions, level_table(world.config))
+        decoded = decode_windows(sd.raw_obs, sd.positions, world.config)
         assert decoded.dtype == np.float32
         assert np.array_equal(decoded, observe(world, ids))
 
@@ -678,12 +679,12 @@ class TestBufferCodes:
             collect_pretrain_buffer(tiny_task, n_episodes, _ZeroCompressor(),
                                     np.random.default_rng(0))
 
-    def test_batch_of_different_level_tables_rejected(self, small_buffer, tiny_task):
-        other = EpisodeRecord(steps=small_buffer[1].steps,
-                              levels=small_buffer[1].levels[:, ::-1].copy())
-        with pytest.raises(DataError):
-            _batch_loss(tiny_encoder(obs_feat=8, obs_dim=tiny_task.obs_dim),
-                        [small_buffer[0], other], 0.1, 1.0, np.random.default_rng(0))
+    def test_batch_of_different_hp_rejected(self, small_buffer, tiny_task):
+        for hp in (dict(hp_omnivore=4), dict(hp_food=3)):
+            other = replace(small_buffer[1], **hp)
+            with pytest.raises(DataError, match="hp maxima"):
+                _batch_loss(tiny_encoder(obs_feat=8, obs_dim=tiny_task.obs_dim),
+                            [small_buffer[0], other], 0.1, 1.0, np.random.default_rng(0))
 
 
 def full_tape_batch_loss(encoder, episodes, alpha, recon_weight, rng):
@@ -697,7 +698,7 @@ def full_tape_batch_loss(encoder, episodes, alpha, recon_weight, rng):
         sizes = [len(sd.ids) for _, sd in live]
         keys = [(i, a) for i, sd in live for a in sd.ids]
         pos = np.concatenate([sd.positions for _, sd in live])
-        raw = np.concatenate([decode_windows(sd.raw_obs, sd.positions, episodes[i].levels)
+        raw = np.concatenate([decode_windows(sd.raw_obs, sd.positions, episodes[i])
                               for i, sd in live])
         adj = tuple(sd.adj_norm.astype(dt) for _, sd in live)
         center = tuple(np.full((k, k), 1.0 / k, dtype=dt) for k in sizes)
