@@ -4,12 +4,19 @@ The graph rule: every agent classifies every other alive agent into one of
 four directions by dominant axis (vertical wins ties), keeps the squared-
 Euclidean-nearest candidate per direction (lowest id on distance ties), and
 the edge set is the symmetric closure of those picks. ``build_graph`` applies
-the rule in one dense numpy pass: contiguous (n, n) int64 offsets dx and dy,
-squared distances with each agent's own column set to the int64 maximum, then
-per direction mask (up -dy >= |dx|, down dy >= |dx|, left -dx > |dy|, right
-dx > |dy|) a row-wise argmin over columns sorted by id (lowest id first).
+the rule in one dense numpy pass. It subtracts the minimum coordinate, and
+the coordinate span then sets the width: at most 32767, every squared
+distance fits int32, so the (n, n) offsets dx, dy and ``d2 - 1`` are int32
+and the keys uint32; above it, int64 and uint64. One (4, n, n) key buffer
+serves all four directions: it takes each direction's mask (up -dy >= |dx|,
+down dy >= |dx|, left -dx > |dy|, right dx > |dy|), and two in-place ops
+make it ``(mask - 1) | (d2 - 1)``. A masked-out pair is then all ones, the
+"far" sentinel, and so is an agent's own pair, whose ``d2 - 1`` wraps (so
+positions must be distinct). A row-wise argmin over columns sorted by id
+(lowest id first) picks each direction's neighbor, where one is not far.
 ``tests/test_commgraph.py`` keeps the per-pair loop as its reference oracle,
-and ``tests/conftest.py`` the information-flow oracle over graph histories.
+and ``tests/conftest.py`` the information-flow oracle over graph histories and
+the ``np.eye`` form of ``normalize``.
 """
 from __future__ import annotations
 
@@ -44,23 +51,30 @@ def build_graph(positions, ids) -> NeighborGraph:
     pos = np.asarray(positions, dtype=np.int64)
     if pos.shape != (n, 2):
         raise DataError(f"build_graph: expected {n} positions, got shape {pos.shape}")
+    lo = pos.min()
+    signed, unsigned = ((np.int32, np.uint32) if pos.max() - lo <= 32767
+                        else (np.int64, np.uint64))
+    pos = (pos - lo).astype(signed)
     # columns in (id, index) order: argmin's first minimum is the lowest id
     order = np.argsort(np.asarray(ids), kind="stable")
     x, y = pos[:, 0], pos[:, 1]
     dx, dy = x[order] - x[:, None], y[order] - y[:, None]
     ax, ay = np.abs(dx), np.abs(dy)
-    rows = np.arange(n)
-    far = np.iinfo(np.int64).max
-    d2 = dx * dx + dy * dy
-    d2[rows, np.argsort(order)] = far  # an agent never picks itself
-    adj = np.zeros((n, n), dtype=bool)
+    d2 = dx * dx
+    d2 += dy * dy
+    d2 -= 1  # an agent's own pair wraps to the far sentinel: it never picks itself
+    key = np.empty((4, n, n), dtype=unsigned)
     # up, down, left, right: the dominant axis, vertical on ties
-    for mask in (-dy >= ax, dy >= ax, -dx > ay, dx > ay):
-        key = np.where(mask, d2, far)
-        pick = key.argmin(axis=1)
-        hit = key[rows, pick] < far
-        adj[rows[hit], order[pick[hit]]] = True
-    adj |= adj.T
+    for k, mask in enumerate((-dy >= ax, dy >= ax, -dx > ay, dx > ay)):
+        key[k] = mask
+    key -= 1
+    key |= d2.view(unsigned)
+    pick = key.argmin(axis=2)
+    hit = np.take_along_axis(key, pick[..., None], axis=2)[..., 0] != np.iinfo(unsigned).max
+    rows, cols = np.nonzero(hit)[1], order[pick[hit]]
+    adj = np.zeros((n, n), dtype=bool)
+    adj[rows, cols] = True
+    adj[cols, rows] = True
     return NeighborGraph(ids=ids, adj=adj)
 
 
@@ -82,6 +96,9 @@ def normalize(graph: NeighborGraph) -> np.ndarray:
 
     Self-loops make every degree positive, so the result is always defined.
     """
-    g_tilde = graph.adj.astype(np.float64) + np.eye(graph.n_alive)
+    g_tilde = graph.adj.astype(np.float64)
+    np.fill_diagonal(g_tilde, 1.0)  # adj has a zero diagonal: this is G + I
     inv_sqrt_deg = 1.0 / np.sqrt(g_tilde.sum(axis=1))
-    return g_tilde * inv_sqrt_deg[:, None] * inv_sqrt_deg[None, :]
+    g_tilde *= inv_sqrt_deg[:, None]
+    g_tilde *= inv_sqrt_deg[None, :]
+    return g_tilde

@@ -48,7 +48,7 @@ from .losses import NvifLossReport, consistency_rows, kl_rows, recon_rows
 from .obs_vae import ObsCompressor
 
 
-@dataclass
+@dataclass(eq=False)  # array fields have no single truth value
 class StepData:
     ids: tuple[int, ...]
     raw_obs: np.ndarray        # (n, 5*w*w) uint8 grid codes; see encode_windows
@@ -57,7 +57,7 @@ class StepData:
     adj_norm: np.ndarray       # (n, n)
 
 
-@dataclass
+@dataclass(eq=False)  # its steps hold arrays
 class EpisodeRecord:
     steps: list[StepData]
     hp_omnivore: int           # the task's hp maxima, which raw_obs counts in

@@ -1,6 +1,5 @@
 """Trainers: clipped-surrogate policy optimization, Q-learning, baselines."""
 from .actor_critic import ActorCritic, PolicyConfig
-from .alignment import AlignmentReport, alignment_check
 from .dqn import DQNHyper, DQNResult, QNetwork, ReplayRing, epsilon_at, q_target, train_dqn
 from .ppo import (
     METRIC_COLUMNS,
@@ -17,9 +16,9 @@ from .providers import EmptyLatents, MeanObsLatents, NvifLatents, featurize, mak
 from .returns import compute_gae
 
 __all__ = [
-    "ActorCritic", "AlignmentReport", "DQNHyper", "DQNResult", "EmptyLatents",
+    "ActorCritic", "DQNHyper", "DQNResult", "EmptyLatents",
     "METRIC_COLUMNS", "MeanObsLatents", "NvifLatents", "PPOHyper", "PPOResult",
-    "PolicyConfig", "QNetwork", "ReplayRing", "alignment_check", "clipped_term",
+    "PolicyConfig", "QNetwork", "ReplayRing", "clipped_term",
     "collect_episode", "compute_gae", "critic_loss",
     "epsilon_at", "featurize", "make_provider",
     "ppo_actor_objective", "q_target", "train_dqn", "train_ppo",

@@ -1,4 +1,5 @@
-"""Executable check that per-agent and team clipped-gradient directions agree.
+"""Executable form of the NVIF-PPO cooperation analysis: per-agent and team
+clipped-gradient directions agree.
 
 For an additive task (team reward a positive-weighted sum of agent rewards)
 the team advantage is the same weighted sum of agent advantages. The exact

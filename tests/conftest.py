@@ -133,6 +133,15 @@ def reconstruction_bce(compressor, obs_flat):
         return float(dc.bce_loss(x, compressor._decode(mean)).data)
 
 
+def eye_normalize(graph) -> np.ndarray:
+    """Oracle: D^{-1/2} (G + I) D^{-1/2} with an n x n ``np.eye`` for the
+    self-loops and out-of-place scalings; ``commgraph.normalize``, which
+    scales its copy in place, must match it bit for bit."""
+    g_tilde = graph.adj.astype(np.float64) + np.eye(graph.n_alive)
+    inv_sqrt_deg = 1.0 / np.sqrt(g_tilde.sum(axis=1))
+    return g_tilde * inv_sqrt_deg[:, None] * inv_sqrt_deg[None, :]
+
+
 def neighbors(graph, agent_id: int) -> list[int]:
     """The ids adjacent to ``agent_id`` in a :class:`commgraph.NeighborGraph`,
     in row order."""

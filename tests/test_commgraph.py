@@ -1,13 +1,14 @@
 """Neighbor graph construction, normalization, and info-flow equivalence."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nviflab import commgraph as cg
 from nviflab.errors import DataError, ProtocolError
 
-from conftest import info_direct, info_recursive, neighbors
+from conftest import eye_normalize, info_direct, info_recursive, neighbors
 
 
 def direction(dx, dy):
@@ -176,6 +177,27 @@ class TestGraphRuleProperties:
                                       loop_adjacency(shifted, ids))
 
     @settings(max_examples=60, deadline=None)
+    @given(layouts(), st.sampled_from([32767, 32768, 46341]), st.integers(-2 ** 40, 2 ** 40))
+    @example(([(0, 0), (1, 1), (0, 1), (1, 0)], [40, 7, 12, 3]), 32767, 2 ** 40)
+    @example(([(0, 0), (1, 1), (0, 1), (1, 0)], [40, 7, 12, 3]), 32768, -2 ** 40)
+    @example(([(0, 0), (1, 1), (0, 1), (1, 0)], [40, 7, 12, 3]), 46341, 0)
+    def test_spans_at_the_32_bit_bound_match_loop_oracle(self, layout, span, offset):
+        # build_graph takes 32-bit keys while the coordinate span is at most
+        # 32767 and 64-bit ones above it; from span 46341 on, 2 * span**2
+        # no longer fits 32 unsigned bits. Stretch the layout to exactly one
+        # of these spans, far from 0 (opposite corners give the largest d2)
+        positions, ids = layout
+        lo = min(min(p) for p in positions)
+        hi = max(max(p) for p in positions)
+
+        def stretched(c):
+            return offset + ((c - lo) * span // (hi - lo) if hi > lo else 0)
+
+        shifted = [(stretched(x), stretched(y)) for x, y in positions]
+        np.testing.assert_array_equal(cg.build_graph(shifted, ids).adj,
+                                      loop_adjacency(shifted, ids))
+
+    @settings(max_examples=60, deadline=None)
     @given(layouts())
     def test_symmetric_zero_diagonal(self, layout):
         g = cg.build_graph(*layout)
@@ -219,6 +241,15 @@ class TestNormalize:
             graph = random_episode(rng)[0]
             eig = np.linalg.eigvalsh(cg.normalize(graph))
             assert np.all(eig >= -1.0 - 1e-9) and np.all(eig <= 1.0 + 1e-9)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 40).flatmap(lambda n: arrays(bool, (n, n))))
+    def test_matches_eye_oracle_bit_for_bit(self, cells):
+        upper = np.triu(cells, 1)
+        graph = cg.NeighborGraph(ids=tuple(range(len(cells))), adj=upper | upper.T)
+        got = cg.normalize(graph)
+        assert got.dtype == np.float64
+        assert got.tobytes() == eye_normalize(graph).tobytes()
 
     def test_zero_pattern_matches_self_looped_graph(self):
         g = cg.build_graph([(0, 0), (2, 0), (5, 0)], [0, 1, 2])

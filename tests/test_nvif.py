@@ -673,6 +673,14 @@ class TestBufferCodes:
                      for a in (sd.raw_obs, sd.feats, sd.positions, sd.adj_norm))
         assert nbytes / sum(len(sd.ids) for sd in steps) <= 28 * cells / 4
 
+    def test_steps_and_episodes_compare_without_raising(self, small_buffer):
+        # array fields have no single truth value, so records compare by identity
+        first, second = small_buffer[0], small_buffer[1]
+        s1, s2 = first.steps[0], second.steps[0]
+        assert len(s1.ids) > 1 and len(s2.ids) > 1
+        assert s1 == s1 and not s1 == s2 and s1 != s2
+        assert first == first and not first == second and first != second
+
     @pytest.mark.parametrize("n_episodes", [0, -1])
     def test_zero_episodes_rejected(self, tiny_task, n_episodes):
         with pytest.raises(ConfigError, match="buffer_episodes"):

@@ -20,7 +20,6 @@ from nviflab.policy import (
     PPOHyper,
     QNetwork,
     ReplayRing,
-    alignment_check,
     clipped_term,
     collect_episode,
     compute_gae,
@@ -35,6 +34,7 @@ from nviflab.policy import (
 )
 from nviflab.policy.dqn import _flush
 
+from alignment import alignment_check
 from conftest import (
     EpisodeSpy,
     TwoArrayRing,
