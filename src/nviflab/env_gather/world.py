@@ -27,20 +27,30 @@ agent is dead.
 (n, 7*w*w) float32 matrix, one fancy index into a read-only (ms, ms, 5, w, w)
 window view of the kept grids. This module also owns their uint8 codec, which
 the obs-VAE corpus and the pre-training buffer store windows in:
-:func:`encode_windows` keeps the five grid channels as one code per cell (the
-hp count in the hp channels, 0/1 elsewhere), and :func:`decode_windows` turns
-the codes and the positions back into exactly the observed windows by a cast
-and one float32 division per hp channel: float32(k) / float32(hp) equals the
-observed float32(k / hp) for every hp and k up to 255.
+:func:`encode_windows` keeps only the two hp grids, omnivore hp and food hp,
+as one hp count per cell (2*w*w bytes a window), and :func:`decode_windows`
+rebuilds exactly the observed windows from them, the normalized positions and
+the map size. The other channels are functions of those:
+
+- a presence channel is its hp count > 0: a live unit has hp >= 1, a dead
+  one leaves both of its grids, and the observer's own cell is zero in both;
+- the out-of-bounds channel depends only on the agent's cell and the map
+  size: the cell is the rounded normalized position times (ms - 1), and its
+  window is read off a cached read-only window view of the static padded
+  wall plane, as :func:`observe` reads its windows;
+- an hp channel is its count cast to float32 and divided by the hp maximum
+  in float32: float32(k) / float32(hp) equals the observed float32(k / hp)
+  for every hp and k up to 255.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError, ProtocolError
+from ..errors import ConfigError, DataError, ProtocolError
 from .actions import ACTION_TABLE, KIND_ATTACK, KIND_MOVE, N_ACTIONS
 from .config import TaskConfig
 
@@ -50,6 +60,7 @@ FOOD = "food"
 EMPTY = -1
 
 GRID_CHANNELS = 5  # observe()'s grid channels; its last two repeat the position
+CODE_CHANNELS = 2  # encode_windows() keeps observe()'s two hp channels, 2 and 4
 
 
 @dataclass(frozen=True)
@@ -181,8 +192,7 @@ def _channel_grids(config: TaskConfig, pos, hp, alive) -> np.ndarray:
     """Padded (5, ms+2R, ms+2R) grids: obstacle, omnivore presence/hp, food presence/hp."""
     ms, r = config.map_size, config.view_radius
     padded = np.zeros((GRID_CHANNELS, ms + 2 * r, ms + 2 * r), dtype=np.float32)
-    padded[0] = 1.0
-    padded[0, r:r + ms, r:r + ms] = 0.0
+    padded[0] = _wall_windows(ms, r).base
     food = np.arange(len(pos)) >= config.n_omnivores
     top = np.where(food, config.hp_food, config.hp_omnivore)
     c = np.where(food, 3, 1)[alive]
@@ -220,31 +230,73 @@ def observe(world: GridWorld, ids) -> np.ndarray:
     return out.reshape(len(pos), -1)
 
 
-def encode_windows(windows: np.ndarray, config: TaskConfig) -> np.ndarray:
-    """(n, 5*w*w) uint8 grid codes of :func:`observe`'s windows: each grid
-    cell times its channel's hp maximum (1 outside the hp channels), in
-    float32, rounded; the position channels are left out
-    (:func:`decode_windows` takes the positions instead)."""
+@functools.lru_cache(maxsize=8)
+def _wall_windows(map_size: int, r: int) -> np.ndarray:
+    """Read-only (ms, ms, w, w) view: at [y, x], the out-of-bounds window
+    around cell (x, y), read off the padded (ms+2R, ms+2R) wall plane (its
+    ``base``), which holds 1 off the map and 0 on it."""
+    side, w = map_size + 2 * r, 2 * r + 1
+    plane = np.ones((side, side), dtype=np.float32)
+    plane[r:r + map_size, r:r + map_size] = 0.0
+    plane.flags.writeable = False
+    sy, sx = plane.strides
+    return np.ndarray((map_size, map_size, w, w), np.float32, plane, 0, (sy, sx, sy, sx))
+
+
+def _require_rows(name: str, a: np.ndarray, shape: tuple, dtype) -> None:
+    """Raise DataError unless ``a`` is a C-contiguous ``dtype`` array of ``shape``."""
+    if a.dtype != dtype or a.shape != shape or not a.flags.c_contiguous:
+        raise DataError(f"{name} must be a C-contiguous {np.dtype(dtype)} array of shape "
+                        f"{shape}, got {a.dtype} {a.shape}")
+
+
+def encode_windows(windows: np.ndarray, config: TaskConfig, out=None) -> np.ndarray:
+    """(n, 2*w*w) uint8 codes of :func:`observe`'s windows: the omnivore hp
+    and food hp channels, each cell times its channel's hp maximum in
+    float32, rounded. Written into ``out`` when given (a C-contiguous uint8
+    array of that shape). The other channels are left out; see
+    :func:`decode_windows`."""
     n, cells = windows.shape[0], config.window ** 2
-    grid = windows[:, :GRID_CHANNELS * cells].reshape(n, GRID_CHANNELS, cells)
-    scale = np.array([1, 1, config.hp_omnivore, 1, config.hp_food], dtype=np.float32)
-    return np.rint(grid * scale[:, None]).astype(np.uint8).reshape(n, -1)
+    if out is None:
+        out = np.empty((n, CODE_CHANNELS * cells), dtype=np.uint8)
+    _require_rows("encode_windows out", out, (n, CODE_CHANNELS * cells), np.uint8)
+    hp = windows[:, :GRID_CHANNELS * cells].reshape(n, GRID_CHANNELS, cells)[:, 2::2]
+    scale = np.array([config.hp_omnivore, config.hp_food], dtype=np.float32)
+    np.rint(hp * scale[:, None], out=out.reshape(n, CODE_CHANNELS, cells), casting="unsafe")
+    return out
 
 
 def decode_windows(codes: np.ndarray, positions: np.ndarray, config, out=None) -> np.ndarray:
-    """The float32 observation windows (n, 7*w*w) of grid codes (n, 5*w*w)
-    and normalized positions (n, 2), written into ``out`` when given (a
+    """The float32 observation windows (n, 7*w*w) of codes (n, 2*w*w) and
+    normalized positions (n, 2), written into ``out`` when given (a
     C-contiguous float32 array of that shape). ``config`` is the task's
-    :class:`TaskConfig`, or a record carrying its ``hp_omnivore`` and
-    ``hp_food``: the codes are cast to float32 and the hp channels divided
-    by their hp maximum, which is exact (see the module docstring)."""
-    n, cells = codes.shape[0], codes.shape[1] // GRID_CHANNELS
+    :class:`TaskConfig`, or a record carrying its ``hp_omnivore``,
+    ``hp_food`` and ``map_size``. The rebuild is exact; see the module
+    docstring. Codes that are not 2*w*w wide for an odd w, positions off the
+    map or a misfit ``out`` raise DataError."""
+    if codes.ndim != 2:
+        raise DataError(f"window codes must be (n, 2*w*w), got shape {codes.shape}")
+    n, cells = codes.shape[0], codes.shape[1] // CODE_CHANNELS
+    w = math.isqrt(cells)
+    if CODE_CHANNELS * w * w != codes.shape[1] or w % 2 == 0:
+        raise DataError(f"window codes must be 2*w*w wide for an odd w, got {codes.shape[1]}")
+    if positions.shape != (n, 2):
+        raise DataError(f"positions must be ({n}, 2), got {positions.shape}")
+    ms = config.map_size
+    xy = np.rint(positions * (ms - 1)).astype(np.intp)
+    if n and not (0 <= xy.min() and xy.max() < ms):
+        raise DataError(f"normalized positions must lie in [0, 1], got {positions.min()} "
+                        f"to {positions.max()}")
     if out is None:
         out = np.empty((n, (GRID_CHANNELS + 2) * cells), dtype=np.float32)
+    _require_rows("decode_windows out", out, (n, (GRID_CHANNELS + 2) * cells), np.float32)
     view = out.reshape(n, GRID_CHANNELS + 2, cells)
-    view[:, :GRID_CHANNELS] = codes.reshape(n, GRID_CHANNELS, cells)
-    view[:, 2] /= np.float32(config.hp_omnivore)
-    view[:, 4] /= np.float32(config.hp_food)
+    hp = codes.reshape(n, CODE_CHANNELS, cells)
+    view[:, 0] = _wall_windows(ms, w // 2)[xy[:, 1], xy[:, 0]].reshape(n, cells)
+    np.greater(hp, 0, out=view[:, 1:GRID_CHANNELS:2])
+    # uint8 codes over a float32 scalar run numpy's float32 loop: float32(k) / float32(hp)
+    np.divide(hp[:, 0], np.float32(config.hp_omnivore), out=view[:, 2])
+    np.divide(hp[:, 1], np.float32(config.hp_food), out=view[:, 4])
     view[:, GRID_CHANNELS:] = positions[:, :, None]
     return out
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from ..env_gather import N_ACTIONS, encode_windows, new_world, observe, step
-from ..env_gather.world import GRID_CHANNELS
+from ..env_gather.world import CODE_CHANNELS, GRID_CHANNELS
 from ..errors import ConfigError, require_counts
 from ..nvif import (
     NvifConfig,
@@ -27,20 +27,21 @@ from .config import ALGORITHMS, ExperimentConfig
 def collect_obs_corpus(task_cfg, episodes: int, rng: np.random.Generator,
                        max_samples: int | None = None) -> ObsCorpus:
     """Observation windows from random-policy play, in the order observed,
-    coded as they are observed: their uint8 grid codes
+    coded as they are observed: their uint8 hp-count codes
     (:func:`env_gather.encode_windows`), the normalized positions read from
-    their position channels, and the task's hp maxima. With
+    their position channels, and the task's hp maxima and map size. With
     ``max_samples``, the first ``max_samples`` windows.
 
-    Both codes and positions are written into arrays sized for the most
-    windows the episodes can yield (every agent alive at every step, cut at
-    ``max_samples``) and shrunk to the rows filled."""
+    Both codes and positions are written, each step's straight from its
+    windows, into arrays sized for the most windows the episodes can yield
+    (every agent alive at every step, cut at ``max_samples``) and shrunk to
+    the rows filled."""
     limit = {} if max_samples is None else {"corpus_max_samples": max_samples}
     require_counts("obs_vae", corpus_episodes=episodes, **limit)
     room = episodes * task_cfg.max_steps * task_cfg.n_omnivores
     room = room if max_samples is None else min(room, max_samples)
     cells = task_cfg.window ** 2
-    codes = np.empty((room, GRID_CHANNELS * cells), dtype=np.uint8)
+    codes = np.empty((room, CODE_CHANNELS * cells), dtype=np.uint8)
     positions = np.empty((room, 2), dtype=np.float32)
     count = 0
     for _ in range(episodes):
@@ -48,7 +49,7 @@ def collect_obs_corpus(task_cfg, episodes: int, rng: np.random.Generator,
         while not world.done and count < room:
             ids = world.alive_agents()
             window = observe(world, ids)[:room - count]
-            codes[count:count + len(window)] = encode_windows(window, task_cfg)
+            encode_windows(window, task_cfg, out=codes[count:count + len(window)])
             positions[count:count + len(window)] = window[:, GRID_CHANNELS * cells::cells]
             count += len(window)
             step(world, rng.integers(0, N_ACTIONS, len(ids)))
@@ -58,7 +59,8 @@ def collect_obs_corpus(task_cfg, episodes: int, rng: np.random.Generator,
     # no second copy is made, as a slice's copy would
     codes.resize((count, codes.shape[1]), refcheck=False)
     positions.resize((count, 2), refcheck=False)
-    return ObsCorpus(codes, positions, task_cfg.hp_omnivore, task_cfg.hp_food)
+    return ObsCorpus(codes, positions, task_cfg.hp_omnivore, task_cfg.hp_food,
+                     task_cfg.map_size)
 
 
 def obs_vae_path(cfg: ExperimentConfig) -> Path:

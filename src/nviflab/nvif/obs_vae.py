@@ -7,11 +7,11 @@ per-cell Bernoulli logits, and the cross entropy is computed from them
 against the KL by summing the cross entropy over cells (the usual VAE
 convention), otherwise the prior collapses the code.
 
-It trains on an :class:`ObsCorpus`: the windows as the uint8 grid codes of
-:func:`env_gather.encode_windows` with their positions, at under a fifth of
-their float32 bytes. Each shuffled minibatch is decoded by
-:func:`env_gather.decode_windows` into one float32 batch buffer that training
-owns and reuses, so no float32 copy of the corpus is ever held.
+It trains on an :class:`ObsCorpus`: the windows as the uint8 hp-count codes
+of :func:`env_gather.encode_windows` with their positions, at 2*w*w + 8 bytes
+a window against the 28*w*w of float32 rows. Each shuffled minibatch is
+decoded by :func:`env_gather.decode_windows` into one float32 batch buffer
+that training owns and reuses, so no float32 copy of the corpus is ever held.
 """
 from __future__ import annotations
 
@@ -47,10 +47,11 @@ from .losses import kl_standard_normal
 @dataclass(eq=False)  # array fields have no single truth value
 class ObsCorpus:
     """Observation windows in the codec of :func:`env_gather.encode_windows`."""
-    codes: np.ndarray          # (n, 5*w*w) uint8 grid codes
+    codes: np.ndarray          # (n, 2*w*w) uint8 hp-count codes
     positions: np.ndarray      # (n, 2) float32 normalized positions
     hp_omnivore: int           # the task's hp maxima, which the codes count in
     hp_food: int
+    map_size: int              # the task's map, which the out-of-bounds channel follows
 
 
 @dataclass
@@ -129,8 +130,8 @@ class ObsCompressor:
         """Minimize summed-bce reconstruction + KL over shuffled minibatches."""
         hyper.validate()
         n, obs_dim = len(corpus.codes), self.config.obs_dim
-        if corpus.codes.ndim != 2 or n == 0 or 7 * corpus.codes.shape[1] != 5 * obs_dim:
-            raise DataError(f"obs-vae corpus must be (n, 5*w*w) codes of {obs_dim}-wide "
+        if corpus.codes.ndim != 2 or n == 0 or 7 * corpus.codes.shape[1] != 2 * obs_dim:
+            raise DataError(f"obs-vae corpus must be (n, 2*w*w) codes of {obs_dim}-wide "
                             f"windows, got {corpus.codes.shape}")
         rng = np.random.default_rng(hyper.seed)
         buffer = np.empty((min(n, hyper.batch_size), obs_dim), dtype=np.float32)

@@ -19,12 +19,12 @@ tape by :func:`diffcore.splice`. So the obs_dim-wide logits, targets and
 decoder activations live for one timestep, not for the whole batch, and the
 gradients are exactly those of the decoder on the batch tape.
 
-The buffer stores the observation windows as the uint8 grid codes of
-:func:`env_gather.encode_windows`, at a quarter of their float32 bytes or
-less; each episode keeps its task's hp maxima, and
-:func:`env_gather.decode_windows` rebuilds the observed windows exactly, by
-the same cast and division that decodes the obs-VAE corpus. So the episodes
-of one batch must share their hp maxima.
+The buffer stores the observation windows as the uint8 hp-count codes of
+:func:`env_gather.encode_windows`, 2*w*w bytes a window against the 28*w*w
+of float32 rows; each episode keeps its task's hp maxima and map size, and
+:func:`env_gather.decode_windows` rebuilds the observed windows exactly, as
+it decodes the obs-VAE corpus. So the episodes of one batch must share their
+hp maxima and map size.
 """
 from __future__ import annotations
 
@@ -51,7 +51,7 @@ from .obs_vae import ObsCompressor
 @dataclass(eq=False)  # array fields have no single truth value
 class StepData:
     ids: tuple[int, ...]
-    raw_obs: np.ndarray        # (n, 5*w*w) uint8 grid codes; see encode_windows
+    raw_obs: np.ndarray        # (n, 2*w*w) uint8 hp-count codes; see encode_windows
     feats: np.ndarray          # (n, obs_feat_width)
     positions: np.ndarray      # (n, 2) normalized
     adj_norm: np.ndarray       # (n, n)
@@ -62,6 +62,7 @@ class EpisodeRecord:
     steps: list[StepData]
     hp_omnivore: int           # the task's hp maxima, which raw_obs counts in
     hp_food: int
+    map_size: int              # the task's map, which the out-of-bounds channel follows
 
 
 @dataclass
@@ -112,7 +113,8 @@ def collect_pretrain_buffer(task_config, n_episodes: int, compressor: ObsCompres
             step(world, rng.integers(0, N_ACTIONS, len(ids)))
         if not steps:
             raise DataError("collected an episode with no alive agents at t=0")
-        buffer.append(EpisodeRecord(steps, task_config.hp_omnivore, task_config.hp_food))
+        buffer.append(EpisodeRecord(steps, task_config.hp_omnivore, task_config.hp_food,
+                                    task_config.map_size))
     return buffer
 
 
@@ -139,9 +141,9 @@ def _batch_loss(encoder: NvifEncoder, episodes: list[EpisodeRecord], alpha: floa
     (zero it before the call); backpropagating the loss adds the rest."""
     dt = encoder.config.np_dtype
     first = episodes[0]
-    if any((ep.hp_omnivore, ep.hp_food) != (first.hp_omnivore, first.hp_food)
-           for ep in episodes[1:]):
-        raise DataError("an episode batch mixes tasks with different hp maxima")
+    codec = (first.hp_omnivore, first.hp_food, first.map_size)
+    if any((ep.hp_omnivore, ep.hp_food, ep.map_size) != codec for ep in episodes[1:]):
+        raise DataError("an episode batch mixes tasks with different hp maxima or map sizes")
     n_slots = sum(len(ep.steps) for ep in episodes)
     t_max = max(len(ep.steps) for ep in episodes)
     centers = {}  # one (k, k) centering block per group size k

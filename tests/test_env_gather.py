@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from nviflab import env_gather as eg
 from nviflab.env_gather.world import _channel_grids, place_units
-from nviflab.errors import ConfigError, ProtocolError
+from nviflab.errors import ConfigError, DataError, ProtocolError
 
 from conftest import (
     action_array,
@@ -275,6 +275,31 @@ def observed_worlds(draw):
     return world, ids
 
 
+@st.composite
+def edge_worlds(draw):
+    """Worlds with an omnivore in each map corner and on each edge, over
+    small maps, the paper's 96-wide map and a large one, so that the windows
+    cover every side of the wall; food at drawn cells, crowding the borders,
+    and every unit at a drawn hp."""
+    map_size = draw(st.one_of(st.integers(8, 16), st.sampled_from([96, 1000])))
+    last = map_size - 1
+    along = st.integers(1, last - 1)
+    edges = [(0, 0), (last, 0), (0, last), (last, last),
+             (draw(along), 0), (draw(along), last), (0, draw(along)), (last, draw(along))]
+    coord = st.one_of(st.sampled_from([0, 1, last - 1, last]), st.integers(0, last))
+    food = [c for c in draw(st.lists(st.tuples(coord, coord), max_size=8, unique=True))
+            if c not in edges] or [(1, 1)]
+    world = world_with([(eg.OMNIVORE, x, y) for x, y in edges]
+                       + [(eg.FOOD, x, y) for x, y in food],
+                       map_size=map_size, view_radius=draw(st.integers(1, 6)),
+                       hp_omnivore=draw(st.integers(1, 255)), hp_food=draw(st.integers(2, 255)))
+    cfg = world.config
+    for i in range(len(world.hp)):
+        world.hp[i] = draw(st.integers(1, cfg.hp_omnivore if i < len(edges) else cfg.hp_food))
+    refresh_grids(world)
+    return world, draw(st.permutations(world.alive_agents()))
+
+
 class TestBatchedObserve:
     @given(case=observed_worlds())
     @settings(max_examples=80, deadline=None)
@@ -333,6 +358,64 @@ class TestWindowCodec:
         out = np.full((len(ids) + 2, world.config.obs_dim), np.nan, dtype=np.float32)
         eg.decode_windows(codes, positions, world.config, out=out[:len(ids)])
         assert np.array_equal(out[:len(ids)], windows) and np.isnan(out[len(ids):]).all()
+
+    @given(case=edge_worlds())
+    @settings(max_examples=40, deadline=None)
+    def test_wall_channel_rebuilt_at_every_edge_and_corner(self, case):
+        world, ids = case
+        cfg, n = world.config, len(ids)
+        windows = eg.observe(world, ids)
+        out = np.full((n + 1, 2 * cfg.window ** 2), 255, dtype=np.uint8)
+        rows = out[:n]
+        assert eg.encode_windows(windows, cfg, out=rows) is rows
+        assert (out[n] == 255).all()
+        assert np.array_equal(rows, eg.encode_windows(windows, cfg))
+        positions = (world.agent_positions(ids) / (cfg.map_size - 1)).astype(np.float32)
+        decoded = eg.decode_windows(rows, positions, cfg)
+        assert np.array_equal(decoded, windows)
+        assert decoded.reshape(n, 7, -1)[:, 0].any(axis=1).all()  # every window sees the wall
+
+    def test_cell_rounded_from_the_normalized_position(self):
+        # float32(7 / 23) * 23 falls just below 7, so a truncated cell would
+        # read the wall window of (6, 6), which a radius of 8 tells apart
+        world = world_with([(eg.OMNIVORE, 7, 7), (eg.OMNIVORE, 0, 0), (eg.FOOD, 12, 12)],
+                           map_size=24, view_radius=8)
+        ids = world.alive_agents()
+        cfg = world.config
+        positions = (world.agent_positions(ids) / (cfg.map_size - 1)).astype(np.float32)
+        assert int(positions[0, 0] * (cfg.map_size - 1)) == 6
+        windows = eg.observe(world, ids)
+        decoded = eg.decode_windows(eg.encode_windows(windows, cfg), positions, cfg)
+        assert np.array_equal(decoded, windows)
+
+    def test_misfit_codes_positions_or_out_rejected(self):
+        cfg = make_config()
+        world = eg.new_world(cfg)
+        ids = world.alive_agents()
+        n, cells = len(ids), cfg.window ** 2
+        windows = eg.observe(world, ids)
+        codes = eg.encode_windows(windows, cfg)
+        positions = (world.agent_positions(ids) / (cfg.map_size - 1)).astype(np.float32)
+        # the five-channel layout, an even window, a width of no window, one row
+        for bad in (np.zeros((n, 5 * cells), np.uint8), np.zeros((n, 2 * 16), np.uint8),
+                    np.zeros((n, 2 * cells + 1), np.uint8), codes[0]):
+            with pytest.raises(DataError, match="codes"):
+                eg.decode_windows(bad, positions, cfg)
+        for out in (np.empty((n, cfg.obs_dim), np.float64),
+                    np.empty((n + 1, cfg.obs_dim), np.float32),
+                    np.empty((n, 2 * cfg.obs_dim), np.float32)[:, ::2]):
+            with pytest.raises(DataError, match="out"):
+                eg.decode_windows(codes, positions, cfg, out=out)
+        for out in (np.empty((n, 2 * cells), np.int16), np.empty((n, 5 * cells), np.uint8)):
+            with pytest.raises(DataError, match="out"):
+                eg.encode_windows(windows, cfg, out=out)
+        for value in (1.5, -0.5):
+            off_map = positions.copy()
+            off_map[0, 0] = value
+            with pytest.raises(DataError, match="positions"):
+                eg.decode_windows(codes, off_map, cfg)
+        with pytest.raises(DataError, match="positions"):
+            eg.decode_windows(codes, positions[1:], cfg)
 
     def test_float32_division_is_the_observed_value_for_every_hp(self):
         # decode divides in float32; observe rounds the float64 quotient

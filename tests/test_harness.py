@@ -14,6 +14,7 @@ from nviflab.env_gather import (
     N_ACTIONS,
     NOOP_INDEX,
     decode_windows,
+    encode_windows,
     new_world,
     observe,
     preset,
@@ -219,7 +220,8 @@ class TestObsCorpus:
         want_rng = np.random.default_rng(seed)
         want = _corpus_oracle(tiny_task, episodes, want_rng, max_samples)
         assert got.codes.dtype == np.uint8 and got.positions.dtype == np.float32
-        assert (got.hp_omnivore, got.hp_food) == (tiny_task.hp_omnivore, tiny_task.hp_food)
+        assert ((got.hp_omnivore, got.hp_food, got.map_size)
+                == (tiny_task.hp_omnivore, tiny_task.hp_food, tiny_task.map_size))
         assert np.array_equal(decode_windows(got.codes, got.positions, got), want)
         assert got.codes.flags.owndata and got.positions.flags.owndata
         # the same draws: a caller's stream goes on as it did with the float rows
@@ -241,6 +243,19 @@ class TestObsCorpus:
         assert coded.train(corpus, hyper) == float_rows_train(floats, rows, hyper)
         for name in coded.store.names():
             assert coded.store[name].data.tobytes() == floats.store[name].data.tobytes()
+
+    def test_codes_encoded_straight_into_the_corpus_array(self, tiny_task, monkeypatch):
+        # no per-step code temporary: every step writes into rows of one array
+        pipeline = importlib.import_module("nviflab.harness.pipeline")
+        bases = []
+
+        def encode(windows, config, out=None):
+            bases.append(None if out is None else out.base)
+            return encode_windows(windows, config, out=out)
+
+        monkeypatch.setattr(pipeline, "encode_windows", encode)
+        corpus = collect_obs_corpus(tiny_task, 1, np.random.default_rng(0))
+        assert len(bases) > 1 and all(b is corpus.codes for b in bases)
 
     def test_empty_or_misfit_corpus_rejected(self, tiny_task):
         corpus = collect_obs_corpus(tiny_task, 1, np.random.default_rng(0), 10)

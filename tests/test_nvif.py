@@ -661,17 +661,22 @@ class TestBufferCodes:
         assert decoded.dtype == np.float32
         assert np.array_equal(decoded, observe(world, ids))
 
-    def test_buffer_bytes_within_a_quarter_of_float32_windows(self):
+    def test_buffer_bytes_within_a_seventh_of_float32_windows(self):
+        # the codes are two hp-count grids, 2*w*w bytes an agent: the five
+        # stored channels of 5*w*w bytes put a step of 29 agents at about 793
+        # bytes an agent, past this bound, and two grids at about 430
         task = preset("random-medium", seed=1, max_steps=10)
         buffer = collect_pretrain_buffer(task, 2, _ZeroCompressor(), np.random.default_rng(0))
         cells = task.window ** 2
         steps = [sd for ep in buffer for sd in ep.steps]
+        assert all(ep.map_size == task.map_size for ep in buffer)
         for sd in steps:
             assert sd.raw_obs.dtype == np.uint8
-            assert sd.raw_obs.shape == (len(sd.ids), 5 * cells)
+            assert sd.raw_obs.shape == (len(sd.ids), 2 * cells)
+            assert sd.raw_obs.nbytes == 2 * cells * len(sd.ids)
         nbytes = sum(a.nbytes for sd in steps
                      for a in (sd.raw_obs, sd.feats, sd.positions, sd.adj_norm))
-        assert nbytes / sum(len(sd.ids) for sd in steps) <= 28 * cells / 4
+        assert nbytes / sum(len(sd.ids) for sd in steps) <= 28 * cells / 7
 
     def test_steps_and_episodes_compare_without_raising(self, small_buffer):
         # array fields have no single truth value, so records compare by identity
@@ -693,6 +698,12 @@ class TestBufferCodes:
             with pytest.raises(DataError, match="hp maxima"):
                 _batch_loss(tiny_encoder(obs_feat=8, obs_dim=tiny_task.obs_dim),
                             [small_buffer[0], other], 0.1, 1.0, np.random.default_rng(0))
+
+    def test_batch_of_different_map_sizes_rejected(self, small_buffer, tiny_task):
+        other = replace(small_buffer[1], map_size=small_buffer[1].map_size + 1)
+        with pytest.raises(DataError, match="map sizes"):
+            _batch_loss(tiny_encoder(obs_feat=8, obs_dim=tiny_task.obs_dim),
+                        [small_buffer[0], other], 0.1, 1.0, np.random.default_rng(0))
 
 
 def full_tape_batch_loss(encoder, episodes, alpha, recon_weight, rng):
@@ -819,21 +830,23 @@ class TestBlockBatches:
 # Pre-training under an address-space cap, in its own process, so a memory
 # regression fails that process instead of exhausting the machine. Figures
 # are VmPeak with one BLAS thread (CPython 3.11, numpy 2.4, OpenBLAS).
-# - One random-medium epoch (8 episodes, batches of 4) peaks at 181 MiB, 32%
-#   below its cap. With the encoder step's graph-conv layers and GRU cell as
-#   nodes of their own it peaked at 192 MiB; with the graph-conv layer as a
-#   block product and a fused product-relu, a GRU cell that saves its gates
-#   and the KL rows as nine nodes at 221 MiB; with the product-relu, the
-#   latent sample and the consistency term as composite nodes as well at
-#   240 MiB, with the decoder on the batch tape as well at 365 MiB, and with
-#   float32 windows in the buffer as well at 427 MiB.
+# - One random-medium epoch (8 episodes, batches of 4) peaks at 172.5 MiB, 32%
+#   below its cap. With five stored grid channels in the buffer's codes in
+#   place of the two hp grids it peaked at 181 MiB; with the encoder step's
+#   graph-conv layers and GRU cell as nodes of their own as well at 192 MiB;
+#   with the graph-conv layer as a block product and a fused product-relu, a
+#   GRU cell that saves its gates and the KL rows as nine nodes at 221 MiB;
+#   with the product-relu, the latent sample and the consistency term as
+#   composite nodes as well at 240 MiB, with the decoder on the batch tape as
+#   well at 365 MiB, and with float32 windows in the buffer as well at 427 MiB.
 # - One paper-scale batch (16 random-large episodes of 49 agents) peaks at
-#   336-337 MiB, 24% below its cap. With the layers and the cell as nodes of
-#   their own it peaked at 409 MiB, with those three nodes as before at
-#   612 MiB, with the composite nodes as well at 726 MiB, and with a dense
-#   (N, N) matrix over the stacked agents per timestep as well at 1195 MiB.
-GATE_MIB = 266
-LARGE_GATE_MIB = 442
+#   314 MiB, 24% below its cap. With five stored grid channels it peaked at
+#   336-337 MiB, with the layers and the cell as nodes of their own as well
+#   at 409 MiB, with those three nodes as before at 612 MiB, with the
+#   composite nodes as well at 726 MiB, and with a dense (N, N) matrix over
+#   the stacked agents per timestep as well at 1195 MiB.
+GATE_MIB = 254
+LARGE_GATE_MIB = 412
 _GATE_SCRIPT = """
 import resource, sys
 limit = int(sys.argv[1]) * 2 ** 20
