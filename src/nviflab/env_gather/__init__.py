@@ -1,5 +1,5 @@
 """Gather grid-world: tasks, the action table, observations and their uint8
-codec, array-native stepping, replays."""
+window codes, array-native stepping, replays."""
 from .actions import (
     ACTION_TABLE,
     ATTACK_OFFSETS,
@@ -20,15 +20,15 @@ from .world import (
     StepResult,
     Unit,
     decode_windows,
-    encode_windows,
     new_world,
     observe,
     step,
+    window_codes,
 )
 
 __all__ = [
     "ACTION_TABLE", "ATTACK_OFFSETS", "EMPTY", "FOOD", "GridWorld", "KIND_ATTACK",
     "KIND_MOVE", "KIND_NOOP", "MOVE_OFFSETS", "N_ACTIONS", "NOOP_INDEX", "OMNIVORE",
     "ReplayWriter", "StepResult", "TaskConfig", "Unit", "decode_windows",
-    "encode_windows", "new_world", "observe", "preset", "step",
+    "new_world", "observe", "preset", "step", "window_codes",
 ]

@@ -47,7 +47,7 @@ class TaskConfig:
             raise ConfigError(f"hp_food must be >= 2 (food takes several attacks), got {self.hp_food}")
         if self.hp_omnivore < 1:
             raise ConfigError(f"hp_omnivore must be >= 1, got {self.hp_omnivore}")
-        # the obs-VAE corpus and the pre-training buffer store hp counts as uint8 codes
+        # the world's planes, and so the stored window codes, hold hp counts as uint8
         if max(self.hp_food, self.hp_omnivore) > 255:
             raise ConfigError(f"hp_food and hp_omnivore must be <= 255, got "
                               f"{self.hp_food} and {self.hp_omnivore}")

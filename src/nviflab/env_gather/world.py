@@ -2,13 +2,14 @@
 
 The world holds arrays over its units, omnivores first and food after, so a
 unit is an omnivore exactly when its index is below ``n_agents``: ``pos``
-(x, y), ``hp``, ``alive``, the cell-to-unit ``occupancy``, and ``grids``, the
-padded (5, ms+2R, ms+2R) observation grids. :func:`new_world` builds the grids
-once; :func:`step` then writes only the cells that change (a hit unit's hp, a
-dead unit's presence and hp, a mover's old and new cell), so they always equal
-:func:`_channel_grids` rebuilt from the arrays; a move is four element writes
-into their flat view, and ``pos`` takes the moved positions once per step.
-``units`` gives frozen :class:`Unit` snapshots to readers outside the step loop.
+(x, y), ``hp``, ``alive``, the cell-to-unit ``occupancy``, and ``grids``, two
+padded (ms+2R, ms+2R) uint8 planes of hp counts, omnivore hp and food hp,
+zero off the map and on empty cells. :func:`new_world` builds the planes
+once; :func:`step` then writes only the cells that change (a hit unit's hp
+count, which falls to zero as it dies, and a mover's old and new cell in the
+omnivore plane), so they always equal :func:`_channel_grids` rebuilt from
+the arrays; ``pos`` takes the moved positions once per step. ``units`` gives
+frozen :class:`Unit` snapshots to readers outside the step loop.
 
 :func:`step` speaks arrays, as a vectorized environment does: it takes one
 integer action index per alive agent, in the order of ``alive_agents()``,
@@ -23,24 +24,21 @@ random order, and finally every surviving agent pays the per-step penalty.
 An episode is done at ``max_steps``, when the food is gone, or when every
 agent is dead.
 
-:func:`observe` returns the local windows of a batch of agents as one
-(n, 7*w*w) float32 matrix, one fancy index into a read-only (ms, ms, 5, w, w)
-window view of the kept grids. This module also owns their uint8 codec, which
-the obs-VAE corpus and the pre-training buffer store windows in:
-:func:`encode_windows` keeps only the two hp grids, omnivore hp and food hp,
-as one hp count per cell (2*w*w bytes a window), and :func:`decode_windows`
-rebuilds exactly the observed windows from them, the normalized positions and
-the map size. The other channels are functions of those:
+The planes are the one window format: :func:`window_codes` gathers agents'
+(2, w, w) windows off them as uint8 rows, the observer's own cell zeroed,
+which the obs-VAE corpus and the pre-training buffer store. :func:`observe`
+decodes them into (n, 7*w*w) float32 rows, as :func:`decode_windows` decodes
+stored codes. Each observed channel follows from the codes, the agent's cell,
+the map size and the hp maxima:
 
 - a presence channel is its hp count > 0: a live unit has hp >= 1, a dead
-  one leaves both of its grids, and the observer's own cell is zero in both;
-- the out-of-bounds channel depends only on the agent's cell and the map
-  size: the cell is the rounded normalized position times (ms - 1), and its
-  window is read off a cached read-only window view of the static padded
-  wall plane, as :func:`observe` reads its windows;
+  one leaves its plane, and the observer's own cell is zero in both;
+- the out-of-bounds window is read off a cached window view of the static
+  padded wall plane (for stored codes, at the rounded normalized position
+  times (ms - 1));
 - an hp channel is its count cast to float32 and divided by the hp maximum
-  in float32: float32(k) / float32(hp) equals the observed float32(k / hp)
-  for every hp and k up to 255.
+  in float32, which equals float32(k / hp) for every hp and k up to 255;
+- the last two hold the agent's normalized x and y.
 """
 from __future__ import annotations
 
@@ -59,8 +57,7 @@ FOOD = "food"
 
 EMPTY = -1
 
-GRID_CHANNELS = 5  # observe()'s grid channels; its last two repeat the position
-CODE_CHANNELS = 2  # encode_windows() keeps observe()'s two hp channels, 2 and 4
+PLANES = 2  # the kept hp-count planes: omnivore hp, food hp
 
 
 @dataclass(frozen=True)
@@ -91,7 +88,7 @@ class GridWorld:
     hp: np.ndarray                 # (n_units,) int64
     alive: np.ndarray              # (n_units,) bool
     occupancy: np.ndarray          # (map_size, map_size) int32, unit index or EMPTY
-    grids: np.ndarray              # padded (5, ms+2R, ms+2R) float32, kept by step()
+    grids: np.ndarray              # padded (2, ms+2R, ms+2R) uint8 hp counts, kept by step()
     rng: np.random.Generator
 
     @property
@@ -189,96 +186,101 @@ def place_units(config: TaskConfig, pos, rng: np.random.Generator) -> GridWorld:
 
 
 def _channel_grids(config: TaskConfig, pos, hp, alive) -> np.ndarray:
-    """Padded (5, ms+2R, ms+2R) grids: obstacle, omnivore presence/hp, food presence/hp."""
+    """Padded (2, ms+2R, ms+2R) uint8 planes: omnivore hp counts, food hp counts."""
     ms, r = config.map_size, config.view_radius
-    padded = np.zeros((GRID_CHANNELS, ms + 2 * r, ms + 2 * r), dtype=np.float32)
-    padded[0] = _wall_windows(ms, r).base
-    food = np.arange(len(pos)) >= config.n_omnivores
-    top = np.where(food, config.hp_food, config.hp_omnivore)
-    c = np.where(food, 3, 1)[alive]
+    padded = np.zeros((PLANES, ms + 2 * r, ms + 2 * r), dtype=np.uint8)
+    food = (np.arange(len(pos)) >= config.n_omnivores)[alive]
     x, y = (pos[alive] + r).T
-    padded[c, y, x] = 1.0
-    padded[c + 1, y, x] = (hp / top)[alive]
+    padded[food.astype(np.intp), y, x] = hp[alive]
     return padded
 
 
+def _agent_cells(world: GridWorld, ids) -> np.ndarray:
+    """(len(ids), 2) cells of the alive omnivores ``ids``, or ProtocolError."""
+    n = world.n_agents
+    ok = world.alive[:n].tolist()
+    bad = [i for i in ids if not (0 <= i < n and ok[i])]
+    if bad:
+        raise ProtocolError(f"agents {bad} are not alive omnivores")
+    return world.pos[np.asarray(ids, dtype=np.intp)]
+
+
+def _window_view(planes: np.ndarray, map_size: int, r: int) -> np.ndarray:
+    """View of padded (..., ms+2R, ms+2R) ``planes`` whose [y, x] is the
+    (..., w, w) window around the map cell (x, y)."""
+    w = 2 * r + 1
+    *lead, sy, sx = planes.strides
+    return np.ndarray((map_size, map_size, *planes.shape[:-2], w, w), planes.dtype,
+                      planes, 0, (sy, sx, *lead, sy, sx))
+
+
+def _gather(world: GridWorld, pos: np.ndarray) -> np.ndarray:
+    """(n, 2, w, w) windows around the cells ``pos``, own cell zeroed."""
+    r = world.config.view_radius
+    # a view per call: a stored one would outlive a deepcopy's grids
+    codes = _window_view(world.grids, world.config.map_size, r)[pos[:, 1], pos[:, 0]]
+    codes[:, 0, r, r] = 0  # the observer does not see itself
+    return codes
+
+
+def window_codes(world: GridWorld, ids) -> np.ndarray:
+    """(len(ids), 2*w*w) uint8 hp-count windows of the alive agents ``ids``."""
+    return _gather(world, _agent_cells(world, ids)).reshape(len(ids), -1)
+
+
 def observe(world: GridWorld, ids) -> np.ndarray:
-    """(len(ids), 7*w*w) float32 windows centered on the alive agents ``ids``.
+    """(len(ids), 7*w*w) float32 windows centered on the alive agents ``ids``:
+    their :func:`window_codes`, decoded.
 
     Channels: out-of-bounds mask, other-omnivore presence, their normalized
     hp, food presence, food normalized hp, then two constant channels holding
     the agent's normalized x and y.
     """
-    n = world.n_agents
-    ok = world.alive[:n].tolist()
-    bad = [i for i in ids if not (0 <= i < n and ok[i])]
-    if bad:
-        raise ProtocolError(f"observe: agents {bad} are not alive omnivores")
+    pos = _agent_cells(world, ids)
     cfg = world.config
-    r, w, grids = cfg.view_radius, cfg.window, world.grids
-    # view[y, x]: the (5, w, w) window around (x, y), read-only; built per call,
-    # as a stored view would outlive a deepcopy's grids
-    sc, sy, sx = grids.strides
-    view = np.ndarray((cfg.map_size, cfg.map_size, GRID_CHANNELS, w, w), np.float32,
-                      grids, 0, (sy, sx, sc, sy, sx))
-    view.flags.writeable = False
-    pos = world.pos[np.asarray(ids, dtype=np.intp)]
-    out = np.empty((len(pos), GRID_CHANNELS + 2, w, w), dtype=np.float32)
-    out[:, :GRID_CHANNELS] = view[pos[:, 1], pos[:, 0]]
-    out[:, 1:3, r, r] = 0.0  # the observer does not see itself
-    out[:, GRID_CHANNELS:] = (pos / (cfg.map_size - 1))[:, :, None, None]
-    return out.reshape(len(pos), -1)
+    out = np.empty((len(pos), cfg.obs_dim), dtype=np.float32)
+    return _decode(_gather(world, pos), pos, pos / (cfg.map_size - 1), cfg, out)
+
+
+def _decode(codes: np.ndarray, xy: np.ndarray, positions: np.ndarray, config,
+            out: np.ndarray) -> np.ndarray:
+    """``out`` (n, 7*w*w) filled with the float32 windows of ``codes``
+    (n, 2, w, w) around the cells ``xy`` at normalized ``positions``."""
+    n, w = codes.shape[0], codes.shape[-1]
+    view = out.reshape(n, 7, w, w)
+    view[:, 0] = _wall_windows(config.map_size, w // 2)[xy[:, 1], xy[:, 0]]
+    np.greater(codes, 0, out=view[:, 1:5:2])
+    # uint8 counts over float32 maxima run numpy's float32 loop: float32(k) / float32(hp)
+    top = np.array([config.hp_omnivore, config.hp_food], dtype=np.float32).reshape(2, 1, 1)
+    np.divide(codes, top, out=view[:, 2:5:2])
+    view[:, 5:] = positions[:, :, None, None]
+    return out
 
 
 @functools.lru_cache(maxsize=8)
 def _wall_windows(map_size: int, r: int) -> np.ndarray:
-    """Read-only (ms, ms, w, w) view: at [y, x], the out-of-bounds window
-    around cell (x, y), read off the padded (ms+2R, ms+2R) wall plane (its
-    ``base``), which holds 1 off the map and 0 on it."""
-    side, w = map_size + 2 * r, 2 * r + 1
+    """Read-only :func:`_window_view` of the padded float32 wall plane: 1 off
+    the map, 0 on it."""
+    side = map_size + 2 * r
     plane = np.ones((side, side), dtype=np.float32)
     plane[r:r + map_size, r:r + map_size] = 0.0
-    plane.flags.writeable = False
-    sy, sx = plane.strides
-    return np.ndarray((map_size, map_size, w, w), np.float32, plane, 0, (sy, sx, sy, sx))
-
-
-def _require_rows(name: str, a: np.ndarray, shape: tuple, dtype) -> None:
-    """Raise DataError unless ``a`` is a C-contiguous ``dtype`` array of ``shape``."""
-    if a.dtype != dtype or a.shape != shape or not a.flags.c_contiguous:
-        raise DataError(f"{name} must be a C-contiguous {np.dtype(dtype)} array of shape "
-                        f"{shape}, got {a.dtype} {a.shape}")
-
-
-def encode_windows(windows: np.ndarray, config: TaskConfig, out=None) -> np.ndarray:
-    """(n, 2*w*w) uint8 codes of :func:`observe`'s windows: the omnivore hp
-    and food hp channels, each cell times its channel's hp maximum in
-    float32, rounded. Written into ``out`` when given (a C-contiguous uint8
-    array of that shape). The other channels are left out; see
-    :func:`decode_windows`."""
-    n, cells = windows.shape[0], config.window ** 2
-    if out is None:
-        out = np.empty((n, CODE_CHANNELS * cells), dtype=np.uint8)
-    _require_rows("encode_windows out", out, (n, CODE_CHANNELS * cells), np.uint8)
-    hp = windows[:, :GRID_CHANNELS * cells].reshape(n, GRID_CHANNELS, cells)[:, 2::2]
-    scale = np.array([config.hp_omnivore, config.hp_food], dtype=np.float32)
-    np.rint(hp * scale[:, None], out=out.reshape(n, CODE_CHANNELS, cells), casting="unsafe")
-    return out
+    plane.flags.writeable = False  # and so its views
+    return _window_view(plane, map_size, r)
 
 
 def decode_windows(codes: np.ndarray, positions: np.ndarray, config, out=None) -> np.ndarray:
-    """The float32 observation windows (n, 7*w*w) of codes (n, 2*w*w) and
-    normalized positions (n, 2), written into ``out`` when given (a
-    C-contiguous float32 array of that shape). ``config`` is the task's
-    :class:`TaskConfig`, or a record carrying its ``hp_omnivore``,
-    ``hp_food`` and ``map_size``. The rebuild is exact; see the module
-    docstring. Codes that are not 2*w*w wide for an odd w, positions off the
-    map or a misfit ``out`` raise DataError."""
+    """The float32 observation windows (n, 7*w*w) of codes (n, 2*w*w) from
+    :func:`window_codes` and normalized positions (n, 2), written into
+    ``out`` when given (a C-contiguous float32 array of that shape).
+    ``config`` is the task's :class:`TaskConfig`, or a record carrying its
+    ``hp_omnivore``, ``hp_food`` and ``map_size``. The rebuild is exact and
+    is :func:`observe`'s own. Codes that are not 2*w*w wide for an odd w,
+    positions off the map or a misfit ``out`` raise DataError."""
     if codes.ndim != 2:
         raise DataError(f"window codes must be (n, 2*w*w), got shape {codes.shape}")
-    n, cells = codes.shape[0], codes.shape[1] // CODE_CHANNELS
-    w = math.isqrt(cells)
-    if CODE_CHANNELS * w * w != codes.shape[1] or w % 2 == 0:
+    n = codes.shape[0]
+    w = math.isqrt(codes.shape[1] // PLANES)
+    if PLANES * w * w != codes.shape[1] or w % 2 == 0:
         raise DataError(f"window codes must be 2*w*w wide for an odd w, got {codes.shape[1]}")
     if positions.shape != (n, 2):
         raise DataError(f"positions must be ({n}, 2), got {positions.shape}")
@@ -287,18 +289,11 @@ def decode_windows(codes: np.ndarray, positions: np.ndarray, config, out=None) -
     if n and not (0 <= xy.min() and xy.max() < ms):
         raise DataError(f"normalized positions must lie in [0, 1], got {positions.min()} "
                         f"to {positions.max()}")
-    if out is None:
-        out = np.empty((n, (GRID_CHANNELS + 2) * cells), dtype=np.float32)
-    _require_rows("decode_windows out", out, (n, (GRID_CHANNELS + 2) * cells), np.float32)
-    view = out.reshape(n, GRID_CHANNELS + 2, cells)
-    hp = codes.reshape(n, CODE_CHANNELS, cells)
-    view[:, 0] = _wall_windows(ms, w // 2)[xy[:, 1], xy[:, 0]].reshape(n, cells)
-    np.greater(hp, 0, out=view[:, 1:GRID_CHANNELS:2])
-    # uint8 codes over a float32 scalar run numpy's float32 loop: float32(k) / float32(hp)
-    np.divide(hp[:, 0], np.float32(config.hp_omnivore), out=view[:, 2])
-    np.divide(hp[:, 1], np.float32(config.hp_food), out=view[:, 4])
-    view[:, GRID_CHANNELS:] = positions[:, :, None]
-    return out
+    out = np.empty((n, 7 * w * w), dtype=np.float32) if out is None else out
+    if out.dtype != np.float32 or out.shape != (n, 7 * w * w) or not out.flags.c_contiguous:
+        raise DataError(f"decode_windows out must be a C-contiguous float32 array of shape "
+                        f"{(n, 7 * w * w)}, got {out.dtype} {out.shape}")
+    return _decode(codes.reshape(n, PLANES, w, w), xy, positions, config, out)
 
 
 def step(world: GridWorld, actions) -> StepResult:
@@ -344,19 +339,17 @@ def step(world: GridWorld, actions) -> StepResult:
             damage[target] = damage.get(target, 0) + 1
             events.append(("omnivore_hit", i, target))
     for target, hits in damage.items():
-        c, top = (1, cfg.hp_omnivore) if target < n else (3, cfg.hp_food)
         x, y = world.pos[target].tolist()
         hp = max(int(world.hp[target]) - hits, 0)
         world.hp[target] = hp
-        grids[c + 1, y + r, x + r] = hp / top
+        grids[int(target >= n), y + r, x + r] = hp
         if hp == 0:
             world.alive[target] = False
             occ[y, x] = EMPTY
-            grids[c, y + r, x + r] = 0.0
 
     # phase 2: moves in seeded random order; blocked or out-of-bounds moves stay
     now = world.alive[:n].tolist()
-    flat, side, moved = grids.reshape(GRID_CHANNELS, -1), ms + 2 * r, False
+    flat, side, moved = grids[0].reshape(-1), ms + 2 * r, False
     for k in world.rng.permutation(len(alive)).tolist():
         i = alive[k]
         if kinds[k] != KIND_MOVE or not now[i]:
@@ -367,8 +360,7 @@ def step(world: GridWorld, actions) -> StepResult:
         occ[y, x], occ[ty, tx] = EMPTY, i
         xy[i], moved = [tx, ty], True
         old, new = (y + r) * side + x + r, (ty + r) * side + tx + r
-        flat[1, new], flat[2, new] = flat[1, old], flat[2, old]
-        flat[1, old] = flat[2, old] = 0.0
+        flat[new], flat[old] = flat[old], 0
     if moved:
         world.pos[:n] = xy
 

@@ -107,16 +107,10 @@ def _dispatch(args, cfg) -> int:
             raise ConfigError("eval needs --policy or policy_checkpoint in the config")
         section = cfg.eval
         episodes = args.episodes if args.episodes is not None else section.get("episodes", 10)
-        task_cfg = cfg.task_config()
-        if source not in ("random", "noop"):
-            bundle = PolicyBundle.load(source)
-            bundle.check_task(task_cfg)
-            source = bundle
-        out.mkdir(parents=True, exist_ok=True)
         eval_dir = out / "eval"
         eval_dir.mkdir(parents=True, exist_ok=True)
         replay = eval_dir / "replay.jsonl" if section.get("replay", False) else None
-        metrics = evaluate(source, task_cfg, episodes,
+        metrics = evaluate(source, cfg.task_config(), episodes,
                            seed=section.get("seed", 0),
                            replay_path=replay, greedy=section.get("greedy"))
         with open(eval_dir / "metrics.json", "w") as fh:
@@ -154,15 +148,10 @@ def _dispatch(args, cfg) -> int:
         source = args.policy or cfg.policy_checkpoint
         if source is None:
             raise ConfigError("replay-dump needs --policy or policy_checkpoint")
-        task_cfg = cfg.task_config()
-        if source not in ("random", "noop"):
-            bundle = PolicyBundle.load(source)
-            bundle.check_task(task_cfg)
-            source = bundle
         replay_dir = out / "replay"
         replay_dir.mkdir(parents=True, exist_ok=True)
         path = replay_dir / "replay.jsonl"
-        evaluate(source, task_cfg, args.episodes,
+        evaluate(source, cfg.task_config(), args.episodes,
                  seed=cfg.eval.get("seed", 0), replay_path=path)
         print(f"replay written to {path}")
         return 0

@@ -14,6 +14,7 @@ from pathlib import Path
 from ..env_gather import TaskConfig, preset
 from ..errors import ConfigError, require_counts
 from ..nvif import ObsVaeHyper, PretrainHyper
+from ..nvif.pretrain import require_graph_kind
 from ..policy import DQNHyper, PPOHyper
 
 ALGORITHMS = {
@@ -106,6 +107,7 @@ def load_experiment(path) -> ExperimentConfig:
     _reject_unknown("env", cfg.env, task_fields - {"seed"})
     _reject_unknown("obs_vae", cfg.obs_vae, _OBS_VAE_KEYS)
     _reject_unknown("nvif", cfg.nvif, _NVIF_KEYS)
+    require_graph_kind(cfg.nvif.get("graph", "neighbor"))
     _reject_unknown("ppo", cfg.ppo, {f.name for f in dataclasses.fields(PPOHyper)} - {"seed"})
     _reject_unknown("dqn", cfg.dqn, {f.name for f in dataclasses.fields(DQNHyper)} - {"seed"})
     _reject_unknown("eval", cfg.eval, _EVAL_KEYS)

@@ -74,14 +74,17 @@ def evaluate(policy_source, task_cfg, episodes: int, seed: int,
              replay_path=None, greedy=None) -> dict:
     """Mean return / end step / food fraction over fixed-seed episodes.
 
-    ``policy_source`` is "random", "noop", a PolicyBundle, or a bundle path.
-    Deterministic for fixed arguments.
+    ``policy_source`` is "random", "noop", a PolicyBundle, or a bundle path;
+    a bundle whose observation width the task does not produce raises
+    ConfigError. Deterministic for fixed arguments.
     """
     require_counts("eval", episodes=episodes)
     env_seq, pol_seq = np.random.SeedSequence(seed).spawn(2)
     env_rng = np.random.default_rng(env_seq)
     pol_rng = np.random.default_rng(pol_seq)
     policy = make_policy(policy_source, pol_rng, greedy=greedy)
+    if isinstance(policy, BundlePolicy):
+        policy.bundle.check_task(task_cfg)
     returns, ends, fracs = [], [], []
     with ReplayWriter(replay_path) if replay_path else nullcontext() as writer:
         for _ in range(episodes):

@@ -7,8 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..env_gather import N_ACTIONS, encode_windows, new_world, observe, step
-from ..env_gather.world import CODE_CHANNELS, GRID_CHANNELS
+from ..env_gather import N_ACTIONS, new_world, step, window_codes
 from ..errors import ConfigError, require_counts
 from ..nvif import (
     NvifConfig,
@@ -27,31 +26,29 @@ from .config import ALGORITHMS, ExperimentConfig
 def collect_obs_corpus(task_cfg, episodes: int, rng: np.random.Generator,
                        max_samples: int | None = None) -> ObsCorpus:
     """Observation windows from random-policy play, in the order observed,
-    coded as they are observed: their uint8 hp-count codes
-    (:func:`env_gather.encode_windows`), the normalized positions read from
-    their position channels, and the task's hp maxima and map size. With
-    ``max_samples``, the first ``max_samples`` windows.
+    as their uint8 hp-count codes (:func:`env_gather.window_codes`), the
+    agents' normalized positions, and the task's hp maxima and map size.
+    With ``max_samples``, the first ``max_samples`` windows.
 
-    Both codes and positions are written, each step's straight from its
-    windows, into arrays sized for the most windows the episodes can yield
-    (every agent alive at every step, cut at ``max_samples``) and shrunk to
-    the rows filled."""
+    Both codes and positions are written into arrays sized for the most
+    windows the episodes can yield (every agent alive at every step, cut at
+    ``max_samples``) and shrunk to the rows filled."""
     limit = {} if max_samples is None else {"corpus_max_samples": max_samples}
     require_counts("obs_vae", corpus_episodes=episodes, **limit)
     room = episodes * task_cfg.max_steps * task_cfg.n_omnivores
     room = room if max_samples is None else min(room, max_samples)
-    cells = task_cfg.window ** 2
-    codes = np.empty((room, CODE_CHANNELS * cells), dtype=np.uint8)
+    codes = np.empty((room, 2 * task_cfg.window ** 2), dtype=np.uint8)
     positions = np.empty((room, 2), dtype=np.float32)
     count = 0
     for _ in range(episodes):
         world = new_world(replace(task_cfg, seed=int(rng.integers(2 ** 62))))
         while not world.done and count < room:
             ids = world.alive_agents()
-            window = observe(world, ids)[:room - count]
-            encode_windows(window, task_cfg, out=codes[count:count + len(window)])
-            positions[count:count + len(window)] = window[:, GRID_CHANNELS * cells::cells]
-            count += len(window)
+            kept = ids[:room - count]
+            codes[count:count + len(kept)] = window_codes(world, kept)
+            positions[count:count + len(kept)] = world.agent_positions(kept) / (
+                task_cfg.map_size - 1)
+            count += len(kept)
             step(world, rng.integers(0, N_ACTIONS, len(ids)))
         if count == room:  # no further rng draw, so the caller's stream goes on from here
             break

@@ -8,7 +8,7 @@ against the KL by summing the cross entropy over cells (the usual VAE
 convention), otherwise the prior collapses the code.
 
 It trains on an :class:`ObsCorpus`: the windows as the uint8 hp-count codes
-of :func:`env_gather.encode_windows` with their positions, at 2*w*w + 8 bytes
+of :func:`env_gather.window_codes` with their positions, at 2*w*w + 8 bytes
 a window against the 28*w*w of float32 rows. Each shuffled minibatch is
 decoded by :func:`env_gather.decode_windows` into one float32 batch buffer
 that training owns and reuses, so no float32 copy of the corpus is ever held.
@@ -46,7 +46,7 @@ from .losses import kl_standard_normal
 
 @dataclass(eq=False)  # array fields have no single truth value
 class ObsCorpus:
-    """Observation windows in the codec of :func:`env_gather.encode_windows`."""
+    """Observation windows as :func:`env_gather.window_codes` codes them."""
     codes: np.ndarray          # (n, 2*w*w) uint8 hp-count codes
     positions: np.ndarray      # (n, 2) float32 normalized positions
     hp_omnivore: int           # the task's hp maxima, which the codes count in

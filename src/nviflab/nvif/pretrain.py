@@ -20,7 +20,7 @@ decoder activations live for one timestep, not for the whole batch, and the
 gradients are exactly those of the decoder on the batch tape.
 
 The buffer stores the observation windows as the uint8 hp-count codes of
-:func:`env_gather.encode_windows`, 2*w*w bytes a window against the 28*w*w
+:func:`env_gather.window_codes`, 2*w*w bytes a window against the 28*w*w
 of float32 rows; each episode keeps its task's hp maxima and map size, and
 :func:`env_gather.decode_windows` rebuilds the observed windows exactly, as
 it decodes the obs-VAE corpus. So the episodes of one batch must share their
@@ -37,10 +37,10 @@ from ..diffcore import Tensor, backward, mul, optimizer_step, splice, sum as tsu
 from ..env_gather import (
     N_ACTIONS,
     decode_windows,
-    encode_windows,
     new_world,
     observe,
     step,
+    window_codes,
 )
 from ..errors import ConfigError, DataError, require_counts, require_rates
 from .encoder import NvifEncoder
@@ -48,10 +48,15 @@ from .losses import NvifLossReport, consistency_rows, kl_rows, recon_rows
 from .obs_vae import ObsCompressor
 
 
+def require_graph_kind(kind) -> None:
+    if kind not in ("neighbor", "full"):
+        raise ConfigError(f"nvif graph must be 'neighbor' or 'full', got {kind!r}")
+
+
 @dataclass(eq=False)  # array fields have no single truth value
 class StepData:
     ids: tuple[int, ...]
-    raw_obs: np.ndarray        # (n, 2*w*w) uint8 hp-count codes; see encode_windows
+    raw_obs: np.ndarray        # (n, 2*w*w) uint8 hp-count codes; see window_codes
     feats: np.ndarray          # (n, obs_feat_width)
     positions: np.ndarray      # (n, 2) normalized
     adj_norm: np.ndarray       # (n, n)
@@ -88,12 +93,11 @@ class PretrainHyper:
 
 def gather_step_data(world, ids, compressor: ObsCompressor, graph_kind: str = "neighbor",
                      dtype=np.float32) -> StepData:
-    """Grid codes, compressed features, positions, and adjacency for one step."""
-    raw = observe(world, ids)
+    """Window codes, compressed features, positions, and adjacency for one step."""
     pos = world.agent_positions(ids)
     graph = fully_connected(ids) if graph_kind == "full" else build_graph(pos, ids)
-    return StepData(ids=tuple(ids), raw_obs=encode_windows(raw, world.config),
-                    feats=compressor.encode(raw).astype(dtype),
+    return StepData(ids=tuple(ids), raw_obs=window_codes(world, ids),
+                    feats=compressor.encode(observe(world, ids)).astype(dtype),
                     positions=(pos / (world.config.map_size - 1)).astype(dtype),
                     adj_norm=normalize(graph).astype(dtype))
 
@@ -103,6 +107,7 @@ def collect_pretrain_buffer(task_config, n_episodes: int, compressor: ObsCompres
                             ) -> list[EpisodeRecord]:
     """Random-policy episodes recorded as (observations, positions, graphs)."""
     require_counts("nvif", buffer_episodes=n_episodes)
+    require_graph_kind(graph_kind)
     buffer = []
     for _ in range(n_episodes):
         world = new_world(replace(task_config, seed=int(rng.integers(2 ** 62))))

@@ -26,7 +26,7 @@ from nviflab.diffcore.tensor import (
 )
 from nviflab.env_gather import ATTACK_OFFSETS, EMPTY, MOVE_OFFSETS, N_ACTIONS, preset
 from nviflab.errors import DataError, ProtocolError, ShapeError
-from nviflab.env_gather.world import GRID_CHANNELS, GridWorld, _channel_grids
+from nviflab.env_gather.world import GridWorld, _channel_grids
 from nviflab.nvif import ObsCompressor, ObsVaeConfig, ObsVaeHyper
 from nviflab.harness.pipeline import collect_obs_corpus
 from nviflab.policy import compute_gae, featurize
@@ -350,7 +350,7 @@ def tape_size(loss, skip=()):
 
 
 def refresh_grids(world):
-    """Rebuild a world's kept observation grids after a test wrote its arrays."""
+    """Rebuild a world's kept hp-count planes after a test wrote its arrays."""
     world.grids[:] = _channel_grids(world.config, world.pos, world.hp, world.alive)
 
 
@@ -525,19 +525,18 @@ def dict_step(world: GridWorld, actions: dict[int, int]) -> DictStepResult:
             damage[target] = damage.get(target, 0) + 1
             events.append(("omnivore_hit", i, target))
     for target, hits in damage.items():
-        c, top = (1, cfg.hp_omnivore) if target < n else (3, cfg.hp_food)
+        plane = 0 if target < n else 1  # omnivore hp counts, food hp counts
         x, y = world.pos[target].tolist()
         hp = max(int(world.hp[target]) - hits, 0)
         world.hp[target] = hp
-        grids[c + 1, y + r, x + r] = hp / top
+        grids[plane, y + r, x + r] = hp
         if hp == 0:
             world.alive[target] = False
             occ[y, x] = EMPTY
-            grids[c, y + r, x + r] = 0.0
 
     # phase 2: moves in seeded random order; blocked or out-of-bounds moves stay
     now = world.alive[:n].tolist()
-    flat, side, moved = grids.reshape(GRID_CHANNELS, -1), ms + 2 * r, False
+    moved = False
     for k in world.rng.permutation(len(alive)).tolist():
         i = alive[k]
         act = decoded[i]
@@ -548,9 +547,7 @@ def dict_step(world: GridWorld, actions: dict[int, int]) -> DictStepResult:
             continue
         occ[y, x], occ[ty, tx] = EMPTY, i
         xy[i], moved = [tx, ty], True
-        old, new = (y + r) * side + x + r, (ty + r) * side + tx + r
-        flat[1, new], flat[2, new] = flat[1, old], flat[2, old]
-        flat[1, old] = flat[2, old] = 0.0
+        grids[0, ty + r, tx + r], grids[0, y + r, x + r] = grids[0, y + r, x + r], 0
     if moved:
         world.pos[:n] = xy
 

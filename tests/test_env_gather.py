@@ -309,6 +309,8 @@ class TestBatchedObserve:
         assert np.array_equal(eg.observe(world, ids), expected)
 
     def test_one_observe_per_env_step(self, monkeypatch, tiny_task):
+        # the rollout and buffer loops observe once a step; the obs-VAE
+        # corpus only gathers window codes
         pipeline = importlib.import_module("nviflab.harness.pipeline")
         pretrain = importlib.import_module("nviflab.nvif.pretrain")
         providers = importlib.import_module("nviflab.policy.providers")
@@ -319,29 +321,30 @@ class TestBatchedObserve:
 
         calls = []
 
-        def observe(world, ids):
-            calls.append("observe")
-            return eg.observe(world, ids)
-
-        def step(world, actions):
-            calls.append("step")
-            return eg.step(world, actions)
+        def spy(name):
+            def call(*args):
+                calls.append(name)
+                return getattr(eg, name)(*args)
+            return call
 
         for module in (pipeline, pretrain, providers):
-            monkeypatch.setattr(module, "observe", observe)
-        for module in (pipeline, pretrain):
-            monkeypatch.setattr(module, "step", step)
+            for name in ("observe", "window_codes", "step"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, spy(name))
         world = eg.new_world(tiny_task)
         providers.featurize(world, world.alive_agents(), Compressor(), providers.EmptyLatents())
         assert calls == ["observe"]
+        calls.clear()
         pretrain.gather_step_data(world, world.alive_agents(), Compressor())
-        assert calls == ["observe"] * 2
+        assert sorted(calls) == ["observe", "window_codes"]
         calls.clear()
         pipeline.collect_obs_corpus(tiny_task, 2, np.random.default_rng(0))
-        assert calls == ["observe", "step"] * (len(calls) // 2) and calls
+        assert calls == ["window_codes", "step"] * (len(calls) // 2) and calls
         calls.clear()
         pretrain.collect_pretrain_buffer(tiny_task, 2, Compressor(), np.random.default_rng(0))
-        assert calls == ["observe", "step"] * (len(calls) // 2) and calls
+        steps = calls.count("step")
+        assert steps and calls.count("observe") == calls.count("window_codes") == steps
+        assert calls[2::3] == ["step"] * steps
 
 
 class TestWindowCodec:
@@ -349,14 +352,16 @@ class TestWindowCodec:
     @settings(max_examples=80, deadline=None)
     def test_decoded_codes_equal_observe(self, case):
         world, ids = case
+        cfg = world.config
         windows = eg.observe(world, ids)
-        codes = eg.encode_windows(windows, world.config)
-        positions = (world.agent_positions(ids) / (world.config.map_size - 1)).astype(np.float32)
-        decoded = eg.decode_windows(codes, positions, world.config)
-        assert codes.dtype == np.uint8 and decoded.dtype == np.float32
+        codes = eg.window_codes(world, ids)
+        assert codes.dtype == np.uint8 and codes.shape == (len(ids), 2 * cfg.window ** 2)
+        positions = (world.agent_positions(ids) / (cfg.map_size - 1)).astype(np.float32)
+        decoded = eg.decode_windows(codes, positions, cfg)
+        assert decoded.dtype == np.float32
         assert np.array_equal(decoded, windows)
-        out = np.full((len(ids) + 2, world.config.obs_dim), np.nan, dtype=np.float32)
-        eg.decode_windows(codes, positions, world.config, out=out[:len(ids)])
+        out = np.full((len(ids) + 2, cfg.obs_dim), np.nan, dtype=np.float32)
+        eg.decode_windows(codes, positions, cfg, out=out[:len(ids)])
         assert np.array_equal(out[:len(ids)], windows) and np.isnan(out[len(ids):]).all()
 
     @given(case=edge_worlds())
@@ -364,15 +369,9 @@ class TestWindowCodec:
     def test_wall_channel_rebuilt_at_every_edge_and_corner(self, case):
         world, ids = case
         cfg, n = world.config, len(ids)
-        windows = eg.observe(world, ids)
-        out = np.full((n + 1, 2 * cfg.window ** 2), 255, dtype=np.uint8)
-        rows = out[:n]
-        assert eg.encode_windows(windows, cfg, out=rows) is rows
-        assert (out[n] == 255).all()
-        assert np.array_equal(rows, eg.encode_windows(windows, cfg))
         positions = (world.agent_positions(ids) / (cfg.map_size - 1)).astype(np.float32)
-        decoded = eg.decode_windows(rows, positions, cfg)
-        assert np.array_equal(decoded, windows)
+        decoded = eg.decode_windows(eg.window_codes(world, ids), positions, cfg)
+        assert np.array_equal(decoded, eg.observe(world, ids))
         assert decoded.reshape(n, 7, -1)[:, 0].any(axis=1).all()  # every window sees the wall
 
     def test_cell_rounded_from_the_normalized_position(self):
@@ -384,17 +383,15 @@ class TestWindowCodec:
         cfg = world.config
         positions = (world.agent_positions(ids) / (cfg.map_size - 1)).astype(np.float32)
         assert int(positions[0, 0] * (cfg.map_size - 1)) == 6
-        windows = eg.observe(world, ids)
-        decoded = eg.decode_windows(eg.encode_windows(windows, cfg), positions, cfg)
-        assert np.array_equal(decoded, windows)
+        decoded = eg.decode_windows(eg.window_codes(world, ids), positions, cfg)
+        assert np.array_equal(decoded, eg.observe(world, ids))
 
     def test_misfit_codes_positions_or_out_rejected(self):
         cfg = make_config()
         world = eg.new_world(cfg)
         ids = world.alive_agents()
         n, cells = len(ids), cfg.window ** 2
-        windows = eg.observe(world, ids)
-        codes = eg.encode_windows(windows, cfg)
+        codes = eg.window_codes(world, ids)
         positions = (world.agent_positions(ids) / (cfg.map_size - 1)).astype(np.float32)
         # the five-channel layout, an even window, a width of no window, one row
         for bad in (np.zeros((n, 5 * cells), np.uint8), np.zeros((n, 2 * 16), np.uint8),
@@ -406,9 +403,6 @@ class TestWindowCodec:
                     np.empty((n, 2 * cfg.obs_dim), np.float32)[:, ::2]):
             with pytest.raises(DataError, match="out"):
                 eg.decode_windows(codes, positions, cfg, out=out)
-        for out in (np.empty((n, 2 * cells), np.int16), np.empty((n, 5 * cells), np.uint8)):
-            with pytest.raises(DataError, match="out"):
-                eg.encode_windows(windows, cfg, out=out)
         for value in (1.5, -0.5):
             off_map = positions.copy()
             off_map[0, 0] = value
@@ -417,12 +411,59 @@ class TestWindowCodec:
         with pytest.raises(DataError, match="positions"):
             eg.decode_windows(codes, positions[1:], cfg)
 
+    def test_window_codes_reject_dead_or_foreign_ids(self):
+        world = world_with([(eg.OMNIVORE, 1, 1), (eg.OMNIVORE, 3, 1), (eg.FOOD, 6, 6)])
+        world.alive[1] = False
+        for bad in ([1], [0, 2], [-1]):
+            with pytest.raises(ProtocolError):
+                eg.window_codes(world, bad)
+
     def test_float32_division_is_the_observed_value_for_every_hp(self):
         # decode divides in float32; observe rounds the float64 quotient
         k = np.arange(256)
         for hp in range(1, 256):
             assert np.array_equal(k.astype(np.float32) / np.float32(hp),
                                   (k / hp).astype(np.float32)), hp
+
+
+@st.composite
+def stepped_worlds(draw):
+    """A preset's fresh world or an edge layout, and a seed for the random
+    actions that step it."""
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(["desk-normal-12", "desk-random-12", "desk-random-16",
+                                     "random-small"]))
+        world = eg.new_world(eg.preset(name, seed=draw(st.integers(0, 2 ** 16))))
+    else:
+        world, _ = draw(edge_worlds())
+    return world, draw(st.integers(0, 2 ** 32 - 1))
+
+
+class TestWindowPlanes:
+    @given(case=stepped_worlds(), steps=st.integers(1, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_planes_and_windows_agree_after_every_step(self, case, steps):
+        # the planes step() keeps are the rebuilt ones; observe() is the
+        # per-agent oracle and the decode of the window codes
+        world, seed = case
+        cfg = world.config
+        rng = np.random.default_rng(seed)
+        for _ in range(steps):
+            if world.done:
+                break
+            eg.step(world, rng.integers(0, eg.N_ACTIONS, len(world.alive_agents())))
+            assert world.grids.dtype == np.uint8
+            assert np.array_equal(world.grids,
+                                  _channel_grids(cfg, world.pos, world.hp, world.alive))
+            ids = world.alive_agents()
+            if not ids:
+                break
+            windows = eg.observe(world, ids)
+            assert np.array_equal(windows, np.stack([observe_one(world, i).ravel()
+                                                     for i in ids]))
+            positions = (world.agent_positions(ids) / (cfg.map_size - 1)).astype(np.float32)
+            assert np.array_equal(
+                eg.decode_windows(eg.window_codes(world, ids), positions, cfg), windows)
 
 
 ATTACK_UP, ATTACK_DOWN, ATTACK_LEFT, ATTACK_RIGHT = 28, 29, 30, 31

@@ -14,11 +14,11 @@ from nviflab.env_gather import (
     N_ACTIONS,
     NOOP_INDEX,
     decode_windows,
-    encode_windows,
     new_world,
     observe,
     preset,
     step,
+    window_codes,
 )
 from nviflab.errors import ConfigError, DataError
 from nviflab.harness import (
@@ -111,6 +111,15 @@ class TestExperimentConfig:
         path = write_config(tmp_path / "c.json", algorithm="sarsa")
         with pytest.raises(ConfigError):
             load_experiment(path)
+
+    @pytest.mark.parametrize("graph", ["neighbour", "FULL", 4])
+    def test_unknown_nvif_graph_rejected(self, tmp_path, graph):
+        # anything but "full" used to build neighbor graphs without a word
+        path = write_config(tmp_path / "c.json", nvif={"graph": graph})
+        with pytest.raises(ConfigError, match="graph"):
+            load_experiment(path)
+        for graph in ("neighbor", "full"):
+            load_experiment(write_config(tmp_path / "c.json", nvif={"graph": graph}))
 
     def test_env_overrides_apply(self, tmp_path):
         path = write_config(tmp_path / "c.json", env={"view_radius": 3})
@@ -244,18 +253,20 @@ class TestObsCorpus:
         for name in coded.store.names():
             assert coded.store[name].data.tobytes() == floats.store[name].data.tobytes()
 
-    def test_codes_encoded_straight_into_the_corpus_array(self, tiny_task, monkeypatch):
-        # no per-step code temporary: every step writes into rows of one array
+    def test_codes_are_the_window_codes_of_the_kept_agents(self, tiny_task, monkeypatch):
+        # each step's rows are window_codes() of the agents it keeps, and a
+        # limit inside a step's windows gathers no code that is cut
         pipeline = importlib.import_module("nviflab.harness.pipeline")
-        bases = []
+        gathered = []
 
-        def encode(windows, config, out=None):
-            bases.append(None if out is None else out.base)
-            return encode_windows(windows, config, out=out)
+        def spy(world, ids):
+            gathered.append(window_codes(world, ids))
+            return gathered[-1]
 
-        monkeypatch.setattr(pipeline, "encode_windows", encode)
-        corpus = collect_obs_corpus(tiny_task, 1, np.random.default_rng(0))
-        assert len(bases) > 1 and all(b is corpus.codes for b in bases)
+        monkeypatch.setattr(pipeline, "window_codes", spy)
+        corpus = collect_obs_corpus(tiny_task, 1, np.random.default_rng(0), max_samples=10)
+        assert [len(g) for g in gathered] == [4, 4, 2]
+        assert np.array_equal(corpus.codes, np.concatenate(gathered))
 
     def test_empty_or_misfit_corpus_rejected(self, tiny_task):
         corpus = collect_obs_corpus(tiny_task, 1, np.random.default_rng(0), 10)
@@ -445,6 +456,26 @@ class TestCliExitCodes:
         for policy in (garbage, tmp_path / "obs_vae.ckpt"):
             assert cli_main(["eval", "--config", str(path), "--policy", str(policy)]) == 3
             assert str(policy) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "replay-dump", "scalability"])
+    def test_bundle_of_another_observation_width_exits_1(self, tmp_path, capsys,
+                                                         tiny_compressor, command):
+        # a desk-random-12 bundle (5-wide windows) on random-small (11-wide)
+        bundle = PolicyBundle("ippo", "none", "desk-random-12", tiny_compressor,
+                              actor_critic=ActorCritic(
+                                  PolicyConfig(tiny_compressor.config.latent_width),
+                                  np.random.default_rng(0)))
+        bundle.save(tmp_path / "run" / "bundle.ckpt")
+        path = write_config(tmp_path / "c.json", task="random-small", scalability={
+            "policies": [str(tmp_path / "run" / "bundle.ckpt")], "tasks": ["random-small"],
+            "episodes": 1})
+        args = [] if command == "scalability" else [
+            "--policy", str(tmp_path / "run" / "bundle.ckpt"), "--episodes", "1"]
+        capsys.readouterr()
+        assert cli_main([command, "--config", str(path), *args]) == 1
+        err = capsys.readouterr().err
+        assert str(tiny_compressor.config.obs_dim) in err
+        assert str(preset("random-small").obs_dim) in err
 
     def test_eval_missing_bundle_exits_2(self, tmp_path):
         path = write_config(tmp_path / "c.json")

@@ -692,6 +692,18 @@ class TestBufferCodes:
             collect_pretrain_buffer(tiny_task, n_episodes, _ZeroCompressor(),
                                     np.random.default_rng(0))
 
+    def test_unknown_graph_kind_rejected_before_any_episode(self, tiny_task, monkeypatch):
+        # anything but "full" used to build neighbor graphs without a word
+        def no_episode(cfg):
+            raise AssertionError("an episode ran")
+
+        monkeypatch.setattr(importlib.import_module("nviflab.nvif.pretrain"), "new_world",
+                            no_episode)
+        for kind in ("neighbour", "FULL", None):
+            with pytest.raises(ConfigError, match="graph"):
+                collect_pretrain_buffer(tiny_task, 2, _ZeroCompressor(),
+                                        np.random.default_rng(0), graph_kind=kind)
+
     def test_batch_of_different_hp_rejected(self, small_buffer, tiny_task):
         for hp in (dict(hp_omnivore=4), dict(hp_food=3)):
             other = replace(small_buffer[1], **hp)
