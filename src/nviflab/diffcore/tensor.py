@@ -293,8 +293,11 @@ def relu(x) -> Tensor:
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """1 / (1 + e^-x) written as (1 + tanh(x/2)) / 2, which overflows in no
-    dtype (e^-x does below -88 in float32)."""
-    return 0.5 + 0.5 * np.tanh(0.5 * x)
+    dtype (e^-x does below -88 in float32); computed in place in one new array."""
+    out = np.multiply(0.5, x)
+    np.tanh(out, out=out)
+    np.multiply(0.5, out, out=out)
+    return np.add(0.5, out, out=out)
 
 
 def _vjp_exp(g, node, k):
@@ -533,11 +536,15 @@ def mean(x, axis=None) -> Tensor:
 
 def _vjp_bce_loss(g, node, k):
     t, axis = node._saved
-    local = (_sigmoid(node._parents[0].data) - t) / (t.size if axis is None else t.shape[axis])
-    return (g if axis is None else np.expand_dims(g, axis)) * local
+    grad = _sigmoid(node._parents[0].data)
+    np.subtract(grad, t, out=grad)
+    np.divide(grad, t.size if axis is None else t.shape[axis], out=grad)
+    g = g if axis is None else np.expand_dims(g, axis)
+    # a gradient of a wider dtype than the logits' widens the result
+    return np.multiply(g, grad, out=grad if g.dtype == grad.dtype else None)
 
 
-def bce_loss(target, logits, axis=None) -> Tensor:
+def bce_loss(target, logits, axis=None, work=None) -> Tensor:
     """Binary cross entropy of targets t in [0, 1] against Bernoulli logits l.
 
     Each element is softplus(l) - t*l = -[t log s(l) + (1-t) log(1-s(l))]
@@ -548,13 +555,39 @@ def bce_loss(target, logits, axis=None) -> Tensor:
     saturated wrong logit still gets a full-size gradient.
     ``axis=None`` averages over every element, ``axis=1`` returns the
     per-row mean. The target is a constant in the logits' dtype.
+
+    The elementwise terms are computed in place in two arrays: ``work``, a
+    pair of C-contiguous arrays of the logits' shape and dtype (one
+    ``(2, *shape)`` array will do) that must not overlap the logits or the
+    target, or two new arrays when ``work`` is None. A workspace is
+    overwritten on each call and never kept by the node, so a training loop
+    can pass the same one every step; a workspace that does not fit raises
+    :class:`ShapeError`. The value and gradient are the same bits either way.
     """
     lg = as_tensor(logits)
-    t = np.asarray(target.data if isinstance(target, Tensor) else target, dtype=lg.data.dtype)
-    if t.shape != lg.data.shape:
-        raise ShapeError(f"bce_loss: shapes {t.shape} and {lg.data.shape} differ")
-    elems = np.maximum(lg.data, 0) + np.log1p(np.exp(-np.abs(lg.data))) - t * lg.data
-    return _make(elems.mean(axis=axis), (lg,), _vjp_bce_loss, (t, axis))
+    x = lg.data
+    t = np.asarray(target.data if isinstance(target, Tensor) else target, dtype=x.dtype)
+    if t.shape != x.shape:
+        raise ShapeError(f"bce_loss: shapes {t.shape} and {x.shape} differ")
+    if work is None:
+        a, b = np.empty_like(x), np.empty_like(x)
+    elif len(work) != 2 or not all(isinstance(w, np.ndarray) and w.shape == x.shape
+                                   and w.dtype == x.dtype and w.flags.c_contiguous
+                                   for w in work):
+        given = [f"{np.shape(w)} {getattr(w, 'dtype', type(w).__name__)}" for w in work]
+        raise ShapeError(f"bce_loss: workspace {given} does not fit logits {x.shape} {x.dtype} "
+                         "(two C-contiguous arrays of their shape and dtype)")
+    else:
+        a, b = work
+    np.maximum(x, 0, out=a)
+    np.abs(x, out=b)
+    np.negative(b, out=b)
+    np.exp(b, out=b)
+    np.log1p(b, out=b)
+    np.add(a, b, out=a)
+    np.multiply(t, x, out=b)
+    np.subtract(a, b, out=a)
+    return _make(a.mean(axis=axis), (lg,), _vjp_bce_loss, (t, axis))
 
 
 def _vjp_mse(g, node, k):

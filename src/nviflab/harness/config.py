@@ -1,8 +1,8 @@
 """Experiment configuration: a single JSON file drives every command.
 
-Unknown keys are rejected (top level and inside each section) so typos
-cannot silently fall back to defaults, and every trainer's hyperparameters
-are validated on load.
+The file and each of its sections are JSON objects. Unknown keys are
+rejected (top level and inside each section) so typos cannot silently fall
+back to defaults, and every trainer's hyperparameters are validated on load.
 """
 from __future__ import annotations
 
@@ -35,6 +35,7 @@ _OBS_VAE_KEYS = {"latent_width", "hidden_width", "epochs", "lr", "batch_size",
 _NVIF_KEYS = {"hidden_width", "latent_width", "flow_layers", "decoder_hidden",
               "alpha", "epochs", "lr", "batch_episodes", "buffer_episodes",
               "recon_weight", "graph", "stop_recon_frac", "seed"}
+_SECTIONS = ("env", "obs_vae", "nvif", "ppo", "dqn", "eval", "scalability")
 _EVAL_KEYS = {"episodes", "seed", "greedy", "replay"}
 _SCAL_KEYS = {"policies", "tasks", "episodes", "seed"}
 
@@ -95,10 +96,16 @@ def load_experiment(path) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}")
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be a JSON object, got {json.dumps(raw)[:40]}")
     _reject_unknown("config", raw, _TOP_KEYS)
     for key in ("task", "out_dir"):
         if key not in raw:
             raise ConfigError(f"config missing required key {key!r}")
+    for section in _SECTIONS:
+        if not isinstance(raw.get(section, {}), dict):
+            raise ConfigError(f"config section {section!r} must be a JSON object, "
+                              f"got {json.dumps(raw[section])[:40]}")
     cfg = ExperimentConfig(**raw)
     if cfg.algorithm not in ALGORITHMS:
         raise ConfigError(

@@ -12,6 +12,10 @@ of :func:`env_gather.window_codes` with their positions, at 2*w*w + 8 bytes
 a window against the 28*w*w of float32 rows. Each shuffled minibatch is
 decoded by :func:`env_gather.decode_windows` into one float32 batch buffer
 that training owns and reuses, so no float32 copy of the corpus is ever held.
+Beside it, training owns the loss workspace: the two minibatch-sized arrays
+:func:`diffcore.bce_loss` computes its elementwise terms in. Fresh arrays of
+that size would come from the top of the heap, which is trimmed after each
+minibatch and page-faulted back in on the next.
 """
 from __future__ import annotations
 
@@ -134,7 +138,11 @@ class ObsCompressor:
             raise DataError(f"obs-vae corpus must be (n, 2*w*w) codes of {obs_dim}-wide "
                             f"windows, got {corpus.codes.shape}")
         rng = np.random.default_rng(hyper.seed)
-        buffer = np.empty((min(n, hyper.batch_size), obs_dim), dtype=np.float32)
+        rows_max = min(n, hyper.batch_size)
+        buffer = np.empty((rows_max, obs_dim), dtype=np.float32)
+        # bce_loss's workspace, as two arrays: freeing one block of twice the size
+        # would raise glibc's dynamic mmap threshold, and with it later peak RSS
+        work = [np.empty((rows_max, obs_dim), dtype=self.config.dtype) for _ in range(2)]
         history = []
         for epoch in range(hyper.epochs):
             order = rng.permutation(n)
@@ -148,7 +156,8 @@ class ObsCompressor:
                 x = Tensor(batch)
                 mu, log_sigma = self._encode(x)
                 z = gaussian_sample(mu, log_sigma, rng=rng)
-                recon = mul(bce_loss(batch, self._decode(z)), float(obs_dim))
+                recon = bce_loss(batch, self._decode(z), work=[w[:len(rows)] for w in work])
+                recon = mul(recon, float(obs_dim))
                 kl = kl_standard_normal(mu, log_sigma)
                 loss = recon + kl
                 self.store.zero_grad()

@@ -394,6 +394,49 @@ class TestBceLogits:
         np.testing.assert_allclose(logits.grad, (sig - target) / 4, rtol=1e-6, atol=1e-30)
         assert logits.grad[0] == pytest.approx(0.25) and logits.grad[1] == pytest.approx(-0.25)
 
+    @given(st.sampled_from([np.float32, np.float64]), st.sampled_from([np.float32, np.float64]),
+           st.sampled_from([None, 1]), st.lists(st.integers(1, 9), min_size=1, max_size=4),
+           st.integers(1, 12), st.booleans(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_workspace_gives_the_bits_of_fresh_arrays(self, dtype, g_dtype, axis, row_counts,
+                                                      width, one_block, seed):
+        # one NaN-filled workspace serves every call, so stale contents would show;
+        # a float64 upstream gradient makes a float32 loss' logits gradient float64
+        rng = np.random.default_rng(seed)
+        block = np.full((2, max(row_counts), width), np.nan, dtype=dtype)
+        pair = [np.full((max(row_counts), width), np.nan, dtype=dtype) for _ in range(2)]
+        for rows in row_counts:
+            work = block[:, :rows] if one_block else [w[:rows] for w in pair]
+            target = rng.random((rows, width)).astype(dtype)
+            x = (rng.standard_normal((rows, width)) * 30.0).astype(dtype)  # some saturate
+            upstream = np.asarray(rng.standard_normal(() if axis is None else rows), g_dtype)
+            # the out-of-place expressions the in-place ones replace, as the oracle
+            n = x.size if axis is None else x.shape[axis]
+            value = (np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x))) - target * x).mean(axis=axis)
+            sig = 0.5 + 0.5 * np.tanh(0.5 * x)
+            grad = (upstream if axis is None else upstream[:, None]) * ((sig - target) / n)
+            for w in (None, work):
+                logits = dc.Tensor(x.copy(), requires_grad=True)
+                loss = dc.bce_loss(target, logits, axis=axis, work=w)
+                dc.backward(dc.sum(dc.mul(loss, upstream)))
+                assert loss.data.dtype == dtype and logits.grad.dtype == grad.dtype
+                assert loss.data.tobytes() == value.tobytes()
+                assert logits.grad.tobytes() == grad.tobytes()
+
+    @pytest.mark.parametrize("make", [
+        lambda shape, dtype: np.empty((2, shape[0] - 1, shape[1]), dtype),
+        lambda shape, dtype: np.empty((2, *shape), np.float64),
+        lambda shape, dtype: np.empty((2, shape[1], shape[0]), dtype).transpose(0, 2, 1),
+        lambda shape, dtype: np.empty((3, *shape), dtype),
+        lambda shape, dtype: [np.empty(shape, dtype), np.empty(shape[::-1], dtype)],
+    ], ids=["rows", "dtype", "not-c-contiguous", "three-arrays", "one-misfit"])
+    def test_misfit_workspace_rejected(self, make):
+        x = np.zeros((4, 5), dtype=np.float32)
+        work = make(x.shape, x.dtype)
+        with pytest.raises(ShapeError) as err:
+            dc.bce_loss(x, dc.Tensor(x, requires_grad=True), work=work)
+        assert str(np.shape(work[-1])) in str(err.value) and "(4, 5)" in str(err.value)
+
     def test_sigmoid_does_not_overflow_in_float32(self):
         x = np.array([-200.0, -90.0, 0.0, 90.0, 200.0], dtype=np.float32)
         with warnings.catch_warnings():

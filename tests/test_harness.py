@@ -121,6 +121,22 @@ class TestExperimentConfig:
         for graph in ("neighbor", "full"):
             load_experiment(write_config(tmp_path / "c.json", nvif={"graph": graph}))
 
+    @pytest.mark.parametrize("value", [[], "x", 5, None])
+    @pytest.mark.parametrize("section", ["env", "obs_vae", "nvif", "ppo", "dqn", "eval",
+                                         "scalability"])
+    def test_section_that_is_not_an_object_rejected(self, tmp_path, section, value):
+        # these raised TypeError or AttributeError, or loaded without a word
+        path = write_config(tmp_path / "c.json", **{section: value})
+        with pytest.raises(ConfigError, match=f"section '{section}' must be a JSON object"):
+            load_experiment(path)
+
+    @pytest.mark.parametrize("raw", [[], "x", 5, None])
+    def test_config_that_is_not_an_object_rejected(self, tmp_path, raw):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match="must be a JSON object"):
+            load_experiment(path)
+
     def test_env_overrides_apply(self, tmp_path):
         path = write_config(tmp_path / "c.json", env={"view_radius": 3})
         cfg = load_experiment(path)
@@ -304,6 +320,42 @@ def test_paper_scale_obs_vae_within_address_space_gate():
     run_capped(_OBS_VAE_SCRIPT, OBS_VAE_GATE_MIB)
 
 
+# The obs-VAE training of the eval-large benchmark's set-up (4,000 normal-large
+# windows, latent 8, hidden 48, batches of 256, lr 2e-3), for two epochs in its
+# own process, counting minor page faults during train(). With the loss
+# computed in a workspace the training owns, it pays 68 faults a minibatch,
+# nearly all on the first three (CPython 3.11, numpy 2.4, glibc); with fresh
+# loss temporaries, glibc trims the heap top after each minibatch and the next
+# one faults it back in: 622–629 a minibatch.
+OBS_VAE_FAULTS_PER_MINIBATCH = 100
+_OBS_VAE_FAULT_SCRIPT = """
+import resource, sys
+limit = int(sys.argv[1]) * 2 ** 20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+import numpy as np
+from nviflab.env_gather import preset
+from nviflab.harness import collect_obs_corpus
+from nviflab.nvif import ObsCompressor, ObsVaeConfig, ObsVaeHyper
+
+task = preset("normal-large", seed=0)
+rng = np.random.default_rng(0)
+corpus = collect_obs_corpus(task, episodes=10, rng=rng, max_samples=4000)
+comp = ObsCompressor(ObsVaeConfig(obs_dim=task.obs_dim, latent_width=8, hidden_width=48), rng)
+hyper = ObsVaeHyper(epochs=2, lr=2e-3, batch_size=256, seed=0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+comp.train(corpus, hyper)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+minibatches = hyper.epochs * -(-len(corpus.codes) // hyper.batch_size)
+assert faults <= int(sys.argv[2]) * minibatches, (
+    f"{faults} minor faults over {minibatches} minibatches")
+"""
+
+
+@linux_only
+def test_obs_vae_training_does_not_refault_its_minibatches():
+    run_capped(_OBS_VAE_FAULT_SCRIPT, OBS_VAE_GATE_MIB, OBS_VAE_FAULTS_PER_MINIBATCH)
+
+
 class TestCliExitCodes:
     def test_invalid_config_exits_1(self, tmp_path):
         path = write_config(tmp_path / "c.json", bogus_key=True)
@@ -319,6 +371,15 @@ class TestCliExitCodes:
         path = write_config(tmp_path / "c.json", nvif={"hidden_width": "64"})
         assert cli_main(["train", "--config", str(path)]) == 1
         assert "hidden_width" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [[], "x", 5, None])
+    @pytest.mark.parametrize("section", ["env", "obs_vae", "nvif", "ppo", "dqn", "eval",
+                                         "scalability"])
+    def test_section_that_is_not_an_object_exits_1(self, tmp_path, capsys, section, value):
+        path = write_config(tmp_path / "c.json", **{section: value})
+        assert cli_main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and section in err and "Traceback" not in err
 
     def test_unknown_algorithm_exits_1(self, tmp_path):
         path = write_config(tmp_path / "c.json", algorithm="q-zero")
