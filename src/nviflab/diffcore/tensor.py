@@ -34,6 +34,7 @@ the graph.
 """
 from __future__ import annotations
 
+from functools import partial
 from itertools import accumulate
 
 import numpy as np
@@ -201,11 +202,14 @@ def _vjp_affine(g, node, k):
 def affine(x, w, b) -> Tensor:
     """``x @ w + b`` for a 2-D ``x`` and a bias broadcast over its rows, as one
     node: the values and gradients of a product node and a bias-add node,
-    without keeping the pre-bias product alive on the tape."""
+    without keeping the pre-bias product alive on the tape. The bias is added
+    in place unless that narrows the product's dtype, so a call makes one array."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise ShapeError(f"affine: shapes {x.data.shape} and {w.data.shape} incompatible")
-    return _make(_elementwise("affine", np.add, x.data @ w.data, b.data), (x, w, b), _vjp_affine)
+    xw = x.data @ w.data
+    add = partial(np.add, out=xw if np.result_type(xw, b.data) == xw.dtype else None)
+    return _make(_elementwise("affine", add, xw, b.data), (x, w, b), _vjp_affine)
 
 
 def _blockwise(blocks, x: np.ndarray) -> np.ndarray:

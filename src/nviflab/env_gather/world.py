@@ -24,18 +24,18 @@ random order, and finally every surviving agent pays the per-step penalty.
 An episode is done at ``max_steps``, when the food is gone, or when every
 agent is dead.
 
-The planes are the one window format: :func:`window_codes` gathers agents'
+The planes are the one window format: :func:`observe` gathers agents'
 (2, w, w) windows off them as uint8 rows, the observer's own cell zeroed,
-which the obs-VAE corpus and the pre-training buffer store. :func:`observe`
-decodes them into (n, 7*w*w) float32 rows, as :func:`decode_windows` decodes
-stored codes. Each observed channel follows from the codes, the agent's cell,
-the map size and the hp maxima:
+which rollouts compress as they are and the obs-VAE corpus and the
+pre-training buffer store. :func:`decode_windows`, the one float renderer,
+turns stored codes into (n, 7*w*w) float32 rows for obs-VAE minibatches and
+reconstruction targets. Each float channel follows from the codes, the
+agent's cell, the map size and the hp maxima:
 
 - a presence channel is its hp count > 0: a live unit has hp >= 1, a dead
   one leaves its plane, and the observer's own cell is zero in both;
 - the out-of-bounds window is read off a cached window view of the static
-  padded wall plane (for stored codes, at the rounded normalized position
-  times (ms - 1));
+  padded wall plane, at the rounded normalized position times (ms - 1);
 - an hp channel is its count cast to float32 and divided by the hp maximum
   in float32, which equals float32(k / hp) for every hp and k up to 255;
 - the last two hold the agent's normalized x and y.
@@ -195,16 +195,6 @@ def _channel_grids(config: TaskConfig, pos, hp, alive) -> np.ndarray:
     return padded
 
 
-def _agent_cells(world: GridWorld, ids) -> np.ndarray:
-    """(len(ids), 2) cells of the alive omnivores ``ids``, or ProtocolError."""
-    n = world.n_agents
-    ok = world.alive[:n].tolist()
-    bad = [i for i in ids if not (0 <= i < n and ok[i])]
-    if bad:
-        raise ProtocolError(f"agents {bad} are not alive omnivores")
-    return world.pos[np.asarray(ids, dtype=np.intp)]
-
-
 def _window_view(planes: np.ndarray, map_size: int, r: int) -> np.ndarray:
     """View of padded (..., ms+2R, ms+2R) ``planes`` whose [y, x] is the
     (..., w, w) window around the map cell (x, y)."""
@@ -214,47 +204,20 @@ def _window_view(planes: np.ndarray, map_size: int, r: int) -> np.ndarray:
                       planes, 0, (sy, sx, *lead, sy, sx))
 
 
-def _gather(world: GridWorld, pos: np.ndarray) -> np.ndarray:
-    """(n, 2, w, w) windows around the cells ``pos``, own cell zeroed."""
-    r = world.config.view_radius
+def observe(world: GridWorld, ids) -> np.ndarray:
+    """(len(ids), 2*w*w) uint8 windows of the alive agents ``ids``: the hp
+    counts of the omnivore plane, then of the food plane, around each agent,
+    its own cell zeroed. :func:`decode_windows` renders them as floats."""
+    n, r, w = world.n_agents, world.config.view_radius, world.config.window
+    ok = world.alive[:n].tolist()
+    bad = [i for i in ids if not (0 <= i < n and ok[i])]
+    if bad:
+        raise ProtocolError(f"agents {bad} are not alive omnivores")
+    pos = world.pos[np.asarray(ids, dtype=np.intp)]
     # a view per call: a stored one would outlive a deepcopy's grids
     codes = _window_view(world.grids, world.config.map_size, r)[pos[:, 1], pos[:, 0]]
     codes[:, 0, r, r] = 0  # the observer does not see itself
-    return codes
-
-
-def window_codes(world: GridWorld, ids) -> np.ndarray:
-    """(len(ids), 2*w*w) uint8 hp-count windows of the alive agents ``ids``."""
-    return _gather(world, _agent_cells(world, ids)).reshape(len(ids), -1)
-
-
-def observe(world: GridWorld, ids) -> np.ndarray:
-    """(len(ids), 7*w*w) float32 windows centered on the alive agents ``ids``:
-    their :func:`window_codes`, decoded.
-
-    Channels: out-of-bounds mask, other-omnivore presence, their normalized
-    hp, food presence, food normalized hp, then two constant channels holding
-    the agent's normalized x and y.
-    """
-    pos = _agent_cells(world, ids)
-    cfg = world.config
-    out = np.empty((len(pos), cfg.obs_dim), dtype=np.float32)
-    return _decode(_gather(world, pos), pos, pos / (cfg.map_size - 1), cfg, out)
-
-
-def _decode(codes: np.ndarray, xy: np.ndarray, positions: np.ndarray, config,
-            out: np.ndarray) -> np.ndarray:
-    """``out`` (n, 7*w*w) filled with the float32 windows of ``codes``
-    (n, 2, w, w) around the cells ``xy`` at normalized ``positions``."""
-    n, w = codes.shape[0], codes.shape[-1]
-    view = out.reshape(n, 7, w, w)
-    view[:, 0] = _wall_windows(config.map_size, w // 2)[xy[:, 1], xy[:, 0]]
-    np.greater(codes, 0, out=view[:, 1:5:2])
-    # uint8 counts over float32 maxima run numpy's float32 loop: float32(k) / float32(hp)
-    top = np.array([config.hp_omnivore, config.hp_food], dtype=np.float32).reshape(2, 1, 1)
-    np.divide(codes, top, out=view[:, 2:5:2])
-    view[:, 5:] = positions[:, :, None, None]
-    return out
+    return codes.reshape(len(ids), PLANES * w * w)
 
 
 @functools.lru_cache(maxsize=8)
@@ -270,12 +233,12 @@ def _wall_windows(map_size: int, r: int) -> np.ndarray:
 
 def decode_windows(codes: np.ndarray, positions: np.ndarray, config, out=None) -> np.ndarray:
     """The float32 observation windows (n, 7*w*w) of codes (n, 2*w*w) from
-    :func:`window_codes` and normalized positions (n, 2), written into
-    ``out`` when given (a C-contiguous float32 array of that shape).
-    ``config`` is the task's :class:`TaskConfig`, or a record carrying its
-    ``hp_omnivore``, ``hp_food`` and ``map_size``. The rebuild is exact and
-    is :func:`observe`'s own. Codes that are not 2*w*w wide for an odd w,
-    positions off the map or a misfit ``out`` raise DataError."""
+    :func:`observe` and normalized positions (n, 2), written into ``out``
+    when given (a C-contiguous float32 array of that shape). ``config`` is
+    the task's :class:`TaskConfig`, or a record carrying its
+    ``hp_omnivore``, ``hp_food`` and ``map_size``. Codes that are not 2*w*w
+    wide for an odd w, positions off the map or a misfit ``out`` raise
+    DataError."""
     if codes.ndim != 2:
         raise DataError(f"window codes must be (n, 2*w*w), got shape {codes.shape}")
     n = codes.shape[0]
@@ -293,7 +256,14 @@ def decode_windows(codes: np.ndarray, positions: np.ndarray, config, out=None) -
     if out.dtype != np.float32 or out.shape != (n, 7 * w * w) or not out.flags.c_contiguous:
         raise DataError(f"decode_windows out must be a C-contiguous float32 array of shape "
                         f"{(n, 7 * w * w)}, got {out.dtype} {out.shape}")
-    return _decode(codes.reshape(n, PLANES, w, w), xy, positions, config, out)
+    codes, view = codes.reshape(n, PLANES, w, w), out.reshape(n, 7, w, w)
+    view[:, 0] = _wall_windows(ms, w // 2)[xy[:, 1], xy[:, 0]]
+    np.greater(codes, 0, out=view[:, 1:5:2])
+    # uint8 counts over a float32 maximum run numpy's float32 loop: float32(k) / float32(hp)
+    np.divide(codes[:, 0], np.float32(config.hp_omnivore), out=view[:, 2])
+    np.divide(codes[:, 1], np.float32(config.hp_food), out=view[:, 4])
+    view[:, 5:] = positions[:, :, None, None]
+    return out
 
 
 def step(world: GridWorld, actions) -> StepResult:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..env_gather import N_ACTIONS, new_world, step, window_codes
+from ..env_gather import N_ACTIONS, new_world, observe, step
 from ..errors import ConfigError, require_counts
 from ..nvif import (
     NvifConfig,
@@ -26,7 +26,7 @@ from .config import ALGORITHMS, ExperimentConfig
 def collect_obs_corpus(task_cfg, episodes: int, rng: np.random.Generator,
                        max_samples: int | None = None) -> ObsCorpus:
     """Observation windows from random-policy play, in the order observed,
-    as their uint8 hp-count codes (:func:`env_gather.window_codes`), the
+    as their uint8 hp-count codes (:func:`env_gather.observe`), the
     agents' normalized positions, and the task's hp maxima and map size.
     With ``max_samples``, the first ``max_samples`` windows.
 
@@ -45,7 +45,7 @@ def collect_obs_corpus(task_cfg, episodes: int, rng: np.random.Generator,
         while not world.done and count < room:
             ids = world.alive_agents()
             kept = ids[:room - count]
-            codes[count:count + len(kept)] = window_codes(world, kept)
+            codes[count:count + len(kept)] = observe(world, kept)
             positions[count:count + len(kept)] = world.agent_positions(kept) / (
                 task_cfg.map_size - 1)
             count += len(kept)

@@ -1,14 +1,17 @@
 """Observation compressor: a small VAE trained on raw local views.
 
 The rest of the pipeline consumes its posterior mean as a fixed-width
-1-D feature, deterministically at inference time. The decoder returns
-per-cell Bernoulli logits, and the cross entropy is computed from them
+1-D feature, deterministically at inference time, from the uint8 codes of
+:func:`env_gather.observe`: per task, the first layer folds into weights over
+[codes > 0, codes] and a table of each map cell's empty-window pre-activation
+(equal to the float path up to rounding). The decoder returns per-cell
+Bernoulli logits, and the cross entropy is computed from them
 (:func:`diffcore.bce_loss`). Training balances the reconstruction term
 against the KL by summing the cross entropy over cells (the usual VAE
 convention), otherwise the prior collapses the code.
 
 It trains on an :class:`ObsCorpus`: the windows as the uint8 hp-count codes
-of :func:`env_gather.window_codes` with their positions, at 2*w*w + 8 bytes
+of :func:`env_gather.observe` with their positions, at 2*w*w + 8 bytes
 a window against the 28*w*w of float32 rows. Each shuffled minibatch is
 decoded by :func:`env_gather.decode_windows` into one float32 batch buffer
 that training owns and reuses, so no float32 copy of the corpus is ever held.
@@ -50,7 +53,7 @@ from .losses import kl_standard_normal
 
 @dataclass(eq=False)  # array fields have no single truth value
 class ObsCorpus:
-    """Observation windows as :func:`env_gather.window_codes` codes them."""
+    """Observation windows as :func:`env_gather.observe` codes them."""
     codes: np.ndarray          # (n, 2*w*w) uint8 hp-count codes
     positions: np.ndarray      # (n, 2) float32 normalized positions
     hp_omnivore: int           # the task's hp maxima, which the codes count in
@@ -83,6 +86,7 @@ class ObsCompressor:
                  store: ParamStore | None = None, trained: bool = False):
         self.config = config
         self.trained = trained
+        self._folds = {}  # (map_size, hp_omnivore, hp_food) -> (code weights, cell table)
         dt = np.dtype(config.dtype)
         if store is not None:
             self.store = store
@@ -122,13 +126,52 @@ class ObsCompressor:
         """Per-cell logits of the reconstructed observation."""
         return mlp(z, self.store, "dec_")
 
-    def encode(self, obs_flat: np.ndarray) -> np.ndarray:
-        """Posterior means for a batch of flattened observations."""
+    def encode(self, codes: np.ndarray, cells: np.ndarray, task) -> np.ndarray:
+        """Posterior means of the (n, 2*w*w) :func:`env_gather.observe` codes
+        seen from the (n, 2) map cells (x, y) of ``task`` (its config, or a
+        record of its ``map_size``, ``hp_omnivore`` and ``hp_food``)."""
         if not self.trained:
             raise StateError("observation compressor used before training")
-        x = np.atleast_2d(np.asarray(obs_flat, dtype=self.config.dtype))
+        n, width, ms = len(codes), 2 * self.config.obs_dim // 7, task.map_size
+        if (codes.shape != (n, width) or cells.shape != (n, 2)
+                or n and not (0 <= cells.min() and cells.max() < ms)):
+            raise DataError(f"encode needs ({n}, {width}) window codes and ({n}, 2) cells on "
+                            f"the {ms}x{ms} map, got {codes.shape} and {cells.shape}")
+        key = (ms, task.hp_omnivore, task.hp_food)
+        if key not in self._folds:
+            self._folds[key] = self._fold(task)
+        w_codes, table = self._folds[key]
+        x = np.empty((n, 2, width), dtype=w_codes.dtype)
+        np.greater(codes, 0, out=x[:, 0])
+        x[:, 1] = codes
+        h = x.reshape(n, 2 * width) @ w_codes
+        h += table[cells[:, 1], cells[:, 0]]
         with no_grad():
-            return self._mean(self._hidden(Tensor(x))).data
+            return self._mean(Tensor(np.maximum(h, 0, out=h))).data
+
+    def _fold(self, task):
+        """The first layer's (4*w*w, hidden) weights of [codes > 0, codes] and
+        (ms, ms, hidden) table of each cell's empty-window pre-activation, from
+        windows :func:`env_gather.decode_windows` renders, affine in those
+        columns at a fixed cell; in float64, at most ms windows at a time."""
+        w1 = self.store["enc_w1"].data.astype(np.float64)
+        b1 = self.store["enc_w1_b"].data.astype(np.float64)
+        ms, width = task.map_size, 2 * self.config.obs_dim // 7
+
+        def layer(codes, positions):
+            return np.concatenate([decode_windows(codes[lo:lo + ms], positions[lo:lo + ms], task)
+                                   @ w1 for lo in range(0, len(codes), ms)]) + b1
+
+        ones = np.eye(width, dtype=np.uint8)  # a count of 1, then 2, in each column at (0, 0)
+        one, two = np.split(layer(np.concatenate([ones, 2 * ones]), np.zeros((2 * width, 2)))
+                            - layer(0 * ones[:1], np.zeros((1, 2))), 2)
+        w_codes = np.concatenate([2 * one - two, two - one]).astype(self.config.dtype)
+        positions = np.stack([np.arange(ms) / (ms - 1), np.zeros(ms)], axis=1)
+        table = np.empty((ms, ms, len(b1)), dtype=self.config.dtype)
+        for y in range(ms):
+            positions[:, 1] = y / (ms - 1)
+            table[y] = layer(np.zeros((ms, width), dtype=np.uint8), positions)
+        return w_codes, table
 
     def train(self, corpus: ObsCorpus, hyper: ObsVaeHyper) -> list[dict]:
         """Minimize summed-bce reconstruction + KL over shuffled minibatches."""
@@ -137,6 +180,7 @@ class ObsCompressor:
         if corpus.codes.ndim != 2 or n == 0 or 7 * corpus.codes.shape[1] != 2 * obs_dim:
             raise DataError(f"obs-vae corpus must be (n, 2*w*w) codes of {obs_dim}-wide "
                             f"windows, got {corpus.codes.shape}")
+        self._folds.clear()  # they follow the weights
         rng = np.random.default_rng(hyper.seed)
         rows_max = min(n, hyper.batch_size)
         buffer = np.empty((rows_max, obs_dim), dtype=np.float32)

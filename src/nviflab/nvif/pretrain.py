@@ -20,11 +20,12 @@ decoder activations live for one timestep, not for the whole batch, and the
 gradients are exactly those of the decoder on the batch tape.
 
 The buffer stores the observation windows as the uint8 hp-count codes of
-:func:`env_gather.window_codes`, 2*w*w bytes a window against the 28*w*w
-of float32 rows; each episode keeps its task's hp maxima and map size, and
-:func:`env_gather.decode_windows` rebuilds the observed windows exactly, as
-it decodes the obs-VAE corpus. So the episodes of one batch must share their
-hp maxima and map size.
+:func:`env_gather.observe`, 2*w*w bytes a window against the 28*w*w of
+float32 rows, and the compressed features are encoded from those same codes,
+as rollouts encode them. Each episode keeps its task's hp maxima and map
+size, and :func:`env_gather.decode_windows` rebuilds the float windows
+exactly for the reconstruction targets, as it decodes the obs-VAE corpus. So
+the episodes of one batch must share their hp maxima and map size.
 """
 from __future__ import annotations
 
@@ -40,7 +41,6 @@ from ..env_gather import (
     new_world,
     observe,
     step,
-    window_codes,
 )
 from ..errors import ConfigError, DataError, require_counts, require_rates
 from .encoder import NvifEncoder
@@ -56,7 +56,7 @@ def require_graph_kind(kind) -> None:
 @dataclass(eq=False)  # array fields have no single truth value
 class StepData:
     ids: tuple[int, ...]
-    raw_obs: np.ndarray        # (n, 2*w*w) uint8 hp-count codes; see window_codes
+    raw_obs: np.ndarray        # (n, 2*w*w) uint8 hp-count codes; see observe
     feats: np.ndarray          # (n, obs_feat_width)
     positions: np.ndarray      # (n, 2) normalized
     adj_norm: np.ndarray       # (n, n)
@@ -96,8 +96,9 @@ def gather_step_data(world, ids, compressor: ObsCompressor, graph_kind: str = "n
     """Window codes, compressed features, positions, and adjacency for one step."""
     pos = world.agent_positions(ids)
     graph = fully_connected(ids) if graph_kind == "full" else build_graph(pos, ids)
-    return StepData(ids=tuple(ids), raw_obs=window_codes(world, ids),
-                    feats=compressor.encode(observe(world, ids)).astype(dtype),
+    codes = observe(world, ids)
+    return StepData(ids=tuple(ids), raw_obs=codes,
+                    feats=compressor.encode(codes, pos, world.config).astype(dtype),
                     positions=(pos / (world.config.map_size - 1)).astype(dtype),
                     adj_norm=normalize(graph).astype(dtype))
 

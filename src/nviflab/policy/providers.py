@@ -92,6 +92,7 @@ def make_provider(mode: str, feat_width: int, encoder=None, rng=None, sample=Tru
 
 def featurize(world, ids, compressor: ObsCompressor, provider) -> np.ndarray:
     """Policy input rows [compressed observation || latent] for ``ids``."""
-    feats = compressor.encode(observe(world, ids))
-    latent = provider.step(feats, world.agent_positions(ids), ids)
+    cells = world.agent_positions(ids)
+    feats = compressor.encode(observe(world, ids), cells, world.config)
+    latent = provider.step(feats, cells, ids)
     return np.concatenate([feats, latent.astype(feats.dtype)], axis=1)

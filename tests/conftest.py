@@ -24,7 +24,15 @@ from nviflab.diffcore.tensor import (
     _sigmoid,
     as_tensor,
 )
-from nviflab.env_gather import ATTACK_OFFSETS, EMPTY, MOVE_OFFSETS, N_ACTIONS, preset
+from nviflab.env_gather import (
+    ATTACK_OFFSETS,
+    EMPTY,
+    MOVE_OFFSETS,
+    N_ACTIONS,
+    decode_windows,
+    observe,
+    preset,
+)
 from nviflab.errors import DataError, ProtocolError, ShapeError
 from nviflab.env_gather.world import GridWorld, _channel_grids
 from nviflab.nvif import ObsCompressor, ObsVaeConfig, ObsVaeHyper
@@ -347,6 +355,26 @@ def tape_size(loss, skip=()):
         elif isinstance(item, (tuple, list)):
             stack.extend(item)
     return len(order), sum(a.nbytes for a in arrays.values())
+
+
+def float_observe(world, ids) -> np.ndarray:
+    """The (len(ids), 7*w*w) float32 observation rows of the alive agents
+    ``ids``: their :func:`env_gather.observe` codes rendered at their cells
+    by :func:`env_gather.decode_windows`, the rows the compressor's unfolded
+    first layer reads."""
+    cfg = world.config
+    return decode_windows(observe(world, ids), world.agent_positions(ids) / (cfg.map_size - 1),
+                          cfg)
+
+
+def float_encode(compressor, codes, cells, task) -> np.ndarray:
+    """Posterior means of the window codes through the float rows and the
+    compressor's unfolded first layer: the oracle of the folded
+    :meth:`ObsCompressor.encode`."""
+    rows = decode_windows(codes, np.asarray(cells) / (task.map_size - 1), task)
+    with dc.no_grad():
+        return compressor._mean(compressor._hidden(
+            dc.Tensor(rows.astype(compressor.config.dtype)))).data
 
 
 def refresh_grids(world):

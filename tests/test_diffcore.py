@@ -359,6 +359,14 @@ class TestAffine:
         with pytest.raises(ShapeError):
             dc.affine(np.zeros((2, 3)), np.zeros((3, 2)), np.zeros(3))
 
+    def test_wider_bias_widens_the_output(self):
+        # the bias goes in place into the product only when that keeps its dtype
+        x, w = np.ones((2, 3), np.float32), np.full((3, 2), 0.1, np.float32)
+        b = np.full(2, 1e-9)
+        out = dc.affine(x, w, b).data
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, np.add(x @ w, b))
+
 
 class TestBceLogits:
     def test_gradient_matches_finite_differences(self):

@@ -18,6 +18,7 @@ from conftest import (
     by_agent,
     dict_step,
     episode_metrics,
+    float_observe,
     read_replay,
     refresh_grids,
 )
@@ -71,8 +72,8 @@ def observe_one(world, agent_id):
 
 
 def windows(world, ids):
-    """observe()'s rows for ``ids`` as (len(ids), 7, w, w) channels."""
-    raw = eg.observe(world, ids)
+    """The float observation rows of ``ids`` as (len(ids), 7, w, w) channels."""
+    raw = float_observe(world, ids)
     w = world.config.window
     assert raw.shape == (len(ids), 7 * w * w) and raw.dtype == np.float32
     return raw.reshape(len(ids), 7, w, w)
@@ -305,46 +306,61 @@ class TestBatchedObserve:
     @settings(max_examples=80, deadline=None)
     def test_equals_stacked_per_agent_windows(self, case):
         world, ids = case
+        codes = eg.observe(world, ids)
+        assert codes.dtype == np.uint8 and codes.shape == (len(ids), 2 * world.config.window ** 2)
         expected = np.stack([observe_one(world, i).ravel() for i in ids])
-        assert np.array_equal(eg.observe(world, ids), expected)
+        assert np.array_equal(float_observe(world, ids), expected)
+
+    def test_no_agents_give_no_rows(self):
+        # the codes are reshaped to an explicit width, so no agents are no rows
+        world = eg.new_world(make_config())
+        codes = eg.observe(world, [])
+        assert codes.dtype == np.uint8 and codes.shape == (0, 2 * world.config.window ** 2)
 
     def test_one_observe_per_env_step(self, monkeypatch, tiny_task):
-        # the rollout and buffer loops observe once a step; the obs-VAE
-        # corpus only gathers window codes
+        # every loop observes once a step: rollouts and the buffer compress
+        # the codes they observe, and the buffer and the corpus store them
         pipeline = importlib.import_module("nviflab.harness.pipeline")
         pretrain = importlib.import_module("nviflab.nvif.pretrain")
         providers = importlib.import_module("nviflab.policy.providers")
+        observed = []
 
         class Compressor:
-            def encode(self, raw):
-                return np.zeros((len(raw), 4), dtype=np.float32)
+            def encode(self, codes, *rest):
+                assert codes is observed[-1]
+                return np.zeros((len(codes), 4), dtype=np.float32)
 
         calls = []
 
         def spy(name):
             def call(*args):
                 calls.append(name)
-                return getattr(eg, name)(*args)
+                out = getattr(eg, name)(*args)
+                if name == "observe":
+                    observed.append(out)
+                return out
             return call
 
         for module in (pipeline, pretrain, providers):
-            for name in ("observe", "window_codes", "step"):
+            for name in ("observe", "step"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, spy(name))
         world = eg.new_world(tiny_task)
         providers.featurize(world, world.alive_agents(), Compressor(), providers.EmptyLatents())
         assert calls == ["observe"]
         calls.clear()
-        pretrain.gather_step_data(world, world.alive_agents(), Compressor())
-        assert sorted(calls) == ["observe", "window_codes"]
+        sd = pretrain.gather_step_data(world, world.alive_agents(), Compressor())
+        assert calls == ["observe"] and sd.raw_obs is observed[-1]
         calls.clear()
         pipeline.collect_obs_corpus(tiny_task, 2, np.random.default_rng(0))
-        assert calls == ["window_codes", "step"] * (len(calls) // 2) and calls
+        assert calls == ["observe", "step"] * (len(calls) // 2) and calls
         calls.clear()
-        pretrain.collect_pretrain_buffer(tiny_task, 2, Compressor(), np.random.default_rng(0))
-        steps = calls.count("step")
-        assert steps and calls.count("observe") == calls.count("window_codes") == steps
-        assert calls[2::3] == ["step"] * steps
+        buffer = pretrain.collect_pretrain_buffer(tiny_task, 2, Compressor(),
+                                                  np.random.default_rng(0))
+        assert calls == ["observe", "step"] * (len(calls) // 2) and calls
+        stored = [sd.raw_obs for ep in buffer for sd in ep.steps]
+        assert len(stored) == len(calls) // 2
+        assert all(a is b for a, b in zip(stored, observed[-len(stored):]))
 
 
 class TestWindowCodec:
@@ -353,8 +369,8 @@ class TestWindowCodec:
     def test_decoded_codes_equal_observe(self, case):
         world, ids = case
         cfg = world.config
-        windows = eg.observe(world, ids)
-        codes = eg.window_codes(world, ids)
+        windows = np.stack([observe_one(world, i).ravel() for i in ids])
+        codes = eg.observe(world, ids)
         assert codes.dtype == np.uint8 and codes.shape == (len(ids), 2 * cfg.window ** 2)
         positions = (world.agent_positions(ids) / (cfg.map_size - 1)).astype(np.float32)
         decoded = eg.decode_windows(codes, positions, cfg)
@@ -370,8 +386,8 @@ class TestWindowCodec:
         world, ids = case
         cfg, n = world.config, len(ids)
         positions = (world.agent_positions(ids) / (cfg.map_size - 1)).astype(np.float32)
-        decoded = eg.decode_windows(eg.window_codes(world, ids), positions, cfg)
-        assert np.array_equal(decoded, eg.observe(world, ids))
+        decoded = eg.decode_windows(eg.observe(world, ids), positions, cfg)
+        assert np.array_equal(decoded, np.stack([observe_one(world, i).ravel() for i in ids]))
         assert decoded.reshape(n, 7, -1)[:, 0].any(axis=1).all()  # every window sees the wall
 
     def test_cell_rounded_from_the_normalized_position(self):
@@ -383,15 +399,15 @@ class TestWindowCodec:
         cfg = world.config
         positions = (world.agent_positions(ids) / (cfg.map_size - 1)).astype(np.float32)
         assert int(positions[0, 0] * (cfg.map_size - 1)) == 6
-        decoded = eg.decode_windows(eg.window_codes(world, ids), positions, cfg)
-        assert np.array_equal(decoded, eg.observe(world, ids))
+        decoded = eg.decode_windows(eg.observe(world, ids), positions, cfg)
+        assert np.array_equal(decoded, np.stack([observe_one(world, i).ravel() for i in ids]))
 
     def test_misfit_codes_positions_or_out_rejected(self):
         cfg = make_config()
         world = eg.new_world(cfg)
         ids = world.alive_agents()
         n, cells = len(ids), cfg.window ** 2
-        codes = eg.window_codes(world, ids)
+        codes = eg.observe(world, ids)
         positions = (world.agent_positions(ids) / (cfg.map_size - 1)).astype(np.float32)
         # the five-channel layout, an even window, a width of no window, one row
         for bad in (np.zeros((n, 5 * cells), np.uint8), np.zeros((n, 2 * 16), np.uint8),
@@ -416,14 +432,18 @@ class TestWindowCodec:
         world.alive[1] = False
         for bad in ([1], [0, 2], [-1]):
             with pytest.raises(ProtocolError):
-                eg.window_codes(world, bad)
+                eg.observe(world, bad)
 
     def test_float32_division_is_the_observed_value_for_every_hp(self):
-        # decode divides in float32; observe rounds the float64 quotient
+        # decode divides uint8 counts by a float32 scalar in float32; the
+        # per-agent oracle rounds the float64 quotient
         k = np.arange(256)
         for hp in range(1, 256):
+            quotient = k.astype(np.uint8) / np.float32(hp)
+            assert quotient.dtype == np.float32
             assert np.array_equal(k.astype(np.float32) / np.float32(hp),
                                   (k / hp).astype(np.float32)), hp
+            assert np.array_equal(quotient, (k / hp).astype(np.float32)), hp
 
 
 @st.composite
@@ -443,8 +463,8 @@ class TestWindowPlanes:
     @given(case=stepped_worlds(), steps=st.integers(1, 8))
     @settings(max_examples=40, deadline=None)
     def test_planes_and_windows_agree_after_every_step(self, case, steps):
-        # the planes step() keeps are the rebuilt ones; observe() is the
-        # per-agent oracle and the decode of the window codes
+        # the planes step() keeps are the rebuilt ones, and the decode of
+        # the window codes observe() gathers is the per-agent oracle
         world, seed = case
         cfg = world.config
         rng = np.random.default_rng(seed)
@@ -458,12 +478,10 @@ class TestWindowPlanes:
             ids = world.alive_agents()
             if not ids:
                 break
-            windows = eg.observe(world, ids)
-            assert np.array_equal(windows, np.stack([observe_one(world, i).ravel()
-                                                     for i in ids]))
+            windows = np.stack([observe_one(world, i).ravel() for i in ids])
             positions = (world.agent_positions(ids) / (cfg.map_size - 1)).astype(np.float32)
             assert np.array_equal(
-                eg.decode_windows(eg.window_codes(world, ids), positions, cfg), windows)
+                eg.decode_windows(eg.observe(world, ids), positions, cfg), windows)
 
 
 ATTACK_UP, ATTACK_DOWN, ATTACK_LEFT, ATTACK_RIGHT = 28, 29, 30, 31

@@ -18,7 +18,6 @@ from nviflab.env_gather import (
     observe,
     preset,
     step,
-    window_codes,
 )
 from nviflab.errors import ConfigError, DataError
 from nviflab.harness import (
@@ -62,6 +61,7 @@ from nviflab.policy import (
 from conftest import (
     EpisodeSpy,
     episode_metrics,
+    float_observe,
     linux_only,
     read_replay,
     ring_spy,
@@ -197,7 +197,7 @@ def _corpus_oracle(task_cfg, episodes, rng, max_samples):
         world = new_world(replace(task_cfg, seed=int(rng.integers(2 ** 62))))
         while not world.done:
             ids = world.alive_agents()
-            rows.append(observe(world, ids))
+            rows.append(float_observe(world, ids))
             count += len(ids)
             step(world, rng.integers(0, N_ACTIONS, len(ids)))
             if max_samples is not None and count >= max_samples:
@@ -270,16 +270,16 @@ class TestObsCorpus:
             assert coded.store[name].data.tobytes() == floats.store[name].data.tobytes()
 
     def test_codes_are_the_window_codes_of_the_kept_agents(self, tiny_task, monkeypatch):
-        # each step's rows are window_codes() of the agents it keeps, and a
-        # limit inside a step's windows gathers no code that is cut
+        # each step's rows are the observe() codes of the agents it keeps,
+        # and a limit inside a step's windows gathers no code that is cut
         pipeline = importlib.import_module("nviflab.harness.pipeline")
         gathered = []
 
         def spy(world, ids):
-            gathered.append(window_codes(world, ids))
+            gathered.append(observe(world, ids))
             return gathered[-1]
 
-        monkeypatch.setattr(pipeline, "window_codes", spy)
+        monkeypatch.setattr(pipeline, "observe", spy)
         corpus = collect_obs_corpus(tiny_task, 1, np.random.default_rng(0), max_samples=10)
         assert [len(g) for g in gathered] == [4, 4, 2]
         assert np.array_equal(corpus.codes, np.concatenate(gathered))

@@ -47,6 +47,8 @@ from conftest import (
     composite_kl_rows,
     composite_matmul_relu,
     composite_sq_dist_rows,
+    float_encode,
+    float_observe,
     flownet_forward,
     graph_conv,
     gru_cell,
@@ -358,17 +360,27 @@ class TestLosses:
             float(dc.add(dc.add(recon, kl), dc.mul(cons, alpha)).data))
 
 
+def random_codes(task, n, seed):
+    """``n`` windows of ``task`` as drawn hp counts up to its maxima, at drawn
+    map cells."""
+    rng = np.random.default_rng(seed)
+    cells = task.window ** 2
+    codes = np.concatenate([rng.integers(0, task.hp_omnivore + 1, (n, cells)),
+                            rng.integers(0, task.hp_food + 1, (n, cells))], axis=1)
+    return codes.astype(np.uint8), rng.integers(0, task.map_size, (n, 2))
+
+
 class TestObsCompressor:
     def test_untrained_rejected(self, tiny_task):
         comp = ObsCompressor(ObsVaeConfig(obs_dim=tiny_task.obs_dim, latent_width=8),
                              np.random.default_rng(0))
         with pytest.raises(StateError):
-            comp.encode(np.zeros((1, tiny_task.obs_dim)))
+            comp.encode(*random_codes(tiny_task, 1, 0), tiny_task)
 
     def test_identical_obs_identical_features(self, tiny_compressor, tiny_task):
-        obs = np.random.default_rng(1).random((1, tiny_task.obs_dim)).astype(np.float32)
-        f1 = tiny_compressor.encode(obs[0])[0]
-        f2 = tiny_compressor.encode(obs[0])[0]
+        codes, cells = random_codes(tiny_task, 1, 1)
+        f1 = tiny_compressor.encode(codes, cells, tiny_task)[0]
+        f2 = tiny_compressor.encode(codes, cells, tiny_task)[0]
         np.testing.assert_array_equal(f1, f2)
         assert f1.shape == (8,)
 
@@ -383,8 +395,171 @@ class TestObsCompressor:
     def test_save_load(self, tmp_path, tiny_compressor, tiny_task):
         tiny_compressor.save(tmp_path / "vae")
         loaded = ObsCompressor.load(tmp_path / "vae")
-        x = np.random.default_rng(3).random((4, tiny_task.obs_dim)).astype(np.float32)
-        np.testing.assert_array_equal(loaded.encode(x), tiny_compressor.encode(x))
+        codes, cells = random_codes(tiny_task, 4, 3)
+        np.testing.assert_array_equal(loaded.encode(codes, cells, tiny_task),
+                                      tiny_compressor.encode(codes, cells, tiny_task))
+
+
+# the folded encode agrees with the float path to this share of its features' scale
+FOLD_TOL = 1e-5
+
+
+def assert_folds_like_floats(comp, codes, cells, task):
+    got = comp.encode(codes, cells, task)
+    want = float_encode(comp, codes, cells, task)
+    assert got.shape == want.shape == (len(codes), comp.config.latent_width)
+    assert got.dtype == want.dtype == np.dtype(comp.config.dtype)
+    scale = max(1.0, float(np.abs(want).max(initial=0.0)))
+    assert float(np.abs(got - want).max(initial=0.0)) <= FOLD_TOL * scale
+
+
+def fresh_compressor(obs_dim, dtype="float32"):
+    """A freshly initialized compressor, marked trained."""
+    config = ObsVaeConfig(obs_dim=obs_dim, latent_width=8, hidden_width=48, dtype=dtype)
+    return ObsCompressor(config, np.random.default_rng(obs_dim), trained=True)
+
+
+@pytest.fixture(scope="module")
+def fold_compressors():
+    """Fresh compressors by (width, dtype), kept across one module's examples."""
+    made = {}
+
+    def get(obs_dim, dtype):
+        if (obs_dim, dtype) not in made:
+            made[obs_dim, dtype] = fresh_compressor(obs_dim, dtype)
+        return made[obs_dim, dtype]
+    return get
+
+
+def tiny_corpus(task, seed, max_samples=300):
+    from nviflab.harness.pipeline import collect_obs_corpus
+    return collect_obs_corpus(task, 1, np.random.default_rng(seed), max_samples)
+
+
+@st.composite
+def fold_cases(draw):
+    """A desk, medium or large preset's world or a crowded drawn one, some
+    random steps in, every unit at a drawn hp up to its maximum; its alive
+    agents or one of them; and a compressor's dtype."""
+    if draw(st.booleans()):
+        world = draw(hp_worlds())
+    else:
+        name = draw(st.sampled_from(["desk-random-16", "desk-normal-16", "random-medium",
+                                     "normal-large"]))
+        world = new_world(preset(name, seed=draw(st.integers(0, 2 ** 16))))
+        draw_hp(draw, world, draw(st.integers(0, 4)))
+    ids = world.alive_agents()
+    if draw(st.booleans()):
+        ids = [draw(st.sampled_from(ids))]
+    return world, ids, draw(st.sampled_from(["float32", "float64"]))
+
+
+class TestFoldedEncode:
+    @given(case=fold_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_float_path(self, fold_compressors, case):
+        world, ids, dtype = case
+        comp = fold_compressors(world.config.obs_dim, dtype)
+        assert_folds_like_floats(comp, observe(world, ids), world.agent_positions(ids),
+                                 world.config)
+
+    def test_trained_compressor_equals_the_float_path(self, tiny_compressor, tiny_task):
+        world = new_world(tiny_task)
+        rng = np.random.default_rng(4)
+        while not world.done:
+            ids = world.alive_agents()
+            assert_folds_like_floats(tiny_compressor, observe(world, ids),
+                                     world.agent_positions(ids), tiny_task)
+            step(world, rng.integers(0, N_ACTIONS, len(ids)))
+
+    def test_no_agents_encode_no_rows(self, tiny_compressor, tiny_task):
+        world = new_world(tiny_task)
+        codes = observe(world, [])
+        feats = tiny_compressor.encode(codes, world.agent_positions([]), tiny_task)
+        assert feats.shape == (0, 8) and feats.dtype == np.float32
+
+    def test_misfit_codes_or_cells_rejected(self, tiny_compressor, tiny_task):
+        codes, cells = random_codes(tiny_task, 3, 0)
+        for bad in (codes[:, 1:], np.zeros((3, tiny_task.obs_dim), np.uint8), codes[0],
+                    codes[:2]):
+            with pytest.raises(DataError, match="codes") as err:
+                tiny_compressor.encode(bad, cells, tiny_task)
+            assert str(bad.shape) in str(err.value)
+        for bad in (cells[:, :1], cells[:2], cells.ravel()):
+            with pytest.raises(DataError, match="cells") as err:
+                tiny_compressor.encode(codes, bad, tiny_task)
+            assert str(bad.shape) in str(err.value)
+        for value in (-1, tiny_task.map_size):
+            off_map = cells.copy()
+            off_map[1, 1] = value
+            with pytest.raises(DataError, match="map"):
+                tiny_compressor.encode(codes, off_map, tiny_task)
+
+
+class TestFoldCache:
+    def test_one_table_per_task_key(self, tiny_task):
+        comp = fresh_compressor(tiny_task.obs_dim)
+        codes, cells = random_codes(tiny_task, 5, 2)
+        comp.encode(codes, cells, tiny_task)
+        ((key, fold),) = comp._folds.items()
+        ms, w = tiny_task.map_size, tiny_task.window
+        assert key == (ms, tiny_task.hp_omnivore, tiny_task.hp_food)
+        w_codes, table = fold
+        assert w_codes.shape == (4 * w * w, 48) and table.shape == (ms, ms, 48)
+        assert w_codes.dtype == table.dtype == np.float32
+        comp.encode(codes[:1], cells[:1], tiny_task)
+        # a task that differs only where the fold does not look shares it
+        comp.encode(codes, cells, replace(tiny_task, seed=tiny_task.seed + 1, n_food=3))
+        assert len(comp._folds) == 1 and comp._folds[key] is fold
+        for other in (replace(tiny_task, hp_omnivore=tiny_task.hp_omnivore + 1),
+                      replace(tiny_task, hp_food=tiny_task.hp_food + 1),
+                      replace(tiny_task, map_size=ms + 1)):
+            assert_folds_like_floats(comp, codes, cells, other)
+        assert len(comp._folds) == 4 and comp._folds[key] is fold
+
+    def test_table_rebuilt_after_train(self, tiny_task):
+        config = ObsVaeConfig(obs_dim=tiny_task.obs_dim, latent_width=4, hidden_width=16)
+        comp = ObsCompressor(config, np.random.default_rng(0))
+        corpus = tiny_corpus(tiny_task, 0)
+        hyper = ObsVaeHyper(epochs=1, lr=2e-3, batch_size=64, seed=0)
+        comp.train(corpus, hyper)
+        codes, cells = random_codes(tiny_task, 6, 1)
+        first = comp.encode(codes, cells, tiny_task)
+        (old_codes, old_table), = comp._folds.values()
+        comp.train(corpus, hyper)
+        assert comp._folds == {}
+        assert_folds_like_floats(comp, codes, cells, tiny_task)
+        (new_codes, new_table), = comp._folds.values()
+        assert not np.array_equal(new_table, old_table)
+        assert not np.array_equal(new_codes, old_codes)
+        assert not np.array_equal(comp.encode(codes, cells, tiny_task), first)
+
+    def test_loaded_compressor_starts_empty(self, tmp_path, tiny_compressor, tiny_task):
+        codes, cells = random_codes(tiny_task, 6, 5)
+        tiny_compressor.encode(codes, cells, tiny_task)
+        tiny_compressor.save(tmp_path / "vae")
+        loaded = ObsCompressor.load(tmp_path / "vae")
+        assert loaded.trained and loaded._folds == {}
+        assert_folds_like_floats(loaded, codes, cells, tiny_task)
+        key = (tiny_task.map_size, tiny_task.hp_omnivore, tiny_task.hp_food)
+        for mine, theirs in zip(loaded._folds[key], tiny_compressor._folds[key]):
+            np.testing.assert_array_equal(mine, theirs)
+
+    def test_medium_compressor_encodes_on_the_96_wide_map(self):
+        # the scalability path: trained on one map, evaluated on another
+        medium = preset("random-medium", seed=0)
+        comp = ObsCompressor(ObsVaeConfig(obs_dim=medium.obs_dim, latent_width=8,
+                                          hidden_width=48), np.random.default_rng(0))
+        comp.train(tiny_corpus(medium, 0), ObsVaeHyper(epochs=1, lr=2e-3, batch_size=128))
+        large = preset("normal-large", seed=0)
+        comp.check_obs_width(large)
+        world = new_world(large)
+        rng = np.random.default_rng(1)
+        for _ in range(3):
+            step(world, rng.integers(0, N_ACTIONS, len(world.alive_agents())))
+        ids = world.alive_agents()
+        assert_folds_like_floats(comp, observe(world, ids), world.agent_positions(ids), large)
+        assert (96, large.hp_omnivore, large.hp_food) in comp._folds
 
 
 @pytest.fixture(scope="module")
@@ -622,8 +797,8 @@ class _ZeroCompressor:
     """Stands in for an ObsCompressor where only the buffer format matters."""
     width = 16
 
-    def encode(self, raw):
-        return np.zeros((len(raw), self.width), dtype=np.float32)
+    def encode(self, codes, *rest):
+        return np.zeros((len(codes), self.width), dtype=np.float32)
 
 
 @st.composite
@@ -637,8 +812,16 @@ def hp_worlds(draw):
         view_radius=draw(st.integers(1, 4)), hp_omnivore=draw(st.integers(1, 255)),
         hp_food=draw(st.integers(2, 255)), seed=draw(st.integers(0, 2 ** 32 - 1)))
     world = new_world(cfg)
+    draw_hp(draw, world, draw(st.integers(0, 4)))
+    return world
+
+
+def draw_hp(draw, world, steps):
+    """Steps ``world`` up to ``steps`` random steps, then sets every alive
+    unit to a drawn hp between 1 and its maximum."""
+    cfg = world.config
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    for _ in range(draw(st.integers(0, 4))):
+    for _ in range(steps):
         ids = world.alive_agents()
         if world.done or not ids:
             break
@@ -648,7 +831,6 @@ def hp_worlds(draw):
         top = cfg.hp_omnivore if i < world.n_agents else cfg.hp_food
         world.hp[i] = int(draw(st.sampled_from([1, top, int(rng.integers(1, top + 1))])))
     refresh_grids(world)
-    return world
 
 
 class TestBufferCodes:
@@ -657,9 +839,10 @@ class TestBufferCodes:
     def test_decoded_windows_equal_observe(self, world):
         ids = world.alive_agents()
         sd = gather_step_data(world, ids, _ZeroCompressor())
+        assert np.array_equal(sd.raw_obs, observe(world, ids))
         decoded = decode_windows(sd.raw_obs, sd.positions, world.config)
         assert decoded.dtype == np.float32
-        assert np.array_equal(decoded, observe(world, ids))
+        assert np.array_equal(decoded, float_observe(world, ids))
 
     def test_buffer_bytes_within_a_seventh_of_float32_windows(self):
         # the codes are two hp-count grids, 2*w*w bytes an agent: the five
@@ -868,8 +1051,8 @@ from nviflab.env_gather import preset
 from nviflab.nvif import NvifConfig, NvifEncoder, PretrainHyper, collect_pretrain_buffer, pretrain
 
 class ZeroCompressor:
-    def encode(self, raw):
-        return np.zeros((len(raw), 16), dtype=np.float32)
+    def encode(self, codes, *rest):
+        return np.zeros((len(codes), 16), dtype=np.float32)
 
 task = preset(sys.argv[2], seed=0)
 episodes, batch = int(sys.argv[3]), int(sys.argv[4])

@@ -438,11 +438,29 @@ class TestProviders:
         world = new_world(tiny_task)
         ids = world.alive_agents()
         x = featurize(world, ids, tiny_compressor, MeanObsLatents(8))
-        feats = tiny_compressor.encode(observe(world, ids))
+        cells = world.agent_positions(ids)
+        feats = tiny_compressor.encode(observe(world, ids), cells, tiny_task)
         assert x.shape == (len(ids), 16) and x.dtype == feats.dtype
         np.testing.assert_array_equal(x[:, :8], feats)
         np.testing.assert_array_equal(x[:, 8:], np.tile(feats.mean(axis=0), (len(ids), 1)))
         assert featurize(world, ids, tiny_compressor, EmptyLatents()).shape == (len(ids), 8)
+
+    def test_featurize_reads_the_cells_once(self, tiny_task, tiny_compressor, monkeypatch):
+        # the compressor's fold and the provider's graph see one cells array
+        from nviflab.env_gather import new_world
+        world = new_world(tiny_task)
+        ids = world.alive_agents()
+        seen = []
+        encode, step = tiny_compressor.encode, EmptyLatents.step
+        monkeypatch.setattr(tiny_compressor, "encode",
+                            lambda codes, cells, task: seen.append(cells) or encode(codes, cells,
+                                                                                   task))
+        monkeypatch.setattr(EmptyLatents, "step",
+                            lambda self, feats, cells, ids: seen.append(cells) or step(
+                                self, feats, cells, ids))
+        featurize(world, ids, tiny_compressor, EmptyLatents())
+        assert len(seen) == 2 and seen[0] is seen[1]
+        assert np.array_equal(seen[0], world.agent_positions(ids))
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):
@@ -630,8 +648,8 @@ class ZeroCompressor:
     def check_obs_width(self, task_cfg):
         pass
 
-    def encode(self, raw):
-        return np.zeros((len(raw), 40), dtype=np.float32)
+    def encode(self, codes, *rest):
+        return np.zeros((len(codes), 40), dtype=np.float32)
 
 rings, ring_cls = [], dqn.ReplayRing
 
