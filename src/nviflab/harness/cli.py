@@ -1,11 +1,12 @@
 """Command-line orchestration.
 
-Exit codes: 0 success, 1 invalid configuration (offending keys are listed;
-for ``scalability`` also two policies whose run directories share a name),
-2 missing checkpoint, 3 unusable data: a corrupt checkpoint (truncated,
-over-long, or with an unreadable header; the file is named), or, for
-``scalability``, a task on which no policy beats the random-policy reference
-(each such task is listed with its best and reference returns).
+Exit codes: 0 success, 1 invalid configuration (an unknown key, or a value of
+the wrong type or out of range, such as a negative ``--seed``; the offending
+keys are named; for ``scalability`` also two policies whose run directories
+share a name), 2 missing checkpoint, 3 unusable data: a corrupt checkpoint
+(truncated, over-long, or with an unreadable header; the file is named), or,
+for ``scalability``, a task on which no policy beats the random-policy
+reference (each such task is listed with its best and reference returns).
 """
 from __future__ import annotations
 
@@ -64,12 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_experiment(args.config)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    try:
-        return _dispatch(args, cfg)
+        return _dispatch(args, load_experiment(args.config))
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -82,7 +78,7 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args, cfg) -> int:
-    out = cfg.out_path
+    out = Path(cfg.out_dir)
     if args.command == "pretrain-obs":
         run_pretrain_obs(cfg)
         print(f"observation compressor saved to {obs_vae_path(cfg)}")
@@ -95,6 +91,8 @@ def _dispatch(args, cfg) -> int:
         return 0
 
     if args.command == "train":
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be an integer >= 0, got {args.seed}")
         seeds = [args.seed] if args.seed is not None else cfg.seeds
         for seed in seeds:
             run_dir = run_training(cfg, seed, resume=args.resume)
@@ -105,14 +103,12 @@ def _dispatch(args, cfg) -> int:
         source = args.policy or cfg.policy_checkpoint
         if source is None:
             raise ConfigError("eval needs --policy or policy_checkpoint in the config")
-        section = cfg.eval
-        episodes = args.episodes if args.episodes is not None else section.get("episodes", 10)
+        episodes = args.episodes if args.episodes is not None else cfg.eval.episodes
         eval_dir = out / "eval"
         eval_dir.mkdir(parents=True, exist_ok=True)
-        replay = eval_dir / "replay.jsonl" if section.get("replay", False) else None
-        metrics = evaluate(source, cfg.task_config(), episodes,
-                           seed=section.get("seed", 0),
-                           replay_path=replay, greedy=section.get("greedy"))
+        replay = eval_dir / "replay.jsonl" if cfg.eval.replay else None
+        metrics = evaluate(source, cfg.task_config(), episodes, seed=cfg.eval.seed,
+                           replay_path=replay, greedy=cfg.eval.greedy)
         with open(eval_dir / "metrics.json", "w") as fh:
             json.dump(metrics, fh, indent=1)
         print(json.dumps(metrics))
@@ -120,11 +116,11 @@ def _dispatch(args, cfg) -> int:
 
     if args.command == "scalability":
         section = cfg.scalability
-        if not section.get("policies") or not section.get("tasks"):
+        if not section.policies or not section.tasks:
             raise ConfigError("scalability needs 'policies' and 'tasks' lists in the config")
         # rows are labelled by run directory: pipeline bundles are all bundle.ckpt
         labels = {}
-        for entry in section["policies"]:
+        for entry in section.policies:
             label = Path(entry).resolve().parent.name
             if label in labels:
                 raise ConfigError(f"scalability: policies {labels[label]} and {entry} "
@@ -132,10 +128,9 @@ def _dispatch(args, cfg) -> int:
             labels[label] = entry
         policies = [(label, PolicyBundle.load(entry)) for label, entry in labels.items()]
         from ..env_gather import preset
-        tasks = [(name, preset(name, **cfg.env)) for name in section["tasks"]]
+        tasks = [(name, preset(name, **cfg.env)) for name in section.tasks]
         rows, cols, raw, reference, scores = scalability_matrix(
-            policies, tasks, episodes=section.get("episodes", 10),
-            seed=section.get("seed", 0))
+            policies, tasks, episodes=section.episodes, seed=section.seed)
         mat_dir = out / "scalability"
         mat_dir.mkdir(parents=True, exist_ok=True)
         write_matrix_csv(mat_dir / "matrix.csv", rows, cols, scores)
@@ -152,7 +147,7 @@ def _dispatch(args, cfg) -> int:
         replay_dir.mkdir(parents=True, exist_ok=True)
         path = replay_dir / "replay.jsonl"
         evaluate(source, cfg.task_config(), args.episodes,
-                 seed=cfg.eval.get("seed", 0), replay_path=path)
+                 seed=cfg.eval.seed, replay_path=path)
         print(f"replay written to {path}")
         return 0
 

@@ -63,32 +63,32 @@ def collect_obs_corpus(task_cfg, episodes: int, rng: np.random.Generator,
 def obs_vae_path(cfg: ExperimentConfig) -> Path:
     if cfg.obs_vae_checkpoint:
         return Path(cfg.obs_vae_checkpoint)
-    return cfg.out_path / "obs_vae.ckpt"
+    return Path(cfg.out_dir) / "obs_vae.ckpt"
 
 
 def encoder_path(cfg: ExperimentConfig) -> Path:
     if cfg.encoder_checkpoint:
         return Path(cfg.encoder_checkpoint)
-    return cfg.out_path / "encoder.ckpt"
+    return Path(cfg.out_dir) / "encoder.ckpt"
 
 
 def run_pretrain_obs(cfg: ExperimentConfig) -> ObsCompressor:
     task_cfg = cfg.task_config()
     section = cfg.obs_vae
-    rng = np.random.default_rng(section.get("seed", 0))
+    rng = np.random.default_rng(section.seed)
     corpus = collect_obs_corpus(
         task_cfg,
-        episodes=section.get("corpus_episodes", 60),
+        episodes=section.corpus_episodes,
         rng=rng,
-        max_samples=section.get("corpus_max_samples", 30_000),
+        max_samples=section.corpus_max_samples,
     )
     vae_cfg = ObsVaeConfig(
         obs_dim=task_cfg.obs_dim,
-        latent_width=section.get("latent_width", 16),
-        hidden_width=section.get("hidden_width", 64),
+        latent_width=section.latent_width,
+        hidden_width=section.hidden_width,
     )
     compressor = ObsCompressor(vae_cfg, rng)
-    compressor.train(corpus, cfg.obs_vae_hyper())
+    compressor.train(corpus, section)
     compressor.save(obs_vae_path(cfg))
     return compressor
 
@@ -102,21 +102,19 @@ def run_pretrain_nvif(cfg: ExperimentConfig, compressor: ObsCompressor | None = 
         compressor = load_compressor(cfg)
     task_cfg = cfg.task_config()
     section = cfg.nvif
-    hyper = cfg.nvif_hyper()
-    rng = np.random.default_rng(hyper.seed)
+    rng = np.random.default_rng(section.seed)
     buffer = collect_pretrain_buffer(
-        task_cfg, section.get("buffer_episodes", 200), compressor, rng,
-        graph_kind=section.get("graph", "neighbor"))
+        task_cfg, section.buffer_episodes, compressor, rng, graph_kind=section.graph)
     enc_cfg = NvifConfig(
         obs_feat_width=compressor.config.latent_width,
         obs_dim=task_cfg.obs_dim,
-        hidden_width=section.get("hidden_width", 64),
-        latent_width=section.get("latent_width", 32),
-        flow_layers=section.get("flow_layers", 2),
-        decoder_hidden=section.get("decoder_hidden", 128),
+        hidden_width=section.hidden_width,
+        latent_width=section.latent_width,
+        flow_layers=section.flow_layers,
+        decoder_hidden=section.decoder_hidden,
     )
     encoder = NvifEncoder(enc_cfg, rng)
-    encoder, history = pretrain(buffer, hyper, encoder)
+    encoder, history = pretrain(buffer, section, encoder)
     path = encoder_path(cfg)
     encoder.save(path)
     with open(path.parent / "pretrain_history.csv", "w", newline="") as fh:
@@ -132,7 +130,7 @@ def load_encoder(cfg: ExperimentConfig) -> NvifEncoder:
 
 
 def train_run_dir(cfg: ExperimentConfig, seed: int) -> Path:
-    return cfg.out_path / f"train-{cfg.algorithm}-seed{seed}"
+    return Path(cfg.out_dir) / f"train-{cfg.algorithm}-seed{seed}"
 
 
 def run_training(cfg: ExperimentConfig, seed: int, resume: bool = False,
@@ -150,13 +148,13 @@ def run_training(cfg: ExperimentConfig, seed: int, resume: bool = False,
     run_dir = train_run_dir(cfg, seed)
     run_dir.mkdir(parents=True, exist_ok=True)
     if family == "ppo":
-        result = train_ppo(task_cfg, compressor, cfg.ppo_hyper(seed),
+        result = train_ppo(task_cfg, compressor, replace(cfg.ppo, seed=seed),
                            latent_mode=latent_mode, encoder=encoder,
                            out_dir=run_dir, resume=resume)
         bundle = PolicyBundle(cfg.algorithm, latent_mode, cfg.task, compressor,
                               encoder=encoder, actor_critic=result.actor_critic)
     else:
-        result = train_dqn(task_cfg, compressor, cfg.dqn_hyper(seed),
+        result = train_dqn(task_cfg, compressor, replace(cfg.dqn, seed=seed),
                            latent_mode=latent_mode, encoder=encoder, out_dir=run_dir)
         bundle = PolicyBundle(cfg.algorithm, latent_mode, cfg.task, compressor,
                               encoder=encoder, qnet=result.qnet)

@@ -2,7 +2,9 @@
 import csv
 import importlib
 import json
-from dataclasses import replace
+import os
+import tempfile
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from nviflab.env_gather import (
     N_ACTIONS,
     NOOP_INDEX,
+    TaskConfig,
     decode_windows,
     new_world,
     observe,
@@ -82,6 +85,75 @@ def write_config(path, **overrides):
     cfg.update(overrides)
     path.write_text(json.dumps(cfg))
     return path
+
+
+# Each section's accepted keys with their defaults: a change to the config
+# reader may neither add nor drop a knob, nor move a default.
+SECTION_DEFAULTS = {
+    "obs_vae": {"latent_width": 16, "hidden_width": 64, "epochs": 30, "lr": 1e-3,
+                "batch_size": 256, "corpus_episodes": 60, "corpus_max_samples": 30_000,
+                "seed": 0},
+    "nvif": {"hidden_width": 64, "latent_width": 32, "flow_layers": 2, "decoder_hidden": 128,
+             "alpha": 0.1, "epochs": 200, "lr": 3e-3, "batch_episodes": 16,
+             "buffer_episodes": 200, "recon_weight": 1.0, "graph": "neighbor",
+             "stop_recon_frac": None, "seed": 0},
+    "ppo": {"gamma": 0.99, "lam": 0.95, "clip_eps": 0.2, "epochs": 100,
+            "episodes_per_epoch": 16, "update_passes": 4, "minibatch_slots": 64,
+            "entropy_coef": 0.01, "lr": 3e-4, "hidden_width": 64, "adv_norm": True,
+            "latent_sample": True, "stop_food_frac": None},
+    "dqn": {"gamma": 0.99, "lr": 1e-3, "batch_size": 64, "replay_capacity": 100_000,
+            "min_replay": 500, "eps_start": 1.0, "eps_end": 0.05, "eps_decay_steps": 50_000,
+            "target_sync": 1000, "episodes": 300, "train_every": 1, "hidden_width": 64,
+            "latent_sample": True},
+    "eval": {"episodes": 10, "seed": 0, "greedy": None, "replay": False},
+    "scalability": {"policies": [], "tasks": [], "episodes": 10, "seed": 0},
+}
+ENV_KEYS = {"task_kind", "map_size", "n_omnivores", "n_food", "max_steps", "r_food", "p_blank",
+            "p_attacked", "p_step", "hp_food", "hp_omnivore", "view_radius"}
+TOP_KEYS = {"task", "seeds", "out_dir", "algorithm", "env", "obs_vae", "nvif", "ppo", "dqn",
+            "eval", "scalability", "obs_vae_checkpoint", "encoder_checkpoint",
+            "policy_checkpoint"}
+
+# (config overrides, a word the error names): each raised an untyped error,
+# loaded without complaint, or trained nothing before every key was typed
+MALFORMED = [
+    ({"ppo": {"gamma": None}}, "gamma"),
+    ({"env": []}, "env"),
+    ({"env": {"map_size": "big"}}, "map_size"),
+    ({"nvif": {"alpha": "a"}}, "alpha"),
+    ({"dqn": {"eps_start": "1"}}, "eps_start"),
+    ({"nvif": {"stop_recon_frac": "a"}}, "stop_recon_frac"),
+    ({"nvif": {"recon_weight": "other"}}, "recon_weight"),
+    ({"obs_vae": []}, "obs_vae"),
+    ({"seeds": "abc"}, "seeds"),
+    ({"out_dir": 5}, "out_dir"),
+    ({"ppo": {"adv_norm": "no"}}, "adv_norm"),
+    ({"scalability": {"tasks": 5}}, "tasks"),
+    ({"eval": {"episodes": "a"}}, "episodes"),
+    ({"eval": {"greedy": 3}}, "greedy"),
+    ({"env": {"r_food": "x"}}, "r_food"),
+    ({"env": {"map_size": 12.0}}, "map_size"),
+    ({"env": {"r_food": float("nan")}}, "r_food"),
+    ({"seeds": [-1]}, "seeds"),
+    ({"eval": {"seed": -1}}, "seed"),
+    ({"obs_vae": {"seed": -1}}, "seed"),
+    ({"ppo": {"epochs": 0}}, "epochs"),
+    ({"dqn": {"episodes": 0}}, "episodes"),
+    ({"scalability": {"tasks": ["desk-randm-12"]}}, "desk-randm-12"),
+    ({"scalability": {"policies": "ab"}}, "policies"),
+]
+MALFORMED_IDS = [json.dumps(overrides) for overrides, _ in MALFORMED]
+
+_TEXT = (st.sampled_from(["", "obs_dim", "neighbor", "full", "random", "desk-random-12"])
+         | st.text("abc_-01", max_size=6))
+# integers stay small: a drawn map size or agent count is a world `eval` builds
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=5)
+KNOWN_KEYS = [(None, key) for key in sorted(TOP_KEYS)] + [
+    (section, key) for section, keys in [("env", sorted(ENV_KEYS)), *SECTION_DEFAULTS.items()]
+    for key in keys]
 
 
 class TestExperimentConfig:
@@ -188,6 +260,53 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError) as err:
             load_experiment(path)
         assert key in str(err.value)
+
+    @pytest.mark.parametrize("overrides, word", MALFORMED, ids=MALFORMED_IDS)
+    def test_malformed_value_rejected(self, tmp_path, overrides, word):
+        path = write_config(tmp_path / "c.json", **overrides)
+        with pytest.raises(ConfigError) as err:
+            load_experiment(path)
+        assert word in str(err.value)
+
+    def test_section_keys_and_defaults(self, tmp_path):
+        cfg = load_experiment(write_config(tmp_path / "c.json", obs_vae={}, ppo={}))
+        assert {f.name for f in fields(cfg)} == TOP_KEYS
+        assert {f.name for f in fields(TaskConfig)} - {"seed"} == ENV_KEYS
+        for section, defaults in SECTION_DEFAULTS.items():
+            read = asdict(getattr(cfg, section))
+            if section in ("ppo", "dqn"):  # each run's seed is one of seeds
+                assert read.pop("seed") == 0
+            assert read == defaults, section
+        # every key is accepted at its default, the env keys at the preset's values
+        env = {k: v for k, v in asdict(preset("desk-random-12")).items() if k != "seed"}
+        assert load_experiment(write_config(tmp_path / "c.json", env=env,
+                                            **SECTION_DEFAULTS)).env == env
+        for section in ("env", "ppo", "dqn"):
+            with pytest.raises(ConfigError, match="seed"):
+                load_experiment(write_config(tmp_path / "c.json", **{section: {"seed": 1}}))
+
+    @settings(max_examples=150, deadline=None)
+    @given(where=st.sampled_from(KNOWN_KEYS), value=JSON_VALUES)
+    def test_any_json_value_is_read_or_refused(self, where, value):
+        section, key = where
+        with tempfile.TemporaryDirectory() as tmp:
+            overrides = {key: value} if section is None else {section: {key: value}}
+            path = write_config(Path(tmp) / "c.json", **overrides)
+            try:
+                load_experiment(path)
+                refused = False
+            except ConfigError:
+                refused = True
+            cwd = os.getcwd()
+            os.chdir(tmp)  # a drawn out_dir is relative
+            # rewards near 1e308 sum to inf, which numpy reports as a warning, not an error
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    code = cli_main(["eval", "--config", str(path), "--policy", "random",
+                                     "--episodes", "1"])
+            finally:
+                os.chdir(cwd)
+            assert code == 1 if refused else code in (0, 1)
 
 
 def _corpus_oracle(task_cfg, episodes, rng, max_samples):
@@ -380,6 +499,40 @@ class TestCliExitCodes:
         assert cli_main(["train", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and section in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("overrides, word", MALFORMED, ids=MALFORMED_IDS)
+    def test_malformed_value_exits_1(self, tmp_path, capsys, overrides, word):
+        path = write_config(tmp_path / "c.json", **overrides)
+        assert cli_main(["eval", "--config", str(path), "--policy", "random",
+                         "--episodes", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and word in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("args, overrides", [
+        (["train", "--seed", "-2"], {}),
+        (["train"], {"seeds": [-1]}),
+        (["eval", "--policy", "random", "--episodes", "1"], {"eval": {"seed": -1}}),
+        (["pretrain-obs"], {"obs_vae": {"seed": -1}}),
+    ])
+    def test_negative_seed_exits_1(self, tmp_path, capsys, args, overrides):
+        path = write_config(tmp_path / "c.json", **overrides)
+        assert cli_main([args[0], "--config", str(path), *args[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scalability, word", [
+        ({"policies": ["nowhere/bundle.ckpt"], "tasks": ["desk-randm-12"]}, "desk-randm-12"),
+        ({"policies": "ab", "tasks": ["desk-random-12"]}, "policies"),
+    ])
+    def test_scalability_lists_checked_before_any_bundle_loads(self, tmp_path, capsys,
+                                                               scalability, word):
+        # a task typo exited 2 on the missing bundle first, and a policies
+        # string was iterated one character at a time
+        path = write_config(tmp_path / "c.json", scalability=scalability)
+        assert cli_main(["scalability", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert word in err and "share the row label" not in err
 
     def test_unknown_algorithm_exits_1(self, tmp_path):
         path = write_config(tmp_path / "c.json", algorithm="q-zero")
