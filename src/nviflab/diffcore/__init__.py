@@ -7,6 +7,7 @@ from .nn import (
     init_linear,
     init_mlp,
     kl_rows,
+    log_sigma_head,
     mlp,
 )
 from .optim import optimizer_step
@@ -18,6 +19,7 @@ from .tensor import (
     as_tensor,
     backward,
     bce_loss,
+    centered_sq_dist_rows,
     clamp,
     concat,
     exp,
@@ -32,7 +34,6 @@ from .tensor import (
     relu,
     sparse_matmul,
     splice,
-    sq_dist_rows,
     sub,
     sum,
     take_per_row,
@@ -41,10 +42,10 @@ from .tensor import (
 
 __all__ = [
     "LOG_SIGMA_MAX", "LOG_SIGMA_MIN", "ParamStore", "Tensor", "add", "affine",
-    "as_tensor", "backward", "bce_loss", "clamp", "concat", "exp", "flow_gru_cell",
-    "gather_rows", "gaussian_sample", "init_gru", "init_linear", "init_mlp",
-    "kl_rows", "load_checkpoint", "log_softmax", "mean", "minimum",
+    "as_tensor", "backward", "bce_loss", "centered_sq_dist_rows", "clamp", "concat", "exp",
+    "flow_gru_cell", "gather_rows", "gaussian_sample", "init_gru", "init_linear", "init_mlp",
+    "kl_rows", "load_checkpoint", "log_sigma_head", "log_softmax", "mean", "minimum",
     "mlp", "mse", "mul", "no_grad", "optimizer_step", "relu", "save_checkpoint",
-    "sparse_matmul", "splice", "sq_dist_rows", "sub", "sum",
+    "sparse_matmul", "splice", "sub", "sum",
     "take_per_row", "topological_order",
 ]

@@ -1,14 +1,15 @@
 """Network building blocks: linear layers, the relu MLP, the GRU cell's
 parameters, reparameterized sampling and the Gaussian KL divergence. The GRU
 cell itself runs inside the encoder's one-node timestep,
-:func:`tensor.flow_gru_cell`, and the sample and the divergence are one node
-each as well."""
+:func:`tensor.flow_gru_cell`, and the clamped log-sigma head, the sample and
+the divergence are one node each as well."""
 from __future__ import annotations
 
 import numpy as np
 
 from ..errors import ShapeError
-from .tensor import Tensor, _check_same_shape, _make, _spread, affine, as_tensor, relu
+from .tensor import (Tensor, _affine, _check_same_shape, _make, _once_per_visit, _spread,
+                     _vjp_affine, affine, as_tensor, relu)
 
 LOG_SIGMA_MIN = -10.0
 LOG_SIGMA_MAX = 4.0
@@ -58,6 +59,26 @@ def init_gru(rng: np.random.Generator, input_width: int, hidden_width: int, dtyp
         params[f"w_{gate}"] = w
         params[f"b_{gate}"] = b
     return params
+
+
+def _clamped_grad(g, node):
+    x, w, b = (p.data for p in node._parents)
+    pre = _affine("log_sigma_head", x, w, b)
+    return g * ((pre >= LOG_SIGMA_MIN) & (pre <= LOG_SIGMA_MAX))
+
+
+def _vjp_log_sigma_head(g, node, k):
+    g_pre, node._saved = _once_per_visit(g, node, k, node._saved, _clamped_grad)
+    return _vjp_affine(g_pre, node, k)
+
+
+def log_sigma_head(x, w, b) -> Tensor:
+    """``clamp(affine(x, w, b), LOG_SIGMA_MIN, LOG_SIGMA_MAX)`` as one node
+    that keeps no pre-clamp array: its VJP recomputes ``x @ w + b`` once per
+    backward visit for the clamp's mask, so values and gradients are the chain's."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    pre = _affine("log_sigma_head", x.data, w.data, b.data)
+    return _make(np.clip(pre, LOG_SIGMA_MIN, LOG_SIGMA_MAX), (x, w, b), _vjp_log_sigma_head)
 
 
 def _vjp_gaussian_sample(g, node, k):

@@ -13,7 +13,7 @@ beyond numpy bias/batch rules; shape mismatches raise :class:`ShapeError`
 naming the shapes.
 
 A node keeps only what its VJP reads; elementwise values are recomputed in
-the VJP from the parents instead. Most ops are one numpy expression, and four
+the VJP from the parents instead. Most ops are one numpy expression, and six
 nodes each stand for a chain of them, bit for bit; what each saves:
 
 - :func:`flow_gru_cell`, an encoder timestep (two stacks of graph-conv
@@ -21,7 +21,11 @@ nodes each stand for a chain of them, bit for bit; what each saves:
   A's blocks. Its VJP recomputes every layer's ``A x`` and output and the
   gates, computes all parents' gradients at the visit's first slot that
   needs one and keeps them in ``_saved`` until the last.
-- :func:`affine` (two nodes) and :func:`sq_dist_rows` (three): nothing.
+- :func:`nn.log_sigma_head` (affine and clamp, three nodes): nothing; its
+  VJP recomputes ``x @ w + b`` at a visit's first slot, as the cell does.
+- :func:`centered_sq_dist_rows` (four nodes): C's blocks; its parents are
+  ``(x, x)``, and its first slot computes the gradient of both.
+- :func:`affine` (two nodes): nothing.
 - :func:`nn.gaussian_sample` (three nodes): its noise.
 - :func:`nn.kl_rows` (nine nodes): nothing; its parents are ``(mu, mu,
   log_sigma, log_sigma)``, so each term is added as the chain adds it.
@@ -131,12 +135,22 @@ def _make(data, parents, vjp, saved=None):
     only ``node``: its value, its parents and ``node._saved``, which holds
     ``saved``. So a node holds no closure. A VJP may return ``g`` itself or
     one array for two slots, and may keep results in ``node._saved`` for the
-    later slots of the same visit (:func:`flow_gru_cell`)."""
+    later slots of the same visit (:func:`_once_per_visit`)."""
     if _GRAD_ENABLED:
         parents = tuple(p for p in parents if isinstance(p, Tensor))  # scalars are no node
         if any(p.requires_grad for p in parents):
             return Tensor(data, True, parents, vjp, saved)
     return Tensor(data)
+
+
+def _once_per_visit(g, node, k, pending, compute):
+    """``compute(g, node)``, run at a visit's first slot and kept as ``pending
+    = (g, result)`` (keyed by g: a pass that raised part-way leaves nothing
+    stale) until its last: (result, what the node keeps for the next slot)."""
+    if pending is None or pending[0] is not g:
+        pending = (g, compute(g, node))
+    last = not any(p.requires_grad for p in node._parents[k + 1:])
+    return pending[1], None if last else pending
 
 
 def _check_same_shape(a: Tensor, b: Tensor, op: str):
@@ -199,17 +213,22 @@ def _vjp_affine(g, node, k):
     return g @ w.data.T if k == 0 else x.data.T @ g
 
 
+def _affine(op: str, x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x @ w + b`` of :func:`affine`; ``op`` names the caller in errors."""
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"{op}: shapes {x.shape} and {w.shape} incompatible")
+    xw = x @ w
+    add = partial(np.add, out=xw if np.result_type(xw, b) == xw.dtype else None)
+    return _elementwise(op, add, xw, b)
+
+
 def affine(x, w, b) -> Tensor:
     """``x @ w + b`` for a 2-D ``x`` and a bias broadcast over its rows, as one
     node: the values and gradients of a product node and a bias-add node,
     without keeping the pre-bias product alive on the tape. The bias is added
     in place unless that narrows the product's dtype, so a call makes one array."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
-        raise ShapeError(f"affine: shapes {x.data.shape} and {w.data.shape} incompatible")
-    xw = x.data @ w.data
-    add = partial(np.add, out=xw if np.result_type(xw, b.data) == xw.dtype else None)
-    return _make(_elementwise("affine", add, xw, b.data), (x, w, b), _vjp_affine)
+    return _make(_affine("affine", x.data, w.data, b.data), (x, w, b), _vjp_affine)
 
 
 def _blockwise(blocks, x: np.ndarray) -> np.ndarray:
@@ -336,22 +355,28 @@ def clamp(x, lo, hi) -> Tensor:
     return _make(np.clip(x.data, lo, hi), (x,), _vjp_clamp, (lo, hi))
 
 
-def _vjp_sq_dist_rows(g, node, k):
-    g = np.expand_dims(g, 1) * (node._parents[0].data - node._parents[1].data)
-    g = g + g  # d(dev * dev), summed as the two slots of a product accumulate it
-    return g if k == 0 else -g
+def _dist_grad(g, node):
+    blocks, x = node._saved[0], node._parents[0].data
+    g = np.expand_dims(g, 1) * (x - _blockwise(blocks, x))
+    return g + g  # d(dev * dev), summed as the two slots of a product accumulate it
 
 
-def sq_dist_rows(a, b) -> Tensor:
-    """Per-row ``sum((a - b)^2, axis=1)`` of two same-shape matrices as one
-    node that saves nothing: the same values and gradients as
-    ``sum(mul(d, d), axis=1)`` with ``d = sub(a, b)``."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or a.data.shape != b.data.shape:
-        raise ShapeError(f"sq_dist_rows: shapes {a.data.shape} and {b.data.shape} "
-                         f"are not one 2-D shape")
-    dev = a.data - b.data
-    return _make((dev * dev).sum(axis=1), (a, b), _vjp_sq_dist_rows)
+def _vjp_centered_sq_dist_rows(g, node, k):
+    blocks, pending = node._saved
+    g, pending = _once_per_visit(g, node, k, pending, _dist_grad)
+    node._saved = (blocks, pending)
+    return g if k == 0 else _blockwise([b.T for b in blocks], -g)
+
+
+def centered_sq_dist_rows(blocks, x) -> Tensor:
+    """Per-row ``sum((x - C x)^2, axis=1)``, ``C`` the constant operator of
+    ``blocks`` (see :func:`sparse_matmul`), as one node over ``(x, x)`` that
+    saves the blocks (and within a backward visit its pending gradient): slot
+    1 takes the term through ``C x``, so values and gradients are those of
+    ``d = sub(x, sparse_matmul(blocks, x))`` and ``sum(mul(d, d), axis=1)``."""
+    x, blocks = as_tensor(x), tuple(blocks)
+    dev = x.data - _checked_blockwise(blocks, x.data)
+    return _make((dev * dev).sum(axis=1), (x, x), _vjp_centered_sq_dist_rows, (blocks, None))
 
 
 def _vjp_splice(g, node, k):
@@ -474,15 +499,10 @@ def _flow_gru_grads(g, node) -> list:
 
 
 def _vjp_flow_gru_cell(g, node, k):
-    # the first call of a backward visit computes every parent's gradient
-    # (keyed by g, so a pass that raised part-way leaves nothing stale); the
-    # call for the last parent that requires one releases them
     blocks, n_o, pending = node._saved
-    if pending is None or pending[0] is not g:
-        pending = (g, _flow_gru_grads(g, node))
-    last = not any(p.requires_grad for p in node._parents[k + 1:])
-    node._saved = (blocks, n_o, None if last else pending)
-    return pending[1][k]
+    grads, pending = _once_per_visit(g, node, k, pending, _flow_gru_grads)
+    node._saved = (blocks, n_o, pending)
+    return grads[k]
 
 
 def flow_gru_cell(blocks, feats, hidden, flow_o, flow_h, gru) -> Tensor:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -57,6 +58,13 @@ class TaskConfig:
             raise ConfigError(
                 f"{self.n_omnivores + self.n_food} units exceed "
                 f"{self.map_size * self.map_size} grid cells")
+        # a step's reward sums at most six of these (an attack, four attackers and the
+        # step penalty), and an episode's return sums every agent's step rewards
+        limit = sys.float_info.max / (6 * self.n_omnivores * self.max_steps)
+        for name in ("r_food", "p_blank", "p_attacked", "p_step"):
+            if not abs(getattr(self, name)) < limit:  # NaN fails too
+                raise ConfigError(f"{name} must be finite and below {limit:.3g} in size, so an "
+                                  f"episode's return cannot overflow; got {getattr(self, name)}")
 
 
 def _load_presets() -> dict:

@@ -139,6 +139,8 @@ def load_experiment(path) -> ExperimentConfig:
         raw[name] = hints[name](
             **_read(f"section {name!r}", hints[name], raw.get(name, {}), seedless))
     cfg = ExperimentConfig(**raw)
+    if not cfg.seeds:
+        raise ConfigError("seeds must list at least one seed, got []")
     if cfg.algorithm not in ALGORITHMS:
         raise ConfigError(
             f"unknown algorithm {cfg.algorithm!r}; known: {sorted(ALGORITHMS)}")

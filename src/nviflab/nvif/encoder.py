@@ -18,13 +18,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..diffcore import (
-    LOG_SIGMA_MAX,
-    LOG_SIGMA_MIN,
     ParamStore,
     Tensor,
     affine,
     as_tensor,
-    clamp,
     concat,
     flow_gru_cell,
     gather_rows,
@@ -33,6 +30,7 @@ from ..diffcore import (
     init_linear,
     init_mlp,
     load_checkpoint,
+    log_sigma_head,
     mlp,
     save_checkpoint,
 )
@@ -139,8 +137,7 @@ class NvifEncoder:
         hidden = self._hidden_for(state, ids)
         h_next = flow_gru_cell(blocks, feats, hidden, self.flow_o, self.flow_h, self._gru)
         mu = affine(h_next, self.store["head/mu_w"], self.store["head/mu_b"])
-        log_sigma = clamp(affine(h_next, self.store["head/ls_w"], self.store["head/ls_b"]),
-                          LOG_SIGMA_MIN, LOG_SIGMA_MAX)
+        log_sigma = log_sigma_head(h_next, self.store["head/ls_w"], self.store["head/ls_b"])
         latent = gaussian_sample(mu, log_sigma, rng=rng) if sample else mu
         return EncoderState(ids=ids, hidden=h_next), LatentDistribution(mu, log_sigma, latent)
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..diffcore import Tensor, as_tensor, bce_loss, mean, nn, sparse_matmul, sq_dist_rows
+from ..diffcore import Tensor, bce_loss, centered_sq_dist_rows, mean, nn
 
 
 @dataclass
@@ -46,10 +46,10 @@ def consistency_rows(latents, blocks) -> Tensor:
     C is the group-centering matrix: C[i, j] = 1/k when agents i and j share
     a group of k agents, else 0. ``blocks`` are its diagonal blocks, one
     (k, k) block of 1/k per group in row order (see
-    :func:`diffcore.sparse_matmul`); the distance is one :func:`diffcore.sq_dist_rows`
-    node, which recomputes the deviation in its backward pass."""
-    lat = as_tensor(latents)
-    return sq_dist_rows(lat, sparse_matmul(blocks, lat))
+    :func:`diffcore.sparse_matmul`); the distance is one
+    :func:`diffcore.centered_sq_dist_rows` node, which saves only the blocks
+    and recomputes ``C s`` in its backward pass."""
+    return centered_sq_dist_rows(blocks, latents)
 
 
 def kl_standard_normal(mu, log_sigma) -> Tensor:

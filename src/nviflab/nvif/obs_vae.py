@@ -27,18 +27,16 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..diffcore import (
-    LOG_SIGMA_MAX,
-    LOG_SIGMA_MIN,
     ParamStore,
     Tensor,
     affine,
     backward,
     bce_loss,
-    clamp,
     gaussian_sample,
     init_linear,
     init_mlp,
     load_checkpoint,
+    log_sigma_head,
     mlp,
     mul,
     no_grad,
@@ -118,8 +116,7 @@ class ObsCompressor:
 
     def _encode(self, x):
         h = self._hidden(x)
-        log_sigma = clamp(affine(h, self.store["enc_ls"], self.store["enc_ls_b"]),
-                          LOG_SIGMA_MIN, LOG_SIGMA_MAX)
+        log_sigma = log_sigma_head(h, self.store["enc_ls"], self.store["enc_ls_b"])
         return self._mean(h), log_sigma
 
     def _decode(self, z):

@@ -335,10 +335,42 @@ def composite_gaussian_sample(mu, log_sigma, rng):
     return dc.add(mu, dc.mul(dc.exp(log_sigma), eps))
 
 
+def _vjp_sq_dist_rows(g, node, k):
+    g = np.expand_dims(g, 1) * (node._parents[0].data - node._parents[1].data)
+    g = g + g  # d(dev * dev), summed as the two slots of a product accumulate it
+    return g if k == 0 else -g
+
+
+def sq_dist_rows(a, b):
+    """Per-row ``sum((a - b)^2, axis=1)`` of two same-shape matrices as one
+    node that saves nothing: the distance half of
+    :func:`composite_centered_sq_dist_rows`."""
+    a, b = as_tensor(a), as_tensor(b)
+    if a.data.ndim != 2 or a.data.shape != b.data.shape:
+        raise ShapeError(f"sq_dist_rows: shapes {a.data.shape} and {b.data.shape} "
+                         f"are not one 2-D shape")
+    dev = a.data - b.data
+    return _make((dev * dev).sum(axis=1), (a, b), _vjp_sq_dist_rows)
+
+
 def composite_sq_dist_rows(a, b):
-    """:func:`diffcore.sq_dist_rows` as sub, mul and sum nodes."""
+    """:func:`sq_dist_rows` as sub, mul and sum nodes."""
     dev = dc.sub(a, b)
     return dc.sum(dc.mul(dev, dev), axis=1)
+
+
+def composite_centered_sq_dist_rows(blocks, x):
+    """:func:`diffcore.centered_sq_dist_rows` as a
+    :func:`diffcore.sparse_matmul` node and a :func:`sq_dist_rows` node
+    (looked up at call time, so a test can patch in
+    :func:`composite_sq_dist_rows`)."""
+    x = dc.as_tensor(x)
+    return sq_dist_rows(x, dc.sparse_matmul(blocks, x))
+
+
+def composite_log_sigma_head(x, w, b):
+    """:func:`diffcore.log_sigma_head` as an affine node and a clamp node."""
+    return dc.clamp(dc.affine(x, w, b), dc.LOG_SIGMA_MIN, dc.LOG_SIGMA_MAX)
 
 
 def tape_size(loss, skip=()):

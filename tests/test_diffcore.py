@@ -19,11 +19,13 @@ from nviflab.errors import DataError, ShapeError
 
 from conftest import (
     central_diff_grads,
+    composite_centered_sq_dist_rows,
     composite_flow_gru_cell,
     composite_gaussian_sample,
     composite_graph_conv,
     composite_gru_cell,
     composite_kl_rows,
+    composite_log_sigma_head,
     composite_matmul_relu,
     composite_sq_dist_rows,
     graph_conv,
@@ -33,6 +35,7 @@ from conftest import (
     max_rel_err,
     per_name_adam,
     sigmoid,
+    sq_dist_rows,
     tanh,
 )
 
@@ -212,7 +215,23 @@ class TestOpGradients:
 
     def test_sq_dist_rows(self):
         a, b = _leaf((4, 3)), _leaf((4, 3))
-        _check_grads(lambda: _weighted(dc.sq_dist_rows(a, b)), [a, b])
+        _check_grads(lambda: _weighted(sq_dist_rows(a, b)), [a, b])
+
+    def test_centered_sq_dist_rows(self):
+        # a non-symmetric block catches a VJP that forgets to transpose
+        x = _leaf((5, 3))
+        blocks = (RNG.standard_normal((2, 2)), RNG.standard_normal((1, 1)),
+                  RNG.standard_normal((2, 2)))
+        _check_grads(lambda: _weighted(dc.centered_sq_dist_rows(blocks, x)), [x])
+
+    def test_log_sigma_head(self):
+        rng = np.random.default_rng(3)
+        x, w, b = (dc.Tensor(rng.standard_normal(s) * 4.0, requires_grad=True)
+                   for s in ((4, 3), (3, 5), (5,)))
+        pre = x.data @ w.data + b.data  # both bounds cut, and no difference crosses one
+        assert (pre < dc.LOG_SIGMA_MIN).any() and (pre > dc.LOG_SIGMA_MAX).any()
+        assert np.abs(pre[..., None] - [dc.LOG_SIGMA_MIN, dc.LOG_SIGMA_MAX]).min() > 0.1
+        _check_grads(lambda: _weighted(dc.log_sigma_head(x, w, b)), [x, w, b])
 
     def test_gaussian_sample_fixed_eps(self):
         # a fresh generator per evaluation draws the same noise every time
@@ -691,9 +710,10 @@ LEAN_CASE = dict(rows=st.integers(1, 9), width=st.integers(1, 6),
 
 
 class TestLeanNodes:
-    """The one-node forms of the graph-conv layer, the latent sample, the
-    consistency term and the KL rows against their composite oracles: same
-    bits, and a node that keeps only what its VJP reads."""
+    """The one-node forms of the graph-conv layer, the log-sigma head, the
+    latent sample, the consistency distance and the KL rows against their
+    composite oracles: same bits, and a node that keeps only what its VJP
+    reads."""
 
     @staticmethod
     def _dead(x, w, dead):
@@ -794,9 +814,55 @@ class TestLeanNodes:
         rng = np.random.default_rng(seed)
         a, b = (rng.standard_normal((rows, width)).astype(dtype) for _ in range(2))
         upstream = rng.standard_normal(rows).astype(dtype)
-        out = _fused_vs_composite(dc.sq_dist_rows, composite_sq_dist_rows, [a, b], needs,
-                                 grad_on, upstream)
+        out = _fused_vs_composite(sq_dist_rows, composite_sq_dist_rows, [a, b], needs,
+                                  grad_on, upstream)
         assert out.data.shape == (rows,) and out._saved is None
+
+    @settings(max_examples=120, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 5), min_size=1, max_size=4), centering=st.booleans(),
+           need=st.booleans(), **{k: v for k, v in LEAN_CASE.items()
+                                  if k not in ("rows", "needs")})
+    def test_centered_sq_dist_rows_equals_composite(self, sizes, centering, width, dtype,
+                                                    need, grad_on, seed):
+        # one block per group, one-agent groups among them: the centering
+        # blocks of the consistency term, or any square blocks, which are not
+        # symmetric, so a missing transpose in the VJP shows
+        rng = np.random.default_rng(seed)
+        n = sum(sizes)
+        blocks = tuple(np.full((k, k), 1.0 / k, dtype=dtype) if centering
+                       else rng.standard_normal((k, k)).astype(dtype) for k in sizes)
+        x = rng.standard_normal((n, width)).astype(dtype)
+        upstream = rng.standard_normal(n).astype(dtype)
+        out = _fused_vs_composite(lambda a: dc.centered_sq_dist_rows(blocks, a),
+                                  lambda a: composite_centered_sq_dist_rows(blocks, a),
+                                  [x], (need,), grad_on, upstream, slots=(0, 0))
+        assert out.data.shape == (n,)
+        if out.requires_grad:  # the blocks themselves, and the pending gradient released
+            saved, pending = out._saved
+            assert all(a is b for a, b in zip(saved, blocks, strict=True)) and pending is None
+
+    @settings(max_examples=120, deadline=None)
+    @given(n_in=st.integers(1, 6), scale=st.sampled_from([1.0, 8.0]), at_bounds=st.booleans(),
+           needs=st.tuples(*[st.booleans()] * 3),
+           **{k: v for k, v in LEAN_CASE.items() if k != "needs"})
+    def test_log_sigma_head_equals_composite(self, rows, width, n_in, scale, at_bounds, dtype,
+                                             needs, grad_on, seed):
+        # pre-activations beyond both bounds (scale 8), and exactly at them:
+        # zero input rows leave the bias, which holds both bounds
+        rng = np.random.default_rng(seed)
+        x = (rng.standard_normal((rows, n_in)) * scale).astype(dtype)
+        w = rng.standard_normal((n_in, width)).astype(dtype)
+        b = (rng.standard_normal(width) * scale).astype(dtype)
+        if at_bounds:
+            x[::2] = 0.0
+            b[::2], b[1::2] = dc.LOG_SIGMA_MIN, dc.LOG_SIGMA_MAX
+        upstream = rng.standard_normal((rows, width)).astype(dtype)
+        out = _fused_vs_composite(dc.log_sigma_head, composite_log_sigma_head, [x, w, b],
+                                  needs, grad_on, upstream)
+        assert dc.LOG_SIGMA_MIN <= out.data.min() and out.data.max() <= dc.LOG_SIGMA_MAX
+        if at_bounds:
+            assert {dc.LOG_SIGMA_MIN, dc.LOG_SIGMA_MAX} & set(out.data[0].tolist())
+        assert out._saved is None  # no pre-clamp array, and the pending gradient released
 
     @pytest.mark.parametrize("build, shapes", [
         (matmul_relu, [(3, 4), (3, 2)]),
@@ -804,8 +870,8 @@ class TestLeanNodes:
         (matmul_relu, [(3, 4), (4, 2, 1)]),
         (lambda m, s: dc.gaussian_sample(m, s, rng=np.random.default_rng(0)), [(3, 4), (4,)]),
         (lambda m, s: dc.gaussian_sample(m, s, rng=np.random.default_rng(0)), [(3, 4), (4, 3)]),
-        (dc.sq_dist_rows, [(3, 4), (3, 5)]),
-        (dc.sq_dist_rows, [(3, 4, 2), (3, 4, 2)]),
+        (sq_dist_rows, [(3, 4), (3, 5)]),
+        (sq_dist_rows, [(3, 4, 2), (3, 4, 2)]),
         (dc.kl_rows, [(3, 4), (3, 5)]),
         (dc.kl_rows, [(3, 4), (4,)]),
         (dc.kl_rows, [(4,), (4,)]),
@@ -813,11 +879,24 @@ class TestLeanNodes:
         (lambda x, w: graph_conv((np.eye(3),), x, w), [(3, 4), (3, 2)]),
         (lambda x, w: graph_conv((np.eye(3),), x, w), [(3, 4), (4, 2, 1)]),
         (lambda x, w: graph_conv((np.eye(3),), x, w), [(3, 4), (4,)]),
+        (lambda x: dc.centered_sq_dist_rows((np.eye(2),), x), [(3, 4)]),
+        (lambda x: dc.centered_sq_dist_rows((np.eye(3),), x), [(3, 4, 2)]),
     ])
     def test_shape_error_names_the_shapes(self, build, shapes):
         with pytest.raises(ShapeError) as err:
             build(*(dc.Tensor(np.zeros(s), requires_grad=True) for s in shapes))
         assert all(str(s) in str(err.value) for s in shapes)
+
+    @pytest.mark.parametrize("shapes, named", [
+        ([(3, 4), (3, 2), (2,)], [(3, 4), (3, 2)]),  # inner widths differ
+        ([(4,), (4, 2), (2,)], [(4,), (4, 2)]),  # a 1-D input
+        ([(3, 4), (4, 2), (3,)], [(3, 2), (3,)]),  # a bias that does not broadcast
+    ])
+    def test_log_sigma_head_shape_errors(self, shapes, named):
+        # checked as affine checks them, under the node's own name
+        with pytest.raises(ShapeError, match="log_sigma_head") as err:
+            dc.log_sigma_head(*(dc.Tensor(np.zeros(s), requires_grad=True) for s in shapes))
+        assert all(str(s) in str(err.value) for s in named)
 
 
 class TestGaussianSample:
@@ -863,7 +942,10 @@ MULTI_OPERAND = {
         dict(zip(GRU_SLOTS[2:], gru))), [(3, 2), (3, 4), (2, 3), (4, 5)] + [(8, 5), (5,)] * 3),
     "gaussian_sample": (lambda m, s: dc.gaussian_sample(m, s, rng=np.random.default_rng(1)),
                         [(3, 4), (3, 4)]),
-    "sq_dist_rows": (dc.sq_dist_rows, [(3, 4), (3, 4)]),
+    "sq_dist_rows": (sq_dist_rows, [(3, 4), (3, 4)]),
+    "centered_sq_dist_rows": (lambda x: dc.centered_sq_dist_rows(
+        (np.full((1, 1), 0.5), np.array([[1.0, -2.0], [0.25, 3.0]])), x), [(3, 4)]),
+    "log_sigma_head": (dc.log_sigma_head, [(3, 4), (4, 5), (5,)]),
     "minimum": (dc.minimum, [(3, 4), (3, 4)]),
     "mse": (dc.mse, [(3, 4), (3, 4)]),
     "concat": (lambda a, b, c: dc.concat([a, b, c], axis=1), [(3, 1), (3, 2), (3, 3)]),

@@ -153,6 +153,24 @@ class TestNewWorld:
             with pytest.raises(ConfigError):
                 eg.new_world(make_config(**bad))
 
+    @pytest.mark.parametrize("key", ["r_food", "p_blank", "p_attacked", "p_step"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_reward_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            eg.preset("desk-random-12", **{key: value})
+
+    def test_reward_that_can_overflow_a_return_rejected(self):
+        # six terms a step, per agent and step, must stay below the float64 maximum
+        task = eg.preset("desk-random-12")
+        bound = float(np.finfo(np.float64).max) / (6 * task.n_omnivores * task.max_steps)
+        eg.preset("desk-random-12", p_attacked=-bound / 2)
+        for key, value in (("r_food", 1.7e308), ("p_attacked", -bound), ("p_step", bound * 2),
+                           ("p_blank", 10 ** 400)):
+            with pytest.raises(ConfigError, match=f"{key} must be finite and below"):
+                eg.preset("desk-random-12", **{key: value})
+        with pytest.raises(ConfigError, match="r_food"):
+            eg.preset("desk-random-12", r_food=bound / 2, max_steps=task.max_steps * 4)
+
 
 class TestActions:
     def test_exactly_33(self):

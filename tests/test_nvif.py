@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 import nviflab
 from nviflab import commgraph as cg
 from nviflab import diffcore as dc
+from nviflab.diffcore import nn as dc_nn
+from nviflab.diffcore import tensor as dc_tensor
 from nviflab.env_gather import (
     N_ACTIONS,
     TaskConfig,
@@ -40,11 +42,13 @@ from nviflab.nvif.pretrain import _batch_loss
 
 import conftest
 from conftest import (
+    composite_centered_sq_dist_rows,
     composite_flow_gru_cell,
     composite_gaussian_sample,
     composite_graph_conv,
     composite_gru_cell,
     composite_kl_rows,
+    composite_log_sigma_head,
     composite_matmul_relu,
     composite_sq_dist_rows,
     float_encode,
@@ -391,6 +395,24 @@ class TestObsCompressor:
         rows = decode_windows(held_out.codes, held_out.positions, held_out)
         bce = reconstruction_bce(tiny_compressor, rows)
         assert bce < np.log(2.0)
+
+    def test_log_sigma_head_node_trains_as_the_chain(self, tiny_task, monkeypatch):
+        # the one-node log-sigma head against its affine and clamp nodes,
+        # through two epochs of training: the same weights, bit for bit
+        from nviflab.harness.pipeline import collect_obs_corpus
+        corpus = collect_obs_corpus(tiny_task, episodes=2, rng=np.random.default_rng(8),
+                                    max_samples=600)
+
+        def trained():
+            comp = ObsCompressor(ObsVaeConfig(obs_dim=tiny_task.obs_dim, latent_width=8,
+                                              hidden_width=24), np.random.default_rng(4))
+            comp.train(corpus, ObsVaeHyper(epochs=2, lr=2e-3, batch_size=128, seed=3))
+            return {n: comp.store[n].data.tobytes() for n in comp.store.names()}
+
+        lean = trained()
+        monkeypatch.setattr(importlib.import_module("nviflab.nvif.obs_vae"), "log_sigma_head",
+                            composite_log_sigma_head)
+        assert trained() == lean
 
     def test_save_load(self, tmp_path, tiny_compressor, tiny_task):
         tiny_compressor.save(tmp_path / "vae")
@@ -756,10 +778,12 @@ class TestPretrain:
         # every fused node against its composite patched back in: the encoder
         # step (its graph-conv layers and GRU cell as nodes), the graph-conv
         # layer (sparse_matmul, matmul and relu nodes), the GRU cell, the
-        # latent sample, the consistency distance and the KL rows.
-        # Same loss and gradient bytes, from a tape of at most 0.18 of the
-        # bytes: this batch measured 0.152 (814 against 2253 nodes), and 0.147
-        # (534 against 1893) without the consistency term, so the bound
+        # log-sigma head (affine and clamp nodes), the latent sample, the
+        # consistency distance (sparse_matmul and sq_dist_rows nodes, the
+        # latter as sub, mul and sum nodes) and the KL rows.
+        # Same loss and gradient bytes, from a tape of at most 0.165 of the
+        # bytes: this batch measured 0.137 (734 against 2253 nodes), and 0.139
+        # (494 against 1893) without the consistency term, so the bound
         # leaves an 18% margin.
         # Without that term (alpha 0) the latent sample's gradient reaches mu
         # and log_sigma before the KL node's, which must then add its terms
@@ -773,15 +797,18 @@ class TestPretrain:
                         ("conftest", "graph_conv", composite_graph_conv),
                         ("conftest", "matmul_relu", composite_matmul_relu),
                         ("conftest", "gru_cell", composite_gru_cell),
+                        ("nviflab.nvif.encoder", "log_sigma_head", composite_log_sigma_head),
                         ("nviflab.nvif.encoder", "gaussian_sample", composite_gaussian_sample),
-                        ("nviflab.nvif.losses", "sq_dist_rows", composite_sq_dist_rows),
+                        ("nviflab.nvif.losses", "centered_sq_dist_rows",
+                         composite_centered_sq_dist_rows),
+                        ("conftest", "sq_dist_rows", composite_sq_dist_rows),
                         ("nviflab.diffcore.nn", "kl_rows", composite_kl_rows)], alpha)
             assert loss.tobytes() == ref_loss.tobytes(), alpha
             assert grads.keys() == ref_grads.keys()
             for name in grads:
                 assert grads[name].tobytes() == ref_grads[name].tobytes(), (alpha, name)
             assert nodes < ref_nodes
-            assert nbytes <= 0.18 * ref_bytes, (alpha, nbytes, ref_bytes)
+            assert nbytes <= 0.165 * ref_bytes, (alpha, nbytes, ref_bytes)
 
     def test_zero_batch_rejected(self, small_buffer):
         with pytest.raises(ConfigError):
@@ -933,11 +960,16 @@ def full_tape_batch_loss(encoder, episodes, alpha, recon_weight, rng):
 
 
 def _tape_arrays(loss):
-    """Every node value and saved array on the tape of ``loss``."""
-    for node in dc.topological_order(loss):
-        yield node.data
-        saved = node._saved if isinstance(node._saved, tuple) else (node._saved,)
-        yield from (a for a in saved if isinstance(a, np.ndarray))
+    """Every node value and saved array on the tape of ``loss``, the arrays in
+    nested tuples of ``_saved`` (a node's blocks beside its pending gradients)
+    included."""
+    stack = [item for node in dc.topological_order(loss) for item in (node.data, node._saved)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, np.ndarray):
+            yield item
+        elif isinstance(item, (tuple, list)):
+            stack.extend(item)
 
 
 class TestDecoderLocalBackward:
@@ -969,6 +1001,52 @@ class TestDecoderLocalBackward:
         assert float(total.data) == float(oracle.data)
         for name in enc.store.names():
             assert np.array_equal(enc.store[name].grad, want[name]), name
+
+
+class TestTapeHeadAndDistance:
+    def test_no_pre_clamp_or_centred_array_on_the_batch_tape(self, small_buffer, tiny_task,
+                                                             monkeypatch):
+        # with the composites patched in, each timestep keeps a pre-clamp
+        # log-sigma (the affine node under a clamp) and a centred product
+        # C s (a sparse_matmul node) on the tape; the lean tape holds neither
+        # node, its log-sigma heads keep nothing and its distances keep only
+        # the centering blocks, and its bytes fall by at least those arrays'
+        enc = tiny_encoder(np.random.default_rng(9), obs_feat=8,
+                           obs_dim=tiny_task.obs_dim, dtype="float32")
+        episodes = small_buffer[:3]
+        steps = max(len(ep.steps) for ep in episodes)
+
+        def tape():
+            total, *_ = _batch_loss(enc, episodes, 0.1, 1.0, rng=np.random.default_rng(0))
+            return dc.topological_order(total), tape_size(total)[1]
+
+        def by_vjp(order, vjp):
+            return [node for node in order if node._backward is vjp]
+
+        order, nbytes = tape()
+        assert not by_vjp(order, dc_tensor._vjp_clamp)
+        assert not by_vjp(order, dc_tensor._vjp_sparse_matmul)
+        heads = by_vjp(order, dc_nn._vjp_log_sigma_head)
+        dists = by_vjp(order, dc_tensor._vjp_centered_sq_dist_rows)
+        assert len(heads) == len(dists) == steps
+        assert all(node._saved is None for node in heads)
+        for node in dists:
+            blocks, pending = node._saved
+            assert pending is None and all(
+                b.shape == (len(b), len(b)) and np.all(b == np.float32(1.0 / len(b)))
+                for b in blocks)
+
+        monkeypatch.setattr(importlib.import_module("nviflab.nvif.encoder"), "log_sigma_head",
+                            composite_log_sigma_head)
+        monkeypatch.setattr(importlib.import_module("nviflab.nvif.losses"),
+                            "centered_sq_dist_rows", composite_centered_sq_dist_rows)
+        ref_order, ref_bytes = tape()
+        pre_clamp = [p.data for node in by_vjp(ref_order, dc_tensor._vjp_clamp)
+                     for p in node._parents]
+        centred = [node.data for node in by_vjp(ref_order, dc_tensor._vjp_sparse_matmul)]
+        assert len(pre_clamp) == len(centred) == steps
+        assert len(order) == len(ref_order) - 2 * steps
+        assert ref_bytes - nbytes >= sum(a.nbytes for a in pre_clamp + centred)
 
 
 class TestBlockBatches:
@@ -1025,23 +1103,27 @@ class TestBlockBatches:
 # Pre-training under an address-space cap, in its own process, so a memory
 # regression fails that process instead of exhausting the machine. Figures
 # are VmPeak with one BLAS thread (CPython 3.11, numpy 2.4, OpenBLAS).
-# - One random-medium epoch (8 episodes, batches of 4) peaks at 172.5 MiB, 32%
-#   below its cap. With five stored grid channels in the buffer's codes in
-#   place of the two hp grids it peaked at 181 MiB; with the encoder step's
-#   graph-conv layers and GRU cell as nodes of their own as well at 192 MiB;
-#   with the graph-conv layer as a block product and a fused product-relu, a
-#   GRU cell that saves its gates and the KL rows as nine nodes at 221 MiB;
-#   with the product-relu, the latent sample and the consistency term as
-#   composite nodes as well at 240 MiB, with the decoder on the batch tape as
-#   well at 365 MiB, and with float32 windows in the buffer as well at 427 MiB.
+# - One random-medium epoch (8 episodes, batches of 4) peaks at 168.9 MiB, 32%
+#   below its cap. With the log-sigma head as an affine node and a clamp node
+#   and the consistency distance as a block-product node and a distance node
+#   it peaked at 172.7 MiB under a cap of 254; with five stored grid channels
+#   in the buffer's codes in place of the two hp grids at 181 MiB; with the
+#   encoder step's graph-conv layers and GRU cell as nodes of their own as
+#   well at 192 MiB; with the graph-conv layer as a block product and a fused
+#   product-relu, a GRU cell that saves its gates and the KL rows as nine
+#   nodes at 221 MiB; with the product-relu, the latent sample and the
+#   consistency term as composite nodes as well at 240 MiB, with the decoder
+#   on the batch tape as well at 365 MiB, and with float32 windows in the
+#   buffer as well at 427 MiB.
 # - One paper-scale batch (16 random-large episodes of 49 agents) peaks at
-#   314 MiB, 24% below its cap. With five stored grid channels it peaked at
-#   336-337 MiB, with the layers and the cell as nodes of their own as well
-#   at 409 MiB, with those three nodes as before at 612 MiB, with the
-#   composite nodes as well at 726 MiB, and with a dense (N, N) matrix over
-#   the stacked agents per timestep as well at 1195 MiB.
-GATE_MIB = 254
-LARGE_GATE_MIB = 412
+#   290.9 MiB, 23% below its cap. With the head and the distance as two nodes
+#   each it peaked at 317.6 MiB under a cap of 412; with five stored grid
+#   channels at 336-337 MiB, with the layers and the cell as nodes of their
+#   own as well at 409 MiB, with those three nodes as before at 612 MiB, with
+#   the composite nodes as well at 726 MiB, and with a dense (N, N) matrix
+#   over the stacked agents per timestep as well at 1195 MiB.
+GATE_MIB = 248
+LARGE_GATE_MIB = 377
 _GATE_SCRIPT = """
 import resource, sys
 limit = int(sys.argv[1]) * 2 ** 20
