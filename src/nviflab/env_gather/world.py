@@ -110,6 +110,10 @@ class GridWorld:
         return int(np.count_nonzero(self.alive[self.n_agents:]))
 
     @property
+    def food_eaten_frac(self) -> float:
+        return (self.config.n_food - self.food_remaining()) / self.config.n_food
+
+    @property
     def done(self) -> bool:
         return (self.t >= self.config.max_steps or not self.food_remaining()
                 or not np.count_nonzero(self.alive[:self.n_agents]))

@@ -106,9 +106,7 @@ def _dispatch(args, cfg) -> int:
         episodes = args.episodes if args.episodes is not None else cfg.eval.episodes
         eval_dir = out / "eval"
         eval_dir.mkdir(parents=True, exist_ok=True)
-        replay = eval_dir / "replay.jsonl" if cfg.eval.replay else None
-        metrics = evaluate(source, cfg.task_config(), episodes, seed=cfg.eval.seed,
-                           replay_path=replay, greedy=cfg.eval.greedy)
+        metrics = evaluate(source, cfg.task_config(), episodes, seed=cfg.eval.seed)
         with open(eval_dir / "metrics.json", "w") as fh:
             json.dump(metrics, fh, indent=1)
         print(json.dumps(metrics))

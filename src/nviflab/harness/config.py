@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, is_dataclass
 from ..env_gather import TaskConfig, preset
 from ..errors import ConfigError
 from ..nvif import NvifConfig, ObsVaeConfig, ObsVaeHyper, PretrainHyper
-from ..nvif.pretrain import require_graph_kind
 from ..policy import DQNHyper, PPOHyper
 
 ALGORITHMS = {
@@ -43,15 +42,12 @@ class NvifSection(PretrainHyper):
     flow_layers: int = NvifConfig.flow_layers
     decoder_hidden: int = NvifConfig.decoder_hidden
     buffer_episodes: int = 200
-    graph: str = "neighbor"
 
 
 @dataclass
 class EvalSection:
     episodes: int = 10
     seed: int = 0
-    greedy: bool | None = None
-    replay: bool = False
 
 
 @dataclass
@@ -146,7 +142,6 @@ def load_experiment(path) -> ExperimentConfig:
             f"unknown algorithm {cfg.algorithm!r}; known: {sorted(ALGORITHMS)}")
     for hyper in (cfg.obs_vae, cfg.nvif, cfg.ppo, cfg.dqn):
         hyper.validate()
-    require_graph_kind(cfg.nvif.graph)
     for name in (cfg.task, *cfg.scalability.tasks):  # the names, and the env overrides' ranges
         preset(name, **cfg.env)
     return cfg

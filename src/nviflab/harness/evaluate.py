@@ -31,12 +31,11 @@ class NoopPolicy:
 
 
 class BundlePolicy:
-    """Runs a saved bundle: compress, provide latents, act."""
+    """Runs a saved bundle: compress, provide latents, act (a Q-network
+    greedily, an actor-critic by sampling)."""
 
-    def __init__(self, bundle: PolicyBundle, rng: np.random.Generator,
-                 greedy: bool | None = None):
+    def __init__(self, bundle: PolicyBundle, rng: np.random.Generator):
         self.bundle = bundle
-        self.greedy = (bundle.kind == "dqn") if greedy is None else greedy
         feat_width = bundle.compressor.config.latent_width
         self.provider = make_provider(bundle.latent_mode, feat_width,
                                       encoder=bundle.encoder, rng=rng)
@@ -48,19 +47,17 @@ class BundlePolicy:
         x = featurize(world, ids, self.bundle.compressor, self.provider)
         if self.bundle.kind == "dqn":
             return self.bundle.qnet.q_values(x).argmax(axis=1)
-        if self.greedy:
-            return self.bundle.actor_critic.greedy(x)
         return self.bundle.actor_critic.act(x, rng)[0]
 
 
-def make_policy(name_or_bundle, rng, greedy=None):
+def make_policy(name_or_bundle, rng):
     if name_or_bundle == "random":
         return RandomPolicy()
     if name_or_bundle == "noop":
         return NoopPolicy()
     if isinstance(name_or_bundle, PolicyBundle):
-        return BundlePolicy(name_or_bundle, rng, greedy=greedy)
-    return BundlePolicy(PolicyBundle.load(name_or_bundle), rng, greedy=greedy)
+        return BundlePolicy(name_or_bundle, rng)
+    return BundlePolicy(PolicyBundle.load(name_or_bundle), rng)
 
 
 def _replay_graph(policy, world, ids):
@@ -71,7 +68,7 @@ def _replay_graph(policy, world, ids):
 
 
 def evaluate(policy_source, task_cfg, episodes: int, seed: int,
-             replay_path=None, greedy=None) -> dict:
+             replay_path=None) -> dict:
     """Mean return / end step / food fraction over fixed-seed episodes.
 
     ``policy_source`` is "random", "noop", a PolicyBundle, or a bundle path;
@@ -82,7 +79,7 @@ def evaluate(policy_source, task_cfg, episodes: int, seed: int,
     env_seq, pol_seq = np.random.SeedSequence(seed).spawn(2)
     env_rng = np.random.default_rng(env_seq)
     pol_rng = np.random.default_rng(pol_seq)
-    policy = make_policy(policy_source, pol_rng, greedy=greedy)
+    policy = make_policy(policy_source, pol_rng)
     if isinstance(policy, BundlePolicy):
         policy.bundle.check_task(task_cfg)
     returns, ends, fracs = [], [], []
@@ -103,7 +100,7 @@ def evaluate(policy_source, task_cfg, episodes: int, seed: int,
                     writer.write_step(world, actions, result, edges=edges)
             returns.append(episode_return)
             ends.append(world.t)
-            fracs.append((task_cfg.n_food - world.food_remaining()) / task_cfg.n_food)
+            fracs.append(world.food_eaten_frac)
     return {
         "mean_return": float(np.mean(returns)),
         "mean_end_steps": float(np.mean(ends)),

@@ -98,13 +98,15 @@ def load_compressor(cfg: ExperimentConfig) -> ObsCompressor:
 
 
 def run_pretrain_nvif(cfg: ExperimentConfig, compressor: ObsCompressor | None = None):
+    """Pre-train the encoder on the graphs the algorithm communicates over:
+    the complete graph for latent mode "full", else neighbor graphs."""
     if compressor is None:
         compressor = load_compressor(cfg)
     task_cfg = cfg.task_config()
     section = cfg.nvif
     rng = np.random.default_rng(section.seed)
-    buffer = collect_pretrain_buffer(
-        task_cfg, section.buffer_episodes, compressor, rng, graph_kind=section.graph)
+    buffer = collect_pretrain_buffer(task_cfg, section.buffer_episodes, compressor, rng,
+                                     full_graph=ALGORITHMS[cfg.algorithm][1] == "full")
     enc_cfg = NvifConfig(
         obs_feat_width=compressor.config.latent_width,
         obs_dim=task_cfg.obs_dim,

@@ -1,6 +1,5 @@
 """Communication protocol: encoder, decoder, losses, and pre-training."""
-from .encoder import EncoderState, LatentDistribution, NvifConfig, NvifEncoder
-from .flownet import init_flownet
+from .encoder import EncoderState, LatentDistribution, NvifConfig, NvifEncoder, init_flownet
 from .losses import NvifLossReport, kl_standard_normal
 from .obs_vae import ObsCompressor, ObsCorpus, ObsVaeConfig, ObsVaeHyper
 from .pretrain import (

@@ -4,8 +4,11 @@ Per timestep the encoder runs two independent FlowNets (one over the agents'
 compressed observations, one over their hidden states) and feeds the results
 through a shared GRU cell (observation path as input, hidden path as the
 recurrent state), all as one :func:`diffcore.flow_gru_cell` node whose value
-is the next hidden state; it then reads the latent distribution off an
-affine head.
+is the next hidden state; it then samples the latent off an affine head.
+A FlowNet is stacked graph convolutions that mix neighbor features: each
+layer computes ReLU(A_hat @ H @ W), A_hat the symmetric normalized adjacency
+given as its diagonal blocks (one per graph, so stacked graphs never
+exchange features), and L layers give L rounds of exchange per timestep.
 :meth:`NvifEncoder.step` is the one forward pass: inference calls it on one
 episode's graph, pre-training on the stacked graphs of several episodes. The
 decoder reconstructs an agent's raw observation window from its sampled
@@ -34,8 +37,18 @@ from ..diffcore import (
     mlp,
     save_checkpoint,
 )
-from ..errors import ProtocolError
-from .flownet import init_flownet
+from ..errors import ConfigError, ProtocolError
+
+
+def init_flownet(store: ParamStore, prefix: str, widths: list[int],
+                 rng: np.random.Generator, dtype=np.float32) -> list[Tensor]:
+    """Register FlowNet layer weights ``prefix/w0..`` for the given width
+    chain and return them in layer order."""
+    if len(widths) < 2:
+        raise ConfigError(f"flownet {prefix!r} needs at least one layer (two widths), "
+                          f"got widths {widths}")
+    return [store.add(f"{prefix}/w{layer}", init_linear(rng, fin, fout, dtype)[0])
+            for layer, (fin, fout) in enumerate(zip(widths[:-1], widths[1:]))]
 
 
 @dataclass
@@ -113,7 +126,7 @@ class NvifEncoder:
     # -- forward passes -------------------------------------------------------
 
     def step(self, feats, state: EncoderState, ids, blocks, *,
-             rng: np.random.Generator | None = None, sample: bool = True):
+             rng: np.random.Generator | None = None):
         """One encoder timestep over the alive agents ``ids``.
 
         ``blocks`` are the diagonal blocks of the normalized mixing matrix
@@ -122,9 +135,7 @@ class NvifEncoder:
         stacked. Array ``feats`` are cast to the model dtype. Returns
         (next state, latent distribution). Agents absent from ``ids`` are
         dropped from the state; new ones start from a zero hidden vector.
-        The latent is ``mu`` when ``sample`` is false, else a
-        reparameterized draw with noise from ``rng``, which sampling
-        requires.
+        The latent is a reparameterized draw with noise from ``rng``.
         """
         ids = tuple(ids)
         feats = feats if isinstance(feats, Tensor) else Tensor(
@@ -132,13 +143,13 @@ class NvifEncoder:
         if feats.data.shape[0] != len(ids):
             raise ProtocolError(
                 f"encoder step: {feats.data.shape[0]} feature rows for {len(ids)} agents")
-        if sample and rng is None:
+        if rng is None:
             raise ProtocolError("encoder step: sampling the latent needs an rng")
         hidden = self._hidden_for(state, ids)
         h_next = flow_gru_cell(blocks, feats, hidden, self.flow_o, self.flow_h, self._gru)
         mu = affine(h_next, self.store["head/mu_w"], self.store["head/mu_b"])
         log_sigma = log_sigma_head(h_next, self.store["head/ls_w"], self.store["head/ls_b"])
-        latent = gaussian_sample(mu, log_sigma, rng=rng) if sample else mu
+        latent = gaussian_sample(mu, log_sigma, rng=rng)
         return EncoderState(ids=ids, hidden=h_next), LatentDistribution(mu, log_sigma, latent)
 
     def decode(self, latents, positions) -> Tensor:

@@ -48,11 +48,6 @@ from .losses import NvifLossReport, consistency_rows, kl_rows, recon_rows
 from .obs_vae import ObsCompressor
 
 
-def require_graph_kind(kind) -> None:
-    if kind not in ("neighbor", "full"):
-        raise ConfigError(f"nvif graph must be 'neighbor' or 'full', got {kind!r}")
-
-
 @dataclass(eq=False)  # array fields have no single truth value
 class StepData:
     ids: tuple[int, ...]
@@ -78,8 +73,6 @@ class PretrainHyper:
     batch_episodes: int = 16
     recon_weight: float = 1.0
     seed: int = 0
-    stop_recon_frac: float | None = None  # stop once recon <= frac * epoch-1 recon
-                                          # and the consistency term sits below epoch 1
 
     def validate(self):
         require_counts("nvif", epochs=self.epochs, batch_episodes=self.batch_episodes)
@@ -87,15 +80,14 @@ class PretrainHyper:
         for name in ("alpha", "recon_weight"):
             if not getattr(self, name) >= 0.0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.stop_recon_frac is not None and not 0.0 < self.stop_recon_frac <= 1.0:
-            raise ConfigError(f"stop_recon_frac must be in (0, 1], got {self.stop_recon_frac}")
 
 
-def gather_step_data(world, ids, compressor: ObsCompressor, graph_kind: str = "neighbor",
+def gather_step_data(world, ids, compressor: ObsCompressor, full_graph: bool = False,
                      dtype=np.float32) -> StepData:
-    """Window codes, compressed features, positions, and adjacency for one step."""
+    """Window codes, compressed features, positions, and adjacency (of the
+    complete graph with ``full_graph``, else the neighbor graph) for one step."""
     pos = world.agent_positions(ids)
-    graph = fully_connected(ids) if graph_kind == "full" else build_graph(pos, ids)
+    graph = fully_connected(ids) if full_graph else build_graph(pos, ids)
     codes = observe(world, ids)
     return StepData(ids=tuple(ids), raw_obs=codes,
                     feats=compressor.encode(codes, pos, world.config).astype(dtype),
@@ -104,18 +96,17 @@ def gather_step_data(world, ids, compressor: ObsCompressor, graph_kind: str = "n
 
 
 def collect_pretrain_buffer(task_config, n_episodes: int, compressor: ObsCompressor,
-                            rng: np.random.Generator, graph_kind: str = "neighbor"
+                            rng: np.random.Generator, full_graph: bool = False
                             ) -> list[EpisodeRecord]:
     """Random-policy episodes recorded as (observations, positions, graphs)."""
     require_counts("nvif", buffer_episodes=n_episodes)
-    require_graph_kind(graph_kind)
     buffer = []
     for _ in range(n_episodes):
         world = new_world(replace(task_config, seed=int(rng.integers(2 ** 62))))
         steps = []
         while not world.done:
             ids = world.alive_agents()
-            steps.append(gather_step_data(world, ids, compressor, graph_kind))
+            steps.append(gather_step_data(world, ids, compressor, full_graph))
             step(world, rng.integers(0, N_ACTIONS, len(ids)))
         if not steps:
             raise DataError("collected an episode with no alive agents at t=0")
@@ -188,11 +179,7 @@ def _batch_loss(encoder: NvifEncoder, episodes: list[EpisodeRecord], alpha: floa
 def pretrain(buffer: list[EpisodeRecord], hyper: PretrainHyper, encoder: NvifEncoder):
     """Optimize encoder and decoder over the buffer; returns (encoder, history).
 
-    One epoch iterates every episode once in seeded-shuffled batches. With
-    ``stop_recon_frac`` set, training ends as soon as the epoch reconstruction
-    term falls to that fraction of the first epoch's and the consistency term
-    is below its first-epoch value.
-    """
+    One epoch iterates every episode once in seeded-shuffled batches."""
     hyper.validate()
     if not buffer:
         raise DataError("pretrain: empty episode buffer")
@@ -216,8 +203,4 @@ def pretrain(buffer: list[EpisodeRecord], hyper: PretrainHyper, encoder: NvifEnc
         history.append(NvifLossReport(
             recon=recon, kl=kl, consistency=cons,
             total=recon + kl + hyper.alpha * cons, alpha=hyper.alpha))
-        if (hyper.stop_recon_frac is not None and len(history) > 1
-                and recon <= hyper.stop_recon_frac * history[0].recon
-                and cons < history[0].consistency):
-            break
     return encoder, history

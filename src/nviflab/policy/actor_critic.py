@@ -69,11 +69,6 @@ class ActorCritic:
             v = self.value(Tensor(feats)).data
         return v[:, 0].astype(np.float64)
 
-    def greedy(self, feats: np.ndarray) -> np.ndarray:
-        with no_grad():
-            logits = self.logits(Tensor(feats)).data
-        return logits.argmax(axis=1).astype(np.int64)
-
     def checkpoint_parts(self) -> tuple[dict, dict]:
         return {"policy": asdict(self.config)}, {"actor": self.actor, "critic": self.critic}
 

@@ -1,7 +1,8 @@
 """Deep Q-learning on [compressed observation || latent] inputs.
 
 Standard machinery: a ring replay buffer that stores each row once and finds
-next states by index, target network refreshed every ``target_sync`` gradient
+next states by index, one gradient step per environment step once it holds
+``min_replay`` rows, target network refreshed every ``target_sync`` gradient
 steps, linear epsilon schedule over environment steps, per-agent transitions
 with agent death or the food running out as terminals. A cut at ``max_steps``
 is not a terminal: a survivor's last transition leads to its final-state row,
@@ -44,9 +45,7 @@ class DQNHyper:
     eps_decay_steps: int = 50_000
     target_sync: int = 1000
     episodes: int = 300
-    train_every: int = 1
     hidden_width: int = 64
-    latent_sample: bool = True
     seed: int = 0
 
     def validate(self):
@@ -58,8 +57,7 @@ class DQNHyper:
         require_rates("dqn", lr=self.lr)
         require_counts("dqn", batch_size=self.batch_size, replay_capacity=self.replay_capacity,
                        eps_decay_steps=self.eps_decay_steps, target_sync=self.target_sync,
-                       train_every=self.train_every, min_replay=self.min_replay,
-                       hidden_width=self.hidden_width)
+                       min_replay=self.min_replay, hidden_width=self.hidden_width)
 
 
 def epsilon_at(hyper: DQNHyper, env_steps: int) -> float:
@@ -171,8 +169,7 @@ def train_dqn(task_cfg: TaskConfig, compressor: ObsCompressor, hyper: DQNHyper,
     action_rng = np.random.default_rng(act_s)
     latent_rng = np.random.default_rng(lat_s)
     sample_rng = np.random.default_rng(samp_s)
-    provider = make_provider(latent_mode, feat_width, encoder=encoder,
-                             rng=latent_rng, sample=hyper.latent_sample)
+    provider = make_provider(latent_mode, feat_width, encoder=encoder, rng=latent_rng)
     width = feat_width + provider.width
     qnet = QNetwork(width, hyper.hidden_width, np.random.default_rng(init_s))
     target = QNetwork(width, hyper.hidden_width, np.random.default_rng(init_s))
@@ -204,7 +201,7 @@ def train_dqn(task_cfg: TaskConfig, compressor: ObsCompressor, hyper: DQNHyper,
             pending = (result.ids, x, actions, result.rewards, result.alive,
                        result.food_remaining == 0)
             env_steps += 1
-            if replay.size >= hyper.min_replay and env_steps % hyper.train_every == 0:
+            if replay.size >= hyper.min_replay:
                 losses.append(_gradient_step(qnet, target, replay, hyper, sample_rng))
                 grad_steps += 1
                 if grad_steps % hyper.target_sync == 0:
@@ -217,7 +214,7 @@ def train_dqn(task_cfg: TaskConfig, compressor: ObsCompressor, hyper: DQNHyper,
             "epoch": episode,
             "mean_return": episode_return,
             "mean_end_steps": float(world.t),
-            "food_eaten_frac": (task_cfg.n_food - world.food_remaining()) / task_cfg.n_food,
+            "food_eaten_frac": world.food_eaten_frac,
             "actor_obj": 0.0,
             "critic_loss": float(np.mean(losses)) if losses else 0.0,
             "entropy": 0.0,

@@ -62,9 +62,6 @@ class PPOHyper:
     entropy_coef: float = 0.01
     lr: float = 3e-4
     hidden_width: int = 64
-    adv_norm: bool = True
-    latent_sample: bool = True
-    stop_food_frac: float | None = None  # stop once an epoch's mean hits this
     seed: int = 0
 
     def validate(self):
@@ -76,8 +73,6 @@ class PPOHyper:
             raise ConfigError(f"clip_eps must be in (0, 1), got {self.clip_eps}")
         if not self.entropy_coef >= 0.0:
             raise ConfigError(f"entropy_coef must be >= 0, got {self.entropy_coef}")
-        if self.stop_food_frac is not None and not 0.0 < self.stop_food_frac <= 1.0:
-            raise ConfigError(f"stop_food_frac must be in (0, 1], got {self.stop_food_frac}")
         require_rates("ppo", lr=self.lr)
         require_counts("ppo", episodes_per_epoch=self.episodes_per_epoch,
                        update_passes=self.update_passes, minibatch_slots=self.minibatch_slots,
@@ -182,19 +177,15 @@ def collect_episode(task_cfg: TaskConfig, env_seed: int, compressor: ObsCompress
     episode_return = 0.0  # per-agent sums in agent order; one sum of all rows rounds otherwise
     for agent_r in np.split(r, np.cumsum(by_agent.sum(axis=1))[:-1]):
         episode_return += float(agent_r.sum())
-    stats = EpisodeStats(
-        episode_return=episode_return,
-        end_steps=end,
-        food_eaten_frac=(task_cfg.n_food - world.food_remaining()) / task_cfg.n_food,
-    )
+    stats = EpisodeStats(episode_return=episode_return, end_steps=end,
+                         food_eaten_frac=world.food_eaten_frac)
     return (x, a, p, adv, adv + v, np.nonzero(by_agent)[1]), stats
 
 
 def _update(ac: ActorCritic, batch: EpochBatch, hyper: PPOHyper, shuffle_rng):
-    """The k-pass minibatch update; returns averaged diagnostics."""
-    adv = batch.adv
-    if hyper.adv_norm:
-        adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+    """The k-pass minibatch update over normalized advantages; returns
+    averaged diagnostics."""
+    adv = (batch.adv - batch.adv.mean()) / (batch.adv.std() + 1e-8)
     # every slot from 0 up has a row: each episode step has an alive agent
     slot_rows = np.split(np.argsort(batch.slot, kind="stable"),
                          np.cumsum(np.bincount(batch.slot))[:-1])
@@ -268,7 +259,6 @@ def train_ppo(task_cfg: TaskConfig, compressor: ObsCompressor, hyper: PPOHyper,
             _restore_rng(saved["rng"][k]) for k in RNG_STREAMS)
         metrics = saved["metrics"]
         epoch = saved["epoch"]
-        stopped = saved["stopped"]
     else:
         seq = np.random.SeedSequence(hyper.seed)
         env_s, act_s, lat_s, shuf_s, init_s = seq.spawn(5)
@@ -278,10 +268,8 @@ def train_ppo(task_cfg: TaskConfig, compressor: ObsCompressor, hyper: PPOHyper,
         shuffle_rng = np.random.default_rng(shuf_s)
         metrics = []
         epoch = 0
-        stopped = False
 
-    provider = make_provider(latent_mode, feat_width, encoder=encoder,
-                             rng=latent_rng, sample=hyper.latent_sample)
+    provider = make_provider(latent_mode, feat_width, encoder=encoder, rng=latent_rng)
     if not resume:
         ac = ActorCritic(PolicyConfig(input_width=feat_width + provider.width,
                                       hidden_width=hyper.hidden_width),
@@ -292,14 +280,14 @@ def train_ppo(task_cfg: TaskConfig, compressor: ObsCompressor, hyper: PPOHyper,
             return
         policy_meta, stores = ac.checkpoint_parts()
         state = {
-            "epoch": epoch, "stopped": stopped, "metrics": metrics, "settings": settings,
+            "epoch": epoch, "metrics": metrics, "settings": settings,
             "rng": {k: g.bit_generator.state for k, g in zip(
                 RNG_STREAMS, (env_rng, action_rng, latent_rng, shuffle_rng))},
         }
         save_checkpoint(ckpt, state | policy_meta, stores)
         write_metrics_csv(out_dir / "metrics.csv", metrics)
 
-    while epoch < hyper.epochs and not stopped:
+    while epoch < hyper.epochs:
         parts, stats = [], []
         for _ in range(hyper.episodes_per_epoch):
             env_seed = int(env_rng.integers(2 ** 62))
@@ -310,19 +298,16 @@ def train_ppo(task_cfg: TaskConfig, compressor: ObsCompressor, hyper: PPOHyper,
             stats.append(st)
         batch = EpochBatch(*map(np.concatenate, zip(*parts)))
         actor_obj, closs, entropy = _update(ac, batch, hyper, shuffle_rng)
-        food_frac = float(np.mean([s.food_eaten_frac for s in stats]))
         metrics.append({
             "epoch": epoch,
             "mean_return": float(np.mean([s.episode_return for s in stats])),
             "mean_end_steps": float(np.mean([s.end_steps for s in stats])),
-            "food_eaten_frac": food_frac,
+            "food_eaten_frac": float(np.mean([s.food_eaten_frac for s in stats])),
             "actor_obj": float(actor_obj),
             "critic_loss": float(closs),
             "entropy": float(entropy),
         })
         epoch += 1
-        if hyper.stop_food_frac is not None and food_frac >= hyper.stop_food_frac:
-            stopped = True
         save_state()
     if out_dir is not None:
         write_metrics_csv(out_dir / "metrics.csv", metrics)

@@ -42,18 +42,16 @@ class MeanObsLatents:
 
 
 class NvifLatents:
-    """Latent states from a frozen encoder run over the live graph.
+    """Latents sampled from a frozen encoder run over the live graph.
 
     ``neighbor_graph`` is the neighbor graph the latest :meth:`step` built,
     for callers that need the same graph (``None`` in full-graph mode).
     """
 
-    def __init__(self, encoder: NvifEncoder, rng: np.random.Generator,
-                 full_graph: bool = False, sample: bool = True):
+    def __init__(self, encoder: NvifEncoder, rng: np.random.Generator, full_graph: bool = False):
         self.encoder = encoder
         self.rng = rng
         self.full_graph = full_graph
-        self.sample = sample
         self.width = encoder.config.latent_width
         self._state = None
         self.neighbor_graph = None
@@ -69,25 +67,25 @@ class NvifLatents:
             self._state = self.encoder.init_state(ids)
         adj = normalize(graph).astype(self.encoder.config.np_dtype)
         with no_grad():
-            self._state, dist = self.encoder.step(
-                feats, self._state, graph.ids, (adj,), rng=self.rng, sample=self.sample)
+            self._state, dist = self.encoder.step(feats, self._state, graph.ids, (adj,),
+                                                  rng=self.rng)
         return dist.latent.data
 
 
-def make_provider(mode: str, feat_width: int, encoder=None, rng=None, sample=True):
+def make_provider(mode: str, feat_width: int, encoder=None, rng=None):
     if mode == "none":
         return EmptyLatents()
     if mode == "mean":
         return MeanObsLatents(feat_width)
     if mode in ("nvif", "full"):
         if encoder is None:
-            raise ValueError(f"latent mode {mode!r} needs a pre-trained encoder")
+            raise ConfigError(f"latent mode {mode!r} needs a pre-trained encoder")
         if encoder.config.obs_feat_width != feat_width:
             raise ConfigError(
                 f"encoder expects feature width {encoder.config.obs_feat_width}, "
                 f"compressor produces {feat_width}")
-        return NvifLatents(encoder, rng=rng, full_graph=(mode == "full"), sample=sample)
-    raise ValueError(f"unknown latent mode {mode!r}")
+        return NvifLatents(encoder, rng=rng, full_graph=(mode == "full"))
+    raise ConfigError(f"unknown latent mode {mode!r}")
 
 
 def featurize(world, ids, compressor: ObsCompressor, provider) -> np.ndarray:

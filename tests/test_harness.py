@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nviflab.commgraph import build_graph, normalize
 from nviflab.env_gather import (
     N_ACTIONS,
     NOOP_INDEX,
@@ -95,19 +96,26 @@ SECTION_DEFAULTS = {
                 "seed": 0},
     "nvif": {"hidden_width": 64, "latent_width": 32, "flow_layers": 2, "decoder_hidden": 128,
              "alpha": 0.1, "epochs": 200, "lr": 3e-3, "batch_episodes": 16,
-             "buffer_episodes": 200, "recon_weight": 1.0, "graph": "neighbor",
-             "stop_recon_frac": None, "seed": 0},
+             "buffer_episodes": 200, "recon_weight": 1.0, "seed": 0},
     "ppo": {"gamma": 0.99, "lam": 0.95, "clip_eps": 0.2, "epochs": 100,
             "episodes_per_epoch": 16, "update_passes": 4, "minibatch_slots": 64,
-            "entropy_coef": 0.01, "lr": 3e-4, "hidden_width": 64, "adv_norm": True,
-            "latent_sample": True, "stop_food_frac": None},
+            "entropy_coef": 0.01, "lr": 3e-4, "hidden_width": 64},
     "dqn": {"gamma": 0.99, "lr": 1e-3, "batch_size": 64, "replay_capacity": 100_000,
             "min_replay": 500, "eps_start": 1.0, "eps_end": 0.05, "eps_decay_steps": 50_000,
-            "target_sync": 1000, "episodes": 300, "train_every": 1, "hidden_width": 64,
-            "latent_sample": True},
-    "eval": {"episodes": 10, "seed": 0, "greedy": None, "replay": False},
+            "target_sync": 1000, "episodes": 300, "hidden_width": 64},
+    "eval": {"episodes": 10, "seed": 0},
     "scalability": {"policies": [], "tasks": [], "episodes": 10, "seed": 0},
 }
+
+# Retired behaviour switches at their last defaults: each of these is now the
+# one behaviour (advantages normalized, latents sampled, no early stop, one DQN
+# gradient step per env step, DQN greedy and PPO sampling in evaluation, replays
+# only from replay-dump, the pre-training graph set by the algorithm), so the
+# key is refused like any unknown one, even at its old default.
+RETIRED = [("ppo", "adv_norm", True), ("ppo", "latent_sample", True),
+           ("ppo", "stop_food_frac", None), ("dqn", "train_every", 1),
+           ("dqn", "latent_sample", True), ("nvif", "stop_recon_frac", None),
+           ("nvif", "graph", "neighbor"), ("eval", "greedy", None), ("eval", "replay", False)]
 ENV_KEYS = {"task_kind", "map_size", "n_omnivores", "n_food", "max_steps", "r_food", "p_blank",
             "p_attacked", "p_step", "hp_food", "hp_omnivore", "view_radius"}
 TOP_KEYS = {"task", "seeds", "out_dir", "algorithm", "env", "obs_vae", "nvif", "ppo", "dqn",
@@ -117,7 +125,8 @@ TOP_KEYS = {"task", "seeds", "out_dir", "algorithm", "env", "obs_vae", "nvif", "
 # (config overrides, a word the error names): each raised an untyped error,
 # loaded without complaint, or trained nothing before every key was typed;
 # an empty seed list trained nothing, and a reward near the float64 maximum
-# wrote an infinite return, until both were refused as well
+# wrote an infinite return, until both were refused as well (stop_recon_frac,
+# adv_norm and greedy are retired since, and refused at any value)
 MALFORMED = [
     ({"ppo": {"gamma": None}}, "gamma"),
     ({"env": []}, "env"),
@@ -190,12 +199,22 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize("graph", ["neighbour", "FULL", 4])
     def test_unknown_nvif_graph_rejected(self, tmp_path, graph):
-        # anything but "full" used to build neighbor graphs without a word
-        path = write_config(tmp_path / "c.json", nvif={"graph": graph})
-        with pytest.raises(ConfigError, match="graph"):
+        # anything but "full" used to build neighbor graphs without a word; the
+        # algorithm now sets the graph, so the key is refused at every value
+        for value in (graph, "neighbor", "full"):
+            with pytest.raises(ConfigError, match="graph"):
+                load_experiment(write_config(tmp_path / "c.json", nvif={"graph": value}))
+
+    @pytest.mark.parametrize("section, key, old_default", RETIRED,
+                             ids=[f"{s}-{k}" for s, k, _ in RETIRED])
+    def test_retired_key_rejected(self, tmp_path, capsys, section, key, old_default):
+        path = write_config(tmp_path / "c.json", **{section: {key: old_default}})
+        with pytest.raises(ConfigError, match=f"unknown keys in section '{section}'.*{key}"):
             load_experiment(path)
-        for graph in ("neighbor", "full"):
-            load_experiment(write_config(tmp_path / "c.json", nvif={"graph": graph}))
+        assert cli_main(["eval", "--config", str(path), "--policy", "random",
+                         "--episodes", "1"]) == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()  # refused before any work
 
     @pytest.mark.parametrize("value", [[], "x", 5, None])
     @pytest.mark.parametrize("section", ["env", "obs_vae", "nvif", "ppo", "dqn", "eval",
@@ -220,7 +239,8 @@ class TestExperimentConfig:
 
 
     @pytest.mark.parametrize("section, key", [
-        ("dqn", "train_every"), ("dqn", "target_sync"), ("dqn", "eps_decay_steps"),
+        ("dqn", "train_every"),  # retired since: refused at any value
+        ("dqn", "target_sync"), ("dqn", "eps_decay_steps"),
         ("dqn", "min_replay"), ("dqn", "hidden_width"),
         ("nvif", "batch_episodes"), ("nvif", "flow_layers"), ("nvif", "hidden_width"),
         ("nvif", "latent_width"), ("nvif", "decoder_hidden"),
@@ -243,6 +263,7 @@ class TestExperimentConfig:
         ("dqn", "eps_end", -0.2), ("dqn", "eps_start", 0.01),
         ("obs_vae", "lr", -1.0), ("nvif", "lr", -1.0), ("nvif", "lr", "3e-3"),
         ("nvif", "alpha", -0.1), ("nvif", "recon_weight", -1.0),
+        # retired since: refused at any value
         ("nvif", "stop_recon_frac", -0.5), ("nvif", "stop_recon_frac", 0.0),
         ("nvif", "stop_recon_frac", 3.0), ("ppo", "stop_food_frac", 1.5),
         ("ppo", "stop_food_frac", -0.2), ("ppo", "stop_food_frac", 0.0),
@@ -486,9 +507,9 @@ class TestCliExitCodes:
 
     def test_zero_count_exits_1(self, tmp_path, capsys):
         path = write_config(tmp_path / "c.json", algorithm="nvif-dqn",
-                            dqn={"train_every": 0})
+                            dqn={"target_sync": 0})
         assert cli_main(["train", "--config", str(path)]) == 1
-        assert "train_every" in capsys.readouterr().err
+        assert "target_sync" in capsys.readouterr().err
 
     def test_non_integer_count_exits_1(self, tmp_path, capsys):
         path = write_config(tmp_path / "c.json", nvif={"hidden_width": "64"})
@@ -745,6 +766,33 @@ class TestCliPipeline:
         episodes = read_replay(tmp_path / "out" / "replay" / "replay.jsonl")
         assert len(episodes) == 2
         assert "edges" in episodes[0][1][0]
+
+    @pytest.mark.parametrize("algorithm", ["fully-vif-ppo", "nvif-ppo"])
+    def test_pretraining_graph_follows_the_algorithm(self, tmp_path, monkeypatch,
+                                                     tiny_compressor, algorithm):
+        # the protocol is pre-trained on the graph it communicates over: the
+        # complete graph for the fully-connected ablation, else neighbor graphs
+        pipeline = importlib.import_module("nviflab.harness.pipeline")
+        seen, pretrain = [], pipeline.pretrain
+        monkeypatch.setattr(pipeline, "pretrain",
+                            lambda buffer, *rest: seen.append(buffer) or pretrain(buffer, *rest))
+        nvif = {"buffer_episodes": 2, "batch_episodes": 2, "epochs": 1, "hidden_width": 8,
+                "latent_width": 4, "decoder_hidden": 8}
+        cfg = load_experiment(write_config(tmp_path / "c.json", algorithm=algorithm, nvif=nvif))
+        pipeline.run_pretrain_nvif(cfg, compressor=tiny_compressor)
+        steps = [sd for ep in seen[0] for sd in ep.steps]
+        last_cell = cfg.task_config().map_size - 1
+        for sd in steps:
+            n = len(sd.ids)
+            assert sd.adj_norm.shape == (n, n)
+            if algorithm == "fully-vif-ppo":
+                np.testing.assert_allclose(sd.adj_norm, 1.0 / n, rtol=1e-6)
+            else:
+                cells = np.rint(sd.positions * last_cell).astype(np.int64)
+                expected = normalize(build_graph(cells, sd.ids)).astype(sd.adj_norm.dtype)
+                assert np.array_equal(sd.adj_norm, expected)
+        # the rule tells the two apart: some neighbor graph leaves agents unlinked
+        assert any(np.any(sd.adj_norm == 0) for sd in steps) == (algorithm == "nvif-ppo")
 
 
 class TestEvaluate:
@@ -1078,6 +1126,20 @@ class TestResume:
         del meta["settings"]
         save_checkpoint(tmp_path / "checkpoint", meta, stores)
         with pytest.raises(ConfigError, match="none recorded"):
+            train_ppo(tiny_task, tiny_compressor, replace(hyper, epochs=2),
+                      latent_mode="none", out_dir=tmp_path, resume=True)
+
+    def test_resume_of_a_checkpoint_with_retired_switches_rejected(self, tmp_path, tiny_task,
+                                                                   tiny_compressor):
+        # a checkpoint written while PPO still had these switches records them
+        hyper = PPOHyper(epochs=1, episodes_per_epoch=1, seed=1)
+        train_ppo(tiny_task, tiny_compressor, hyper, latent_mode="none", out_dir=tmp_path)
+        meta, stores = load_checkpoint(tmp_path / "checkpoint")
+        meta["settings"].update({"ppo.adv_norm": True, "ppo.latent_sample": True,
+                                 "ppo.stop_food_frac": None})
+        save_checkpoint(tmp_path / "checkpoint", {**meta, "stopped": False}, stores)
+        with pytest.raises(ConfigError, match="ppo.adv_norm saved True, given None; "
+                                              "ppo.latent_sample saved True, given None"):
             train_ppo(tiny_task, tiny_compressor, replace(hyper, epochs=2),
                       latent_mode="none", out_dir=tmp_path, resume=True)
 

@@ -70,6 +70,10 @@ def _center(n):
     return (np.full((n, n), 1.0 / n),)
 
 
+# latent noise for encoder steps whose tests read only the mean
+NOISE = np.random.default_rng(0)
+
+
 def tiny_encoder(rng=None, obs_feat=6, obs_dim=20, hidden=8, latent=4, layers=2,
                  dtype="float64"):
     rng = rng or np.random.default_rng(0)
@@ -114,6 +118,13 @@ class TestFlowNet:
         with pytest.raises(ShapeError):
             flownet_forward(np.zeros((2, 4)), (cg.normalize(cg.fully_connected(3)),), params)
 
+    @pytest.mark.parametrize("widths", [[], [4]])
+    def test_zero_layer_chain_rejected(self, widths):
+        store = dc.ParamStore()
+        with pytest.raises(ConfigError, match="at least one layer"):
+            init_flownet(store, "f", widths, np.random.default_rng(0))
+        assert not store.names()
+
     def test_independent_flownets_never_share(self):
         enc = tiny_encoder()
         o_names = {id(w) for w in enc.flow_o}
@@ -135,7 +146,7 @@ class TestEncoderStep:
         graph = self._graph_chain()
         state = enc.init_state(graph.ids)
         feats = np.ones((3, 6))
-        state2, dist = enc.step(feats, state, graph.ids, (cg.normalize(graph),), sample=False)
+        state2, dist = enc.step(feats, state, graph.ids, (cg.normalize(graph),), rng=NOISE)
         np.testing.assert_allclose(state2.hidden.data, 0.0, atol=1e-12)
         np.testing.assert_allclose(dist.mu.data, np.tile(np.arange(4.0), (3, 1)))
 
@@ -149,22 +160,22 @@ class TestEncoderStep:
         hidden = rng.standard_normal((4, 8))
         state = enc.init_state(ids)
         state.hidden.data = hidden
-        _, dist = enc.step(feats, state, graph.ids, (cg.normalize(graph),), sample=False)
+        _, dist = enc.step(feats, state, graph.ids, (cg.normalize(graph),), rng=NOISE)
 
         perm = [2, 0, 3, 1]
         graph_p = cg.build_graph([pos[k] for k in perm], [ids[k] for k in perm])
         state_p = enc.init_state([ids[k] for k in perm])
         state_p.hidden.data = hidden[perm]
         _, dist_p = enc.step(feats[perm], state_p, graph_p.ids, (cg.normalize(graph_p),),
-                             sample=False)
+                             rng=NOISE)
         np.testing.assert_allclose(dist_p.mu.data, dist.mu.data[perm], atol=1e-9)
         np.testing.assert_allclose(dist_p.log_sigma.data, dist.log_sigma.data[perm], atol=1e-9)
         # all three loss terms relabel with the agents
         obs, obs_pos, center = np.clip(rng.random((4, 20)), 0, 1), rng.random((4, 2)), _center(4)
-        rows = [recon_rows(obs, enc.decode(dist.latent, obs_pos)),
-                kl_rows(dist.mu, dist.log_sigma), consistency_rows(dist.latent, center)]
-        rows_p = [recon_rows(obs[perm], enc.decode(dist_p.latent, obs_pos[perm])),
-                  kl_rows(dist_p.mu, dist_p.log_sigma), consistency_rows(dist_p.latent, center)]
+        rows = [recon_rows(obs, enc.decode(dist.mu, obs_pos)),
+                kl_rows(dist.mu, dist.log_sigma), consistency_rows(dist.mu, center)]
+        rows_p = [recon_rows(obs[perm], enc.decode(dist_p.mu, obs_pos[perm])),
+                  kl_rows(dist_p.mu, dist_p.log_sigma), consistency_rows(dist_p.mu, center)]
         for a, b in zip(rows, rows_p):
             np.testing.assert_allclose(b.data, a.data[perm], atol=1e-9)
 
@@ -175,10 +186,10 @@ class TestEncoderStep:
         graph = cg.NeighborGraph(ids=(0, 1, 2), adj=adj)
         feats = rng.standard_normal((3, 6))
         state = enc.init_state(graph.ids)
-        _, base = enc.step(feats, state, graph.ids, (cg.normalize(graph),), sample=False)
+        _, base = enc.step(feats, state, graph.ids, (cg.normalize(graph),), rng=NOISE)
         feats2 = feats.copy()
         feats2[2] = 0.0  # zero a non-neighbor's observation
-        _, changed = enc.step(feats2, state, graph.ids, (cg.normalize(graph),), sample=False)
+        _, changed = enc.step(feats2, state, graph.ids, (cg.normalize(graph),), rng=NOISE)
         np.testing.assert_array_equal(base.mu.data[0], changed.mu.data[0])
         np.testing.assert_array_equal(base.mu.data[1], changed.mu.data[1])
 
@@ -194,13 +205,13 @@ class TestEncoderStep:
         feats = rng.standard_normal((5, 6))
         state = enc.init_state(ids)
         state.hidden.data = rng.standard_normal((5, 8))
-        _, base = enc.step(feats, state, graph.ids, (cg.normalize(graph),), sample=False)
+        _, base = enc.step(feats, state, graph.ids, (cg.normalize(graph),), rng=NOISE)
         feats2 = feats.copy()
         feats2[4] = 0.0
         state2 = enc.init_state(ids)
         state2.hidden.data = state.hidden.data.copy()
         state2.hidden.data[4] = 0.0
-        _, changed = enc.step(feats2, state2, graph.ids, (cg.normalize(graph),), sample=False)
+        _, changed = enc.step(feats2, state2, graph.ids, (cg.normalize(graph),), rng=NOISE)
         np.testing.assert_array_equal(base.mu.data[0], changed.mu.data[0])
 
     def test_one_layer_strict_neighborhood(self):
@@ -213,10 +224,10 @@ class TestEncoderStep:
         feats = rng.standard_normal((3, 6))
         state = enc.init_state(ids)
         state.hidden.data = rng.standard_normal((3, 8))
-        _, base = enc.step(feats, state, graph.ids, (cg.normalize(graph),), sample=False)
+        _, base = enc.step(feats, state, graph.ids, (cg.normalize(graph),), rng=NOISE)
         feats2 = feats.copy()
         feats2[2] = 123.0
-        _, changed = enc.step(feats2, state, graph.ids, (cg.normalize(graph),), sample=False)
+        _, changed = enc.step(feats2, state, graph.ids, (cg.normalize(graph),), rng=NOISE)
         np.testing.assert_array_equal(base.mu.data[0], changed.mu.data[0])
         np.testing.assert_array_equal(base.mu.data[1], changed.mu.data[1])
         assert not np.array_equal(base.mu.data[2], changed.mu.data[2])
@@ -228,7 +239,7 @@ class TestEncoderStep:
         state.hidden.data = rng.standard_normal((3, 8))
         graph = cg.build_graph([(0, 0), (4, 0)], [0, 2])  # 1 died
         feats = rng.standard_normal((2, 6))
-        state2, _ = enc.step(feats, state, graph.ids, (cg.normalize(graph),), sample=False)
+        state2, _ = enc.step(feats, state, graph.ids, (cg.normalize(graph),), rng=NOISE)
         assert state2.ids == (0, 2)
         graph3 = cg.build_graph([(0, 0), (4, 0), (9, 9)], [0, 2, 7])  # 7 newly tracked
         feats3 = rng.standard_normal((3, 6))
@@ -255,11 +266,11 @@ class TestEncoderStep:
         graph = cg.fully_connected(3)
         feats = rng.standard_normal((3, 6))
         _, dist = enc.step(feats, enc.init_state(graph.ids), graph.ids, (cg.normalize(graph),),
-                           sample=False)
+                           rng=NOISE)
         enc.save(tmp_path / "enc")
         enc2 = NvifEncoder.load(tmp_path / "enc")
         _, dist2 = enc2.step(feats, enc2.init_state(graph.ids), graph.ids, (cg.normalize(graph),),
-                             sample=False)
+                             rng=NOISE)
         np.testing.assert_array_equal(dist.mu.data, dist2.mu.data)
 
 
@@ -902,18 +913,6 @@ class TestBufferCodes:
             collect_pretrain_buffer(tiny_task, n_episodes, _ZeroCompressor(),
                                     np.random.default_rng(0))
 
-    def test_unknown_graph_kind_rejected_before_any_episode(self, tiny_task, monkeypatch):
-        # anything but "full" used to build neighbor graphs without a word
-        def no_episode(cfg):
-            raise AssertionError("an episode ran")
-
-        monkeypatch.setattr(importlib.import_module("nviflab.nvif.pretrain"), "new_world",
-                            no_episode)
-        for kind in ("neighbour", "FULL", None):
-            with pytest.raises(ConfigError, match="graph"):
-                collect_pretrain_buffer(tiny_task, 2, _ZeroCompressor(),
-                                        np.random.default_rng(0), graph_kind=kind)
-
     def test_batch_of_different_hp_rejected(self, small_buffer, tiny_task):
         for hp in (dict(hp_omnivore=4), dict(hp_food=3)):
             other = replace(small_buffer[1], **hp)
@@ -1071,12 +1070,12 @@ class TestBlockBatches:
         state.hidden.data = np.concatenate([h for *_, h in episodes])
         stacked_state, stacked = enc.step(np.concatenate([f for _, _, f, _ in episodes]), state,
                                           keys, [adj for _, adj, _, _ in episodes],
-                                          sample=False)
+                                          rng=NOISE)
         at = 0
         for ids, adj, feats, hidden_rows in episodes:
             alone = enc.init_state(ids)
             alone.hidden.data = hidden_rows
-            alone_state, dist = enc.step(feats, alone, ids, (adj,), sample=False)
+            alone_state, dist = enc.step(feats, alone, ids, (adj,), rng=NOISE)
             rows = slice(at, at + len(ids))
             assert np.array_equal(stacked.mu.data[rows], dist.mu.data)
             assert np.array_equal(stacked.log_sigma.data[rows], dist.log_sigma.data)

@@ -463,9 +463,9 @@ class TestProviders:
         assert np.array_equal(seen[0], world.agent_positions(ids))
 
     def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            make_provider("nvif", 8)  # missing encoder
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="needs a pre-trained encoder"):
+            make_provider("nvif", 8)
+        with pytest.raises(ConfigError, match="unknown latent mode"):
             make_provider("bogus", 8)
 
 
@@ -705,7 +705,7 @@ class TestTrainers:
     @pytest.mark.parametrize("train, hyper", [
         (train_ppo, PPOHyper(update_passes=0)),
         (train_ppo, PPOHyper(minibatch_slots=0)),
-        (train_dqn, DQNHyper(train_every=0)),
+        (train_dqn, DQNHyper(target_sync=0)),
         (train_dqn, DQNHyper(eps_decay_steps=0)),
         (train_ppo, PPOHyper(hidden_width=0)),
         (train_dqn, DQNHyper(hidden_width=0)),
