@@ -85,13 +85,15 @@ def _vjp_gaussian_sample(g, node, k):
     return g if k == 0 else g * node._saved * np.exp(node._parents[1].data)
 
 
-def gaussian_sample(mu, log_sigma, rng: np.random.Generator) -> Tensor:
+def gaussian_sample(mu, log_sigma, rng: np.random.Generator, live=None) -> Tensor:
     """Reparameterized draw mu + exp(log_sigma) * eps, eps ~ N(0, I) from
-    ``rng`` in the dtype of ``mu``. One node over (mu, log_sigma) that saves
-    only eps: the values and gradients of ``add(mu, mul(exp(log_sigma), eps))``."""
+    ``rng`` in the dtype of ``mu`` (for the rows of a boolean ``live`` alone,
+    in row order; the rest take eps = 0). One node over (mu, log_sigma) that
+    saves only eps: the values and gradients of ``add(mu, mul(exp(log_sigma), eps))``."""
     mu, log_sigma = as_tensor(mu), as_tensor(log_sigma)
     _check_same_shape(mu, log_sigma, "gaussian_sample")
-    eps = rng.standard_normal(mu.data.shape).astype(mu.data.dtype)
+    eps, rows = np.zeros_like(mu.data), slice(None) if live is None else live
+    eps[rows] = rng.standard_normal(eps[rows].shape)
     return _make(mu.data + np.exp(log_sigma.data) * eps, (mu, log_sigma),
                  _vjp_gaussian_sample, eps)
 

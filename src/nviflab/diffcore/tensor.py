@@ -18,13 +18,14 @@ nodes each stand for a chain of them, bit for bit; what each saves:
 
 - :func:`flow_gru_cell`, an encoder timestep (two stacks of graph-conv
   layers ``relu(A x w)``, three nodes each, and a thirteen-node GRU cell):
-  A's blocks. Its VJP recomputes every layer's ``A x`` and output and the
-  gates, computes all parents' gradients at the visit's first slot that
-  needs one and keeps them in ``_saved`` until the last.
+  A's (E, n, n) stack of diagonal blocks (see :func:`sparse_matmul`). Its
+  VJP recomputes every layer's ``A x`` and output and the gates, computes all
+  parents' gradients at the visit's first slot that needs one and keeps them
+  in ``_saved`` until the last.
 - :func:`nn.log_sigma_head` (affine and clamp, three nodes): nothing; its
   VJP recomputes ``x @ w + b`` at a visit's first slot, as the cell does.
-- :func:`centered_sq_dist_rows` (four nodes): C's blocks; its parents are
-  ``(x, x)``, and its first slot computes the gradient of both.
+- :func:`centered_sq_dist_rows` (four nodes): C's (E, n, n) blocks; its
+  parents are ``(x, x)``, and its first slot computes the gradient of both.
 - :func:`affine` (two nodes): nothing.
 - :func:`nn.gaussian_sample` (three nodes): its noise.
 - :func:`nn.kl_rows` (nine nodes): nothing; its parents are ``(mu, mu,
@@ -231,35 +232,34 @@ def affine(x, w, b) -> Tensor:
     return _make(_affine("affine", x.data, w.data, b.data), (x, w, b), _vjp_affine)
 
 
-def _blockwise(blocks, x: np.ndarray) -> np.ndarray:
-    """The block-diagonal operator of ``blocks`` times the rows of ``x``."""
-    if len(blocks) == 1:
-        return blocks[0] @ x
-    at = tuple(accumulate((b.shape[0] for b in blocks), initial=0))
-    return np.concatenate([b @ x[lo:hi] for b, lo, hi in zip(blocks, at, at[1:])])
+def _blockwise(op: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The block-diagonal operator of the (E, n, n) ``op`` times the (E*n, w)
+    rows of ``x``: one batched product, or the 2-D one when E is 1."""
+    if len(op) == 1:
+        return op[0] @ x
+    e, n, _ = op.shape
+    return (op @ x.reshape(e, n, -1)).reshape(e * n, -1)
 
 
 def _vjp_sparse_matmul(g, node, k):
-    return _blockwise([b.T for b in node._saved], g)
+    return _blockwise(node._saved.transpose(0, 2, 1), g)
 
 
-def sparse_matmul(blocks, features) -> Tensor:
+def sparse_matmul(op, features) -> Tensor:
     """A constant block-diagonal operator times feature rows; the gradient
     flows to the features only.
 
-    ``blocks`` is a sequence of the operator's square diagonal blocks, in row
-    order: one block for a whole matrix, or one per stacked graph. Each block
-    multiplies its own rows of ``features``, so the full operator is never
-    built, and the node saves the blocks themselves, not copies."""
-    x, blocks, rows = as_tensor(features), tuple(blocks), 0
-    for b in blocks:  # a bare matrix fails here: its items are 1-D rows
-        if b.ndim != 2 or b.shape[0] != b.shape[1]:
-            raise ShapeError(f"sparse_matmul: a block of shape {b.shape} is not a square matrix")
-        rows += b.shape[0]
-    if x.data.ndim != 2 or rows != x.data.shape[0] or not blocks:
-        raise ShapeError(f"sparse_matmul: blocks of {rows} rows in all and features of "
-                         f"shape {x.data.shape} incompatible")
-    return _make(_blockwise(blocks, x.data), (x,), _vjp_sparse_matmul, blocks)
+    ``op`` is an (E, n, n) array of the operator's diagonal blocks: one block
+    for a whole matrix, or one per stacked graph, each multiplying its own n
+    rows of the (E*n, w) ``features``. A slot with a zero row and column in
+    its block neither reads nor feeds the other rows. The full operator is
+    never built, and the node saves ``op`` itself, not a copy."""
+    x = as_tensor(features)
+    if (not isinstance(op, np.ndarray) or op.ndim != 3 or op.shape[1] != op.shape[2]
+            or not len(op) or x.data.ndim != 2 or len(op) * op.shape[1] != len(x.data)):
+        raise ShapeError(f"sparse_matmul: an operator of shape {np.shape(op)} and features "
+                         f"of shape {x.data.shape} incompatible")
+    return _make(_blockwise(op, x.data), (x,), _vjp_sparse_matmul, op)
 
 
 def _vjp_concat(g, node, k):
@@ -356,27 +356,27 @@ def clamp(x, lo, hi) -> Tensor:
 
 
 def _dist_grad(g, node):
-    blocks, x = node._saved[0], node._parents[0].data
-    g = np.expand_dims(g, 1) * (x - _blockwise(blocks, x))
+    op, x = node._saved[0], node._parents[0].data
+    g = np.expand_dims(g, 1) * (x - _blockwise(op, x))
     return g + g  # d(dev * dev), summed as the two slots of a product accumulate it
 
 
 def _vjp_centered_sq_dist_rows(g, node, k):
-    blocks, pending = node._saved
+    op, pending = node._saved
     g, pending = _once_per_visit(g, node, k, pending, _dist_grad)
-    node._saved = (blocks, pending)
-    return g if k == 0 else _blockwise([b.T for b in blocks], -g)
+    node._saved = (op, pending)
+    return g if k == 0 else _blockwise(op.transpose(0, 2, 1), -g)
 
 
-def centered_sq_dist_rows(blocks, x) -> Tensor:
-    """Per-row ``sum((x - C x)^2, axis=1)``, ``C`` the constant operator of
-    ``blocks`` (see :func:`sparse_matmul`), as one node over ``(x, x)`` that
-    saves the blocks (and within a backward visit its pending gradient): slot
+def centered_sq_dist_rows(op, x) -> Tensor:
+    """Per-row ``sum((x - C x)^2, axis=1)``, ``C`` the constant (E, n, n)
+    operator ``op`` (see :func:`sparse_matmul`), as one node over ``(x, x)``
+    that saves ``op`` (and within a backward visit its pending gradient): slot
     1 takes the term through ``C x``, so values and gradients are those of
-    ``d = sub(x, sparse_matmul(blocks, x))`` and ``sum(mul(d, d), axis=1)``."""
-    x, blocks = as_tensor(x), tuple(blocks)
-    dev = x.data - _checked_blockwise(blocks, x.data)
-    return _make((dev * dev).sum(axis=1), (x, x), _vjp_centered_sq_dist_rows, (blocks, None))
+    ``d = sub(x, sparse_matmul(op, x))`` and ``sum(mul(d, d), axis=1)``."""
+    x = as_tensor(x)
+    dev = x.data - _checked_blockwise(op, x.data)
+    return _make((dev * dev).sum(axis=1), (x, x), _vjp_centered_sq_dist_rows, (op, None))
 
 
 def _vjp_splice(g, node, k):
@@ -451,68 +451,68 @@ def _gru_grads(g, x, h, weights, need_xh: bool) -> list:
     return grads
 
 
-def _checked_blockwise(blocks, x: np.ndarray) -> np.ndarray:
-    """``_blockwise`` through :func:`sparse_matmul`, which checks the blocks."""
-    return sparse_matmul(blocks, x).data
+def _checked_blockwise(op, x: np.ndarray) -> np.ndarray:
+    """``_blockwise`` through :func:`sparse_matmul`, which checks the operator."""
+    return sparse_matmul(op, x).data
 
 
-def _flow(blocks, x, weights, product):
-    """The graph-conv layers ``relu(A x w)`` over ``x``, ``product(blocks, x)``
+def _flow(op, x, weights, product):
+    """The graph-conv layers ``relu(A x w)`` over ``x``, ``product(op, x)``
     being ``A x``: each layer's ``(A x, output)``, and the last output."""
     acts = []
     for w in weights:
         if w.ndim != 2 or x.shape[1:2] != w.shape[:1]:
             raise ShapeError(f"flow_gru_cell: features {x.shape} and layer weights "
                              f"{w.shape} incompatible")
-        ax = product(blocks, x)
+        ax = product(op, x)
         x = np.maximum(ax @ w, 0)
         acts.append((ax, x))
     return acts, x
 
 
-def _flow_back(blocks, acts, weights, g, need_x: bool):
+def _flow_back(op, acts, weights, g, need_x: bool):
     """The gradients of the layers of ``acts``, ``g`` being their output's:
     the input's (``None`` unless ``need_x``) and the weights'. Each layer's
     are those of a block product, a product and a relu node."""
-    grads, blocks_t = [None] * len(weights), [b.T for b in blocks]
+    grads, op_t = [None] * len(weights), op.transpose(0, 2, 1)
     for i in reversed(range(len(weights))):
         ax, out = acts[i]
         g = g * (out > 0)  # relu(v) > 0 exactly where v > 0
         grads[i] = ax.T @ g
-        g = _blockwise(blocks_t, g @ weights[i].T) if i or need_x else None
+        g = _blockwise(op_t, g @ weights[i].T) if i or need_x else None
     return g, grads
 
 
 def _flow_gru_grads(g, node) -> list:
     """The gradients of all the cell's parents in slot order, from its
     recomputed layers and gates (``None`` for an input that takes none)."""
-    blocks, n_o, _ = node._saved
+    op, n_o, _ = node._saved
     feats, hidden, *weights = node._parents
     w_o, w_h, w_gru = ([p.data for p in part] for part in
                        (weights[:n_o], weights[n_o:-6], weights[-6:]))
-    acts_o, phi = _flow(blocks, feats.data, w_o, _blockwise)
-    acts_h, psi = _flow(blocks, hidden.data, w_h, _blockwise)
+    acts_o, phi = _flow(op, feats.data, w_o, _blockwise)
+    acts_h, psi = _flow(op, hidden.data, w_h, _blockwise)
     g_phi, g_psi, *g_gru = _gru_grads(g, phi, psi, w_gru, True)
-    g_feats, g_o = _flow_back(blocks, acts_o, w_o, g_phi, feats.requires_grad)
-    g_hidden, g_h = _flow_back(blocks, acts_h, w_h, g_psi, hidden.requires_grad)
+    g_feats, g_o = _flow_back(op, acts_o, w_o, g_phi, feats.requires_grad)
+    g_hidden, g_h = _flow_back(op, acts_h, w_h, g_psi, hidden.requires_grad)
     return [g_feats, g_hidden, *g_o, *g_h, *g_gru]
 
 
 def _vjp_flow_gru_cell(g, node, k):
-    blocks, n_o, pending = node._saved
+    op, n_o, pending = node._saved
     grads, pending = _once_per_visit(g, node, k, pending, _flow_gru_grads)
-    node._saved = (blocks, n_o, pending)
+    node._saved = (op, n_o, pending)
     return grads[k]
 
 
-def flow_gru_cell(blocks, feats, hidden, flow_o, flow_h, gru) -> Tensor:
+def flow_gru_cell(op, feats, hidden, flow_o, flow_h, gru) -> Tensor:
     """One encoder timestep as one node: two stacks of graph-convolution
     layers feeding a GRU cell.
 
     phi = F_o(feats) and psi = F_h(hidden), where F applies ``x <- relu(A x
     w)`` for each weight of ``flow_o`` or ``flow_h`` and ``A`` is the constant
-    block-diagonal operator of ``blocks`` (each ``A x`` is a
-    :func:`sparse_matmul`). The value is the GRU step with input phi and
+    block-diagonal operator whose (E, n, n) blocks are ``op`` (each ``A x`` is
+    a :func:`sparse_matmul`). The value is the GRU step with input phi and
     state psi:
 
     z = sigmoid(W_z [phi, psi] + b_z),  r = sigmoid(W_r [phi, psi] + b_r)
@@ -522,17 +522,17 @@ def flow_gru_cell(blocks, feats, hidden, flow_o, flow_h, gru) -> Tensor:
     width, psi width), and ``b_z``, ``b_r`` and ``b_n``, of shape (psi
     width,). The parents are ``(feats, hidden, *flow_o, *flow_h, w_z, b_z,
     w_r, b_r, w_n, b_n)``, and values and gradients are those of the layers
-    and the cell as separate nodes. The node saves the blocks; its VJP
+    and the cell as separate nodes. The node saves ``op``; its VJP
     recomputes every layer and gate."""
-    feats, hidden, blocks = as_tensor(feats), as_tensor(hidden), tuple(blocks)
+    feats, hidden = as_tensor(feats), as_tensor(hidden)
     w_o, w_h = [as_tensor(w) for w in flow_o], [as_tensor(w) for w in flow_h]
     w_gru = [as_tensor(gru[name]) for name in _GRU_PARAMS]
-    _, phi = _flow(blocks, feats.data, [w.data for w in w_o], _checked_blockwise)
-    _, psi = _flow(blocks, hidden.data, [w.data for w in w_h], _checked_blockwise)
+    _, phi = _flow(op, feats.data, [w.data for w in w_o], _checked_blockwise)
+    _, psi = _flow(op, hidden.data, [w.data for w in w_h], _checked_blockwise)
     _check_gru("flow_gru_cell", phi, psi, [p.data for p in w_gru])
     _, z, _, _, n = _gru_gates(phi, psi, *(p.data for p in w_gru))
     return _make((1.0 - z) * psi + z * n, (feats, hidden, *w_o, *w_h, *w_gru),
-                 _vjp_flow_gru_cell, (blocks, len(w_o), None))
+                 _vjp_flow_gru_cell, (op, len(w_o), None))
 
 
 # ---------------------------------------------------------------------------

@@ -100,13 +100,16 @@ def load_compressor(cfg: ExperimentConfig) -> ObsCompressor:
 def run_pretrain_nvif(cfg: ExperimentConfig, compressor: ObsCompressor | None = None):
     """Pre-train the encoder on the graphs the algorithm communicates over:
     the complete graph for latent mode "full", else neighbor graphs."""
+    latent_mode = ALGORITHMS[cfg.algorithm][1]
+    if latent_mode not in ("nvif", "full"):
+        raise ConfigError(f"{cfg.algorithm} loads no encoder (latent mode {latent_mode!r})")
     if compressor is None:
         compressor = load_compressor(cfg)
     task_cfg = cfg.task_config()
     section = cfg.nvif
     rng = np.random.default_rng(section.seed)
     buffer = collect_pretrain_buffer(task_cfg, section.buffer_episodes, compressor, rng,
-                                     full_graph=ALGORITHMS[cfg.algorithm][1] == "full")
+                                     full_graph=latent_mode == "full")
     enc_cfg = NvifConfig(
         obs_feat_width=compressor.config.latent_width,
         obs_dim=task_cfg.obs_dim,

@@ -1,5 +1,5 @@
 """Communication protocol: encoder, decoder, losses, and pre-training."""
-from .encoder import EncoderState, LatentDistribution, NvifConfig, NvifEncoder, init_flownet
+from .encoder import LatentDistribution, NvifConfig, NvifEncoder, init_flownet
 from .losses import NvifLossReport, kl_standard_normal
 from .obs_vae import ObsCompressor, ObsCorpus, ObsVaeConfig, ObsVaeHyper
 from .pretrain import (
@@ -12,7 +12,7 @@ from .pretrain import (
 )
 
 __all__ = [
-    "EncoderState", "EpisodeRecord", "LatentDistribution",
+    "EpisodeRecord", "LatentDistribution",
     "NvifConfig", "NvifEncoder", "NvifLossReport", "ObsCompressor",
     "ObsCorpus", "ObsVaeConfig", "ObsVaeHyper", "PretrainHyper", "StepData",
     "collect_pretrain_buffer", "gather_step_data",

@@ -7,12 +7,13 @@ recurrent state), all as one :func:`diffcore.flow_gru_cell` node whose value
 is the next hidden state; it then samples the latent off an affine head.
 A FlowNet is stacked graph convolutions that mix neighbor features: each
 layer computes ReLU(A_hat @ H @ W), A_hat the symmetric normalized adjacency
-given as its diagonal blocks (one per graph, so stacked graphs never
-exchange features), and L layers give L rounds of exchange per timestep.
-:meth:`NvifEncoder.step` is the one forward pass: inference calls it on one
-episode's graph, pre-training on the stacked graphs of several episodes. The
-decoder reconstructs an agent's raw observation window from its sampled
-latent concatenated with its normalized position, as Bernoulli logits.
+given as an (E, n, n) stack of diagonal blocks (one per graph, so stacked
+graphs never exchange features), and L layers give L rounds of exchange per
+timestep. :meth:`NvifEncoder.step` is the one forward pass, on one episode's
+graph (inference) or on E episodes' (pre-training); it tracks no agent ids,
+as its callers carry the hidden rows. The decoder reconstructs an agent's
+raw observation window from its sampled latent concatenated with its
+normalized position, as Bernoulli logits.
 """
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ from ..diffcore import (
     as_tensor,
     concat,
     flow_gru_cell,
-    gather_rows,
     gaussian_sample,
     init_gru,
     init_linear,
@@ -67,12 +67,6 @@ class NvifConfig:
 
 
 @dataclass
-class EncoderState:
-    ids: tuple  # agent ids, or (episode, agent) keys in pre-training
-    hidden: Tensor  # (len(ids), hidden_width)
-
-
-@dataclass
 class LatentDistribution:
     mu: Tensor
     log_sigma: Tensor
@@ -107,50 +101,28 @@ class NvifEncoder:
         self._gru = {k.split("/", 1)[1]: v for k, v in
                      ((n, self.store[n]) for n in self.store.names() if n.startswith("gru/"))}
 
-    # -- state handling -----------------------------------------------------
-
-    def init_state(self, ids) -> EncoderState:
-        ids = tuple(ids)
-        zeros = np.zeros((len(ids), self.config.hidden_width), dtype=self.config.np_dtype)
-        return EncoderState(ids=ids, hidden=Tensor(zeros))
-
-    def _hidden_for(self, state: EncoderState, ids: tuple) -> Tensor:
-        """Rows of the previous hidden state for ``ids``; unseen ids get zeros."""
-        if ids == state.ids:
-            return state.hidden
-        lookup = {agent: row for row, agent in enumerate(state.ids)}
-        zero_row = Tensor(np.zeros((1, self.config.hidden_width), dtype=self.config.np_dtype))
-        extended = concat([state.hidden, zero_row], axis=0)
-        return gather_rows(extended, [lookup.get(a, len(state.ids)) for a in ids])
-
     # -- forward passes -------------------------------------------------------
 
-    def step(self, feats, state: EncoderState, ids, blocks, *,
-             rng: np.random.Generator | None = None):
-        """One encoder timestep over the alive agents ``ids``.
-
-        ``blocks`` are the diagonal blocks of the normalized mixing matrix
-        over ``ids`` (see :func:`commgraph.normalize`) in row order: one
-        block for one episode's graph, one per episode when several are
-        stacked. Array ``feats`` are cast to the model dtype. Returns
-        (next state, latent distribution). Agents absent from ``ids`` are
-        dropped from the state; new ones start from a zero hidden vector.
-        The latent is a reparameterized draw with noise from ``rng``.
-        """
-        ids = tuple(ids)
+    def step(self, feats, hidden, op, *, rng: np.random.Generator | None = None, live=None):
+        """One encoder timestep over the (E, n, n) normalized mixing matrices
+        ``op`` of E graphs (see :func:`commgraph.normalize`) and the (E*n, ·)
+        rows ``feats`` and ``hidden`` of their agents; array ``feats`` are cast
+        to the model dtype. Returns (next hidden state, latent distribution),
+        the latent a reparameterized draw with noise from ``rng`` for the rows
+        of the boolean ``live`` alone, or for all."""
         feats = feats if isinstance(feats, Tensor) else Tensor(
             np.asarray(feats, dtype=self.config.np_dtype))
-        if feats.data.shape[0] != len(ids):
-            raise ProtocolError(
-                f"encoder step: {feats.data.shape[0]} feature rows for {len(ids)} agents")
+        hidden = as_tensor(hidden)
+        if feats.data.shape[0] != hidden.data.shape[0]:
+            raise ProtocolError(f"encoder step: {feats.data.shape[0]} feature rows for "
+                                f"{hidden.data.shape[0]} hidden rows")
         if rng is None:
             raise ProtocolError("encoder step: sampling the latent needs an rng")
-        hidden = self._hidden_for(state, ids)
-        h_next = flow_gru_cell(blocks, feats, hidden, self.flow_o, self.flow_h, self._gru)
+        h_next = flow_gru_cell(op, feats, hidden, self.flow_o, self.flow_h, self._gru)
         mu = affine(h_next, self.store["head/mu_w"], self.store["head/mu_b"])
         log_sigma = log_sigma_head(h_next, self.store["head/ls_w"], self.store["head/ls_b"])
-        latent = gaussian_sample(mu, log_sigma, rng=rng)
-        return EncoderState(ids=ids, hidden=h_next), LatentDistribution(mu, log_sigma, latent)
+        latent = gaussian_sample(mu, log_sigma, rng=rng, live=live)
+        return h_next, LatentDistribution(mu, log_sigma, latent)
 
     def decode(self, latents, positions) -> Tensor:
         """Per-cell Bernoulli logits of the flattened observation windows,

@@ -40,16 +40,16 @@ def kl_rows(mu, log_sigma) -> Tensor:
     return nn.kl_rows(mu, log_sigma)
 
 
-def consistency_rows(latents, blocks) -> Tensor:
+def consistency_rows(latents, center) -> Tensor:
     """Per-row squared deviation ||s_i - (C s)_i||^2 from the group mean.
 
     C is the group-centering matrix: C[i, j] = 1/k when agents i and j share
-    a group of k agents, else 0. ``blocks`` are its diagonal blocks, one
-    (k, k) block of 1/k per group in row order (see
-    :func:`diffcore.sparse_matmul`); the distance is one
-    :func:`diffcore.centered_sq_dist_rows` node, which saves only the blocks
-    and recomputes ``C s`` in its backward pass."""
-    return centered_sq_dist_rows(blocks, latents)
+    a group of k agents, else 0. ``center`` is its (E, n, n) stack of
+    diagonal blocks, one per group of n row slots (see
+    :func:`diffcore.sparse_matmul`), zero in an empty slot's row and column;
+    the distance is one :func:`diffcore.centered_sq_dist_rows` node, which
+    saves only ``center`` and recomputes ``C s`` in its backward pass."""
+    return centered_sq_dist_rows(center, latents)
 
 
 def kl_standard_normal(mu, log_sigma) -> Tensor:

@@ -1,31 +1,31 @@
 """Protocol pre-training on random-policy episodes.
 
-Episodes are replayed in batches, time-major: at each timestep the alive
-agents of every episode in the batch are stacked into one feature matrix and
-run through :meth:`NvifEncoder.step` with each episode's own normalized
-adjacency as one diagonal block (:func:`diffcore.sparse_matmul`). So no
-information leaks between episodes, the row-wise layers run once over the
-stacked rows, and no (N, N) matrix over the stacked agents is built. The
-loss weights the per-agent rows of the reconstruction, divergence, and
-consistency terms from :mod:`.losses` so that it averages them over agents
-and episode-timesteps, and one optimizer step is taken per episode batch.
-Gradients flow through the full hidden-state chain of each episode.
+Episodes are replayed in batches, time-major, on fixed agent slots: agents
+never respawn and their ids are 0..N-1, so agent a of the j-th running
+episode owns row j*N + a. Each step runs one :meth:`NvifEncoder.step` over
+the (E, N, N) stack of the running episodes' normalized adjacencies, so no
+information leaks between episodes. A dead agent's slot has a zero operator
+row and column, so it never reaches a live row, and a zero loss weight; a
+finished episode leaves the stack. The loss weights the per-agent rows of the
+reconstruction, divergence and consistency terms from :mod:`.losses` by
+1 / (k * episode-timesteps), k the episode's live agents, summing the live
+rows alone in row order, and one optimizer step is taken per episode batch.
+Gradients flow through each episode's full hidden-state chain.
 
 The decoder is not recurrent, so its share of the backward pass runs at the
 timestep that used it (per-step gradient checkpointing of the head): the
-reconstruction term is decoded from a leaf copy of the latent, backpropagated
-at once into the ``dec/*`` gradients and the leaf, and joined to the batch
-tape by :func:`diffcore.splice`. So the obs_dim-wide logits, targets and
-decoder activations live for one timestep, not for the whole batch, and the
-gradients are exactly those of the decoder on the batch tape.
+reconstruction term is decoded from a leaf copy of the live latents,
+backpropagated at once into the ``dec/*`` gradients and the leaf, and joined
+to the batch tape by :func:`diffcore.splice`. So the obs_dim-wide logits,
+targets and decoder activations live for one timestep, not for the whole
+batch, and the gradients are exactly those of the decoder on the batch tape.
 
 The buffer stores the observation windows as the uint8 hp-count codes of
 :func:`env_gather.observe`, 2*w*w bytes a window against the 28*w*w of
 float32 rows, and the compressed features are encoded from those same codes,
-as rollouts encode them. Each episode keeps its task's hp maxima and map
-size, and :func:`env_gather.decode_windows` rebuilds the float windows
-exactly for the reconstruction targets, as it decodes the obs-VAE corpus. So
-the episodes of one batch must share their hp maxima and map size.
+as rollouts encode them. :func:`env_gather.decode_windows` rebuilds the float
+windows exactly for the reconstruction targets from each episode's hp maxima
+and map size, so the episodes of one batch must share them.
 """
 from __future__ import annotations
 
@@ -34,14 +34,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..commgraph import build_graph, fully_connected, normalize
-from ..diffcore import Tensor, backward, mul, optimizer_step, splice, sum as tsum
-from ..env_gather import (
-    N_ACTIONS,
-    decode_windows,
-    new_world,
-    observe,
-    step,
-)
+from ..diffcore import Tensor, backward, gather_rows, mul, optimizer_step, splice, sum as tsum
+from ..env_gather import N_ACTIONS, decode_windows, new_world, observe, step
 from ..errors import ConfigError, DataError, require_counts, require_rates
 from .encoder import NvifEncoder
 from .losses import NvifLossReport, consistency_rows, kl_rows, recon_rows
@@ -115,19 +109,32 @@ def collect_pretrain_buffer(task_config, n_episodes: int, compressor: ObsCompres
     return buffer
 
 
-def _recon_term(encoder: NvifEncoder, latent: Tensor, pos: np.ndarray, obs: np.ndarray,
-                weights: np.ndarray, recon_weight: float):
-    """One timestep's weighted reconstruction term, and its unweighted value.
+def _weighted_sum(rows: Tensor, weights: np.ndarray, live: np.ndarray) -> Tensor:
+    """``sum(rows * weights)`` as one node whose gradient is ``weights``. Its
+    value adds the ``live`` rows alone, in row order, so it is the sum over
+    the stacked live rows whatever slots lie between them."""
+    return splice(rows, (rows.data * weights)[live].sum(), weights)
 
-    The term's backward pass runs here: it adds the ``dec/*`` weight
-    gradients into the store, and the term joins the caller's tape as a
-    :func:`splice` on ``latent``, so the decoder's obs_dim-wide arrays die
-    with this call."""
-    leaf = Tensor(latent.data, requires_grad=True)
+
+def _recon_term(encoder: NvifEncoder, latent: Tensor, live: np.ndarray, pos: np.ndarray,
+                obs: np.ndarray, weights: np.ndarray, recon_weight: float):
+    """One timestep's weighted reconstruction term of the ``live`` rows of
+    ``latent``, and its unweighted value. Its backward pass runs here: it
+    adds the ``dec/*`` weight gradients into the store, and the term joins the
+    caller's tape as a :func:`splice` on ``latent``, so the decoder's
+    obs_dim-wide arrays die with this call."""
+    leaf = Tensor(latent.data[live], requires_grad=True)
     recon = tsum(mul(recon_rows(obs, encoder.decode(leaf, pos)), weights))
     term = mul(recon, recon_weight)
     backward(term)
-    return splice(latent, term.data, leaf.grad), float(recon.data)
+    grad = np.zeros_like(latent.data)
+    grad[live] = leaf.grad
+    return splice(latent, term.data, grad), float(recon.data)
+
+
+def _weighted_sum(rows: Tensor, weights: np.ndarray, live: np.ndarray) -> Tensor:
+    """``sum(rows * weights)`` as one node, its value that of the ``live`` rows alone."""
+    return splice(rows, (rows.data * weights)[live].sum(), weights)
 
 
 def _batch_loss(encoder: NvifEncoder, episodes: list[EpisodeRecord], alpha: float,
@@ -141,34 +148,42 @@ def _batch_loss(encoder: NvifEncoder, episodes: list[EpisodeRecord], alpha: floa
     codec = (first.hp_omnivore, first.hp_food, first.map_size)
     if any((ep.hp_omnivore, ep.hp_food, ep.map_size) != codec for ep in episodes[1:]):
         raise DataError("an episode batch mixes tasks with different hp maxima or map sizes")
+    n = 1 + max(max(ep.steps[0].ids) for ep in episodes)
     n_slots = sum(len(ep.steps) for ep in episodes)
-    t_max = max(len(ep.steps) for ep in episodes)
-    centers = {}  # one (k, k) centering block per group size k
-    state = None
-    total = None
+    hidden = np.zeros((len(episodes) * n, encoder.config.hidden_width), dtype=dt)
+    running, live, center, total = list(range(len(episodes))), None, None, None
     recon_val = kl_val = cons_val = 0.0
-    for t in range(t_max):
-        live = [(i, ep.steps[t]) for i, ep in enumerate(episodes) if len(ep.steps) > t]
-        sizes = [len(sd.ids) for _, sd in live]
-        keys = [(i, a) for i, sd in live for a in sd.ids]
-        pos = np.concatenate([sd.positions for _, sd in live])
-        obs = decode_windows(np.concatenate([sd.raw_obs for _, sd in live]), pos, first)
-        adj = tuple(sd.adj_norm.astype(dt, copy=False) for _, sd in live)
-        for k in set(sizes) - centers.keys():
-            centers[k] = np.full((k, k), 1.0 / k, dtype=dt)
-        center = tuple(centers[k] for k in sizes)
-        weights = np.concatenate([np.full(k, 1.0 / (k * n_slots), dtype=dt) for k in sizes])
-        if state is None:
-            state = encoder.init_state(keys)
-        state, dist = encoder.step(np.concatenate([sd.feats for _, sd in live]), state,
-                                   keys, adj, rng=rng)
-        recon_t, recon = _recon_term(encoder, dist.latent, pos, obs, weights, recon_weight)
-        kl_t = tsum(mul(kl_rows(dist.mu, dist.log_sigma), weights))
-        cons_t = tsum(mul(consistency_rows(dist.latent, center), weights))
+    for t in range(max(len(ep.steps) for ep in episodes)):
+        # a finished episode leaves the stack rather than pad it: the rows
+        # are those of the concatenated live agents, which BLAS rounds alike
+        at = [j for j, i in enumerate(running) if t < len(episodes[i].steps)]
+        if len(at) < len(running):
+            hidden = gather_rows(hidden, (np.asarray(at)[:, None] * n + np.arange(n)).ravel())
+            running, live, center = [running[j] for j in at], live[at], None
+        steps = [episodes[i].steps[t] for i in running]
+        now, adj = np.zeros((len(steps), n), dtype=bool), np.zeros((len(steps), n, n), dtype=dt)
+        feats, codes, pos = (np.zeros((len(steps) * n, a.shape[1]), a.dtype) for a in
+                             (steps[0].feats, steps[0].raw_obs, steps[0].positions))
+        for j, sd in enumerate(steps):
+            ids = np.asarray(sd.ids)
+            now[j, ids], adj[j][np.ix_(ids, ids)] = True, sd.adj_norm
+            at = j * n + ids
+            feats[at], codes[at], pos[at] = sd.feats, sd.raw_obs, sd.positions
+        if live is not None and (now & ~live).any():
+            raise DataError(f"an agent alive at step {t} was dead at {t - 1}: none respawn")
+        if center is None or not np.array_equal(now, live):
+            live, k = now, np.maximum(now.sum(axis=1), 1)[:, None]
+            weights = (live / (k * n_slots)).astype(dt).ravel()
+            center = ((live[:, :, None] & live[:, None, :]) / k[:, :, None]).astype(dt)
+        rows = live.ravel()
+        hidden, dist = encoder.step(feats, hidden, adj, rng=rng, live=rows)
+        recon_t, recon = _recon_term(encoder, dist.latent, rows, pos[rows],
+                                     decode_windows(codes[rows], pos[rows], first),
+                                     weights[rows], recon_weight)
+        kl_t = _weighted_sum(kl_rows(dist.mu, dist.log_sigma), weights, rows)
+        cons_t = _weighted_sum(consistency_rows(dist.latent, center), weights, rows)
 
-        contrib = recon_t + kl_t
-        if alpha != 0.0:
-            contrib = contrib + mul(cons_t, alpha)
+        contrib = recon_t + kl_t if alpha == 0.0 else recon_t + kl_t + mul(cons_t, alpha)
         total = contrib if total is None else total + contrib
         recon_val += recon_weight * recon
         kl_val += float(kl_t.data)

@@ -11,7 +11,7 @@ import numpy as np
 from ..commgraph import build_graph, fully_connected, normalize
 from ..diffcore import no_grad
 from ..env_gather import observe
-from ..errors import ConfigError
+from ..errors import ConfigError, ProtocolError
 from ..nvif import NvifEncoder, ObsCompressor
 
 
@@ -42,33 +42,38 @@ class MeanObsLatents:
 
 
 class NvifLatents:
-    """Latents sampled from a frozen encoder run over the live graph.
-
-    ``neighbor_graph`` is the neighbor graph the latest :meth:`step` built,
-    for callers that need the same graph (``None`` in full-graph mode).
-    """
+    """Latents sampled from a frozen encoder run over the live graph, which
+    keeps the survivors' hidden rows from step to step (agents never
+    respawn: a new agent is a :class:`ProtocolError`). ``neighbor_graph`` is
+    the neighbor graph the latest :meth:`step` built (``None`` in full-graph
+    mode)."""
 
     def __init__(self, encoder: NvifEncoder, rng: np.random.Generator, full_graph: bool = False):
         self.encoder = encoder
         self.rng = rng
         self.full_graph = full_graph
         self.width = encoder.config.latent_width
-        self._state = None
-        self.neighbor_graph = None
+        self.reset()
 
     def reset(self):
-        self._state = None
-        self.neighbor_graph = None
+        self._ids = self._hidden = self.neighbor_graph = None
 
     def step(self, feats, positions_int, ids) -> np.ndarray:
+        ids, cfg, hidden = tuple(ids), self.encoder.config, self._hidden
+        if hidden is None:
+            hidden = np.zeros((len(ids), cfg.hidden_width), dtype=cfg.np_dtype)
+        elif ids != self._ids:
+            keep = np.isin(self._ids, ids)
+            if not np.array_equal(np.asarray(self._ids)[keep], ids):
+                raise ProtocolError(f"latent step: agents {ids} are not survivors, in order, "
+                                    f"of the agents {self._ids} of the previous step")
+            hidden = hidden[keep]
         graph = fully_connected(ids) if self.full_graph else build_graph(positions_int, ids)
         self.neighbor_graph = None if self.full_graph else graph
-        if self._state is None:
-            self._state = self.encoder.init_state(ids)
-        adj = normalize(graph).astype(self.encoder.config.np_dtype)
+        op = normalize(graph).astype(cfg.np_dtype)[None]
         with no_grad():
-            self._state, dist = self.encoder.step(feats, self._state, graph.ids, (adj,),
-                                                  rng=self.rng)
+            hidden, dist = self.encoder.step(feats, hidden, op, rng=self.rng)
+        self._ids, self._hidden = ids, hidden.data
         return dist.latent.data
 
 

@@ -36,6 +36,7 @@ from nviflab.env_gather import (
 from nviflab.errors import DataError, ProtocolError, ShapeError
 from nviflab.env_gather.world import GridWorld, _channel_grids
 from nviflab.nvif import ObsCompressor, ObsVaeConfig, ObsVaeHyper
+from nviflab.nvif.losses import kl_rows, recon_rows
 from nviflab.harness.pipeline import collect_obs_corpus
 from nviflab.policy import compute_gae, featurize
 
@@ -231,25 +232,45 @@ def episode_metrics(header: dict, records: list[dict]) -> dict:
     }
 
 
+def per_block(blocks, x: np.ndarray) -> np.ndarray:
+    """The block-diagonal matrix of the square ``blocks``, of any sizes,
+    times the rows of ``x``, one product per block: the operator product of
+    the layout that predates the stacked (E, n, n) operator."""
+    if len(blocks) == 1:
+        return blocks[0] @ x
+    at = np.cumsum([0] + [len(b) for b in blocks])
+    return np.concatenate([b @ x[lo:hi] for b, lo, hi in zip(blocks, at, at[1:])])
+
+
+def _vjp_block_matmul(g, node, k):
+    return per_block([b.T for b in node._saved], g)
+
+
+def block_matmul(blocks, x):
+    """:func:`per_block` as a node over ``x`` that saves the blocks."""
+    x = as_tensor(x)
+    return _make(per_block(blocks, x.data), (x,), _vjp_block_matmul, tuple(blocks))
+
+
 def _vjp_graph_conv(g, node, k):
     x, w = node._parents
     g = g * (node.data > 0)  # relu(v) > 0 exactly where v > 0
     if k == 0:
-        return _blockwise([b.T for b in node._saved], g @ w.data.T)
+        return _blockwise(node._saved.transpose(0, 2, 1), g @ w.data.T)
     return _blockwise(node._saved, x.data).T @ g  # the block product, recomputed
 
 
-def graph_conv(blocks, x, w):
+def graph_conv(op, x, w):
     """One graph-convolution layer, ``relu(A x w)`` with ``A`` the constant
-    block-diagonal operator of ``blocks``, as one node over ``(x, w)`` that
-    saves its output and the blocks: a layer of
+    block-diagonal operator whose (E, n, n) blocks are ``op``, as one node
+    over ``(x, w)`` that saves its output and ``op``: a layer of
     :func:`diffcore.flow_gru_cell` on its own."""
-    x, w, blocks = as_tensor(x), as_tensor(w), tuple(blocks)
+    x, w = as_tensor(x), as_tensor(w)
     if w.data.ndim != 2 or x.data.shape[1:2] != w.data.shape[:1]:
         raise ShapeError(f"graph_conv: features {x.data.shape} and weights {w.data.shape} "
                          f"incompatible")
-    out = np.maximum(dc.sparse_matmul(blocks, x.data).data @ w.data, 0)
-    return _make(out, (x, w), _vjp_graph_conv, blocks)
+    out = np.maximum(dc.sparse_matmul(op, x.data).data @ w.data, 0)
+    return _make(out, (x, w), _vjp_graph_conv, op)
 
 
 def _vjp_gru_cell(g, node, k):
@@ -276,22 +297,22 @@ def gru_cell(x, h, params):
     return _make((1.0 - z) * h.data + z * n, (x, h, *weights), _vjp_gru_cell)
 
 
-def flownet_forward(features, blocks, weights):
-    """A FlowNet as one :func:`graph_conv` node per layer weight; ``blocks``
-    are A_hat's diagonal blocks in row order."""
+def flownet_forward(features, op, weights):
+    """A FlowNet as one :func:`graph_conv` node per layer weight; ``op`` is
+    A_hat's (E, n, n) stack of diagonal blocks."""
     h = features if isinstance(features, dc.Tensor) else dc.Tensor(features)
     for w in weights:
-        h = graph_conv(blocks, h, w)
+        h = graph_conv(op, h, w)
     return h
 
 
-def composite_flow_gru_cell(blocks, feats, hidden, flow_o, flow_h, gru):
+def composite_flow_gru_cell(op, feats, hidden, flow_o, flow_h, gru):
     """:func:`diffcore.flow_gru_cell` as the chain it fuses: a
     :func:`flownet_forward` over each input and a :func:`gru_cell` node.
     Each is looked up at call time, so a test can patch in the composite
     layer or cell."""
-    phi = flownet_forward(feats, blocks, flow_o)
-    psi = flownet_forward(hidden, blocks, flow_h)
+    phi = flownet_forward(feats, op, flow_o)
+    psi = flownet_forward(hidden, op, flow_h)
     return gru_cell(phi, psi, gru)
 
 
@@ -313,11 +334,11 @@ def composite_matmul_relu(x, w):
     return dc.relu(matmul(x, w))
 
 
-def composite_graph_conv(blocks, x, w):
+def composite_graph_conv(op, x, w):
     """:func:`graph_conv` as a :func:`diffcore.sparse_matmul` node
     and a :func:`matmul_relu` node (looked up at call time, so a test can
     patch in :func:`composite_matmul_relu`)."""
-    return matmul_relu(dc.sparse_matmul(blocks, x), w)
+    return matmul_relu(dc.sparse_matmul(op, x), w)
 
 
 def composite_kl_rows(mu, log_sigma):
@@ -327,11 +348,13 @@ def composite_kl_rows(mu, log_sigma):
     return dc.mul(dc.sum(per_dim, axis=1), 0.5)
 
 
-def composite_gaussian_sample(mu, log_sigma, rng):
+def composite_gaussian_sample(mu, log_sigma, rng, live=None):
     """:func:`diffcore.gaussian_sample` as exp, mul and add nodes, drawing
-    the same noise from ``rng``."""
+    the same noise from ``rng``: with ``live``, that of the live rows alone."""
     mu, log_sigma = dc.as_tensor(mu), dc.as_tensor(log_sigma)
-    eps = rng.standard_normal(mu.data.shape).astype(mu.data.dtype)
+    eps = np.zeros_like(mu.data)
+    rows = slice(None) if live is None else live
+    eps[rows] = rng.standard_normal(eps[rows].shape)
     return dc.add(mu, dc.mul(dc.exp(log_sigma), eps))
 
 
@@ -359,13 +382,70 @@ def composite_sq_dist_rows(a, b):
     return dc.sum(dc.mul(dev, dev), axis=1)
 
 
-def composite_centered_sq_dist_rows(blocks, x):
+def composite_centered_sq_dist_rows(op, x):
     """:func:`diffcore.centered_sq_dist_rows` as a
     :func:`diffcore.sparse_matmul` node and a :func:`sq_dist_rows` node
     (looked up at call time, so a test can patch in
     :func:`composite_sq_dist_rows`)."""
     x = dc.as_tensor(x)
-    return sq_dist_rows(x, dc.sparse_matmul(blocks, x))
+    return sq_dist_rows(x, dc.sparse_matmul(op, x))
+
+
+def concatenated_encoder_step(encoder, feats, hidden, blocks, rng):
+    """:meth:`NvifEncoder.step` over the concatenated rows of graphs of any
+    sizes, ``blocks`` their normalized adjacencies, as the chain of
+    :func:`block_matmul`, :func:`matmul_relu` and :func:`gru_cell` nodes
+    that the one-node cell fuses; returns (next hidden state, mu, log-sigma,
+    latent)."""
+    def flow(x, weights):
+        for w in weights:
+            x = matmul_relu(block_matmul(blocks, x), w)
+        return x
+
+    store = encoder.store
+    h = gru_cell(flow(feats, encoder.flow_o), flow(hidden, encoder.flow_h), encoder._gru)
+    mu = dc.affine(h, store["head/mu_w"], store["head/mu_b"])
+    log_sigma = dc.log_sigma_head(h, store["head/ls_w"], store["head/ls_b"])
+    return h, mu, log_sigma, dc.gaussian_sample(mu, log_sigma, rng=rng)
+
+
+def full_tape_batch_loss(encoder, episodes, alpha, recon_weight, rng):
+    """Oracle of ``nvif.pretrain._batch_loss``: the episode-batch loss with
+    every timestep's decoder on one tape, backpropagated once, in the layout
+    that predates fixed agent slots. Each step concatenates the live rows of
+    the episodes still running, mixes them with one block per episode
+    (:func:`concatenated_encoder_step`), draws the noise of those rows alone,
+    and carries the hidden rows from step to step by (episode, agent) key."""
+    dt = encoder.config.np_dtype
+    n_slots = sum(len(ep.steps) for ep in episodes)
+    keys = hidden = total = None
+    for t in range(max(len(ep.steps) for ep in episodes)):
+        live = [(i, ep.steps[t]) for i, ep in enumerate(episodes) if len(ep.steps) > t]
+        sizes = [len(sd.ids) for _, sd in live]
+        now = [(i, a) for i, sd in live for a in sd.ids]
+        if hidden is None:
+            hidden = np.zeros((len(now), encoder.config.hidden_width), dtype=dt)
+        elif now != keys:
+            row = {key: r for r, key in enumerate(keys)}
+            hidden = dc.gather_rows(hidden, [row[key] for key in now])
+        keys = now
+        pos = np.concatenate([sd.positions for _, sd in live])
+        raw = np.concatenate([decode_windows(sd.raw_obs, sd.positions, episodes[i])
+                              for i, sd in live])
+        feats = np.concatenate([sd.feats for _, sd in live]).astype(dt)
+        hidden, mu, log_sigma, latent = concatenated_encoder_step(
+            encoder, feats, hidden, [sd.adj_norm.astype(dt) for _, sd in live], rng)
+        center = [np.full((k, k), 1.0 / k, dtype=dt) for k in sizes]
+        weights = np.concatenate([np.full(k, 1.0 / (k * n_slots), dtype=dt) for k in sizes])
+        logits = encoder.decode(latent, pos)
+        recon_t = dc.sum(dc.mul(recon_rows(raw, logits), weights))
+        kl_t = dc.sum(dc.mul(kl_rows(mu, log_sigma), weights))
+        cons_t = dc.sum(dc.mul(sq_dist_rows(latent, block_matmul(center, latent)), weights))
+        contrib = dc.mul(recon_t, recon_weight) + kl_t
+        if alpha != 0.0:
+            contrib = contrib + dc.mul(cons_t, alpha)
+        total = contrib if total is None else total + contrib
+    return total
 
 
 def composite_log_sigma_head(x, w, b):

@@ -103,9 +103,9 @@ class TestOpGradients:
         _check_grads(lambda: _weighted(matmul(a, b)), [a, b])
 
     def test_sparse_matmul(self):
-        adj = np.abs(RNG.standard_normal((4, 4)))
+        adj = np.abs(RNG.standard_normal((1, 4, 4)))
         x = _leaf((4, 3))
-        _check_grads(lambda: _weighted(dc.sparse_matmul((adj,), x)), [x])
+        _check_grads(lambda: _weighted(dc.sparse_matmul(adj, x)), [x])
 
     def test_concat_axis1(self):
         a, b = _leaf((3, 2)), _leaf((3, 4))
@@ -202,12 +202,12 @@ class TestOpGradients:
         _check_grads(lambda: _weighted(matmul_relu(x, w)), [x, w])
 
     def test_graph_conv(self):
-        rng = np.random.default_rng(1)
-        x, w = (dc.Tensor(rng.standard_normal(s), requires_grad=True) for s in ((5, 3), (3, 4)))
-        blocks = (rng.standard_normal((2, 2)), rng.standard_normal((3, 3)))
-        pre = np.concatenate([blocks[0] @ x.data[:2], blocks[1] @ x.data[2:]]) @ w.data
+        rng = np.random.default_rng(3)
+        x, w = (dc.Tensor(rng.standard_normal(s), requires_grad=True) for s in ((6, 3), (3, 4)))
+        op = rng.standard_normal((2, 3, 3))
+        pre = _dense(op) @ x.data @ w.data
         assert np.abs(pre).min() > 0.1 and 0 < (pre > 0).sum() < pre.size
-        _check_grads(lambda: _weighted(graph_conv(blocks, x, w)), [x, w])
+        _check_grads(lambda: _weighted(graph_conv(op, x, w)), [x, w])
 
     def test_kl_rows(self):
         mu, ls = _leaf((3, 4)), _leaf((3, 4))
@@ -219,10 +219,9 @@ class TestOpGradients:
 
     def test_centered_sq_dist_rows(self):
         # a non-symmetric block catches a VJP that forgets to transpose
-        x = _leaf((5, 3))
-        blocks = (RNG.standard_normal((2, 2)), RNG.standard_normal((1, 1)),
-                  RNG.standard_normal((2, 2)))
-        _check_grads(lambda: _weighted(dc.centered_sq_dist_rows(blocks, x)), [x])
+        x = _leaf((6, 3))
+        op = RNG.standard_normal((3, 2, 2))
+        _check_grads(lambda: _weighted(dc.centered_sq_dist_rows(op, x)), [x])
 
     def test_log_sigma_head(self):
         rng = np.random.default_rng(3)
@@ -258,8 +257,8 @@ class TestForwardValues:
         assert np.isfinite(float(val.data))
 
     def test_sparse_matmul_two_clique(self):
-        adj = np.full((2, 2), 0.5)
-        out = dc.sparse_matmul((adj,), dc.Tensor(np.array([[1.0], [3.0]])))
+        adj = np.full((1, 2, 2), 0.5)
+        out = dc.sparse_matmul(adj, dc.Tensor(np.array([[1.0], [3.0]])))
         np.testing.assert_allclose(out.data, [[2.0], [2.0]])
 
     def test_shape_error_names_both_shapes(self):
@@ -279,38 +278,66 @@ class TestForwardValues:
             dc.backward(dc.Tensor(np.zeros(3), requires_grad=True))
 
 
-def _dense(blocks):
-    """The block-diagonal matrix of ``blocks``: the oracle of the operator."""
-    n = sum(b.shape[0] for b in blocks)
-    out, at = np.zeros((n, n)), 0
-    for b in blocks:
-        out[at:at + len(b), at:at + len(b)] = b
-        at += len(b)
+def _dense(op):
+    """The block-diagonal matrix of the (E, n, n) ``op``: the oracle of the operator."""
+    e, n, _ = op.shape
+    out = np.zeros((e * n, e * n))
+    for i, block in enumerate(op):
+        out[i * n:(i + 1) * n, i * n:(i + 1) * n] = block
     return out
 
 
 BAD_BLOCKS = [
-    ((np.ones((2, 3)),), 2),                     # a block that is not square
-    ((np.ones((2, 2)), np.ones((2, 2))), 3),     # sizes that miss the rows
-    ((np.ones((3, 3)),), 2),                     # a block larger than the rows
-    ((), 0),                                     # no blocks
-    (np.ones((3, 3)), 3),                        # a bare matrix, not its blocks
+    (np.ones((1, 2, 3)), 2),                     # blocks that are not square
+    (np.ones((2, 2, 2)), 3),                     # blocks that miss the rows
+    (np.ones((1, 3, 3)), 2),                     # a block larger than the rows
+    (np.ones((0, 0, 0)), 0),                     # no blocks
+    (np.ones((3, 3)), 3),                        # a bare matrix, not a stack of blocks
 ]
+
+
+def _masked_op(rng, e, n, dead):
+    """A random (e, n, n) operator whose ``dead`` slots have a zero row and column."""
+    op = rng.standard_normal((e, n, n))  # not symmetric: a VJP must transpose
+    op[:, dead] = 0.0
+    op[:, :, dead] = 0.0
+    return op
 
 
 class TestBlockOperator:
     def test_gradient_over_unequal_blocks(self):
-        blocks = (RNG.standard_normal((3, 3)), RNG.standard_normal((1, 1)),
-                  RNG.standard_normal((2, 2)))  # not symmetric: the VJP transposes
-        x = _leaf((6, 4))
-        _check_grads(lambda: _weighted(dc.sparse_matmul(blocks, x)), [x])
+        # graphs of 3, 1 and 2 agents on 3 slots each
+        op = _masked_op(RNG, 3, 3, [])
+        op[1, 1:] = op[1, :, 1:] = op[2, 2] = op[2, :, 2] = 0.0
+        x = _leaf((9, 4))
+        _check_grads(lambda: _weighted(dc.sparse_matmul(op, x)), [x])
 
     def test_value_is_the_dense_product_and_blocks_are_saved_not_copied(self):
-        blocks = [RNG.standard_normal((2, 2)), RNG.standard_normal((3, 3))]
-        x = _leaf((5, 2))
-        out = dc.sparse_matmul(blocks, x)
-        np.testing.assert_allclose(out.data, _dense(blocks) @ x.data, rtol=1e-12)
-        assert all(s is b for s, b in zip(out._saved, blocks))
+        op = RNG.standard_normal((2, 3, 3))
+        x = _leaf((6, 2))
+        out = dc.sparse_matmul(op, x)
+        np.testing.assert_allclose(out.data, _dense(op) @ x.data, rtol=1e-12)
+        assert out._saved is op
+
+    # one live row or one feature column makes a matrix-vector product,
+    # whose gemv path rounds differently from the matrix-matrix one
+    @given(e=st.integers(1, 4), n=st.integers(2, 12), width=st.integers(2, 8),
+           dead=st.lists(st.integers(0, 11), max_size=4), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=60, deadline=None)
+    def test_batched_product_equals_each_block_alone(self, e, n, width, dead, seed):
+        # the stacked product and its VJP's, against one 2-D product per
+        # block on its live rows: the same bits
+        rng = np.random.default_rng(seed)
+        live = np.setdiff1d(np.arange(n), dead)
+        assume(len(live) >= 2)
+        op = _masked_op(rng, e, n, [d for d in dead if d < n]).astype(np.float32)
+        x = rng.standard_normal((e * n, width)).astype(np.float32)
+        node = dc.sparse_matmul(op, dc.Tensor(x, requires_grad=True))
+        g = np.asarray(node._backward(x, node, 0))
+        for i in range(e):
+            rows, block = i * n + live, op[i][np.ix_(live, live)]
+            assert np.array_equal(node.data[rows], block @ x[rows])
+            assert np.array_equal(g[rows], block.T @ x[rows])
 
     @pytest.mark.parametrize("blocks, rows", BAD_BLOCKS)
     def test_shape_errors(self, blocks, rows):
@@ -319,7 +346,7 @@ class TestBlockOperator:
 
     @pytest.mark.parametrize("blocks, rows", BAD_BLOCKS)
     def test_graph_conv_shape_errors(self, blocks, rows):
-        # the graph-conv layer checks its blocks as the block product does
+        # the graph-conv layer checks its operator as the block product does
         with pytest.raises(ShapeError):
             graph_conv(blocks, dc.Tensor(np.ones((rows, 2)), requires_grad=True),
                        dc.Tensor(np.ones((2, 3)), requires_grad=True))
@@ -622,20 +649,21 @@ class TestFusedGru:
         assert str(shape) in str(err.value)
 
 
-def _cell_arrays(rng, dtype, sizes, n_feat, n_hidden, flow_o, flow_h):
-    """Blocks and the leaves ``(feats, hidden, *flow_o, *flow_h, *gru)`` of an
+def _cell_arrays(rng, dtype, blocks, n_feat, n_hidden, flow_o, flow_h, dead=()):
+    """The (E, n, n) operator of ``blocks`` = (E, n), its ``dead`` slots
+    masked, and the leaves ``(feats, hidden, *flow_o, *flow_h, *gru)`` of an
     encoder cell whose layers have the output widths ``flow_o`` and ``flow_h``."""
-    n, phi, psi = sum(sizes), flow_o[-1], flow_h[-1]
-    shapes = [(n, n_feat), (n, n_hidden)]
+    (e, n), phi, psi = blocks, flow_o[-1], flow_h[-1]
+    shapes = [(e * n, n_feat), (e * n, n_hidden)]
     shapes += list(zip([n_feat] + flow_o[:-1], flow_o))
     shapes += list(zip([n_hidden] + flow_h[:-1], flow_h))
     shapes += [(phi + psi, psi), (psi,)] * 3
-    blocks = tuple(rng.standard_normal((k, k)).astype(dtype) for k in sizes)
-    return blocks, [rng.standard_normal(s).astype(dtype) for s in shapes]
+    op = _masked_op(rng, e, n, list(dead)).astype(dtype)
+    return op, [rng.standard_normal(s).astype(dtype) for s in shapes]
 
 
-def _on_slots(cell, blocks, n_o, n_h):
-    return lambda feats, hidden, *w: cell(blocks, feats, hidden, w[:n_o], w[n_o:n_o + n_h],
+def _on_slots(cell, op, n_o, n_h):
+    return lambda feats, hidden, *w: cell(op, feats, hidden, w[:n_o], w[n_o:n_o + n_h],
                                           dict(zip(GRU_SLOTS[2:], w[n_o + n_h:])))
 
 
@@ -646,24 +674,26 @@ class TestFlowGruCell:
     # blocks of one row are left out: a one-row product takes numpy's
     # matrix-vector path, which rounds differently from the matrix-matrix one
     @settings(max_examples=150, deadline=None)
-    @given(sizes=st.lists(st.integers(2, 9), min_size=1, max_size=4),
+    @given(blocks=st.tuples(st.integers(1, 4), st.integers(2, 9)),
+           dead=st.lists(st.integers(0, 8), max_size=2),
            n_feat=st.integers(1, 6), n_hidden=st.integers(1, 6),
            flow_o=st.lists(st.integers(1, 6), min_size=1, max_size=3),
            flow_h=st.lists(st.integers(1, 6), min_size=1, max_size=3),
            dtype=st.sampled_from([np.float32, np.float64]),
            needs=st.lists(st.booleans(), min_size=14, max_size=14), grad_on=st.booleans(),
            seed=st.integers(0, 2 ** 16))
-    def test_equals_the_chain_bit_for_bit(self, sizes, n_feat, n_hidden, flow_o, flow_h,
+    def test_equals_the_chain_bit_for_bit(self, blocks, dead, n_feat, n_hidden, flow_o, flow_h,
                                           dtype, needs, grad_on, seed):
         assume(n_feat != n_hidden)
         rng = np.random.default_rng(seed)
-        blocks, arrays = _cell_arrays(rng, dtype, sizes, n_feat, n_hidden, flow_o, flow_h)
-        upstream = rng.standard_normal((sum(sizes), flow_h[-1])).astype(dtype)
+        op, arrays = _cell_arrays(rng, dtype, blocks, n_feat, n_hidden, flow_o, flow_h,
+                                  [d for d in dead if d < blocks[1]])
+        upstream = rng.standard_normal((blocks[0] * blocks[1], flow_h[-1])).astype(dtype)
 
         def run(cell):
             leaves = [dc.Tensor(a.copy(), requires_grad=r) for a, r in zip(arrays, needs)]
             with contextlib.nullcontext() if grad_on else dc.no_grad():
-                out = _on_slots(cell, blocks, len(flow_o), len(flow_h))(*leaves)
+                out = _on_slots(cell, op, len(flow_o), len(flow_h))(*leaves)
             if out.requires_grad:
                 dc.backward(dc.sum(dc.mul(out, upstream)))
             return out, leaves
@@ -677,17 +707,16 @@ class TestFlowGruCell:
             assert (g.grad is None) == (w.grad is None)
             if g.grad is not None:
                 assert g.grad.dtype == dtype and g.grad.tobytes() == w.grad.tobytes()
-        if got.requires_grad:  # the blocks themselves; the pending gradients released
-            saved_blocks, n_o, pending = got._saved
-            assert all(a is b for a, b in zip(saved_blocks, blocks, strict=True))
-            assert n_o == len(flow_o) and pending is None
+        if got.requires_grad:  # the operator itself; the pending gradients released
+            saved, n_o, pending = got._saved
+            assert saved is op and n_o == len(flow_o) and pending is None
 
     def test_one_node_over_the_leaves(self):
         # no layer output or gate joins the tape: the graph is the leaves and the node
-        blocks, arrays = _cell_arrays(np.random.default_rng(3), np.float64, [3, 2], 4, 5,
-                                      [6, 6], [5, 5])
+        op, arrays = _cell_arrays(np.random.default_rng(3), np.float64, (1, 5), 4, 5,
+                                  [6, 6], [5, 5])
         leaves = [dc.Tensor(a, requires_grad=i > 0) for i, a in enumerate(arrays)]
-        out = _on_slots(dc.flow_gru_cell, blocks, 2, 2)(*leaves)
+        out = _on_slots(dc.flow_gru_cell, op, 2, 2)(*leaves)
         order = dc.topological_order(out)
         assert order[-1] is out and {id(t) for t in order[:-1]} == {id(t) for t in leaves}
 
@@ -695,11 +724,11 @@ class TestFlowGruCell:
         (0, (5,)), (1, (4, 5)), (2, (3, 6)), (3, (6,)), (4, (5, 5, 1)), (6, (12, 5)),
         (7, (1, 5))])
     def test_shape_error_names_the_shapes(self, index, shape):
-        blocks, arrays = _cell_arrays(np.random.default_rng(0), np.float64, [2, 3], 4, 5,
-                                      [6, 6], [5, 5])
+        op, arrays = _cell_arrays(np.random.default_rng(0), np.float64, (1, 5), 4, 5,
+                                  [6, 6], [5, 5])
         arrays[index] = np.zeros(shape)
         with pytest.raises(ShapeError) as err:
-            _on_slots(dc.flow_gru_cell, blocks, 2, 2)(*arrays)
+            _on_slots(dc.flow_gru_cell, op, 2, 2)(*arrays)
         assert str(shape) in str(err.value)
 
 
@@ -739,28 +768,27 @@ class TestLeanNodes:
         assert out._saved is None
 
     @settings(max_examples=120, deadline=None)
-    @given(n_in=st.integers(1, 6), sizes=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+    @given(n_in=st.integers(1, 6), blocks=st.tuples(st.integers(1, 4), st.integers(1, 5)),
            dead=st.sampled_from(["none", "rows", "all"]),
            **{k: v for k, v in LEAN_CASE.items() if k != "rows"})
-    def test_graph_conv_equals_composite(self, width, n_in, sizes, dead, dtype, needs,
+    def test_graph_conv_equals_composite(self, width, n_in, blocks, dead, dtype, needs,
                                          grad_on, seed):
-        # one block per stacked graph; their sizes set the row count
+        # one (n, n) block per stacked graph; E*n rows
         rng = np.random.default_rng(seed)
-        n = sum(sizes)
+        n = blocks[0] * blocks[1]
         x, w = self._dead(rng.standard_normal((n, n_in)).astype(dtype),
                           rng.standard_normal((n_in, width)).astype(dtype), dead)
-        blocks = tuple(rng.random((k, k)).astype(dtype) for k in sizes)  # dead stays dead
+        op = rng.random((*blocks, blocks[1])).astype(dtype)  # dead stays dead
         if dead == "rows":  # mixed rows of exactly 0 in every other row of each block
-            for b in blocks:
-                b[::2] = 0.0
+            op[:, ::2] = 0.0
         upstream = rng.standard_normal((n, width)).astype(dtype)
-        out = _fused_vs_composite(lambda a, b: graph_conv(blocks, a, b),
-                                  lambda a, b: composite_graph_conv(blocks, a, b),
+        out = _fused_vs_composite(lambda a, b: graph_conv(op, a, b),
+                                  lambda a, b: composite_graph_conv(op, a, b),
                                   [x, w], needs, grad_on, upstream)
         if dead == "all":
             assert not out.data.any()
-        if out.requires_grad:  # the blocks themselves, and nothing more
-            assert all(a is b for a, b in zip(out._saved, blocks, strict=True))
+        if out.requires_grad:  # the operator itself, and nothing more
+            assert out._saved is op
 
     @settings(max_examples=120, deadline=None)
     @given(**LEAN_CASE)
@@ -819,27 +847,31 @@ class TestLeanNodes:
         assert out.data.shape == (rows,) and out._saved is None
 
     @settings(max_examples=120, deadline=None)
-    @given(sizes=st.lists(st.integers(1, 5), min_size=1, max_size=4), centering=st.booleans(),
-           need=st.booleans(), **{k: v for k, v in LEAN_CASE.items()
-                                  if k not in ("rows", "needs")})
-    def test_centered_sq_dist_rows_equals_composite(self, sizes, centering, width, dtype,
+    @given(lives=st.lists(st.lists(st.booleans(), min_size=1, max_size=5), min_size=1,
+                          max_size=4),
+           centering=st.booleans(), need=st.booleans(),
+           **{k: v for k, v in LEAN_CASE.items() if k not in ("rows", "needs")})
+    def test_centered_sq_dist_rows_equals_composite(self, lives, centering, width, dtype,
                                                     need, grad_on, seed):
-        # one block per group, one-agent groups among them: the centering
-        # blocks of the consistency term, or any square blocks, which are not
-        # symmetric, so a missing transpose in the VJP shows
+        # one block per group on n slots, its live slots drawn (one-agent and
+        # empty groups among them): the centering operator of the consistency
+        # term, 1/k between a group's k live slots, or any square blocks,
+        # which are not symmetric, so a missing transpose in the VJP shows
         rng = np.random.default_rng(seed)
-        n = sum(sizes)
-        blocks = tuple(np.full((k, k), 1.0 / k, dtype=dtype) if centering
-                       else rng.standard_normal((k, k)).astype(dtype) for k in sizes)
-        x = rng.standard_normal((n, width)).astype(dtype)
-        upstream = rng.standard_normal(n).astype(dtype)
-        out = _fused_vs_composite(lambda a: dc.centered_sq_dist_rows(blocks, a),
-                                  lambda a: composite_centered_sq_dist_rows(blocks, a),
+        n = max(len(live) for live in lives)
+        live = np.array([np.resize(live, n) for live in lives])
+        k = np.maximum(live.sum(axis=1), 1)[:, None, None]
+        op = ((live[:, :, None] & live[:, None, :]) / k if centering
+              else rng.standard_normal((len(lives), n, n))).astype(dtype)
+        x = rng.standard_normal((len(lives) * n, width)).astype(dtype)
+        upstream = rng.standard_normal(len(x)).astype(dtype)
+        out = _fused_vs_composite(lambda a: dc.centered_sq_dist_rows(op, a),
+                                  lambda a: composite_centered_sq_dist_rows(op, a),
                                   [x], (need,), grad_on, upstream, slots=(0, 0))
-        assert out.data.shape == (n,)
-        if out.requires_grad:  # the blocks themselves, and the pending gradient released
+        assert out.data.shape == (len(x),)
+        if out.requires_grad:  # the operator itself, and the pending gradient released
             saved, pending = out._saved
-            assert all(a is b for a, b in zip(saved, blocks, strict=True)) and pending is None
+            assert saved is op and pending is None
 
     @settings(max_examples=120, deadline=None)
     @given(n_in=st.integers(1, 6), scale=st.sampled_from([1.0, 8.0]), at_bounds=st.booleans(),
@@ -876,11 +908,11 @@ class TestLeanNodes:
         (dc.kl_rows, [(3, 4), (4,)]),
         (dc.kl_rows, [(4,), (4,)]),
         (dc.kl_rows, [(3, 4, 2), (3, 4, 2)]),
-        (lambda x, w: graph_conv((np.eye(3),), x, w), [(3, 4), (3, 2)]),
-        (lambda x, w: graph_conv((np.eye(3),), x, w), [(3, 4), (4, 2, 1)]),
-        (lambda x, w: graph_conv((np.eye(3),), x, w), [(3, 4), (4,)]),
-        (lambda x: dc.centered_sq_dist_rows((np.eye(2),), x), [(3, 4)]),
-        (lambda x: dc.centered_sq_dist_rows((np.eye(3),), x), [(3, 4, 2)]),
+        (lambda x, w: graph_conv(np.eye(3)[None], x, w), [(3, 4), (3, 2)]),
+        (lambda x, w: graph_conv(np.eye(3)[None], x, w), [(3, 4), (4, 2, 1)]),
+        (lambda x, w: graph_conv(np.eye(3)[None], x, w), [(3, 4), (4,)]),
+        (lambda x: dc.centered_sq_dist_rows(np.eye(2)[None], x), [(3, 4)]),
+        (lambda x: dc.centered_sq_dist_rows(np.eye(3)[None], x), [(3, 4, 2)]),
     ])
     def test_shape_error_names_the_shapes(self, build, shapes):
         with pytest.raises(ShapeError) as err:
@@ -934,17 +966,16 @@ MULTI_OPERAND = {
     "mul": (dc.mul, [(3, 4), (1, 4)]),
     "matmul": (matmul, [(3, 4), (4, 2)]),
     "matmul_relu": (matmul_relu, [(3, 4), (4, 2)]),
-    "graph_conv": (lambda x, w: graph_conv((np.full((1, 1), 0.5), np.full((2, 2), -0.25)),
-                                           x, w), [(3, 4), (4, 2)]),
+    "graph_conv": (lambda x, w: graph_conv(np.full((3, 1, 1), 0.5), x, w), [(3, 4), (4, 2)]),
     "kl_rows": (dc.kl_rows, [(3, 4), (3, 4)]),
     "flow_gru_cell": (lambda x, h, wo, wh, *gru: dc.flow_gru_cell(
-        (np.full((1, 1), 0.5), np.full((2, 2), -0.25)), x, h, [wo], [wh],
+        np.full((1, 3, 3), -0.25), x, h, [wo], [wh],
         dict(zip(GRU_SLOTS[2:], gru))), [(3, 2), (3, 4), (2, 3), (4, 5)] + [(8, 5), (5,)] * 3),
     "gaussian_sample": (lambda m, s: dc.gaussian_sample(m, s, rng=np.random.default_rng(1)),
                         [(3, 4), (3, 4)]),
     "sq_dist_rows": (sq_dist_rows, [(3, 4), (3, 4)]),
     "centered_sq_dist_rows": (lambda x: dc.centered_sq_dist_rows(
-        (np.full((1, 1), 0.5), np.array([[1.0, -2.0], [0.25, 3.0]])), x), [(3, 4)]),
+        np.array([[[1.0, -2.0, 0.0], [0.25, 3.0, 0.0], [0.0, 0.0, 0.5]]]), x), [(3, 4)]),
     "log_sigma_head": (dc.log_sigma_head, [(3, 4), (4, 5), (5,)]),
     "minimum": (dc.minimum, [(3, 4), (3, 4)]),
     "mse": (dc.mse, [(3, 4), (3, 4)]),

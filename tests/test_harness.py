@@ -737,6 +737,17 @@ class TestCliExitCodes:
         assert cli_main(["pretrain-nvif", "--config", str(path)]) == 1
         assert "buffer_episodes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("algorithm", ["ippo", "ms-ppo"])
+    def test_pretrain_nvif_for_an_algorithm_without_encoder_exits_1(self, tmp_path, capsys,
+                                                                      algorithm):
+        # refused before the compressor loads (there is none: that would exit
+        # 2) and before any episode is collected
+        path = write_config(tmp_path / "c.json", algorithm=algorithm)
+        assert cli_main(["pretrain-nvif", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and algorithm in err and "Traceback" not in err
+        assert not list(tmp_path.rglob("*.ckpt"))
+
     @pytest.mark.parametrize("key", ["corpus_episodes", "corpus_max_samples"])
     def test_zero_corpus_count_exits_1(self, tmp_path, capsys, key):
         obs_vae = {"latent_width": 8, "hidden_width": 32, "epochs": 1, key: 0}

@@ -25,12 +25,14 @@ from nviflab.env_gather import (
 )
 from nviflab.errors import ConfigError, DataError, ProtocolError, ShapeError, StateError
 from nviflab.nvif import (
+    EpisodeRecord,
     NvifConfig,
     NvifEncoder,
     ObsCompressor,
     ObsVaeConfig,
     ObsVaeHyper,
     PretrainHyper,
+    StepData,
     collect_pretrain_buffer,
     gather_step_data,
     init_flownet,
@@ -39,6 +41,7 @@ from nviflab.nvif import (
 )
 from nviflab.nvif.losses import consistency_rows, kl_rows, recon_rows
 from nviflab.nvif.pretrain import _batch_loss
+from nviflab.policy import NvifLatents
 
 import conftest
 from conftest import (
@@ -54,6 +57,7 @@ from conftest import (
     float_encode,
     float_observe,
     flownet_forward,
+    full_tape_batch_loss,
     graph_conv,
     gru_cell,
     linux_only,
@@ -66,8 +70,13 @@ from conftest import (
 
 
 def _center(n):
-    """Centering blocks of one group of ``n`` agents."""
-    return (np.full((n, n), 1.0 / n),)
+    """The centering operator of one group of ``n`` agents."""
+    return np.full((1, n, n), 1.0 / n)
+
+
+def _op(graph):
+    """The normalized adjacency of one graph as a one-block operator."""
+    return cg.normalize(graph)[None]
 
 
 # latent noise for encoder steps whose tests read only the mean
@@ -89,23 +98,21 @@ class TestFlowNet:
         params = init_flownet(store, "f", [3, 3], np.random.default_rng(0), np.float64)
         params[0].data[...] = np.eye(3)
         v = np.array([[0.5, 1.0, 2.0]])
-        adj = (cg.normalize(cg.fully_connected(1)),)
-        out = flownet_forward(v, adj, params)
+        out = flownet_forward(v, _op(cg.fully_connected(1)), params)
         np.testing.assert_allclose(out.data, v)
 
     def test_two_clique_averages(self):
         store = dc.ParamStore()
         params = init_flownet(store, "f", [1, 1], np.random.default_rng(0), np.float64)
         params[0].data[...] = np.eye(1)
-        adj = (cg.normalize(cg.fully_connected(2)),)
-        out = flownet_forward(np.array([[1.0], [3.0]]), adj, params)
+        out = flownet_forward(np.array([[1.0], [3.0]]), _op(cg.fully_connected(2)), params)
         np.testing.assert_allclose(out.data, [[2.0], [2.0]])
 
     def test_two_layers_compose(self):
         rng = np.random.default_rng(1)
         store = dc.ParamStore()
         two = init_flownet(store, "two", [4, 5, 6], rng, np.float64)
-        adj = (cg.normalize(cg.fully_connected(3)),)
+        adj = _op(cg.fully_connected(3))
         x = rng.standard_normal((3, 4))
         full = flownet_forward(x, adj, two)
         first = flownet_forward(x, adj, two[:1])
@@ -116,7 +123,7 @@ class TestFlowNet:
         store = dc.ParamStore()
         params = init_flownet(store, "f", [4, 4], np.random.default_rng(0), np.float64)
         with pytest.raises(ShapeError):
-            flownet_forward(np.zeros((2, 4)), (cg.normalize(cg.fully_connected(3)),), params)
+            flownet_forward(np.zeros((2, 4)), _op(cg.fully_connected(3)), params)
 
     @pytest.mark.parametrize("widths", [[], [4]])
     def test_zero_layer_chain_rejected(self, widths):
@@ -132,6 +139,10 @@ class TestFlowNet:
         assert not o_names & h_names
 
 
+def _zeros(enc, rows):
+    return np.zeros((rows, enc.config.hidden_width), dtype=enc.config.np_dtype)
+
+
 class TestEncoderStep:
     def _graph_chain(self):
         return cg.build_graph([(0, 0), (2, 0), (5, 0)], [0, 1, 2])
@@ -144,10 +155,9 @@ class TestEncoderStep:
         enc.store["head/mu_w"].data[...] = 0
         enc.store["head/mu_b"].data[...] = np.arange(4, dtype=np.float64)
         graph = self._graph_chain()
-        state = enc.init_state(graph.ids)
         feats = np.ones((3, 6))
-        state2, dist = enc.step(feats, state, graph.ids, (cg.normalize(graph),), rng=NOISE)
-        np.testing.assert_allclose(state2.hidden.data, 0.0, atol=1e-12)
+        hidden, dist = enc.step(feats, _zeros(enc, 3), _op(graph), rng=NOISE)
+        np.testing.assert_allclose(hidden.data, 0.0, atol=1e-12)
         np.testing.assert_allclose(dist.mu.data, np.tile(np.arange(4.0), (3, 1)))
 
     def test_permutation_equivariance(self):
@@ -158,16 +168,11 @@ class TestEncoderStep:
         graph = cg.build_graph(pos, ids)
         feats = rng.standard_normal((4, 6))
         hidden = rng.standard_normal((4, 8))
-        state = enc.init_state(ids)
-        state.hidden.data = hidden
-        _, dist = enc.step(feats, state, graph.ids, (cg.normalize(graph),), rng=NOISE)
+        _, dist = enc.step(feats, hidden, _op(graph), rng=NOISE)
 
         perm = [2, 0, 3, 1]
         graph_p = cg.build_graph([pos[k] for k in perm], [ids[k] for k in perm])
-        state_p = enc.init_state([ids[k] for k in perm])
-        state_p.hidden.data = hidden[perm]
-        _, dist_p = enc.step(feats[perm], state_p, graph_p.ids, (cg.normalize(graph_p),),
-                             rng=NOISE)
+        _, dist_p = enc.step(feats[perm], hidden[perm], _op(graph_p), rng=NOISE)
         np.testing.assert_allclose(dist_p.mu.data, dist.mu.data[perm], atol=1e-9)
         np.testing.assert_allclose(dist_p.log_sigma.data, dist.log_sigma.data[perm], atol=1e-9)
         # all three loss terms relabel with the agents
@@ -185,11 +190,10 @@ class TestEncoderStep:
         adj = np.zeros((3, 3), dtype=bool)
         graph = cg.NeighborGraph(ids=(0, 1, 2), adj=adj)
         feats = rng.standard_normal((3, 6))
-        state = enc.init_state(graph.ids)
-        _, base = enc.step(feats, state, graph.ids, (cg.normalize(graph),), rng=NOISE)
+        _, base = enc.step(feats, _zeros(enc, 3), _op(graph), rng=NOISE)
         feats2 = feats.copy()
         feats2[2] = 0.0  # zero a non-neighbor's observation
-        _, changed = enc.step(feats2, state, graph.ids, (cg.normalize(graph),), rng=NOISE)
+        _, changed = enc.step(feats2, _zeros(enc, 3), _op(graph), rng=NOISE)
         np.testing.assert_array_equal(base.mu.data[0], changed.mu.data[0])
         np.testing.assert_array_equal(base.mu.data[1], changed.mu.data[1])
 
@@ -203,15 +207,11 @@ class TestEncoderStep:
             adj[i, i + 1] = adj[i + 1, i] = True
         graph = cg.NeighborGraph(ids=tuple(ids), adj=adj)
         feats = rng.standard_normal((5, 6))
-        state = enc.init_state(ids)
-        state.hidden.data = rng.standard_normal((5, 8))
-        _, base = enc.step(feats, state, graph.ids, (cg.normalize(graph),), rng=NOISE)
-        feats2 = feats.copy()
-        feats2[4] = 0.0
-        state2 = enc.init_state(ids)
-        state2.hidden.data = state.hidden.data.copy()
-        state2.hidden.data[4] = 0.0
-        _, changed = enc.step(feats2, state2, graph.ids, (cg.normalize(graph),), rng=NOISE)
+        hidden = rng.standard_normal((5, 8))
+        _, base = enc.step(feats, hidden, _op(graph), rng=NOISE)
+        feats2, hidden2 = feats.copy(), hidden.copy()
+        feats2[4] = hidden2[4] = 0.0
+        _, changed = enc.step(feats2, hidden2, _op(graph), rng=NOISE)
         np.testing.assert_array_equal(base.mu.data[0], changed.mu.data[0])
 
     def test_one_layer_strict_neighborhood(self):
@@ -222,55 +222,83 @@ class TestEncoderStep:
         adj[0, 1] = adj[1, 0] = True  # 2 is no one's neighbor
         graph = cg.NeighborGraph(ids=tuple(ids), adj=adj)
         feats = rng.standard_normal((3, 6))
-        state = enc.init_state(ids)
-        state.hidden.data = rng.standard_normal((3, 8))
-        _, base = enc.step(feats, state, graph.ids, (cg.normalize(graph),), rng=NOISE)
+        hidden = rng.standard_normal((3, 8))
+        _, base = enc.step(feats, hidden, _op(graph), rng=NOISE)
         feats2 = feats.copy()
         feats2[2] = 123.0
-        _, changed = enc.step(feats2, state, graph.ids, (cg.normalize(graph),), rng=NOISE)
+        _, changed = enc.step(feats2, hidden, _op(graph), rng=NOISE)
         np.testing.assert_array_equal(base.mu.data[0], changed.mu.data[0])
         np.testing.assert_array_equal(base.mu.data[1], changed.mu.data[1])
         assert not np.array_equal(base.mu.data[2], changed.mu.data[2])
 
-    def test_dead_dropped_new_zeroed(self):
-        rng = np.random.default_rng(9)
-        enc = tiny_encoder(rng)
-        state = enc.init_state([0, 1, 2])
-        state.hidden.data = rng.standard_normal((3, 8))
-        graph = cg.build_graph([(0, 0), (4, 0)], [0, 2])  # 1 died
-        feats = rng.standard_normal((2, 6))
-        state2, _ = enc.step(feats, state, graph.ids, (cg.normalize(graph),), rng=NOISE)
-        assert state2.ids == (0, 2)
-        graph3 = cg.build_graph([(0, 0), (4, 0), (9, 9)], [0, 2, 7])  # 7 newly tracked
-        feats3 = rng.standard_normal((3, 6))
-        hidden_before = enc._hidden_for(state2, (0, 2, 7)).data
-        np.testing.assert_array_equal(hidden_before[2], 0.0)
+    def test_survivors_keep_their_hidden_rows(self, monkeypatch):
+        # the latent provider carries the hidden rows: when agent 1 dies,
+        # agents 0 and 2 step on from their own rows
+        enc = tiny_encoder(np.random.default_rng(9))
+        provider, seen = NvifLatents(enc, np.random.default_rng(0)), []
+        step_fn = enc.step
+
+        def watched(feats, hidden, op, **kwargs):
+            seen.append(np.array(hidden, copy=True) if isinstance(hidden, np.ndarray)
+                        else hidden.data.copy())
+            out = step_fn(feats, hidden, op, **kwargs)
+            seen.append(out[0].data.copy())
+            return out
+
+        monkeypatch.setattr(enc, "step", watched)
+        rng = np.random.default_rng(1)
+        provider.step(rng.standard_normal((3, 6)), np.array([(0, 0), (2, 0), (4, 0)]), [0, 1, 2])
+        provider.step(rng.standard_normal((2, 6)), np.array([(0, 0), (4, 0)]), [0, 2])
+        first_in, first_out, second_in, _ = seen
+        np.testing.assert_array_equal(first_in, 0.0)
+        np.testing.assert_array_equal(second_in, first_out[[0, 2]])
+        provider.reset()
+        provider.step(rng.standard_normal((2, 6)), np.array([(0, 0), (4, 0)]), [5, 7])
+        np.testing.assert_array_equal(seen[-2], 0.0)  # a new episode starts from zeros
+
+    @pytest.mark.parametrize("later", [[0, 1, 2, 3], [0, 7], [2, 0]])
+    def test_respawn_rejected(self, later):
+        # an agent that was not alive at the previous step, or a reordering
+        provider = NvifLatents(tiny_encoder(), np.random.default_rng(0))
+        provider.step(np.zeros((3, 6)), np.array([(0, 0), (2, 0), (4, 0)]), [0, 1, 2])
+        provider.step(np.zeros((2, 6)), np.array([(0, 0), (4, 0)]), [0, 2])
+        cells = np.stack([np.arange(len(later)) * 2, np.zeros(len(later), int)], axis=1)
+        with pytest.raises(ProtocolError, match="survivors"):
+            provider.step(np.zeros((len(later), 6)), cells, later)
 
     def test_row_count_mismatch(self):
         enc = tiny_encoder()
         graph = cg.fully_connected(3)
         with pytest.raises(ProtocolError):
-            enc.step(np.zeros((2, 6)), enc.init_state(graph.ids), graph.ids,
-                     (cg.normalize(graph),))
+            enc.step(np.zeros((2, 6)), _zeros(enc, 3), _op(graph), rng=NOISE)
 
     def test_sampling_without_rng_rejected(self):
         enc = tiny_encoder()
         graph = cg.fully_connected(3)
         with pytest.raises(ProtocolError):
-            enc.step(np.zeros((3, 6)), enc.init_state(graph.ids), graph.ids,
-                     (cg.normalize(graph),))
+            enc.step(np.zeros((3, 6)), _zeros(enc, 3), _op(graph))
+
+    def test_masked_rows_draw_no_noise(self):
+        # the noise of the live rows alone, in row order: the stream of the
+        # same rows stepped without the masked ones
+        enc = tiny_encoder(np.random.default_rng(3))
+        live = np.array([True, False, True, True])
+        _, dist = enc.step(np.ones((4, 6)), _zeros(enc, 4), _center(4),
+                           rng=np.random.default_rng(2), live=live)
+        eps = (dist.latent.data - dist.mu.data) / np.exp(dist.log_sigma.data)
+        want = np.random.default_rng(2).standard_normal((3, 4))
+        np.testing.assert_allclose(eps[live], want, rtol=1e-9)
+        np.testing.assert_array_equal(dist.latent.data[~live], dist.mu.data[~live])
 
     def test_save_load_roundtrip(self, tmp_path):
         rng = np.random.default_rng(10)
         enc = tiny_encoder(rng)
         graph = cg.fully_connected(3)
         feats = rng.standard_normal((3, 6))
-        _, dist = enc.step(feats, enc.init_state(graph.ids), graph.ids, (cg.normalize(graph),),
-                           rng=NOISE)
+        _, dist = enc.step(feats, _zeros(enc, 3), _op(graph), rng=NOISE)
         enc.save(tmp_path / "enc")
         enc2 = NvifEncoder.load(tmp_path / "enc")
-        _, dist2 = enc2.step(feats, enc2.init_state(graph.ids), graph.ids, (cg.normalize(graph),),
-                             rng=NOISE)
+        _, dist2 = enc2.step(feats, _zeros(enc2, 3), _op(graph), rng=NOISE)
         np.testing.assert_array_equal(dist.mu.data, dist2.mu.data)
 
 
@@ -293,8 +321,7 @@ class TestDecoder:
         enc = tiny_encoder(rng)
         graph = cg.fully_connected(3)
         feats = rng.standard_normal((3, 6))
-        state, dist = enc.step(feats, enc.init_state(graph.ids), graph.ids, (cg.normalize(graph),),
-                               rng=np.random.default_rng(0))
+        _, dist = enc.step(feats, _zeros(enc, 3), _op(graph), rng=np.random.default_rng(0))
         target = np.clip(rng.random((3, 20)), 0, 1)
         recon = dc.mean(recon_rows(target, enc.decode(dist.latent, rng.random((3, 2)))))
         dc.backward(dc.add(recon, kl_standard_normal(dist.mu, dist.log_sigma)))
@@ -332,12 +359,15 @@ class TestLosses:
         assert consistency_rows(np.array([[3.5, -1.0]]), _center(1)).data.tolist() == [0.0]
 
     def test_block_centering_matches_per_group(self):
+        # groups of 3 and 2 agents on 3 slots each: the empty slot's row and
+        # column are zero, so it neither shifts nor joins the second mean
         rng = np.random.default_rng(16)
         a, b = rng.standard_normal((3, 4)), rng.standard_normal((2, 4))
-        center = (np.full((3, 3), 1.0 / 3), np.full((2, 2), 1.0 / 2))
-        rows = consistency_rows(np.vstack([a, b]), center).data
+        center = np.zeros((2, 3, 3))
+        center[0], center[1, :2, :2] = 1.0 / 3, 1.0 / 2
+        rows = consistency_rows(np.vstack([a, b, rng.standard_normal((1, 4))]), center).data
         np.testing.assert_allclose(rows[:3], ((a - a.mean(0)) ** 2).sum(1), rtol=1e-12)
-        np.testing.assert_allclose(rows[3:], ((b - b.mean(0)) ** 2).sum(1), rtol=1e-12)
+        np.testing.assert_allclose(rows[3:5], ((b - b.mean(0)) ** 2).sum(1), rtol=1e-12)
 
     def test_kl_rows_one_per_agent(self):
         rng = np.random.default_rng(17)
@@ -362,8 +392,7 @@ class TestLosses:
         enc = tiny_encoder(rng)
         graph = cg.fully_connected(4)
         feats = rng.standard_normal((4, 6))
-        _, dist = enc.step(feats, enc.init_state(graph.ids), graph.ids, (cg.normalize(graph),),
-                           rng=np.random.default_rng(0))
+        _, dist = enc.step(feats, _zeros(enc, 4), _op(graph), rng=np.random.default_rng(0))
         target = np.clip(rng.random((4, 20)), 0, 1)
         recon = dc.mean(recon_rows(target, enc.decode(dist.latent, rng.random((4, 2)))))
         kl = dc.mean(kl_rows(dist.mu, dist.log_sigma))
@@ -662,8 +691,8 @@ class TestPretrain:
         total, recon, kl, cons, n_slots = _batch_loss(
             enc, [replace(first, steps=[sd])], alpha=0.1, recon_weight=2.0,
             rng=np.random.default_rng(0))
-        _, dist = enc.step(sd.feats, enc.init_state(sd.ids), sd.ids,
-                           (sd.adj_norm.astype(np.float64),), rng=np.random.default_rng(0))
+        _, dist = enc.step(sd.feats, _zeros(enc, len(sd.ids)), sd.adj_norm[None].astype(np.float64),
+                           rng=np.random.default_rng(0))
         obs = decode_windows(sd.raw_obs, sd.positions, first)
         r = dc.mean(recon_rows(obs, enc.decode(dist.latent, sd.positions)))
         k = dc.mean(kl_rows(dist.mu, dist.log_sigma))
@@ -793,8 +822,8 @@ class TestPretrain:
         # consistency distance (sparse_matmul and sq_dist_rows nodes, the
         # latter as sub, mul and sum nodes) and the KL rows.
         # Same loss and gradient bytes, from a tape of at most 0.165 of the
-        # bytes: this batch measured 0.137 (734 against 2253 nodes), and 0.139
-        # (494 against 1893) without the consistency term, so the bound
+        # bytes: this batch measured 0.136 (574 against 2093 nodes), and 0.139
+        # (414 against 1813) without the consistency term, so the bound
         # leaves an 18% margin.
         # Without that term (alpha 0) the latent sample's gradient reaches mu
         # and log_sigma before the KL node's, which must then add its terms
@@ -927,40 +956,9 @@ class TestBufferCodes:
                         [small_buffer[0], other], 0.1, 1.0, np.random.default_rng(0))
 
 
-def full_tape_batch_loss(encoder, episodes, alpha, recon_weight, rng):
-    """Oracle: the episode-batch loss with every timestep's decoder on one
-    tape, backpropagated once."""
-    dt = encoder.config.np_dtype
-    n_slots = sum(len(ep.steps) for ep in episodes)
-    state = total = None
-    for t in range(max(len(ep.steps) for ep in episodes)):
-        live = [(i, ep.steps[t]) for i, ep in enumerate(episodes) if len(ep.steps) > t]
-        sizes = [len(sd.ids) for _, sd in live]
-        keys = [(i, a) for i, sd in live for a in sd.ids]
-        pos = np.concatenate([sd.positions for _, sd in live])
-        raw = np.concatenate([decode_windows(sd.raw_obs, sd.positions, episodes[i])
-                              for i, sd in live])
-        adj = tuple(sd.adj_norm.astype(dt) for _, sd in live)
-        center = tuple(np.full((k, k), 1.0 / k, dtype=dt) for k in sizes)
-        weights = np.concatenate([np.full(k, 1.0 / (k * n_slots), dtype=dt) for k in sizes])
-        if state is None:
-            state = encoder.init_state(keys)
-        state, dist = encoder.step(np.concatenate([sd.feats for _, sd in live]), state,
-                                   keys, adj, rng=rng)
-        logits = encoder.decode(dist.latent, pos)
-        recon_t = dc.sum(dc.mul(recon_rows(raw, logits), weights))
-        kl_t = dc.sum(dc.mul(kl_rows(dist.mu, dist.log_sigma), weights))
-        cons_t = dc.sum(dc.mul(consistency_rows(dist.latent, center), weights))
-        contrib = dc.mul(recon_t, recon_weight) + kl_t
-        if alpha != 0.0:
-            contrib = contrib + dc.mul(cons_t, alpha)
-        total = contrib if total is None else total + contrib
-    return total
-
-
 def _tape_arrays(loss):
     """Every node value and saved array on the tape of ``loss``, the arrays in
-    nested tuples of ``_saved`` (a node's blocks beside its pending gradients)
+    nested tuples of ``_saved`` (a node's operator beside its pending gradients)
     included."""
     stack = [item for node in dc.topological_order(loss) for item in (node.data, node._saved)]
     while stack:
@@ -1002,6 +1000,76 @@ class TestDecoderLocalBackward:
             assert np.array_equal(enc.store[name].grad, want[name]), name
 
 
+@st.composite
+def slot_batches(draw):
+    """(alive ids per step, per episode) of a batch on N slots: episode 0
+    keeps N agents at t=0 and two of them to its end, so every step stacks
+    two live rows or more; the others start with 1..N agents, lose them at
+    drawn steps (one live agent is allowed) and may finish first."""
+    n, e = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+    t_max = draw(st.integers(1, 5))
+    episodes = []
+    for i in range(e):
+        length = t_max if i == 0 else draw(st.integers(1, t_max))
+        m = n if i == 0 else draw(st.integers(1, n))
+        keep = 2 if i == 0 else 1  # agents alive to the episode's end
+        deaths = [length] * keep + [draw(st.integers(1, length)) for _ in range(m - keep)]
+        episodes.append([tuple(a for a in range(m) if deaths[a] > t) for t in range(length)])
+    return episodes
+
+
+def slot_buffer(task, alive, rng, feat_width=8):
+    """Episode records of ``task`` with the alive ids of :func:`slot_batches`
+    and drawn features, window codes, cells and neighbor graphs."""
+    buffer, cells = [], task.window ** 2
+    for steps in alive:
+        records = []
+        for ids in steps:
+            at = rng.permutation(task.map_size ** 2)[:len(ids)]
+            xy = np.stack([at % task.map_size, at // task.map_size], axis=1)
+            codes = np.concatenate([rng.integers(0, task.hp_omnivore + 1, (len(ids), cells)),
+                                    rng.integers(0, task.hp_food + 1, (len(ids), cells))], axis=1)
+            records.append(StepData(
+                ids=ids, raw_obs=codes.astype(np.uint8),
+                feats=rng.standard_normal((len(ids), feat_width)).astype(np.float32),
+                positions=(xy / (task.map_size - 1)).astype(np.float32),
+                adj_norm=cg.normalize(cg.build_graph(xy, ids)).astype(np.float32)))
+        buffer.append(EpisodeRecord(records, task.hp_omnivore, task.hp_food, task.map_size))
+    return buffer
+
+
+class TestFixedSlots:
+    @given(alive=slot_batches(), dtype=st.sampled_from(["float32", "float64"]),
+           alpha=st.sampled_from([0.1, 0.0]),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=40, deadline=None)
+    def test_gradients_equal_the_concatenated_layout(self, tiny_task, alive, dtype, alpha, seed):
+        # dead slots, finished episodes and one-live-agent episodes: the padded
+        # (E, N) layout gives the loss and gradients of the live rows stacked
+        # and carried by id, bit for bit
+        buffer = slot_buffer(tiny_task, alive, np.random.default_rng(seed))
+        enc = tiny_encoder(np.random.default_rng(seed + 1), obs_feat=8,
+                           obs_dim=tiny_task.obs_dim, dtype=dtype)
+        enc.store.zero_grad()
+        oracle = full_tape_batch_loss(enc, buffer, alpha, 2.0, np.random.default_rng(seed))
+        dc.backward(oracle)
+        want = {n: enc.store[n].grad.copy() for n in enc.store.names()}
+        enc.store.zero_grad()
+        total, *_ = _batch_loss(enc, buffer, alpha, 2.0, np.random.default_rng(seed))
+        dc.backward(total)
+        assert float(total.data) == float(oracle.data)
+        for name in enc.store.names():
+            assert np.array_equal(enc.store[name].grad, want[name]), name
+
+    def test_respawn_rejected(self, tiny_task):
+        # agent 2 is dead at t=1 and back at t=2
+        buffer = slot_buffer(tiny_task, [[(0, 1, 2), (0, 1), (0, 1, 2)]],
+                             np.random.default_rng(0))
+        with pytest.raises(DataError, match="none respawn"):
+            _batch_loss(tiny_encoder(obs_feat=8, obs_dim=tiny_task.obs_dim), buffer, 0.1, 1.0,
+                        np.random.default_rng(0))
+
+
 class TestTapeHeadAndDistance:
     def test_no_pre_clamp_or_centred_array_on_the_batch_tape(self, small_buffer, tiny_task,
                                                              monkeypatch):
@@ -1009,7 +1077,7 @@ class TestTapeHeadAndDistance:
         # log-sigma (the affine node under a clamp) and a centred product
         # C s (a sparse_matmul node) on the tape; the lean tape holds neither
         # node, its log-sigma heads keep nothing and its distances keep only
-        # the centering blocks, and its bytes fall by at least those arrays'
+        # the centering operator, and its bytes fall by at least those arrays'
         enc = tiny_encoder(np.random.default_rng(9), obs_feat=8,
                            obs_dim=tiny_task.obs_dim, dtype="float32")
         episodes = small_buffer[:3]
@@ -1029,11 +1097,11 @@ class TestTapeHeadAndDistance:
         dists = by_vjp(order, dc_tensor._vjp_centered_sq_dist_rows)
         assert len(heads) == len(dists) == steps
         assert all(node._saved is None for node in heads)
-        for node in dists:
-            blocks, pending = node._saved
-            assert pending is None and all(
-                b.shape == (len(b), len(b)) and np.all(b == np.float32(1.0 / len(b)))
-                for b in blocks)
+        for node in dists:  # 1/k between the k live slots of a block, else 0
+            center, pending = node._saved
+            k = (center != 0).sum(axis=2, keepdims=True)
+            assert pending is None and center.shape[1:] == (len(center[0]),) * 2
+            assert np.all((center == 0) | (center == (1.0 / np.maximum(k, 1)).astype(np.float32)))
 
         monkeypatch.setattr(importlib.import_module("nviflab.nvif.encoder"), "log_sigma_head",
                             composite_log_sigma_head)
@@ -1049,63 +1117,58 @@ class TestTapeHeadAndDistance:
 
 
 class TestBlockBatches:
-    # Episodes of one agent are left out: run alone, their (1, w) @ (w, h)
+    # Episodes with one live agent are left out: run alone, their (1, w) @ (w, h)
     # products take numpy's matrix-vector (gemv) path, which rounds
     # differently from the matrix-matrix (gemm) path of the stacked rows.
-    @given(sizes=st.lists(st.integers(2, 12), min_size=2, max_size=4),
+    @given(lives=st.lists(st.lists(st.booleans(), min_size=2, max_size=12), min_size=2,
+                          max_size=4),
            hidden=st.sampled_from([8, 16, 64]), seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_stacked_step_equals_each_episode_alone(self, sizes, hidden, seed):
+    def test_stacked_step_equals_each_episode_alone(self, lives, hidden, seed):
+        # E episodes on N slots each, a dead slot holding garbage features
+        # and hidden state behind its zero operator row and column
+        n = max(len(live) for live in lives)
+        lives = [np.flatnonzero(np.resize(live, n)) for live in lives]
+        assume(all(len(ids) >= 2 for ids in lives))
         rng = np.random.default_rng(seed)
         enc = tiny_encoder(rng, hidden=hidden, dtype="float32")
-        episodes = []
-        for k in sizes:
-            cells = rng.permutation(100)[:k]
-            graph = cg.build_graph(np.stack([cells // 10, cells % 10], axis=1), range(k))
-            episodes.append((graph.ids, cg.normalize(graph).astype(np.float32),
-                             rng.standard_normal((k, 6)).astype(np.float32),
-                             rng.standard_normal((k, hidden)).astype(np.float32)))
-        keys = [(e, a) for e, (ids, *_) in enumerate(episodes) for a in ids]
-        state = enc.init_state(keys)
-        state.hidden.data = np.concatenate([h for *_, h in episodes])
-        stacked_state, stacked = enc.step(np.concatenate([f for _, _, f, _ in episodes]), state,
-                                          keys, [adj for _, adj, _, _ in episodes],
+        op = np.zeros((len(lives), n, n), dtype=np.float32)
+        feats = rng.standard_normal((len(lives) * n, 6)).astype(np.float32)
+        state = rng.standard_normal((len(lives) * n, hidden)).astype(np.float32)
+        for e, ids in enumerate(lives):
+            cells = rng.permutation(100)[:len(ids)]
+            graph = cg.build_graph(np.stack([cells // 10, cells % 10], axis=1), ids.tolist())
+            op[e][np.ix_(ids, ids)] = cg.normalize(graph)
+        stacked_hidden, stacked = enc.step(feats, state, op, rng=NOISE)
+        for e, ids in enumerate(lives):
+            rows = e * n + ids
+            alone_hidden, dist = enc.step(feats[rows], state[rows], op[e][np.ix_(ids, ids)][None],
                                           rng=NOISE)
-        at = 0
-        for ids, adj, feats, hidden_rows in episodes:
-            alone = enc.init_state(ids)
-            alone.hidden.data = hidden_rows
-            alone_state, dist = enc.step(feats, alone, ids, (adj,), rng=NOISE)
-            rows = slice(at, at + len(ids))
             assert np.array_equal(stacked.mu.data[rows], dist.mu.data)
             assert np.array_equal(stacked.log_sigma.data[rows], dist.log_sigma.data)
-            assert np.array_equal(stacked_state.hidden.data[rows], alone_state.hidden.data)
-            at += len(ids)
+            assert np.array_equal(stacked_hidden.data[rows], alone_hidden.data)
 
     def test_no_stacked_square_array_on_the_batch_tape(self, small_buffer, tiny_task):
+        # the tape keeps each step's (E, N, N) operators, never one (E*N, E*N)
         enc = tiny_encoder(np.random.default_rng(9), obs_feat=8,
                            obs_dim=tiny_task.obs_dim, dtype="float32")
         episodes = small_buffer[:3]
         total, *_ = _batch_loss(enc, episodes, 0.1, 1.0, rng=np.random.default_rng(0))
-        stacked, alone = set(), set()
-        for t in range(max(len(ep.steps) for ep in episodes)):
-            live = [ep.steps[t] for ep in episodes if len(ep.steps) > t]
-            alone |= {len(sd.ids) for sd in live}
-            if len(live) > 1:
-                stacked.add(sum(len(sd.ids) for sd in live))
-        squares = {a.shape[0] for a in _tape_arrays(total)
-                   if a.ndim == 2 and a.shape[0] == a.shape[1]}
-        assert stacked and alone <= squares  # the per-episode blocks are on the tape
-        assert not stacked & squares
+        n = len(episodes[0].steps[0].ids)
+        arrays = list(_tape_arrays(total))
+        assert {a.shape for a in arrays if a.ndim == 3} == {(len(episodes), n, n)}
+        assert not [a for a in arrays if a.shape == (len(episodes) * n,) * 2]
 
 
 # Pre-training under an address-space cap, in its own process, so a memory
 # regression fails that process instead of exhausting the machine. Figures
 # are VmPeak with one BLAS thread (CPython 3.11, numpy 2.4, OpenBLAS).
-# - One random-medium epoch (8 episodes, batches of 4) peaks at 168.9 MiB, 32%
-#   below its cap. With the log-sigma head as an affine node and a clamp node
-#   and the consistency distance as a block-product node and a distance node
-#   it peaked at 172.7 MiB under a cap of 254; with five stored grid channels
+# - One random-medium epoch (8 episodes, batches of 4) peaks at 169.8 MiB, 32%
+#   below its cap; each step's (E, N, N) operator is a copy the tape keeps, and
+#   with per-episode blocks that viewed the buffer it peaked at 168.9 MiB.
+#   With the log-sigma head as an affine node and a clamp node and the
+#   consistency distance as a block-product node and a distance node it
+#   peaked at 172.7 MiB under a cap of 254; with five stored grid channels
 #   in the buffer's codes in place of the two hp grids at 181 MiB; with the
 #   encoder step's graph-conv layers and GRU cell as nodes of their own as
 #   well at 192 MiB; with the graph-conv layer as a block product and a fused
@@ -1115,7 +1178,8 @@ class TestBlockBatches:
 #   on the batch tape as well at 365 MiB, and with float32 windows in the
 #   buffer as well at 427 MiB.
 # - One paper-scale batch (16 random-large episodes of 49 agents) peaks at
-#   290.9 MiB, 23% below its cap. With the head and the distance as two nodes
+#   306.1 MiB, 19% below its cap; with per-episode blocks that viewed the
+#   buffer it peaked at 290.9 MiB. With the head and the distance as two nodes
 #   each it peaked at 317.6 MiB under a cap of 412; with five stored grid
 #   channels at 336-337 MiB, with the layers and the cell as nodes of their
 #   own as well at 409 MiB, with those three nodes as before at 612 MiB, with
@@ -1176,15 +1240,15 @@ class TestModelDtypeEndToEnd:
         rng = np.random.default_rng(seed)
         enc = tiny_encoder(rng, dtype=dtype)
         graph = cg.fully_connected(3)
-        adj = (cg.normalize(graph).astype(dtype),)
-        state = enc.init_state(graph.ids)
+        adj = _op(graph).astype(dtype)
+        hidden = _zeros(enc, 3)
         for _ in range(2):  # the second step runs the GRU on a non-zero state
-            state, dist = enc.step(rng.standard_normal((3, 6)).astype(np.float32), state,
-                                   graph.ids, adj, rng=rng)
-            for out in (state.hidden, dist.mu, dist.log_sigma, dist.latent):
+            hidden, dist = enc.step(rng.standard_normal((3, 6)).astype(np.float32), hidden, adj,
+                                    rng=rng)
+            for out in (hidden, dist.mu, dist.log_sigma, dist.latent):
                 assert out.data.dtype == dtype
         with dc.no_grad():
-            _, dist = enc.step(rng.standard_normal((3, 6)), state, graph.ids, adj, rng=rng)
+            _, dist = enc.step(rng.standard_normal((3, 6)), hidden, adj, rng=rng)
         assert dist.latent.data.dtype == dtype
 
     @given(dtype=DTYPES, seed=st.integers(0, 2 ** 16))
@@ -1208,7 +1272,7 @@ class TestModelDtypeEndToEnd:
                   for k, v in dc.init_gru(rng, 3, 4, dtype).items()}
         x = dc.Tensor(rng.standard_normal((5, 3)).astype(dtype))
         h = gru_cell(x, dc.Tensor(rng.standard_normal((5, 4)).astype(dtype)), params)
-        center = (np.full((5, 5), 0.2, dtype=dtype),)
+        center = np.full((1, 5, 5), 0.2, dtype=dtype)
         loss = dc.add(dc.sum(kl_rows(h, dc.mul(h, 0.5))), dc.sum(consistency_rows(h, center)))
         assert tape_dtypes(loss) == {np.dtype(dtype)}
 
