@@ -4,7 +4,9 @@ A store packs its parameters into one flat buffer per dtype, in the order
 they were added, and each parameter's ``Tensor.data`` is a view into it; the
 optimizer updates the buffers and their flat Adam moments in place. So code
 that sets a parameter writes into its view (``p.data[...] = x``) or goes
-through the store, and never rebinds ``p.data``.
+through the store, and never rebinds ``p.data``. A parameter's ``.grad`` is
+what ``backward`` added since the store's last optimizer step: ``None`` in a
+fresh or loaded store, and again after every step.
 
 Checkpoint format, per parameter and so independent of the flat layout:
 one file. Its first line is a JSON header ``{"meta": ..., "stores": {name:
@@ -17,14 +19,16 @@ from their slices of the flat arrays, so a reload resumes bit-exactly.
 
 ``save_checkpoint`` writes ``<path>.tmp`` and commits it with one atomic
 rename, so a save that fails or is killed part-way leaves the previous
-checkpoint in place. ``load_checkpoint`` checks the table's extents against
-the file length, and that a store's moments cover all its parameters or none.
+checkpoint in place. ``load_checkpoint`` checks each table's step count and
+entries, their extents against the file length, and that a store's moments
+cover all its parameters or none; a file that fails is a ``DataError``.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +37,7 @@ from ..errors import DataError
 from .tensor import Tensor
 
 _DTYPE_CODES = {"float32": "<f4", "float64": "<f8"}
+_ENTRY_NAME = re.compile(r"(?:param|moment/([mv]))/(.+)", re.DOTALL)  # (moment key, name)
 
 
 class FlatBuffer:
@@ -76,10 +81,6 @@ class ParamStore:
 
     def names(self) -> list[str]:
         return list(self._params)
-
-    def zero_grad(self):
-        for t in self._params.values():
-            t.grad = np.zeros_like(t.data)
 
     @property
     def moments(self) -> dict[str, dict[str, np.ndarray]]:
@@ -142,32 +143,44 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, ParamStore]]:
     head, _, data = path.read_bytes().partition(b"\n")
     try:
         header = json.loads(head)
-        meta, tables = header["meta"], header["stores"]
-    except (ValueError, KeyError, TypeError) as err:
+        meta, tables = header["meta"], header["stores"].items()
+    except (ValueError, KeyError, TypeError, AttributeError) as err:
         raise DataError(f"{path}: unreadable checkpoint header ({err})") from None
     stores = {}
     end = 0
-    for store_name, table in tables.items():
+    for store_name, table in tables:
+        where = f"{path}: store {store_name}"
+        if not (isinstance(table, dict) and isinstance(table.get("arrays"), list)
+                and type(table.get("step_count")) is int and table["step_count"] >= 0):
+            raise DataError(f'{where} is not {{"step_count": int >= 0, "arrays": [...]}}')
         store = stores[store_name] = ParamStore()
-        store.step_count = table["step_count"]
-        moments = {}
+        store.step_count, moments, seen = table["step_count"], {}, set()
         for entry in table["arrays"]:
-            code = _DTYPE_CODES[entry["dtype"]]
-            size = math.prod(entry["shape"])
+            name, dtype, shape = (entry.get(k) if isinstance(entry, dict) else None
+                                  for k in ("name", "dtype", "shape"))
+            match = _ENTRY_NAME.fullmatch(name) if isinstance(name, str) else None
+            if not (match and name not in seen and isinstance(dtype, str)
+                    and dtype in _DTYPE_CODES and isinstance(shape, list)
+                    and all(type(d) is int and d >= 0 for d in shape)):
+                raise DataError(f"{where}: array entry {json.dumps(entry)} is not a new name "
+                                "param/<n> or moment/m|v/<n>, a dtype float32|float64 and "
+                                "a shape of ints >= 0")
+            seen.add(name)
+            key, param = match.groups()
+            code = _DTYPE_CODES[dtype]
+            size = math.prod(shape)
             start, end = end, end + size * np.dtype(code).itemsize
             if end > len(data):
-                raise DataError(f"{path}: {store_name} {entry['name']} ends at byte {end} "
+                raise DataError(f"{path}: {store_name} {name} ends at byte {end} "
                                 f"of the arrays, past their {len(data)} bytes")
             arr = np.frombuffer(data, dtype=code, count=size, offset=start)
-            arr = arr.reshape(entry["shape"]).astype(entry["dtype"])
-            kind, _, rest = entry["name"].partition("/")
-            if kind == "param":
-                store.add(rest, arr)
+            arr = arr.reshape(shape).astype(dtype)
+            if key is None:
+                store.add(param, arr)
             else:
-                key, _, name = rest.partition("/")
-                moments.setdefault(name, {})[key] = arr
+                moments.setdefault(param, {})[key] = arr
         if moments:
-            _set_moments(store, moments, f"{path}: store {store_name}")
+            _set_moments(store, moments, where)
     if end != len(data):
         raise DataError(f"{path}: the array table covers {end} bytes, the file holds {len(data)}")
     return meta, stores

@@ -7,10 +7,10 @@ pass belongs to :func:`backward` alone: it walks the graph once in reverse
 topological order, calls the VJP only for parents that require a gradient,
 adds each result into the parent's ``.grad`` out of place, and releases an
 interior node's gradient as soon as it is passed on, so the pass never holds
-a second tape's worth of gradients; leaves keep accumulating. The graph is
-left intact, so it can be walked or backpropagated again. Ops never broadcast
-beyond numpy bias/batch rules; shape mismatches raise :class:`ShapeError`
-naming the shapes.
+a second tape's worth of gradients; a leaf's lives until an optimizer step.
+The graph is left intact, so it can be walked or backpropagated again. Ops
+never broadcast beyond numpy bias/batch rules; shape mismatches raise
+:class:`ShapeError` naming the shapes.
 
 A node keeps only what its VJP reads; elementwise values are recomputed in
 the VJP from the parents instead. Most ops are one numpy expression, and six
@@ -680,9 +680,12 @@ def _propagate(node: Tensor):
 
 
 def backward(loss: Tensor):
-    """Accumulate d(loss)/d(leaf) into every reachable leaf's ``.grad``.
+    """Add d(loss)/d(leaf) into every reachable leaf's ``.grad``.
 
-    Leaves keep accumulating across calls (zero them between losses). Each
+    A leaf's gradient sums the passes since it was last ``None`` (a fresh or
+    loaded store, or ``optimizer_step``). Its first gradient is the VJP's own
+    array, maybe shared with another leaf, so no ``.grad`` is ever modified in
+    place; later ones are added out of place, in the gradients' dtype. Each
     interior node's gradient is set to ``None`` once it has been passed on,
     so only the gradients still on their way to the leaves are held, and
     every interior ``.grad`` is ``None`` afterwards. Parents and VJPs stay,

@@ -201,7 +201,6 @@ class ObsCompressor:
                 recon = mul(recon, float(obs_dim))
                 kl = kl_standard_normal(mu, log_sigma)
                 loss = recon + kl
-                self.store.zero_grad()
                 backward(loss)
                 optimizer_step(self.store, lr=hyper.lr)
                 epoch_recon += float(recon.data)

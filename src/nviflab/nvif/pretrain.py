@@ -132,17 +132,12 @@ def _recon_term(encoder: NvifEncoder, latent: Tensor, live: np.ndarray, pos: np.
     return splice(latent, term.data, grad), float(recon.data)
 
 
-def _weighted_sum(rows: Tensor, weights: np.ndarray, live: np.ndarray) -> Tensor:
-    """``sum(rows * weights)`` as one node, its value that of the ``live`` rows alone."""
-    return splice(rows, (rows.data * weights)[live].sum(), weights)
-
-
 def _batch_loss(encoder: NvifEncoder, episodes: list[EpisodeRecord], alpha: float,
                 recon_weight: float, rng: np.random.Generator):
     """Episode-batch loss tensor plus the averaged term values.
 
-    The ``dec/*`` gradients of the returned loss are already in the store
-    (zero it before the call); backpropagating the loss adds the rest."""
+    The ``dec/*`` gradients of the returned loss are already added to the
+    store's; backpropagating the loss adds the rest."""
     dt = encoder.config.np_dtype
     first = episodes[0]
     codec = (first.hp_omnivore, first.hp_food, first.map_size)
@@ -206,7 +201,6 @@ def pretrain(buffer: list[EpisodeRecord], hyper: PretrainHyper, encoder: NvifEnc
         slots = 0
         for lo in range(0, len(order), hyper.batch_episodes):
             episodes = [buffer[i] for i in order[lo:lo + hyper.batch_episodes]]
-            encoder.store.zero_grad()  # _batch_loss adds the decoder's gradients
             total, recon, kl, cons, n_slots = _batch_loss(
                 encoder, episodes, hyper.alpha, hyper.recon_weight, rng)
             backward(total)

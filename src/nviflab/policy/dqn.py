@@ -246,7 +246,6 @@ def _gradient_step(qnet: QNetwork, target: QNetwork, replay: ReplayRing,
     y = q_target(r, next_max, done, hyper.gamma).astype(x.dtype)
     q_sel = take_per_row(qnet.q_values_tensor(Tensor(x)), a)
     loss = mse(q_sel, y)
-    qnet.store.zero_grad()
     backward(loss)
     optimizer_step(qnet.store, lr=hyper.lr)
     return float(loss.data)

@@ -202,12 +202,11 @@ def _update(ac: ActorCritic, batch: EpochBatch, hyper: PPOHyper, shuffle_rng):
                 ac, x, batch.actions[rows], logp_old[rows], adv[rows],
                 n_slots=len(chosen), clip_eps=hyper.clip_eps)
             actor_loss = mul(objective + mul(entropy, hyper.entropy_coef), -1.0)
-            ac.actor.zero_grad()
-            backward(actor_loss)
-            optimizer_step(ac.actor, lr=hyper.lr)
             closs = critic_loss(ac, x, batch.ret[rows])
-            ac.critic.zero_grad()
-            backward(closs)
+            # the stores are disjoint and the critic reads no actor parameter,
+            # so one pass gives each store its own loss's gradient
+            backward(actor_loss + closs)
+            optimizer_step(ac.actor, lr=hyper.lr)
             optimizer_step(ac.critic, lr=hyper.lr)
             per_row_entropy = float(entropy.data) * len(chosen) / len(rows)
             sums += [float(objective.data), float(closs.data), per_row_entropy]

@@ -114,6 +114,13 @@ def tanh(x):
     return _make(np.tanh(x.data), (x,), _vjp_tanh)
 
 
+def clear_grads(store):
+    """Drop every parameter's gradient, so the next backward pass gives the
+    store that pass's gradients alone."""
+    for name in store.names():
+        store[name].grad = None
+
+
 def per_name_adam(params, grads, moments, t, lr=3e-4, beta1=0.9, beta2=0.999, eps=1e-8):
     """Adam one parameter at a time: the oracle of the flat multi-tensor
     :func:`diffcore.optimizer_step`. ``params`` (name -> array) and

@@ -19,6 +19,7 @@ from nviflab.errors import DataError, ShapeError
 
 from conftest import (
     central_diff_grads,
+    clear_grads,
     composite_centered_sq_dist_rows,
     composite_flow_gru_cell,
     composite_gaussian_sample,
@@ -1036,12 +1037,16 @@ class TestBackwardContract:
         np.testing.assert_array_equal(x.grad, [-2.0, -2.0])
 
     def test_constant_loss_zero_grads(self):
+        # a parameter no loss reaches gets no gradient, and a step, counting
+        # the missing gradient as zero, leaves it as it was
         store = dc.ParamStore()
         p = store.add("p", np.ones((2, 2)))
-        store.zero_grad()
         loss = dc.mean(dc.Tensor(np.ones((3, 3))))
         dc.backward(loss)
-        np.testing.assert_array_equal(p.grad, 0.0)
+        assert p.grad is None
+        dc.optimizer_step(store, lr=0.1)
+        assert p.grad is None
+        np.testing.assert_array_equal(p.data, 1.0)
 
     def test_linearity_on_shared_graph(self):
         rng = np.random.default_rng(5)
@@ -1152,7 +1157,7 @@ class TestOptimizer:
     def test_zero_gradient_keeps_params(self):
         store = dc.ParamStore()
         p = store.add("p", np.array([1.0, 2.0]))
-        store.zero_grad()
+        clear_grads(store)
         dc.optimizer_step(store, lr=0.1)
         np.testing.assert_array_equal(p.data, [1.0, 2.0])
 
@@ -1207,6 +1212,33 @@ class TestOptimizer:
             for key in ("m", "v"):
                 assert store.moments[name][key].dtype == moments[name][key].dtype
                 np.testing.assert_array_equal(store.moments[name][key], moments[name][key])
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(["float32", "float64"]),
+           st.lists(st.integers(1, 2), min_size=1, max_size=4), st.integers(0, 2 ** 32 - 1))
+    def test_step_applies_what_backward_added_then_drops_it(self, dtype, passes, seed):
+        # each round runs 1-2 backward passes on an MLP and one step: the
+        # step applies the gradients those passes added, as the per-parameter
+        # oracle does, and leaves no gradient behind for the next round
+        rng = np.random.default_rng(seed)
+        store = dc.ParamStore()
+        dc.init_mlp(store, "", [3, 5, 2], rng, dtype)
+        assert all(store[name].grad is None for name in store.names())
+        params = {name: store[name].data.copy() for name in store.names()}
+        moments = {}
+        for t, n_passes in enumerate(passes, start=1):
+            for _ in range(n_passes):
+                x = dc.Tensor(rng.standard_normal((4, 3)).astype(dtype))
+                out = dc.mlp(x, store, "")
+                dc.backward(dc.mean(dc.mul(out, out)))
+            grads = {name: store[name].grad.copy() for name in store.names()}
+            dc.optimizer_step(store, lr=1e-2)
+            assert all(store[name].grad is None for name in store.names())
+            per_name_adam(params, grads, moments, t, lr=1e-2)
+            for name, want in params.items():
+                np.testing.assert_array_equal(store[name].data, want)
+                for key in ("m", "v"):
+                    np.testing.assert_array_equal(store.moments[name][key], moments[name][key])
 
 
 def _parent_store_recipe():
@@ -1318,7 +1350,21 @@ class TestParamStore:
             np.testing.assert_array_equal(loaded[name].data, before[name].data)
 
     @pytest.mark.parametrize("content", [
-        b"", b"not a header\n", b"\xff\xfe\n\0\0", b'["meta"]\n', b'{"meta": {}}\n'])
+        b"", b"not a header\n", b"\xff\xfe\n\0\0", b'["meta"]\n', b'{"meta": {}}\n',
+        # headers that parse, with a malformed store table
+        b'{"meta": {}, "stores": {"s": {"step_count": 1, "arrays": '
+        b'[{"name": "param/w", "dtype": "float32"}]}}}\n\0\0\0\0',
+        b'{"meta": {}, "stores": {"s": {"step_count": 1, "arrays": '
+        b'[{"name": "param/w", "shape": [1], "dtype": "int8"}]}}}\n\0',
+        b'{"meta": {}, "stores": {"s": {"arrays": '
+        b'[{"name": "param/w", "shape": [1], "dtype": "float32"}]}}}\n\0\0\0\0',
+        b'{"meta": {}, "stores": {"s": {"step_count": 1, "arrays": '
+        b'[{"name": "param/w", "shape": "ab", "dtype": "float32"}]}}}\n\0\0\0\0',
+        b'{"meta": {}, "stores": {"s": {"step_count": 1, "arrays": '
+        b'[{"name": "param/w", "shape": [-1, -4], "dtype": "float32"}]}}}\n' + b"\0" * 16,
+        b'{"meta": {}, "stores": {"s": {"step_count": 1, "arrays": '
+        b'[{"name": "w", "shape": [1], "dtype": "float32"}]}}}\n\0\0\0\0',
+    ])
     def test_unreadable_header_rejected(self, tmp_path, content):
         path = tmp_path / "garbage"
         path.write_bytes(content)

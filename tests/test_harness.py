@@ -64,6 +64,7 @@ from nviflab.policy import (
 
 from conftest import (
     EpisodeSpy,
+    clear_grads,
     episode_metrics,
     float_observe,
     linux_only,
@@ -174,6 +175,15 @@ class TestExperimentConfig:
         cfg = load_experiment(write_config(tmp_path / "c.json"))
         assert cfg.task == "desk-random-12"
         assert cfg.task_config().map_size == 12
+
+    @pytest.mark.parametrize("env, want", [({}, 175.0), ({"view_radius": 3}, 343.0)])
+    def test_recon_weight_obs_dim_is_the_tasks_obs_dim(self, tmp_path, env, want):
+        # the one value that is not its field's type: the reader puts the
+        # task's observation width, env overrides included, in its place
+        cfg = load_experiment(write_config(tmp_path / "c.json", env=env,
+                                           nvif={"recon_weight": "obs_dim"}))
+        assert cfg.nvif.recon_weight == want == float(cfg.task_config().obs_dim)
+        assert type(cfg.nvif.recon_weight) is float
 
     def test_every_default_section_validates(self):
         # the shipped defaults of each trainer pass the range checks
@@ -360,11 +370,11 @@ def float_rows_train(compressor, rows, hyper):
         n_batches = 0
         for lo in range(0, len(order), hyper.batch_size):
             batch = rows[order[lo:lo + hyper.batch_size]]
+            clear_grads(compressor.store)
             mu, log_sigma = compressor._encode(Tensor(batch))
             z = gaussian_sample(mu, log_sigma, rng=rng)
             recon = mul(bce_loss(batch, compressor._decode(z)), float(compressor.config.obs_dim))
             kl = kl_standard_normal(mu, log_sigma)
-            compressor.store.zero_grad()
             backward(recon + kl)
             optimizer_step(compressor.store, lr=hyper.lr)
             recon_sum += float(recon.data)
@@ -691,8 +701,11 @@ class TestCliExitCodes:
         garbage = tmp_path / "garbage.ckpt"
         garbage.write_bytes(b"\x00" * 64)
         tiny_compressor.save(tmp_path / "obs_vae.ckpt")  # a checkpoint, not a bundle
+        shapeless = tmp_path / "shapeless.ckpt"  # its header parses; its table does not
+        shapeless.write_bytes(b'{"meta": {}, "stores": {"actor": {"step_count": 0, "arrays": '
+                              b'[{"name": "param/w1", "dtype": "float32"}]}}}\n\0\0\0\0')
         path = write_config(tmp_path / "c.json")
-        for policy in (garbage, tmp_path / "obs_vae.ckpt"):
+        for policy in (garbage, tmp_path / "obs_vae.ckpt", shapeless):
             assert cli_main(["eval", "--config", str(path), "--policy", str(policy)]) == 3
             assert str(policy) in capsys.readouterr().err
 

@@ -45,6 +45,7 @@ from nviflab.policy import NvifLatents
 
 import conftest
 from conftest import (
+    clear_grads,
     composite_centered_sq_dist_rows,
     composite_flow_gru_cell,
     composite_gaussian_sample,
@@ -648,14 +649,14 @@ class TestPretrain:
         enc = tiny_encoder(np.random.default_rng(3), obs_feat=8,
                            obs_dim=tiny_task.obs_dim, dtype="float64")
         # gradients with alpha=0 equal the recon+kl-only gradients exactly
+        clear_grads(enc.store)
         total, *_ = _batch_loss(enc, small_buffer[:2], alpha=0.0, recon_weight=1.0,
                                 rng=np.random.default_rng(0))
-        enc.store.zero_grad()
         dc.backward(total)
         g_alpha0 = {n: enc.store[n].grad.copy() for n in enc.store.names()}
+        clear_grads(enc.store)
         total2, *_ = _batch_loss(enc, small_buffer[:2], alpha=0.1, recon_weight=1.0,
                                  rng=np.random.default_rng(0))
-        enc.store.zero_grad()
         dc.backward(total2)
         assert any(not np.allclose(enc.store[n].grad, g_alpha0[n])
                    for n in enc.store.names())
@@ -750,7 +751,8 @@ class TestPretrain:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        fixed = (sum(enc.store[n].grad.nbytes for n in enc.store.names()) +
+        # a step drops the gradients, so count them as their parameters' bytes
+        fixed = (sum(enc.store[n].data.nbytes for n in enc.store.names()) +
                  sum(buf.m.nbytes + buf.v.nbytes for buf in enc.store.buffers.values()))
         assert len(tape_bytes) == 2
         assert peak - fixed <= 2 * max(tape_bytes)
@@ -765,7 +767,7 @@ class TestPretrain:
             flow_layers=2, decoder_hidden=128, dtype="float32"), np.random.default_rng(2))
 
         def batch():
-            enc.store.zero_grad()
+            clear_grads(enc.store)
             total, *_ = _batch_loss(enc, buffer[:2], alpha=alpha, recon_weight=1.0,
                                     rng=np.random.default_rng(0))
             size = tape_size(total)
@@ -988,11 +990,11 @@ class TestDecoderLocalBackward:
         enc = tiny_encoder(np.random.default_rng(10), obs_feat=8,
                            obs_dim=tiny_task.obs_dim, dtype=dtype)
         args = (enc, small_buffer[:4], alpha, 3.0)
-        enc.store.zero_grad()
+        clear_grads(enc.store)
         oracle = full_tape_batch_loss(*args, rng=np.random.default_rng(1))
         dc.backward(oracle)
         want = {n: enc.store[n].grad.copy() for n in enc.store.names()}
-        enc.store.zero_grad()
+        clear_grads(enc.store)
         total, *_ = _batch_loss(*args, rng=np.random.default_rng(1))
         dc.backward(total)
         assert float(total.data) == float(oracle.data)
@@ -1050,11 +1052,11 @@ class TestFixedSlots:
         buffer = slot_buffer(tiny_task, alive, np.random.default_rng(seed))
         enc = tiny_encoder(np.random.default_rng(seed + 1), obs_feat=8,
                            obs_dim=tiny_task.obs_dim, dtype=dtype)
-        enc.store.zero_grad()
+        clear_grads(enc.store)
         oracle = full_tape_batch_loss(enc, buffer, alpha, 2.0, np.random.default_rng(seed))
         dc.backward(oracle)
         want = {n: enc.store[n].grad.copy() for n in enc.store.names()}
-        enc.store.zero_grad()
+        clear_grads(enc.store)
         total, *_ = _batch_loss(enc, buffer, alpha, 2.0, np.random.default_rng(seed))
         dc.backward(total)
         assert float(total.data) == float(oracle.data)
@@ -1257,10 +1259,10 @@ class TestModelDtypeEndToEnd:
         from nviflab.nvif.pretrain import _batch_loss
         enc = tiny_encoder(np.random.default_rng(seed), obs_feat=8,
                            obs_dim=tiny_task.obs_dim, dtype=dtype)
+        clear_grads(enc.store)
         total, *_ = _batch_loss(enc, small_buffer[:2], alpha=0.1, recon_weight=1.0,
                                 rng=np.random.default_rng(seed))
         assert tape_dtypes(total) == {np.dtype(dtype)}
-        enc.store.zero_grad()
         dc.backward(total)
         assert {enc.store[n].grad.dtype for n in enc.store.names()} == {np.dtype(dtype)}
 

@@ -32,6 +32,7 @@ from nviflab.policy import (
     train_dqn,
     train_ppo,
 )
+from nviflab.policy import ppo
 from nviflab.policy.dqn import _flush
 
 from alignment import alignment_check
@@ -39,6 +40,7 @@ from conftest import (
     EpisodeSpy,
     TwoArrayRing,
     central_diff_grads,
+    clear_grads,
     linux_only,
     per_agent_episode,
     ring_spy,
@@ -308,9 +310,9 @@ class TestClipObjective:
         logp_old = logp_all[np.arange(6), actions]
         adv = rng.standard_normal(6)
 
+        clear_grads(ac.actor)
         objective, _ = ppo_actor_objective(ac, x, actions, logp_old, adv,
                                            n_slots=3, clip_eps=0.2)
-        ac.actor.zero_grad()
         dc.backward(objective)
         analytic = {n: ac.actor[n].grad.copy() for n in ac.actor.names()}
 
@@ -330,6 +332,60 @@ class TestClipObjective:
         with pytest.raises(DataError):
             ppo_actor_objective(ac, np.zeros((1, 3), dtype=np.float32), [0],
                                 bad_logp, [1.0], 1, 0.2)
+
+
+class TestPpoUpdate:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_joint_backward_equals_two_separate_passes(self, monkeypatch, dtype):
+        # one backward pass of actor_loss + closs per minibatch gives each
+        # store, bit for bit, the gradients of its own loss's pass alone
+        rng = np.random.default_rng(11)
+        rows = 30
+        batch = ppo.EpochBatch(
+            x=rng.standard_normal((rows, 5)).astype(dtype),
+            actions=rng.integers(0, N_ACTIONS, rows), probs=rng.uniform(0.05, 1.0, rows),
+            adv=rng.standard_normal(rows), ret=rng.standard_normal(rows),
+            slot=np.arange(rows) % 12)
+        hyper = PPOHyper(update_passes=2, minibatch_slots=4)
+        real_backward, real_step = dc.backward, dc.optimizer_step
+
+        def run(backward):
+            ac = ActorCritic(PolicyConfig(input_width=5, hidden_width=6, dtype=dtype),
+                             np.random.default_rng(12))
+            passes, stepped = [], []
+
+            def spy_backward(loss):
+                passes.append(loss)
+                backward(loss)
+
+            def spy_step(store, **kwargs):
+                stepped.append((store is ac.actor,
+                                [store[n].grad for n in store.names()]))
+                real_step(store, **kwargs)
+
+            monkeypatch.setattr(ppo, "backward", spy_backward)
+            monkeypatch.setattr(ppo, "optimizer_step", spy_step)
+            ppo._update(ac, batch, hyper, np.random.default_rng(13))
+            return ac, len(passes), stepped
+
+        def two_passes(loss):
+            actor_loss, closs = loss._parents
+            real_backward(actor_loss)
+            real_backward(closs)
+
+        joint, n_joint, joint_steps = run(real_backward)
+        split, n_split, split_steps = run(two_passes)
+        assert n_joint == n_split == 2 * 3  # 2 passes x 3 minibatches of 4 slots
+        assert [actor for actor, _ in joint_steps] == [True, False] * n_joint
+        for (_, got), (_, want) in zip(joint_steps, split_steps, strict=True):
+            for g, w in zip(got, want, strict=True):
+                assert g.dtype == w.dtype == np.dtype(dtype)
+                np.testing.assert_array_equal(g, w)
+        for store in ("actor", "critic"):
+            a, b = getattr(joint, store), getattr(split, store)
+            for name in a.names():
+                np.testing.assert_array_equal(a[name].data, b[name].data)
+                assert a[name].grad is None and b[name].grad is None
 
 
 class TestCriticLoss:
@@ -353,8 +409,8 @@ class TestCriticLoss:
         ac = ActorCritic(PolicyConfig(input_width=4, hidden_width=5, dtype="float64"), rng)
         x = rng.standard_normal((6, 4))
         ret = rng.standard_normal(6)
+        clear_grads(ac.critic)
         loss = critic_loss(ac, x, ret)
-        ac.critic.zero_grad()
         dc.backward(loss)
         for name in ac.critic.names():
             numeric = central_diff_grads(
